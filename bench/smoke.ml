@@ -1,7 +1,10 @@
-(* Bench regression guard: time Q1 over the GLOBAL encoding and fail if the
-   per-run latency regresses more than 3x over the checked-in baseline
-   (bench/baseline.json). Fast enough to wire into `make check`; the full
-   statistical suite stays in bench/main.ml. *)
+(* Bench regression guard. Two checks, fast enough to wire into
+   `make check`; the full statistical suite stays in bench/main.ml:
+   - counters: after warm-up, Q1-Q7 on GLOBAL, LOCAL and DEWEY bump the
+     catalog version 0 times and hit the plan cache on at least 95 % of
+     their statements (deterministic, so no tolerance is needed);
+   - timing: Q1 over GLOBAL must not regress more than 3x over the
+     checked-in baseline (bench/baseline.json). *)
 
 module O = Ordered_xml
 
@@ -53,22 +56,53 @@ let rec rm_rf path =
   | false -> Sys.remove path
   | exception Sys_error _ -> ()
 
+(* Q1-Q7 (Q8 is a subtree fetch, not a path) *)
+let paths =
+  List.filter_map (fun (q : O.Workload.query) -> q.O.Workload.q_xpath)
+    O.Workload.queries
+
+let min_hit_ratio = 0.95
+
+let check_counters doc =
+  List.iter
+    (fun enc ->
+      let db = Reldb.Db.create () in
+      let store = O.Api.Store.create db ~name:"b" enc doc in
+      let run () = List.iter (fun p -> ignore (O.Api.Store.query store p)) paths in
+      run ();
+      let version () = Reldb.Catalog.version (Reldb.Db.catalog db) in
+      let v0 = version () and h0, m0, _ = Reldb.Db.plan_cache_stats db in
+      for _ = 1 to 5 do
+        run ()
+      done;
+      let h1, m1, _ = Reldb.Db.plan_cache_stats db in
+      let hits = h1 - h0 and misses = m1 - m0 in
+      let ratio = float_of_int hits /. float_of_int (max 1 (hits + misses)) in
+      let bumps = version () - v0 in
+      Printf.printf
+        "bench-smoke: q1-q7/%s catalog bumps %d, plan cache %d/%d hits (%.3f)\n"
+        (O.Encoding.name enc) bumps hits (hits + misses) ratio;
+      if bumps <> 0 then
+        die "bench-smoke: FAIL - reads bumped the catalog version on %s"
+          (O.Encoding.name enc);
+      if ratio < min_hit_ratio then
+        die "bench-smoke: FAIL - plan-cache hit ratio %.3f < %.2f on %s" ratio
+          min_hit_ratio (O.Encoding.name enc))
+    [ O.Encoding.Global; O.Encoding.Local; O.Encoding.Dewey_enc ]
+
 let () =
   let baseline_path =
     if Array.length Sys.argv > 1 then Sys.argv.(1) else "bench/baseline.json"
   in
   let base = baseline_us baseline_path in
   let doc = O.Workload.dataset ~scale:1 in
+  check_counters doc;
   let db = Reldb.Db.create () in
   (* the guarded figure is the in-memory engine: opening a database without
      a directory must keep the WAL code out of the write and query paths *)
   if Reldb.Db.is_durable db then die "bench-smoke: Db.create is durable?";
   let store = O.Api.Store.create db ~name:"b" O.Encoding.Global doc in
-  let q1 =
-    match (List.hd O.Workload.queries).O.Workload.q_xpath with
-    | Some xp -> xp
-    | None -> die "bench-smoke: Q1 has no xpath"
-  in
+  let q1 = List.hd paths in
   (* warm-up also fills the plan cache, matching steady-state service *)
   for _ = 1 to 50 do
     ignore (O.Api.Store.query store q1)

@@ -1,3 +1,5 @@
+exception No_subtree = Reconstruct.No_subtree
+
 module Store = struct
   type t = { db : Reldb.Db.t; name : string; enc : Encoding.t }
 

@@ -26,6 +26,11 @@
       print_string (Obs.Span.to_string spans)
     ]} *)
 
+exception No_subtree of int
+(** Raised by {!Store.subtree}, {!Store.serialize} and {!Store.query_nodes}
+    when the node id is unknown or names an attribute, which roots no
+    subtree. The same exception as {!Reconstruct.No_subtree}. *)
+
 module Store : sig
   type t
 
@@ -60,9 +65,8 @@ module Store : sig
 
   val query_nodes : t -> string -> Xmllib.Types.node list
   (** Result subtrees, reconstructed. Attribute results cannot be rebuilt
-      as standalone subtrees — {!Reconstruct.subtree} raises
-      [Invalid_argument] for them — so use {!query_values} when the XPath
-      selects attributes. *)
+      as standalone subtrees, so use {!query_values} when the XPath selects
+      attributes. @raise No_subtree if it selects one. *)
 
   val query_values : t -> string -> string list
   (** XPath string-values of the result nodes. *)
@@ -97,9 +101,10 @@ module Store : sig
   val document : t -> Xmllib.Types.document
   val root_id : t -> int
   val subtree : t -> id:int -> Xmllib.Types.node
+  (** @raise No_subtree on an unknown id or an attribute. *)
 
   (** Single-pass streaming serialization of a subtree, see
-      {!Reconstruct.serialize_subtree}. *)
+      {!Reconstruct.serialize_subtree}. @raise No_subtree as {!subtree}. *)
   val serialize : t -> id:int -> string
   val storage : t -> Storage.t
 

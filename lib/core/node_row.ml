@@ -67,3 +67,45 @@ let dewey t =
   match t.ord with
   | Od b -> Dewey.decode b
   | Og _ | Ol _ -> invalid_arg "Node_row.dewey: not a DEWEY row"
+
+(* ---- context relations --------------------------------------------- *)
+
+type relation = { rel_name : string; rel_cols : (string * V.ty) list }
+
+let ctx_relation = function
+  | Encoding.Global | Encoding.Global_gap ->
+      {
+        rel_name = "ctx_global";
+        rel_cols =
+          [
+            ("id", V.Tint); ("parent", V.Tint); ("g_order", V.Tint);
+            ("g_end", V.Tint);
+          ];
+      }
+  | Encoding.Local ->
+      {
+        rel_name = "ctx_local";
+        rel_cols = [ ("id", V.Tint); ("parent", V.Tint); ("l_order", V.Tint) ];
+      }
+  | Encoding.Dewey_enc | Encoding.Dewey_caret ->
+      {
+        rel_name = "ctx_dewey";
+        rel_cols =
+          [
+            ("id", V.Tint); ("parent", V.Tint); ("path", V.Tbytes);
+            ("path_ub", V.Tbytes);
+          ];
+      }
+
+let ids_relation = { rel_name = "ctx_ids"; rel_cols = [ ("id", V.Tint) ] }
+
+let ctx_tuple t =
+  let parent = match t.parent with Some p -> V.Int p | None -> V.Null in
+  match t.ord with
+  | Og (o, e) -> [| V.Int t.id; parent; V.Int o; V.Int e |]
+  | Ol o -> [| V.Int t.id; parent; V.Int o |]
+  | Od p ->
+      [| V.Int t.id; parent; V.Bytes p; V.Bytes (Dewey.prefix_upper_bound p) |]
+
+let with_relation db rel rows f =
+  Reldb.Db.with_scratch db ~name:rel.rel_name ~cols:rel.rel_cols rows f

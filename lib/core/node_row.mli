@@ -28,3 +28,28 @@ val compare_ord : t -> t -> int
 
 val dewey : t -> Dewey.t
 (** @raise Invalid_argument unless the row is DEWEY-encoded. *)
+
+(** {2 Context relations}
+
+    A step joins the edge table (alias [e]) with its context set, which
+    lives in an engine-owned scratch relation (alias [c], see
+    {!Reldb.Db.with_scratch}) with a fixed name per column shape. So the
+    text of every statement depends only on the table, the encoding, the
+    axis and the node test, and its plan stays cached. *)
+
+type relation = { rel_name : string; rel_cols : (string * Reldb.Value.ty) list }
+
+val ctx_relation : Encoding.t -> relation
+(** Context rows of the encoding: [id], [parent], then its order columns
+    ([g_order], [g_end] / [l_order] / [path] and its prefix upper bound
+    [path_ub]). *)
+
+val ids_relation : relation
+(** A set of node ids: one [id] column. *)
+
+val ctx_tuple : t -> Reldb.Tuple.t
+(** The row as a tuple of {!ctx_relation} of its encoding. *)
+
+val with_relation :
+  Reldb.Db.t -> relation -> Reldb.Tuple.t list -> (unit -> 'a) -> 'a
+(** Fill the relation with the tuples around one statement. *)

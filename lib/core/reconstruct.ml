@@ -1,15 +1,25 @@
 module T = Xmllib.Types
 module V = Reldb.Value
 
+exception No_subtree of int
+
+(* The rows of edge table [e] joined with the relation [c] holding [ctx]. *)
+let ctx_rows db ~doc enc rel ctx ~where =
+  Node_row.with_relation db rel ctx (fun () ->
+      List.map (Node_row.of_tuple enc)
+        (Reldb.Db.query db
+           (Printf.sprintf "SELECT %s FROM %s e, %s c WHERE %s"
+              (Node_row.select_list enc "e")
+              (Encoding.table_name ~doc enc)
+              rel.Node_row.rel_name where)))
+
 let fetch_row db ~doc enc ~id =
-  let tname = Encoding.table_name ~doc enc in
-  let sql =
-    Printf.sprintf "SELECT %s FROM %s e WHERE e.id = %d"
-      (Node_row.select_list enc "e") tname id
-  in
-  match Reldb.Db.query_one db sql with
-  | Some tu -> Node_row.of_tuple enc tu
-  | None -> raise Not_found
+  match
+    ctx_rows db ~doc enc Node_row.ids_relation [ [| V.Int id |] ]
+      ~where:"e.id = c.id"
+  with
+  | r :: _ -> r
+  | [] -> raise Not_found
 
 let root_id db ~doc enc =
   let tname = Encoding.table_name ~doc enc in
@@ -22,53 +32,32 @@ let root_id db ~doc enc =
   | None -> raise Not_found
 
 let fetch_subtree_rows db ~doc enc ~root =
-  let tname = Encoding.table_name ~doc enc in
-  let rows sql = List.map (Node_row.of_tuple enc) (Reldb.Db.query db sql) in
-  match (enc, root.Node_row.ord) with
-  | (Encoding.Global | Encoding.Global_gap), Node_row.Og (o, e) ->
-      rows
-        (Printf.sprintf
-           "SELECT %s FROM %s e WHERE e.g_order >= %d AND e.g_order <= %d \
-            ORDER BY e.g_order"
-           (Node_row.select_list enc "e") tname o e)
-  | (Encoding.Dewey_enc | Encoding.Dewey_caret), Node_row.Od p ->
-      let ub = Dewey.prefix_upper_bound p in
-      rows
-        (Printf.sprintf
-           "SELECT %s FROM %s e WHERE e.path >= %s AND e.path < %s ORDER BY \
-            e.path"
-           (Node_row.select_list enc "e") tname
-           (V.to_sql_literal (V.Bytes p))
-           (V.to_sql_literal (V.Bytes ub)))
-  | Encoding.Local, _ ->
+  (* document order by the order value: sorting the decoded rows here is
+     cheaper than an ORDER BY over the join's concatenated tuples *)
+  let range where =
+    List.stable_sort Node_row.compare_ord
+      (ctx_rows db ~doc enc (Node_row.ctx_relation enc)
+         [ Node_row.ctx_tuple root ] ~where)
+  in
+  match enc with
+  | Encoding.Global | Encoding.Global_gap ->
+      range "e.g_order >= c.g_order AND e.g_order <= c.g_end"
+  | Encoding.Dewey_enc | Encoding.Dewey_caret ->
+      range "e.path >= c.path AND e.path < c.path_ub"
+  | Encoding.Local ->
       (* breadth-first: one SQL statement per level *)
       let acc = ref [ root ] in
       let frontier = ref [ root ] in
       while !frontier <> [] do
         let level =
-          if List.length !frontier <= 4 then
-            List.concat_map
-              (fun (r : Node_row.t) ->
-                rows
-                  (Printf.sprintf "SELECT %s FROM %s e WHERE e.parent = %d"
-                     (Node_row.select_list enc "e") tname r.Node_row.id))
-              !frontier
-          else
-            let ctx_rows =
-              List.map (fun r -> [| V.Int r.Node_row.id |]) !frontier
-            in
-            Temp.with_ctx db ~cols:[ ("id", V.Tint) ] ~rows:ctx_rows (fun ctx ->
-                rows
-                  (Printf.sprintf
-                     "SELECT %s FROM %s e, %s c WHERE e.parent = c.id"
-                     (Node_row.select_list enc "e") tname ctx))
+          ctx_rows db ~doc enc Node_row.ids_relation
+            (List.map (fun (r : Node_row.t) -> [| V.Int r.Node_row.id |]) !frontier)
+            ~where:"e.parent = c.id"
         in
         acc := !acc @ level;
         frontier := level
       done;
       !acc
-  | (Encoding.Global | Encoding.Global_gap | Encoding.Dewey_enc | Encoding.Dewey_caret), _ ->
-      invalid_arg "Reconstruct.fetch_subtree_rows: row/encoding mismatch"
 
 let assemble rows ~root_id:rid =
   (* children grouped by parent and sorted by the encoding's order value;
@@ -123,10 +112,15 @@ let assemble rows ~root_id:rid =
   | None -> raise Not_found
   | Some root -> build root
 
+(* The row of a node that roots a subtree: an element, text, comment or PI. *)
+let subtree_root db ~doc enc ~id =
+  match fetch_row db ~doc enc ~id with
+  | exception Not_found -> raise (No_subtree id)
+  | { Node_row.kind = Doc_index.Attr; _ } -> raise (No_subtree id)
+  | root -> root
+
 let subtree db ~doc enc ~id =
-  let root = fetch_row db ~doc enc ~id in
-  if root.Node_row.kind = Doc_index.Attr then
-    invalid_arg "Reconstruct.subtree: attribute node";
+  let root = subtree_root db ~doc enc ~id in
   let rows = fetch_subtree_rows db ~doc enc ~root in
   assemble rows ~root_id:id
 
@@ -196,9 +190,7 @@ let serialize_rows buf rows =
   done
 
 let serialize_subtree db ~doc enc ~id =
-  let root = fetch_row db ~doc enc ~id in
-  if root.Node_row.kind = Doc_index.Attr then
-    invalid_arg "Reconstruct.serialize_subtree: attribute node";
+  let root = subtree_root db ~doc enc ~id in
   let rows = fetch_subtree_rows db ~doc enc ~root in
   let rows =
     match enc with

@@ -1,19 +1,24 @@
 (** Rebuilding XML from the shredded relations — the ordered round-trip the
     paper treats as the correctness bar for an order encoding.
 
-    GLOBAL and DEWEY fetch a subtree with a single ordered range query (the
-    interval, resp. the path prefix range). LOCAL has no global order in the
-    relation, so the subtree is fetched breadth-first, one SQL statement per
-    level, and stitched together by sibling rank in the middle tier — the
-    recursive-composition cost the paper attributes to local order. *)
+    GLOBAL and DEWEY fetch a subtree with a single range query (the
+    interval, resp. the path prefix range), in document order. LOCAL has no
+    global order in the relation, so the subtree is fetched breadth-first,
+    one SQL statement per level, and stitched together by sibling rank in
+    the middle tier — the recursive-composition cost the paper attributes
+    to local order. Every statement reads its root or frontier from a
+    context relation (see {!Node_row.ctx_relation}), so its text never
+    names a node. *)
+
+exception No_subtree of int
+(** The id names no node, or an attribute (which roots no subtree). *)
 
 val root_id : Reldb.Db.t -> doc:string -> Encoding.t -> int
 (** Id of the document root (the row with NULL parent). *)
 
 val subtree : Reldb.Db.t -> doc:string -> Encoding.t -> id:int -> Xmllib.Types.node
-(** Rebuild the subtree rooted at [id].
-    @raise Not_found if the id does not exist.
-    @raise Invalid_argument on an attribute node. *)
+(** Rebuild the subtree rooted at [id]. @raise No_subtree on an unknown id
+    or an attribute node. *)
 
 val document : Reldb.Db.t -> doc:string -> Encoding.t -> Xmllib.Types.document
 (** Rebuild the whole document. *)
@@ -23,7 +28,8 @@ val serialize_subtree : Reldb.Db.t -> doc:string -> Encoding.t -> id:int -> stri
     pass — no intermediate DOM. For GLOBAL and DEWEY this is one ordered
     range scan feeding a tag stack (the streaming-publishing fast path those
     encodings enable); LOCAL still fetches level by level and sorts first.
-    Produces exactly {!Xmllib.Printer.node_to_string} of {!subtree}. *)
+    Produces exactly {!Xmllib.Printer.node_to_string} of {!subtree}.
+    @raise No_subtree as {!subtree}. *)
 
 val fetch_row : Reldb.Db.t -> doc:string -> Encoding.t -> id:int -> Node_row.t
 (** Fetch one node's row by id. @raise Not_found if absent. *)

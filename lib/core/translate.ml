@@ -27,16 +27,17 @@ let run_sql st sql =
   Log.debug (fun m -> m "%s" sql);
   Reldb.Db.query st.db sql
 
-(* Queries return (ctx id, edge row): column 0 is the context id. *)
+(* Queries return (edge row, ctx id): the context id comes last, after the
+   columns Node_row.of_tuple reads. *)
 let tagged_rows st sql =
   List.map
     (fun tu ->
       let ctx =
-        match tu.(0) with
+        match tu.(Array.length tu - 1) with
         | V.Int i -> i
         | v -> invalid_arg ("Translate: bad ctx id " ^ V.to_string v)
       in
-      (ctx, Node_row.of_tuple st.enc (Array.sub tu 1 (Array.length tu - 1))))
+      (ctx, Node_row.of_tuple st.enc tu))
     (run_sql st sql)
 
 let plain_rows st sql = List.map (Node_row.of_tuple st.enc) (run_sql st sql)
@@ -58,130 +59,43 @@ let test_cond axis (test : A.node_test) =
   | _, A.Comment_test -> "e.kind = 3"
   | _, A.Node_test -> "e.kind <> 2"
 
-(* Accessors into the context: either column references of a bound context
-   table or literals for a single inlined context row. *)
-type ctx_ref = {
-  r_id : string;
-  r_parent : string;
-  r_ord : string;  (* g_order / l_order / path *)
-  r_end : string;  (* g_end *)
-  r_ub : string;  (* dewey path upper bound *)
-}
-
-let ctx_ref_table = function
-  | Encoding.Global | Encoding.Global_gap ->
-      { r_id = "c.id"; r_parent = "c.parent"; r_ord = "c.g_order"; r_end = "c.g_end"; r_ub = "" }
-  | Encoding.Local ->
-      { r_id = "c.id"; r_parent = "c.parent"; r_ord = "c.l_order"; r_end = ""; r_ub = "" }
-  | Encoding.Dewey_enc | Encoding.Dewey_caret ->
-      { r_id = "c.id"; r_parent = "c.parent"; r_ord = "c.path"; r_end = ""; r_ub = "c.path_ub" }
-
-let ctx_ref_literal (r : Node_row.t) =
-  let parent =
-    match r.Node_row.parent with Some p -> string_of_int p | None -> "NULL"
-  in
-  match r.Node_row.ord with
-  | Node_row.Og (o, e) ->
-      {
-        r_id = string_of_int r.Node_row.id;
-        r_parent = parent;
-        r_ord = string_of_int o;
-        r_end = string_of_int e;
-        r_ub = "";
-      }
-  | Node_row.Ol o ->
-      {
-        r_id = string_of_int r.Node_row.id;
-        r_parent = parent;
-        r_ord = string_of_int o;
-        r_end = "";
-        r_ub = "";
-      }
-  | Node_row.Od p ->
-      {
-        r_id = string_of_int r.Node_row.id;
-        r_parent = parent;
-        r_ord = V.to_sql_literal (V.Bytes p);
-        r_end = "";
-        r_ub = V.to_sql_literal (V.Bytes (Dewey.prefix_upper_bound p));
-      }
-
-let ctx_cols = function
-  | Encoding.Global | Encoding.Global_gap ->
-      [ ("id", V.Tint); ("parent", V.Tint); ("g_order", V.Tint); ("g_end", V.Tint) ]
-  | Encoding.Local -> [ ("id", V.Tint); ("parent", V.Tint); ("l_order", V.Tint) ]
-  | Encoding.Dewey_enc | Encoding.Dewey_caret ->
-      [ ("id", V.Tint); ("parent", V.Tint); ("path", V.Tbytes); ("path_ub", V.Tbytes) ]
-
-let ctx_tuple enc (r : Node_row.t) =
-  let parent =
-    match r.Node_row.parent with Some p -> V.Int p | None -> V.Null
-  in
-  match (enc, r.Node_row.ord) with
-  | (Encoding.Global | Encoding.Global_gap), Node_row.Og (o, e) ->
-      [| V.Int r.Node_row.id; parent; V.Int o; V.Int e |]
-  | Encoding.Local, Node_row.Ol o -> [| V.Int r.Node_row.id; parent; V.Int o |]
-  | (Encoding.Dewey_enc | Encoding.Dewey_caret), Node_row.Od p ->
-      [|
-        V.Int r.Node_row.id; parent; V.Bytes p;
-        V.Bytes (Dewey.prefix_upper_bound p);
-      |]
-  | _ -> invalid_arg "Translate.ctx_tuple: row/encoding mismatch"
-
-(* WHERE fragment implementing the axis from a context reference; [None]
-   when the axis is not SQL-expressible under the encoding and must be
-   handled by the middle tier (LOCAL document-order axes). *)
-let axis_cond enc (cr : ctx_ref) (axis : A.axis) =
+(* WHERE fragment implementing the axis from the context row [c] (see
+   Node_row.ctx_relation); [None] when the axis is not SQL-expressible under
+   the encoding and must be handled by the middle tier (LOCAL document-order
+   axes). *)
+let axis_cond enc (axis : A.axis) =
   match (enc, axis) with
-  | _, A.Child ->
-      Some (Printf.sprintf "e.parent = %s AND e.kind <> 2" cr.r_id)
-  | _, A.Attribute -> Some (Printf.sprintf "e.parent = %s" cr.r_id)
-  | _, A.Parent -> Some (Printf.sprintf "e.id = %s" cr.r_parent)
+  | _, A.Child -> Some "e.parent = c.id AND e.kind <> 2"
+  | _, A.Attribute -> Some "e.parent = c.id"
+  | _, A.Parent -> Some "e.id = c.parent"
   | (Encoding.Global | Encoding.Global_gap), A.Descendant ->
-      Some
-        (Printf.sprintf
-           "e.g_order > %s AND e.g_order < %s AND e.kind <> 2" cr.r_ord cr.r_end)
+      Some "e.g_order > c.g_order AND e.g_order < c.g_end AND e.kind <> 2"
   | (Encoding.Global | Encoding.Global_gap), A.Following_sibling ->
-      Some
-        (Printf.sprintf
-           "e.parent = %s AND e.g_order > %s AND e.kind <> 2" cr.r_parent cr.r_ord)
+      Some "e.parent = c.parent AND e.g_order > c.g_order AND e.kind <> 2"
   | (Encoding.Global | Encoding.Global_gap), A.Preceding_sibling ->
-      Some
-        (Printf.sprintf
-           "e.parent = %s AND e.g_order < %s AND e.kind <> 2" cr.r_parent cr.r_ord)
+      Some "e.parent = c.parent AND e.g_order < c.g_order AND e.kind <> 2"
   | (Encoding.Global | Encoding.Global_gap), A.Following ->
-      Some (Printf.sprintf "e.g_order > %s AND e.kind <> 2" cr.r_end)
+      Some "e.g_order > c.g_end AND e.kind <> 2"
   | (Encoding.Global | Encoding.Global_gap), A.Preceding ->
-      Some (Printf.sprintf "e.g_end < %s AND e.kind <> 2" cr.r_ord)
+      Some "e.g_end < c.g_order AND e.kind <> 2"
   | (Encoding.Dewey_enc | Encoding.Dewey_caret), A.Descendant ->
-      Some
-        (Printf.sprintf "e.path > %s AND e.path < %s AND e.kind <> 2" cr.r_ord
-           cr.r_ub)
+      Some "e.path > c.path AND e.path < c.path_ub AND e.kind <> 2"
   | (Encoding.Dewey_enc | Encoding.Dewey_caret), A.Following_sibling ->
-      Some
-        (Printf.sprintf
-           "e.parent = %s AND e.path > %s AND e.kind <> 2" cr.r_parent cr.r_ord)
+      Some "e.parent = c.parent AND e.path > c.path AND e.kind <> 2"
   | (Encoding.Dewey_enc | Encoding.Dewey_caret), A.Preceding_sibling ->
-      Some
-        (Printf.sprintf
-           "e.parent = %s AND e.path < %s AND e.kind <> 2" cr.r_parent cr.r_ord)
+      Some "e.parent = c.parent AND e.path < c.path AND e.kind <> 2"
   | (Encoding.Dewey_enc | Encoding.Dewey_caret), A.Following ->
-      Some (Printf.sprintf "e.path >= %s AND e.kind <> 2" cr.r_ub)
+      Some "e.path >= c.path_ub AND e.kind <> 2"
   | (Encoding.Dewey_enc | Encoding.Dewey_caret), A.Preceding ->
       (* ancestors (path prefixes) are filtered in the middle tier *)
-      Some (Printf.sprintf "e.path < %s AND e.kind <> 2" cr.r_ord)
+      Some "e.path < c.path AND e.kind <> 2"
   | Encoding.Local, A.Following_sibling ->
-      Some
-        (Printf.sprintf
-           "e.parent = %s AND e.l_order > %s AND e.l_order > 0" cr.r_parent cr.r_ord)
+      Some "e.parent = c.parent AND e.l_order > c.l_order AND e.l_order > 0"
   | Encoding.Local, A.Preceding_sibling ->
-      Some
-        (Printf.sprintf
-           "e.parent = %s AND e.l_order < %s AND e.l_order > 0" cr.r_parent cr.r_ord)
+      Some "e.parent = c.parent AND e.l_order < c.l_order AND e.l_order > 0"
   | (Encoding.Global | Encoding.Global_gap), A.Ancestor ->
       (* strict interval containment *)
-      Some
-        (Printf.sprintf "e.g_order < %s AND e.g_end > %s" cr.r_ord cr.r_end)
+      Some "e.g_order < c.g_order AND e.g_end > c.g_end"
   | Encoding.Local, (A.Descendant | A.Following | A.Preceding) -> None
   | (Encoding.Local | Encoding.Dewey_enc | Encoding.Dewey_caret), A.Ancestor -> None
   | _, (A.Self | A.Descendant_or_self | A.Ancestor_or_self) -> None
@@ -190,39 +104,24 @@ let axis_cond enc (cr : ctx_ref) (axis : A.axis) =
 (* Candidate generation                                                *)
 (* ------------------------------------------------------------------ *)
 
-let inline_threshold = 4
+(* One statement joining the edge table [e] with the context relation [c]
+   filled with [ctx] for its duration; rows come back tagged with c.id. *)
+let ctx_join st rel ctx where =
+  Node_row.with_relation st.db rel ctx (fun () ->
+      tagged_rows st
+        (Printf.sprintf "SELECT %s, c.id FROM %s e, %s c WHERE %s"
+           (Node_row.select_list st.enc "e")
+           st.tname rel.Node_row.rel_name where))
 
-(* Run the axis+test SQL for every context row, tagging results with the
+(* Run the axis+test SQL for the context rows, tagging results with the
    producing context id. *)
 let sql_candidates st ctx_rows axis test =
-  let tc = test_cond axis test in
-  if List.length ctx_rows <= inline_threshold then
-    List.concat_map
-      (fun r ->
-        match axis_cond st.enc (ctx_ref_literal r) axis with
-        | None -> assert false
-        | Some cond ->
-            let sql =
-              Printf.sprintf "SELECT %s FROM %s e WHERE %s AND %s"
-                (Node_row.select_list st.enc "e")
-                st.tname cond tc
-            in
-            List.map (fun row -> (r.Node_row.id, row)) (plain_rows st sql))
-      ctx_rows
-  else begin
-    let cols = ctx_cols st.enc in
-    let rows = List.map (ctx_tuple st.enc) ctx_rows in
-    Temp.with_ctx st.db ~cols ~rows (fun ctx ->
-        match axis_cond st.enc (ctx_ref_table st.enc) axis with
-        | None -> assert false
-        | Some cond ->
-            let sql =
-              Printf.sprintf "SELECT c.id, %s FROM %s e, %s c WHERE %s AND %s"
-                (Node_row.select_list st.enc "e")
-                st.tname ctx cond tc
-            in
-            tagged_rows st sql)
-  end
+  match axis_cond st.enc axis with
+  | None -> raise (Unsupported "axis has no SQL form under this encoding")
+  | Some cond ->
+      ctx_join st (Node_row.ctx_relation st.enc)
+        (List.map Node_row.ctx_tuple ctx_rows)
+        (cond ^ " AND " ^ test_cond axis test)
 
 let test_passes axis (test : A.node_test) (r : Node_row.t) =
   let k = r.Node_row.kind in
@@ -290,31 +189,18 @@ let local_world st =
   | None -> raise (Unsupported "document has no root row"));
   { w_rows; w_rank; w_end; w_anc }
 
-(* Fetch rows by id. Small sets go through the unique id index as point
-   queries (one statement each, one row read each); large sets are bound
-   into a context table and joined. *)
-let by_id_inline_threshold = 64
+let id_tuples ids = List.map (fun i -> [| V.Int i |]) ids
 
+(* Fetch rows by id: one join with the id relation, probing the id index. *)
 let fetch_by_ids st ids =
-  let ids = List.sort_uniq compare ids in
-  if List.length ids <= by_id_inline_threshold then
-    List.concat_map
-      (fun id ->
-        plain_rows st
-          (Printf.sprintf "SELECT %s FROM %s e WHERE e.id = %d"
-             (Node_row.select_list st.enc "e") st.tname id))
-      ids
-  else
-    Temp.with_ctx st.db ~cols:[ ("id", V.Tint) ]
-      ~rows:(List.map (fun i -> [| V.Int i |]) ids)
-      (fun ctx ->
-        plain_rows st
-          (Printf.sprintf "SELECT %s FROM %s e, %s c WHERE e.id = c.id"
-             (Node_row.select_list st.enc "e")
-             st.tname ctx))
+  match List.sort_uniq compare ids with
+  | [] -> []
+  | ids ->
+      List.map snd
+        (ctx_join st Node_row.ids_relation (id_tuples ids) "e.id = c.id")
 
 (* Document-order sort keys for LOCAL rows: walk parent chains, batched one
-   round of point lookups (or one join) per level. The key is the root path
+   join per level. The key is the root path
    of sibling positions. *)
 let local_order_keys st (rows : Node_row.t list) =
   let info : (int, int option * int) Hashtbl.t = Hashtbl.create 64 in
@@ -371,26 +257,8 @@ let local_descendants st ctx_rows =
         (List.map (fun (_, r, _) -> r.Node_row.id) !frontier)
     in
     let children =
-      if List.length distinct <= inline_threshold then
-        List.concat_map
-          (fun id ->
-            List.map
-              (fun row -> (id, row))
-              (plain_rows st
-                 (Printf.sprintf
-                    "SELECT %s FROM %s e WHERE e.parent = %d AND e.kind <> 2"
-                    (Node_row.select_list st.enc "e")
-                    st.tname id)))
-          distinct
-      else
-        let ctx_tuples = List.map (fun i -> [| V.Int i |]) distinct in
-        Temp.with_ctx st.db ~cols:[ ("id", V.Tint) ] ~rows:ctx_tuples (fun ctx ->
-            tagged_rows st
-              (Printf.sprintf
-                 "SELECT c.id, %s FROM %s e, %s c WHERE e.parent = c.id AND \
-                  e.kind <> 2"
-                 (Node_row.select_list st.enc "e")
-                 st.tname ctx))
+      ctx_join st Node_row.ids_relation (id_tuples distinct)
+        "e.parent = c.id AND e.kind <> 2"
     in
     let by_parent : (int, (int * Node_row.t) list) Hashtbl.t = Hashtbl.create 64 in
     List.iter
@@ -485,39 +353,31 @@ let rec step_candidates st ctx_rows (step : A.step) :
       in
       (self @ anc, keys)
   | A.Ancestor when st.enc = Encoding.Dewey_enc || st.enc = Encoding.Dewey_caret ->
-      (* every ancestor's path is a proper prefix of the context's path;
-         fetch each prefix with a point query on the unique path index
-         (prefixes that are no node — carets — simply return nothing) *)
-      let pairs =
+      (* every ancestor's path is a proper prefix of the context's path:
+         one join of the path index with (ctx id, prefix) rows (prefixes
+         that are no node — carets — simply match nothing) *)
+      let prefixes =
         List.concat_map
           (fun (c : Node_row.t) ->
             let path = Node_row.dewey c in
-            let prefixes =
-              List.init
-                (max 0 (Array.length path - 1))
-                (fun i -> Array.sub path 0 (i + 1))
-            in
-            List.concat_map
-              (fun prefix ->
-                let rows =
-                  plain_rows st
-                    (Printf.sprintf "SELECT %s FROM %s e WHERE e.path = %s"
-                       (Node_row.select_list st.enc "e")
-                       st.tname
-                       (V.to_sql_literal (V.Bytes (Dewey.encode prefix))))
-                in
-                List.filter_map
-                  (fun row ->
-                    if test_passes step.A.axis step.A.test row then
-                      Some (c.Node_row.id, row)
-                    else None)
-                  rows)
-              prefixes)
+            List.init
+              (max 0 (Array.length path - 1))
+              (fun i ->
+                [|
+                  V.Int c.Node_row.id; V.Null;
+                  V.Bytes (Dewey.encode (Array.sub path 0 (i + 1))); V.Null;
+                |]))
           ctx_rows
+      in
+      let pairs =
+        if prefixes = [] then []
+        else
+          ctx_join st (Node_row.ctx_relation st.enc) prefixes
+            ("e.path = c.path AND " ^ test_cond step.A.axis step.A.test)
       in
       (pairs, None)
   | A.Ancestor when st.enc = Encoding.Local ->
-      (* walk parent chains, one batched round of point lookups per level *)
+      (* walk parent chains, one batched join per level *)
       let cache : (int, Node_row.t) Hashtbl.t = Hashtbl.create 64 in
       List.iter
         (fun (r : Node_row.t) -> Hashtbl.replace cache r.Node_row.id r)

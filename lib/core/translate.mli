@@ -3,9 +3,12 @@
 
     Evaluation is step-at-a-time and set-based, in the middle-tier style the
     shredding literature used before recursive SQL was common: the current
-    context node set is bound into a context table (or inlined as literals
-    when small) and each location step becomes one SQL statement joining the
-    edge table against it. What that statement looks like is exactly where
+    context node set fills an engine-owned scratch relation
+    ({!Node_row.ctx_relation}) and each location step becomes one SQL
+    statement joining the edge table against it. The statement text depends
+    only on the table, encoding, axis and node test, so its plan is cached,
+    and the engine probes the edge table's indexes once per context row (an
+    index nested-loop join). What that statement looks like is exactly where
     the encodings differ:
 
     - ordered axes map to order-column ranges — [g_order]/[g_end] intervals

@@ -17,6 +17,22 @@ val get_table : t -> string -> Table.t
 (** @raise Catalog_error if absent. *)
 
 val tables : t -> Table.t list
+(** The database's tables; scratch relations are not among them. *)
+
+(** {2 Scratch relations}
+
+    Relations the engine owns for its own use (see {!Db.with_scratch}). A
+    SELECT finds them by name, but they are not tables of the database:
+    {!tables} and {!find_table} skip them and registering one leaves
+    {!version} alone, so plans cached over one stay valid. *)
+
+val scratch : t -> string -> Schema.t -> Table.t
+(** The scratch relation [name], registered on first use; later calls return
+    the same {!Table.t}.
+    @raise Catalog_error if [name] is a table, or a scratch relation with
+    another schema. *)
+
+val find_scratch : t -> string -> Table.t option
 
 val version : t -> int
 (** Schema version: incremented on every CREATE/DROP TABLE and by

@@ -90,6 +90,29 @@ let rows_written t =
 
 let reset_counters t = List.iter Table.reset_counters (Catalog.tables t.cat)
 
+(* --- scratch relations -------------------------------------------------- *)
+
+(* A scratch relation is filled for the one statement [f] runs and emptied
+   afterwards, also when [f] raises. It never enters a transaction journal,
+   the WAL, a dump or the catalog version (see Catalog.scratch), so the
+   statements that read it keep a fixed text and a cached plan. *)
+let with_scratch t ~name ~cols rows f =
+  let schema =
+    Array.of_list
+      (List.map (fun (n, ty) -> Schema.column ~nullable:true n ty) cols)
+  in
+  let tbl =
+    try Catalog.scratch t.cat name schema
+    with Catalog.Catalog_error m -> fail "%s" m
+  in
+  if Table.row_count tbl > 0 then fail "scratch relation %s is in use" name;
+  Fun.protect
+    ~finally:(fun () -> Table.truncate tbl)
+    (fun () ->
+      (try List.iter (fun row -> ignore (Table.insert tbl row)) rows
+       with Table.Constraint_violation m -> fail "%s" m);
+      f ())
+
 (* --- dump -------------------------------------------------------------- *)
 
 let row_literal tu =

@@ -60,6 +60,31 @@ module Stmt : sig
   val sql : stmt -> string
 end
 
+(** {2 Scratch relations}
+
+    A step of a path query joins the edge relation with its context set.
+    The context set lives in a scratch relation the engine owns: one per
+    column shape, registered on first use under a fixed name, and the same
+    {!Table.t} for the life of the database. A SELECT finds it by name, so a
+    statement that reads it has a fixed text and its plan stays cached. It
+    is not a table of the database: {!Catalog.tables}, {!dump}, checkpoints,
+    transactions, the WAL and the catalog version never see it. *)
+
+val with_scratch :
+  t ->
+  name:string ->
+  cols:(string * Value.ty) list ->
+  Tuple.t list ->
+  (unit -> 'a) ->
+  'a
+(** [with_scratch db ~name ~cols rows f] fills the scratch relation [name]
+    (nullable columns [cols]) with [rows], runs [f] and empties the relation
+    again, also when [f] raises. Call it around the single statement that
+    reads the relation.
+    @raise Sql_error if [name] is a table, was registered with other
+    columns, is already filled by an enclosing call, or a row does not fit
+    the columns. *)
+
 (** {2 Bulk writes} *)
 
 val insert_many : t -> string -> Tuple.t list -> int

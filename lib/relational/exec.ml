@@ -110,6 +110,42 @@ let rec eval ~wrap (p : Plan.t) : Tuple.t Seq.t =
                  | Some e -> if Expr.eval_bool e joined then Some joined else None)
                inner_rows))
         (run outer)
+  | Plan.Index_nl_join { outer; table; index; key; lo; hi; residual } ->
+      (* One probe per outer row. A NULL key or bound matches nothing, and a
+         range with no lower bound starts above NULL, which ranks lowest:
+         [col < x] is never true of a NULL column. *)
+      let probe ot =
+        let prefix = Array.map (fun e -> Expr.eval e ot) key in
+        let on_next v ~strict =
+          let k = Array.append prefix [| v |] in
+          if strict then Btree.Excl k else Btree.Incl k
+        in
+        let bound ~default = function
+          | None -> Some default
+          | Some { Plan.bound; strict } -> (
+              match Expr.eval bound ot with
+              | Value.Null -> None
+              | v -> Some (on_next v ~strict))
+        in
+        let whole =
+          if Array.length prefix = 0 then Btree.Unbounded else Btree.Incl prefix
+        in
+        let floor = if hi = None then whole else on_next Value.Null ~strict:true in
+        match (bound ~default:floor lo, bound ~default:whole hi) with
+        | Some lo, Some hi when not (Array.exists Value.is_null prefix) ->
+            Seq.filter_map
+              (fun (_, rowid) ->
+                match Table.get table rowid with
+                | None -> None
+                | Some it -> (
+                    let joined = Tuple.concat ot it in
+                    match residual with
+                    | None -> Some joined
+                    | Some e -> if Expr.eval_bool e joined then Some joined else None))
+              (Btree.range index.Table.tree ~lo ~hi)
+        | _ -> Seq.empty
+      in
+      Seq.concat_map probe (run outer)
   | Plan.Hash_join { left; right; left_key; right_key; residual } ->
       let table = Hashtbl.create 1024 in
       Seq.iter

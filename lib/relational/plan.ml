@@ -8,6 +8,8 @@ type agg =
   | Max of Expr.t
   | Avg of Expr.t
 
+type probe_bound = { bound : Expr.t; strict : bool }
+
 type t =
   | Seq_scan of Table.t
   | Index_scan of {
@@ -20,6 +22,15 @@ type t =
   | Filter of Expr.t * t
   | Project of (Expr.t * string) array * t
   | Nl_join of { outer : t; inner : t; pred : Expr.t option }
+  | Index_nl_join of {
+      outer : t;
+      table : Table.t;
+      index : Table.index;
+      key : Expr.t array;
+      lo : probe_bound option;
+      hi : probe_bound option;
+      residual : Expr.t option;
+    }
   | Hash_join of {
       left : t;
       right : t;
@@ -76,6 +87,8 @@ let rec schema_of = function
         cols
   | Nl_join { outer; inner; _ } ->
       Schema.concat (schema_of outer) (schema_of inner)
+  | Index_nl_join { outer; table; _ } ->
+      Schema.concat (schema_of outer) (Table.schema table)
   | Hash_join { left; right; _ } | Merge_join { left; right; _ } ->
       Schema.concat (schema_of left) (schema_of right)
   | Sort { input; _ } | Limit { input; _ } -> schema_of input
@@ -128,6 +141,25 @@ let label = function
         (match pred with
         | None -> ""
         | Some e -> Format.asprintf " on %a" Expr.pp e)
+  | Index_nl_join { table; index; key; lo; hi; residual; _ } ->
+      let expr = Format.asprintf "%a" Expr.pp in
+      let lo =
+        Option.map (fun { bound; strict } -> (if strict then "(" else "[") ^ expr bound) lo
+      and hi =
+        Option.map (fun { bound; strict } -> expr bound ^ if strict then ")" else "]") hi
+      in
+      let range =
+        if lo = None && hi = None then ""
+        else
+          Printf.sprintf " range %s .. %s"
+            (Option.value lo ~default:"-inf")
+            (Option.value hi ~default:"+inf")
+      in
+      Printf.sprintf "IndexNestedLoopJoin %s.%s key(%s)%s%s" (Table.name table)
+        index.Table.idx_name
+        (String.concat ", " (List.map expr (Array.to_list key)))
+        range
+        (match residual with None -> "" | Some e -> " filter " ^ expr e)
   | Hash_join { left_key; right_key; _ } ->
       Printf.sprintf "HashJoin build(%s) probe(%s)"
         (String.concat "," (Array.to_list (Array.map string_of_int left_key)))
@@ -163,6 +195,7 @@ let children = function
   | Limit { input = p; _ } ->
       [ p ]
   | Nl_join { outer; inner; _ } -> [ outer; inner ]
+  | Index_nl_join { outer; _ } -> [ outer ]
   | Hash_join { left; right; _ } | Merge_join { left; right; _ } ->
       [ left; right ]
   | Union_all branches -> branches

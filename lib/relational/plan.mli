@@ -10,6 +10,10 @@ type agg =
   | Max of Expr.t
   | Avg of Expr.t
 
+type probe_bound = { bound : Expr.t; strict : bool }
+(** One end of an index probe's range, an expression over the outer row;
+    [strict] excludes the bound itself. *)
+
 type t =
   | Seq_scan of Table.t
   | Index_scan of {
@@ -23,6 +27,20 @@ type t =
   | Project of (Expr.t * string) array * t
   | Nl_join of { outer : t; inner : t; pred : Expr.t option }
       (** predicate evaluated over the concatenated schema (outer then inner) *)
+  | Index_nl_join of {
+      outer : t;
+      table : Table.t;
+      index : Table.index;
+      key : Expr.t array;
+      lo : probe_bound option;
+      hi : probe_bound option;
+      residual : Expr.t option;
+    }
+      (** index nested-loop join: for each outer row, probe [index] of
+          [table] once, with [key] (expressions over the outer row) equal to
+          the leading key columns and the next key column within [lo] and
+          [hi]. A NULL probe value matches nothing. [residual] is evaluated
+          over the concatenated schema (outer then [table]). *)
   | Hash_join of {
       left : t;
       right : t;

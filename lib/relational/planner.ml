@@ -23,17 +23,22 @@ let scalar_func = function
 (* Name resolution                                                     *)
 (* ------------------------------------------------------------------ *)
 
-type from_entry = { alias : string; table : Table.t; tbl_idx : int }
+(* [scratch]: an engine-owned scratch relation (Catalog.scratch), whose row
+   count at planning time says nothing about later executions *)
+type from_entry = { alias : string; table : Table.t; tbl_idx : int; scratch : bool }
 
 let norm = String.lowercase_ascii
 
 let make_env catalog (from : (string * string option) list) =
   List.mapi
     (fun i (name, alias) ->
+      let alias = norm (Option.value alias ~default:name) in
       match Catalog.find_table catalog name with
-      | None -> fail "no such table %s" name
-      | Some table ->
-          { alias = norm (Option.value alias ~default:name); table; tbl_idx = i })
+      | Some table -> { alias; table; tbl_idx = i; scratch = false }
+      | None -> (
+          match Catalog.find_scratch catalog name with
+          | Some table -> { alias; table; tbl_idx = i; scratch = true }
+          | None -> fail "no such table %s" name))
     from
 
 let resolve_col env qualifier name =
@@ -234,15 +239,16 @@ let match_index (idx : Table.index) conjuncts =
               used := c :: !used
           | Expr.Eq | Expr.Ne -> ())
         rs;
-      (* A pure range (no eq prefix) with only an upper bound must still be
-         constrained below by the prefix, which is empty: fine. *)
+      (* With only an upper bound, start above NULL, which ranks lowest:
+         [col < x] is never true of a NULL column. *)
+      if !lo == lo0 then lo := Btree.Excl (Array.append prefix [| Value.Null |]);
       (!used, !lo, !hi, (2 * neq) + 1)
     end
   end
 
 (* Choose the best access path for [table] given local conjuncts. Returns the
-   plan for the scan plus residual conjuncts (already-consumed conjuncts are
-   exact and dropped). *)
+   plan for the scan, the residual conjuncts (already-consumed conjuncts are
+   exact and dropped) and the match score of the index used (0: none). *)
 let choose_access table conjuncts =
   let best = ref None in
   List.iter
@@ -254,12 +260,14 @@ let choose_access table conjuncts =
         | _ -> best := Some (idx, consumed, lo, hi, score))
     (Table.indexes table);
   match !best with
-  | None -> (Plan.Seq_scan table, conjuncts)
-  | Some (idx, consumed, lo, hi, _) ->
+  | None -> (Plan.Seq_scan table, conjuncts, 0)
+  | Some (idx, consumed, lo, hi, score) ->
       let residual =
         List.filter (fun c -> not (List.memq c consumed)) conjuncts
       in
-      (Plan.Index_scan { table; index = idx; lo; hi; reverse = false }, residual)
+      ( Plan.Index_scan { table; index = idx; lo; hi; reverse = false },
+        residual,
+        score )
 
 let with_filter plan = function
   | [] -> plan
@@ -269,13 +277,77 @@ let with_filter plan = function
       | Some pred -> Plan.Filter (pred, plan))
 
 (* ------------------------------------------------------------------ *)
+(* Index nested-loop joins                                             *)
+(* ------------------------------------------------------------------ *)
+
+(* An index probe for the table joined next, whose columns start at [split]
+   in the joined row: equalities on a prefix of the index key, then at most
+   one lower and one upper bound on the next key column. The other side of
+   each comparison reads only columns already placed (or none), so it is
+   evaluated once per outer row. Consumed conjuncts are exact (the probe
+   applies SQL's NULL semantics, see Exec). Returns (key, lo, hi, consumed,
+   score), scored like [match_index], if the probe reads an outer column. *)
+let match_probe ~split (idx : Table.index) conjuncts =
+  let outer_only e = List.for_all (fun c -> c < split) (Expr.columns e) in
+  let flip = function
+    | Expr.Lt -> Expr.Gt
+    | Expr.Le -> Expr.Ge
+    | Expr.Gt -> Expr.Lt
+    | Expr.Ge -> Expr.Le
+    | (Expr.Eq | Expr.Ne) as op -> op
+  in
+  (* (conjunct, op, inner column, bound) for [inner column op bound] *)
+  let sides =
+    List.filter_map
+      (fun c ->
+        match c with
+        | Expr.Cmp (op, Expr.Col i, e) when i >= split && outer_only e ->
+            Some (c, op, i - split, e)
+        | Expr.Cmp (op, e, Expr.Col i) when i >= split && outer_only e ->
+            Some (c, flip op, i - split, e)
+        | _ -> None)
+      conjuncts
+  in
+  let find col ops =
+    List.find_opt (fun (_, op, i, _) -> i = col && List.mem op ops) sides
+  in
+  let key = idx.Table.key_cols in
+  let rec eat i acc =
+    match if i < Array.length key then find key.(i) [ Expr.Eq ] else None with
+    | Some s -> eat (i + 1) (s :: acc)
+    | None -> List.rev acc
+  in
+  let eqs = eat 0 [] in
+  let neq = List.length eqs in
+  let lo, hi =
+    if neq >= Array.length key then (None, None)
+    else
+      (find key.(neq) [ Expr.Gt; Expr.Ge ], find key.(neq) [ Expr.Lt; Expr.Le ])
+  in
+  let used = eqs @ Option.to_list lo @ Option.to_list hi in
+  if not (List.exists (fun (_, _, _, e) -> Expr.columns e <> []) used) then None
+  else
+    let bound =
+      Option.map (fun (_, op, _, e) ->
+          { Plan.bound = e; strict = op = Expr.Gt || op = Expr.Lt })
+    in
+    let whole_key_or_range = lo <> None || hi <> None || neq = Array.length key in
+    Some
+      ( Array.of_list (List.map (fun (_, _, _, e) -> e) eqs),
+        bound lo,
+        bound hi,
+        List.map (fun (c, _, _, _) -> c) used,
+        (2 * neq) + if whole_key_or_range then 1 else 0 )
+
+(* ------------------------------------------------------------------ *)
 (* Join ordering                                                       *)
 (* ------------------------------------------------------------------ *)
 
 let cols_of_tables e = List.map vcol_table (Expr.columns e) |> List.sort_uniq compare
 
 let plan_joins env table_plans vconjuncts =
-  (* table_plans: tbl_idx -> (plan, residual local conjuncts applied) *)
+  (* table_plans: tbl_idx -> (access plan, its residual local conjuncts, its
+     index match score, all local conjuncts) *)
   let n = List.length env in
   let placed = Array.make n (-1) in
   (* physical offset per table once placed *)
@@ -292,11 +364,13 @@ let plan_joins env table_plans vconjuncts =
   let all_placed e =
     List.for_all (fun t -> placed.(t) >= 0) (cols_of_tables e)
   in
-  (* pick the first table: prefer an indexed access path, then the fewest
-     estimated rows (a crude cardinality model: each pushed conjunct is
-     assumed to keep a third of the rows) *)
+  (* pick the first table: a scratch relation (a context set drives the
+     join, and a cached plan must not depend on how many rows it held when
+     planned), else prefer an indexed access path, then the fewest estimated
+     rows (a crude cardinality model: each pushed conjunct is assumed to keep
+     a third of the rows) *)
   let estimate i =
-    let plan, residual = List.nth table_plans i in
+    let plan, residual, _, _ = List.nth table_plans i in
     let base =
       match plan with
       | Plan.Seq_scan t | Plan.Index_scan { table = t; _ } ->
@@ -307,11 +381,14 @@ let plan_joins env table_plans vconjuncts =
     base *. indexed /. (3.0 ** float_of_int (List.length residual))
   in
   let first =
-    List.fold_left
-      (fun best i -> if estimate i < estimate best then i else best)
-      (List.hd !remaining) !remaining
+    match List.find_opt (fun e -> e.scratch) env with
+    | Some e -> e.tbl_idx
+    | None ->
+        List.fold_left
+          (fun best i -> if estimate i < estimate best then i else best)
+          (List.hd !remaining) !remaining
   in
-  let base_plan, base_resid = List.nth table_plans first in
+  let base_plan, base_resid, _, _ = List.nth table_plans first in
   placed.(first) <- 0;
   used := [ first ];
   remaining := List.filter (fun i -> i <> first) !remaining;
@@ -350,9 +427,10 @@ let plan_joins env table_plans vconjuncts =
           | Some j -> j
           | None -> List.hd !remaining)
     in
-    let jplan, jresid = List.nth table_plans j in
+    let jplan, jresid, jscore, jlocal = List.nth table_plans j in
+    let jtable = (List.nth env j).table in
     let right_plan = with_filter jplan jresid in
-    let right_arity = arity j in
+    let split = !current_arity in
     (* equi pairs between used-set and j *)
     let eq_pairs, rest =
       List.partition
@@ -364,49 +442,74 @@ let plan_joins env table_plans vconjuncts =
           | _ -> false)
         !conj_remaining
     in
-    conj_remaining := rest;
-    if eq_pairs = [] then begin
-      (* cross/theta join: take any conjuncts that become evaluable *)
-      placed.(j) <- !current_arity;
-      used := j :: !used;
-      let now, later =
-        List.partition all_placed !conj_remaining
-      in
-      conj_remaining := later;
-      let pred = Expr.conjoin (List.map to_physical now) in
-      current := Plan.Nl_join { outer = !current; inner = right_plan; pred };
-      current_arity := !current_arity + right_arity
-    end
-    else begin
-      let left_keys, right_keys =
-        List.split
-          (List.map
-             (fun c ->
-               match c with
-               | Expr.Cmp (Expr.Eq, Expr.Col a, Expr.Col b) ->
-                   let ta = vcol_table a in
-                   if ta = j then
-                     (placed.(vcol_table b) + vcol_local b, vcol_local a)
-                   else (placed.(ta) + vcol_local a, vcol_local b)
-               | _ -> assert false)
-             eq_pairs)
-      in
-      placed.(j) <- !current_arity;
-      used := j :: !used;
-      let now, later = List.partition all_placed !conj_remaining in
-      conj_remaining := later;
-      let residual = Expr.conjoin (List.map to_physical now) in
-      current :=
-        Plan.Hash_join
-          {
-            left = !current;
-            right = right_plan;
-            left_key = Array.of_list left_keys;
-            right_key = Array.of_list right_keys;
-            residual;
-          };
-      current_arity := !current_arity + right_arity
-    end;
+    placed.(j) <- split;
+    used := j :: !used;
+    (* conjuncts that become evaluable now that j is placed *)
+    let now, later = List.partition all_placed rest in
+    conj_remaining := later;
+    let now = List.map to_physical now in
+    (* Index nested-loop join: probe one of j's indexes per outer row when
+       the probe key equates a column to the placed side, or when the probe
+       matches more of the index key than j's own access path does (a full
+       scan matches none). Among probes, one with such an equality beats one
+       without, then the higher score wins, then the first index. *)
+    let probe_conjs =
+      List.map to_physical eq_pairs
+      @ now
+      @ List.map (Expr.map_columns (fun c -> c + split)) jlocal
+    in
+    let probe, _ =
+      List.fold_left
+        (fun ((_, best) as acc) index ->
+          match match_probe ~split index probe_conjs with
+          | Some (key, lo, hi, consumed, score) ->
+              let joined = Array.exists (fun e -> Expr.columns e <> []) key in
+              let rank = (joined, score) in
+              if (joined || score > jscore) && rank > best then
+                (Some (index, key, lo, hi, consumed), rank)
+              else acc
+          | None -> acc)
+        (None, (false, 0))
+        (Table.indexes jtable)
+    in
+    (match probe with
+    | Some (index, key, lo, hi, consumed) ->
+        let residual =
+          Expr.conjoin
+            (List.filter (fun c -> not (List.memq c consumed)) probe_conjs)
+        in
+        current :=
+          Plan.Index_nl_join
+            { outer = !current; table = jtable; index; key; lo; hi; residual }
+    | None when eq_pairs = [] ->
+        (* cross/theta join *)
+        current :=
+          Plan.Nl_join
+            { outer = !current; inner = right_plan; pred = Expr.conjoin now }
+    | None ->
+        let left_keys, right_keys =
+          List.split
+            (List.map
+               (fun c ->
+                 match c with
+                 | Expr.Cmp (Expr.Eq, Expr.Col a, Expr.Col b) ->
+                     let ta = vcol_table a in
+                     if ta = j then
+                       (placed.(vcol_table b) + vcol_local b, vcol_local a)
+                     else (placed.(ta) + vcol_local a, vcol_local b)
+                 | _ -> assert false)
+               eq_pairs)
+        in
+        current :=
+          Plan.Hash_join
+            {
+              left = !current;
+              right = right_plan;
+              left_key = Array.of_list left_keys;
+              right_key = Array.of_list right_keys;
+              residual = Expr.conjoin now;
+            });
+    current_arity := split + arity j;
     remaining := List.filter (fun i -> i <> j) !remaining
   done;
   if !conj_remaining <> [] then
@@ -539,7 +642,8 @@ let plan_select catalog (q : Sql_ast.select) =
         let local =
           List.map (Expr.map_columns (fun v -> vcol_local v)) mine
         in
-        choose_access e.table local)
+        let scan, residual, score = choose_access e.table local in
+        (scan, residual, score, local))
       env
   in
   let const_preds =
@@ -820,7 +924,8 @@ let resolve_expr_for_table table e =
 
 let access_for table pred =
   let conjuncts = match pred with None -> [] | Some p -> Expr.conjuncts p in
-  choose_access table conjuncts
+  let scan, residual, _ = choose_access table conjuncts in
+  (scan, residual)
 
 let table_candidates table pred =
   let scan, residual = access_for table pred in

@@ -216,7 +216,7 @@ let scan t =
 let truncate t =
   if t.journal <> None then
     invalid_arg "Table.truncate: not allowed inside a transaction";
-  Vec.iteri (fun i slot -> if slot <> None then Vec.set t.slots i None) t.slots;
+  Vec.clear t.slots;
   t.live <- 0;
   let rebuilt =
     List.map

@@ -60,7 +60,9 @@ val index_key : index -> rowid:int -> Tuple.t -> Tuple.t
 (** The B+-tree key this index stores for the given row. *)
 
 val truncate : t -> unit
-(** Remove all rows (indexes emptied too). Row ids are not reused afterwards. *)
+(** Remove all rows (indexes emptied too). The slot array is reset, so a
+    scan of a refilled table walks only the new rows and the next insert
+    gets row id 0. @raise Invalid_argument inside a transaction. *)
 
 (** {2 Undo journal} (transaction support; driven by {!Db})
 

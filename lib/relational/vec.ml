@@ -17,6 +17,10 @@ let push t x =
   t.len <- t.len + 1;
   t.len - 1
 
+let clear t =
+  t.data <- [||];
+  t.len <- 0
+
 let check t i = if i < 0 || i >= t.len then invalid_arg "Vec: index out of bounds"
 
 let get t i =

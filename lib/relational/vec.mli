@@ -7,6 +7,9 @@ val length : 'a t -> int
 val push : 'a t -> 'a -> int
 (** Appends and returns the index of the new element. *)
 
+val clear : 'a t -> unit
+(** Drop every element; the next {!push} returns index 0. *)
+
 val get : 'a t -> int -> 'a
 val set : 'a t -> int -> 'a -> unit
 val iteri : (int -> 'a -> unit) -> 'a t -> unit

@@ -297,6 +297,21 @@ let test_plan_lint () =
   check bool_t "equi join clean of cross-join" false
     (has "cross-join"
        (rules (plan_of "SELECT * FROM emp a, emp b WHERE a.id = b.id")));
+  (* an index nested-loop join probes the inner index per outer row: no
+     rescan, and its inner side has no sequential scan at all *)
+  List.iter
+    (fun q ->
+      let p = plan_of q in
+      check bool_t ("index nested-loop join: " ^ q) true
+        (Astring_contains.contains (Format.asprintf "%a" P.pp p)
+           "IndexNestedLoopJoin emp.emp_pk");
+      let r = rules p in
+      check bool_t ("no rescan: " ^ q) false (has "nl-join-rescan" r);
+      check bool_t ("no shadowed index: " ^ q) false (has "seq-scan-with-index" r))
+    [
+      "SELECT * FROM emp a, emp b WHERE b.id = a.salary";
+      "SELECT * FROM emp a, emp b WHERE b.id > a.id AND b.id <= a.salary";
+    ];
   (* a short-circuited contradictory plan is not linted below LIMIT 0 *)
   check bool_t "LIMIT 0 subtree suppressed" true
     (rules (plan_of "SELECT * FROM emp a, emp b WHERE 1 = 0") = [])

@@ -104,6 +104,28 @@ let test_float_values_roundtrip () =
   | [ [| Reldb.Value.Float 0.5 |]; [| Reldb.Value.Float 42.0 |] ] -> ()
   | _ -> Alcotest.fail "float roundtrip"
 
+let test_no_subtree () =
+  List.iter
+    (fun enc ->
+      let db = D.create () in
+      let store = O.Api.Store.create db ~name:"c" enc (catalog_doc ()) in
+      let attr = List.hd (O.Api.Store.query_ids store "/catalog/book[1]/@y") in
+      let missing = 1_000_000 in
+      List.iter
+        (fun (what, id) ->
+          let label = O.Encoding.name enc ^ ": " ^ what in
+          (match O.Api.Store.subtree store ~id with
+          | exception O.Api.No_subtree i -> check int_t (label ^ " subtree") id i
+          | _ -> Alcotest.fail (label ^ ": subtree accepted"));
+          match O.Api.Store.serialize store ~id with
+          | exception O.Api.No_subtree i -> check int_t (label ^ " serialize") id i
+          | _ -> Alcotest.fail (label ^ ": serialize accepted"))
+        [ ("unknown id", missing); ("attribute", attr) ];
+      match O.Api.Store.query_nodes store "/catalog/book/@y" with
+      | exception O.Api.No_subtree _ -> ()
+      | _ -> Alcotest.fail "query_nodes rebuilt an attribute")
+    O.Encoding.all
+
 let tests =
   ( "api",
     [
@@ -113,6 +135,7 @@ let tests =
       Alcotest.test_case "dump/restore" `Quick test_dump_restore;
       Alcotest.test_case "dump/restore files" `Quick test_dump_restore_files;
       Alcotest.test_case "float literal roundtrip" `Quick test_float_values_roundtrip;
+      Alcotest.test_case "subtree of no node" `Quick test_no_subtree;
     ] )
 
 (* native baseline: must agree with the shredded stores *)

@@ -1,5 +1,5 @@
 (* Unit coverage of the smaller core/xml building blocks: the PRNG, edge-row
-   decoding, context tables, encoding descriptors, workload presets. *)
+   decoding, scratch relations, encoding descriptors, workload presets. *)
 
 module O = Ordered_xml
 module V = Reldb.Value
@@ -82,26 +82,138 @@ let test_node_row_decode () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "dewey on local row"
 
-(* --- temp context tables ----------------------------------------------- *)
+(* --- scratch relations ---------------------------------------------------- *)
 
-let test_temp_tables () =
-  let db = Reldb.Db.create () in
-  let result =
-    O.Temp.with_ctx db
-      ~cols:[ ("id", V.Tint); ("v", V.Ttext) ]
-      ~rows:[ [| V.Int 1; V.Str "a" |]; [| V.Int 2; V.Str "b" |] ]
-      (fun name -> Reldb.Db.query db (Printf.sprintf "SELECT id FROM %s" name))
+module S = O.Api.Store
+
+let scratch_names = [ "ctx_global"; "ctx_local"; "ctx_dewey"; "ctx_ids" ]
+
+let scratch_empty db =
+  List.for_all
+    (fun n ->
+      match Reldb.Catalog.find_scratch (Reldb.Db.catalog db) n with
+      | None -> true
+      | Some t -> Reldb.Table.row_count t = 0)
+    scratch_names
+
+let scratch_hidden db =
+  let tables =
+    List.map Reldb.Table.name (Reldb.Catalog.tables (Reldb.Db.catalog db))
   in
-  check int_t "rows visible inside" 2 (List.length result);
-  (* the table is dropped afterwards, even on exceptions *)
-  (match
-     O.Temp.with_ctx db ~cols:[ ("id", V.Tint) ] ~rows:[] (fun _ ->
-         failwith "boom")
-   with
-  | exception Failure _ -> ()
-  | _ -> Alcotest.fail "exception swallowed");
-  check int_t "no leftover tables" 0
-    (List.length (Reldb.Catalog.tables (Reldb.Db.catalog db)))
+  let dump = Reldb.Db.dump db in
+  List.for_all
+    (fun n -> (not (List.mem n tables)) && not (Astring_contains.contains dump n))
+    scratch_names
+
+(* Q1-Q7, Q8's subtree and serialization, and the parent of the root, an
+   ancestor, a following and a preceding query. *)
+let invariant_reads store =
+  let paths =
+    List.filter_map (fun (q : O.Workload.query) -> q.O.Workload.q_xpath)
+      O.Workload.queries
+    @ [
+        "/site/..";
+        "//bidder/increase/ancestor::open_auction";
+        "/site/people/person[2]/following::person";
+        "/site/closed_auctions/preceding::item";
+      ]
+  in
+  List.iter
+    (fun p ->
+      if S.query_ids store p = [] && p <> "/site/.." then
+        Alcotest.failf "%s selects nothing" p)
+    paths;
+  let id = List.hd (S.query_ids store O.Workload.q8_target) in
+  ignore (S.subtree store ~id);
+  ignore (S.serialize store ~id)
+
+let test_scratch_relations () =
+  let doc = Xmllib.Generator.xmark ~seed:5 ~scale:1 () in
+  List.iter
+    (fun enc ->
+      let name = O.Encoding.name enc in
+      let db = Reldb.Db.create () in
+      let store = S.create db ~name:"s" enc doc in
+      let version () = Reldb.Catalog.version (Reldb.Db.catalog db) in
+      let misses () =
+        let _, m, _ = Reldb.Db.plan_cache_stats db in
+        m
+      in
+      let v0 = version () in
+      invariant_reads store;
+      S.atomically store (fun () -> invariant_reads store);
+      let m0 = misses () in
+      invariant_reads store;
+      S.atomically store (fun () -> invariant_reads store);
+      check int_t (name ^ ": no catalog bump") v0 (version ());
+      check int_t (name ^ ": second pass all cached") m0 (misses ());
+      check bool_t (name ^ ": scratch empty") true (scratch_empty db);
+      check bool_t (name ^ ": scratch hidden") true (scratch_hidden db);
+      (* emptied when the statement's caller raises ... *)
+      (match
+         O.Node_row.with_relation db O.Node_row.ids_relation
+           [ [| V.Int 1 |]; [| V.Int 2 |] ]
+           (fun () -> failwith "boom")
+       with
+      | exception Failure _ -> ()
+      | _ -> Alcotest.fail "exception swallowed");
+      check bool_t (name ^ ": empty after raise") true (scratch_empty db);
+      (* ... and when an atomic block rolls back *)
+      let before = S.serialize store ~id:(S.root_id store) in
+      (match
+         S.atomically store (fun () ->
+             let text = List.hd (S.query_ids store "//bidder/increase/text()") in
+             ignore (S.set_text store ~id:text "changed");
+             invariant_reads store;
+             failwith "roll back")
+       with
+      | exception Failure _ -> ()
+      | _ -> Alcotest.fail "exception swallowed");
+      check bool_t (name ^ ": empty after rollback") true (scratch_empty db);
+      check string_t (name ^ ": rolled back") before
+        (S.serialize store ~id:(S.root_id store));
+      check int_t (name ^ ": still no bump") v0 (version ()))
+    O.Encoding.all;
+  (* durable stores: no trace in the checkpoint or the WAL *)
+  Test_wal.with_dir (fun dir ->
+      let db = Reldb.Db.open_dir dir in
+      let stores =
+        List.map (fun enc -> S.create db ~name:"s" enc doc) O.Encoding.all
+      in
+      Reldb.Db.checkpoint db;
+      List.iter
+        (fun store ->
+          invariant_reads store;
+          S.atomically store (fun () ->
+              let text = List.hd (S.query_ids store "//bidder/increase/text()") in
+              ignore (S.set_text store ~id:text "durable");
+              invariant_reads store))
+        stores;
+      Reldb.Db.checkpoint db;
+      List.iter invariant_reads stores;
+      (let store = List.hd stores in
+       let text = List.hd (S.query_ids store "//text()") in
+       ignore (S.set_text store ~id:text "after"));
+      Reldb.Db.close db;
+      Array.iter
+        (fun file ->
+          let bytes = Test_wal.read_bytes (Filename.concat dir file) in
+          List.iter
+            (fun n ->
+              check bool_t (file ^ " has no " ^ n) false
+                (Astring_contains.contains bytes n))
+            scratch_names)
+        (Sys.readdir dir);
+      let db = Reldb.Db.open_dir dir in
+      List.iter
+        (fun enc ->
+          let store = S.open_existing db ~name:"s" enc in
+          check bool_t (O.Encoding.name enc ^ ": check after reopen") true
+            (S.check store = Ok ());
+          invariant_reads store)
+        O.Encoding.all;
+      check bool_t "reopened: scratch hidden" true (scratch_hidden db);
+      Reldb.Db.close db)
 
 (* --- workload presets --------------------------------------------------- *)
 
@@ -144,7 +256,8 @@ let tests =
       Alcotest.test_case "rng copy" `Quick test_rng_copy;
       Alcotest.test_case "encoding descriptors" `Quick test_encoding_names;
       Alcotest.test_case "node row decoding" `Quick test_node_row_decode;
-      Alcotest.test_case "temp context tables" `Quick test_temp_tables;
+      Alcotest.test_case "scratch relations invariant" `Quick
+        test_scratch_relations;
       Alcotest.test_case "workload presets" `Quick test_workload;
       Alcotest.test_case "deep generator" `Quick test_deep_generator;
     ] )

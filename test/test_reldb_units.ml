@@ -267,9 +267,14 @@ let test_truncate () =
   ignore (Reldb.Table.create_index t ~name:"tr_k" ~cols:[| 0 |] ~unique:true);
   Reldb.Table.truncate t;
   check int_t "empty" 0 (Reldb.Table.row_count t);
-  (* indexes emptied too: reinserting old keys must work *)
-  ignore (Reldb.Table.insert t [| V.Int 1; V.Str "z" |]);
-  check int_t "reuse" 1 (Reldb.Table.row_count t)
+  (* indexes emptied too: reinserting old keys must work, and the slots are
+     reset, so the refill starts at row id 0 *)
+  check int_t "rowid restarts" 0 (Reldb.Table.insert t [| V.Int 1; V.Str "z" |]);
+  check int_t "reuse" 1 (Reldb.Table.row_count t);
+  check bool_t "index agrees" true
+    (Option.is_some
+       (Reldb.Btree.find (Option.get (Reldb.Table.find_index t "tr_k")).Reldb.Table.tree
+          [| V.Int 1 |]))
 
 let test_render () =
   let db = Reldb.Db.create () in
@@ -289,7 +294,47 @@ let test_catalog () =
   | exception Reldb.Catalog.Catalog_error _ -> ()
   | _ -> Alcotest.fail "dup table accepted");
   Reldb.Catalog.drop_table c "T1";
-  check bool_t "dropped" true (Reldb.Catalog.find_table c "t1" = None)
+  check bool_t "dropped" true (Reldb.Catalog.find_table c "t1" = None);
+  (* scratch relations: found by their own lookup, not a table, no bump *)
+  let v = Reldb.Catalog.version c in
+  let schema = S.make [ ("id", V.Tint) ] in
+  let s1 = Reldb.Catalog.scratch c "ctx" schema in
+  check bool_t "same relation" true (Reldb.Catalog.scratch c "CTX" schema == s1);
+  check int_t "no bump" v (Reldb.Catalog.version c);
+  check bool_t "not a table" true
+    (Reldb.Catalog.find_table c "ctx" = None && Reldb.Catalog.tables c = []);
+  check bool_t "found" true
+    (match Reldb.Catalog.find_scratch c "ctx" with Some t -> t == s1 | None -> false);
+  (match Reldb.Catalog.create_table c "ctx" schema with
+  | exception Reldb.Catalog.Catalog_error _ -> ()
+  | _ -> Alcotest.fail "table shadowing a scratch relation accepted");
+  match Reldb.Catalog.scratch c "ctx" (S.make [ ("v", V.Ttext) ]) with
+  | exception Reldb.Catalog.Catalog_error _ -> ()
+  | _ -> Alcotest.fail "scratch relation redefined"
+
+let test_with_scratch () =
+  let db = Reldb.Db.create () in
+  let cols = [ ("id", V.Tint) ] in
+  let fill rows f = Reldb.Db.with_scratch db ~name:"ctx" ~cols rows f in
+  let sql_error f =
+    match f () with exception Reldb.Db.Sql_error _ -> true | _ -> false
+  in
+  let count () = List.length (Reldb.Db.query db "SELECT id FROM ctx") in
+  check int_t "filled for the statement" 2
+    (fill [ [| V.Int 1 |]; [| V.Int 2 |] ] count);
+  check int_t "empty afterwards" 0 (count ());
+  check bool_t "nested fill rejected" true
+    (sql_error (fun () -> fill [ [| V.Int 1 |] ] (fun () -> fill [ [| V.Int 2 |] ] count)));
+  check bool_t "ill-typed row rejected" true
+    (sql_error (fun () -> fill [ [| V.Int 1 |]; [| V.Str "x" |] ] count));
+  check int_t "empty after errors" 0 (count ());
+  check bool_t "other columns rejected" true
+    (sql_error (fun () -> Reldb.Db.with_scratch db ~name:"ctx" ~cols:[ ("v", V.Ttext) ] [] count));
+  check bool_t "no DML" true (sql_error (fun () -> Reldb.Db.exec db "INSERT INTO ctx VALUES (1)"));
+  check bool_t "no DROP" true (sql_error (fun () -> Reldb.Db.exec db "DROP TABLE ctx"));
+  check bool_t "no CREATE" true
+    (sql_error (fun () -> Reldb.Db.exec db "CREATE TABLE ctx (id INT)"));
+  check int_t "no dump" 0 (String.length (Reldb.Db.dump db))
 
 let test_expr_columns_shift () =
   let e =
@@ -329,5 +374,6 @@ let tests =
       Alcotest.test_case "truncate" `Quick test_truncate;
       Alcotest.test_case "result rendering" `Quick test_render;
       Alcotest.test_case "catalog" `Quick test_catalog;
+      Alcotest.test_case "scratch relations" `Quick test_with_scratch;
       Alcotest.test_case "expr columns/shift" `Quick test_expr_columns_shift;
     ] )

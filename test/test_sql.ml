@@ -369,8 +369,114 @@ let test_sort_elimination () =
 let test_hash_join_planned () =
   let db = fresh () in
   setup_emp db;
-  let plan = D.explain db "SELECT e.id FROM emp e, dept d WHERE e.dept = d.id" in
+  (* neither side has an index on the join column *)
+  let plan = D.explain db "SELECT e.id FROM emp e, dept d WHERE e.name = d.dname" in
   check bool_t "hash join" true (Astring_contains.contains plan "HashJoin")
+
+let test_range_skips_null_keys () =
+  let db = fresh () in
+  e db "CREATE TABLE t (a INT, b INT)";
+  e db "CREATE INDEX t_a ON t (a)";
+  e db "INSERT INTO t VALUES (NULL, 1), (1, 2), (5, 3)";
+  check bool_t "index range" true
+    (Astring_contains.contains (D.explain db "SELECT b FROM t WHERE a < 3") "IndexScan t.t_a");
+  check (Alcotest.list (Alcotest.list int_t)) "NULL is not < 3" [ [ 2 ] ]
+    (ints db "SELECT b FROM t WHERE a < 3");
+  check (Alcotest.list (Alcotest.list int_t)) "nor <= 1" [ [ 2 ] ]
+    (ints db "SELECT b FROM t WHERE a <= 1")
+
+let test_index_nl_join_planned () =
+  let db = fresh () in
+  setup_emp db;
+  (* emp_dept leads with the join column: probe it per dept row *)
+  let q = "SELECT e.id FROM emp e, dept d WHERE e.dept = d.id AND e.salary > 1040.0" in
+  let plan = D.explain db q in
+  check bool_t "index nested-loop join" true
+    (Astring_contains.contains plan
+       "IndexNestedLoopJoin emp.emp_dept key(#0) range (1040.0 .. +inf");
+  check bool_t "no hash join" false (Astring_contains.contains plan "HashJoin");
+  check int_t "rows" 10 (List.length (D.query db q));
+  (* a scratch relation is always joined first, so a cached plan does not
+     depend on how many rows it held when it was planned *)
+  let explain n q =
+    D.with_scratch db ~name:"ctx_d" ~cols:[ ("id", V.Tint) ]
+      (List.init n (fun i -> [| V.Int i |]))
+      (fun () -> D.explain db q)
+  in
+  List.iter
+    (fun q -> check string_t ("plan of " ^ q) (explain 0 q) (explain 500 q))
+    [
+      "SELECT d.dname FROM dept d, ctx_d c WHERE d.id = c.id";
+      "SELECT e.id FROM emp e, ctx_d c WHERE e.dept = c.id";
+    ]
+
+(* Index nested-loop join rows equal the filtered cartesian product, as a
+   multiset. The outer side is a scratch relation, which the planner always
+   places first; the inner side has duplicate and NULL keys and an index on
+   (k, w). *)
+let prop_index_nl_join =
+  let open QCheck in
+  let value = Gen.(frequency [ (1, return None); (4, map Option.some (int_bound 4)) ]) in
+  let row = Gen.pair value value in
+  let outer =
+    Gen.(
+      frequency
+        [ (1, return []); (1, map (fun r -> [ r ]) row); (3, list_size (int_range 2 12) row) ])
+  in
+  let residuals =
+    (* SQL text, and the same predicate over (o.k, o.v, i.k, i.w) *)
+    let gt a b = match (a, b) with Some a, Some b -> a > b | _ -> false in
+    let le a b = match (a, b) with Some a, Some b -> a <= b | _ -> false in
+    let ne a b = match (a, b) with Some a, Some b -> a <> b | _ -> false in
+    let plus a b = match (a, b) with Some a, Some b -> Some (a + b) | _ -> None in
+    [|
+      ("", fun _ -> true);
+      (" AND i.w > o.v", fun (_, v, _, w) -> gt w v);
+      (" AND i.w <= 2 AND o.v <> 1", fun (_, v, _, w) -> le w (Some 2) && ne v (Some 1));
+      (" AND i.w + o.v <> 3", fun (_, v, _, w) -> ne (plus w v) (Some 3));
+    |]
+  in
+  let print (o, i, r) =
+    let show (a, b) =
+      let f = function None -> "NULL" | Some x -> string_of_int x in
+      Printf.sprintf "(%s,%s)" (f a) (f b)
+    in
+    Printf.sprintf "outer [%s] inner [%s] residual %S"
+      (String.concat ";" (List.map show o))
+      (String.concat ";" (List.map show i))
+      (fst residuals.(r))
+  in
+  Test.make ~name:"index nested-loop join = cartesian reference" ~count:300
+    (make ~print
+       Gen.(triple outer (list_size (int_bound 20) row) (int_bound (Array.length residuals - 1))))
+    (fun (outer, inner, r) ->
+      let db = fresh () in
+      e db "CREATE TABLE i (k INT, w INT)";
+      e db "CREATE INDEX i_kw ON i (k, w)";
+      let v = function None -> V.Null | Some x -> V.Int x in
+      ignore (D.insert_many db "i" (List.map (fun (k, w) -> [| v k; v w |]) inner));
+      let sql, keep = residuals.(r) in
+      let q = "SELECT o.k, o.v, i.k, i.w FROM i, ctx_o o WHERE i.k = o.k" ^ sql in
+      let got, plan =
+        D.with_scratch db ~name:"ctx_o" ~cols:[ ("k", V.Tint); ("v", V.Tint) ]
+          (List.map (fun (k, x) -> [| v k; v x |]) outer)
+          (fun () -> (D.query db q, D.explain db q))
+      in
+      let expect =
+        List.concat_map
+          (fun (ok, ov) ->
+            List.filter_map
+              (fun (ik, iw) ->
+                match (ok, ik) with
+                | Some a, Some b when a = b && keep (ok, ov, ik, iw) ->
+                    Some [| v ok; v ov; v ik; v iw |]
+                | _ -> None)
+              inner)
+          outer
+      in
+      let sort = List.sort Reldb.Tuple.compare_key in
+      Astring_contains.contains plan "IndexNestedLoopJoin i.i_kw"
+      && sort got = sort expect)
 
 let test_rows_counters () =
   let db = fresh () in
@@ -553,6 +659,11 @@ let tests =
       Alcotest.test_case "index selection" `Quick test_index_selection;
       Alcotest.test_case "sort elimination" `Quick test_sort_elimination;
       Alcotest.test_case "hash join planned" `Quick test_hash_join_planned;
+      Alcotest.test_case "index range skips NULL keys" `Quick
+        test_range_skips_null_keys;
+      Alcotest.test_case "index nested-loop join planned" `Quick
+        test_index_nl_join_planned;
+      QCheck_alcotest.to_alcotest prop_index_nl_join;
       Alcotest.test_case "I/O counters" `Quick test_rows_counters;
       Alcotest.test_case "multi-key ORDER BY" `Quick test_multi_key_order;
       Alcotest.test_case "expression precedence" `Quick test_expression_precedence;
