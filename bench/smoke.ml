@@ -1,8 +1,11 @@
-(* Bench regression guard. Two checks, fast enough to wire into
+(* Bench regression guard. Three checks, fast enough to wire into
    `make check`; the full statistical suite stays in bench/main.ml:
    - counters: after warm-up, Q1-Q7 on GLOBAL, LOCAL and DEWEY bump the
      catalog version 0 times and hit the plan cache on at least 95 % of
      their statements (deterministic, so no tolerance is needed);
+   - insert reads: after warm-up, one front insert per encoding reads at
+     most [rows_renumbered + 100] rows, so an insert pays for the rows it
+     renumbers and not for a scan of the table;
    - timing: Q1 over GLOBAL must not regress more than 3x over the
      checked-in baseline (bench/baseline.json). *)
 
@@ -90,6 +93,29 @@ let check_counters doc =
           min_hit_ratio (O.Encoding.name enc))
     [ O.Encoding.Global; O.Encoding.Local; O.Encoding.Dewey_enc ]
 
+let max_extra_reads = 100
+
+let check_insert_reads doc =
+  let fragment = Xmllib.Types.element "item" [ Xmllib.Types.text "new" ] in
+  List.iter
+    (fun enc ->
+      let db = Reldb.Db.create () in
+      let store = O.Api.Store.create db ~name:"b" enc doc in
+      let root = O.Api.Store.root_id store in
+      let insert () = O.Api.Store.insert_subtree store ~parent:root ~pos:1 fragment in
+      ignore (insert ());
+      let r0 = Reldb.Db.rows_read db in
+      let st = insert () in
+      let reads = Reldb.Db.rows_read db - r0 in
+      let renumbered = st.O.Update.rows_renumbered in
+      Printf.printf
+        "bench-smoke: front insert/%s read %d rows, renumbered %d (limit %d)\n"
+        (O.Encoding.name enc) reads renumbered (renumbered + max_extra_reads);
+      if reads > renumbered + max_extra_reads then
+        die "bench-smoke: FAIL - a front insert on %s read %d rows for %d renumbered"
+          (O.Encoding.name enc) reads renumbered)
+    O.Encoding.all
+
 let () =
   let baseline_path =
     if Array.length Sys.argv > 1 then Sys.argv.(1) else "bench/baseline.json"
@@ -97,6 +123,7 @@ let () =
   let base = baseline_us baseline_path in
   let doc = O.Workload.dataset ~scale:1 in
   check_counters doc;
+  check_insert_reads doc;
   let db = Reldb.Db.create () in
   (* the guarded figure is the in-memory engine: opening a database without
      a directory must keep the WAL code out of the write and query paths *)

@@ -43,6 +43,20 @@ let check db ~doc enc =
                 report "parent-kind" "row %d's parent %d is not an element"
                   r.Node_row.id p))
     rows;
+  (* [nval] is the numeric shadow shredding derives from [value] *)
+  List.iter
+    (fun tu ->
+      match tu with
+      | [| V.Int id; V.Int kind; value; nval |] ->
+          let value = match value with V.Str s -> s | _ -> "" in
+          let kind = Doc_index.kind_of_code kind in
+          if not (V.equal nval (Encoding.nval_of ~kind value)) then
+            report "nval" "row %d has nval %s for value %S" id
+              (V.to_string nval) value
+      | _ -> report "nval" "unexpected payload row")
+    (Reldb.Db.query db
+       (Printf.sprintf "SELECT id, kind, value, nval FROM %s"
+          (Encoding.table_name ~doc enc)));
   (* --- per encoding -------------------------------------------------- *)
   (match enc with
   | Encoding.Global | Encoding.Global_gap ->

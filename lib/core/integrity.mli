@@ -4,7 +4,8 @@
 
     Checked for every encoding: exactly one root (NULL parent), parents
     exist and are elements, kind codes are valid, attribute rows hang off
-    elements. Per encoding:
+    elements, and every row's [nval] is {!Encoding.nval_of} of its kind and
+    value. Per encoding:
 
     - GLOBAL: [g_order < g_end] per row, child intervals strictly inside
       their parent's, sibling intervals disjoint;

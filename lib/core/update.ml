@@ -37,6 +37,17 @@ let query state sql =
   state.st <- { state.st with statements = state.st.statements + 1 };
   Reldb.Db.query state.db sql
 
+(* run a prepared statement with its [?] parameters bound *)
+let exec_stmt state stmt params =
+  state.st <- { state.st with statements = state.st.statements + 1 };
+  match Reldb.Db.Stmt.exec stmt params with
+  | Reldb.Db.Affected n -> n
+  | Reldb.Db.Rows _ -> 0
+
+let query_stmt state stmt params =
+  state.st <- { state.st with statements = state.st.statements + 1 };
+  Reldb.Db.Stmt.query stmt params
+
 (* order-maintenance statements run under a [renumber] span so update-path
    phase breakdowns separate renumbering cost from row insertion *)
 let renumber state sql = Obs.Span.with_ "renumber" (fun () -> exec state sql)
@@ -203,6 +214,43 @@ let fragment_ordinals fragment_idx =
   let nums = Shred.interval_numbering fragment_idx ~gap:1 in
   Array.map (fun (s, e) -> (s - 2, e - 2)) nums
 
+(* Open [k] values at [hi]: one index-range statement moves every row at
+   or after [hi], both endpoints at once; then the rows whose interval
+   contains [hi] stretch their end. Those are [around] (the innermost
+   element enclosing [hi]) and its ancestors, reached through the parent
+   chain. *)
+let global_shift state ~(around : Node_row.t) ~hi k =
+  let moved =
+    renumber state
+      (Printf.sprintf
+         "UPDATE %s SET g_order = g_order + %d, g_end = g_end + %d WHERE \
+          g_order >= %d"
+         state.tname k k hi)
+  in
+  let stretch =
+    Reldb.Db.prepare state.db
+      (Printf.sprintf "UPDATE %s SET g_end = g_end + ? WHERE id = ?" state.tname)
+  in
+  let parent_of =
+    Reldb.Db.prepare state.db
+      (Printf.sprintf "SELECT parent FROM %s WHERE id = ?" state.tname)
+  in
+  let parent_id id =
+    match query_stmt state parent_of [| V.Int id |] with
+    | [ [| V.Int p |] ] -> Some p
+    | _ -> None
+  in
+  let rec stretch_from id parent =
+    let n =
+      Obs.Span.with_ "renumber" (fun () ->
+          exec_stmt state stretch [| V.Int k; V.Int id |])
+    in
+    n + match parent with None -> 0 | Some p -> stretch_from p (parent_id p)
+  in
+  let stretched = stretch_from around.Node_row.id around.Node_row.parent in
+  state.st <-
+    { state.st with rows_renumbered = state.st.rows_renumbered + moved + stretched }
+
 let global_insert state b fragments ~gapped =
   let sizes = List.map (fun (idx, _) -> fragment_size idx) fragments in
   let total = List.fold_left ( + ) 0 sizes in
@@ -245,22 +293,10 @@ let global_insert state b fragments ~gapped =
       fun ordinal -> lo + ((ordinal + 1) * (hi - lo) / (need + 1))
     end
     else begin
-      (* shift everything at or after [hi] to open a window of [need]
-         values; ancestors' ends shift with the same statements. When
-         gapped, shift by gap-sized strides to restore headroom. *)
+      (* open a window of [need] values at [hi]; when gapped, shift by
+         gap-sized strides to restore headroom *)
       let stride = if gapped then need * Encoding.default_gap else need in
-      let shifted1 =
-        renumber state
-          (Printf.sprintf "UPDATE %s SET g_order = g_order + %d WHERE g_order >= %d"
-             state.tname stride hi)
-      in
-      let shifted2 =
-        renumber state
-          (Printf.sprintf "UPDATE %s SET g_end = g_end + %d WHERE g_end >= %d"
-             state.tname stride hi)
-      in
-      state.st <-
-        { state.st with rows_renumbered = state.st.rows_renumbered + shifted1 + shifted2 };
+      global_shift state ~around:b.parent_row ~hi stride;
       if gapped then
         let step = stride / (need + 1) in
         fun ordinal -> hi - 1 + ((ordinal + 1) * step)
@@ -296,46 +332,30 @@ let parent_dewey (b : boundary) =
   | Node_row.Od p -> Dewey.decode p
   | _ -> assert false
 
-(* move a whole subtree to a new path prefix, one UPDATE per row, like the
-   middle tier must (the new prefix is computed outside SQL) *)
-let rewrite_subtree_paths state ~old_path ~new_path =
-  Obs.Span.with_ "renumber" ~attrs:[ ("op", "rewrite-paths") ] @@ fun () ->
-  let old_enc = Dewey.encode old_path in
-  let new_enc = Dewey.encode new_path in
-  let rows =
-    query state
-      (Printf.sprintf
-         "SELECT e.id, e.path FROM %s e WHERE e.path >= %s AND e.path < %s"
-         state.tname
-         (V.to_sql_literal (V.Bytes old_enc))
-         (V.to_sql_literal (V.Bytes (Dewey.prefix_upper_bound old_enc))))
-  in
-  let old_len = String.length old_enc in
-  (* one parse for the whole loop; values bound per row *)
+(* [rewrite_subtree_paths state] prepares one statement that moves a whole
+   subtree to a new path prefix: every row under the old prefix gets the new
+   prefix followed by the rest of its own path. The returned function binds
+   it once per moved subtree. *)
+let rewrite_subtree_paths state =
   let upd =
     Reldb.Db.prepare state.db
-      (Printf.sprintf "UPDATE %s SET path = ? WHERE id = ?" state.tname)
+      (Printf.sprintf
+         "UPDATE %s SET path = ? || SUBSTR(path, ?) WHERE path >= ? AND path < ?"
+         state.tname)
   in
-  List.iter
-    (fun tu ->
-      match tu with
-      | [| V.Int id; V.Bytes p |] ->
-          let rewritten =
-            new_enc ^ String.sub p old_len (String.length p - old_len)
-          in
-          let n =
-            match Reldb.Db.Stmt.exec upd [| V.Bytes rewritten; V.Int id |] with
-            | Reldb.Db.Affected n -> n
-            | Reldb.Db.Rows _ -> 0
-          in
-          state.st <-
-            {
-              state.st with
-              statements = state.st.statements + 1;
-              rows_renumbered = state.st.rows_renumbered + n;
-            }
-      | _ -> assert false)
-    rows
+  fun ~old_path ~new_path ->
+    Obs.Span.with_ "renumber" ~attrs:[ ("op", "rewrite-paths") ] @@ fun () ->
+    let old_enc = Dewey.encode old_path in
+    let n =
+      exec_stmt state upd
+        [|
+          V.Bytes (Dewey.encode new_path);
+          V.Int (String.length old_enc + 1);
+          V.Bytes old_enc;
+          V.Bytes (Dewey.prefix_upper_bound old_enc);
+        |]
+    in
+    state.st <- { state.st with rows_renumbered = state.st.rows_renumbered + n }
 
 (* insert the fragment rows grafted under [target]. [component_map] adjusts
    the fragment's logical components ([Fun.id] for DEWEY, caretify for
@@ -386,12 +406,15 @@ let dewey_insert state b fragments =
   let to_shift =
     List.filter (fun s -> comp_of s >= c0) b.siblings |> List.rev
   in
-  List.iter
-    (fun (s : Node_row.t) ->
-      let old_path = Node_row.dewey s in
-      rewrite_subtree_paths state ~old_path
-        ~new_path:(Dewey.with_last old_path (Dewey.last old_path + k)))
-    to_shift;
+  if to_shift <> [] then begin
+    let rewrite = rewrite_subtree_paths state in
+    List.iter
+      (fun (s : Node_row.t) ->
+        let old_path = Node_row.dewey s in
+        rewrite ~old_path
+          ~new_path:(Dewey.with_last old_path (Dewey.last old_path + k)))
+      to_shift
+  end;
   List.iteri
     (fun j (fragment_idx, base) ->
       let target = Dewey.child parent_path (c0 + j) in
@@ -485,19 +508,19 @@ let caret_renumber state b ~parent_path ~lo_head =
     let top = max max_head (List.fold_left max target_head final_heads) in
     top + 2
   in
+  let rewrite = rewrite_subtree_paths state in
   (* phase 1: everything up into the free zone above all heads *)
   List.iteri
     (fun i (s : Node_row.t) ->
       let old_path = Node_row.dewey s in
-      rewrite_subtree_paths state ~old_path
+      rewrite ~old_path
         ~new_path:(Array.append parent_path [| tmp_base + (2 * i) |]))
     moved;
   (* phase 2: down to the final dense odd heads *)
   List.iteri
     (fun i final ->
       let tmp = Array.append parent_path [| tmp_base + (2 * i) |] in
-      rewrite_subtree_paths state ~old_path:tmp
-        ~new_path:(Array.append parent_path [| final |]))
+      rewrite ~old_path:tmp ~new_path:(Array.append parent_path [| final |]))
     final_heads;
   target_head
 
@@ -651,6 +674,14 @@ let fetch_attrs state id =
   in
   List.map (Node_row.of_tuple state.enc) (query state sql)
 
+(* overwrite a text/attribute payload in place, with its numeric shadow *)
+let set_value state ~id ~kind value =
+  let upd =
+    Reldb.Db.prepare state.db
+      (Printf.sprintf "UPDATE %s SET value = ?, nval = ? WHERE id = ?" state.tname)
+  in
+  exec_stmt state upd [| V.Str value; Encoding.nval_of ~kind value; V.Int id |]
+
 let set_attribute db ~doc enc ~id ~name ~value =
   transactionally db @@ fun () ->
   let state = { db; enc; tname = Encoding.table_name ~doc enc; st = zero } in
@@ -662,12 +693,7 @@ let set_attribute db ~doc enc ~id ~name ~value =
   with
   | Some existing ->
       (* overwrite in place: order untouched *)
-      let n =
-        exec state
-          (Printf.sprintf "UPDATE %s SET value = %s WHERE id = %d" state.tname
-             (V.to_sql_literal (V.Str value))
-             existing.Node_row.id)
-      in
+      let n = set_value state ~id:existing.Node_row.id ~kind:Doc_index.Attr value in
       { state.st with rows_renumbered = n }
   | None -> begin
       let new_id = max_id state + 1 in
@@ -703,22 +729,7 @@ let set_attribute db ~doc enc ~id ~name ~value =
             | [] -> (
                 match row.Node_row.ord with Node_row.Og (_, e) -> e | _ -> 0)
           in
-          let shifted1 =
-            renumber state
-              (Printf.sprintf
-                 "UPDATE %s SET g_order = g_order + 2 WHERE g_order >= %d"
-                 state.tname hi)
-          in
-          let shifted2 =
-            renumber state
-              (Printf.sprintf "UPDATE %s SET g_end = g_end + 2 WHERE g_end >= %d"
-                 state.tname hi)
-          in
-          state.st <-
-            {
-              state.st with
-              rows_renumbered = state.st.rows_renumbered + shifted1 + shifted2;
-            };
+          global_shift state ~around:row ~hi 2;
           insert_row state (Array.append payload [| V.Int hi; V.Int (hi + 1) |])
       | Encoding.Dewey_enc | Encoding.Dewey_caret ->
           let parent_path =
@@ -809,16 +820,5 @@ let set_text db ~doc enc ~id value =
   | Doc_index.Pi_node ->
       ()
   | Doc_index.Elem -> fail "set_text on an element (id %d)" id);
-  let nval =
-    match float_of_string_opt (String.trim value) with
-    | Some f when Float.is_finite f -> V.to_sql_literal (V.Float f)
-    | Some _ | None -> "NULL"
-  in
-  let n =
-    exec state
-      (Printf.sprintf "UPDATE %s SET value = %s, nval = %s WHERE id = %d"
-         state.tname
-         (V.to_sql_literal (V.Str value))
-         nval id)
-  in
+  let n = set_value state ~id ~kind:row.Node_row.kind value in
   { state.st with rows_renumbered = n }

@@ -3,10 +3,12 @@
     Inserting a subtree as the [pos]-th child of a parent must make room in
     the order encoding:
 
-    - {b GLOBAL} shifts the interval endpoints of {e every} row at or after
-      the insertion point (two UPDATE statements whose cost grows with the
-      amount of document after the insertion point — O(N) for insertions
-      near the front);
+    - {b GLOBAL} moves every row at or after the insertion point with one
+      index-range UPDATE that shifts both interval endpoints, then stretches
+      the end of each interval that contains the insertion point: the
+      parent and its ancestors, reached through the parent chain. The cost
+      grows with the amount of document after the insertion point — O(N)
+      for insertions near the front;
     - {b GLOBAL/gap} first tries to place the new intervals inside the gap
       left at load time, touching {e zero} existing rows; it falls back to a
       GLOBAL-style shift when the gap is exhausted;
@@ -15,6 +17,13 @@
     - {b DEWEY} shifts the following siblings {e and rewrites the stored
       path of every node in their subtrees} (the prefix of those paths
       changed) — more than LOCAL, much less than GLOBAL for typical shapes.
+      Each moved sibling subtree is one set-oriented UPDATE that swaps the
+      path prefix in SQL ([? || SUBSTR(path, ?)] over the subtree's path
+      range).
+
+    Fresh node ids come from [SELECT MAX(id)], which the engine answers from
+    the end of the id index, so an insertion reads only the rows it looks at
+    or renumbers.
 
     Deletion removes the subtree's rows; only LOCAL renumbers (to keep
     sibling ranks dense). Gaps left in GLOBAL/DEWEY order values are
@@ -24,7 +33,8 @@ type stats = {
   rows_inserted : int;
   rows_deleted : int;
   rows_renumbered : int;
-      (** row versions written to existing rows to make room *)
+      (** row versions written to existing rows to make room; a row counts
+          once per statement that rewrites it *)
   statements : int;  (** SQL statements issued (excluding bulk row ops) *)
 }
 

@@ -191,9 +191,41 @@ let range t ~lo ~hi =
   | Excl b -> Seq.drop_while (fun (k, _) -> compare_trunc k b = 0) base
   | Unbounded | Incl _ -> base
 
+let above_lo lo k =
+  match lo with
+  | Unbounded -> true
+  | Incl l -> compare_trunc k l >= 0
+  | Excl l -> compare_trunc k l > 0
+
+(* Walk from the right, skipping subtrees that lie wholly above [hi] and
+   stopping at the first key below [lo]; [rest] continues with the subtrees
+   to the left. Truncation preserves order, so a separator bounds the
+   truncated keys of its neighbours: child [i] holds keys in
+   [seps.(i-1), seps.(i)). *)
 let range_desc t ~lo ~hi =
-  let items = List.of_seq (range t ~lo ~hi) in
-  List.to_seq (List.rev items)
+  let rec walk node rest () =
+    match node with
+    | Leaf l ->
+        let rec from i () =
+          if i < 0 then rest ()
+          else
+            let k = l.keys.(i) in
+            if not (within_hi hi k) then from (i - 1) ()
+            else if above_lo lo k then Seq.Cons ((k, l.vals.(i)), from (i - 1))
+            else Seq.Nil
+        in
+        from (Array.length l.keys - 1) ()
+    | Internal n ->
+        let rec kids i () =
+          if i < 0 then rest ()
+          else if i > 0 && not (within_hi hi n.seps.(i - 1)) then kids (i - 1) ()
+          else if i < Array.length n.seps && not (above_lo lo n.seps.(i)) then
+            Seq.Nil
+          else walk n.children.(i) (kids (i - 1)) ()
+        in
+        kids (Array.length n.children - 1) ()
+  in
+  walk t.root (fun () -> Seq.Nil)
 
 let prefix t p = range t ~lo:(Incl p) ~hi:(Incl p)
 

@@ -46,7 +46,8 @@ val range : t -> lo:bound -> hi:bound -> (Tuple.t * int) Seq.t
     Behaviour is unspecified if the tree is mutated during consumption. *)
 
 val range_desc : t -> lo:bound -> hi:bound -> (Tuple.t * int) Seq.t
-(** Same entries in descending order (materializes the range internally). *)
+(** Same entries in descending order, produced lazily from the right end
+    of the range: O(log n + k) for the first [k] entries. *)
 
 val prefix : t -> Tuple.t -> (Tuple.t * int) Seq.t
 (** All entries whose key starts with the given prefix (a prefix compares

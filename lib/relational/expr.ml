@@ -75,6 +75,13 @@ let num_arith op a b =
       err "arithmetic on non-numeric values %s, %s" (Value.to_string a)
         (Value.to_string b)
 
+(* SQL SUBSTR: 1-based [start] (values below 1 count as 1), at most [len]
+   characters *)
+let substr s start len =
+  let n = String.length s in
+  let from = max 1 start - 1 in
+  if from >= n || len <= 0 then "" else String.sub s from (min len (n - from))
+
 let rec eval e tuple =
   match e with
   | Const v -> v
@@ -130,6 +137,7 @@ let rec eval e tuple =
   | Concat (a, b) -> begin
       match (eval a tuple, eval b tuple) with
       | Value.Null, _ | _, Value.Null -> Value.Null
+      | Value.Bytes x, Value.Bytes y -> Value.Bytes (x ^ y)
       | x, y -> Value.Str (Value.to_string x ^ Value.to_string y)
     end
   | Is_null a -> bool_v (Value.is_null (eval a tuple))
@@ -157,12 +165,10 @@ and eval_func f args =
   | Abs, [ Float f ] -> Float (Float.abs f)
   | Lower, [ Str s ] -> Str (String.lowercase_ascii s)
   | Upper, [ Str s ] -> Str (String.uppercase_ascii s)
-  | Substr, [ Str s; Int start; Int len ] ->
-      let n = String.length s in
-      let start = max 1 start in
-      let from = start - 1 in
-      if from >= n || len <= 0 then Str ""
-      else Str (String.sub s from (min len (n - from)))
+  | Substr, [ Str s; Int start ] -> Str (substr s start max_int)
+  | Substr, [ Str s; Int start; Int len ] -> Str (substr s start len)
+  | Substr, [ Bytes s; Int start ] -> Bytes (substr s start max_int)
+  | Substr, [ Bytes s; Int start; Int len ] -> Bytes (substr s start len)
   | (Length | Abs | Lower | Upper | Substr), _ ->
       err "bad arguments to function"
 

@@ -23,11 +23,16 @@ type t =
   | Arith of arith * t * t
   | Neg of t
   | Concat of t * t
+      (** [||]: BYTES with BYTES gives BYTES; any other pair concatenates
+          the text forms. NULL if either side is NULL. *)
   | Is_null of t
   | Is_not_null of t
   | Like of t * string  (** SQL LIKE with [%] and [_] wildcards *)
   | In_list of t * Value.t list
   | Func of func * t list
+      (** Scalar functions. [SUBSTR(s, start)] and [SUBSTR(s, start, len)]
+          take a 1-based start and return BYTES for BYTES input, TEXT for
+          TEXT. *)
 
 exception Eval_error of string
 

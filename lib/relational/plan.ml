@@ -71,8 +71,13 @@ let expr_type schema (e : Expr.t) : Value.ty =
         | _ -> Value.Tfloat
       end
     | Expr.Neg a -> go a
-    | Expr.Concat _ -> Value.Ttext
+    | Expr.Concat (a, b) -> begin
+        match (go a, go b) with
+        | Value.Tbytes, Value.Tbytes -> Value.Tbytes
+        | _ -> Value.Ttext
+      end
     | Expr.Func ((Expr.Length | Expr.Abs), _) -> Value.Tint
+    | Expr.Func (Expr.Substr, a :: _) when go a = Value.Tbytes -> Value.Tbytes
     | Expr.Func ((Expr.Lower | Expr.Upper | Expr.Substr), _) -> Value.Ttext
   in
   go e

@@ -68,7 +68,8 @@ type t =
 
 val schema_of : t -> Schema.t
 (** Output schema of a plan. Column types for computed expressions are
-    approximated (TEXT for concatenations, INT for counts, etc.). *)
+    approximated (TEXT for concatenations and SUBSTR unless their input is
+    BYTES, INT for counts, etc.). *)
 
 val label : t -> string
 (** One-line description of the root operator (no children) — the node text

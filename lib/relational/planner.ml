@@ -562,6 +562,45 @@ let try_order_via_index plan (keys : (Expr.t * Plan.order) list) =
   | _ -> None
 
 (* ------------------------------------------------------------------ *)
+(* MIN / MAX from the index end                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* [SELECT MIN(c) FROM t] / [SELECT MAX(c) FROM t] with nothing else to
+   filter or group: the answer is the first non-NULL key of an index that
+   leads with [c], read from the low end for MIN and the high end for MAX.
+   The plan keeps the Aggregate on top, over at most one row, so an empty
+   or all-NULL column still yields NULL. *)
+let min_max_scan env (q : Sql_ast.select) =
+  match (env, q.items) with
+  | ( [ e ],
+      [
+        Sql_ast.Item
+          ( Sql_ast.E_func
+              ((("MIN" | "MAX") as f), [ Sql_ast.E_col (qual, name) ]),
+            _ );
+      ] )
+    when q.where = None && q.group_by = [] && q.having = None ->
+      let col = vcol_local (resolve_col env qual name) in
+      List.find_map
+        (fun (index : Table.index) ->
+          let key = index.Table.key_cols in
+          if Array.length key > 0 && key.(0) = col then
+            let scan =
+              Plan.Index_scan
+                {
+                  table = e.table;
+                  index;
+                  lo = Btree.Excl [| Value.Null |];
+                  hi = Btree.Unbounded;
+                  reverse = f = "MAX";
+                }
+            in
+            Some (Plan.Limit { input = scan; limit = Some 1; offset = 0 })
+          else None)
+        (Table.indexes e.table)
+  | _ -> None
+
+(* ------------------------------------------------------------------ *)
 (* SELECT planning                                                     *)
 (* ------------------------------------------------------------------ *)
 
@@ -826,6 +865,7 @@ let plan_select catalog (q : Sql_ast.select) =
           fail "HAVING must use aggregates or GROUP BY expressions"
     in
     let having_pred = Option.map resolve_over_agg q.having in
+    let joined = Option.value (min_max_scan env q) ~default:joined in
     let agg_plan =
       Plan.Aggregate
         {

@@ -312,6 +312,15 @@ let test_plan_lint () =
       "SELECT * FROM emp a, emp b WHERE b.id = a.salary";
       "SELECT * FROM emp a, emp b WHERE b.id > a.id AND b.id <= a.salary";
     ];
+  (* MIN/MAX read one key from the end of the index: nothing to flag *)
+  List.iter
+    (fun q ->
+      let p = plan_of q in
+      check bool_t ("index-end plan: " ^ q) true
+        (Astring_contains.contains (Format.asprintf "%a" P.pp p)
+           "IndexScan emp.emp_pk");
+      check (Alcotest.list Alcotest.string) ("clean: " ^ q) [] (rules p))
+    [ "SELECT MAX(id) FROM emp"; "SELECT MIN(id) FROM emp" ];
   (* a short-circuited contradictory plan is not linted below LIMIT 0 *)
   check bool_t "LIMIT 0 subtree suppressed" true
     (rules (plan_of "SELECT * FROM emp a, emp b WHERE 1 = 0") = [])

@@ -171,16 +171,59 @@ let prop_model =
         ops;
       !ok && B.check_invariants t = Ok ())
 
+(* random bounds: unbounded, or inclusive / exclusive over a 1- or 2-column
+   key — a 1-column bound over the 2-column keys is a truncated prefix *)
+let bound_gen =
+  QCheck.Gen.(
+    let key =
+      oneof [ map key1 (int_bound 12); map2 key2 (int_bound 12) (int_bound 12) ]
+    in
+    oneof
+      [ return B.Unbounded; map (fun k -> B.Incl k) key; map (fun k -> B.Excl k) key ])
+
+let print_bound = function
+  | B.Unbounded -> "-"
+  | B.Incl k -> "[" ^ Reldb.Tuple.to_string k
+  | B.Excl k -> "(" ^ Reldb.Tuple.to_string k
+
 let prop_desc_is_reverse =
   let open QCheck in
-  Test.make ~name:"range_desc reverses range" ~count:200
-    (make Gen.(list_size (int_bound 200) (int_bound 300)))
-    (fun keys ->
+  let gen =
+    Gen.(
+      quad
+        (list_size (int_bound 200) (pair (int_bound 10) (int_bound 10)))
+        (list_size (int_bound 60) (pair (int_bound 10) (int_bound 10)))
+        bound_gen bound_gen)
+  in
+  let print (keys, dels, lo, hi) =
+    Printf.sprintf "%d keys, %d deletes, lo %s, hi %s" (List.length keys)
+      (List.length dels) (print_bound lo) (print_bound hi)
+  in
+  Test.make ~name:"range_desc reverses range" ~count:300 (make ~print gen)
+    (fun (keys, dels, lo, hi) ->
       let t = B.create ~branching:4 () in
-      List.iteri (fun i k -> B.replace t (key1 k) i) keys;
-      let lo = B.Incl (key1 50) and hi = B.Incl (key1 250) in
-      List.rev (entries_ids (B.range t ~lo ~hi))
-      = entries_ids (B.range_desc t ~lo ~hi))
+      List.iteri (fun i (a, b) -> B.replace t (key2 a b) i) keys;
+      (* deletes leave sparse and empty leaves behind *)
+      List.iter (fun (a, b) -> ignore (B.delete t (key2 a b))) dels;
+      (* reference: every entry, filtered by the truncated-prefix rule *)
+      let trunc k b =
+        Reldb.Tuple.compare_key (Array.sub k 0 (Array.length b)) b
+      in
+      let keep (k, _) =
+        (match lo with
+        | B.Unbounded -> true
+        | B.Incl b -> trunc k b >= 0
+        | B.Excl b -> trunc k b > 0)
+        &&
+        match hi with
+        | B.Unbounded -> true
+        | B.Incl b -> trunc k b <= 0
+        | B.Excl b -> trunc k b < 0
+      in
+      let expect = List.filter keep (List.of_seq (B.to_seq t)) in
+      let asc = List.of_seq (B.range t ~lo ~hi) in
+      let desc = List.of_seq (B.range_desc t ~lo ~hi) in
+      asc = expect && desc = List.rev expect)
 
 let tests =
   ( "btree",

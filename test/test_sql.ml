@@ -516,6 +516,148 @@ let test_scalar_functions () =
   | [ [| V.Int 5; V.Str "HELLO"; V.Str "hello"; V.Int 4; V.Str "ell" |] ] -> ()
   | r -> Alcotest.failf "functions: %s" (String.concat ";" (List.map Reldb.Tuple.to_string r))
 
+let rows_text r = String.concat ";" (List.map Reldb.Tuple.to_string r)
+
+let test_bytes_functions () =
+  let db = fresh () in
+  e db "CREATE TABLE b (p BYTES, q BYTES, s TEXT)";
+  e db "INSERT INTO b VALUES (X'0102', X'ff', 'Hello'), (NULL, X'03', NULL)";
+  (match
+     D.query db
+       "SELECT p || q, SUBSTR(p || q, 2), SUBSTR(p, 1, 1), SUBSTR(s, 3), \
+        SUBSTR(p, 9) FROM b WHERE s = 'Hello'"
+   with
+  | [
+      [|
+        V.Bytes "\x01\x02\xff"; V.Bytes "\x02\xff"; V.Bytes "\x01"; V.Str "llo"; V.Bytes "";
+      |];
+    ] ->
+      ()
+  | r -> Alcotest.failf "bytes functions: %s" (rows_text r));
+  (* NULL in, NULL out: either operand of ||, and SUBSTR's string or start *)
+  (match
+     D.query db
+       "SELECT p || q, q || p, SUBSTR(p, 2), SUBSTR(q, NULL) FROM b WHERE s IS NULL"
+   with
+  | [ [| V.Null; V.Null; V.Null; V.Null |] ] -> ()
+  | r -> Alcotest.failf "NULL propagation: %s" (rows_text r));
+  (* the planned output type agrees with the values *)
+  let rows = D.exec db "SELECT p || q, SUBSTR(q, 1), s || s, SUBSTR(s, 2) FROM b" in
+  (match rows with
+  | D.Rows { schema; _ } ->
+      check (Alcotest.list string_t) "column types"
+        [ "BYTES"; "BYTES"; "TEXT"; "TEXT" ]
+        (Array.to_list
+           (Array.map (fun c -> V.ty_name c.Reldb.Schema.col_type) schema))
+  | D.Affected _ -> Alcotest.fail "not a SELECT");
+  (* other operand types concatenate as text, as before *)
+  (match D.query db "SELECT s || 1, q || s FROM b WHERE s = 'Hello'" with
+  | [ [| V.Str "Hello1"; V.Str "0xffHello" |] ] -> ()
+  | r -> Alcotest.failf "mixed concat: %s" (rows_text r));
+  (* set-oriented prefix rewrite, the shape a DEWEY subtree move uses *)
+  e db "CREATE TABLE d (path BYTES NOT NULL)";
+  e db "CREATE UNIQUE INDEX d_path ON d (path)";
+  e db "INSERT INTO d VALUES (X'01'), (X'0201'), (X'020105'), (X'0202'), (X'03')";
+  let upd =
+    D.prepare db
+      "UPDATE d SET path = ? || SUBSTR(path, ?) WHERE path >= ? AND path < ?"
+  in
+  (match
+     D.Stmt.exec upd [| V.Bytes "\x09"; V.Int 2; V.Bytes "\x02"; V.Bytes "\x03" |]
+   with
+  | D.Affected n -> check int_t "subtree rows moved" 3 n
+  | D.Rows _ -> Alcotest.fail "not an UPDATE");
+  check (Alcotest.list string_t) "rewritten paths"
+    [ "0x01"; "0x03"; "0x0901"; "0x090105"; "0x0902" ]
+    (List.map
+       (fun r -> V.to_string r.(0))
+       (D.query db "SELECT path FROM d ORDER BY path"))
+
+let test_min_max_plan () =
+  let db = fresh () in
+  setup_emp db;
+  let explain = D.explain db in
+  let has plan s = Astring_contains.contains plan s in
+  let p = explain "SELECT MAX(id) FROM emp" in
+  check bool_t "MAX reads the index from the top" true
+    (has p "Limit 1" && has p "IndexScan emp.emp_id (NULL .. -inf DESC");
+  check bool_t "no seq scan" false (has p "SeqScan");
+  let p = explain "SELECT MIN(dept) FROM emp" in
+  check bool_t "MIN reads the composite index from the bottom" true
+    (has p "IndexScan emp.emp_dept (NULL .. -inf" && not (has p "DESC"));
+  (* anything more than the bare aggregate keeps the aggregate plan *)
+  List.iter
+    (fun q ->
+      check bool_t ("aggregate plan: " ^ q) false (has (explain q) "Limit 1"))
+    [
+      "SELECT MAX(id) FROM emp WHERE dept = 1";
+      "SELECT dept, MAX(id) FROM emp GROUP BY dept";
+      "SELECT MAX(id), MIN(id) FROM emp";
+      "SELECT MAX(salary) FROM emp";
+      "SELECT MAX(e.id) FROM emp e, dept d";
+      "SELECT COUNT(id) FROM emp";
+    ];
+  check (Alcotest.list (Alcotest.list int_t)) "MAX" [ [ 50 ] ]
+    (ints db "SELECT MAX(id) FROM emp");
+  check (Alcotest.list (Alcotest.list int_t)) "MIN" [ [ 1 ] ]
+    (ints db "SELECT MIN(dept) FROM emp")
+
+(* MIN/MAX over an indexed column equal an OCaml reference, on tables with
+   NULLs, duplicates, negatives and no rows at all *)
+let prop_min_max =
+  let open QCheck in
+  let value =
+    Gen.(frequency [ (1, return None); (4, map Option.some (int_range (-5) 5)) ])
+  in
+  let print (vs, unique) =
+    Printf.sprintf "[%s]%s"
+      (String.concat ";"
+         (List.map (function None -> "NULL" | Some x -> string_of_int x) vs))
+      (if unique then " unique" else "")
+  in
+  Test.make ~name:"MIN/MAX via index = reference" ~count:300
+    (make ~print Gen.(pair (list_size (int_bound 25) value) bool))
+    (fun (vs, unique) ->
+      let vs =
+        (* a unique index holds each key once, NULL included *)
+        if unique then List.sort_uniq compare vs else vs
+      in
+      let db = fresh () in
+      e db "CREATE TABLE m (c INT, w INT)";
+      e db
+        (if unique then "CREATE UNIQUE INDEX m_c ON m (c)"
+         else "CREATE INDEX m_cw ON m (c, w)");
+      ignore
+        (D.insert_many db "m"
+           (List.mapi
+              (fun i v ->
+                [| (match v with None -> V.Null | Some x -> V.Int x); V.Int i |])
+              vs));
+      let present = List.filter_map Fun.id vs in
+      let reference f =
+        match present with
+        | [] -> V.Null
+        | x :: rest -> V.Int (List.fold_left f x rest)
+      in
+      let one q =
+        match D.query db q with [ [| v |] ] -> v | _ -> V.Str "not one row"
+      in
+      Astring_contains.contains (D.explain db "SELECT MAX(c) FROM m") "IndexScan"
+      && V.equal (one "SELECT MAX(c) FROM m") (reference max)
+      && V.equal (one "SELECT MIN(c) FROM m") (reference min)
+      && V.type_of (one "SELECT MAX(c) FROM m") = V.type_of (reference max))
+
+let test_max_id_reads () =
+  let db = fresh () in
+  e db "CREATE TABLE big (id INT NOT NULL, v INT)";
+  e db "CREATE UNIQUE INDEX big_id ON big (id)";
+  ignore
+    (D.insert_many db "big" (List.init 4500 (fun i -> [| V.Int i; V.Int (i mod 7) |])));
+  let before = D.rows_read db in
+  check (Alcotest.list (Alcotest.list int_t)) "max" [ [ 4499 ] ]
+    (ints db "SELECT MAX(id) FROM big");
+  check bool_t "reads at most 2 rows" true (D.rows_read db - before <= 2)
+
 let test_delete_via_index () =
   (* DELETE through an index range, then ensure the index agrees *)
   let db = fresh () in
@@ -668,6 +810,10 @@ let tests =
       Alcotest.test_case "multi-key ORDER BY" `Quick test_multi_key_order;
       Alcotest.test_case "expression precedence" `Quick test_expression_precedence;
       Alcotest.test_case "scalar functions" `Quick test_scalar_functions;
+      Alcotest.test_case "BYTES || and SUBSTR" `Quick test_bytes_functions;
+      Alcotest.test_case "MIN/MAX from the index end" `Quick test_min_max_plan;
+      QCheck_alcotest.to_alcotest prop_min_max;
+      Alcotest.test_case "MAX(id) reads O(1) rows" `Quick test_max_id_reads;
       Alcotest.test_case "delete via index" `Quick test_delete_via_index;
       Alcotest.test_case "ORDER BY aggregate" `Quick test_order_by_aggregate;
       Alcotest.test_case "hostile strings dump/restore" `Quick

@@ -5,6 +5,8 @@
 module O = Ordered_xml
 module T = Xmllib.Types
 module U = O.Update
+module D = Reldb.Db
+module V = Reldb.Value
 
 let check = Alcotest.check
 let int_t = Alcotest.int
@@ -464,6 +466,147 @@ let test_atomic_updates () =
     stores;
   assert_integrity stores
 
+(* set_text and set_attribute store the same [nval] shredding would, bound
+   as parameters: a comment's numeric-looking text has no numeric shadow,
+   an overwritten attribute gets a fresh one *)
+let test_set_value_nval () =
+  let doc =
+    T.doc_of_node
+      (T.element "r" ~attrs:[ T.attr "n" "1" ]
+         [ T.Comment "note"; T.element "v" [ T.text "5" ] ])
+  in
+  let stores = all_stores doc in
+  List.iter
+    (fun (enc, store) ->
+      let db = O.Api.Store.db store in
+      let table = O.Encoding.table_name ~doc:"u" enc in
+      let nval_of_kind kind =
+        D.query db
+          (Printf.sprintf "SELECT nval FROM %s WHERE kind = %d" table
+             (O.Doc_index.kind_code kind))
+      in
+      let cid =
+        match
+          D.query db
+            (Printf.sprintf "SELECT id FROM %s WHERE kind = %d" table
+               (O.Doc_index.kind_code O.Doc_index.Comment_node))
+        with
+        | [ [| V.Int id |] ] -> id
+        | _ -> Alcotest.fail "comment row"
+      in
+      ignore (O.Api.Store.set_text store ~id:cid "42");
+      check bool_t (O.Encoding.name enc ^ " comment nval stays NULL") true
+        (nval_of_kind O.Doc_index.Comment_node = [ [| V.Null |] ]);
+      let root = O.Api.Store.root_id store in
+      ignore (O.Api.Store.set_attribute store ~id:root ~name:"n" ~value:"17");
+      check bool_t (O.Encoding.name enc ^ " attribute nval follows") true
+        (nval_of_kind O.Doc_index.Attr = [ [| V.Float 17.0 |] ]);
+      check int_t (O.Encoding.name enc ^ " numeric predicate") 1
+        (O.Api.Store.count store "/r[@n > 10]");
+      (* quotes in user text reach the table unchanged *)
+      ignore (O.Api.Store.set_attribute store ~id:root ~name:"n" ~value:"it's");
+      check (Alcotest.list Alcotest.string) (O.Encoding.name enc ^ " quoted value")
+        [ "it's" ]
+        (O.Api.Store.query_values store "/r/@n");
+      check bool_t (O.Encoding.name enc ^ " non-numeric nval") true
+        (nval_of_kind O.Doc_index.Attr = [ [| V.Null |] ]))
+    stores;
+  assert_integrity stores
+
+let test_integrity_checks_nval () =
+  let db = D.create () in
+  ignore (O.Api.Store.create db ~name:"c" O.Encoding.Local (base_doc ()));
+  check bool_t "clean store passes" true
+    (O.Integrity.check db ~doc:"c" O.Encoding.Local = Ok ());
+  (* a comment-like defect: a numeric shadow on a row shredding gives none *)
+  ignore (D.exec db "UPDATE c_local SET nval = 42.0 WHERE kind = 0");
+  match O.Integrity.check db ~doc:"c" O.Encoding.Local with
+  | Error msgs ->
+      check bool_t "nval message" true
+        (List.exists (fun m -> Astring_contains.contains m "nval") msgs)
+  | Ok () -> Alcotest.fail "stale nval not detected"
+
+(* rows in the subtrees of the root's children: what a front insert under
+   the root moves on DEWEY *)
+let rows_below_root_children db table =
+  match
+    D.query db
+      (Printf.sprintf
+         "SELECT COUNT(*) FROM %s e, %s r WHERE r.parent IS NULL AND \
+          e.parent IS NOT NULL AND NOT (e.parent = r.id AND e.kind = 2)"
+         table table)
+  with
+  | [ [| V.Int n |] ] -> n
+  | _ -> Alcotest.fail "row count"
+
+let test_dewey_front_insert_statements () =
+  (* one set-oriented statement per moved sibling subtree *)
+  let doc = base_doc () in
+  let db = D.create () in
+  let store = O.Api.Store.create db ~name:"u" O.Encoding.Dewey_enc doc in
+  let root = O.Api.Store.root_id store in
+  let m = O.Api.Store.count store "/doc/node()" in
+  let moved = rows_below_root_children db "u_dewey" in
+  let st = O.Api.Store.insert_subtree store ~parent:root ~pos:1 frag in
+  check bool_t
+    (Printf.sprintf "%d statements for %d children" st.U.statements m)
+    true
+    (st.U.statements <= m + 8);
+  check int_t "every moved row renumbered once" moved st.U.rows_renumbered;
+  check bool_t "document correct" true
+    (T.equal_document (dom_insert_at_root doc 1 frag) (O.Api.Store.document store));
+  assert_integrity [ (O.Encoding.Dewey_enc, store) ]
+
+let test_ordpath_repack_statements () =
+  (* front inserts until a caret zone runs out: the repack moves every
+     sibling subtree twice (up into a free zone, then down), one statement
+     per subtree and phase *)
+  let doc = Xmllib.Generator.flat ~tag:"item" ~count:10 () in
+  let db = D.create () in
+  let store = O.Api.Store.create db ~name:"u" O.Encoding.Dewey_caret doc in
+  let root = O.Api.Store.root_id store in
+  let repacks = ref 0 in
+  for _ = 1 to 30 do
+    let m = O.Api.Store.count store "/doc/node()" in
+    let moved = rows_below_root_children db "u_ordpath" in
+    let st = O.Api.Store.insert_subtree store ~parent:root ~pos:1 frag in
+    if st.U.rows_renumbered > 0 then begin
+      incr repacks;
+      check bool_t
+        (Printf.sprintf "%d statements for %d children" st.U.statements m)
+        true
+        (st.U.statements <= (2 * m) + 8);
+      check int_t "every moved row renumbered twice" (2 * moved)
+        st.U.rows_renumbered
+    end
+  done;
+  check bool_t "a repack happened" true (!repacks > 0);
+  assert_integrity [ (O.Encoding.Dewey_caret, store) ]
+
+let test_durable_front_insert_replays () =
+  (* the set-oriented renumbering statements are what the WAL records:
+     replaying them without a checkpoint rebuilds the same document *)
+  List.iter
+    (fun enc ->
+      Test_wal.with_dir @@ fun dir ->
+      let doc = base_doc () in
+      let db = D.open_dir dir in
+      let store = O.Api.Store.create db ~name:"u" enc doc in
+      let root = O.Api.Store.root_id store in
+      ignore (O.Api.Store.insert_subtree store ~parent:root ~pos:1 frag);
+      ignore (O.Api.Store.insert_subtree store ~parent:root ~pos:11 frag);
+      ignore (O.Api.Store.set_attribute store ~id:root ~name:"a" ~value:"1");
+      let live = O.Api.Store.document store in
+      D.close db;
+      let db2 = D.open_dir dir in
+      let reopened = O.Api.Store.open_existing db2 ~name:"u" enc in
+      check bool_t (O.Encoding.name enc ^ " same document") true
+        (T.equal_document live (O.Api.Store.document reopened));
+      check bool_t (O.Encoding.name enc ^ " check") true
+        (O.Api.Store.check reopened = Ok ());
+      D.close db2)
+    O.Encoding.all
+
 (* random edit sequences: all encodings converge to the same document and
    keep answering ordered queries correctly *)
 let prop_random_edits =
@@ -539,5 +682,13 @@ let tests =
       Alcotest.test_case "ordpath hotspot growth" `Quick test_ordpath_hotspot_growth;
       Alcotest.test_case "ordpath prepend amortization" `Quick
         test_ordpath_prepend_amortization;
+      Alcotest.test_case "set_text/set_attribute nval" `Quick test_set_value_nval;
+      Alcotest.test_case "integrity checks nval" `Quick test_integrity_checks_nval;
+      Alcotest.test_case "dewey front insert statements" `Quick
+        test_dewey_front_insert_statements;
+      Alcotest.test_case "ordpath repack statements" `Quick
+        test_ordpath_repack_statements;
+      Alcotest.test_case "durable front insert replays" `Quick
+        test_durable_front_insert_replays;
       QCheck_alcotest.to_alcotest prop_random_edits;
     ] )
