@@ -6,6 +6,9 @@
    - insert reads: after warm-up, one front insert per encoding reads at
      most [rows_renumbered + 100] rows, so an insert pays for the rows it
      renumbers and not for a scan of the table;
+   - document-order reads: after warm-up, Q7 ([following::]) on LOCAL reads
+     at most twice the rows GLOBAL reads: the matches and their ancestors,
+     not the whole document;
    - timing: Q1 over GLOBAL must not regress more than 3x over the
      checked-in baseline (bench/baseline.json). *)
 
@@ -116,6 +119,28 @@ let check_insert_reads doc =
           (O.Encoding.name enc) reads renumbered)
     O.Encoding.all
 
+let check_order_reads doc =
+  let q7 =
+    Option.get
+      (List.find (fun (q : O.Workload.query) -> q.O.Workload.q_id = "Q7")
+         O.Workload.queries)
+        .O.Workload.q_xpath
+  in
+  let reads enc =
+    let db = Reldb.Db.create () in
+    let store = O.Api.Store.create db ~name:"b" enc doc in
+    ignore (O.Api.Store.query store q7);
+    let r0 = Reldb.Db.rows_read db in
+    ignore (O.Api.Store.query store q7);
+    Reldb.Db.rows_read db - r0
+  in
+  let local = reads O.Encoding.Local and global = reads O.Encoding.Global in
+  Printf.printf "bench-smoke: q7 read %d rows on local, %d on global (limit %d)\n"
+    local global (2 * global);
+  if local > 2 * global then
+    die "bench-smoke: FAIL - q7 on local read %d rows, more than twice global's %d"
+      local global
+
 let () =
   let baseline_path =
     if Array.length Sys.argv > 1 then Sys.argv.(1) else "bench/baseline.json"
@@ -124,6 +149,7 @@ let () =
   let doc = O.Workload.dataset ~scale:1 in
   check_counters doc;
   check_insert_reads doc;
+  check_order_reads doc;
   let db = Reldb.Db.create () in
   (* the guarded figure is the in-memory engine: opening a database without
      a directory must keep the WAL code out of the write and query paths *)

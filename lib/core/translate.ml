@@ -13,19 +13,46 @@ type result = {
 
 exception Unsupported of string
 
+(* LOCAL's parent-chain cache, one per evaluation call: every edge row the
+   call has fetched, and the root-path keys computed from them. *)
+type chains = {
+  rows : (int, Node_row.t) Hashtbl.t;
+  keys : (int, int list) Hashtbl.t;
+}
+
 type state = {
   db : Reldb.Db.t;
   enc : Encoding.t;
   tname : string;
+  chains : chains option;  (* LOCAL only *)
   mutable nstmt : int;
   mutable log : string list;  (* reversed *)
 }
+
+let new_state db ~doc enc =
+  let chains =
+    match enc with
+    | Encoding.Local ->
+        Some { rows = Hashtbl.create 64; keys = Hashtbl.create 64 }
+    | _ -> None
+  in
+  { db; enc; tname = Encoding.table_name ~doc enc; chains; nstmt = 0; log = [] }
 
 let run_sql st sql =
   st.nstmt <- st.nstmt + 1;
   st.log <- sql :: st.log;
   Log.debug (fun m -> m "%s" sql);
   Reldb.Db.query st.db sql
+
+let remember st (r : Node_row.t) =
+  match st.chains with
+  | Some c -> Hashtbl.replace c.rows r.Node_row.id r
+  | None -> ()
+
+let decode st tu =
+  let r = Node_row.of_tuple st.enc tu in
+  remember st r;
+  r
 
 (* Queries return (edge row, ctx id): the context id comes last, after the
    columns Node_row.of_tuple reads. *)
@@ -37,10 +64,10 @@ let tagged_rows st sql =
         | V.Int i -> i
         | v -> invalid_arg ("Translate: bad ctx id " ^ V.to_string v)
       in
-      (ctx, Node_row.of_tuple st.enc tu))
+      (ctx, decode st tu))
     (run_sql st sql)
 
-let plain_rows st sql = List.map (Node_row.of_tuple st.enc) (run_sql st sql)
+let plain_rows st sql = List.map (decode st) (run_sql st sql)
 
 (* ------------------------------------------------------------------ *)
 (* SQL fragments                                                       *)
@@ -137,58 +164,6 @@ let test_passes axis (test : A.node_test) (r : Node_row.t) =
 
 (* ---- LOCAL middle-tier machinery --------------------------------- *)
 
-(* Fetch the whole edge table and compute document order: the operation the
-   LOCAL encoding cannot push into SQL. Returns (rank, subtree_end_rank,
-   ancestors) per id, plus rows in document order. *)
-type local_world = {
-  w_rows : Node_row.t array;  (* document order, attrs included *)
-  w_rank : (int, int) Hashtbl.t;  (* id -> doc-order rank *)
-  w_end : (int, int) Hashtbl.t;  (* id -> rank of last record in subtree *)
-  w_anc : (int, int list) Hashtbl.t;  (* id -> strict ancestors *)
-}
-
-let local_world st =
-  let all =
-    plain_rows st
-      (Printf.sprintf "SELECT %s FROM %s e" (Node_row.select_list st.enc "e")
-         st.tname)
-  in
-  let kids : (int, Node_row.t list ref) Hashtbl.t = Hashtbl.create 256 in
-  let root = ref None in
-  List.iter
-    (fun (r : Node_row.t) ->
-      match r.Node_row.parent with
-      | None -> root := Some r
-      | Some p -> (
-          match Hashtbl.find_opt kids p with
-          | Some cell -> cell := r :: !cell
-          | None -> Hashtbl.add kids p (ref [ r ])))
-    all;
-  let n = List.length all in
-  let w_rows = Array.make n (List.hd all) in
-  let w_rank = Hashtbl.create n
-  and w_end = Hashtbl.create n
-  and w_anc = Hashtbl.create n in
-  let counter = ref 0 in
-  let rec go ancs (r : Node_row.t) =
-    let rank = !counter in
-    incr counter;
-    w_rows.(rank) <- r;
-    Hashtbl.replace w_rank r.Node_row.id rank;
-    Hashtbl.replace w_anc r.Node_row.id ancs;
-    let children =
-      match Hashtbl.find_opt kids r.Node_row.id with
-      | None -> []
-      | Some cell -> List.sort Node_row.compare_ord !cell
-    in
-    List.iter (go (r.Node_row.id :: ancs)) children;
-    Hashtbl.replace w_end r.Node_row.id (!counter - 1)
-  in
-  (match !root with
-  | Some r -> go [] r
-  | None -> raise (Unsupported "document has no root row"));
-  { w_rows; w_rank; w_end; w_anc }
-
 let id_tuples ids = List.map (fun i -> [| V.Int i |]) ids
 
 (* Fetch rows by id: one join with the id relation, probing the id index. *)
@@ -199,92 +174,148 @@ let fetch_by_ids st ids =
       List.map snd
         (ctx_join st Node_row.ids_relation (id_tuples ids) "e.id = c.id")
 
-(* Document-order sort keys for LOCAL rows: walk parent chains, batched one
-   join per level. The key is the root path
-   of sibling positions. *)
+(* A LOCAL row's document-order key is its root path: the l_order values
+   from the root down. Attributes have l_order <= 0, so they sort after
+   their owner element and before its children. A key's proper prefixes are
+   exactly the keys of the row's ancestors. *)
+let rec compare_key a b =
+  match (a, b) with
+  | [], [] -> 0
+  | [], _ -> -1
+  | _, [] -> 1
+  | x :: a, y :: b ->
+      let c = Int.compare x y in
+      if c <> 0 then c else compare_key a b
+
+let rec is_prefix p k =
+  match (p, k) with
+  | [], _ -> true
+  | _, [] -> false
+  | x :: p, y :: k -> x = y && is_prefix p k
+
+let chains st =
+  match st.chains with
+  | Some c -> c
+  | None -> invalid_arg "Translate: parent chains are LOCAL-only"
+
+(* Make the parent chains of [rows] complete in the query's cache: only
+   ancestors no statement has fetched yet are fetched, one join per level.
+   Returns the key function, which reads the cache and memoizes. *)
 let local_order_keys st (rows : Node_row.t list) =
-  let info : (int, int option * int) Hashtbl.t = Hashtbl.create 64 in
-  let record (r : Node_row.t) =
-    let o = match r.Node_row.ord with Node_row.Ol o -> o | _ -> 0 in
-    Hashtbl.replace info r.Node_row.id (r.Node_row.parent, o)
+  let c = chains st in
+  List.iter (remember st) rows;
+  let seen = Hashtbl.create 64 in
+  (* parent ids missing from the cache on r's chain *)
+  let rec climb missing (r : Node_row.t) =
+    if Hashtbl.mem c.keys r.Node_row.id || Hashtbl.mem seen r.Node_row.id then
+      missing
+    else begin
+      Hashtbl.add seen r.Node_row.id ();
+      match r.Node_row.parent with
+      | None -> missing
+      | Some p -> (
+          match Hashtbl.find_opt c.rows p with
+          | Some pr -> climb missing pr
+          | None -> p :: missing)
+    end
   in
-  List.iter record rows;
-  let missing () =
-    Hashtbl.fold
-      (fun _ (parent, _) acc ->
-        match parent with
-        | Some p when not (Hashtbl.mem info p) -> p :: acc
-        | _ -> acc)
-      info []
-    |> List.sort_uniq compare
-  in
-  let rec fill () =
-    match missing () with
+  let rec fill level =
+    match List.fold_left climb [] level with
     | [] -> ()
-    | ids ->
-        List.iter record (fetch_by_ids st ids);
-        fill ()
+    | missing -> fill (fetch_by_ids st missing)
   in
-  fill ();
-  let memo : (int, int list) Hashtbl.t = Hashtbl.create 64 in
+  fill rows;
   let rec key id =
-    match Hashtbl.find_opt memo id with
+    match Hashtbl.find_opt c.keys id with
     | Some k -> k
     | None ->
         let k =
-          match Hashtbl.find_opt info id with
+          match Hashtbl.find_opt c.rows id with
           | None -> []
-          | Some (None, o) -> [ o ]
-          | Some (Some p, o) -> key p @ [ o ]
+          | Some r -> (
+              let o = match r.Node_row.ord with Node_row.Ol o -> o | _ -> 0 in
+              match r.Node_row.parent with
+              | None -> [ o ]
+              | Some p -> key p @ [ o ])
         in
-        Hashtbl.replace memo id k;
+        Hashtbl.replace c.keys id k;
         k
   in
   fun (r : Node_row.t) -> key r.Node_row.id
 
-(* LOCAL descendants via BFS, threading sibling-position keys for ordering.
-   Returns (ctx id, row, key-relative-to-ctx). *)
+(* LOCAL descendants, breadth-first: one join per level over the frontier's
+   distinct ids. Returns (ctx id, row) pairs. *)
 let local_descendants st ctx_rows =
-  let result = ref [] in
-  (* frontier: (origin ctx id, row, key) *)
-  let frontier =
-    ref (List.map (fun (r : Node_row.t) -> (r.Node_row.id, r, [])) ctx_rows)
+  let rec go acc frontier =
+    if frontier = [] then acc
+    else begin
+      let ids =
+        List.sort_uniq compare
+          (List.map (fun (_, (r : Node_row.t)) -> r.Node_row.id) frontier)
+      in
+      let by_parent = Hashtbl.create 64 in
+      List.iter
+        (fun (p, row) -> Hashtbl.add by_parent p row)
+        (ctx_join st Node_row.ids_relation (id_tuples ids)
+           "e.parent = c.id AND e.kind <> 2");
+      let next =
+        List.concat_map
+          (fun (origin, (r : Node_row.t)) ->
+            List.map
+              (fun kid -> (origin, kid))
+              (Hashtbl.find_all by_parent r.Node_row.id))
+          frontier
+      in
+      go (List.rev_append next acc) next
+    end
   in
-  while !frontier <> [] do
-    (* fetch children of all frontier rows in one statement *)
-    let distinct =
-      List.sort_uniq compare
-        (List.map (fun (_, r, _) -> r.Node_row.id) !frontier)
+  go [] (List.map (fun (r : Node_row.t) -> (r.Node_row.id, r)) ctx_rows)
+
+(* LOCAL following/preceding: fetch the rows passing the node test, key
+   them and their ancestors, and sort them once. following(c) is the run
+   after c's subtree; preceding(c) is the run before c minus c's ancestors
+   (the prefixes of its key, the owner of an attribute included). *)
+let local_doc_order st ctx_rows (step : A.step) =
+  let cands =
+    plain_rows st
+      (Printf.sprintf "SELECT %s FROM %s e WHERE %s"
+         (Node_row.select_list st.enc "e")
+         st.tname
+         (test_cond step.A.axis step.A.test))
+  in
+  let key = local_order_keys st (ctx_rows @ cands) in
+  let sorted = Array.of_list (List.map (fun r -> (key r, r)) cands) in
+  Array.stable_sort (fun (a, _) (b, _) -> compare_key a b) sorted;
+  let n = Array.length sorted in
+  (* first index whose key satisfies [p], monotone over the sorted keys *)
+  let first p =
+    let rec go lo hi =
+      if lo >= hi then lo
+      else
+        let mid = (lo + hi) / 2 in
+        if p (fst sorted.(mid)) then go lo mid else go (mid + 1) hi
     in
-    let children =
-      ctx_join st Node_row.ids_relation (id_tuples distinct)
-        "e.parent = c.id AND e.kind <> 2"
-    in
-    let by_parent : (int, (int * Node_row.t) list) Hashtbl.t = Hashtbl.create 64 in
-    List.iter
-      (fun (p, row) ->
-        Hashtbl.replace by_parent p
-          ((p, row) :: (try Hashtbl.find by_parent p with Not_found -> [])))
-      children;
-    let next = ref [] in
-    List.iter
-      (fun (origin, (r : Node_row.t), key) ->
-        match Hashtbl.find_opt by_parent r.Node_row.id with
-        | None -> ()
-        | Some kids ->
-            List.iter
-              (fun (_, (kid : Node_row.t)) ->
-                let o =
-                  match kid.Node_row.ord with Node_row.Ol o -> o | _ -> 0
-                in
-                let entry = (origin, kid, key @ [ o ]) in
-                result := entry :: !result;
-                next := entry :: !next)
-              kids)
-      !frontier;
-    frontier := !next
-  done;
-  !result
+    go 0 n
+  in
+  let pairs =
+    List.concat_map
+      (fun (c : Node_row.t) ->
+        let kc = key c in
+        let pair (_, r) = (c.Node_row.id, r) in
+        match step.A.axis with
+        | A.Following ->
+            let i =
+              first (fun k -> compare_key k kc > 0 && not (is_prefix kc k))
+            in
+            List.init (n - i) (fun j -> pair sorted.(i + j))
+        | _ ->
+            let i = first (fun k -> compare_key k kc >= 0) in
+            List.filter_map
+              (fun (k, _ as e) -> if is_prefix k kc then None else Some (pair e))
+              (Array.to_list (Array.sub sorted 0 i)))
+      ctx_rows
+  in
+  (pairs, Some key)
 
 (* ------------------------------------------------------------------ *)
 (* Step evaluation                                                     *)
@@ -343,14 +374,8 @@ let rec step_candidates st ctx_rows (step : A.step) :
       let anc, keys =
         step_candidates st ctx_rows { step with A.axis = A.Ancestor }
       in
-      (* reverse-axis sorting puts self before its ancestors; LOCAL needs
-         the key function to cover the self rows too *)
-      let keys =
-        match st.enc with
-        | Encoding.Local ->
-            Some (local_order_keys st (List.map snd (self @ anc)))
-        | _ -> keys
-      in
+      (* reverse-axis sorting puts self before its ancestors; LOCAL's key
+         function covers the self rows, whose chains it completed *)
       (self @ anc, keys)
   | A.Ancestor when st.enc = Encoding.Dewey_enc || st.enc = Encoding.Dewey_caret ->
       (* every ancestor's path is a proper prefix of the context's path:
@@ -377,51 +402,26 @@ let rec step_candidates st ctx_rows (step : A.step) :
       in
       (pairs, None)
   | A.Ancestor when st.enc = Encoding.Local ->
-      (* walk parent chains, one batched join per level *)
-      let cache : (int, Node_row.t) Hashtbl.t = Hashtbl.create 64 in
-      List.iter
-        (fun (r : Node_row.t) -> Hashtbl.replace cache r.Node_row.id r)
-        ctx_rows;
-      let rec chains frontier acc =
-        (* frontier: (ctx id, parent id to resolve) *)
-        let missing =
-          List.filter_map
-            (fun (_, pid) ->
-              if Hashtbl.mem cache pid then None else Some pid)
-            frontier
-          |> List.sort_uniq compare
-        in
-        List.iter
-          (fun (r : Node_row.t) -> Hashtbl.replace cache r.Node_row.id r)
-          (if missing = [] then [] else fetch_by_ids st missing);
-        let acc, next =
-          List.fold_left
-            (fun (acc, next) (ctx, pid) ->
-              match Hashtbl.find_opt cache pid with
-              | None -> (acc, next)
-              | Some row ->
-                  let next =
-                    match row.Node_row.parent with
-                    | Some gp -> (ctx, gp) :: next
-                    | None -> next
-                  in
-                  ((ctx, row) :: acc, next))
-            (acc, []) frontier
-        in
-        if next = [] then acc else chains next acc
+      (* complete the context rows' chains, then walk them in the cache *)
+      let key = local_order_keys st ctx_rows in
+      let c = chains st in
+      let rec up ctx acc = function
+        | None -> acc
+        | Some p -> (
+            match Hashtbl.find_opt c.rows p with
+            | None -> acc
+            | Some row ->
+                let acc =
+                  if test_passes step.A.axis step.A.test row then
+                    (ctx, row) :: acc
+                  else acc
+                in
+                up ctx acc row.Node_row.parent)
       in
-      let frontier =
-        List.filter_map
-          (fun (c : Node_row.t) ->
-            Option.map (fun p -> (c.Node_row.id, p)) c.Node_row.parent)
-          ctx_rows
-      in
-      let all = chains frontier [] in
-      let pairs =
-        List.filter (fun (_, row) -> test_passes step.A.axis step.A.test row) all
-      in
-      let keyfn = local_order_keys st (List.map snd pairs) in
-      (pairs, Some keyfn)
+      ( List.concat_map
+          (fun (r : Node_row.t) -> up r.Node_row.id [] r.Node_row.parent)
+          ctx_rows,
+        Some key )
   | A.Descendant_or_self ->
       let self =
         List.filter_map
@@ -436,64 +436,17 @@ let rec step_candidates st ctx_rows (step : A.step) :
       (* self sorts before its descendants under both ord and key sorting *)
       (self @ desc, keys)
   | A.Descendant when st.enc = Encoding.Local ->
-      let entries = local_descendants st ctx_rows in
       let pairs =
-        List.filter_map
-          (fun (origin, row, _key) ->
-            if test_passes step.A.axis step.A.test row then Some (origin, row)
-            else None)
-          entries
+        List.filter
+          (fun (_, row) -> test_passes step.A.axis step.A.test row)
+          (local_descendants st ctx_rows)
       in
-      (* positional predicates need each group in document order; relative
-         BFS keys are ambiguous when a row descends from several context
-         nodes, so compute absolute root-path keys (more parent-chain SQL —
-         the honest LOCAL cost) *)
-      let keyfn = local_order_keys st (dedup_rows (List.map snd pairs)) in
-      (pairs, Some keyfn)
+      (* positional predicates need each group in document order; every
+         descendant's chain runs through a context row, so completing the
+         context rows' chains keys them all *)
+      (pairs, Some (local_order_keys st ctx_rows))
   | (A.Following | A.Preceding) when st.enc = Encoding.Local ->
-      let w = local_world st in
-      let pairs =
-        List.concat_map
-          (fun (c : Node_row.t) ->
-            match Hashtbl.find_opt w.w_rank c.Node_row.id with
-            | None -> []
-            | Some rank ->
-                let stop = Hashtbl.find w.w_end c.Node_row.id in
-                let ancs =
-                  match Hashtbl.find_opt w.w_anc c.Node_row.id with
-                  | Some a -> a
-                  | None -> []
-                in
-                let out = ref [] in
-                (match step.A.axis with
-                | A.Following ->
-                    for j = Array.length w.w_rows - 1 downto stop + 1 do
-                      let r = w.w_rows.(j) in
-                      if
-                        r.Node_row.kind <> Doc_index.Attr
-                        && test_passes step.A.axis step.A.test r
-                      then out := (c.Node_row.id, r) :: !out
-                    done
-                | _ ->
-                    (* preceding: before in doc order, not an ancestor *)
-                    for j = 0 to rank - 1 do
-                      let r = w.w_rows.(j) in
-                      if
-                        r.Node_row.kind <> Doc_index.Attr
-                        && (not (List.mem r.Node_row.id ancs))
-                        && test_passes step.A.axis step.A.test r
-                      then out := (c.Node_row.id, r) :: !out
-                    done;
-                    out := List.rev !out);
-                !out)
-          ctx_rows
-      in
-      let keyfn (r : Node_row.t) =
-        match Hashtbl.find_opt w.w_rank r.Node_row.id with
-        | Some rank -> [ rank ]
-        | None -> []
-      in
-      (pairs, Some keyfn)
+      if ctx_rows = [] then ([], None) else local_doc_order st ctx_rows step
   | axis ->
       (* SQL-expressible axes *)
       let ctx_rows =
@@ -600,7 +553,7 @@ and eval_one_step st pairs (step : A.step) =
   let sort_group rows =
     let cmp (_, a) (_, b) =
       match keyfn with
-      | Some key -> Stdlib.compare (key a) (key b)
+      | Some key -> compare_key (key a) (key b)
       | None -> Node_row.compare_ord a b
     in
     let sorted = List.stable_sort cmp rows in
@@ -739,7 +692,7 @@ let doc_sort st rows =
   match st.enc with
   | Encoding.Local ->
       let key = local_order_keys st rows in
-      List.stable_sort (fun a b -> Stdlib.compare (key a) (key b)) rows
+      List.stable_sort (fun a b -> compare_key (key a) (key b)) rows
   | _ -> List.stable_sort Node_row.compare_ord rows
 
 let eval_path st (path : A.path) =
@@ -760,9 +713,7 @@ let eval_path st (path : A.path) =
       doc_sort st (dedup_rows (List.map snd pairs))
 
 let eval db ~doc enc path =
-  let st =
-    { db; enc; tname = Encoding.table_name ~doc enc; nstmt = 0; log = [] }
-  in
+  let st = new_state db ~doc enc in
   let rows = eval_path st path in
   { rows; statements = st.nstmt; sql_log = List.rev st.log }
 
@@ -770,17 +721,13 @@ let eval_ids db ~doc enc path =
   List.map (fun (r : Node_row.t) -> r.Node_row.id) (eval db ~doc enc path).rows
 
 let eval_union db ~doc enc (u : A.union) =
-  let st =
-    { db; enc; tname = Encoding.table_name ~doc enc; nstmt = 0; log = [] }
-  in
+  let st = new_state db ~doc enc in
   let rows = List.concat_map (fun p -> eval_path st p) u in
   let rows = doc_sort st (dedup_rows rows) in
   { rows; statements = st.nstmt; sql_log = List.rev st.log }
 
 let eval_from_ids db ~doc enc ~ids path =
-  let st =
-    { db; enc; tname = Encoding.table_name ~doc enc; nstmt = 0; log = [] }
-  in
+  let st = new_state db ~doc enc in
   let rows =
     if path.A.absolute then eval_path st path
     else begin
@@ -792,9 +739,7 @@ let eval_from_ids db ~doc enc ~ids path =
   { rows; statements = st.nstmt; sql_log = List.rev st.log }
 
 let sort_document_order db ~doc enc rows =
-  let st =
-    { db; enc; tname = Encoding.table_name ~doc enc; nstmt = 0; log = [] }
-  in
+  let st = new_state db ~doc enc in
   let sorted = doc_sort st (dedup_rows rows) in
   (sorted, st.nstmt)
 

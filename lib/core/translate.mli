@@ -17,7 +17,15 @@
     - document-order axes ([following], [preceding]) and document-order
       output sorting are closed-form for GLOBAL and DEWEY but require the
       middle tier to materialize parent chains (one SQL statement per level)
-      for LOCAL — the recursion cost the paper attributes to local order;
+      for LOCAL — the recursion cost the paper attributes to local order.
+      LOCAL orders rows by root-path keys, the [l_order] values from the
+      root down: a [following]/[preceding] step reads the rows passing its
+      node test, then fetches only those ancestors of them and of the
+      context rows that no earlier statement of the call has fetched. Each
+      call of the functions below keeps, for LOCAL only, one id -> row table
+      (every edge row the call fetched) and one id -> key memo, shared by
+      every step and the final sort, and drops both when it returns or
+      raises; GLOBAL and DEWEY allocate neither;
     - positional predicates are ranked in the middle tier per context node
       over the axis-ordered candidates for every encoding (sibling positions
       stored by LOCAL/DEWEY are sibling ranks, not ranks among nodes passing

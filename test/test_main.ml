@@ -13,6 +13,7 @@ let () =
       Test_xpath.tests;
       Test_shred.tests;
       Test_translate.tests;
+      Test_local_order.tests;
       Test_translate_sql.tests;
       Test_analysis.tests;
       Test_schema_check.tests;

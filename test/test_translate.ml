@@ -120,8 +120,20 @@ let test_axis_expressibility_matrix () =
         Alcotest.failf "%s: following axis took %d statements"
           (O.Encoding.name enc) (stmts enc q7))
     [ O.Encoding.Global; O.Encoding.Dewey_enc; O.Encoding.Dewey_caret ];
-  check bool_t "local pays middle-tier rounds on following" true
-    (stmts O.Encoding.Local q7 > 6);
+  (* LOCAL pays parent-chain rounds, one join per ancestor level of the
+     matches, but reads the matches and their ancestors, not the document *)
+  check bool_t "local pays a parent-chain round on following" true
+    (stmts O.Encoding.Local q7 > stmts O.Encoding.Global q7);
+  let reads enc =
+    let store = List.assoc enc stores in
+    let db = O.Api.Store.db store in
+    let r0 = Reldb.Db.rows_read db in
+    ignore (O.Api.Store.query store q7);
+    Reldb.Db.rows_read db - r0
+  in
+  let local = reads O.Encoding.Local and global = reads O.Encoding.Global in
+  if local > 2 * global then
+    Alcotest.failf "local following read %d rows, global %d" local global;
   (* LOCAL descendant needs one round per level *)
   check bool_t "local descendant pays per level" true
     (stmts O.Encoding.Local "//bidder" > 3)
