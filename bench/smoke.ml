@@ -6,6 +6,12 @@
    - insert reads: after warm-up, one front insert per encoding reads at
      most [rows_renumbered + 100] rows, so an insert pays for the rows it
      renumbers and not for a scan of the table;
+   - in-place renumbering: with Obs on around that insert, GLOBAL, LOCAL
+     and DEWEY rewrite at least one index entry per renumbered row in its
+     slot ([index.rewritten]) and delete and re-insert none ([index.moved]
+     = 0). ORDPATH is printed only: its caret renumbering lifts each moved
+     sibling over the others into a free zone, a move no rewrite in place
+     can make;
    - document-order reads: after warm-up, Q7 ([following::]) on LOCAL reads
      at most twice the rows GLOBAL reads: the matches and their ancestors,
      not the whole document;
@@ -108,15 +114,30 @@ let check_insert_reads doc =
       let insert () = O.Api.Store.insert_subtree store ~parent:root ~pos:1 fragment in
       ignore (insert ());
       let r0 = Reldb.Db.rows_read db in
-      let st = insert () in
+      let w0 = Obs.counter_value "index.rewritten"
+      and m0 = Obs.counter_value "index.moved" in
+      Obs.set_enabled true;
+      let st = Fun.protect ~finally:(fun () -> Obs.set_enabled false) insert in
       let reads = Reldb.Db.rows_read db - r0 in
+      let rewritten = Obs.counter_value "index.rewritten" - w0
+      and moved = Obs.counter_value "index.moved" - m0 in
       let renumbered = st.O.Update.rows_renumbered in
       Printf.printf
-        "bench-smoke: front insert/%s read %d rows, renumbered %d (limit %d)\n"
-        (O.Encoding.name enc) reads renumbered (renumbered + max_extra_reads);
+        "bench-smoke: front insert/%s read %d rows, renumbered %d (limit %d); \
+         index entries rewritten %d, moved %d\n"
+        (O.Encoding.name enc) reads renumbered (renumbered + max_extra_reads)
+        rewritten moved;
       if reads > renumbered + max_extra_reads then
         die "bench-smoke: FAIL - a front insert on %s read %d rows for %d renumbered"
-          (O.Encoding.name enc) reads renumbered)
+          (O.Encoding.name enc) reads renumbered;
+      if
+        enc <> O.Encoding.Dewey_caret
+        && (moved <> 0 || rewritten < renumbered)
+      then
+        die
+          "bench-smoke: FAIL - a front insert on %s renumbered %d rows but \
+           rewrote %d index entries in place and moved %d"
+          (O.Encoding.name enc) renumbered rewritten moved)
     O.Encoding.all
 
 let check_order_reads doc =

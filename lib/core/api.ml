@@ -104,5 +104,10 @@ module Store = struct
   let document t = Reconstruct.document t.db ~doc:t.name t.enc
   let root_id t = Reconstruct.root_id t.db ~doc:t.name t.enc
   let storage t = Storage.measure t.db ~doc:t.name t.enc
-  let check t = Integrity.check t.db ~doc:t.name t.enc
+  let check t =
+    match (Integrity.check t.db ~doc:t.name t.enc, Reldb.Db.check t.db) with
+    | Ok (), Ok () -> Ok ()
+    | a, b ->
+        let errors = function Ok () -> [] | Error e -> e in
+        Error (errors a @ errors b)
 end

@@ -109,5 +109,6 @@ module Store : sig
   val storage : t -> Storage.t
 
   val check : t -> (unit, string list) result
-  (** Verify the encoding's structural invariants (see {!Integrity}). *)
+  (** Verify the encoding's structural invariants (see {!Integrity}) and
+      every index of the database against its heap ({!Reldb.Db.check}). *)
 end

@@ -145,6 +145,80 @@ let delete t k =
   end
   else false
 
+(* Rewrite [old] to [nk] in its slot, keeping the tree's shape. The slot's
+   neighbours are its leaf mates, or across a leaf edge the first key of
+   [l.next] and the last key of the rightmost leaf left of [l]. [lo] and
+   [hi] are the deepest separators on the descent path that bound [l]
+   from below and above: [n.seps.(j)] heads the child [j + 1] holding [l],
+   with the subtree to its left at [n.children.(j)]. A key that leaves
+   [l]'s bounds moves exactly one of them: the upper one rises to the next
+   leaf's first key, the lower one falls to [nk]. Every other separator
+   already lies beyond the neighbour on its side. *)
+let rec descend k node lo hi =
+  match node with
+  | Leaf l -> (l, lo, hi)
+  | Internal n ->
+      let ci = child_index n k in
+      let lo = if ci > 0 then Some (n, ci - 1) else lo in
+      let hi = if ci < Array.length n.seps then Some (n, ci) else hi in
+      descend k n.children.(ci) lo hi
+
+let rec rightmost = function
+  | Leaf l -> l
+  | Internal n -> rightmost n.children.(Array.length n.children - 1)
+
+(* what [nk] needs on one side of its slot *)
+type side = Inside | Set_sep of internal * int * Tuple.t | Crosses
+
+let rewrite_key t ~old nk =
+  let l, lo, hi = descend old t.root None None in
+  let i = lower_bound l.keys old in
+  let last = Array.length l.keys - 1 in
+  if i > last || Tuple.compare_key l.keys.(i) old <> 0 then false
+  else
+    let below =
+      if i > 0 then
+        if Tuple.compare_key l.keys.(i - 1) nk < 0 then Inside else Crosses
+      else
+        match lo with
+        | None -> Inside
+        | Some (n, j) ->
+            if Tuple.compare_key n.seps.(j) nk <= 0 then Inside
+            else
+              let p = rightmost n.children.(j) in
+              let pn = Array.length p.keys in
+              if pn > 0 && Tuple.compare_key p.keys.(pn - 1) nk < 0 then
+                Set_sep (n, j, nk)
+              else Crosses
+    in
+    let above =
+      if i < last then
+        if Tuple.compare_key nk l.keys.(i + 1) < 0 then Inside else Crosses
+      else
+        match hi with
+        | None -> Inside
+        | Some (n, j) -> (
+            if Tuple.compare_key nk n.seps.(j) < 0 then Inside
+            else
+              match l.next with
+              | Some r
+                when Array.length r.keys > 0 && Tuple.compare_key nk r.keys.(0) < 0
+                ->
+                  Set_sep (n, j, r.keys.(0))
+              | _ -> Crosses)
+    in
+    let apply = function
+      | Set_sep (n, j, k) -> n.seps.(j) <- k
+      | Inside | Crosses -> ()
+    in
+    match (below, above) with
+    | Crosses, _ | _, Crosses -> false
+    | _ ->
+        apply below;
+        apply above;
+        l.keys.(i) <- nk;
+        true
+
 let leftmost_leaf t =
   let rec go = function
     | Leaf l -> l
@@ -258,28 +332,30 @@ let stats t =
 let check_invariants t =
   let err = ref None in
   let fail msg = if !err = None then err := Some msg in
-  (* uniform depth *)
-  let rec depths acc = function
-    | Leaf _ -> acc :: []
-    | Internal n ->
-        List.concat_map (depths (acc + 1)) (Array.to_list n.children)
-  in
-  (match depths 0 t.root with
-  | [] -> ()
-  | d :: rest -> if List.exists (fun x -> x <> d) rest then fail "non-uniform depth");
-  (* key bounds per subtree *)
-  let rec check lo hi node =
+  let leaf_depth = ref (-1) and entries = ref 0 and prev = ref None in
+  (* the leaf the chain must reach next, if it visits leaves in tree order *)
+  let chain = ref (Some (leftmost_leaf t)) in
+  let rec check lo hi depth node =
     let in_bounds k =
       (match lo with None -> true | Some b -> Tuple.compare_key b k <= 0)
       && match hi with None -> true | Some b -> Tuple.compare_key k b < 0
     in
     match node with
     | Leaf l ->
-        Array.iteri
-          (fun i k ->
+        if !leaf_depth < 0 then leaf_depth := depth
+        else if depth <> !leaf_depth then fail "non-uniform depth";
+        (match !chain with
+        | Some c when c == l -> chain := l.next
+        | _ -> fail "leaf chain out of tree order");
+        entries := !entries + Array.length l.keys;
+        Array.iter
+          (fun k ->
             if not (in_bounds k) then fail "leaf key out of separator bounds";
-            if i > 0 && Tuple.compare_key l.keys.(i - 1) k >= 0 then
-              fail "leaf keys not strictly ascending")
+            (match !prev with
+            | Some p when Tuple.compare_key p k >= 0 ->
+                fail "leaf keys not strictly ascending"
+            | _ -> ());
+            prev := Some k)
           l.keys
     | Internal n ->
         if Array.length n.children <> Array.length n.seps + 1 then
@@ -294,18 +370,10 @@ let check_invariants t =
           (fun i child ->
             let lo' = if i = 0 then lo else Some n.seps.(i - 1) in
             let hi' = if i = Array.length n.seps then hi else Some n.seps.(i) in
-            check lo' hi' child)
+            check lo' hi' (depth + 1) child)
           n.children
   in
-  check None None t.root;
-  (* linked-leaf chain must be globally sorted and complete *)
-  let chain = List.of_seq (to_seq t) in
-  if List.length chain <> t.count then fail "count mismatch with leaf chain";
-  let rec sorted = function
-    | (a, _) :: ((b, _) :: _ as rest) ->
-        if Tuple.compare_key a b >= 0 then fail "leaf chain out of order";
-        sorted rest
-    | [ _ ] | [] -> ()
-  in
-  sorted chain;
+  check None None 0 t.root;
+  if Option.is_some !chain then fail "leaf chain runs past the last leaf";
+  if !entries <> t.count then fail "count mismatch with leaves";
   match !err with None -> Ok () | Some msg -> Error msg

@@ -6,9 +6,12 @@
     (document-order scans, Dewey prefix ranges, sibling ranges).
 
     Deletion is lazy with respect to structure: entries are removed from
-    leaves but leaves are not rebalanced. Under the shred/renumber workloads
-    deleted slots are immediately reused by reinserted keys, so occupancy
-    stays high; {!stats} exposes occupancy so tests can check this. *)
+    leaves but leaves are not rebalanced, and separators stay where they
+    are, so a leaf may be empty and a separator need not equal any key.
+    Under the shred workloads deleted slots are soon reused by inserted
+    keys, so occupancy stays high; {!stats} exposes occupancy so tests can
+    check this. Order-preserving renumbering does not delete at all: it
+    rewrites each key in its slot with {!rewrite_key}. *)
 
 type t
 
@@ -27,6 +30,17 @@ val find : t -> Tuple.t -> int option
 
 val delete : t -> Tuple.t -> bool
 (** [true] if the key was present. *)
+
+val rewrite_key : t -> old:Tuple.t -> Tuple.t -> bool
+(** [rewrite_key t ~old nk] replaces the key [old] by [nk] in [old]'s slot,
+    keeping its payload, if [nk] sorts strictly between [old]'s neighbours
+    in key order. Returns [false] and leaves the tree untouched otherwise:
+    [old] absent, [nk] at or beyond a neighbour, or a neighbour in an
+    adjacent leaf that is empty. A key that crosses its leaf's bounding
+    separator moves that one separator (up to the next leaf's first key,
+    or down to [nk]). So a [true] result leaves a valid tree holding the
+    same keys with [old] replaced by [nk], never a duplicate, whatever the
+    order of the calls. One descent, no split, no merge. *)
 
 val length : t -> int
 
@@ -62,5 +76,6 @@ type stats = { entries : int; leaves : int; depth : int; occupancy : float }
 val stats : t -> stats
 
 val check_invariants : t -> (unit, string) result
-(** Structural check used by the test suite: key ordering within and across
-    leaves, separator consistency, depth uniformity. *)
+(** Structural check: key ordering within and across leaves, separator
+    consistency, depth uniformity, entry count, and a leaf chain that visits
+    every leaf in tree order. One walk, building no list of the entries. *)

@@ -88,6 +88,15 @@ let rows_read t =
 let rows_written t =
   List.fold_left (fun acc tbl -> acc + Table.rows_written tbl) 0 (Catalog.tables t.cat)
 
+let check t =
+  match
+    List.filter_map
+      (fun tbl -> match Table.check tbl with Ok () -> None | Error m -> Some m)
+      (Catalog.tables t.cat)
+  with
+  | [] -> Ok ()
+  | errors -> Error errors
+
 let reset_counters t = List.iter Table.reset_counters (Catalog.tables t.cat)
 
 (* --- scratch relations -------------------------------------------------- *)

@@ -122,6 +122,10 @@ val explain_analyze : t -> string -> string
     (see {!rows_read}). Same tree shape and operator labels as {!explain}.
     @raise Sql_error as {!exec}; non-SELECT statements are rejected. *)
 
+val check : t -> (unit, string list) Stdlib.result
+(** The index oracle ({!Table.check}) over every table of the database, one
+    message per failing table. Counts no rows read. *)
+
 val table : t -> string -> Table.t
 (** Direct access to a table (bulk-load paths bypass the SQL layer, as
     loaders do in real systems). @raise Sql_error if absent. *)

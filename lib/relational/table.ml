@@ -8,7 +8,6 @@ type index = {
 type undo =
   | U_insert of int  (* row id to remove *)
   | U_delete of int * Tuple.t  (* row id to resurrect with this image *)
-  | U_update of int * Tuple.t  (* row id to restore to this image *)
 
 type t = {
   tbl_name : string;
@@ -42,18 +41,27 @@ let indexes t = t.idxs
 let find_index t n =
   List.find_opt (fun i -> String.lowercase_ascii i.idx_name = String.lowercase_ascii n) t.idxs
 
+(* one allocation per key: every insert, delete and renumbered row builds
+   its keys here *)
 let index_key idx ~rowid tuple =
-  let k = Tuple.key idx.key_cols tuple in
-  if idx.unique then k else Array.append k [| Value.Int rowid |]
+  let cols = idx.key_cols in
+  let n = Array.length cols in
+  let k = Array.make (if idx.unique then n else n + 1) (Value.Int rowid) in
+  for i = 0 to n - 1 do
+    k.(i) <- tuple.(cols.(i))
+  done;
+  k
 
-let index_insert t idx rowid tuple =
-  let k = index_key idx ~rowid tuple in
+let insert_key t idx k rowid =
   try Btree.insert idx.tree k rowid
   with Btree.Duplicate_key ->
     raise
       (Constraint_violation
          (Printf.sprintf "unique index %s on %s: duplicate key %s" idx.idx_name
             t.tbl_name (Tuple.to_string k)))
+
+let index_insert t idx rowid tuple =
+  insert_key t idx (index_key idx ~rowid tuple) rowid
 
 let index_delete idx rowid tuple =
   ignore (Btree.delete idx.tree (index_key idx ~rowid tuple))
@@ -88,13 +96,18 @@ let record t entry =
 let insert t tuple =
   validate t tuple;
   let rowid = Vec.push t.slots (Some tuple) in
-  (try List.iter (fun idx -> index_insert t idx rowid tuple) t.idxs
-   with Constraint_violation _ as e ->
-     (* roll back: remove slot and any index entries already added *)
-     Vec.set t.slots rowid None;
+  let added = ref [] in
+  (try
      List.iter
-       (fun idx -> ignore (Btree.delete idx.tree (index_key idx ~rowid tuple)))
-       t.idxs;
+       (fun idx ->
+         index_insert t idx rowid tuple;
+         added := idx :: !added)
+       t.idxs
+   with Constraint_violation _ as e ->
+     (* roll back: remove the slot and the entries this call added, but not
+        the rejected key, which belongs to the row already holding it *)
+     Vec.set t.slots rowid None;
+     List.iter (fun idx -> index_delete idx rowid tuple) !added;
      raise e);
   t.live <- t.live + 1;
   t.writes <- t.writes + 1;
@@ -119,22 +132,63 @@ let delete t rowid =
         t.writes <- t.writes + 1;
         record t (U_delete (rowid, tuple))
 
-let update t rowid tuple =
-  match Vec.get t.slots rowid with
-  | None -> invalid_arg "Table.update: row deleted"
-  | Some old ->
-      validate t tuple;
-      List.iter (fun idx -> index_delete idx rowid old) t.idxs;
-      Vec.set t.slots rowid (Some tuple);
-      (try List.iter (fun idx -> index_insert t idx rowid tuple) t.idxs
-       with Constraint_violation _ as e ->
-         (* restore the old row *)
-         List.iter (fun idx -> ignore (Btree.delete idx.tree (index_key idx ~rowid tuple))) t.idxs;
-         Vec.set t.slots rowid (Some old);
-         List.iter (fun idx -> index_insert t idx rowid old) t.idxs;
-         raise e);
-      t.writes <- t.writes + 1;
-      record t (U_update (rowid, old))
+(* [true] when the row's key under an index over [cols] differs between the
+   two images; a rowid suffix is the same on both sides *)
+let rec key_differs cols old tu i =
+  i < Array.length cols
+  && (Value.compare old.(cols.(i)) tu.(cols.(i)) <> 0
+     || key_differs cols old tu (i + 1))
+
+(* Move the changed keys of one index, [rows] in access-path order. Each key
+   is first rewritten in its slot ([Btree.rewrite_key]); visiting the rows
+   top-down when the keys move up (bottom-up when they move down) lets every
+   key of an order-preserving shift find its neighbour already out of its
+   way. Keys refused there are deleted and re-inserted after all in-place
+   writes. Returns the function that undoes both. *)
+let move_keys t idx rows =
+  let keyed =
+    List.map
+      (fun (rowid, old, tu) ->
+        (rowid, index_key idx ~rowid old, index_key idx ~rowid tu))
+      rows
+  in
+  let keyed =
+    match keyed with
+    | (_, ok, nk) :: _ when Tuple.compare_key nk ok > 0 -> List.rev keyed
+    | _ -> keyed
+  in
+  let rewritten, refused =
+    List.fold_left
+      (fun (rw, rf) ((_, ok, nk) as r) ->
+        if Btree.rewrite_key idx.tree ~old:ok nk then (r :: rw, rf)
+        else (rw, r :: rf))
+      ([], []) keyed
+  in
+  let refused = List.rev refused in
+  List.iter (fun (_, ok, _) -> ignore (Btree.delete idx.tree ok)) refused;
+  let inserted = ref [] in
+  let undo () =
+    List.iter (fun nk -> ignore (Btree.delete idx.tree nk)) !inserted;
+    List.iter (fun (rowid, ok, _) -> Btree.insert idx.tree ok rowid) refused;
+    (* [rewritten] is newest first, so each old key is free when it returns *)
+    List.iter
+      (fun (rowid, ok, nk) ->
+        ignore (Btree.delete idx.tree nk);
+        Btree.insert idx.tree ok rowid)
+      rewritten
+  in
+  (try
+     List.iter
+       (fun (rowid, _, nk) ->
+         insert_key t idx nk rowid;
+         inserted := nk :: !inserted)
+       refused
+   with Constraint_violation _ as e ->
+     undo ();
+     raise e);
+  Obs.add "index.rewritten" (List.length rewritten);
+  Obs.add "index.moved" (List.length refused);
+  undo
 
 (* Statement-level bulk update. Rowids are preserved (rows are overwritten in
    place, not deleted and re-inserted) and each index is maintained only for
@@ -151,43 +205,18 @@ let update_rows t changes =
         | Some old -> (rowid, old, tu))
       changes
   in
-  let per_idx =
-    List.map
-      (fun idx ->
-        ( idx,
-          List.filter
-            (fun (rowid, old, tu) ->
-              index_key idx ~rowid old <> index_key idx ~rowid tu)
-            images ))
-      t.idxs
-  in
-  let undo_index (idx, rows) =
-    List.iter (fun (rowid, _, tu) -> index_delete idx rowid tu) rows;
-    List.iter (fun (rowid, old, _) -> index_insert t idx rowid old) rows
-  in
-  let apply_index (idx, rows) =
-    List.iter (fun (rowid, old, _) -> index_delete idx rowid old) rows;
-    let inserted = ref [] in
-    try
-      List.iter
-        (fun (rowid, _, tu) ->
-          index_insert t idx rowid tu;
-          inserted := (rowid, tu) :: !inserted)
-        rows
-    with Constraint_violation _ as e ->
-      List.iter (fun (rowid, tu) -> index_delete idx rowid tu) !inserted;
-      List.iter (fun (rowid, old, _) -> index_insert t idx rowid old) rows;
-      raise e
-  in
-  let completed = ref [] in
+  let undos = ref [] in
   (try
      List.iter
-       (fun entry ->
-         apply_index entry;
-         completed := entry :: !completed)
-       per_idx
+       (fun idx ->
+         match
+           List.filter (fun (_, old, tu) -> key_differs idx.key_cols old tu 0) images
+         with
+         | [] -> ()
+         | rows -> undos := move_keys t idx rows :: !undos)
+       t.idxs
    with Constraint_violation _ as e ->
-     List.iter undo_index !completed;
+     List.iter (fun undo -> undo ()) !undos;
      raise e);
   (* Journal the batch as delete-all + reinsert-all rather than per-row
      U_update entries: rollback replays newest-first, so all the new images
@@ -200,6 +229,8 @@ let update_rows t changes =
       record t (U_insert rowid))
     images;
   t.writes <- t.writes + List.length images
+
+let update t rowid tuple = update_rows t [ (rowid, tuple) ]
 
 let row_count t = t.live
 
@@ -224,6 +255,36 @@ let truncate t =
       t.idxs
   in
   t.idxs <- rebuilt
+
+let check t =
+  let check_index idx =
+    let fail fmt =
+      Printf.ksprintf
+        (fun m ->
+          Error (Printf.sprintf "index %s on %s: %s" idx.idx_name t.tbl_name m))
+        fmt
+    in
+    match Btree.check_invariants idx.tree with
+    | Error m -> fail "%s" m
+    | Ok () when Btree.length idx.tree <> t.live ->
+        fail "%d entries for %d rows" (Btree.length idx.tree) t.live
+    | Ok () -> (
+        (* as many entries as rows, and each row's key finds that row: the
+           entries are exactly the keys rebuilt from the heap *)
+        let lost (rowid, slot) =
+          match slot with
+          | None -> None
+          | Some tuple ->
+              let k = index_key idx ~rowid tuple in
+              if Btree.find idx.tree k = Some rowid then None else Some k
+        in
+        match Seq.find_map lost (Vec.to_seq t.slots) with
+        | None -> Ok ()
+        | Some k -> fail "no entry %s for its row" (Tuple.to_string k))
+  in
+  List.fold_left
+    (fun acc idx -> match acc with Ok () -> check_index idx | Error _ -> acc)
+    (Ok ()) t.idxs
 
 let begin_journal t =
   if t.journal <> None then invalid_arg "Table.begin_journal: already active";
@@ -252,14 +313,7 @@ let rollback_journal t =
           | U_delete (rowid, tuple) ->
               Vec.set t.slots rowid (Some tuple);
               List.iter (fun idx -> index_insert t idx rowid tuple) t.idxs;
-              t.live <- t.live + 1
-          | U_update (rowid, old) -> (
-              match Vec.get t.slots rowid with
-              | None -> ()
-              | Some current ->
-                  List.iter (fun idx -> index_delete idx rowid current) t.idxs;
-                  Vec.set t.slots rowid (Some old);
-                  List.iter (fun idx -> index_insert t idx rowid old) t.idxs))
+              t.live <- t.live + 1)
         log
 
 let rows_read t = t.reads

@@ -36,13 +36,24 @@ val delete : t -> int -> unit
 (** Delete by row id; no-op if already deleted. *)
 
 val update : t -> int -> Tuple.t -> unit
-(** Replace the row, maintaining all indexes. *)
+(** [update t rowid tuple] is [update_rows t [ (rowid, tuple) ]]. *)
 
 val update_rows : t -> (int * Tuple.t) list -> unit
 (** Statement-level bulk update: overwrite each row in place (rowids stable)
     and maintain only the indexes whose key actually changed for a given row.
-    Atomic: a unique-key violation rolls back every index change and leaves
-    all rows untouched.
+
+    Per index, each changed key is first rewritten in its slot
+    ({!Btree.rewrite_key}), which succeeds whenever the key stays between
+    its neighbours. The rows are visited top-down when the batch's keys move
+    up and bottom-up when they move down, taking the given list as ascending
+    (the access-path order of an index range scan), so every key of an
+    order-preserving renumbering finds its neighbour already out of its way.
+    The keys refused there are deleted and re-inserted after all in-place
+    writes. Obs counters [index.rewritten] and [index.moved] count the
+    entries taking each path.
+
+    Atomic: a unique-key violation undoes the rewrites and the moves of
+    every index and leaves all rows untouched.
     @raise Constraint_violation on schema or unique-key violation.
     @raise Invalid_argument if any rowid refers to a deleted row. *)
 
@@ -63,6 +74,11 @@ val truncate : t -> unit
 (** Remove all rows (indexes emptied too). The slot array is reset, so a
     scan of a refilled table walks only the new rows and the next insert
     gets row id 0. @raise Invalid_argument inside a transaction. *)
+
+val check : t -> (unit, string) result
+(** Index oracle: every index passes {!Btree.check_invariants} and holds
+    exactly the keys {!index_key} rebuilds from the live rows. Reads the
+    heap without counting rows read. *)
 
 (** {2 Undo journal} (transaction support; driven by {!Db})
 

@@ -2,16 +2,16 @@ type t = Value.t array
 
 let key cols tuple = Array.map (fun i -> tuple.(i)) cols
 
-let compare_key a b =
+(* top-level, so that a comparison allocates no closure: every B+-tree
+   descent, probe, sort and merge join runs this loop *)
+let rec compare_from a b i =
   let la = Array.length a and lb = Array.length b in
-  let n = min la lb in
-  let rec go i =
-    if i >= n then Stdlib.compare la lb
-    else
-      let c = Value.compare a.(i) b.(i) in
-      if c <> 0 then c else go (i + 1)
-  in
-  go 0
+  if i >= la || i >= lb then Int.compare la lb
+  else
+    let c = Value.compare a.(i) b.(i) in
+    if c <> 0 then c else compare_from a b (i + 1)
+
+let compare_key a b = compare_from a b 0
 
 let equal a b = compare_key a b = 0
 

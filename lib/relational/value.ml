@@ -37,13 +37,13 @@ let rank = function
 let compare a b =
   match (a, b) with
   | Null, Null -> 0
-  | Int x, Int y -> Stdlib.compare x y
-  | Float x, Float y -> Stdlib.compare x y
-  | Int x, Float y -> Stdlib.compare (float_of_int x) y
-  | Float x, Int y -> Stdlib.compare x (float_of_int y)
+  | Int x, Int y -> Int.compare x y
+  | Float x, Float y -> Float.compare x y
+  | Int x, Float y -> Float.compare (float_of_int x) y
+  | Float x, Int y -> Float.compare x (float_of_int y)
   | Str x, Str y -> String.compare x y
   | Bytes x, Bytes y -> String.compare x y
-  | a, b -> Stdlib.compare (rank a) (rank b)
+  | a, b -> Int.compare (rank a) (rank b)
 
 let equal a b = compare a b = 0
 

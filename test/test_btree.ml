@@ -225,6 +225,178 @@ let prop_desc_is_reverse =
       let desc = List.of_seq (B.range_desc t ~lo ~hi) in
       asc = expect && desc = List.rev expect)
 
+(* --- in-place key rewrites ------------------------------------------- *)
+
+(* keys 0..19 inserted in order: with branching 4 every leaf but the last
+   holds a pair, [0; 1], [2; 3], ..., so leaf edges sit at even keys *)
+let pairs_tree () =
+  let t = B.create ~branching:4 () in
+  for i = 0 to 19 do
+    B.insert t (key1 i) i
+  done;
+  t
+
+let half x = [| V.Float x |]
+
+let valid t =
+  match B.check_invariants t with
+  | Ok () -> ()
+  | Error m -> Alcotest.failf "invariants: %s" m
+
+let refused what t ~old nk =
+  let before = List.of_seq (B.to_seq t) in
+  check bool_t what false (B.rewrite_key t ~old nk);
+  check bool_t (what ^ ": tree unchanged") true
+    (List.of_seq (B.to_seq t) = before);
+  valid t
+
+let test_rewrite_in_place () =
+  let t = pairs_tree () in
+  (* within a leaf, then across a leaf edge in both directions: the
+     bounding separator rises to the next leaf's first key, or falls *)
+  check bool_t "inside a leaf" true (B.rewrite_key t ~old:(key1 2) (half 2.5));
+  ignore (B.delete t (key1 6));
+  check bool_t "up across an edge" true (B.rewrite_key t ~old:(key1 5) (half 6.5));
+  valid t;
+  ignore (B.delete t (key1 9));
+  check bool_t "down across an edge" true
+    (B.rewrite_key t ~old:(key1 10) (half 8.5));
+  valid t;
+  check bool_t "payload kept" true
+    (B.find t (half 6.5) = Some 5 && B.find t (half 8.5) = Some 10);
+  check bool_t "old keys gone" true
+    (B.find t (key1 5) = None && B.find t (key1 10) = None);
+  check int_t "length" 18 (B.length t)
+
+let test_rewrite_refusals () =
+  let t = pairs_tree () in
+  refused "absent key" t ~old:(key1 99) (key1 100);
+  refused "swap with a neighbour" t ~old:(key1 4) (half 5.5);
+  refused "swap across a leaf edge" t ~old:(key1 5) (half 6.5);
+  refused "onto an existing key" t ~old:(key1 4) (key1 5);
+  refused "onto a farther key" t ~old:(key1 4) (key1 12);
+  (* empty the leaf [4; 5]: 3 -> 5.5 and 6 -> 3.5 stay between their
+     neighbours, but the neighbour across the edge is not in that leaf *)
+  ignore (B.delete t (key1 4));
+  ignore (B.delete t (key1 5));
+  refused "empty leaf above" t ~old:(key1 3) (half 5.5);
+  refused "empty leaf below" t ~old:(key1 6) (half 3.5)
+
+(* Model property for [rewrite_key]: rows carry a value [a] and a group [p];
+   two indexes hold [(a, rowid)] and [(p, a, rowid)]. A shift adds [d] to
+   [a] on a range of rows, visiting them top-down when [d > 0] as
+   [Table.update_rows] does; each key is rewritten in place where the tree
+   accepts it and deleted and re-inserted otherwise. Shifts can cross other
+   rows, so both paths run. Every accepted rewrite must give exactly the old
+   entries with one key replaced, still strictly ascending; every refusal
+   must leave the tree as it was; after each shift the trees must be valid
+   and hold the keys rebuilt from the rows. *)
+let prop_rewrite_model =
+  let open QCheck in
+  let op_gen =
+    Gen.(
+      frequency
+        [
+          (4, map2 (fun p a -> `Insert (p, a)) (int_bound 3) (int_bound 60));
+          (1, map2 (fun lo n -> `Delete (lo, lo + n)) (int_bound 60) (int_bound 10));
+          ( 3,
+            map3
+              (fun lo n d -> `Shift (lo, lo + n, if d >= 0 then d + 1 else d))
+              (int_bound 60) (int_bound 30) (int_range (-12) 11) );
+        ])
+  in
+  let print ops =
+    String.concat "; "
+      (List.map
+         (function
+           | `Insert (p, a) -> Printf.sprintf "ins %d,%d" p a
+           | `Delete (lo, hi) -> Printf.sprintf "del %d..%d" lo hi
+           | `Shift (lo, hi, d) -> Printf.sprintf "shift %d..%d by %d" lo hi d)
+         ops)
+  in
+  Test.make ~name:"rewrite_key under random range shifts" ~count:150
+    (make ~print Gen.(list_size (int_bound 80) op_gen))
+    (fun ops ->
+      let keys =
+        [
+          (fun (_, a) r -> [| V.Int a; V.Int r |]);
+          (fun (p, a) r -> [| V.Int p; V.Int a; V.Int r |]);
+        ]
+      in
+      let trees = List.map (fun key -> (B.create ~branching:4 (), key)) keys in
+      let rows = Hashtbl.create 64 and next = ref 0 in
+      let expect what b = if not b then Test.fail_report what in
+      (* the rows with [a] in [lo, hi], ascending by (a, rowid) *)
+      let in_range lo hi =
+        Hashtbl.fold
+          (fun r (p, a) acc -> if a >= lo && a <= hi then (a, r, p) :: acc else acc)
+          rows []
+        |> List.sort compare
+      in
+      let rewrite t ok_key nk =
+        let before = List.of_seq (B.to_seq t) in
+        let did = B.rewrite_key t ~old:ok_key nk in
+        let after = List.of_seq (B.to_seq t) in
+        (if did then
+           let replaced =
+             List.map (fun (k, v) -> if k = ok_key then (nk, v) else (k, v)) before
+           in
+           let rec ascending = function
+             | (a, _) :: ((b, _) :: _ as rest) ->
+                 Reldb.Tuple.compare_key a b < 0 && ascending rest
+             | _ -> true
+           in
+           expect "accepted a crossing" (ascending replaced && after = replaced)
+         else expect "refusal changed the tree" (after = before));
+        did
+      in
+      List.iter
+        (fun op ->
+          match op with
+          | `Insert (p, a) ->
+              let r = !next in
+              incr next;
+              Hashtbl.replace rows r (p, a);
+              List.iter (fun (t, key) -> B.insert t (key (p, a) r) r) trees
+          | `Delete (lo, hi) ->
+              List.iter
+                (fun (a, r, p) ->
+                  Hashtbl.remove rows r;
+                  List.iter
+                    (fun (t, key) -> ignore (B.delete t (key (p, a) r)))
+                    trees)
+                (in_range lo hi)
+          | `Shift (lo, hi, d) ->
+              let moved = in_range lo hi in
+              let moved = if d > 0 then List.rev moved else moved in
+              List.iter
+                (fun (t, key) ->
+                  let refused =
+                    List.filter
+                      (fun (a, r, p) ->
+                        not (rewrite t (key (p, a) r) (key (p, a + d) r)))
+                      moved
+                  in
+                  List.iter
+                    (fun (a, r, p) -> ignore (B.delete t (key (p, a) r)))
+                    refused;
+                  List.iter
+                    (fun (a, r, p) -> B.insert t (key (p, a + d) r) r)
+                    refused)
+                trees;
+              List.iter (fun (a, r, p) -> Hashtbl.replace rows r (p, a + d)) moved;
+              List.iter
+                (fun (t, key) ->
+                  expect "invariants" (B.check_invariants t = Ok ());
+                  let model =
+                    Hashtbl.fold (fun r pa acc -> (key pa r, r) :: acc) rows []
+                    |> List.sort (fun (a, _) (b, _) -> Reldb.Tuple.compare_key a b)
+                  in
+                  expect "model" (List.of_seq (B.to_seq t) = model))
+                trees)
+        ops;
+      true)
+
 let tests =
   ( "btree",
     [
@@ -238,4 +410,7 @@ let tests =
       Alcotest.test_case "stats" `Quick test_stats;
       QCheck_alcotest.to_alcotest prop_model;
       QCheck_alcotest.to_alcotest prop_desc_is_reverse;
+      Alcotest.test_case "rewrite_key in place" `Quick test_rewrite_in_place;
+      Alcotest.test_case "rewrite_key refusals" `Quick test_rewrite_refusals;
+      QCheck_alcotest.to_alcotest prop_rewrite_model;
     ] )

@@ -248,6 +248,98 @@ let test_constraints () =
   (* failed insert must not corrupt the table *)
   check int_t "intact" 1 (List.length (D.query db "SELECT k FROM t"))
 
+(* the index oracle: every index holds exactly the keys of the heap *)
+let check_indexes db =
+  match D.check db with
+  | Ok () -> ()
+  | Error msgs -> Alcotest.failf "index oracle: %s" (String.concat "; " msgs)
+
+let rejected db sql =
+  match D.exec db sql with
+  | exception D.Sql_error _ -> ()
+  | _ -> Alcotest.failf "accepted: %s" sql
+
+let test_rejected_duplicate_keeps_index () =
+  (* a rejected row must not take the existing row's unique entry with it *)
+  let db = fresh () in
+  e db "CREATE TABLE t (a INT, b INT)";
+  e db "CREATE UNIQUE INDEX t_a ON t (a)";
+  e db "INSERT INTO t VALUES (1, 10)";
+  rejected db "INSERT INTO t VALUES (1, 20)";
+  e db "INSERT INTO t VALUES (2, 30)";
+  rejected db "UPDATE t SET a = 1 WHERE b = 30";
+  let rows = Alcotest.(list (list int_t)) in
+  check rows "indexed lookup finds the original" [ [ 1; 10 ] ]
+    (ints db "SELECT a, b FROM t WHERE a = 1");
+  check rows "the updated row kept its key" [ [ 2; 30 ] ]
+    (ints db "SELECT a, b FROM t WHERE a = 2");
+  rejected db "INSERT INTO t VALUES (1, 40)";
+  check rows "table" [ [ 1; 10 ]; [ 2; 30 ] ]
+    (ints db "SELECT a, b FROM t ORDER BY a");
+  check_indexes db
+
+let test_reversal_update () =
+  (* k = 100 - k reverses the order: no key stays between its neighbours,
+     so every key takes the delete + insert path *)
+  let db = fresh () in
+  e db "CREATE TABLE t (k INT NOT NULL, v INT)";
+  e db "CREATE UNIQUE INDEX t_k ON t (k)";
+  e db "CREATE INDEX t_kv ON t (k, v)";
+  for i = 1 to 40 do
+    e db (Printf.sprintf "INSERT INTO t VALUES (%d, %d)" i i)
+  done;
+  e db "UPDATE t SET k = 100 - k WHERE k >= 10";
+  check_indexes db;
+  check (Alcotest.list (Alcotest.list int_t)) "reversed"
+    [ [ 60; 40 ]; [ 61; 39 ]; [ 90; 10 ] ]
+    (ints db "SELECT k, v FROM t WHERE k >= 60 AND k <= 61 OR k = 90 ORDER BY k");
+  check (Alcotest.list (Alcotest.list int_t)) "probe" [ [ 25 ] ]
+    (ints db "SELECT v FROM t WHERE k = 75")
+
+let test_colliding_shift_is_atomic () =
+  (* 3 -> 4 and 10 -> 11 are rewritten in place, then 20 -> 21 collides:
+     the whole statement must undo both kinds of move *)
+  let db = fresh () in
+  e db "CREATE TABLE t (k INT NOT NULL, v INT)";
+  e db "CREATE INDEX t_v ON t (v, k)";
+  e db "CREATE UNIQUE INDEX t_k ON t (k)";
+  e db "INSERT INTO t VALUES (1, 5), (3, 4), (10, 3), (20, 2), (21, 1)";
+  let snapshot () = ints db "SELECT k, v FROM t ORDER BY k" in
+  let before = snapshot () in
+  let shift = "UPDATE t SET k = k + 1 WHERE k >= 3 AND k <= 20" in
+  let unchanged what =
+    check (Alcotest.list (Alcotest.list int_t)) what before (snapshot ());
+    List.iter
+      (fun row ->
+        match row with
+        | [ k; v ] ->
+            check (Alcotest.list (Alcotest.list int_t)) "probe" [ [ v ] ]
+              (ints db (Printf.sprintf "SELECT v FROM t WHERE k = %d" k))
+        | _ -> assert false)
+      before;
+    check_indexes db
+  in
+  rejected db shift;
+  unchanged "after the rejected shift";
+  e db "BEGIN";
+  e db "UPDATE t SET v = v + 100 WHERE k = 1";
+  rejected db shift;
+  e db "ROLLBACK";
+  unchanged "after rollback";
+  (* once the collision is gone the same statement goes through *)
+  e db "DELETE FROM t WHERE k = 21";
+  Obs.set_enabled true;
+  let rewritten = Obs.counter_value "index.rewritten"
+  and moved = Obs.counter_value "index.moved" in
+  e db shift;
+  check int_t "entries rewritten in place" 6
+    (Obs.counter_value "index.rewritten" - rewritten);
+  check int_t "entries moved" 0 (Obs.counter_value "index.moved" - moved);
+  check (Alcotest.list (Alcotest.list int_t)) "shifted"
+    [ [ 1; 5 ]; [ 4; 4 ]; [ 11; 3 ]; [ 21; 2 ] ]
+    (snapshot ());
+  check_indexes db
+
 let test_insert_columns () =
   let db = fresh () in
   e db "CREATE TABLE t (a INT, b TEXT, c FLOAT)";
@@ -794,6 +886,11 @@ let tests =
       Alcotest.test_case "update/delete" `Quick test_update_delete;
       Alcotest.test_case "unique-shift update" `Quick test_unique_shift_update;
       Alcotest.test_case "constraints" `Quick test_constraints;
+      Alcotest.test_case "rejected duplicate keeps the index" `Quick
+        test_rejected_duplicate_keeps_index;
+      Alcotest.test_case "order-reversing update" `Quick test_reversal_update;
+      Alcotest.test_case "colliding shift is atomic" `Quick
+        test_colliding_shift_is_atomic;
       Alcotest.test_case "insert column list" `Quick test_insert_columns;
       Alcotest.test_case "HAVING" `Quick test_having;
       Alcotest.test_case "UNION ALL" `Quick test_union_all;
