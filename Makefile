@@ -1,6 +1,6 @@
 OXQ = dune exec --no-print-directory bin/oxq.exe --
 
-.PHONY: all build test lint check crash-test bench bench-smoke experiments clean
+.PHONY: all build test lint check crash-test bench-smoke experiments clean
 
 all: build
 
@@ -34,9 +34,6 @@ check: build test lint crash-test bench-smoke
 	$(OXQ) stats examples/catalog.xml -e dewey
 	$(OXQ) query examples/catalog.xml '/catalog/book[1]/title' --trace
 	@echo "check: OK"
-
-bench:
-	dune exec bench/main.exe
 
 # regression guard: Q1/global latency must stay within 3x of the checked-in
 # baseline (bench/baseline.json)

@@ -1,5 +1,6 @@
 (* Bench regression guard. Three checks, fast enough to wire into
-   `make check`; the full statistical suite stays in bench/main.ml:
+   `make check`; the repeated, per-layer timings are perfbench's
+   (perfbench/run.py):
    - counters: after warm-up, Q1-Q7 on GLOBAL, LOCAL and DEWEY bump the
      catalog version 0 times and hit the plan cache on at least 95 % of
      their statements (deterministic, so no tolerance is needed);

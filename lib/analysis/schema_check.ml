@@ -632,8 +632,6 @@ type result = {
   unique : bool;
 }
 
-let enabled = ref true
-
 (* can the single-statement join over this predicate produce duplicate
    bindings for one context node? *)
 let rec pred_unique g ctx (p : A.predicate) =
@@ -656,138 +654,132 @@ let rec pred_unique g ctx (p : A.predicate) =
   | A.P_pos _ | A.P_last | A.P_or _ | A.P_not _ | A.P_count _ -> false
 
 let analyze ?roots dtd (path : A.path) =
-  if not !enabled then
-    { findings = []; rewritten = path; satisfiable = true; unique = false }
-  else begin
-    let g = graph ?roots dtd in
-    let findings = ref [] in
-    let note f = findings := f :: !findings in
-    let unique = ref true in
-    let unsat = ref None in
-    (* both translators evaluate relative paths from the document root too *)
-    let rec walk ctx acc idx = function
-      | [] -> List.rev acc
-      | (s : A.step) :: rest when !unsat = None -> begin
-          (* pass 3: axis strength reduction (produces plain child /
-             sibling steps that the passes below then process) *)
-          match reduce_descendant g ctx s with
-          | Some steps ->
-              note
-                (Finding.info "schema-axis"
-                   "step %d: descendant::%s has one DTD shape; rewritten \
-                    to the child chain %s"
-                   idx (A.test_name s.A.test)
-                   (String.concat "/" (List.map A.step_to_string steps)));
-              walk ctx acc idx (steps @ rest)
-          | None -> (
-              match reduce_following g ctx s with
-              | Some s' ->
-                  note
-                    (Finding.info "schema-axis"
-                       "step %d: the schema confines %s::%s to the \
-                        context's parent; narrowed to %s::"
-                       idx (A.axis_name s.A.axis) (A.test_name s.A.test)
-                       (A.axis_name s'.A.axis));
-                  walk ctx acc idx (s' :: rest)
-              | None ->
-                  (* pass 1: satisfiability *)
-                  let first_ok =
-                    idx > 1
-                    ||
-                    match s.A.axis with
-                    | A.Child | A.Descendant | A.Descendant_or_self -> true
-                    | _ -> false
-                  in
-                  let ts =
-                    if first_ok then raw_target g ctx s else KSet.empty
-                  in
-                  if KSet.is_empty ts then begin
-                    unsat :=
-                      Some
-                        (Finding.error "schema-unsat"
-                           "step %d (%s): no document valid under the DTD \
-                            has nodes matching this step"
-                           idx (A.step_to_string s));
-                    List.rev acc
-                  end
-                  else begin
-                    (* pass 2: cardinality — a provably-singleton step
-                       makes position() = last() = 1 *)
-                    let single = card_le_one (step_card g ctx s) in
-                    let dead = ref false in
-                    let preds =
-                      List.filter_map
-                        (fun p ->
-                          match simp_pred g ts ~single p with
-                          | `True ->
-                              note
-                                (Finding.info "schema-cardinality"
-                                   "step %d (%s): predicate [%s] always \
-                                    holds under the DTD; dropped"
+  let g = graph ?roots dtd in
+  let findings = ref [] in
+  let note f = findings := f :: !findings in
+  let unique = ref true in
+  let unsat = ref None in
+  (* both translators evaluate relative paths from the document root too *)
+  let rec walk ctx acc idx = function
+    | [] -> List.rev acc
+    | (s : A.step) :: rest when !unsat = None -> begin
+        (* pass 3: axis strength reduction (produces plain child /
+           sibling steps that the passes below then process) *)
+        match reduce_descendant g ctx s with
+        | Some steps ->
+            note
+              (Finding.info "schema-axis"
+                 "step %d: descendant::%s has one DTD shape; rewritten \
+                  to the child chain %s"
+                 idx (A.test_name s.A.test)
+                 (String.concat "/" (List.map A.step_to_string steps)));
+            walk ctx acc idx (steps @ rest)
+        | None -> (
+            match reduce_following g ctx s with
+            | Some s' ->
+                note
+                  (Finding.info "schema-axis"
+                     "step %d: the schema confines %s::%s to the \
+                      context's parent; narrowed to %s::"
+                     idx (A.axis_name s.A.axis) (A.test_name s.A.test)
+                     (A.axis_name s'.A.axis));
+                walk ctx acc idx (s' :: rest)
+            | None ->
+                (* pass 1: satisfiability *)
+                let first_ok =
+                  idx > 1
+                  ||
+                  match s.A.axis with
+                  | A.Child | A.Descendant | A.Descendant_or_self -> true
+                  | _ -> false
+                in
+                let ts =
+                  if first_ok then raw_target g ctx s else KSet.empty
+                in
+                if KSet.is_empty ts then begin
+                  unsat :=
+                    Some
+                      (Finding.error "schema-unsat"
+                         "step %d (%s): no document valid under the DTD \
+                          has nodes matching this step"
+                         idx (A.step_to_string s));
+                  List.rev acc
+                end
+                else begin
+                  (* pass 2: cardinality — a provably-singleton step
+                     makes position() = last() = 1 *)
+                  let single = card_le_one (step_card g ctx s) in
+                  let dead = ref false in
+                  let preds =
+                    List.filter_map
+                      (fun p ->
+                        match simp_pred g ts ~single p with
+                        | `True ->
+                            note
+                              (Finding.info "schema-cardinality"
+                                 "step %d (%s): predicate [%s] always \
+                                  holds under the DTD; dropped"
+                                 idx (A.step_to_string s)
+                                 (A.pred_to_string p));
+                            None
+                        | `False ->
+                            dead := true;
+                            unsat :=
+                              Some
+                                (Finding.error "schema-unsat"
+                                   "step %d (%s): predicate [%s] can \
+                                    never hold under the DTD"
                                    idx (A.step_to_string s)
                                    (A.pred_to_string p));
-                              None
-                          | `False ->
-                              dead := true;
-                              unsat :=
-                                Some
-                                  (Finding.error "schema-unsat"
-                                     "step %d (%s): predicate [%s] can \
-                                      never hold under the DTD"
-                                     idx (A.step_to_string s)
-                                     (A.pred_to_string p));
-                              None
-                          | `Keep p' -> Some p')
-                        s.A.preds
-                    in
-                    if !dead then List.rev acc
-                    else begin
-                      let s' = { s with A.preds } in
-                      (* track single-statement uniqueness over the
-                         rewritten steps *)
-                      (match s'.A.axis with
-                      | A.Child | A.Attribute | A.Self -> ()
-                      | _ when idx = 1 -> ()
-                      | _ -> unique := false);
-                      if
-                        not
-                          (List.for_all (pred_unique g ts) s'.A.preds)
-                      then unique := false;
-                      walk ts (s' :: acc) (idx + 1) rest
-                    end
-                  end)
-        end
-      | _ :: _ -> List.rev acc
-    in
-    let steps = walk (KSet.singleton K_root) [] 1 path.A.steps in
-    match !unsat with
-    | Some f ->
-        {
-          findings = Finding.sort (List.rev (f :: !findings));
-          rewritten = path;
-          satisfiable = false;
-          unique = false;
-        }
-    | None ->
-        let rewritten = { path with A.steps } in
-        let unique = !unique in
-        if unique && List.length steps > 1 then
-          note
-            (Finding.info "schema-distinct"
-               "the DTD proves result rows are already distinct; DISTINCT \
-                can be skipped in single-statement mode");
-        {
-          findings = Finding.sort (List.rev !findings);
-          rewritten;
-          satisfiable = true;
-          unique;
-        }
-  end
+                            None
+                        | `Keep p' -> Some p')
+                      s.A.preds
+                  in
+                  if !dead then List.rev acc
+                  else begin
+                    let s' = { s with A.preds } in
+                    (* track single-statement uniqueness over the
+                       rewritten steps *)
+                    (match s'.A.axis with
+                    | A.Child | A.Attribute | A.Self -> ()
+                    | _ when idx = 1 -> ()
+                    | _ -> unique := false);
+                    if
+                      not
+                        (List.for_all (pred_unique g ts) s'.A.preds)
+                    then unique := false;
+                    walk ts (s' :: acc) (idx + 1) rest
+                  end
+                end)
+      end
+    | _ :: _ -> List.rev acc
+  in
+  let steps = walk (KSet.singleton K_root) [] 1 path.A.steps in
+  match !unsat with
+  | Some f ->
+      {
+        findings = Finding.sort (List.rev (f :: !findings));
+        rewritten = path;
+        satisfiable = false;
+        unique = false;
+      }
+  | None ->
+      let rewritten = { path with A.steps } in
+      let unique = !unique in
+      if unique && List.length steps > 1 then
+        note
+          (Finding.info "schema-distinct"
+             "the DTD proves result rows are already distinct; DISTINCT \
+              can be skipped in single-statement mode");
+      {
+        findings = Finding.sort (List.rev !findings);
+        rewritten;
+        satisfiable = true;
+        unique;
+      }
 
 let eval ?roots dtd db ~doc enc (path : A.path) =
-  if not !enabled then Ordered_xml.Translate.eval db ~doc enc path
-  else
-    let r = analyze ?roots dtd path in
-    if not r.satisfiable then
-      { Ordered_xml.Translate.rows = []; statements = 0; sql_log = [] }
-    else Ordered_xml.Translate.eval db ~doc enc r.rewritten
+  let r = analyze ?roots dtd path in
+  if not r.satisfiable then
+    { Ordered_xml.Translate.rows = []; statements = 0; sql_log = [] }
+  else Ordered_xml.Translate.eval db ~doc enc r.rewritten

@@ -64,11 +64,6 @@ type result = {
           duplicate result rows, so [DISTINCT] may be skipped *)
 }
 
-val enabled : bool ref
-(** Global gate (default [true]). When [false], {!analyze} returns the
-    path unchanged with no findings and {!eval} translates blind — the
-    differential tests flip this to compare schema-aware and blind runs. *)
-
 val analyze :
   ?roots:string list -> Xmllib.Dtd.t -> Ordered_xml.Xpath_ast.path -> result
 (** Run the three passes on an absolute (or root-context) path. *)

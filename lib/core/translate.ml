@@ -73,18 +73,21 @@ let plain_rows st sql = List.map (decode st) (run_sql st sql)
 (* SQL fragments                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let test_cond axis (test : A.node_test) =
+let test_cond alias axis (test : A.node_test) =
+  let kind op k = Printf.sprintf "%s.kind %s %d" alias op k in
+  let tagged k n =
+    Printf.sprintf "%s AND %s.tag = %s" (kind "=" k) alias
+      (V.to_sql_literal (V.Str n))
+  in
   match (axis, test) with
-  | A.Attribute, A.Name n ->
-      Printf.sprintf "e.kind = 2 AND e.tag = %s" (V.to_sql_literal (V.Str n))
-  | A.Attribute, (A.Any_name | A.Node_test) -> "e.kind = 2"
-  | A.Attribute, (A.Text_test | A.Comment_test) -> "e.kind = 9" (* empty *)
-  | _, A.Name n ->
-      Printf.sprintf "e.kind = 0 AND e.tag = %s" (V.to_sql_literal (V.Str n))
-  | _, A.Any_name -> "e.kind = 0"
-  | _, A.Text_test -> "e.kind = 1"
-  | _, A.Comment_test -> "e.kind = 3"
-  | _, A.Node_test -> "e.kind <> 2"
+  | A.Attribute, A.Name n -> tagged 2 n
+  | A.Attribute, (A.Any_name | A.Node_test) -> kind "=" 2
+  | A.Attribute, (A.Text_test | A.Comment_test) -> kind "=" 9 (* empty *)
+  | _, A.Name n -> tagged 0 n
+  | _, A.Any_name -> kind "=" 0
+  | _, A.Text_test -> kind "=" 1
+  | _, A.Comment_test -> kind "=" 3
+  | _, A.Node_test -> kind "<>" 2
 
 (* WHERE fragment implementing the axis from the context row [c] (see
    Node_row.ctx_relation); [None] when the axis is not SQL-expressible under
@@ -148,7 +151,7 @@ let sql_candidates st ctx_rows axis test =
   | Some cond ->
       ctx_join st (Node_row.ctx_relation st.enc)
         (List.map Node_row.ctx_tuple ctx_rows)
-        (cond ^ " AND " ^ test_cond axis test)
+        (cond ^ " AND " ^ test_cond "e" axis test)
 
 let test_passes axis (test : A.node_test) (r : Node_row.t) =
   let k = r.Node_row.kind in
@@ -281,7 +284,7 @@ let local_doc_order st ctx_rows (step : A.step) =
       (Printf.sprintf "SELECT %s FROM %s e WHERE %s"
          (Node_row.select_list st.enc "e")
          st.tname
-         (test_cond step.A.axis step.A.test))
+         (test_cond "e" step.A.axis step.A.test))
   in
   let key = local_order_keys st (ctx_rows @ cands) in
   let sorted = Array.of_list (List.map (fun r -> (key r, r)) cands) in
@@ -398,7 +401,7 @@ let rec step_candidates st ctx_rows (step : A.step) :
         if prefixes = [] then []
         else
           ctx_join st (Node_row.ctx_relation st.enc) prefixes
-            ("e.path = c.path AND " ^ test_cond step.A.axis step.A.test)
+            ("e.path = c.path AND " ^ test_cond "e" step.A.axis step.A.test)
       in
       (pairs, None)
   | A.Ancestor when st.enc = Encoding.Local ->
@@ -674,7 +677,7 @@ and apply_pred st path_sets rows (p : A.predicate) =
 (* ---- first step from the document root ---------------------------- *)
 
 let initial_candidates st (step : A.step) =
-  let tc = test_cond step.A.axis step.A.test in
+  let tc = test_cond "e" step.A.axis step.A.test in
   match step.A.axis with
   | A.Child ->
       plain_rows st

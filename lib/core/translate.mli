@@ -68,6 +68,15 @@ val eval_from_ids :
     from the document root). Used by the FLWOR layer to resolve
     variable-relative paths. *)
 
+val test_cond : string -> Xpath_ast.axis -> Xpath_ast.node_test -> string
+(** [test_cond alias axis test] is the SQL condition on the edge-table row
+    [alias] for the node test [test] on [axis] (an attribute step tests
+    attribute rows). *)
+
+val number_of_string : string -> float
+(** XPath [number()] of a string: NaN unless it parses as a float after
+    trimming. *)
+
 val sort_document_order :
   Reldb.Db.t -> doc:string -> Encoding.t -> Node_row.t list ->
   Node_row.t list * int

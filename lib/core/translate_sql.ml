@@ -63,22 +63,6 @@ let new_alias g =
 
 let add g cond = g.conds <- cond :: g.conds
 
-let test_cond axis alias (test : A.node_test) =
-  match (axis, test) with
-  | A.Attribute, A.Name n ->
-      Printf.sprintf "%s.kind = 2 AND %s.tag = %s" alias alias
-        (V.to_sql_literal (V.Str n))
-  | A.Attribute, (A.Any_name | A.Node_test) -> Printf.sprintf "%s.kind = 2" alias
-  | A.Attribute, (A.Text_test | A.Comment_test) ->
-      Printf.sprintf "%s.kind = 9" alias (* empty *)
-  | _, A.Name n ->
-      Printf.sprintf "%s.kind = 0 AND %s.tag = %s" alias alias
-        (V.to_sql_literal (V.Str n))
-  | _, A.Any_name -> Printf.sprintf "%s.kind = 0" alias
-  | _, A.Text_test -> Printf.sprintf "%s.kind = 1" alias
-  | _, A.Comment_test -> Printf.sprintf "%s.kind = 3" alias
-  | _, A.Node_test -> Printf.sprintf "%s.kind <> 2" alias
-
 (* join condition between the previous step's alias and the new one *)
 let axis_join g ~prev alias (axis : A.axis) =
   let glob fmt = Printf.ksprintf (fun s -> add g s) fmt in
@@ -120,11 +104,6 @@ let axis_join g ~prev alias (axis : A.axis) =
       glob "%s.g_order <= %s.g_order AND %s.g_end >= %s.g_end" alias prev alias prev
   | A.Self -> assert false (* handled by the caller without a new alias *)
 
-let number_of_string s =
-  match float_of_string_opt (String.trim s) with
-  | Some f -> f
-  | None -> Float.nan
-
 let cmp_sql = function
   | A.Eq -> "="
   | A.Ne -> "<>"
@@ -139,12 +118,12 @@ let rec gen_step g ~prev (step : A.step) =
     match step.A.axis with
     | A.Self ->
         (* no new alias: just a test on the previous one *)
-        add g (test_cond A.Child prev step.A.test);
+        add g (Translate.test_cond prev A.Child step.A.test);
         prev
     | axis ->
         let a = new_alias g in
         axis_join g ~prev a axis;
-        add g (test_cond axis a step.A.test);
+        add g (Translate.test_cond a axis step.A.test);
         a
   in
   List.iter (gen_pred g ~ctx:alias) step.A.preds;
@@ -187,7 +166,7 @@ and gen_pred g ~ctx (p : A.predicate) =
               add g (Printf.sprintf "%s.value %s %s" value_alias (cmp_sql op)
                        (V.to_sql_literal (V.Str s)))
           | A.Lt | A.Le | A.Gt | A.Ge ->
-              let f = number_of_string s in
+              let f = Translate.number_of_string s in
               if Float.is_nan f then add g "1 = 0"
               else
                 add g (Printf.sprintf "%s.nval %s %s" value_alias (cmp_sql op)
@@ -247,12 +226,12 @@ let translate_meta ?(unique = false) ~doc enc (path : A.path) =
     | A.Child ->
         let a = new_alias g in
         add g (Printf.sprintf "%s.parent IS NULL" a);
-        add g (test_cond A.Child a first.A.test);
+        add g (Translate.test_cond a A.Child first.A.test);
         a
     | A.Descendant | A.Descendant_or_self ->
         let a = new_alias g in
         add g (Printf.sprintf "%s.kind <> 2" a);
-        add g (test_cond A.Child a first.A.test);
+        add g (Translate.test_cond a A.Child first.A.test);
         a
     | _ -> fail "an absolute path must start with child or descendant"
   in

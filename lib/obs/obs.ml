@@ -3,7 +3,10 @@ let enabled () = !enabled_flag
 let set_enabled b = enabled_flag := b
 
 module Clock = struct
-  let now_ns () = Monotonic_clock.now ()
+  external now_ns : unit -> (int64[@unboxed])
+    = "obs_clock_now_ns_byte" "obs_clock_now_ns"
+  [@@noalloc]
+
   let since_ms t0 = Int64.to_float (Int64.sub (now_ns ()) t0) /. 1e6
 
   let time_ms f =

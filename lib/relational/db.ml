@@ -3,8 +3,6 @@
    entry; eviction removes the smallest tick. *)
 type cache_entry = {
   ce_version : int;
-  ce_simplify : bool;  (* Simplify.enabled at plan time; toggling it must
-                          not serve plans built under the other setting *)
   ce_plan : Plan.t;
   mutable ce_tick : int;
 }
@@ -376,6 +374,13 @@ let resolve_where tbl = function
       try Some (Planner.resolve_expr_for_table tbl w)
       with Planner.Plan_error m -> fail "%s" m)
 
+(* Materialize the rows an UPDATE or DELETE touches, before any mutation: a
+   runtime error in the WHERE clause fails the statement and changes
+   nothing. *)
+let candidates tbl pred =
+  try List.of_seq (Planner.table_candidates tbl pred)
+  with Expr.Eval_error m -> fail "%s" m
+
 let do_update t ~table:name ~sets ~where =
   let tbl = table t name in
   let schema = Table.schema tbl in
@@ -390,7 +395,7 @@ let do_update t ~table:name ~sets ~where =
             with Planner.Plan_error m -> fail "%s" m))
       sets
   in
-  let victims = List.of_seq (Planner.table_candidates tbl pred) in
+  let victims = candidates tbl pred in
   (* statement-level constraint semantics: compute every new tuple first,
      then apply them as one bulk in-place update — rowids are preserved, only
      indexes whose key changed are maintained, and a multi-row UPDATE that
@@ -416,7 +421,7 @@ let do_update t ~table:name ~sets ~where =
 let do_delete t ~table:name ~where =
   let tbl = table t name in
   let pred = resolve_where tbl where in
-  let victims = List.of_seq (Planner.table_candidates tbl pred) in
+  let victims = candidates tbl pred in
   List.iter (fun (rowid, _) -> Table.delete tbl rowid) victims;
   Affected (List.length victims)
 
@@ -527,8 +532,7 @@ let cache_touch t entry =
 let cache_lookup t sql =
   match Hashtbl.find_opt t.plan_cache sql with
   | Some entry
-    when entry.ce_version = Catalog.version t.cat
-         && entry.ce_simplify = !Simplify.enabled ->
+    when entry.ce_version = Catalog.version t.cat ->
       cache_touch t entry;
       t.cache_hits <- t.cache_hits + 1;
       Obs.incr "db.plan_cache.hit";
@@ -556,7 +560,6 @@ let cache_store t sql plan =
   Hashtbl.replace t.plan_cache sql
     {
       ce_version = Catalog.version t.cat;
-      ce_simplify = !Simplify.enabled;
       ce_plan = plan;
       ce_tick = t.cache_tick;
     }

@@ -111,28 +111,10 @@ let rec eval ~wrap (p : Plan.t) : Tuple.t Seq.t =
                inner_rows))
         (run outer)
   | Plan.Index_nl_join { outer; table; index; key; lo; hi; residual } ->
-      (* One probe per outer row. A NULL key or bound matches nothing, and a
-         range with no lower bound starts above NULL, which ranks lowest:
-         [col < x] is never true of a NULL column. *)
       let probe ot =
-        let prefix = Array.map (fun e -> Expr.eval e ot) key in
-        let on_next v ~strict =
-          let k = Array.append prefix [| v |] in
-          if strict then Btree.Excl k else Btree.Incl k
-        in
-        let bound ~default = function
-          | None -> Some default
-          | Some { Plan.bound; strict } -> (
-              match Expr.eval bound ot with
-              | Value.Null -> None
-              | v -> Some (on_next v ~strict))
-        in
-        let whole =
-          if Array.length prefix = 0 then Btree.Unbounded else Btree.Incl prefix
-        in
-        let floor = if hi = None then whole else on_next Value.Null ~strict:true in
-        match (bound ~default:floor lo, bound ~default:whole hi) with
-        | Some lo, Some hi when not (Array.exists Value.is_null prefix) ->
+        match Plan.probe_range key ~lo ~hi ot with
+        | None -> Seq.empty
+        | Some (lo, hi) ->
             Seq.filter_map
               (fun (_, rowid) ->
                 match Table.get table rowid with
@@ -143,7 +125,6 @@ let rec eval ~wrap (p : Plan.t) : Tuple.t Seq.t =
                     | None -> Some joined
                     | Some e -> if Expr.eval_bool e joined then Some joined else None))
               (Btree.range index.Table.tree ~lo ~hi)
-        | _ -> Seq.empty
       in
       Seq.concat_map probe (run outer)
   | Plan.Hash_join { left; right; left_key; right_key; residual } ->
@@ -174,46 +155,6 @@ let rec eval ~wrap (p : Plan.t) : Tuple.t Seq.t =
                       else None)
                     candidates)))
         (run right)
-  | Plan.Merge_join { left; right; left_key; right_key; residual } ->
-      let lrows = Array.of_seq (run left) in
-      let rrows = Array.of_seq (run right) in
-      let emit = ref [] in
-      let li = ref 0 and ri = ref 0 in
-      let ln = Array.length lrows and rn = Array.length rrows in
-      while !li < ln && !ri < rn do
-        let lk = Tuple.key left_key lrows.(!li) in
-        let rk = Tuple.key right_key rrows.(!ri) in
-        let c = Tuple.compare_key lk rk in
-        if c < 0 then incr li
-        else if c > 0 then incr ri
-        else begin
-          (* collect both equal groups *)
-          let lstop = ref !li in
-          while
-            !lstop < ln && Tuple.compare_key (Tuple.key left_key lrows.(!lstop)) lk = 0
-          do
-            incr lstop
-          done;
-          let rstop = ref !ri in
-          while
-            !rstop < rn && Tuple.compare_key (Tuple.key right_key rrows.(!rstop)) rk = 0
-          do
-            incr rstop
-          done;
-          if not (Array.exists Value.is_null lk) then
-            for i = !li to !lstop - 1 do
-              for j = !ri to !rstop - 1 do
-                let joined = Tuple.concat lrows.(i) rrows.(j) in
-                match residual with
-                | None -> emit := joined :: !emit
-                | Some e -> if Expr.eval_bool e joined then emit := joined :: !emit
-              done
-            done;
-          li := !lstop;
-          ri := !rstop
-        end
-      done;
-      List.to_seq (List.rev !emit)
   | Plan.Sort { input; keys } ->
       let rows = List.of_seq (run input) in
       List.to_seq (sort_tuples keys rows)

@@ -38,13 +38,6 @@ type t =
       right_key : int array;
       residual : Expr.t option;
     }
-  | Merge_join of {
-      left : t;
-      right : t;
-      left_key : int array;
-      right_key : int array;
-      residual : Expr.t option;
-    }
   | Sort of { input : t; keys : (Expr.t * order) list }
   | Distinct of t
   | Aggregate of {
@@ -54,6 +47,29 @@ type t =
     }
   | Limit of { input : t; limit : int option; offset : int }
   | Union_all of t list
+
+let probe_range key ~lo ~hi row =
+  let prefix = Array.map (fun e -> Expr.eval e row) key in
+  let on_next v ~strict =
+    let k = Array.append prefix [| v |] in
+    if strict then Btree.Excl k else Btree.Incl k
+  in
+  let bound ~default = function
+    | None -> Some default
+    | Some { bound; strict } -> (
+        match Expr.eval bound row with
+        | Value.Null -> None
+        | v -> Some (on_next v ~strict))
+  in
+  let whole =
+    if Array.length prefix = 0 then Btree.Unbounded else Btree.Incl prefix
+  in
+  (* with no lower bound, start above NULL, which ranks lowest: [col < x] is
+     never true of a NULL column *)
+  let floor = if hi = None then whole else on_next Value.Null ~strict:true in
+  match (bound ~default:floor lo, bound ~default:whole hi) with
+  | Some lo, Some hi when not (Array.exists Value.is_null prefix) -> Some (lo, hi)
+  | _ -> None
 
 let expr_type schema (e : Expr.t) : Value.ty =
   let rec go = function
@@ -94,7 +110,7 @@ let rec schema_of = function
       Schema.concat (schema_of outer) (schema_of inner)
   | Index_nl_join { outer; table; _ } ->
       Schema.concat (schema_of outer) (Table.schema table)
-  | Hash_join { left; right; _ } | Merge_join { left; right; _ } ->
+  | Hash_join { left; right; _ } ->
       Schema.concat (schema_of left) (schema_of right)
   | Sort { input; _ } | Limit { input; _ } -> schema_of input
   | Union_all [] -> [||]
@@ -169,7 +185,6 @@ let label = function
       Printf.sprintf "HashJoin build(%s) probe(%s)"
         (String.concat "," (Array.to_list (Array.map string_of_int left_key)))
         (String.concat "," (Array.to_list (Array.map string_of_int right_key)))
-  | Merge_join _ -> "MergeJoin"
   | Sort { keys; _ } ->
       Printf.sprintf "Sort [%s]"
         (String.concat ", "
@@ -201,8 +216,7 @@ let children = function
       [ p ]
   | Nl_join { outer; inner; _ } -> [ outer; inner ]
   | Index_nl_join { outer; _ } -> [ outer ]
-  | Hash_join { left; right; _ } | Merge_join { left; right; _ } ->
-      [ left; right ]
+  | Hash_join { left; right; _ } -> [ left; right ]
   | Union_all branches -> branches
 
 let rec pp_indent ppf (level, p) =

@@ -48,13 +48,6 @@ type t =
       right_key : int array;
       residual : Expr.t option;
     }  (** equi-join; build on left, probe with right *)
-  | Merge_join of {
-      left : t;
-      right : t;
-      left_key : int array;
-      right_key : int array;
-      residual : Expr.t option;
-    }  (** inputs must already be sorted on their key columns *)
   | Sort of { input : t; keys : (Expr.t * order) list }
   | Distinct of t
   | Aggregate of {
@@ -65,6 +58,20 @@ type t =
   | Limit of { input : t; limit : int option; offset : int }
   | Union_all of t list
       (** concatenation of branch outputs; arities must agree *)
+
+val probe_range :
+  Expr.t array ->
+  lo:probe_bound option ->
+  hi:probe_bound option ->
+  Tuple.t ->
+  (Btree.bound * Btree.bound) option
+(** [probe_range key ~lo ~hi row] is the B+-tree range of an index access,
+    with [key], [lo] and [hi] evaluated over [row]: the key values equal the
+    leading key columns, and the next key column lies within [lo] and [hi]
+    (strict bounds exclude their value). [None] when a key value or a bound
+    is NULL, which matches nothing. With no lower bound the range starts
+    above NULL. Index scans call it once at plan time over constants (with
+    [row = [||]]), index nested-loop joins once per outer row. *)
 
 val schema_of : t -> Schema.t
 (** Output schema of a plan. Column types for computed expressions are

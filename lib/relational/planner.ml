@@ -125,170 +125,16 @@ let rec contains_agg (e : Sql_ast.sexpr) =
 (* Access-path selection                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* A conjunct over one table, with columns local to its schema. *)
-
-type range_side = { cmp : Expr.cmp; const : Value.t }
-
-(* For an index, try to consume conjuncts: equalities on a key prefix, then
-   ranges on the following key column. Returns (consumed, lo, hi, score). *)
-let match_index (idx : Table.index) conjuncts =
-  let eq_on col =
-    List.find_opt
-      (fun c ->
-        match c with
-        | Expr.Cmp (Expr.Eq, Expr.Col i, Expr.Const v)
-        | Expr.Cmp (Expr.Eq, Expr.Const v, Expr.Col i) ->
-            i = col && not (Value.is_null v)
-        | _ -> false)
-      conjuncts
-  in
-  let const_of = function
-    | Expr.Cmp (_, Expr.Col _, Expr.Const v) | Expr.Cmp (_, Expr.Const v, Expr.Col _)
-      ->
-        v
-    | _ -> assert false
-  in
-  let ranges_on col =
-    List.filter_map
-      (fun c ->
-        match c with
-        | Expr.Cmp (op, Expr.Col i, Expr.Const v)
-          when i = col && (not (Value.is_null v))
-               && (op = Expr.Lt || op = Expr.Le || op = Expr.Gt || op = Expr.Ge)
-          ->
-            Some (c, { cmp = op; const = v })
-        | Expr.Cmp (op, Expr.Const v, Expr.Col i)
-          when i = col && (not (Value.is_null v))
-               && (op = Expr.Lt || op = Expr.Le || op = Expr.Gt || op = Expr.Ge)
-          ->
-            (* flip: v op col  <=>  col op' v *)
-            let flipped =
-              match op with
-              | Expr.Lt -> Expr.Gt
-              | Expr.Le -> Expr.Ge
-              | Expr.Gt -> Expr.Lt
-              | Expr.Ge -> Expr.Le
-              | Expr.Eq | Expr.Ne -> op
-            in
-            Some (c, { cmp = flipped; const = v })
-        | _ -> None)
-      conjuncts
-  in
-  let key = idx.Table.key_cols in
-  let rec eat_prefix i consumed prefix =
-    if i >= Array.length key then (i, consumed, prefix)
-    else
-      match eq_on key.(i) with
-      | Some c -> eat_prefix (i + 1) (c :: consumed) (const_of c :: prefix)
-      | None -> (i, consumed, prefix)
-  in
-  let neq, consumed, rev_prefix = eat_prefix 0 [] [] in
-  let prefix = Array.of_list (List.rev rev_prefix) in
-  let lo0 = if Array.length prefix = 0 then Btree.Unbounded else Btree.Incl prefix in
-  let hi0 = if Array.length prefix = 0 then Btree.Unbounded else Btree.Incl prefix in
-  if neq >= Array.length key then (consumed, lo0, hi0, (2 * neq) + 1)
-  else begin
-    let next_col = key.(neq) in
-    let rs = ranges_on next_col in
-    if rs = [] then (consumed, lo0, hi0, 2 * neq)
-    else begin
-      (* fold all ranges on the column into one lo and one hi *)
-      let lo = ref lo0 and hi = ref hi0 and used = ref consumed in
-      List.iter
-        (fun (c, { cmp; const }) ->
-          let k = Array.append prefix [| const |] in
-          (* Bounds use truncated-prefix semantics (see Btree.range), so a
-             key that extends another covers a narrower slice: the longer
-             key is always the tighter bound, for lo and hi alike. For
-             equal keys Excl is tighter. *)
-          let strict_prefix a b =
-            Array.length a < Array.length b
-            && Tuple.compare_key a (Array.sub b 0 (Array.length a)) = 0
-          in
-          let tighter ~keep_larger current cand =
-            match (current, cand) with
-            | Btree.Unbounded, b -> b
-            | b, Btree.Unbounded -> b
-            | (Btree.Incl a | Btree.Excl a), (Btree.Incl b | Btree.Excl b) ->
-                if strict_prefix a b then cand
-                else if strict_prefix b a then current
-                else
-                  let c = Tuple.compare_key a b in
-                  if c = 0 then
-                    match (current, cand) with
-                    | Btree.Excl _, _ -> current
-                    | _, (Btree.Excl _ as b) -> b
-                    | a, _ -> a
-                  else if (c > 0) = keep_larger then current
-                  else cand
-          in
-          let stronger_lo = tighter ~keep_larger:true in
-          let stronger_hi = tighter ~keep_larger:false in
-          match cmp with
-          | Expr.Ge ->
-              lo := stronger_lo !lo (Btree.Incl k);
-              used := c :: !used
-          | Expr.Gt ->
-              lo := stronger_lo !lo (Btree.Excl k);
-              used := c :: !used
-          | Expr.Le ->
-              hi := stronger_hi !hi (Btree.Incl k);
-              used := c :: !used
-          | Expr.Lt ->
-              hi := stronger_hi !hi (Btree.Excl k);
-              used := c :: !used
-          | Expr.Eq | Expr.Ne -> ())
-        rs;
-      (* With only an upper bound, start above NULL, which ranks lowest:
-         [col < x] is never true of a NULL column. *)
-      if !lo == lo0 then lo := Btree.Excl (Array.append prefix [| Value.Null |]);
-      (!used, !lo, !hi, (2 * neq) + 1)
-    end
-  end
-
-(* Choose the best access path for [table] given local conjuncts. Returns the
-   plan for the scan, the residual conjuncts (already-consumed conjuncts are
-   exact and dropped) and the match score of the index used (0: none). *)
-let choose_access table conjuncts =
-  let best = ref None in
-  List.iter
-    (fun idx ->
-      let consumed, lo, hi, score = match_index idx conjuncts in
-      if score > 0 then
-        match !best with
-        | Some (_, _, _, _, s) when s >= score -> ()
-        | _ -> best := Some (idx, consumed, lo, hi, score))
-    (Table.indexes table);
-  match !best with
-  | None -> (Plan.Seq_scan table, conjuncts, 0)
-  | Some (idx, consumed, lo, hi, score) ->
-      let residual =
-        List.filter (fun c -> not (List.memq c consumed)) conjuncts
-      in
-      ( Plan.Index_scan { table; index = idx; lo; hi; reverse = false },
-        residual,
-        score )
-
-let with_filter plan = function
-  | [] -> plan
-  | conjuncts -> (
-      match Expr.conjoin conjuncts with
-      | None -> plan
-      | Some pred -> Plan.Filter (pred, plan))
-
-(* ------------------------------------------------------------------ *)
-(* Index nested-loop joins                                             *)
-(* ------------------------------------------------------------------ *)
-
-(* An index probe for the table joined next, whose columns start at [split]
-   in the joined row: equalities on a prefix of the index key, then at most
-   one lower and one upper bound on the next key column. The other side of
-   each comparison reads only columns already placed (or none), so it is
-   evaluated once per outer row. Consumed conjuncts are exact (the probe
-   applies SQL's NULL semantics, see Exec). Returns (key, lo, hi, consumed,
-   score), scored like [match_index], if the probe reads an outer column. *)
-let match_probe ~split (idx : Table.index) conjuncts =
-  let outer_only e = List.for_all (fun c -> c < split) (Expr.columns e) in
+(* Match conjuncts to [idx]'s key: equalities on a prefix of the key, then
+   at most one lower and one upper bound on the next key column (Simplify
+   has already kept only the tightest constant bound per column). The
+   indexed table's columns start at [split]; the other side of each
+   comparison must pass [usable]: a non-NULL constant for a scan, an
+   expression over the outer row for a join probe, evaluated once per outer
+   row. Consumed conjuncts are exact (Plan.probe_range applies SQL's NULL
+   semantics). Returns (key, lo, hi, consumed, score): two points per
+   equality, plus one for a whole key or a range. *)
+let match_index ~split ~usable (idx : Table.index) conjuncts =
   let flip = function
     | Expr.Lt -> Expr.Gt
     | Expr.Le -> Expr.Ge
@@ -296,14 +142,14 @@ let match_probe ~split (idx : Table.index) conjuncts =
     | Expr.Ge -> Expr.Le
     | (Expr.Eq | Expr.Ne) as op -> op
   in
-  (* (conjunct, op, inner column, bound) for [inner column op bound] *)
+  (* (conjunct, op, indexed column, bound) for [indexed column op bound] *)
   let sides =
     List.filter_map
       (fun c ->
         match c with
-        | Expr.Cmp (op, Expr.Col i, e) when i >= split && outer_only e ->
+        | Expr.Cmp (op, Expr.Col i, e) when i >= split && usable e ->
             Some (c, op, i - split, e)
-        | Expr.Cmp (op, e, Expr.Col i) when i >= split && outer_only e ->
+        | Expr.Cmp (op, e, Expr.Col i) when i >= split && usable e ->
             Some (c, flip op, i - split, e)
         | _ -> None)
       conjuncts
@@ -324,20 +170,59 @@ let match_probe ~split (idx : Table.index) conjuncts =
     else
       (find key.(neq) [ Expr.Gt; Expr.Ge ], find key.(neq) [ Expr.Lt; Expr.Le ])
   in
-  let used = eqs @ Option.to_list lo @ Option.to_list hi in
-  if not (List.exists (fun (_, _, _, e) -> Expr.columns e <> []) used) then None
-  else
-    let bound =
-      Option.map (fun (_, op, _, e) ->
-          { Plan.bound = e; strict = op = Expr.Gt || op = Expr.Lt })
-    in
-    let whole_key_or_range = lo <> None || hi <> None || neq = Array.length key in
-    Some
-      ( Array.of_list (List.map (fun (_, _, _, e) -> e) eqs),
-        bound lo,
-        bound hi,
-        List.map (fun (c, _, _, _) -> c) used,
-        (2 * neq) + if whole_key_or_range then 1 else 0 )
+  let bound =
+    Option.map (fun (_, op, _, e) ->
+        { Plan.bound = e; strict = op = Expr.Gt || op = Expr.Lt })
+  in
+  let whole_key_or_range = lo <> None || hi <> None || neq = Array.length key in
+  ( Array.of_list (List.map (fun (_, _, _, e) -> e) eqs),
+    bound lo,
+    bound hi,
+    List.map
+      (fun (c, _, _, _) -> c)
+      (eqs @ Option.to_list lo @ Option.to_list hi),
+    (2 * neq) + if whole_key_or_range then 1 else 0 )
+
+let non_null_const = function
+  | Expr.Const v -> not (Value.is_null v)
+  | _ -> false
+
+(* Choose the best access path for [table] given local conjuncts. Returns the
+   plan for the scan, the residual conjuncts (already-consumed conjuncts are
+   exact and dropped) and the match score of the index used (0: none). *)
+let choose_access table conjuncts =
+  let best = ref None in
+  List.iter
+    (fun idx ->
+      let ((_, _, _, _, score) as m) =
+        match_index ~split:0 ~usable:non_null_const idx conjuncts
+      in
+      if score > 0 then
+        match !best with
+        | Some (_, (_, _, _, _, s)) when s >= score -> ()
+        | _ -> best := Some (idx, m))
+    (Table.indexes table);
+  let seq_scan = (Plan.Seq_scan table, conjuncts, 0) in
+  match !best with
+  | None -> seq_scan
+  | Some (index, (key, lo, hi, consumed, score)) -> (
+      (* non-NULL constant bounds always give a range *)
+      match Plan.probe_range key ~lo ~hi [||] with
+      | None -> seq_scan
+      | Some (lo, hi) ->
+          let residual =
+            List.filter (fun c -> not (List.memq c consumed)) conjuncts
+          in
+          ( Plan.Index_scan { table; index; lo; hi; reverse = false },
+            residual,
+            score ))
+
+let with_filter plan = function
+  | [] -> plan
+  | conjuncts -> (
+      match Expr.conjoin conjuncts with
+      | None -> plan
+      | Some pred -> Plan.Filter (pred, plan))
 
 (* ------------------------------------------------------------------ *)
 (* Join ordering                                                       *)
@@ -449,26 +334,34 @@ let plan_joins env table_plans vconjuncts =
     conj_remaining := later;
     let now = List.map to_physical now in
     (* Index nested-loop join: probe one of j's indexes per outer row when
-       the probe key equates a column to the placed side, or when the probe
-       matches more of the index key than j's own access path does (a full
-       scan matches none). Among probes, one with such an equality beats one
-       without, then the higher score wins, then the first index. *)
+       the probe key equates a column to the placed side, or when a range
+       bound reads the placed side and the probe matches more of the index
+       key than j's own access path does (a full scan matches none). Among
+       probes, one with such an equality beats one without, then the higher
+       score wins, then the first index. *)
     let probe_conjs =
       List.map to_physical eq_pairs
       @ now
       @ List.map (Expr.map_columns (fun c -> c + split)) jlocal
     in
+    let outer_only e = List.for_all (fun c -> c < split) (Expr.columns e) in
+    let reads_outer e = Expr.columns e <> [] in
     let probe, _ =
       List.fold_left
         (fun ((_, best) as acc) index ->
-          match match_probe ~split index probe_conjs with
-          | Some (key, lo, hi, consumed, score) ->
-              let joined = Array.exists (fun e -> Expr.columns e <> []) key in
-              let rank = (joined, score) in
-              if (joined || score > jscore) && rank > best then
-                (Some (index, key, lo, hi, consumed), rank)
-              else acc
-          | None -> acc)
+          let key, lo, hi, consumed, score =
+            match_index ~split ~usable:outer_only index probe_conjs
+          in
+          let joined = Array.exists reads_outer key in
+          let ranged =
+            List.exists
+              (fun b -> reads_outer b.Plan.bound)
+              (Option.to_list lo @ Option.to_list hi)
+          in
+          let rank = (joined, score) in
+          if (joined || (ranged && score > jscore)) && rank > best then
+            (Some (index, key, lo, hi, consumed), rank)
+          else acc)
         (None, (false, 0))
         (Table.indexes jtable)
     in
@@ -656,11 +549,9 @@ let plan_select catalog (q : Sql_ast.select) =
      drop implied bounds, and detect unsatisfiable conjunctions — those
      short-circuit below into a plan that never touches a table *)
   let vconjuncts, contradiction =
-    if not !Simplify.enabled then (vconjuncts, false)
-    else
-      match Simplify.simplify_conjuncts vconjuncts with
-      | Simplify.Contradiction -> ([], true)
-      | Simplify.Conjuncts cs -> (cs, false)
+    match Simplify.simplify_conjuncts vconjuncts with
+    | Simplify.Contradiction -> ([], true)
+    | Simplify.Conjuncts cs -> (cs, false)
   in
   (* split single-table conjuncts *)
   let single, multi =
@@ -924,72 +815,44 @@ let plan_select catalog (q : Sql_ast.select) =
 (* ------------------------------------------------------------------ *)
 
 let resolve_expr_for_table table e =
-  let schema = Table.schema table in
-  let env_resolve q n =
-    (match q with
-    | Some q when norm q <> norm (Table.name table) ->
-        fail "unknown table alias %s" q
-    | _ -> ());
-    match Schema.find_opt schema n with
-    | Some c -> c
-    | None -> fail "table %s has no column %s" (Table.name table) n
-  in
-  let rec go (e : Sql_ast.sexpr) : Expr.t =
-    match e with
-    | Sql_ast.E_const v -> Expr.Const v
-    | Sql_ast.E_param i -> Expr.Param i
-    | Sql_ast.E_col (q, n) -> Expr.Col (env_resolve q n)
-    | Sql_ast.E_cmp (op, a, b) -> Expr.Cmp (op, go a, go b)
-    | Sql_ast.E_and (a, b) -> Expr.And (go a, go b)
-    | Sql_ast.E_or (a, b) -> Expr.Or (go a, go b)
-    | Sql_ast.E_not a -> Expr.Not (go a)
-    | Sql_ast.E_arith (op, a, b) -> Expr.Arith (op, go a, go b)
-    | Sql_ast.E_neg a -> Expr.Neg (go a)
-    | Sql_ast.E_concat (a, b) -> Expr.Concat (go a, go b)
-    | Sql_ast.E_is_null a -> Expr.Is_null (go a)
-    | Sql_ast.E_is_not_null a -> Expr.Is_not_null (go a)
-    | Sql_ast.E_like (a, p) -> Expr.Like (go a, p)
-    | Sql_ast.E_in (a, vs) -> Expr.In_list (go a, vs)
-    | Sql_ast.E_between (a, lo, hi) ->
-        let a' = go a in
-        Expr.And (Expr.Cmp (Expr.Ge, a', go lo), Expr.Cmp (Expr.Le, a', go hi))
-    | Sql_ast.E_func (name, args) -> begin
-        match scalar_func name with
-        | Some f -> Expr.Func (f, List.map go args)
-        | None -> fail "function %s not allowed here" name
-      end
-    | Sql_ast.E_star -> fail "* not allowed here"
-  in
-  go e
+  let alias = norm (Table.name table) in
+  resolve [ { alias; table; tbl_idx = 0; scratch = false } ] e
 
+(* The same simplification and index matching as a single-table SELECT;
+   [None] when the WHERE clause is a contradiction, which reads no rows. *)
 let access_for table pred =
   let conjuncts = match pred with None -> [] | Some p -> Expr.conjuncts p in
-  let scan, residual, _ = choose_access table conjuncts in
-  (scan, residual)
+  match Simplify.simplify_conjuncts conjuncts with
+  | Simplify.Contradiction -> None
+  | Simplify.Conjuncts cs ->
+      let scan, residual, _ = choose_access table cs in
+      Some (scan, residual)
 
 let table_candidates table pred =
-  let scan, residual = access_for table pred in
-  let rows =
-    match scan with
-    | Plan.Seq_scan t -> Table.scan t
-    | Plan.Index_scan { table = t; index; lo; hi; _ } ->
-        Seq.filter_map
-          (fun (_, rowid) ->
-            Option.map (fun tu -> (rowid, tu)) (Table.get t rowid))
-          (Btree.range index.Table.tree ~lo ~hi)
-    | _ -> assert false
-  in
-  match Expr.conjoin residual with
-  | None -> rows
-  | Some pred -> Seq.filter (fun (_, tu) -> Expr.eval_bool pred tu) rows
+  match access_for table pred with
+  | None -> Seq.empty
+  | Some (scan, residual) -> (
+      let rows =
+        match scan with
+        | Plan.Index_scan { table = t; index; lo; hi; _ } ->
+            Seq.filter_map
+              (fun (_, rowid) ->
+                Option.map (fun tu -> (rowid, tu)) (Table.get t rowid))
+              (Btree.range index.Table.tree ~lo ~hi)
+        | _ -> Table.scan table
+      in
+      match Expr.conjoin residual with
+      | None -> rows
+      | Some pred -> Seq.filter (fun (_, tu) -> Expr.eval_bool pred tu) rows)
 
 let access_path_description table pred =
-  let scan, residual = access_for table pred in
-  let base =
-    match scan with
-    | Plan.Seq_scan t -> Printf.sprintf "SeqScan(%s)" (Table.name t)
-    | Plan.Index_scan { index; _ } ->
-        Printf.sprintf "IndexScan(%s)" index.Table.idx_name
-    | _ -> assert false
-  in
-  if residual = [] then base else base ^ "+filter"
+  match access_for table pred with
+  | None -> Printf.sprintf "Empty(%s)" (Table.name table)
+  | Some (scan, residual) ->
+      let base =
+        match scan with
+        | Plan.Index_scan { index; _ } ->
+            Printf.sprintf "IndexScan(%s)" index.Table.idx_name
+        | _ -> Printf.sprintf "SeqScan(%s)" (Table.name table)
+      in
+      if residual = [] then base else base ^ "+filter"

@@ -1,5 +1,3 @@
-let enabled = ref true
-
 let rec has_col = function
   | Expr.Col _ -> true
   (* A parameter is not a constant we can fold; treating it like a column

@@ -1,16 +1,12 @@
 (** Pre-planning predicate simplification: constant folding, boolean
     short-circuits, and interval analysis over conjunct lists.
 
-    The same core serves two callers: the planner rewrites WHERE conjuncts
-    before access-path selection (folding arithmetic into index-matchable
-    constants, pruning implied bounds, and short-circuiting contradictory
-    statements into an empty plan), and the SQL linter reuses the verdicts
+    The same core serves two callers: the planner rewrites the WHERE
+    conjuncts of every SELECT, UPDATE and DELETE before access-path
+    selection (folding arithmetic into index-matchable constants, keeping
+    only the tightest bound per column, and short-circuiting contradictory
+    statements into reading no rows), and the SQL linter reuses the verdicts
     to flag always-false / always-true predicates statically. *)
-
-val enabled : bool ref
-(** Global toggle for the planner rewrite (default [true]). The analysis
-    entry points below work regardless of the flag; only {!Planner} consults
-    it. *)
 
 val fold : Expr.t -> Expr.t
 (** Constant folding. Column-free subexpressions are evaluated (NULL

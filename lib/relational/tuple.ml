@@ -3,7 +3,7 @@ type t = Value.t array
 let key cols tuple = Array.map (fun i -> tuple.(i)) cols
 
 (* top-level, so that a comparison allocates no closure: every B+-tree
-   descent, probe, sort and merge join runs this loop *)
+   descent, probe and sort runs this loop *)
 let rec compare_from a b i =
   let la = Array.length a and lb = Array.length b in
   if i >= la || i >= lb then Int.compare la lb

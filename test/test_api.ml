@@ -138,34 +138,54 @@ let tests =
       Alcotest.test_case "subtree of no node" `Quick test_no_subtree;
     ] )
 
-(* native baseline: must agree with the shredded stores *)
-let test_native_store_agrees () =
+(* baseline: the same edits, applied to documents built node by node, must
+   give the shredded store's documents *)
+let test_built_baseline () =
+  let item i =
+    T.element "item"
+      ~attrs:[ T.attr "rank" (string_of_int i) ]
+      [
+        T.element "f0" [ T.text (Printf.sprintf "%d-0" i) ];
+        T.element "f1" [ T.text (Printf.sprintf "%d-1" i) ];
+      ]
+  in
+  let doc_of items = T.doc_of_node (T.element "doc" items) in
+  (* [x] becomes the [pos]-th (1-based) member of [l] *)
+  let insert_at pos x l =
+    List.filteri (fun i _ -> i < pos - 1) l
+    @ (x :: List.filteri (fun i _ -> i >= pos - 1) l)
+  in
+  let items = List.init 10 item in
   let doc = Xmllib.Generator.flat ~tag:"item" ~count:10 () in
-  let native = O.Native_store.create doc in
+  check bool_t "built document" true (T.equal_document (doc_of items) doc);
   let db = D.create () in
   let store = O.Api.Store.create db ~name:"n" O.Encoding.Global doc in
   let frag = T.element "item" [ T.text "new" ] in
-  check int_t "query agrees" (O.Api.Store.count store "/doc/item")
-    (O.Native_store.count native "/doc/item");
-  (* same edits on both sides *)
-  O.Native_store.insert_subtree native ~parent:0 ~pos:4 frag;
+  check int_t "query agrees" (List.length items)
+    (O.Api.Store.count store "/doc/item");
   let root = O.Api.Store.root_id store in
   ignore (O.Api.Store.insert_subtree store ~parent:root ~pos:4 frag);
+  let items = insert_at 4 frag items in
   check bool_t "insert agrees" true
-    (T.equal_document (O.Native_store.document native) (O.Api.Store.document store));
-  (let victim = List.hd (O.Native_store.query native "/doc/item[6]") in
-   O.Native_store.delete_subtree native ~id:victim);
+    (T.equal_document (doc_of items) (O.Api.Store.document store));
   (let victim = List.hd (O.Api.Store.query_ids store "/doc/item[6]") in
    ignore (O.Api.Store.delete_subtree store ~id:victim));
+  let items = List.filteri (fun i _ -> i <> 5) items in
   check bool_t "delete agrees" true
-    (T.equal_document (O.Native_store.document native) (O.Api.Store.document store));
+    (T.equal_document (doc_of items) (O.Api.Store.document store));
   (* nested edit: insert under a non-root element *)
-  let sub = List.hd (O.Native_store.query native "/doc/item[2]") in
-  O.Native_store.insert_subtree native ~parent:sub ~pos:1 (T.element "extra" []);
-  let sub' = List.hd (O.Api.Store.query_ids store "/doc/item[2]") in
-  ignore (O.Api.Store.insert_subtree store ~parent:sub' ~pos:1 (T.element "extra" []));
+  let extra = T.element "extra" [] in
+  let sub = List.hd (O.Api.Store.query_ids store "/doc/item[2]") in
+  ignore (O.Api.Store.insert_subtree store ~parent:sub ~pos:1 extra);
+  let items =
+    List.mapi
+      (fun i n ->
+        if i <> 1 then n
+        else T.element "item" ~attrs:(T.attributes_of n) (extra :: T.children_of n))
+      items
+  in
   check bool_t "nested insert agrees" true
-    (T.equal_document (O.Native_store.document native) (O.Api.Store.document store))
+    (T.equal_document (doc_of items) (O.Api.Store.document store))
 
 let tests =
-  (fst tests, snd tests @ [ Alcotest.test_case "native baseline" `Quick test_native_store_agrees ])
+  (fst tests, snd tests @ [ Alcotest.test_case "native baseline" `Quick test_built_baseline ])

@@ -101,30 +101,6 @@ let mk_table name rows =
     rows;
   t
 
-let test_merge_join_operator () =
-  (* the planner does not emit merge joins by default; test it directly on
-     sorted inputs, including duplicate key groups *)
-  let l = mk_table "l" [ (1, "a"); (2, "b"); (2, "c"); (4, "d") ] in
-  let r = mk_table "r" [ (2, "x"); (2, "y"); (3, "z"); (4, "w") ] in
-  let sorted t =
-    Reldb.Plan.Sort
-      { input = Reldb.Plan.Seq_scan t; keys = [ (Reldb.Expr.Col 0, Reldb.Plan.Asc) ] }
-  in
-  let join =
-    Reldb.Plan.Merge_join
-      {
-        left = sorted l;
-        right = sorted r;
-        left_key = [| 0 |];
-        right_key = [| 0 |];
-        residual = None;
-      }
-  in
-  (* 2x2 for key 2 plus 1 for key 4 *)
-  check int_t "merge join rows" 5 (Reldb.Exec.row_count join);
-  let schema = Reldb.Plan.schema_of join in
-  check int_t "merged arity" 4 (S.arity schema)
-
 let test_nl_join_cross () =
   let l = mk_table "l2" [ (1, "a"); (2, "b") ] in
   let r = mk_table "r2" [ (10, "x"); (20, "y"); (30, "z") ] in
@@ -360,7 +336,6 @@ let tests =
       Alcotest.test_case "schema checking" `Quick test_schema_check;
       Alcotest.test_case "tuple keys" `Quick test_tuple_key_order;
       Alcotest.test_case "vec" `Quick test_vec;
-      Alcotest.test_case "merge join operator" `Quick test_merge_join_operator;
       Alcotest.test_case "nested-loop cross join" `Quick test_nl_join_cross;
       Alcotest.test_case "limit/offset operator" `Quick test_limit_offset_operator;
       Alcotest.test_case "distinct operator" `Quick test_distinct_operator;

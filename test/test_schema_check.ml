@@ -116,19 +116,6 @@ let test_unique () =
   check bool_t "DISTINCT kept when blind" true
     (Astring_contains.contains (sql_of false) "DISTINCT")
 
-(* --- the enabled gate --------------------------------------------------- *)
-
-let test_disabled () =
-  SC.enabled := false;
-  Fun.protect
-    ~finally:(fun () -> SC.enabled := true)
-    (fun () ->
-      let r = analyze "//zzz" in
-      check bool_t "disabled: satisfiable" true r.satisfiable;
-      check bool_t "disabled: no findings" true (r.findings = []);
-      check string_t "disabled: unchanged" "/descendant::zzz"
-        (A.to_string r.rewritten))
-
 (* --- differential oracle ------------------------------------------------ *)
 
 (* For each seed: a random DAG-shaped DTD, a document sampled from it, and a
@@ -217,7 +204,6 @@ let tests =
       Alcotest.test_case "cardinality inference" `Quick test_cardinality;
       Alcotest.test_case "axis strength reduction" `Quick test_axis_reduction;
       Alcotest.test_case "uniqueness and DISTINCT" `Quick test_unique;
-      Alcotest.test_case "enabled gate" `Quick test_disabled;
       Alcotest.test_case "differential: schema vs blind vs DOM (300+ cases)"
         `Quick test_differential;
     ] )

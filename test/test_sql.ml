@@ -570,6 +570,179 @@ let prop_index_nl_join =
       Astring_contains.contains plan "IndexNestedLoopJoin i.i_kw"
       && sort got = sort expect)
 
+(* --- index access = sequential scan ------------------------------------ *)
+
+(* A statement on a table with indexes returns, and leaves behind, what it
+   does on a twin table without indexes, where every access is a sequential
+   scan. Tables have two or three INT/TEXT columns with NULLs and one or two
+   random indexes, some composite. WHERE clauses conjoin [col op const] and
+   [const op col] over all six operators and NULL constants, on few columns
+   and a small domain, so repeated bounds, equality plus range and
+   contradictions all occur. *)
+type access_case = {
+  ncols : int;
+  rows : string list list;  (** SQL literals, one list per row *)
+  indexes : int list list;  (** key columns of each index *)
+  where : string;
+}
+
+let access_cols = [| ("a", "INT"); ("b", "TEXT"); ("c", "INT") |]
+
+let gen_access_case =
+  let open QCheck.Gen in
+  let literal i =
+    let value =
+      if snd access_cols.(i) = "INT" then map string_of_int (int_range (-1) 3)
+      else map (Printf.sprintf "'%c'") (char_range 'a' 'd')
+    in
+    frequency [ (1, return "NULL"); (5, value) ]
+  in
+  int_range 2 3 >>= fun ncols ->
+  let key =
+    shuffle_l (List.init ncols Fun.id) >>= fun cols ->
+    int_range 1 ncols >|= fun n -> List.filteri (fun i _ -> i < n) cols
+  in
+  let atom =
+    int_bound (ncols - 1) >>= fun i ->
+    triple (oneofl [ "="; "<>"; "<"; "<="; ">"; ">=" ]) (literal i) bool
+    >|= fun (op, v, flip) ->
+    let c = fst access_cols.(i) in
+    if flip then Printf.sprintf "%s %s %s" v op c
+    else Printf.sprintf "%s %s %s" c op v
+  in
+  map
+    (fun (rows, indexes, atoms) ->
+      { ncols; rows; indexes; where = String.concat " AND " atoms })
+    (triple
+       (list_size (int_bound 25) (flatten_l (List.init ncols literal)))
+       (list_size (int_range 1 2) key)
+       (list_size (int_range 1 4) atom))
+
+let access_db ~indexed case =
+  let db = fresh () in
+  let cols = Array.to_list (Array.sub access_cols 0 case.ncols) in
+  e db
+    (Printf.sprintf "CREATE TABLE t (%s)"
+       (String.concat ", " (List.map (fun (c, ty) -> c ^ " " ^ ty) cols)));
+  if indexed then
+    List.iteri
+      (fun n key ->
+        e db
+          (Printf.sprintf "CREATE INDEX t_%d ON t (%s)" n
+             (String.concat ", " (List.map (fun i -> fst access_cols.(i)) key))))
+      case.indexes;
+  List.iter
+    (fun r -> e db (Printf.sprintf "INSERT INTO t VALUES (%s)" (String.concat ", " r)))
+    case.rows;
+  db
+
+let prop_index_access =
+  let print c =
+    Printf.sprintf "%d columns, indexes [%s], WHERE %s, rows [%s]" c.ncols
+      (String.concat "; "
+         (List.map (fun k -> String.concat "," (List.map string_of_int k)) c.indexes))
+      c.where
+      (String.concat "; " (List.map (String.concat ",") c.rows))
+  in
+  QCheck.Test.make ~name:"index access = sequential scan" ~count:300
+    (QCheck.make ~print gen_access_case)
+    (fun case ->
+      let select = "SELECT * FROM t WHERE " ^ case.where in
+      let rows db q = List.sort Reldb.Tuple.compare_key (D.query db q) in
+      let affected db sql =
+        match D.exec db sql with D.Affected n -> n | D.Rows _ -> -1
+      in
+      (* one statement on a fresh indexed table and its twin: same count,
+         same table afterwards, and the same answer to [select] after it *)
+      let agree sql =
+        let ix = access_db ~indexed:true case
+        and seq = access_db ~indexed:false case in
+        affected ix sql = affected seq sql
+        && rows ix "SELECT * FROM t" = rows seq "SELECT * FROM t"
+        && rows ix select = rows seq select
+      in
+      let ix = access_db ~indexed:true case
+      and seq = access_db ~indexed:false case in
+      rows ix select = rows seq select
+      && agree ("UPDATE t SET a = 7, b = 'z' WHERE " ^ case.where)
+      && agree ("DELETE FROM t WHERE " ^ case.where))
+
+(* The two-table case: an inner table probed per outer row, with a range
+   bound read from the outer row (after an equality on the leading key
+   column, or on that column itself), against the twin without indexes. *)
+let prop_index_probe_bounds =
+  let open QCheck in
+  let value = Gen.(frequency [ (1, return None); (4, map Option.some (int_bound 4)) ]) in
+  let row = Gen.pair value value in
+  let cond =
+    Gen.(
+      quad bool (oneofl [ "<"; "<="; ">"; ">=" ]) bool
+        (opt (pair (oneofl [ "<"; ">=" ]) (int_bound 4)))
+      >|= fun (eq, op, flip, const) ->
+      let col, outer = if eq then ("i.w", "o.y") else ("i.k", "o.x") in
+      String.concat " AND "
+        ((if eq then [ "i.k = o.x" ] else [])
+        @ [
+            (if flip then Printf.sprintf "%s %s %s" outer op col
+             else Printf.sprintf "%s %s %s" col op outer);
+          ]
+        @ Option.to_list
+            (Option.map (fun (op, v) -> Printf.sprintf "i.w %s %d" op v) const)))
+  in
+  let show = function None -> "NULL" | Some x -> string_of_int x in
+  let print (o, i, c) =
+    let rows rs =
+      String.concat ";" (List.map (fun (a, b) -> show a ^ "," ^ show b) rs)
+    in
+    Printf.sprintf "outer [%s] inner [%s] WHERE %s" (rows o) (rows i) c
+  in
+  Test.make ~name:"index probe bounds = sequential scan" ~count:300
+    (make ~print
+       Gen.(triple (list_size (int_bound 12) row) (list_size (int_bound 20) row) cond))
+    (fun (outer, inner, cond) ->
+      let v = function None -> V.Null | Some x -> V.Int x in
+      let q = "SELECT o.x, o.y, i.k, i.w FROM i, ctx_o o WHERE " ^ cond in
+      let run ~indexed =
+        let db = fresh () in
+        e db "CREATE TABLE i (k INT, w INT)";
+        if indexed then e db "CREATE INDEX i_kw ON i (k, w)";
+        ignore (D.insert_many db "i" (List.map (fun (k, w) -> [| v k; v w |]) inner));
+        D.with_scratch db ~name:"ctx_o" ~cols:[ ("x", V.Tint); ("y", V.Tint) ]
+          (List.map (fun (x, y) -> [| v x; v y |]) outer)
+          (fun () ->
+            (List.sort Reldb.Tuple.compare_key (D.query db q), D.explain db q))
+      in
+      let got, plan = run ~indexed:true in
+      let expect, _ = run ~indexed:false in
+      Astring_contains.contains plan "IndexNestedLoopJoin i.i_kw" && got = expect)
+
+(* A runtime error in an UPDATE or DELETE WHERE clause fails the statement
+   with Sql_error and changes nothing, in autocommit and prepared. *)
+let test_dml_where_errors () =
+  let db = fresh () in
+  e db "CREATE TABLE t (a INT, b INT)";
+  e db "CREATE INDEX t_a ON t (a)";
+  e db "INSERT INTO t VALUES (1, 10), (2, 20), (NULL, 30)";
+  let table () = List.sort Reldb.Tuple.compare_key (D.query db "SELECT * FROM t") in
+  let before = table () in
+  List.iter
+    (fun sql ->
+      List.iter
+        (fun (how, run) ->
+          (match run () with
+          | exception D.Sql_error _ -> ()
+          | _ -> Alcotest.failf "%s %s: no Sql_error" how sql);
+          check bool_t (how ^ " leaves the table: " ^ sql) true (table () = before))
+        [
+          ("autocommit", fun () -> D.exec db sql);
+          ("prepared", fun () -> D.Stmt.exec (D.prepare db sql) [||]);
+        ])
+    [
+      "DELETE FROM t WHERE b = 1/0";
+      "UPDATE t SET b = 5 WHERE b / 0 = 1";
+      "DELETE FROM t WHERE SUBSTR(b, 1/0) = 'x'";
+    ]
+
 let test_rows_counters () =
   let db = fresh () in
   setup_emp db;
@@ -903,6 +1076,9 @@ let tests =
       Alcotest.test_case "index nested-loop join planned" `Quick
         test_index_nl_join_planned;
       QCheck_alcotest.to_alcotest prop_index_nl_join;
+      QCheck_alcotest.to_alcotest prop_index_access;
+      QCheck_alcotest.to_alcotest prop_index_probe_bounds;
+      Alcotest.test_case "UPDATE/DELETE WHERE errors" `Quick test_dml_where_errors;
       Alcotest.test_case "I/O counters" `Quick test_rows_counters;
       Alcotest.test_case "multi-key ORDER BY" `Quick test_multi_key_order;
       Alcotest.test_case "expression precedence" `Quick test_expression_precedence;
