@@ -40,6 +40,11 @@ let col_l_order = 6
 let col_depth = 6
 let col_path = 7
 
+let order_col = function
+  | Global | Global_gap -> "g_order"
+  | Local -> "l_order"
+  | Dewey_enc | Dewey_caret -> "path"
+
 let common_cols =
   "id INT NOT NULL, parent INT, kind INT NOT NULL, tag TEXT, value TEXT, \
    nval FLOAT"
@@ -54,8 +59,8 @@ let ddl ~doc enc =
           common_cols;
         Printf.sprintf "CREATE UNIQUE INDEX %s_order ON %s (g_order)" t t;
         Printf.sprintf "CREATE UNIQUE INDEX %s_id ON %s (id)" t t;
-        Printf.sprintf "CREATE INDEX %s_parent ON %s (parent, g_order)" t t;
-        Printf.sprintf "CREATE INDEX %s_tag ON %s (tag, g_order)" t t;
+        Printf.sprintf "CREATE UNIQUE INDEX %s_parent ON %s (parent, tag, g_order)" t t;
+        Printf.sprintf "CREATE UNIQUE INDEX %s_tag ON %s (tag, g_order)" t t;
       ]
   | Local ->
       [
@@ -63,7 +68,7 @@ let ddl ~doc enc =
           common_cols;
         Printf.sprintf "CREATE UNIQUE INDEX %s_parent ON %s (parent, l_order)" t t;
         Printf.sprintf "CREATE UNIQUE INDEX %s_id ON %s (id)" t t;
-        Printf.sprintf "CREATE INDEX %s_tag ON %s (tag)" t t;
+        Printf.sprintf "CREATE UNIQUE INDEX %s_tag ON %s (tag, parent, l_order)" t t;
       ]
   | Dewey_enc | Dewey_caret ->
       [
@@ -72,8 +77,8 @@ let ddl ~doc enc =
           common_cols;
         Printf.sprintf "CREATE UNIQUE INDEX %s_path ON %s (path)" t t;
         Printf.sprintf "CREATE UNIQUE INDEX %s_id ON %s (id)" t t;
-        Printf.sprintf "CREATE INDEX %s_parent ON %s (parent, path)" t t;
-        Printf.sprintf "CREATE INDEX %s_tag ON %s (tag, path)" t t;
+        Printf.sprintf "CREATE UNIQUE INDEX %s_parent ON %s (parent, tag, path)" t t;
+        Printf.sprintf "CREATE UNIQUE INDEX %s_tag ON %s (tag, path)" t t;
       ]
 
 let create_tables db ~doc enc = Reldb.Db.exec_script db (ddl ~doc enc)

@@ -45,6 +45,11 @@ val table_name : doc:string -> t -> string
 val default_gap : int
 (** Interval spacing used when loading [Global_gap] (32). *)
 
+val order_col : t -> string
+(** The column that orders the children of one parent: ["g_order"],
+    ["l_order"] or ["path"]. Under every encoding but LOCAL it is also
+    document order. *)
+
 val create_tables : Reldb.Db.t -> doc:string -> t -> unit
 (** Issue the CREATE TABLE / CREATE INDEX DDL. *)
 

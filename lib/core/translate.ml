@@ -143,15 +143,42 @@ let ctx_join st rel ctx where =
            (Node_row.select_list st.enc "e")
            st.tname rel.Node_row.rel_name where))
 
+let is_reverse_axis = function
+  | A.Preceding | A.Preceding_sibling | A.Ancestor | A.Ancestor_or_self -> true
+  | _ -> false
+
+(* A name-tested child or sibling step whose first predicate is [1] (or
+   [position() = 1]) or [last()] wants one row per context: the first or
+   last of its (parent, tag, order) probe. [Some desc] says which end, in
+   document order; the statement then keeps that row alone and the
+   predicate leaves middle-tier ranking. Other positions stay in the middle
+   tier, so that no statement text carries a position but 1. *)
+let probe_end (step : A.step) =
+  match (step.A.axis, step.A.test, step.A.preds) with
+  | ( (A.Child | A.Following_sibling | A.Preceding_sibling),
+      A.Name _,
+      ((A.P_pos (A.Eq, 1) | A.P_last) as p) :: _ ) ->
+      Some ((p = A.P_last) <> is_reverse_axis step.A.axis)
+  | _ -> None
+
 (* Run the axis+test SQL for the context rows, tagging results with the
    producing context id. *)
-let sql_candidates st ctx_rows axis test =
+let sql_candidates st ctx_rows (step : A.step) =
+  let axis = step.A.axis in
   match axis_cond st.enc axis with
   | None -> raise (Unsupported "axis has no SQL form under this encoding")
   | Some cond ->
+      let one_row =
+        match probe_end step with
+        | None -> ""
+        | Some desc ->
+            Printf.sprintf " ORDER BY e.%s%s LIMIT 1 BY c.id"
+              (Encoding.order_col st.enc)
+              (if desc then " DESC" else "")
+      in
       ctx_join st (Node_row.ctx_relation st.enc)
         (List.map Node_row.ctx_tuple ctx_rows)
-        (cond ^ " AND " ^ test_cond "e" axis test)
+        (cond ^ " AND " ^ test_cond "e" axis step.A.test ^ one_row)
 
 let test_passes axis (test : A.node_test) (r : Node_row.t) =
   let k = r.Node_row.kind in
@@ -348,10 +375,6 @@ let dedup_pairs pairs =
       end)
     pairs
 
-let is_reverse_axis = function
-  | A.Preceding | A.Preceding_sibling | A.Ancestor | A.Ancestor_or_self -> true
-  | _ -> false
-
 (* Candidates for one step from a deduplicated context row list. Returns
    (ctx id, row) pairs plus an optional doc-order key function used to sort
    groups when the row's own ord is not a document order (LOCAL descendants). *)
@@ -464,7 +487,7 @@ let rec step_candidates st ctx_rows (step : A.step) :
       in
       if ctx_rows = [] then ([], None)
       else begin
-        let pairs = sql_candidates st ctx_rows axis step.A.test in
+        let pairs = sql_candidates st ctx_rows step in
         (* DEWEY preceding fetched ancestors too: drop path prefixes of ctx *)
         let pairs =
           if (st.enc = Encoding.Dewey_enc || st.enc = Encoding.Dewey_caret)
@@ -562,18 +585,20 @@ and eval_one_step st pairs (step : A.step) =
     let sorted = List.stable_sort cmp rows in
     if reverse then List.rev sorted else sorted
   in
+  (* a position the statement applied is not ranked again *)
+  let preds =
+    if probe_end step = None then step.A.preds else List.tl step.A.preds
+  in
   (* batched evaluation of path sub-predicates over all candidates *)
   let all_cand_rows = dedup_rows (List.map snd cands) in
-  let path_sets = eval_path_preds st all_cand_rows step.A.preds in
+  let path_sets = eval_path_preds st all_cand_rows preds in
   let out = ref [] in
   List.iter
     (fun ctx ->
       let rows = sort_group (List.rev !(Hashtbl.find groups ctx)) in
       let rows = List.map snd rows in
       let filtered =
-        List.fold_left
-          (fun rows p -> apply_pred st path_sets rows p)
-          rows step.A.preds
+        List.fold_left (fun rows p -> apply_pred st path_sets rows p) rows preds
       in
       let origins = try Hashtbl.find origins_of ctx with Not_found -> [] in
       List.iter

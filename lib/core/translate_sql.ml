@@ -243,10 +243,7 @@ let translate_meta ?(unique = false) ~doc enc (path : A.path) =
   in
   let where = String.concat " AND " (List.rev g.conds) in
   let order_column =
-    match enc with
-    | Encoding.Global | Encoding.Global_gap -> Some "g_order"
-    | Encoding.Dewey_enc | Encoding.Dewey_caret -> Some "path"
-    | Encoding.Local -> None
+    if enc = Encoding.Local then None else Some (Encoding.order_col enc)
   in
   let order =
     match order_column with

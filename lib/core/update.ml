@@ -64,16 +64,11 @@ let fetch_node state id =
 
 (* non-attribute children of a node, in document order *)
 let fetch_children state id =
-  let order_col =
-    match state.enc with
-    | Encoding.Global | Encoding.Global_gap -> "e.g_order"
-    | Encoding.Local -> "e.l_order"
-    | Encoding.Dewey_enc | Encoding.Dewey_caret -> "e.path"
-  in
   let sql =
     Printf.sprintf
-      "SELECT %s FROM %s e WHERE e.parent = %d AND e.kind <> 2 ORDER BY %s"
-      (Node_row.select_list state.enc "e") state.tname id order_col
+      "SELECT %s FROM %s e WHERE e.parent = %d AND e.kind <> 2 ORDER BY e.%s"
+      (Node_row.select_list state.enc "e") state.tname id
+      (Encoding.order_col state.enc)
   in
   List.map (Node_row.of_tuple state.enc) (query state sql)
 
@@ -509,13 +504,15 @@ let caret_renumber state b ~parent_path ~lo_head =
     top + 2
   in
   let rewrite = rewrite_subtree_paths state in
-  (* phase 1: everything up into the free zone above all heads *)
-  List.iteri
-    (fun i (s : Node_row.t) ->
+  (* phase 1: everything up into the free zone above all heads, the last
+     sibling first, so that none crosses a sibling still waiting and every
+     index entry is rewritten in its slot *)
+  List.iter
+    (fun (i, (s : Node_row.t)) ->
       let old_path = Node_row.dewey s in
       rewrite ~old_path
         ~new_path:(Array.append parent_path [| tmp_base + (2 * i) |]))
-    moved;
+    (List.rev (List.mapi (fun i s -> (i, s)) moved));
   (* phase 2: down to the final dense odd heads *)
   List.iteri
     (fun i final ->
@@ -661,16 +658,11 @@ let move_subtree db ~doc enc ~id ~parent ~pos =
 
 (* attribute rows of an element, in attribute order *)
 let fetch_attrs state id =
-  let order_col =
-    match state.enc with
-    | Encoding.Global | Encoding.Global_gap -> "e.g_order"
-    | Encoding.Local -> "e.l_order"
-    | Encoding.Dewey_enc | Encoding.Dewey_caret -> "e.path"
-  in
   let sql =
     Printf.sprintf
-      "SELECT %s FROM %s e WHERE e.parent = %d AND e.kind = 2 ORDER BY %s"
-      (Node_row.select_list state.enc "e") state.tname id order_col
+      "SELECT %s FROM %s e WHERE e.parent = %d AND e.kind = 2 ORDER BY e.%s"
+      (Node_row.select_list state.enc "e") state.tname id
+      (Encoding.order_col state.enc)
   in
   List.map (Node_row.of_tuple state.enc) (query state sql)
 

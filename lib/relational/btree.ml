@@ -3,8 +3,11 @@ exception Duplicate_key
 type node = Leaf of leaf | Internal of internal
 
 and leaf = {
+  (* entries [0, n) are live; an insert or delete shifts them in place, and
+     a full leaf grows its arrays by half (see [make_room]) *)
   mutable keys : Tuple.t array;
   mutable vals : int array;
+  mutable n : int;
   mutable next : leaf option;
 }
 
@@ -20,13 +23,30 @@ type bound = Unbounded | Incl of Tuple.t | Excl of Tuple.t
 
 let create ?(branching = 64) () =
   let branching = max 4 branching in
-  { root = Leaf { keys = [||]; vals = [||]; next = None }; branching; count = 0 }
+  {
+    root = Leaf { keys = [||]; vals = [||]; n = 0; next = None };
+    branching;
+    count = 0;
+  }
+
+(* room for one more entry in [l]: a full leaf's arrays grow by half, up to
+   the [branching + 1] entries a leaf holds before it splits, so inserts
+   copy a leaf O(log branching) times while it fills *)
+let make_room t l =
+  if l.n = Array.length l.keys then begin
+    let cap = min (t.branching + 1) (l.n + (l.n / 2) + 4) in
+    let keys = Array.make cap [||] and vals = Array.make cap 0 in
+    Array.blit l.keys 0 keys 0 l.n;
+    Array.blit l.vals 0 vals 0 l.n;
+    l.keys <- keys;
+    l.vals <- vals
+  end
 
 let length t = t.count
 
-(* position of first key >= k, in a sorted key array *)
-let lower_bound keys k =
-  let lo = ref 0 and hi = ref (Array.length keys) in
+(* position of first key >= k among the sorted keys.(0 .. n - 1) *)
+let lower_bound keys n k =
+  let lo = ref 0 and hi = ref n in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
     if Tuple.compare_key keys.(mid) k < 0 then lo := mid + 1 else hi := mid
@@ -50,12 +70,6 @@ let array_insert arr i x =
   Array.blit arr i out (i + 1) (n - i);
   out
 
-let array_remove arr i =
-  let n = Array.length arr in
-  let out = Array.sub arr 0 (n - 1) in
-  Array.blit arr (i + 1) out i (n - 1 - i);
-  out
-
 let rec find_leaf node k =
   match node with
   | Leaf l -> l
@@ -63,8 +77,8 @@ let rec find_leaf node k =
 
 let find t k =
   let l = find_leaf t.root k in
-  let i = lower_bound l.keys k in
-  if i < Array.length l.keys && Tuple.compare_key l.keys.(i) k = 0 then
+  let i = lower_bound l.keys l.n k in
+  if i < l.n && Tuple.compare_key l.keys.(i) k = 0 then
     Some l.vals.(i)
   else None
 
@@ -72,8 +86,8 @@ let find t k =
 let rec insert_node t node k v ~replace_existing =
   match node with
   | Leaf l ->
-      let i = lower_bound l.keys k in
-      if i < Array.length l.keys && Tuple.compare_key l.keys.(i) k = 0 then begin
+      let i = lower_bound l.keys l.n k in
+      if i < l.n && Tuple.compare_key l.keys.(i) k = 0 then begin
         if replace_existing then begin
           l.vals.(i) <- v;
           None
@@ -81,21 +95,29 @@ let rec insert_node t node k v ~replace_existing =
         else raise Duplicate_key
       end
       else begin
-        l.keys <- array_insert l.keys i k;
-        l.vals <- array_insert l.vals i v;
+        make_room t l;
+        Array.blit l.keys i l.keys (i + 1) (l.n - i);
+        Array.blit l.vals i l.vals (i + 1) (l.n - i);
+        l.keys.(i) <- k;
+        l.vals.(i) <- v;
+        l.n <- l.n + 1;
         t.count <- t.count + 1;
-        if Array.length l.keys > t.branching then begin
-          let n = Array.length l.keys in
+        if l.n > t.branching then begin
+          (* both halves get arrays of their own size: a leaf filled by
+             appends keeps no empty slots once it has split *)
+          let n = l.n in
           let mid = n / 2 in
           let right =
             {
               keys = Array.sub l.keys mid (n - mid);
               vals = Array.sub l.vals mid (n - mid);
+              n = n - mid;
               next = l.next;
             }
           in
           l.keys <- Array.sub l.keys 0 mid;
           l.vals <- Array.sub l.vals 0 mid;
+          l.n <- mid;
           l.next <- Some right;
           Some (right.keys.(0), Leaf right)
         end
@@ -136,10 +158,12 @@ let replace t k v = insert_gen t k v ~replace_existing:true
 
 let delete t k =
   let l = find_leaf t.root k in
-  let i = lower_bound l.keys k in
-  if i < Array.length l.keys && Tuple.compare_key l.keys.(i) k = 0 then begin
-    l.keys <- array_remove l.keys i;
-    l.vals <- array_remove l.vals i;
+  let i = lower_bound l.keys l.n k in
+  if i < l.n && Tuple.compare_key l.keys.(i) k = 0 then begin
+    Array.blit l.keys (i + 1) l.keys i (l.n - 1 - i);
+    Array.blit l.vals (i + 1) l.vals i (l.n - 1 - i);
+    l.n <- l.n - 1;
+    l.keys.(l.n) <- [||];
     t.count <- t.count - 1;
     true
   end
@@ -172,8 +196,8 @@ type side = Inside | Set_sep of internal * int * Tuple.t | Crosses
 
 let rewrite_key t ~old nk =
   let l, lo, hi = descend old t.root None None in
-  let i = lower_bound l.keys old in
-  let last = Array.length l.keys - 1 in
+  let i = lower_bound l.keys l.n old in
+  let last = l.n - 1 in
   if i > last || Tuple.compare_key l.keys.(i) old <> 0 then false
   else
     let below =
@@ -186,7 +210,7 @@ let rewrite_key t ~old nk =
             if Tuple.compare_key n.seps.(j) nk <= 0 then Inside
             else
               let p = rightmost n.children.(j) in
-              let pn = Array.length p.keys in
+              let pn = p.n in
               if pn > 0 && Tuple.compare_key p.keys.(pn - 1) nk < 0 then
                 Set_sep (n, j, nk)
               else Crosses
@@ -202,7 +226,7 @@ let rewrite_key t ~old nk =
             else
               match l.next with
               | Some r
-                when Array.length r.keys > 0 && Tuple.compare_key nk r.keys.(0) < 0
+                when r.n > 0 && Tuple.compare_key nk r.keys.(0) < 0
                 ->
                   Set_sep (n, j, r.keys.(0))
               | _ -> Crosses)
@@ -227,18 +251,23 @@ let leftmost_leaf t =
   go t.root
 
 (* Compare a stored key against a (possibly shorter) bound key on the bound's
-   arity only. A stored key shorter than the bound falls back to full
-   comparison (cannot happen for well-formed index keys). *)
-let compare_trunc k b =
-  let lb = Array.length b in
-  if Array.length k <= lb then Tuple.compare_key k b
-  else Tuple.compare_key (Array.sub k 0 lb) b
+   arity only, in place. A stored key shorter than the bound falls back to
+   full comparison (cannot happen for well-formed index keys). Top-level, so
+   that the per-row bound check of a range scan allocates nothing. *)
+let rec compare_trunc_from k b i =
+  if i >= Array.length b then 0
+  else if i >= Array.length k then -1
+  else
+    let c = Value.compare k.(i) b.(i) in
+    if c <> 0 then c else compare_trunc_from k b (i + 1)
+
+let compare_trunc k b = compare_trunc_from k b 0
 
 let start_leaf t = function
   | Unbounded -> (leftmost_leaf t, 0)
   | Incl k | Excl k ->
       let l = find_leaf t.root k in
-      (l, lower_bound l.keys k)
+      (l, lower_bound l.keys l.n k)
 
 let within_hi hi k =
   match hi with
@@ -253,7 +282,7 @@ let range t ~lo ~hi =
      [Excl b] we additionally skip the extensions of [b] themselves. *)
   let leaf0, i0 = start_leaf t lo in
   let rec seq (l : leaf) i () =
-    if i >= Array.length l.keys then
+    if i >= l.n then
       match l.next with None -> Seq.Nil | Some nxt -> seq nxt 0 ()
     else
       let k = l.keys.(i) in
@@ -271,35 +300,45 @@ let above_lo lo k =
   | Incl l -> compare_trunc k l >= 0
   | Excl l -> compare_trunc k l > 0
 
-(* Walk from the right, skipping subtrees that lie wholly above [hi] and
-   stopping at the first key below [lo]; [rest] continues with the subtrees
-   to the left. Truncation preserves order, so a separator bounds the
-   truncated keys of its neighbours: child [i] holds keys in
-   [seps.(i-1), seps.(i)). *)
+(* Number of leading entries of the sorted a.(0 .. n - 1) that satisfy
+   [p], which holds on a prefix of them and fails on the rest. *)
+let count_while p a n =
+  let lo = ref 0 and hi = ref n in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if p a.(mid) then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+(* Walk from the right, stopping at the first key below [lo]; [rest]
+   continues with the subtrees to the left. Truncation preserves order, so
+   a separator bounds the truncated keys of its neighbours: child [i] holds
+   keys in [seps.(i-1), seps.(i)). The seek to the right end binary-searches
+   [hi] in each node on the rightmost path ([first]); every key left of
+   that path is within [hi]. *)
 let range_desc t ~lo ~hi =
-  let rec walk node rest () =
+  let rec walk node ~first rest () =
     match node with
     | Leaf l ->
         let rec from i () =
           if i < 0 then rest ()
           else
             let k = l.keys.(i) in
-            if not (within_hi hi k) then from (i - 1) ()
-            else if above_lo lo k then Seq.Cons ((k, l.vals.(i)), from (i - 1))
+            if above_lo lo k then Seq.Cons ((k, l.vals.(i)), from (i - 1))
             else Seq.Nil
         in
-        from (Array.length l.keys - 1) ()
+        from ((if first then count_while (within_hi hi) l.keys l.n else l.n) - 1) ()
     | Internal n ->
-        let rec kids i () =
+        let rec kids i ~first () =
           if i < 0 then rest ()
-          else if i > 0 && not (within_hi hi n.seps.(i - 1)) then kids (i - 1) ()
           else if i < Array.length n.seps && not (above_lo lo n.seps.(i)) then
             Seq.Nil
-          else walk n.children.(i) (kids (i - 1)) ()
+          else walk n.children.(i) ~first (kids (i - 1) ~first:false) ()
         in
-        kids (Array.length n.children - 1) ()
+        let ns = Array.length n.seps in
+        kids (if first then count_while (within_hi hi) n.seps ns else ns) ~first ()
   in
-  walk t.root (fun () -> Seq.Nil)
+  walk t.root ~first:true (fun () -> Seq.Nil)
 
 let prefix t p = range t ~lo:(Incl p) ~hi:(Incl p)
 
@@ -316,7 +355,7 @@ let stats t =
   let rec walk = function
     | Leaf l ->
         incr leaves;
-        slots := !slots + Array.length l.keys
+        slots := !slots + l.n
     | Internal n -> Array.iter walk n.children
   in
   walk t.root;
@@ -347,16 +386,16 @@ let check_invariants t =
         (match !chain with
         | Some c when c == l -> chain := l.next
         | _ -> fail "leaf chain out of tree order");
-        entries := !entries + Array.length l.keys;
-        Array.iter
-          (fun k ->
-            if not (in_bounds k) then fail "leaf key out of separator bounds";
-            (match !prev with
-            | Some p when Tuple.compare_key p k >= 0 ->
-                fail "leaf keys not strictly ascending"
-            | _ -> ());
-            prev := Some k)
-          l.keys
+        entries := !entries + l.n;
+        for i = 0 to l.n - 1 do
+          let k = l.keys.(i) in
+          if not (in_bounds k) then fail "leaf key out of separator bounds";
+          (match !prev with
+          | Some p when Tuple.compare_key p k >= 0 ->
+              fail "leaf keys not strictly ascending"
+          | _ -> ());
+          prev := Some k
+        done
     | Internal n ->
         if Array.length n.children <> Array.length n.seps + 1 then
           fail "internal node arity mismatch";

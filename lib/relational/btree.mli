@@ -11,7 +11,9 @@
     Under the shred workloads deleted slots are soon reused by inserted
     keys, so occupancy stays high; {!stats} exposes occupancy so tests can
     check this. Order-preserving renumbering does not delete at all: it
-    rewrites each key in its slot with {!rewrite_key}. *)
+    rewrites each key in its slot with {!rewrite_key}. A leaf shifts its
+    entries in place on insert and delete, and grows its arrays by half
+    only when full. *)
 
 type t
 
@@ -57,11 +59,13 @@ val range : t -> lo:bound -> hi:bound -> (Tuple.t * int) Seq.t
     [hi = Incl [p; 5]] keeps every entry with [parent = p] and [pos <= 5]
     regardless of its [rowid]. [Excl] makes the truncated comparison strict.
     This is exactly what SQL range predicates over an index prefix need.
+    Each entry is checked against [hi] in place, allocating nothing.
     Behaviour is unspecified if the tree is mutated during consumption. *)
 
 val range_desc : t -> lo:bound -> hi:bound -> (Tuple.t * int) Seq.t
 (** Same entries in descending order, produced lazily from the right end
-    of the range: O(log n + k) for the first [k] entries. *)
+    of the range, which is found by binary search in every node on the way
+    down: O(log n + k) for the first [k] entries. *)
 
 val prefix : t -> Tuple.t -> (Tuple.t * int) Seq.t
 (** All entries whose key starts with the given prefix (a prefix compares

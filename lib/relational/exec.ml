@@ -72,6 +72,17 @@ let agg_expr = function
   | Plan.Count_star -> None
   | Plan.Count e | Plan.Sum e | Plan.Min e | Plan.Max e | Plan.Avg e -> Some e
 
+(* The value [tbl] holds for the tuple [k] (compared with [Tuple.equal]),
+   added by [make] on first sight. *)
+let group tbl k make =
+  let h = Tuple.hash_key k in
+  match List.find_opt (fun (k', _) -> Tuple.equal k k') (Hashtbl.find_all tbl h) with
+  | Some (_, v) -> v
+  | None ->
+      let v = make () in
+      Hashtbl.add tbl h (k, v);
+      v
+
 (* The evaluator is parametric in a per-node wrapper so the same operator
    implementations serve both the plain path (identity wrapper) and EXPLAIN
    ANALYZE (a row-counting, pull-timing wrapper around every operator). *)
@@ -110,21 +121,31 @@ let rec eval ~wrap (p : Plan.t) : Tuple.t Seq.t =
                  | Some e -> if Expr.eval_bool e joined then Some joined else None)
                inner_rows))
         (run outer)
-  | Plan.Index_nl_join { outer; table; index; key; lo; hi; residual } ->
+  | Plan.Index_nl_join
+      { outer; table; index; key; lo; hi; residual; cap; reverse } ->
       let probe ot =
         match Plan.probe_range key ~lo ~hi ot with
         | None -> Seq.empty
-        | Some (lo, hi) ->
-            Seq.filter_map
-              (fun (_, rowid) ->
-                match Table.get table rowid with
-                | None -> None
-                | Some it -> (
-                    let joined = Tuple.concat ot it in
-                    match residual with
-                    | None -> Some joined
-                    | Some e -> if Expr.eval_bool e joined then Some joined else None))
-              (Btree.range index.Table.tree ~lo ~hi)
+        | Some (lo, hi) -> (
+            let entries =
+              if reverse then Btree.range_desc index.Table.tree ~lo ~hi
+              else Btree.range index.Table.tree ~lo ~hi
+            in
+            let rows =
+              Seq.filter_map
+                (fun (_, rowid) ->
+                  match Table.get table rowid with
+                  | None -> None
+                  | Some it -> (
+                      let joined = Tuple.concat ot it in
+                      match residual with
+                      | None -> Some joined
+                      | Some e ->
+                          if Expr.eval_bool e joined then Some joined else None))
+                entries
+            in
+            (* lazy: the probe reads no index entry past the cap-th row *)
+            match cap with None -> rows | Some n -> Seq.take n rows)
       in
       Seq.concat_map probe (run outer)
   | Plan.Hash_join { left; right; left_key; right_key; residual } ->
@@ -171,27 +192,19 @@ let rec eval ~wrap (p : Plan.t) : Tuple.t Seq.t =
           end)
         (run input)
   | Plan.Aggregate { input; group_by; aggs } ->
-      let groups : (int, Tuple.t * int ref * agg_state array) Hashtbl.t =
-        Hashtbl.create 256
-      in
+      let groups = Hashtbl.create 256 in
       let order = ref [] in
       Seq.iter
         (fun t ->
           let gkey = Array.map (fun (e, _) -> Expr.eval e t) group_by in
-          let h = Tuple.hash_key gkey in
-          let entry =
-            let candidates = Hashtbl.find_all groups h in
-            match List.find_opt (fun (k, _, _) -> Tuple.equal k gkey) candidates with
-            | Some e -> e
-            | None ->
+          let _, star, states =
+            group groups gkey (fun () ->
                 let e =
                   (gkey, ref 0, Array.init (Array.length aggs) (fun _ -> new_agg_state ()))
                 in
-                Hashtbl.add groups h e;
                 order := e :: !order;
-                e
+                e)
           in
-          let _, star, states = entry in
           incr star;
           Array.iteri
             (fun i (agg, _) ->
@@ -214,9 +227,18 @@ let rec eval ~wrap (p : Plan.t) : Tuple.t Seq.t =
         else entries
       in
       List.to_seq (List.map finalize entries)
-  | Plan.Limit { input; limit; offset } ->
+  | Plan.Limit { input; limit; offset; by = [||] } ->
       let s = Seq.drop offset (run input) in
       (match limit with None -> s | Some n -> Seq.take n s)
+  | Plan.Limit { input; limit; offset; by } ->
+      (* rows seen so far per BY key *)
+      let seen = Hashtbl.create 64 in
+      let keep t =
+        let n = group seen (Array.map (fun e -> Expr.eval e t) by) (fun () -> ref 0) in
+        incr n;
+        !n > offset && match limit with None -> true | Some k -> !n - offset <= k
+      in
+      Seq.filter keep (run input)
   | Plan.Union_all branches ->
       Seq.concat_map run (List.to_seq branches)
 

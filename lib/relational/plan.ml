@@ -30,6 +30,8 @@ type t =
       lo : probe_bound option;
       hi : probe_bound option;
       residual : Expr.t option;
+      cap : int option;
+      reverse : bool;
     }
   | Hash_join of {
       left : t;
@@ -45,7 +47,7 @@ type t =
       group_by : (Expr.t * string) array;
       aggs : (agg * string) array;
     }
-  | Limit of { input : t; limit : int option; offset : int }
+  | Limit of { input : t; limit : int option; offset : int; by : Expr.t array }
   | Union_all of t list
 
 let probe_range key ~lo ~hi row =
@@ -162,7 +164,7 @@ let label = function
         (match pred with
         | None -> ""
         | Some e -> Format.asprintf " on %a" Expr.pp e)
-  | Index_nl_join { table; index; key; lo; hi; residual; _ } ->
+  | Index_nl_join { table; index; key; lo; hi; residual; cap; reverse; _ } ->
       let expr = Format.asprintf "%a" Expr.pp in
       let lo =
         Option.map (fun { bound; strict } -> (if strict then "(" else "[") ^ expr bound) lo
@@ -176,11 +178,14 @@ let label = function
             (Option.value lo ~default:"-inf")
             (Option.value hi ~default:"+inf")
       in
-      Printf.sprintf "IndexNestedLoopJoin %s.%s key(%s)%s%s" (Table.name table)
+      Printf.sprintf "IndexNestedLoopJoin %s.%s key(%s)%s%s%s" (Table.name table)
         index.Table.idx_name
         (String.concat ", " (List.map expr (Array.to_list key)))
         range
         (match residual with None -> "" | Some e -> " filter " ^ expr e)
+        (match cap with
+        | None -> ""
+        | Some n -> Printf.sprintf " cap %d%s" n (if reverse then " desc" else ""))
   | Hash_join { left_key; right_key; _ } ->
       Printf.sprintf "HashJoin build(%s) probe(%s)"
         (String.concat "," (Array.to_list (Array.map string_of_int left_key)))
@@ -199,10 +204,15 @@ let label = function
         (String.concat ", " (Array.to_list (Array.map snd group_by)))
         (String.concat ", "
            (Array.to_list (Array.map (fun (a, _) -> agg_name a) aggs)))
-  | Limit { limit; offset; _ } ->
-      Printf.sprintf "Limit %s offset %d"
+  | Limit { limit; offset; by; _ } ->
+      Printf.sprintf "Limit %s offset %d%s"
         (match limit with None -> "ALL" | Some n -> string_of_int n)
         offset
+        (if by = [||] then ""
+         else
+           Printf.sprintf " by (%s)"
+             (String.concat ", "
+                (Array.to_list (Array.map (Format.asprintf "%a" Expr.pp) by))))
   | Union_all _ -> "UnionAll"
 
 let children = function

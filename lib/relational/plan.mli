@@ -35,12 +35,17 @@ type t =
       lo : probe_bound option;
       hi : probe_bound option;
       residual : Expr.t option;
+      cap : int option;
+      reverse : bool;
     }
       (** index nested-loop join: for each outer row, probe [index] of
           [table] once, with [key] (expressions over the outer row) equal to
           the leading key columns and the next key column within [lo] and
           [hi]. A NULL probe value matches nothing. [residual] is evaluated
-          over the concatenated schema (outer then [table]). *)
+          over the concatenated schema (outer then [table]). With [cap =
+          Some n] each probe stops after [n] rows that pass [residual];
+          [reverse] walks the probe's range from its high end. The planner
+          sets them only under a [Limit] with [by] (see {!Planner}). *)
   | Hash_join of {
       left : t;
       right : t;
@@ -55,7 +60,11 @@ type t =
       group_by : (Expr.t * string) array;
       aggs : (agg * string) array;
     }  (** output = group columns then one column per aggregate *)
-  | Limit of { input : t; limit : int option; offset : int }
+  | Limit of { input : t; limit : int option; offset : int; by : Expr.t array }
+      (** skips [offset] rows, then keeps [limit] (all with [None]). With a
+          non-empty [by] the count restarts for every distinct value of the
+          [by] expressions: rows [offset + 1 .. offset + limit] of each key,
+          in input order ([LIMIT n OFFSET m BY e1, ...]) *)
   | Union_all of t list
       (** concatenation of branch outputs; arities must agree *)
 

@@ -373,7 +373,17 @@ let plan_joins env table_plans vconjuncts =
         in
         current :=
           Plan.Index_nl_join
-            { outer = !current; table = jtable; index; key; lo; hi; residual }
+            {
+              outer = !current;
+              table = jtable;
+              index;
+              key;
+              lo;
+              hi;
+              residual;
+              cap = None;
+              reverse = false;
+            }
     | None when eq_pairs = [] ->
         (* cross/theta join *)
         current :=
@@ -455,6 +465,47 @@ let try_order_via_index plan (keys : (Expr.t * Plan.order) list) =
   | _ -> None
 
 (* ------------------------------------------------------------------ *)
+(* Per-probe caps for LIMIT BY                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* [LIMIT n OFFSET m BY keys] over an index nested-loop join, directly or
+   under the Sort: when the BY keys read only the outer row, and the ORDER
+   BY keys, less those over the outer row alone, are the index key columns
+   after the probe's equality prefix, in one direction, then a probe's rows
+   share their BY key and sort among themselves in index order. Only the
+   first [m + n] of them, read from the end the direction names, can be
+   kept, whatever the other probes of that key hold. *)
+let cap_probes ~order_keys ~by ~cap plan =
+  let capped = function
+    | Plan.Index_nl_join ({ outer; index; key; _ } as j) ->
+        let split = Schema.arity (Plan.schema_of outer) in
+        let outer_only e = List.for_all (fun c -> c < split) (Expr.columns e) in
+        let inner = List.filter (fun (e, _) -> not (outer_only e)) order_keys in
+        let neq = Array.length key in
+        let suffix =
+          Array.sub index.Table.key_cols neq (Array.length index.Table.key_cols - neq)
+        in
+        let dirs = List.sort_uniq compare (List.map snd inner) in
+        if
+          Array.for_all outer_only by
+          && List.length dirs <= 1
+          && List.map fst inner
+             = Array.to_list (Array.map (fun c -> Expr.Col (split + c)) suffix)
+        then
+          Some
+            (Plan.Index_nl_join
+               { j with cap = Some cap; reverse = dirs = [ Plan.Desc ] })
+        else None
+    | _ -> None
+  in
+  match plan with
+  | Plan.Sort ({ input; _ } as s) -> (
+      match capped input with
+      | Some j -> Plan.Sort { s with input = j }
+      | None -> plan)
+  | p -> Option.value (capped p) ~default:p
+
+(* ------------------------------------------------------------------ *)
 (* MIN / MAX from the index end                                        *)
 (* ------------------------------------------------------------------ *)
 
@@ -488,7 +539,7 @@ let min_max_scan env (q : Sql_ast.select) =
                   reverse = f = "MAX";
                 }
             in
-            Some (Plan.Limit { input = scan; limit = Some 1; offset = 0 })
+            Some (Plan.Limit { input = scan; limit = Some 1; offset = 0; by = [||] })
           else None)
         (Table.indexes e.table)
   | _ -> None
@@ -585,7 +636,8 @@ let plan_select catalog (q : Sql_ast.select) =
      any table: LIMIT 0 never forces its input. Wrapping below the aggregate
      keeps [SELECT COUNT(+) ... WHERE 1=0] returning its single row. *)
   let joined =
-    if contradiction then Plan.Limit { input = joined; limit = Some 0; offset = 0 }
+    if contradiction then
+      Plan.Limit { input = joined; limit = Some 0; offset = 0; by = [||] }
     else joined
   in
   (* aggregation? *)
@@ -624,15 +676,31 @@ let plan_select catalog (q : Sql_ast.select) =
         | Some p -> p
         | None -> Plan.Sort { input = joined; keys = order_keys }
     in
+    let offset = Option.value q.offset ~default:0 in
+    let sorted =
+      match q.limit_by with
+      | [] -> sorted
+      | _ when q.distinct -> fail "LIMIT BY cannot be combined with DISTINCT"
+      | by ->
+          let by = Array.of_list (List.map resolve_phys by) in
+          let input =
+            match q.limit with
+            | Some n when n <= max_int - offset ->
+                cap_probes ~order_keys ~by ~cap:(offset + n) sorted
+            | Some _ | None -> sorted
+          in
+          Plan.Limit { input; limit = q.limit; offset; by }
+    in
     let projected = Plan.Project (Array.of_list projections, sorted) in
     let distinct = if q.distinct then Plan.Distinct projected else projected in
     match (q.limit, q.offset) with
     | None, None -> distinct
-    | limit, offset ->
-        Plan.Limit { input = distinct; limit; offset = Option.value offset ~default:0 }
+    | _ when q.limit_by <> [] -> distinct
+    | limit, _ -> Plan.Limit { input = distinct; limit; offset; by = [||] }
   end
   else begin
     (* aggregate path *)
+    if q.limit_by <> [] then fail "LIMIT BY cannot be combined with aggregation";
     let group_exprs =
       List.map (fun e -> (resolve_phys e, Format.asprintf "%a" Expr.pp (resolve_phys e))) q.group_by
     in
@@ -807,7 +875,8 @@ let plan_select catalog (q : Sql_ast.select) =
     match (q.limit, q.offset) with
     | None, None -> distinct
     | limit, offset ->
-        Plan.Limit { input = distinct; limit; offset = Option.value offset ~default:0 }
+        Plan.Limit
+          { input = distinct; limit; offset = Option.value offset ~default:0; by = [||] }
   end
 
 (* ------------------------------------------------------------------ *)

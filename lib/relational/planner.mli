@@ -13,7 +13,17 @@
     tables connected by equalities, then by any predicate; each join probes an index of the joined table when the probe
     reads the outer row, else it is a hash join on equalities or a nested
     loop. A final Sort is elided when a chosen index already delivers the
-    requested order. *)
+    requested order.
+
+    [LIMIT n OFFSET m BY keys] plans as a {!Plan.Limit} with [by] between
+    the Sort and the Project. When the BY keys read only the outer row of
+    the index nested-loop join directly under the Sort (or under the
+    Limit, with no ORDER BY), and the ORDER BY keys less those over the
+    outer row alone are exactly the probed index's key columns after its
+    equality prefix, all in one direction, the join's probes are capped at
+    [m + n] rows each, walked from the high end for DESC: a probe's later
+    rows could never survive the Limit. LIMIT BY with DISTINCT or
+    aggregation raises {!Plan_error}. *)
 
 exception Plan_error of string
 

@@ -34,6 +34,9 @@ type select = {
   order_by : (sexpr * order_dir) list;
   limit : int option;
   offset : int option;
+  limit_by : sexpr list;
+      (* LIMIT n [OFFSET m] BY e1, ...: the limit and offset apply per
+         distinct key; empty for a plain LIMIT *)
 }
 
 type column_def = { cd_name : string; cd_type : Value.ty; cd_not_null : bool }
@@ -89,6 +92,7 @@ let map_select g (sel : select) : select =
     group_by = List.map g sel.group_by;
     having = Option.map g sel.having;
     order_by = List.map (fun (e, d) -> (g e, d)) sel.order_by;
+    limit_by = List.map g sel.limit_by;
   }
 
 (* Apply [g] to every expression position of a statement. *)

@@ -58,6 +58,14 @@ let int_lit st =
       i
   | t -> fail "expected an integer, got %s" (token_str t)
 
+(* one or more [item]s separated by commas *)
+let comma_list st item =
+  let rec go acc =
+    let x = item st in
+    if try_sym st "," then go (x :: acc) else List.rev (x :: acc)
+  in
+  go []
+
 (* --- expressions ---------------------------------------------------- *)
 
 let rec parse_or st =
@@ -257,11 +265,7 @@ and parse_primary st =
         (* function call, possibly with * argument *)
         if try_sym st ")" then E_func (String.uppercase_ascii name, [])
         else begin
-          let rec args acc =
-            let a = parse_or st in
-            if try_sym st "," then args (a :: acc) else List.rev (a :: acc)
-          in
-          let a = args [] in
+          let a = comma_list st parse_or in
           eat_sym st ")";
           E_func (String.uppercase_ascii name, a)
         end
@@ -319,11 +323,7 @@ let parse_select st =
   let group_by =
     if try_kw st "GROUP" then begin
       eat_kw st "BY";
-      let rec go acc =
-        let e = parse_or st in
-        if try_sym st "," then go (e :: acc) else List.rev (e :: acc)
-      in
-      go []
+      comma_list st parse_or
     end
     else []
   in
@@ -348,7 +348,15 @@ let parse_select st =
   in
   let limit = if try_kw st "LIMIT" then Some (int_lit st) else None in
   let offset = if try_kw st "OFFSET" then Some (int_lit st) else None in
-  { distinct; items; from; where; group_by; having; order_by; limit; offset }
+  let limit_by =
+    if limit <> None && try_kw st "BY" then begin
+      let by = comma_list st parse_or in
+      if try_kw st "LIMIT" then fail "LIMIT BY cannot be combined with a plain LIMIT";
+      by
+    end
+    else []
+  in
+  { distinct; items; from; where; group_by; having; order_by; limit; offset; limit_by }
 
 let parse_insert st =
   eat_kw st "INSERT";
@@ -463,7 +471,10 @@ let parse_stmt st =
       in
       match unions [ first ] with
       | [ q ] -> Select q
-      | qs -> Union_all qs
+      | qs ->
+          if List.exists (fun q -> q.limit_by <> []) qs then
+            fail "LIMIT BY cannot be combined with UNION ALL";
+          Union_all qs
     end
   | Sql_lexer.Kw "INSERT" -> parse_insert st
   | Sql_lexer.Kw "UPDATE" -> parse_update st

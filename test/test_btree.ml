@@ -225,6 +225,41 @@ let prop_desc_is_reverse =
       let desc = List.of_seq (B.range_desc t ~lo ~hi) in
       asc = expect && desc = List.rev expect)
 
+(* The seek to the right end of a range binary-searches [hi] in every node
+   it descends through: over a three-level tree of composite keys, bounds
+   that fall inside leaves, between keys, on separators and on a prefix
+   give the ascending range reversed, and the first entry alone is the
+   range's last. *)
+let test_desc_seek () =
+  let t = B.create ~branching:4 () in
+  for a = 0 to 9 do
+    for b = 0 to 9 do
+      B.insert t (key2 a b) ((a * 10) + b)
+    done
+  done;
+  check bool_t "three levels" true ((B.stats t).B.depth >= 3);
+  let his =
+    [ B.Unbounded; B.Incl (key2 4 5); B.Excl (key2 4 5); B.Incl [| V.Int 6 |];
+      B.Excl [| V.Int 6 |]; B.Incl [| V.Float 3.5 |]; B.Excl (key2 9 9);
+      B.Incl (key2 0 0); B.Excl (key2 0 0); B.Incl [| V.Int 12 |] ]
+  and los =
+    [ B.Unbounded; B.Incl (key2 2 7); B.Excl (key2 2 7); B.Incl [| V.Int 4 |];
+      B.Excl [| V.Int 4 |]; B.Incl [| V.Float 3.5 |] ]
+  in
+  List.iter
+    (fun hi ->
+      List.iter
+        (fun lo ->
+          let asc = entries_ids (B.range t ~lo ~hi) in
+          let desc = B.range_desc t ~lo ~hi in
+          let what = print_bound lo ^ " .. " ^ print_bound hi in
+          check (Alcotest.list int_t) what (List.rev asc) (entries_ids desc);
+          check (Alcotest.list int_t) (what ^ ", first")
+            (match List.rev asc with [] -> [] | x :: _ -> [ x ])
+            (entries_ids (Seq.take 1 desc)))
+        los)
+    his
+
 (* --- in-place key rewrites ------------------------------------------- *)
 
 (* keys 0..19 inserted in order: with branching 4 every leaf but the last
@@ -410,6 +445,7 @@ let tests =
       Alcotest.test_case "stats" `Quick test_stats;
       QCheck_alcotest.to_alcotest prop_model;
       QCheck_alcotest.to_alcotest prop_desc_is_reverse;
+      Alcotest.test_case "range_desc seeks inside leaves" `Quick test_desc_seek;
       Alcotest.test_case "rewrite_key in place" `Quick test_rewrite_in_place;
       Alcotest.test_case "rewrite_key refusals" `Quick test_rewrite_refusals;
       QCheck_alcotest.to_alcotest prop_rewrite_model;

@@ -39,7 +39,8 @@ let sqlish =
   biased
     [ "SELECT"; "FROM"; "WHERE"; "INSERT"; "INTO"; "VALUES"; "UPDATE"; "SET";
       "DELETE"; "CREATE"; "TABLE"; "INDEX"; "GROUP"; "BY"; "ORDER"; "("; ")";
-      ","; "*"; "="; "'"; "t"; "a"; "1"; "X'00'"; " "; ";"; "--" ]
+      ","; "*"; "="; "'"; "t"; "a"; "1"; "X'00'"; " "; ";"; "--"; "LIMIT";
+      "OFFSET"; " LIMIT 1 BY "; "DISTINCT"; "UNION ALL"; "DESC" ]
 
 let flworish =
   biased
@@ -64,6 +65,16 @@ let prop_sql =
   ignore (Reldb.Db.exec db "INSERT INTO t VALUES (1, 'x')");
   no_crash "sql engine never crashes" 500 sqlish (fun s ->
       ignore (Reldb.Db.exec db s))
+
+(* random tails after a valid SELECT head reach the ORDER BY / LIMIT BY
+   clauses and the planner's checks on them *)
+let prop_sql_tail =
+  let db = Reldb.Db.create () in
+  ignore (Reldb.Db.exec db "CREATE TABLE t (a INT, b TEXT)");
+  ignore (Reldb.Db.exec db "CREATE INDEX t_ab ON t (a, b)");
+  ignore (Reldb.Db.exec db "INSERT INTO t VALUES (1, 'x'), (1, 'y'), (2, 'x')");
+  no_crash "select tails never crash" 500 sqlish (fun s ->
+      ignore (Reldb.Db.exec db ("SELECT a, b FROM t " ^ s)))
 
 let prop_flwor_parser =
   no_crash "flwor parser never crashes" 500 flworish (fun s ->
@@ -227,6 +238,7 @@ let tests =
       QCheck_alcotest.to_alcotest prop_sax;
       QCheck_alcotest.to_alcotest prop_xpath_parser;
       QCheck_alcotest.to_alcotest prop_sql;
+      QCheck_alcotest.to_alcotest prop_sql_tail;
       QCheck_alcotest.to_alcotest prop_flwor_parser;
       QCheck_alcotest.to_alcotest prop_dewey_decode;
       QCheck_alcotest.to_alcotest prop_entities;

@@ -716,6 +716,201 @@ let prop_index_probe_bounds =
       let expect, _ = run ~indexed:false in
       Astring_contains.contains plan "IndexNestedLoopJoin i.i_kw" && got = expect)
 
+(* --- LIMIT n OFFSET m BY ------------------------------------------------ *)
+
+(* LIMIT BY over an index nested-loop join, whose probes the planner may
+   cap, against an OCaml reference (join, stable sort, then count per key)
+   and against the twin without the index. The outer scratch relation has
+   duplicate keys; the index, the residual, ORDER BY (ASC, DESC, mixed, a
+   non-key column or none) and BY (over the outer row or not) are random.
+   Rows that tie on ORDER BY may legitimately differ between plans, so the
+   results are compared by their (BY, ORDER BY) values, and every row must
+   be a row of the join. *)
+let prop_limit_by =
+  let open QCheck in
+  let value = Gen.(frequency [ (1, return None); (4, map Option.some (int_bound 3)) ]) in
+  let v = function None -> V.Null | Some x -> V.Int x in
+  let indexes =
+    [| ("(k, w)", false); ("(k, w, id)", true); ("(k, z, w)", false); ("(w)", false);
+       ("(k)", false) |]
+  in
+  (* over the selected row [| o.x; o.y; i.id; i.k; i.w; i.z |] *)
+  let gt a b = match (a, b) with V.Int a, V.Int b -> a > b | _ -> false in
+  let ne a b = match (a, b) with V.Int a, V.Int b -> a <> b | _ -> false in
+  let residuals =
+    [|
+      ("", fun _ -> true);
+      (" AND i.w <> o.y", fun r -> ne r.(4) r.(1));
+      (" AND i.z = 1", fun r -> r.(5) = V.Int 1);
+      (" AND i.w > o.y", fun r -> gt r.(4) r.(1));
+      (" AND i.z <> 2 AND i.w > 0", fun r -> ne r.(5) (V.Int 2) && gt r.(4) (V.Int 0));
+    |]
+  in
+  let orders =
+    [|
+      [ ("i.w", 4, false) ];
+      [ ("i.w", 4, true) ];
+      [ ("o.y", 1, false); ("i.w", 4, true) ];
+      [ ("i.w", 4, false); ("i.id", 2, false) ];
+      [ ("i.w", 4, true); ("i.id", 2, true) ];
+      [ ("i.w", 4, false); ("i.id", 2, true) ];
+      [ ("i.z", 5, false) ];
+      [ ("i.z", 5, true); ("i.w", 4, true) ];
+      [];
+    |]
+  in
+  let bys = [| [ ("o.x", 0) ]; [ ("o.x", 0); ("o.y", 1) ]; [ ("o.y", 1) ]; [ ("i.w", 4) ] |] in
+  let query (_, r, o, b, n, m) =
+    Printf.sprintf
+      "SELECT o.x, o.y, i.id, i.k, i.w, i.z FROM i, ctx_o o WHERE i.k = o.x%s%s \
+       LIMIT %d%s BY %s"
+      (fst residuals.(r))
+      (match orders.(o) with
+      | [] -> ""
+      | keys ->
+          " ORDER BY "
+          ^ String.concat ", "
+              (List.map (fun (c, _, d) -> if d then c ^ " DESC" else c) keys))
+      n
+      (match m with None -> "" | Some m -> Printf.sprintf " OFFSET %d" m)
+      (String.concat ", " (List.map fst bys.(b)))
+  in
+  let gen =
+    Gen.(
+      pair
+        (pair (list_size (int_bound 8) (pair value value))
+           (list_size (int_bound 16) (triple value value value)))
+        (map
+           (fun ((ix, r, o), (b, n, m)) -> (ix, r, o, b, n, m))
+           (pair
+              (triple (int_bound (Array.length indexes - 1))
+                 (int_bound (Array.length residuals - 1))
+                 (int_bound (Array.length orders - 1)))
+              (triple (int_bound (Array.length bys - 1)) (int_bound 3)
+                 (opt (int_bound 2))))))
+  in
+  let print ((outer, inner), ((ix, _, _, _, _, _) as c)) =
+    let show x = match x with None -> "NULL" | Some x -> string_of_int x in
+    Printf.sprintf "index %s, outer [%s], inner [%s]: %s" (fst indexes.(ix))
+      (String.concat ";" (List.map (fun (a, b) -> show a ^ "," ^ show b) outer))
+      (String.concat ";"
+         (List.map (fun (a, b, c) -> show a ^ "," ^ show b ^ "," ^ show c) inner))
+      (query c)
+  in
+  Test.make ~name:"LIMIT BY = reference" ~count:500 (make ~print gen)
+    (fun ((outer, inner), ((ix, r, o, b, n, m) as c)) ->
+      let sql = query c in
+      let inner_rows =
+        List.mapi (fun id (k, w, z) -> [| V.Int id; v k; v w; v z |]) inner
+      in
+      let run ~indexed =
+        let db = fresh () in
+        e db "CREATE TABLE i (id INT, k INT, w INT, z INT)";
+        (if indexed then
+           let cols, unique = indexes.(ix) in
+           e db
+             (Printf.sprintf "CREATE %sINDEX i_x ON i %s"
+                (if unique then "UNIQUE " else "")
+                cols));
+        ignore (D.insert_many db "i" inner_rows);
+        D.with_scratch db ~name:"ctx_o" ~cols:[ ("x", V.Tint); ("y", V.Tint) ]
+          (List.map (fun (x, y) -> [| v x; v y |]) outer)
+          (fun () -> D.query db sql)
+      in
+      let joined =
+        List.concat_map
+          (fun (x, y) ->
+            List.filter_map
+              (fun ir ->
+                let row = Array.append [| v x; v y |] ir in
+                if row.(0) <> V.Null && row.(3) = row.(0) && snd residuals.(r) row
+                then Some row
+                else None)
+              inner_rows)
+          outer
+      in
+      let cmp a b =
+        List.fold_left
+          (fun acc (_, col, desc) ->
+            if acc <> 0 then acc
+            else
+              let c = V.compare a.(col) b.(col) in
+              if desc then -c else c)
+          0 orders.(o)
+      in
+      let key row = Array.of_list (List.map (fun (_, col) -> row.(col)) bys.(b)) in
+      let expect =
+        let counts = Hashtbl.create 16 in
+        List.filter
+          (fun row ->
+            let k = Reldb.Tuple.to_string (key row) in
+            let seen = 1 + Option.value (Hashtbl.find_opt counts k) ~default:0 in
+            Hashtbl.replace counts k seen;
+            let m = Option.value m ~default:0 in
+            seen > m && seen <= m + n)
+          (List.stable_sort cmp joined)
+      in
+      let observed rows =
+        List.sort compare
+          (List.map
+             (fun row ->
+               Array.to_list (key row)
+               @ List.map (fun (_, col, _) -> row.(col)) orders.(o))
+             rows)
+      in
+      let got = run ~indexed:true and twin = run ~indexed:false in
+      observed got = observed expect
+      && observed twin = observed expect
+      && List.for_all (fun row -> List.mem row joined) got)
+
+let test_limit_by () =
+  let db = fresh () in
+  e db "CREATE TABLE t (id INT NOT NULL, p INT, o INT)";
+  e db "CREATE UNIQUE INDEX t_po ON t (p, o)";
+  e db "INSERT INTO t VALUES (1, 1, 10), (2, 1, 20), (3, 1, 30), (4, 2, 5), (5, 2, 7)";
+  let q sql =
+    D.with_scratch db ~name:"ctx_p" ~cols:[ ("id", V.Tint) ]
+      [ [| V.Int 1 |]; [| V.Int 2 |]; [| V.Int 3 |] ]
+      (fun () -> (ints db sql, D.explain db sql))
+  in
+  let has = Astring_contains.contains in
+  let rows, plan =
+    q "SELECT c.id, t.id FROM t, ctx_p c WHERE t.p = c.id ORDER BY t.o DESC LIMIT 1 BY c.id"
+  in
+  check bool_t "last child per parent" true (List.sort compare rows = [ [ 1; 3 ]; [ 2; 5 ] ]);
+  check bool_t "capped reverse probe" true
+    (has plan "IndexNestedLoopJoin t.t_po key(#0) cap 1 desc"
+    && has plan "Limit 1 offset 0 by (#0)");
+  let rows, plan =
+    q "SELECT c.id, t.id FROM t, ctx_p c WHERE t.p = c.id ORDER BY t.o LIMIT 1 OFFSET 1 BY c.id"
+  in
+  check bool_t "second child per parent" true (List.sort compare rows = [ [ 1; 2 ]; [ 2; 5 ] ]);
+  check bool_t "cap counts the offset" true (has plan "cap 2" && not (has plan "desc"));
+  let rows, plan =
+    q "SELECT c.id, t.id FROM t, ctx_p c WHERE t.p = c.id ORDER BY t.id LIMIT 2 BY c.id"
+  in
+  check int_t "non-key order" 4 (List.length rows);
+  check bool_t "no cap on a non-key order" false (has plan "cap");
+  let rows, _ = q "SELECT id FROM t ORDER BY o DESC LIMIT 1 BY p" in
+  check bool_t "one table" true (List.sort compare rows = [ [ 3 ]; [ 5 ] ]);
+  let rows, _ =
+    q (Printf.sprintf
+         "SELECT c.id, t.id FROM t, ctx_p c WHERE t.p = c.id ORDER BY t.o LIMIT %d OFFSET 2 BY c.id"
+         max_int)
+  in
+  check bool_t "no overflow past max_int" true (rows = [ [ 1; 3 ] ]);
+  List.iter
+    (fun sql ->
+      match D.query db sql with
+      | _ -> Alcotest.failf "accepted: %s" sql
+      | exception D.Sql_error _ -> ())
+    [
+      "SELECT DISTINCT p FROM t LIMIT 1 BY p";
+      "SELECT p, COUNT(*) FROM t GROUP BY p LIMIT 1 BY p";
+      "SELECT id FROM t LIMIT 1 BY p UNION ALL SELECT id FROM t";
+      "SELECT id FROM t LIMIT 1 BY p LIMIT 2";
+    ]
+
 (* A runtime error in an UPDATE or DELETE WHERE clause fails the statement
    with Sql_error and changes nothing, in autocommit and prepared. *)
 let test_dml_where_errors () =
@@ -1078,6 +1273,8 @@ let tests =
       QCheck_alcotest.to_alcotest prop_index_nl_join;
       QCheck_alcotest.to_alcotest prop_index_access;
       QCheck_alcotest.to_alcotest prop_index_probe_bounds;
+      QCheck_alcotest.to_alcotest prop_limit_by;
+      Alcotest.test_case "LIMIT BY" `Quick test_limit_by;
       Alcotest.test_case "UPDATE/DELETE WHERE errors" `Quick test_dml_where_errors;
       Alcotest.test_case "I/O counters" `Quick test_rows_counters;
       Alcotest.test_case "multi-key ORDER BY" `Quick test_multi_key_order;

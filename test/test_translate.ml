@@ -211,6 +211,125 @@ let prop_oracle_equivalence =
           got = expected)
         stores)
 
+(* Positional child and sibling steps, whose leading [1] or [last()] the
+   statement applies from the end of a (parent, tag, order) probe, against
+   the DOM oracle on every encoding. The trees mix element names, carry
+   attributes named like the sibling elements, and have many childless
+   parents and single children. *)
+let prop_positional_probes =
+  let open QCheck in
+  let gen_doc =
+    Gen.(
+      let tag = oneofl [ "t"; "t"; "a"; "b" ] in
+      let attrs =
+        map
+          (fun (t, a) ->
+            (if t then [ T.attr "t" "1" ] else []) @ if a then [ T.attr "a" "x" ] else [])
+          (pair bool bool)
+      in
+      let rec node depth =
+        if depth = 0 then map2 (fun t attrs -> T.element ~attrs t []) tag attrs
+        else
+          frequency
+            [
+              (1, map T.text (oneofl [ "x"; "5" ]));
+              ( 5,
+                triple tag attrs (int_bound 3) >>= fun (t, attrs, n) ->
+                list_repeat n (node (depth - 1)) >|= T.element ~attrs t );
+            ]
+      in
+      int_range 1 4 >>= fun n ->
+      list_repeat n (node 3) >|= fun kids ->
+      T.doc_of_node (T.normalize (T.element "r" kids)))
+  in
+  let steps =
+    [
+      "t[1]"; "t[last()]"; "t[position() = 1]"; "following-sibling::t[1]";
+      "preceding-sibling::t[1]"; "preceding-sibling::t[last()]";
+      "following-sibling::t[last()]"; "t[1][@a]"; "t[last()][1]";
+      "t[last()][@t]/following-sibling::*[1]";
+    ]
+  in
+  let contexts = [ "//*/"; "//t/"; "/r/"; "//*/@t/../"; "//*/@t/"; "//a[" ] in
+  let gen_path =
+    Gen.(
+      map
+        (fun (c, s) -> if c = "//a[" then c ^ s ^ "]" else c ^ s)
+        (pair (oneofl contexts) (oneofl steps)))
+  in
+  let print (doc, path) =
+    Printf.sprintf "%s on %s" path (Xmllib.Printer.document_to_string doc)
+  in
+  Test.make ~name:"positional probes = oracle" ~count:200
+    (make ~print (Gen.pair gen_doc gen_path))
+    (fun (doc, xpath) ->
+      let idx, stores = stores_and_oracle doc in
+      let expected = O.Dom_eval.eval idx (O.Xpath_parser.parse xpath) in
+      List.for_all (fun (_, store) -> O.Api.Store.query_ids store xpath = expected) stores)
+
+(* A store whose indexes predate the (parent, tag, order) keys, restored
+   from a dump with the older index definitions: positional steps probe
+   (parent, order) or LOCAL's (parent, l_order), with the tag as a
+   residual, and still agree with the oracle. *)
+let test_older_indexes () =
+  let doc = Lazy.force xmark in
+  let idx = O.Doc_index.build doc in
+  let find s sub =
+    let n = String.length s and m = String.length sub in
+    let rec go i =
+      if i + m > n then None else if String.sub s i m = sub then Some i else go (i + 1)
+    in
+    go 0
+  in
+  let rec replace s ~sub ~by =
+    match find s sub with
+    | None -> s
+    | Some i ->
+        String.sub s 0 i ^ by
+        ^ replace ~sub ~by
+            (String.sub s (i + String.length sub)
+               (String.length s - i - String.length sub))
+  in
+  let older = function
+    | O.Encoding.Global | O.Encoding.Global_gap ->
+        [ ("UNIQUE INDEX o_global_parent ON o_global (parent, tag, g_order)",
+           "INDEX o_global_parent ON o_global (parent, g_order)");
+          ("UNIQUE INDEX o_global_tag", "INDEX o_global_tag") ]
+    | O.Encoding.Local ->
+        [ ("UNIQUE INDEX o_local_tag ON o_local (tag, parent, l_order)",
+           "INDEX o_local_tag ON o_local (tag)") ]
+    | O.Encoding.Dewey_enc | O.Encoding.Dewey_caret ->
+        [ ("UNIQUE INDEX o_dewey_parent ON o_dewey (parent, tag, path)",
+           "INDEX o_dewey_parent ON o_dewey (parent, path)");
+          ("UNIQUE INDEX o_dewey_tag", "INDEX o_dewey_tag") ]
+  in
+  List.iter
+    (fun enc ->
+      let db = Reldb.Db.create () in
+      ignore (O.Api.Store.create db ~name:"o" enc doc);
+      let script =
+        List.fold_left
+          (fun s (sub, by) ->
+            check bool_t ("index in dump: " ^ sub) true (Astring_contains.contains s sub);
+            replace s ~sub ~by)
+          (Reldb.Db.dump db) (older enc)
+      in
+      let store = O.Api.Store.open_existing (Reldb.Db.restore script) ~name:"o" enc in
+      List.iter
+        (fun xpath ->
+          let expected = O.Dom_eval.eval idx (O.Xpath_parser.parse xpath) in
+          check (Alcotest.list int_t)
+            (O.Encoding.name enc ^ ": " ^ xpath)
+            expected (O.Api.Store.query_ids store xpath))
+        [
+          "/site/open_auctions/open_auction/bidder[1]";
+          "/site/open_auctions/open_auction/bidder[last()]";
+          "/site/open_auctions/open_auction/bidder[1]/following-sibling::bidder[1]";
+          "//bidder[last()]/preceding-sibling::bidder[1]";
+          "/site/regions/*/item[last()]";
+        ])
+    [ O.Encoding.Global; O.Encoding.Local; O.Encoding.Dewey_enc ]
+
 let tests =
   ( "translate",
     [
@@ -224,4 +343,6 @@ let tests =
       Alcotest.test_case "union translation" `Quick test_union_translation;
       Alcotest.test_case "results in document order" `Quick test_doc_order_of_results;
       QCheck_alcotest.to_alcotest prop_oracle_equivalence;
+      QCheck_alcotest.to_alcotest prop_positional_probes;
+      Alcotest.test_case "stores with older indexes" `Quick test_older_indexes;
     ] )
