@@ -35,8 +35,13 @@ check: build test lint crash-test bench-smoke
 	$(OXQ) query examples/catalog.xml '/catalog/book[1]/title' --trace
 	@echo "check: OK"
 
-# regression guard: Q1/global latency must stay within 3x of the checked-in
-# baseline (bench/baseline.json)
+# regression guards (bench/smoke.ml): Q1-Q7 bump the catalog 0 times and hit
+# the plan cache on >= 95% of statements; a front insert reads at most its
+# renumbered rows + 100; renumbering rewrites index keys in place; LOCAL Q7
+# reads at most twice GLOBAL's rows; bidder[1] / bidder[last()] read Q1's rows
+# plus two per context; after warm-up, a front insert, set_text and delete
+# parse no SQL and miss the plan cache 0 times; Q1/global latency stays within
+# 3x of the checked-in baseline (bench/baseline.json)
 bench-smoke:
 	dune exec --no-print-directory bench/smoke.exe -- bench/baseline.json
 

@@ -19,6 +19,10 @@
      Q3 ([bidder[last()]]) on GLOBAL, LOCAL and DEWEY read at most Q1's rows
      plus two per context (an open_auction): each context's probe of the
      (parent, tag, order) index stops at its first or last bidder;
+   - writes: after each write shape has run once, a second front insert,
+     set_text and delete on every encoding miss the plan cache 0 times and
+     parse no SQL (no [sql-parse] span): every statement a write sends is a
+     fixed text with its per-call values bound to [?] slots, planned once;
    - timing: Q1 over GLOBAL must not regress more than 3x over the
      checked-in baseline (bench/baseline.json). *)
 
@@ -141,6 +145,52 @@ let check_insert_reads doc =
           (O.Encoding.name enc) renumbered rewritten moved)
     O.Encoding.all
 
+let check_write_parses doc =
+  let fragment = Xmllib.Types.element "item" [ Xmllib.Types.text "new" ] in
+  List.iter
+    (fun enc ->
+      let db = Reldb.Db.create () in
+      let store = O.Api.Store.create db ~name:"b" enc doc in
+      let root = O.Api.Store.root_id store in
+      let misses = ref 0 and parses = ref 0 in
+      let write ~measure f =
+        if not measure then ignore (f ())
+        else begin
+          let _, m0, _ = Reldb.Db.plan_cache_stats db in
+          Obs.set_enabled true;
+          let _, spans =
+            Fun.protect ~finally:(fun () -> Obs.set_enabled false) (fun () ->
+                Obs.Span.collect f)
+          in
+          let _, m1, _ = Reldb.Db.plan_cache_stats db in
+          misses := !misses + m1 - m0;
+          parses :=
+            !parses
+            + List.length
+                (List.filter (fun sp -> sp.Obs.Span.sp_name = "sql-parse") spans)
+        end
+      in
+      (* a front insert, set_text on its text node, then its delete; the
+         ids are looked up between the writes, outside the measurement *)
+      let round ~measure =
+        write ~measure (fun () ->
+            O.Api.Store.insert_subtree store ~parent:root ~pos:1 fragment);
+        let id q = List.hd (O.Api.Store.query_ids store q) in
+        let item = id "/site/item[1]" and text = id "/site/item[1]/text()" in
+        write ~measure (fun () -> O.Api.Store.set_text store ~id:text "changed");
+        write ~measure (fun () -> O.Api.Store.delete_subtree store ~id:item)
+      in
+      round ~measure:false;
+      round ~measure:true;
+      Printf.printf
+        "bench-smoke: front insert + set_text + delete/%s after warm-up: %d \
+         plan-cache misses, %d sql-parse spans (limit 0)\n"
+        (O.Encoding.name enc) !misses !parses;
+      if !misses <> 0 || !parses <> 0 then
+        die "bench-smoke: FAIL - writes on %s missed the plan cache %d times and parsed %d statements"
+          (O.Encoding.name enc) !misses !parses)
+    O.Encoding.all
+
 let xpath id =
   Option.get
     (List.find (fun (q : O.Workload.query) -> q.O.Workload.q_id = id)
@@ -201,6 +251,7 @@ let () =
   check_counters doc;
   check_insert_reads doc;
   check_order_reads doc;
+  check_write_parses doc;
   check_positional_reads ();
   let db = Reldb.Db.create () in
   (* the guarded figure is the in-memory engine: opening a database without

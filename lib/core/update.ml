@@ -26,38 +26,32 @@ type state = { db : Reldb.Db.t; enc : Encoding.t; tname : string; mutable st : s
 let transactionally db f =
   if Reldb.Db.in_transaction db then f () else Reldb.Db.with_transaction db f
 
-let exec state sql =
+(* Every statement text is fixed per table and encoding; per-call values
+   (ids, order values, paths, shift widths) are bound to its [?] slots, so
+   each text is parsed and planned once and then served from the plan
+   cache. *)
+let exec state sql params =
   state.st <- { state.st with statements = state.st.statements + 1 };
   Log.debug (fun m -> m "%s" sql);
-  match Reldb.Db.exec state.db sql with
+  match Reldb.Db.exec_params state.db sql params with
   | Reldb.Db.Affected n -> n
   | Reldb.Db.Rows _ -> 0
 
-let query state sql =
+let query state sql params =
   state.st <- { state.st with statements = state.st.statements + 1 };
-  Reldb.Db.query state.db sql
-
-(* run a prepared statement with its [?] parameters bound *)
-let exec_stmt state stmt params =
-  state.st <- { state.st with statements = state.st.statements + 1 };
-  match Reldb.Db.Stmt.exec stmt params with
-  | Reldb.Db.Affected n -> n
-  | Reldb.Db.Rows _ -> 0
-
-let query_stmt state stmt params =
-  state.st <- { state.st with statements = state.st.statements + 1 };
-  Reldb.Db.Stmt.query stmt params
+  Reldb.Db.query_params state.db sql params
 
 (* order-maintenance statements run under a [renumber] span so update-path
    phase breakdowns separate renumbering cost from row insertion *)
-let renumber state sql = Obs.Span.with_ "renumber" (fun () -> exec state sql)
+let renumber state sql params =
+  Obs.Span.with_ "renumber" (fun () -> exec state sql params)
 
 let fetch_node state id =
   let sql =
-    Printf.sprintf "SELECT %s FROM %s e WHERE e.id = %d"
-      (Node_row.select_list state.enc "e") state.tname id
+    Printf.sprintf "SELECT %s FROM %s e WHERE e.id = ?"
+      (Node_row.select_list state.enc "e") state.tname
   in
-  match query state sql with
+  match query state sql [| V.Int id |] with
   | [ tu ] -> Node_row.of_tuple state.enc tu
   | [] -> fail "no node with id %d" id
   | _ -> assert false
@@ -66,14 +60,14 @@ let fetch_node state id =
 let fetch_children state id =
   let sql =
     Printf.sprintf
-      "SELECT %s FROM %s e WHERE e.parent = %d AND e.kind <> 2 ORDER BY e.%s"
-      (Node_row.select_list state.enc "e") state.tname id
+      "SELECT %s FROM %s e WHERE e.parent = ? AND e.kind <> 2 ORDER BY e.%s"
+      (Node_row.select_list state.enc "e") state.tname
       (Encoding.order_col state.enc)
   in
-  List.map (Node_row.of_tuple state.enc) (query state sql)
+  List.map (Node_row.of_tuple state.enc) (query state sql [| V.Int id |])
 
 let max_id state =
-  match query state (Printf.sprintf "SELECT MAX(id) FROM %s" state.tname) with
+  match query state (Printf.sprintf "SELECT MAX(id) FROM %s" state.tname) [||] with
   | [ [| V.Int m |] ] -> m
   | _ -> 0
 
@@ -175,9 +169,9 @@ let local_insert state b fragments =
      let shifted =
        renumber state
          (Printf.sprintf
-            "UPDATE %s SET l_order = l_order + %d WHERE parent = %d AND \
-             l_order >= %d"
-            state.tname k b.parent_row.Node_row.id l0)
+            "UPDATE %s SET l_order = l_order + ? WHERE parent = ? AND l_order >= ?"
+            state.tname)
+         [| V.Int k; V.Int b.parent_row.Node_row.id; V.Int l0 |]
      in
      state.st <- { state.st with rows_renumbered = state.st.rows_renumbered + shifted }
    end);
@@ -218,28 +212,19 @@ let global_shift state ~(around : Node_row.t) ~hi k =
   let moved =
     renumber state
       (Printf.sprintf
-         "UPDATE %s SET g_order = g_order + %d, g_end = g_end + %d WHERE \
-          g_order >= %d"
-         state.tname k k hi)
+         "UPDATE %s SET g_order = g_order + ?, g_end = g_end + ? WHERE g_order >= ?"
+         state.tname)
+      [| V.Int k; V.Int k; V.Int hi |]
   in
-  let stretch =
-    Reldb.Db.prepare state.db
-      (Printf.sprintf "UPDATE %s SET g_end = g_end + ? WHERE id = ?" state.tname)
-  in
-  let parent_of =
-    Reldb.Db.prepare state.db
-      (Printf.sprintf "SELECT parent FROM %s WHERE id = ?" state.tname)
-  in
+  let stretch = Printf.sprintf "UPDATE %s SET g_end = g_end + ? WHERE id = ?" state.tname in
+  let parent_of = Printf.sprintf "SELECT parent FROM %s WHERE id = ?" state.tname in
   let parent_id id =
-    match query_stmt state parent_of [| V.Int id |] with
+    match query state parent_of [| V.Int id |] with
     | [ [| V.Int p |] ] -> Some p
     | _ -> None
   in
   let rec stretch_from id parent =
-    let n =
-      Obs.Span.with_ "renumber" (fun () ->
-          exec_stmt state stretch [| V.Int k; V.Int id |])
-    in
+    let n = renumber state stretch [| V.Int k; V.Int id |] in
     n + match parent with None -> 0 | Some p -> stretch_from p (parent_id p)
   in
   let stretched = stretch_from around.Node_row.id around.Node_row.parent in
@@ -258,9 +243,9 @@ let global_insert state b fragments ~gapped =
          its first child; the window must begin after them *)
       let attr_end =
         query state
-          (Printf.sprintf
-             "SELECT MAX(g_end) FROM %s WHERE parent = %d AND kind = 2"
-             state.tname b.parent_row.Node_row.id)
+          (Printf.sprintf "SELECT MAX(g_end) FROM %s WHERE parent = ? AND kind = 2"
+             state.tname)
+          [| V.Int b.parent_row.Node_row.id |]
       in
       match attr_end with
       | [ [| V.Int m |] ] -> m
@@ -327,30 +312,24 @@ let parent_dewey (b : boundary) =
   | Node_row.Od p -> Dewey.decode p
   | _ -> assert false
 
-(* [rewrite_subtree_paths state] prepares one statement that moves a whole
-   subtree to a new path prefix: every row under the old prefix gets the new
-   prefix followed by the rest of its own path. The returned function binds
-   it once per moved subtree. *)
-let rewrite_subtree_paths state =
-  let upd =
-    Reldb.Db.prepare state.db
+(* Move a whole subtree to a new path prefix: every row under the old
+   prefix gets the new prefix followed by the rest of its own path. *)
+let rewrite_subtree_paths state ~old_path ~new_path =
+  Obs.Span.with_ "renumber" ~attrs:[ ("op", "rewrite-paths") ] @@ fun () ->
+  let old_enc = Dewey.encode old_path in
+  let n =
+    exec state
       (Printf.sprintf
          "UPDATE %s SET path = ? || SUBSTR(path, ?) WHERE path >= ? AND path < ?"
          state.tname)
+      [|
+        V.Bytes (Dewey.encode new_path);
+        V.Int (String.length old_enc + 1);
+        V.Bytes old_enc;
+        V.Bytes (Dewey.prefix_upper_bound old_enc);
+      |]
   in
-  fun ~old_path ~new_path ->
-    Obs.Span.with_ "renumber" ~attrs:[ ("op", "rewrite-paths") ] @@ fun () ->
-    let old_enc = Dewey.encode old_path in
-    let n =
-      exec_stmt state upd
-        [|
-          V.Bytes (Dewey.encode new_path);
-          V.Int (String.length old_enc + 1);
-          V.Bytes old_enc;
-          V.Bytes (Dewey.prefix_upper_bound old_enc);
-        |]
-    in
-    state.st <- { state.st with rows_renumbered = state.st.rows_renumbered + n }
+  state.st <- { state.st with rows_renumbered = state.st.rows_renumbered + n }
 
 (* insert the fragment rows grafted under [target]. [component_map] adjusts
    the fragment's logical components ([Fun.id] for DEWEY, caretify for
@@ -379,7 +358,7 @@ let dewey_graft state b fragment_idx base ~target ~target_depth ~component_map =
 
 let fetch_depth state id =
   match
-    query state (Printf.sprintf "SELECT depth FROM %s WHERE id = %d" state.tname id)
+    query state (Printf.sprintf "SELECT depth FROM %s WHERE id = ?" state.tname) [| V.Int id |]
   with
   | [ [| V.Int d |] ] -> d
   | _ -> fail "node %d has no depth" id
@@ -401,15 +380,12 @@ let dewey_insert state b fragments =
   let to_shift =
     List.filter (fun s -> comp_of s >= c0) b.siblings |> List.rev
   in
-  if to_shift <> [] then begin
-    let rewrite = rewrite_subtree_paths state in
-    List.iter
-      (fun (s : Node_row.t) ->
-        let old_path = Node_row.dewey s in
-        rewrite ~old_path
-          ~new_path:(Dewey.with_last old_path (Dewey.last old_path + k)))
-      to_shift
-  end;
+  List.iter
+    (fun (s : Node_row.t) ->
+      let old_path = Node_row.dewey s in
+      rewrite_subtree_paths state ~old_path
+        ~new_path:(Dewey.with_last old_path (Dewey.last old_path + k)))
+    to_shift;
   List.iteri
     (fun j (fragment_idx, base) ->
       let target = Dewey.child parent_path (c0 + j) in
@@ -593,41 +569,31 @@ let delete_subtree db ~doc enc ~id =
     match (enc, row.Node_row.ord) with
     | (Encoding.Global | Encoding.Global_gap), Node_row.Og (o, e) ->
         exec state
-          (Printf.sprintf "DELETE FROM %s WHERE g_order >= %d AND g_order <= %d"
-             state.tname o e)
+          (Printf.sprintf "DELETE FROM %s WHERE g_order >= ? AND g_order <= ?" state.tname)
+          [| V.Int o; V.Int e |]
     | (Encoding.Dewey_enc | Encoding.Dewey_caret), Node_row.Od p ->
         exec state
-          (Printf.sprintf "DELETE FROM %s WHERE path >= %s AND path < %s"
-             state.tname
-             (V.to_sql_literal (V.Bytes p))
-             (V.to_sql_literal (V.Bytes (Dewey.prefix_upper_bound p))))
+          (Printf.sprintf "DELETE FROM %s WHERE path >= ? AND path < ?" state.tname)
+          [| V.Bytes p; V.Bytes (Dewey.prefix_upper_bound p) |]
     | Encoding.Local, Node_row.Ol l0 ->
         (* collect the subtree breadth-first, delete, then close the
            sibling gap *)
         let rows =
           Reconstruct.fetch_subtree_rows db ~doc enc ~root:row
         in
-        let del =
-          Reldb.Db.prepare state.db
-            (Printf.sprintf "DELETE FROM %s WHERE id = ?" state.tname)
-        in
+        let del = Printf.sprintf "DELETE FROM %s WHERE id = ?" state.tname in
         let n =
           List.fold_left
-            (fun acc (r : Node_row.t) ->
-              state.st <- { state.st with statements = state.st.statements + 1 };
-              acc
-              + (match Reldb.Db.Stmt.exec del [| V.Int r.Node_row.id |] with
-                | Reldb.Db.Affected n -> n
-                | Reldb.Db.Rows _ -> 0))
+            (fun acc (r : Node_row.t) -> acc + exec state del [| V.Int r.Node_row.id |])
             0 rows
         in
         let parent = Option.get row.Node_row.parent in
         let shifted =
           renumber state
             (Printf.sprintf
-               "UPDATE %s SET l_order = l_order - 1 WHERE parent = %d AND \
-                l_order > %d"
-               state.tname parent l0)
+               "UPDATE %s SET l_order = l_order - 1 WHERE parent = ? AND l_order > ?"
+               state.tname)
+            [| V.Int parent; V.Int l0 |]
         in
         state.st <-
           { state.st with rows_renumbered = state.st.rows_renumbered + shifted };
@@ -660,19 +626,17 @@ let move_subtree db ~doc enc ~id ~parent ~pos =
 let fetch_attrs state id =
   let sql =
     Printf.sprintf
-      "SELECT %s FROM %s e WHERE e.parent = %d AND e.kind = 2 ORDER BY e.%s"
-      (Node_row.select_list state.enc "e") state.tname id
+      "SELECT %s FROM %s e WHERE e.parent = ? AND e.kind = 2 ORDER BY e.%s"
+      (Node_row.select_list state.enc "e") state.tname
       (Encoding.order_col state.enc)
   in
-  List.map (Node_row.of_tuple state.enc) (query state sql)
+  List.map (Node_row.of_tuple state.enc) (query state sql [| V.Int id |])
 
 (* overwrite a text/attribute payload in place, with its numeric shadow *)
 let set_value state ~id ~kind value =
-  let upd =
-    Reldb.Db.prepare state.db
-      (Printf.sprintf "UPDATE %s SET value = ?, nval = ? WHERE id = ?" state.tname)
-  in
-  exec_stmt state upd [| V.Str value; Encoding.nval_of ~kind value; V.Int id |]
+  exec state
+    (Printf.sprintf "UPDATE %s SET value = ?, nval = ? WHERE id = ?" state.tname)
+    [| V.Str value; Encoding.nval_of ~kind value; V.Int id |]
 
 let set_attribute db ~doc enc ~id ~name ~value =
   transactionally db @@ fun () ->
@@ -703,9 +667,9 @@ let set_attribute db ~doc enc ~id ~name ~value =
           let shifted =
             renumber state
               (Printf.sprintf
-                 "UPDATE %s SET l_order = l_order - 1 WHERE parent = %d AND \
-                  kind = 2"
-                 state.tname id)
+                 "UPDATE %s SET l_order = l_order - 1 WHERE parent = ? AND kind = 2"
+                 state.tname)
+              [| V.Int id |]
           in
           state.st <-
             { state.st with rows_renumbered = state.st.rows_renumbered + shifted };
@@ -757,8 +721,8 @@ let remove_attribute db ~doc enc ~id ~name =
   | Some victim ->
       let deleted =
         exec state
-          (Printf.sprintf "DELETE FROM %s WHERE id = %d" state.tname
-             victim.Node_row.id)
+          (Printf.sprintf "DELETE FROM %s WHERE id = ?" state.tname)
+          [| V.Int victim.Node_row.id |]
       in
       (* LOCAL keeps attribute ranks dense at -m..-1 *)
       (match (enc, victim.Node_row.ord) with
@@ -766,9 +730,10 @@ let remove_attribute db ~doc enc ~id ~name =
           let shifted =
             renumber state
               (Printf.sprintf
-                 "UPDATE %s SET l_order = l_order + 1 WHERE parent = %d AND \
-                  kind = 2 AND l_order < %d"
-                 state.tname id pos)
+                 "UPDATE %s SET l_order = l_order + 1 WHERE parent = ? AND kind = 2 \
+                  AND l_order < ?"
+                 state.tname)
+              [| V.Int id; V.Int pos |]
           in
           state.st <-
             { state.st with rows_renumbered = state.st.rows_renumbered + shifted }

@@ -1,9 +1,19 @@
-(* A cached SELECT plan: valid only while the catalog version is unchanged.
-   [ce_tick] implements LRU — it records the last lookup that touched the
-   entry; eviction removes the smallest tick. *)
+(* A statement compiled once per text: a SELECT or UNION ALL plan, or an
+   UPDATE or DELETE with its table, resolved SET expressions (column
+   position, value) and access path ({!Planner.table_access}). [?] slots
+   stay parameters; each execution binds them. A cache entry is valid only
+   while the catalog version is unchanged; [ce_tick] implements LRU — it
+   records the last lookup that touched the entry; eviction removes the
+   smallest tick. *)
+type compiled =
+  | Query of Plan.t  (* SELECT, UNION ALL *)
+  | Update of { tbl : Table.t; sets : (int * Expr.t) list; access : Plan.t }
+  | Delete of { tbl : Table.t; access : Plan.t }
+
 type cache_entry = {
   ce_version : int;
-  ce_plan : Plan.t;
+  ce_compiled : compiled;
+  ce_nparams : int;
   mutable ce_tick : int;
 }
 
@@ -320,26 +330,76 @@ let with_transaction t f =
       rollback t;
       raise e
 
-(* constant folding for INSERT value lists *)
-let rec const_eval (e : Sql_ast.sexpr) : Value.t =
+(* Inline bound parameter values into the [?]-form SQL text, tracking string
+   literals and quoted identifiers so a '?' inside either is left alone. The
+   result is what the WAL records for a write with parameters: replay then
+   parses plain constants, exactly like an autocommit statement. *)
+let substitute_params sql params =
+  let buf = Buffer.create (String.length sql + 32) in
+  let n = String.length sql in
+  let next = ref 0 in
+  let i = ref 0 in
+  let in_str = ref false and in_ident = ref false in
+  while !i < n do
+    let c = sql.[!i] in
+    if !in_str then begin
+      Buffer.add_char buf c;
+      if c = '\'' then
+        if !i + 1 < n && sql.[!i + 1] = '\'' then begin
+          Buffer.add_char buf '\'';
+          incr i
+        end
+        else in_str := false
+    end
+    else if !in_ident then begin
+      Buffer.add_char buf c;
+      if c = '"' then in_ident := false
+    end
+    else begin
+      match c with
+      | '\'' ->
+          in_str := true;
+          Buffer.add_char buf c
+      | '"' ->
+          in_ident := true;
+          Buffer.add_char buf c
+      | '?' when !next < Array.length params ->
+          Buffer.add_string buf (Value.to_sql_literal params.(!next));
+          incr next
+      | c -> Buffer.add_char buf c
+    end;
+    incr i
+  done;
+  Buffer.contents buf
+
+(* Log a write that just ran, with its parameters printed as literals. *)
+let log_bound t ~sql params =
+  if is_durable t then
+    log_write t (if Array.length params = 0 then sql else substitute_params sql params)
+
+(* constant folding for INSERT value lists; [?] reads the bound values *)
+let rec const_eval params (e : Sql_ast.sexpr) : Value.t =
   match e with
   | Sql_ast.E_const v -> v
+  | Sql_ast.E_param i -> params.(i)
   | Sql_ast.E_neg a -> begin
-      match const_eval a with
+      match const_eval params a with
       | Value.Int i -> Value.Int (-i)
       | Value.Float f -> Value.Float (-.f)
       | v -> fail "cannot negate %s" (Value.to_string v)
     end
   | Sql_ast.E_arith (op, a, b) -> begin
-      let ea = Expr.Const (const_eval a) and eb = Expr.Const (const_eval b) in
+      let ea = Expr.Const (const_eval params a)
+      and eb = Expr.Const (const_eval params b) in
       try Expr.eval (Expr.Arith (op, ea, eb)) [||]
       with Expr.Eval_error m -> fail "%s" m
     end
   | Sql_ast.E_concat (a, b) ->
-      Value.Str (Value.to_string (const_eval a) ^ Value.to_string (const_eval b))
+      Value.Str
+        (Value.to_string (const_eval params a) ^ Value.to_string (const_eval params b))
   | _ -> fail "INSERT values must be constants"
 
-let do_insert t ~table:name ~columns ~values =
+let do_insert t params ~table:name ~columns ~values =
   let tbl = table t name in
   let schema = Table.schema tbl in
   let arity = Schema.arity schema in
@@ -361,41 +421,22 @@ let do_insert t ~table:name ~columns ~values =
       if List.length row <> Array.length positions then
         fail "INSERT arity mismatch";
       let tuple = Array.make arity Value.Null in
-      List.iteri (fun i e -> tuple.(positions.(i)) <- const_eval e) row;
+      List.iteri (fun i e -> tuple.(positions.(i)) <- const_eval params e) row;
       (try ignore (Table.insert tbl tuple)
        with Table.Constraint_violation m -> fail "%s" m);
       incr count)
     values;
   Affected !count
 
-let resolve_where tbl = function
-  | None -> None
-  | Some w -> (
-      try Some (Planner.resolve_expr_for_table tbl w)
-      with Planner.Plan_error m -> fail "%s" m)
-
 (* Materialize the rows an UPDATE or DELETE touches, before any mutation: a
    runtime error in the WHERE clause fails the statement and changes
    nothing. *)
-let candidates tbl pred =
-  try List.of_seq (Planner.table_candidates tbl pred)
-  with Expr.Eval_error m -> fail "%s" m
+let candidates access =
+  try List.of_seq (Exec.rows_with_ids access)
+  with Expr.Eval_error m | Exec.Exec_error m -> fail "%s" m
 
-let do_update t ~table:name ~sets ~where =
-  let tbl = table t name in
-  let schema = Table.schema tbl in
-  let pred = resolve_where tbl where in
-  let sets =
-    List.map
-      (fun (col, e) ->
-        match Schema.find_opt schema col with
-        | None -> fail "table %s has no column %s" name col
-        | Some i -> (
-            try (i, Planner.resolve_expr_for_table tbl e)
-            with Planner.Plan_error m -> fail "%s" m))
-      sets
-  in
-  let victims = candidates tbl pred in
+let do_update tbl ~sets access =
+  let victims = candidates access in
   (* statement-level constraint semantics: compute every new tuple first,
      then apply them as one bulk in-place update — rowids are preserved, only
      indexes whose key changed are maintained, and a multi-row UPDATE that
@@ -418,10 +459,8 @@ let do_update t ~table:name ~sets ~where =
    with Table.Constraint_violation m -> fail "%s" m);
   Affected (List.length victims)
 
-let do_delete t ~table:name ~where =
-  let tbl = table t name in
-  let pred = resolve_where tbl where in
-  let victims = candidates tbl pred in
+let do_delete tbl access =
+  let victims = candidates access in
   List.iter (fun (rowid, _) -> Table.delete tbl rowid) victims;
   Affected (List.length victims)
 
@@ -478,52 +517,46 @@ let union_plan t qs =
   | _ -> ());
   Plan.Union_all plans
 
-let run_select plan =
-  let tuples =
-    Obs.Span.with_ "exec" (fun () ->
-        try Exec.run_list plan
-        with Expr.Eval_error m | Exec.Exec_error m -> fail "%s" m)
+(* Compile a SELECT, UNION ALL, UPDATE or DELETE. [?] slots stay in the
+   result as parameters. *)
+let compile t (stmt : Sql_ast.stmt) =
+  let resolve tbl e =
+    try Planner.resolve_expr_for_table tbl e with Planner.Plan_error m -> fail "%s" m
   in
-  Rows { schema = Plan.schema_of plan; tuples }
-
-let exec_stmt t stmt =
+  let access tbl where = Planner.table_access tbl (Option.map (resolve tbl) where) in
   match stmt with
-  | Sql_ast.Select q ->
-      run_select (Obs.Span.with_ "plan" (fun () -> plan_of_select t q))
-  | Sql_ast.Union_all qs ->
-      run_select (Obs.Span.with_ "plan" (fun () -> union_plan t qs))
-  | Sql_ast.Insert { table; columns; values } ->
-      do_insert t ~table ~columns ~values
-  | Sql_ast.Update { table; sets; where } -> do_update t ~table ~sets ~where
-  | Sql_ast.Delete { table; where } -> do_delete t ~table ~where
-  | Sql_ast.Create_table { name; columns } -> do_create_table t ~name ~columns
-  | Sql_ast.Create_index { name; table; columns; unique } ->
-      do_create_index t ~name ~table ~columns ~unique
-  | Sql_ast.Drop_table name -> (
-      if t.txn then fail "DDL is not allowed inside a transaction";
-      try
-        Catalog.drop_table t.cat name;
-        Affected 0
-      with Catalog.Catalog_error m -> fail "%s" m)
-  | Sql_ast.Begin_txn ->
-      begin_txn t;
-      Affected 0
-  | Sql_ast.Commit_txn ->
-      commit t;
-      Affected 0
+  | Sql_ast.Select q -> Query (plan_of_select t q)
+  | Sql_ast.Union_all qs -> Query (union_plan t qs)
+  | Sql_ast.Update { table = name; sets; where } ->
+      let tbl = table t name in
+      let schema = Table.schema tbl in
+      let sets =
+        List.map
+          (fun (col, e) ->
+            match Schema.find_opt schema col with
+            | None -> fail "table %s has no column %s" name col
+            | Some i -> (i, resolve tbl e))
+          sets
+      in
+      Update { tbl; sets; access = access tbl where }
+  | Sql_ast.Delete { table = name; where } ->
+      let tbl = table t name in
+      Delete { tbl; access = access tbl where }
+  | Sql_ast.Insert _ | Sql_ast.Create_table _ | Sql_ast.Create_index _
+  | Sql_ast.Drop_table _ | Sql_ast.Begin_txn | Sql_ast.Commit_txn
   | Sql_ast.Rollback_txn ->
-      rollback t;
-      Affected 0
+      fail "only SELECT, UNION ALL, UPDATE and DELETE statements are planned"
 
-let parse_stmt sql =
-  try Sql_parser.parse sql with Sql_parser.Parse_error m -> fail "%s" m
+let parse sql =
+  try Sql_parser.parse_params sql with Sql_parser.Parse_error m -> fail "%s" m
 
 (* --- plan cache ------------------------------------------------------- *)
-(* Only SELECT/UNION ALL plans are cached (DML re-evaluates its constants and
-   takes different code paths). The key is the raw SQL text, looked up BEFORE
-   lexing — a hit skips parse, simplify and planning entirely. Entries are
-   validated against the catalog version; DDL and CREATE INDEX bump it, and
-   [restore] builds a fresh Db, so stale plans are never served. *)
+(* Compiled SELECT, UNION ALL, UPDATE and DELETE statements are cached,
+   keyed by the raw SQL text and looked up BEFORE lexing: a hit skips
+   parse, simplify and planning entirely. Entries are validated against the
+   catalog version; DDL and CREATE INDEX bump it, and [restore] builds a
+   fresh Db, so stale plans are never served. The hit and miss counters
+   count SELECT and UNION ALL lookups only. *)
 
 let cache_touch t entry =
   t.cache_tick <- t.cache_tick + 1;
@@ -534,15 +567,18 @@ let cache_lookup t sql =
   | Some entry
     when entry.ce_version = Catalog.version t.cat ->
       cache_touch t entry;
-      t.cache_hits <- t.cache_hits + 1;
-      Obs.incr "db.plan_cache.hit";
-      Some entry.ce_plan
+      (match entry.ce_compiled with
+      | Query _ ->
+          t.cache_hits <- t.cache_hits + 1;
+          Obs.incr "db.plan_cache.hit"
+      | Update _ | Delete _ -> ());
+      Some entry
   | Some _ ->
       Hashtbl.remove t.plan_cache sql;
       None
   | None -> None
 
-let cache_store t sql plan =
+let cache_store t sql compiled nparams =
   if Hashtbl.length t.plan_cache >= plan_cache_cap then begin
     (* evict the least recently used entry; O(n) over a small fixed cap *)
     let victim = ref None in
@@ -556,49 +592,103 @@ let cache_store t sql plan =
     | Some (key, _) -> Hashtbl.remove t.plan_cache key
     | None -> ()
   end;
+  (match compiled with
+  | Query _ ->
+      t.cache_misses <- t.cache_misses + 1;
+      Obs.incr "db.plan_cache.miss"
+  | Update _ | Delete _ -> ());
   t.cache_tick <- t.cache_tick + 1;
   Hashtbl.replace t.plan_cache sql
     {
       ce_version = Catalog.version t.cat;
-      ce_plan = plan;
+      ce_compiled = compiled;
+      ce_nparams = nparams;
       ce_tick = t.cache_tick;
     }
 
 let plan_cache_stats t =
   (t.cache_hits, t.cache_misses, Hashtbl.length t.plan_cache)
 
-(* Writes that must reach the WAL when the database is durable. Reads and
-   transaction control do not: BEGIN/COMMIT materialize as batch records. *)
-let should_log : Sql_ast.stmt -> bool = function
-  | Sql_ast.Insert _ | Sql_ast.Update _ | Sql_ast.Delete _
-  | Sql_ast.Create_table _ | Sql_ast.Create_index _ | Sql_ast.Drop_table _ ->
-      true
-  | Sql_ast.Select _ | Sql_ast.Union_all _ | Sql_ast.Begin_txn
-  | Sql_ast.Commit_txn | Sql_ast.Rollback_txn ->
-      false
+(* --- the execution path ------------------------------------------------ *)
 
-(* Execute an already-parsed statement, populating the plan cache on SELECT
-   misses. [sql] is the cache key. *)
-let exec_parsed t ~sql stmt =
-  if Sql_ast.param_count stmt > 0 then
-    fail "statement has unbound parameters; use Db.prepare and bind values";
+let check_arity nparams params =
+  if Array.length params <> nparams then
+    fail "statement has %d parameter slot(s) but %d value(s) were bound" nparams
+      (Array.length params)
+
+let run_select plan =
+  let tuples =
+    Obs.Span.with_ "exec" (fun () ->
+        try Exec.run_list plan
+        with Expr.Eval_error m | Exec.Exec_error m -> fail "%s" m)
+  in
+  Rows { schema = Plan.schema_of plan; tuples }
+
+(* Bind [params] into a compiled statement (skipped when there are none;
+   the compiled form itself is never changed) and run it. *)
+let run_compiled t ~sql compiled params =
+  let unbound = Array.length params = 0 in
+  let bind p = if unbound then p else Plan.bind params p in
+  match compiled with
+  | Query plan -> ("select", run_select (bind plan))
+  | Update { tbl; sets; access } ->
+      let sets =
+        if unbound then sets
+        else List.map (fun (i, e) -> (i, Plan.bind_expr params e)) sets
+      in
+      let result = do_update tbl ~sets (bind access) in
+      log_bound t ~sql params;
+      ("update", result)
+  | Delete { tbl; access } ->
+      let result = do_delete tbl (bind access) in
+      log_bound t ~sql params;
+      ("delete", result)
+
+(* A statement the cache does not hold: compile and cache a SELECT, UNION
+   ALL, UPDATE or DELETE; run INSERT, DDL and transaction control from the
+   AST, so one-off INSERT texts (dumps, scripts, WAL replay) never enter
+   the cache. *)
+let run_parsed t ~sql (stmt, nparams) params =
+  check_arity nparams params;
+  let ran result =
+    (match stmt with
+    | Sql_ast.Begin_txn | Sql_ast.Commit_txn | Sql_ast.Rollback_txn -> ()
+    | _ -> log_bound t ~sql params);
+    (stmt_kind stmt, result)
+  in
   match stmt with
-  | Sql_ast.Select q ->
-      let plan = Obs.Span.with_ "plan" (fun () -> plan_of_select t q) in
-      t.cache_misses <- t.cache_misses + 1;
-      Obs.incr "db.plan_cache.miss";
-      cache_store t sql plan;
-      run_select plan
-  | Sql_ast.Union_all qs ->
-      let plan = Obs.Span.with_ "plan" (fun () -> union_plan t qs) in
-      t.cache_misses <- t.cache_misses + 1;
-      Obs.incr "db.plan_cache.miss";
-      cache_store t sql plan;
-      run_select plan
-  | stmt ->
-      let result = exec_stmt t stmt in
-      if should_log stmt then log_write t sql;
-      result
+  | Sql_ast.Select _ | Sql_ast.Union_all _ | Sql_ast.Update _ | Sql_ast.Delete _ ->
+      let compiled = Obs.Span.with_ "plan" (fun () -> compile t stmt) in
+      cache_store t sql compiled nparams;
+      run_compiled t ~sql compiled params
+  | Sql_ast.Insert { table; columns; values } ->
+      ran (do_insert t params ~table ~columns ~values)
+  | Sql_ast.Create_table { name; columns } -> ran (do_create_table t ~name ~columns)
+  | Sql_ast.Create_index { name; table; columns; unique } ->
+      ran (do_create_index t ~name ~table ~columns ~unique)
+  | Sql_ast.Drop_table name -> (
+      if t.txn then fail "DDL is not allowed inside a transaction";
+      try
+        Catalog.drop_table t.cat name;
+        ran (Affected 0)
+      with Catalog.Catalog_error m -> fail "%s" m)
+  | Sql_ast.Begin_txn ->
+      begin_txn t;
+      ran (Affected 0)
+  | Sql_ast.Commit_txn ->
+      commit t;
+      ran (Affected 0)
+  | Sql_ast.Rollback_txn ->
+      rollback t;
+      ran (Affected 0)
+
+let run_text t sql params =
+  match cache_lookup t sql with
+  | Some entry ->
+      check_arity entry.ce_nparams params;
+      run_compiled t ~sql entry.ce_compiled params
+  | None ->
+      run_parsed t ~sql (Obs.Span.with_ "sql-parse" (fun () -> parse sql)) params
 
 let note_slow t ~sql ms =
   match t.slow_ms with
@@ -610,20 +700,11 @@ let note_slow t ~sql ms =
          else log)
   | _ -> ()
 
-let exec t sql =
-  if not (Obs.enabled ()) then
-    match cache_lookup t sql with
-    | Some plan -> run_select plan
-    | None -> exec_parsed t ~sql (parse_stmt sql)
+let exec_params t sql params =
+  if not (Obs.enabled ()) then snd (run_text t sql params)
   else begin
     let t0 = Obs.Clock.now_ns () in
-    let kind, result =
-      match cache_lookup t sql with
-      | Some plan -> ("select", run_select plan)
-      | None ->
-          let stmt = Obs.Span.with_ "sql-parse" (fun () -> parse_stmt sql) in
-          (stmt_kind stmt, exec_parsed t ~sql stmt)
-    in
+    let kind, result = run_text t sql params in
     let ms = Obs.Clock.since_ms t0 in
     Obs.incr "db.statements";
     Obs.observe ("db.exec." ^ kind) ms;
@@ -631,110 +712,31 @@ let exec t sql =
     result
   end
 
-let query t sql =
-  match exec t sql with
+let exec t sql = exec_params t sql [||]
+
+let rows = function
   | Rows { tuples; _ } -> tuples
   | Affected _ -> fail "expected a SELECT statement"
+
+let query_params t sql params = rows (exec_params t sql params)
+let query t sql = query_params t sql [||]
 
 let query_one t sql =
   match query t sql with [] -> None | r :: _ -> Some r
 
 (* --- prepared statements ---------------------------------------------- *)
 
-type stmt = {
-  ps_db : t;
-  ps_sql : string;
-  ps_ast : Sql_ast.stmt;
-  ps_nparams : int;
-}
+type stmt = { ps_db : t; ps_sql : string; ps_nparams : int }
 
 let prepare t sql =
-  let t0 = Obs.Clock.now_ns () in
-  let ast = parse_stmt sql in
-  let s = { ps_db = t; ps_sql = sql; ps_ast = ast; ps_nparams = Sql_ast.param_count ast } in
-  if Obs.enabled () then Obs.observe "db.prepare" (Obs.Clock.since_ms t0);
-  s
-
-(* Inline bound parameter values into the [?]-form SQL text, tracking string
-   literals and quoted identifiers so a '?' inside either is left alone. The
-   result is what the WAL records for a prepared write: replay then parses
-   plain constants, exactly like an autocommit statement. *)
-let substitute_params sql params =
-  let buf = Buffer.create (String.length sql + 32) in
-  let n = String.length sql in
-  let next = ref 0 in
-  let i = ref 0 in
-  let in_str = ref false and in_ident = ref false in
-  while !i < n do
-    let c = sql.[!i] in
-    if !in_str then begin
-      Buffer.add_char buf c;
-      if c = '\'' then
-        if !i + 1 < n && sql.[!i + 1] = '\'' then begin
-          Buffer.add_char buf '\'';
-          incr i
-        end
-        else in_str := false
-    end
-    else if !in_ident then begin
-      Buffer.add_char buf c;
-      if c = '"' then in_ident := false
-    end
-    else begin
-      match c with
-      | '\'' ->
-          in_str := true;
-          Buffer.add_char buf c
-      | '"' ->
-          in_ident := true;
-          Buffer.add_char buf c
-      | '?' when !next < Array.length params ->
-          Buffer.add_string buf (Value.to_sql_literal params.(!next));
-          incr next
-      | c -> Buffer.add_char buf c
-    end;
-    incr i
-  done;
-  Buffer.contents buf
+  let _, nparams = parse sql in
+  { ps_db = t; ps_sql = sql; ps_nparams = nparams }
 
 module Stmt = struct
   let param_count s = s.ps_nparams
   let sql s = s.ps_sql
-
-  (* Parameters are substituted into the AST before planning, so the planner
-     sees ordinary constants and can match index access paths. Bound plans
-     are NOT stored in the plan cache: the cache key is the [?]-form text,
-     which would alias different bindings. *)
-  let exec s params =
-    let t = s.ps_db in
-    if Array.length params <> s.ps_nparams then
-      fail "prepared statement expects %d parameter(s), got %d" s.ps_nparams
-        (Array.length params);
-    let bound =
-      try Sql_ast.bind_params params s.ps_ast
-      with Sql_ast.Bind_error m -> fail "%s" m
-    in
-    let run () =
-      let result = exec_stmt t bound in
-      if should_log bound && is_durable t then
-        log_write t (substitute_params s.ps_sql params);
-      result
-    in
-    if not (Obs.enabled ()) then run ()
-    else begin
-      let t0 = Obs.Clock.now_ns () in
-      let result = run () in
-      let ms = Obs.Clock.since_ms t0 in
-      Obs.incr "db.statements";
-      Obs.observe ("db.exec." ^ stmt_kind bound) ms;
-      note_slow t ~sql:s.ps_sql ms;
-      result
-    end
-
-  let query s params =
-    match exec s params with
-    | Rows { tuples; _ } -> tuples
-    | Affected _ -> fail "expected a SELECT statement"
+  let exec s params = exec_params s.ps_db s.ps_sql params
+  let query s params = query_params s.ps_db s.ps_sql params
 end
 
 (* --- bulk writes ------------------------------------------------------- *)
@@ -799,9 +801,9 @@ let insert_row t name row =
    transaction-control statement, which must run outside a journal); if the
    caller already holds a transaction, statements just run in it. *)
 let exec_script t stmts =
-  let parsed = List.map (fun s -> (s, parse_stmt s)) stmts in
-  if t.txn then
-    List.iter (fun (sql, ast) -> ignore (exec_parsed t ~sql ast)) parsed
+  let parsed = List.map (fun s -> (s, parse s)) stmts in
+  let run (sql, parsed) = ignore (run_parsed t ~sql parsed [||]) in
+  if t.txn then List.iter run parsed
   else begin
     let open_bracket = ref false in
     let close () =
@@ -812,7 +814,7 @@ let exec_script t stmts =
     in
     try
       List.iter
-        (fun (sql, ast) ->
+        (fun ((_, (ast, _)) as stmt) ->
           (match ast with
           | Sql_ast.Create_table _ | Sql_ast.Create_index _
           | Sql_ast.Drop_table _ | Sql_ast.Begin_txn | Sql_ast.Commit_txn
@@ -824,7 +826,7 @@ let exec_script t stmts =
                 begin_txn t;
                 open_bracket := true
               end);
-          ignore (exec_parsed t ~sql ast);
+          run stmt;
           (* an explicit BEGIN inside the script takes over bracketing *)
           if !open_bracket && not t.txn then open_bracket := false)
         parsed;
@@ -834,32 +836,28 @@ let exec_script t stmts =
       raise e
   end
 
+let compiled_of t sql = compile t (fst (parse sql))
+
 let explain t sql =
-  match Sql_parser.parse sql with
-  | Sql_ast.Select q -> Format.asprintf "%a" Plan.pp (plan_of_select t q)
-  | Sql_ast.Union_all qs ->
-      Format.asprintf "%a" Plan.pp
-        (Plan.Union_all (List.map (plan_of_select t) qs))
-  | _ -> fail "EXPLAIN supports only SELECT"
-  | exception Sql_parser.Parse_error m -> fail "%s" m
+  let plan =
+    match compiled_of t sql with
+    | Query plan | Update { access = plan; _ } | Delete { access = plan; _ } -> plan
+  in
+  Format.asprintf "%a" Plan.pp plan
 
 let explain_analyze t sql =
-  let analyze plan =
-    let read0 = rows_read t in
-    let t0 = Obs.Clock.now_ns () in
-    let tuples, prof =
-      try Exec.run_profiled plan
-      with Expr.Eval_error m | Exec.Exec_error m -> fail "%s" m
-    in
-    let total_ms = Obs.Clock.since_ms t0 in
-    Format.asprintf "%a(total: %d rows in %.3f ms; %d logical rows read)"
-      Exec.pp_prof prof (List.length tuples) total_ms (rows_read t - read0)
-  in
-  match Sql_parser.parse sql with
-  | Sql_ast.Select q -> analyze (plan_of_select t q)
-  | Sql_ast.Union_all qs -> analyze (union_plan t qs)
-  | _ -> fail "EXPLAIN ANALYZE supports only SELECT"
-  | exception Sql_parser.Parse_error m -> fail "%s" m
+  match compiled_of t sql with
+  | Query plan ->
+      let read0 = rows_read t in
+      let t0 = Obs.Clock.now_ns () in
+      let tuples, prof =
+        try Exec.run_profiled plan
+        with Expr.Eval_error m | Exec.Exec_error m -> fail "%s" m
+      in
+      let total_ms = Obs.Clock.since_ms t0 in
+      Format.asprintf "%a(total: %d rows in %.3f ms; %d logical rows read)"
+        Exec.pp_prof prof (List.length tuples) total_ms (rows_read t - read0)
+  | Update _ | Delete _ -> fail "EXPLAIN ANALYZE supports only SELECT"
 
 let render = function
   | Affected n -> Printf.sprintf "(%d rows affected)" n

@@ -14,12 +14,27 @@ val create : unit -> t
 val catalog : t -> Catalog.t
 
 val exec : t -> string -> result
-(** Execute any supported statement.
-    @raise Sql_error with a message on parse, plan or execution errors. *)
+(** Execute any supported statement: [exec_params t sql [||]].
+    @raise Sql_error with a message on parse, plan or execution errors, or
+    if the text has [?] slots. *)
+
+val exec_params : t -> string -> Value.t array -> result
+(** Execute a statement with its [?] slots bound to [params] (positional,
+    left to right). Every statement takes this one path: look the text up
+    in the plan cache; on a miss parse it (in a [sql-parse] span) and
+    compile a SELECT, UNION ALL, UPDATE or DELETE (in a [plan] span) and
+    cache it; then bind, run, log the write and time the statement. INSERT,
+    DDL and transaction control run from the parsed statement and are not
+    cached.
+    @raise Sql_error if the number of values differs from the number of
+    slots, or as {!exec}. *)
 
 val query : t -> string -> Tuple.t list
 (** Execute a SELECT and return its rows.
     @raise Sql_error if the statement is not a SELECT. *)
+
+val query_params : t -> string -> Value.t array -> Tuple.t list
+(** {!exec_params} for a SELECT, returning its rows. *)
 
 val query_one : t -> string -> Tuple.t option
 (** First row of a SELECT, if any. *)
@@ -34,22 +49,28 @@ val exec_script : t -> string list -> unit
 (** {2 Prepared statements}
 
     [?] positional placeholders in any expression position are bound at
-    execution time. Binding substitutes the values into the AST {e before}
-    planning, so the planner matches index access paths exactly as if the
-    literals had been inlined. *)
+    execution time. A compiled statement keeps its [?] slots: an index scan
+    carries its key and bounds as expressions and turns them into a B+-tree
+    range when it opens, so the planner matches index access paths for a
+    slot as for a literal, and one cached plan serves every binding. A slot
+    bound to NULL in an index key or bound matches no row, as [col = NULL]
+    never holds. Binding substitutes the values into a copy of the cached
+    plan; statements without [?] skip it. *)
 
 type stmt
-(** A parsed statement with [?] placeholders, tied to the {!t} that
-    prepared it. *)
+(** A statement text with [?] placeholders, tied to the {!t} that prepared
+    it. *)
 
 val prepare : t -> string -> stmt
-(** Parse once for repeated execution. Records a [db.prepare] histogram
-    sample when [Obs.enabled ()].
+(** Check that [sql] parses and count its [?] slots. Each execution looks
+    the text up in the plan cache again, so a [CREATE INDEX] between two
+    executions re-plans.
     @raise Sql_error on parse errors. *)
 
 module Stmt : sig
   val exec : stmt -> Value.t array -> result
-  (** Bind [params] (positional, left to right) and execute.
+  (** {!exec_params} on the statement's text: the same path, spans,
+      counters and slow-query log as {!exec}.
       @raise Sql_error if the arity does not match {!param_count} or on
       plan/execution errors. *)
 
@@ -101,19 +122,26 @@ val insert_row : t -> string -> Tuple.t -> int
 
 (** {2 Plan cache}
 
-    SELECT / UNION ALL plans are cached keyed by raw SQL text (LRU, 128
-    entries); a repeated query skips lexing, parsing, simplification and
-    planning. Entries are invalidated by a catalog version counter bumped on
-    every CREATE/DROP TABLE and CREATE INDEX, and {!restore} starts from an
-    empty cache. Counted in [db.plan_cache.hit] / [db.plan_cache.miss] Obs
-    counters (misses count only cacheable, i.e. SELECT, statements). *)
+    Compiled statements are cached keyed by raw SQL text (LRU, 128
+    entries): SELECT / UNION ALL plans, and UPDATE / DELETE with their
+    table, SET expressions and access path. A repeated text, with or
+    without [?] slots, skips lexing, parsing, simplification and planning.
+    Entries are invalidated by a catalog version counter bumped on every
+    CREATE/DROP TABLE and CREATE INDEX, and {!restore} starts from an empty
+    cache. The hit and miss counts, and the [db.plan_cache.hit] /
+    [db.plan_cache.miss] Obs counters, cover SELECT and UNION ALL lookups
+    only. *)
 
 val plan_cache_stats : t -> int * int * int
 (** [(hits, misses, entries)] since creation, counted even when Obs is
     disabled. *)
 
 val explain : t -> string -> string
-(** The physical plan chosen for a SELECT, rendered as an indented tree. *)
+(** The physical plan chosen for a SELECT, rendered as an indented tree:
+    the plan that runs, [?] slots included (an index bound that is a slot
+    prints as [?1], [?2], ...). For an UPDATE or DELETE, the access path
+    that reads the rows it changes.
+    @raise Sql_error for other statements. *)
 
 val explain_analyze : t -> string -> string
 (** Execute the SELECT with every plan operator instrumented and render the
@@ -242,8 +270,9 @@ val reset_counters : t -> unit
 
 (** {2 Observability}
 
-    When [Obs.enabled ()], {!exec} times every statement on the monotonic
-    clock, recording a per-statement-kind latency histogram
+    When [Obs.enabled ()], {!exec}, {!exec_params} and {!Stmt.exec} time
+    every statement on the monotonic clock, recording a per-statement-kind
+    latency histogram
     ([db.exec.select], [db.exec.insert], [db.exec.update], [db.exec.delete],
     [db.exec.ddl], [db.exec.txn]) and a [db.statements] counter in the
     global {!Obs} registry, and opens [sql-parse] / [plan] / [exec] spans so

@@ -83,6 +83,14 @@ let group tbl k make =
       Hashtbl.add tbl h (k, v);
       v
 
+(* The index entries within [range], walked from its high end when
+   [reverse]; none for [None], a range with a NULL value. *)
+let entries index ~reverse = function
+  | None -> Seq.empty
+  | Some (lo, hi) ->
+      if reverse then Btree.range_desc index.Table.tree ~lo ~hi
+      else Btree.range index.Table.tree ~lo ~hi
+
 (* The evaluator is parametric in a per-node wrapper so the same operator
    implementations serve both the plain path (identity wrapper) and EXPLAIN
    ANALYZE (a row-counting, pull-timing wrapper around every operator). *)
@@ -90,17 +98,10 @@ let rec eval ~wrap (p : Plan.t) : Tuple.t Seq.t =
   let run c = wrap c (eval ~wrap c) in
   match p with
   | Plan.Seq_scan t -> Seq.map snd (Table.scan t)
-  | Plan.Index_scan { table; index; lo; hi; reverse } ->
-      let entries =
-        if reverse then Btree.range_desc index.Table.tree ~lo ~hi
-        else Btree.range index.Table.tree ~lo ~hi
-      in
+  | Plan.Index_scan { table; index; range; reverse } ->
       Seq.filter_map
-        (fun (_, rowid) ->
-          match Table.get table rowid with
-          | Some tu -> Some tu
-          | None -> None)
-        entries
+        (fun (_, rowid) -> Table.get table rowid)
+        (entries index ~reverse (Plan.range_bounds range))
   | Plan.Filter (pred, input) ->
       Seq.filter (fun t -> Expr.eval_bool pred t) (run input)
   | Plan.Project (cols, input) ->
@@ -124,28 +125,20 @@ let rec eval ~wrap (p : Plan.t) : Tuple.t Seq.t =
   | Plan.Index_nl_join
       { outer; table; index; key; lo; hi; residual; cap; reverse } ->
       let probe ot =
-        match Plan.probe_range key ~lo ~hi ot with
-        | None -> Seq.empty
-        | Some (lo, hi) -> (
-            let entries =
-              if reverse then Btree.range_desc index.Table.tree ~lo ~hi
-              else Btree.range index.Table.tree ~lo ~hi
-            in
-            let rows =
-              Seq.filter_map
-                (fun (_, rowid) ->
-                  match Table.get table rowid with
-                  | None -> None
-                  | Some it -> (
-                      let joined = Tuple.concat ot it in
-                      match residual with
-                      | None -> Some joined
-                      | Some e ->
-                          if Expr.eval_bool e joined then Some joined else None))
-                entries
-            in
-            (* lazy: the probe reads no index entry past the cap-th row *)
-            match cap with None -> rows | Some n -> Seq.take n rows)
+        let rows =
+          Seq.filter_map
+            (fun (_, rowid) ->
+              match Table.get table rowid with
+              | None -> None
+              | Some it -> (
+                  let joined = Tuple.concat ot it in
+                  match residual with
+                  | None -> Some joined
+                  | Some e -> if Expr.eval_bool e joined then Some joined else None))
+            (entries index ~reverse (Plan.probe_range key ~lo ~hi ot))
+        in
+        (* lazy: the probe reads no index entry past the cap-th row *)
+        match cap with None -> rows | Some n -> Seq.take n rows
       in
       Seq.concat_map probe (run outer)
   | Plan.Hash_join { left; right; left_key; right_key; residual } ->
@@ -241,6 +234,18 @@ let rec eval ~wrap (p : Plan.t) : Tuple.t Seq.t =
       Seq.filter keep (run input)
   | Plan.Union_all branches ->
       Seq.concat_map run (List.to_seq branches)
+
+let rec rows_with_ids (p : Plan.t) =
+  match p with
+  | Plan.Seq_scan t -> Table.scan t
+  | Plan.Index_scan { table; index; range; reverse } ->
+      Seq.filter_map
+        (fun (_, rowid) -> Option.map (fun tu -> (rowid, tu)) (Table.get table rowid))
+        (entries index ~reverse (Plan.range_bounds range))
+  | Plan.Filter (pred, input) ->
+      Seq.filter (fun (_, tu) -> Expr.eval_bool pred tu) (rows_with_ids input)
+  | Plan.Limit { limit = Some 0; _ } -> Seq.empty
+  | p -> raise (Exec_error ("not a single-table access path: " ^ Plan.label p))
 
 let id_wrap _ s = s
 let run p = eval ~wrap:id_wrap p

@@ -12,6 +12,11 @@ val run_list : Plan.t -> Tuple.t list
 val row_count : Plan.t -> int
 (** Consume the plan counting rows. *)
 
+val rows_with_ids : Plan.t -> (int * Tuple.t) Seq.t
+(** The rows of a single-table access path, with their row ids: a scan
+    under filters, or [LIMIT 0] over one. These are the rows an UPDATE or
+    DELETE touches. @raise Exec_error on any other plan. *)
+
 (** {2 Instrumented execution}
 
     Per-operator runtime statistics, the engine half of

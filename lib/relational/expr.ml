@@ -190,12 +190,12 @@ let columns e =
   go e;
   List.sort_uniq Stdlib.compare !acc
 
-let rec map_columns f e =
-  let s = map_columns f in
+(* Rebuild [e] with every leaf (constant, column or parameter) replaced by
+   [leaf] of it. *)
+let rec map_leaves leaf e =
+  let s = map_leaves leaf in
   match e with
-  | Const v -> Const v
-  | Param i -> Param i
-  | Col i -> Col (f i)
+  | Const _ | Col _ | Param _ -> leaf e
   | Cmp (op, a, b) -> Cmp (op, s a, s b)
   | And (a, b) -> And (s a, s b)
   | Or (a, b) -> Or (s a, s b)
@@ -208,6 +208,9 @@ let rec map_columns f e =
   | Like (a, p) -> Like (s a, p)
   | In_list (a, vs) -> In_list (s a, vs)
   | Func (f, args) -> Func (f, List.map s args)
+
+let map_columns f = map_leaves (function Col i -> Col (f i) | e -> e)
+let subst_params f = map_leaves (function Param i -> f i | e -> e)
 
 let shift_columns off e = map_columns (fun i -> i + off) e
 

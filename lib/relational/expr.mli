@@ -12,10 +12,10 @@ type t =
   | Const of Value.t
   | Col of int
   | Param of int
-      (** Positional [?] placeholder (0-based). Plans may carry unbound
-          parameters (e.g. for EXPLAIN of a prepared statement); evaluating
-          one raises {!Eval_error} — {!Db.prepare} substitutes constants
-          before execution. *)
+      (** Positional [?] placeholder (0-based). Cached plans keep their
+          parameters; each execution binds them ({!Plan.bind})
+          before the plan runs. Evaluating an unbound one raises
+          {!Eval_error}. *)
   | Cmp of cmp * t * t
   | And of t * t
   | Or of t * t
@@ -50,6 +50,9 @@ val columns : t -> int list
 
 val map_columns : (int -> int) -> t -> t
 (** Rewrite every column reference. *)
+
+val subst_params : (int -> t) -> t -> t
+(** [subst_params f e] replaces every [Param i] by [f i]. *)
 
 val shift_columns : int -> t -> t
 (** Add an offset to every column reference (used when an expression over a

@@ -10,13 +10,16 @@ type agg =
 
 type probe_bound = { bound : Expr.t; strict : bool }
 
+type scan_range =
+  | Fixed of Btree.bound * Btree.bound
+  | Probe of { key : Expr.t array; lo : probe_bound option; hi : probe_bound option }
+
 type t =
   | Seq_scan of Table.t
   | Index_scan of {
       table : Table.t;
       index : Table.index;
-      lo : Btree.bound;
-      hi : Btree.bound;
+      range : scan_range;
       reverse : bool;
     }
   | Filter of Expr.t * t
@@ -72,6 +75,66 @@ let probe_range key ~lo ~hi row =
   match (bound ~default:floor lo, bound ~default:whole hi) with
   | Some lo, Some hi when not (Array.exists Value.is_null prefix) -> Some (lo, hi)
   | _ -> None
+
+let range_bounds = function
+  | Fixed (lo, hi) -> Some (lo, hi)
+  | Probe { key; lo; hi } -> probe_range key ~lo ~hi [||]
+
+let map_bound f = Option.map (fun b -> { b with bound = f b.bound })
+
+let map_range f = function
+  | Fixed _ as r -> r
+  | Probe { key; lo; hi } ->
+      Probe { key = Array.map f key; lo = map_bound f lo; hi = map_bound f hi }
+
+let map_agg f = function
+  | Count_star -> Count_star
+  | Count e -> Count (f e)
+  | Sum e -> Sum (f e)
+  | Min e -> Min (f e)
+  | Max e -> Max (f e)
+  | Avg e -> Avg (f e)
+
+let rec map_exprs f p =
+  let m = map_exprs f in
+  let named = Array.map (fun (e, name) -> (f e, name)) in
+  match p with
+  | Seq_scan _ -> p
+  | Index_scan s -> Index_scan { s with range = map_range f s.range }
+  | Filter (e, input) -> Filter (f e, m input)
+  | Project (cols, input) -> Project (named cols, m input)
+  | Nl_join j ->
+      Nl_join { outer = m j.outer; inner = m j.inner; pred = Option.map f j.pred }
+  | Index_nl_join j ->
+      Index_nl_join
+        {
+          j with
+          outer = m j.outer;
+          key = Array.map f j.key;
+          lo = map_bound f j.lo;
+          hi = map_bound f j.hi;
+          residual = Option.map f j.residual;
+        }
+  | Hash_join j ->
+      Hash_join
+        { j with left = m j.left; right = m j.right; residual = Option.map f j.residual }
+  | Sort s -> Sort { input = m s.input; keys = List.map (fun (e, o) -> (f e, o)) s.keys }
+  | Distinct input -> Distinct (m input)
+  | Aggregate a ->
+      Aggregate
+        {
+          input = m a.input;
+          group_by = named a.group_by;
+          aggs = Array.map (fun (g, name) -> (map_agg f g, name)) a.aggs;
+        }
+  | Limit l -> Limit { l with input = m l.input; by = Array.map f l.by }
+  | Union_all branches -> Union_all (List.map m branches)
+
+let bind_expr params =
+  Expr.subst_params (fun i ->
+      if i < Array.length params then Expr.Const params.(i) else Expr.Param i)
+
+let bind params p = map_exprs (bind_expr params) p
 
 let expr_type schema (e : Expr.t) : Value.ty =
   let rec go = function
@@ -151,9 +214,18 @@ let bound_str = function
 
 let label = function
   | Seq_scan t -> "SeqScan " ^ Table.name t
-  | Index_scan { table; index; lo; hi; reverse } ->
-      Printf.sprintf "IndexScan %s.%s %s .. %s%s" (Table.name table)
-        index.Table.idx_name (bound_str lo) (bound_str hi)
+  | Index_scan { table; index; range; reverse } ->
+      (* a parameter shows as its slot: ?1, ?2, ... *)
+      let shown =
+        map_range
+          (Expr.subst_params (fun i ->
+               Expr.Const (Value.Str (Printf.sprintf "?%d" (i + 1)))))
+          range
+      in
+      Printf.sprintf "IndexScan %s.%s %s%s" (Table.name table) index.Table.idx_name
+        (match range_bounds shown with
+        | Some (lo, hi) -> bound_str lo ^ " .. " ^ bound_str hi
+        | None -> "empty")
         (if reverse then " DESC" else "")
   | Filter (e, _) -> Format.asprintf "Filter %a" Expr.pp e
   | Project (cols, _) ->

@@ -11,18 +11,25 @@ type agg =
   | Avg of Expr.t
 
 type probe_bound = { bound : Expr.t; strict : bool }
-(** One end of an index probe's range, an expression over the outer row;
-    [strict] excludes the bound itself. *)
+(** One end of an index probe's range, an expression (over the outer row
+    for a join probe, over constants and parameters for a scan); [strict]
+    excludes the bound itself. *)
+
+type scan_range =
+  | Fixed of Btree.bound * Btree.bound
+      (** a range matched on no conjunct: MIN/MAX from an index end *)
+  | Probe of { key : Expr.t array; lo : probe_bound option; hi : probe_bound option }
+      (** the range {!probe_range} builds from [key], [lo] and [hi] when the
+          scan opens; a NULL value in any of them reads no rows *)
 
 type t =
   | Seq_scan of Table.t
   | Index_scan of {
       table : Table.t;
       index : Table.index;
-      lo : Btree.bound;
-      hi : Btree.bound;
+      range : scan_range;
       reverse : bool;
-    }  (** rows in index-key order within [lo, hi] *)
+    }  (** rows in index-key order within [range] *)
   | Filter of Expr.t * t
   | Project of (Expr.t * string) array * t
   | Nl_join of { outer : t; inner : t; pred : Expr.t option }
@@ -79,8 +86,27 @@ val probe_range :
     leading key columns, and the next key column lies within [lo] and [hi]
     (strict bounds exclude their value). [None] when a key value or a bound
     is NULL, which matches nothing. With no lower bound the range starts
-    above NULL. Index scans call it once at plan time over constants (with
-    [row = [||]]), index nested-loop joins once per outer row. *)
+    above NULL. Index scans call it when they open, over their bound
+    constants (with [row = [||]]); index nested-loop joins once per outer
+    row. *)
+
+val range_bounds : scan_range -> (Btree.bound * Btree.bound) option
+(** The B+-tree range of an index scan: a [Fixed] range as it is, a [Probe]
+    through {!probe_range}. *)
+
+val map_agg : (Expr.t -> Expr.t) -> agg -> agg
+(** Rewrite the aggregate's argument. *)
+
+val bind_expr : Value.t array -> Expr.t -> Expr.t
+(** [bind_expr params e] replaces every [Expr.Param i] in [e] by the
+    constant [params.(i)]. A slot without a value stays a parameter, which
+    fails when evaluated. *)
+
+val bind : Value.t array -> t -> t
+(** [bind params plan] is [plan] with every [Expr.Param i] replaced by the
+    constant [params.(i)] ({!bind_expr} over every expression): a new
+    plan, [plan] itself is left as it was, so a cached plan serves every
+    binding. *)
 
 val schema_of : t -> Schema.t
 (** Output schema of a plan. Column types for computed expressions are

@@ -129,10 +129,10 @@ let rec contains_agg (e : Sql_ast.sexpr) =
    at most one lower and one upper bound on the next key column (Simplify
    has already kept only the tightest constant bound per column). The
    indexed table's columns start at [split]; the other side of each
-   comparison must pass [usable]: a non-NULL constant for a scan, an
-   expression over the outer row for a join probe, evaluated once per outer
-   row. Consumed conjuncts are exact (Plan.probe_range applies SQL's NULL
-   semantics). Returns (key, lo, hi, consumed, score): two points per
+   comparison must pass [usable]: a non-NULL constant or a parameter for a
+   scan, evaluated when the scan opens, an expression over the outer row for
+   a join probe, evaluated once per outer row. Consumed conjuncts are exact
+   (Plan.probe_range applies SQL's NULL semantics). Returns (key, lo, hi, consumed, score): two points per
    equality, plus one for a whole key or a range. *)
 let match_index ~split ~usable (idx : Table.index) conjuncts =
   let flip = function
@@ -183,8 +183,9 @@ let match_index ~split ~usable (idx : Table.index) conjuncts =
       (eqs @ Option.to_list lo @ Option.to_list hi),
     (2 * neq) + if whole_key_or_range then 1 else 0 )
 
-let non_null_const = function
+let scan_bound = function
   | Expr.Const v -> not (Value.is_null v)
+  | Expr.Param _ -> true
   | _ -> false
 
 (* Choose the best access path for [table] given local conjuncts. Returns the
@@ -195,27 +196,20 @@ let choose_access table conjuncts =
   List.iter
     (fun idx ->
       let ((_, _, _, _, score) as m) =
-        match_index ~split:0 ~usable:non_null_const idx conjuncts
+        match_index ~split:0 ~usable:scan_bound idx conjuncts
       in
       if score > 0 then
         match !best with
         | Some (_, (_, _, _, _, s)) when s >= score -> ()
         | _ -> best := Some (idx, m))
     (Table.indexes table);
-  let seq_scan = (Plan.Seq_scan table, conjuncts, 0) in
   match !best with
-  | None -> seq_scan
-  | Some (index, (key, lo, hi, consumed, score)) -> (
-      (* non-NULL constant bounds always give a range *)
-      match Plan.probe_range key ~lo ~hi [||] with
-      | None -> seq_scan
-      | Some (lo, hi) ->
-          let residual =
-            List.filter (fun c -> not (List.memq c consumed)) conjuncts
-          in
-          ( Plan.Index_scan { table; index; lo; hi; reverse = false },
-            residual,
-            score ))
+  | None -> (Plan.Seq_scan table, conjuncts, 0)
+  | Some (index, (key, lo, hi, consumed, score)) ->
+      ( Plan.Index_scan
+          { table; index; range = Plan.Probe { key; lo; hi }; reverse = false },
+        List.filter (fun c -> not (List.memq c consumed)) conjuncts,
+        score )
 
 let with_filter plan = function
   | [] -> plan
@@ -534,8 +528,7 @@ let min_max_scan env (q : Sql_ast.select) =
                 {
                   table = e.table;
                   index;
-                  lo = Btree.Excl [| Value.Null |];
-                  hi = Btree.Unbounded;
+                  range = Plan.Fixed (Btree.Excl [| Value.Null |], Btree.Unbounded);
                   reverse = f = "MAX";
                 }
             in
@@ -717,16 +710,7 @@ let plan_select catalog (q : Sql_ast.select) =
               if contains_agg e then begin
                 match e with
                 | Sql_ast.E_func (_, _) ->
-                    let agg = extract_agg env e in
-                    let agg =
-                      (match agg with
-                      | Plan.Count_star -> Plan.Count_star
-                      | Plan.Count x -> Plan.Count (to_physical x)
-                      | Plan.Sum x -> Plan.Sum (to_physical x)
-                      | Plan.Min x -> Plan.Min (to_physical x)
-                      | Plan.Max x -> Plan.Max (to_physical x)
-                      | Plan.Avg x -> Plan.Avg (to_physical x))
-                    in
+                    let agg = Plan.map_agg to_physical (extract_agg env e) in
                     let pos = n_groups + List.length !aggs in
                     aggs := !aggs @ [ (agg, name) ];
                     (Expr.Col pos, name)
@@ -760,15 +744,6 @@ let plan_select catalog (q : Sql_ast.select) =
           aggs := !aggs @ [ (agg, name) ];
           pos
     in
-    let to_phys_agg agg =
-      match agg with
-      | Plan.Count_star -> Plan.Count_star
-      | Plan.Count x -> Plan.Count (to_physical x)
-      | Plan.Sum x -> Plan.Sum (to_physical x)
-      | Plan.Min x -> Plan.Min (to_physical x)
-      | Plan.Max x -> Plan.Max (to_physical x)
-      | Plan.Avg x -> Plan.Avg (to_physical x)
-    in
     let rec resolve_over_agg (e : Sql_ast.sexpr) : Expr.t =
       (* aggregate calls map to output columns; any aggregate-free
          subexpression matching a GROUP BY expression maps to its group
@@ -793,7 +768,7 @@ let plan_select catalog (q : Sql_ast.select) =
       | None, Sql_ast.E_func (name, _) when List.mem name agg_funcs ->
           Expr.Col
             (agg_output_col
-               (to_phys_agg (extract_agg env e))
+               (Plan.map_agg to_physical (extract_agg env e))
                (String.lowercase_ascii name))
       | None, e -> resolve_over_agg_structural e
 
@@ -844,16 +819,7 @@ let plan_select catalog (q : Sql_ast.select) =
         (fun (e, dir) ->
           let dir = match dir with Sql_ast.Asc -> Plan.Asc | Sql_ast.Desc -> Plan.Desc in
           if contains_agg e then begin
-            let agg = extract_agg env e in
-            let agg =
-              match agg with
-              | Plan.Count_star -> Plan.Count_star
-              | Plan.Count x -> Plan.Count (to_physical x)
-              | Plan.Sum x -> Plan.Sum (to_physical x)
-              | Plan.Min x -> Plan.Min (to_physical x)
-              | Plan.Max x -> Plan.Max (to_physical x)
-              | Plan.Avg x -> Plan.Avg (to_physical x)
-            in
+            let agg = Plan.map_agg to_physical (extract_agg env e) in
             match List.find_index (fun (a, _) -> a = agg) !aggs with
             | Some ai -> (Expr.Col (n_groups + ai), dir)
             | None -> fail "ORDER BY aggregate must also be selected"
@@ -887,41 +853,26 @@ let resolve_expr_for_table table e =
   let alias = norm (Table.name table) in
   resolve [ { alias; table; tbl_idx = 0; scratch = false } ] e
 
-(* The same simplification and index matching as a single-table SELECT;
-   [None] when the WHERE clause is a contradiction, which reads no rows. *)
-let access_for table pred =
+(* The access path of an UPDATE or DELETE: the simplification and index
+   matching of a single-table SELECT, the residual conjuncts as a Filter
+   over the scan, and LIMIT 0 over a scan for a contradiction. *)
+let table_access table pred =
   let conjuncts = match pred with None -> [] | Some p -> Expr.conjuncts p in
   match Simplify.simplify_conjuncts conjuncts with
-  | Simplify.Contradiction -> None
+  | Simplify.Contradiction ->
+      Plan.Limit { input = Plan.Seq_scan table; limit = Some 0; offset = 0; by = [||] }
   | Simplify.Conjuncts cs ->
       let scan, residual, _ = choose_access table cs in
-      Some (scan, residual)
+      with_filter scan residual
 
-let table_candidates table pred =
-  match access_for table pred with
-  | None -> Seq.empty
-  | Some (scan, residual) -> (
-      let rows =
-        match scan with
-        | Plan.Index_scan { table = t; index; lo; hi; _ } ->
-            Seq.filter_map
-              (fun (_, rowid) ->
-                Option.map (fun tu -> (rowid, tu)) (Table.get t rowid))
-              (Btree.range index.Table.tree ~lo ~hi)
-        | _ -> Table.scan table
-      in
-      match Expr.conjoin residual with
-      | None -> rows
-      | Some pred -> Seq.filter (fun (_, tu) -> Expr.eval_bool pred tu) rows)
+let table_candidates table pred = Exec.rows_with_ids (table_access table pred)
 
 let access_path_description table pred =
-  match access_for table pred with
-  | None -> Printf.sprintf "Empty(%s)" (Table.name table)
-  | Some (scan, residual) ->
-      let base =
-        match scan with
-        | Plan.Index_scan { index; _ } ->
-            Printf.sprintf "IndexScan(%s)" index.Table.idx_name
-        | _ -> Printf.sprintf "SeqScan(%s)" (Table.name table)
-      in
-      if residual = [] then base else base ^ "+filter"
+  let scan = function
+    | Plan.Index_scan { index; _ } -> Printf.sprintf "IndexScan(%s)" index.Table.idx_name
+    | _ -> Printf.sprintf "SeqScan(%s)" (Table.name table)
+  in
+  match table_access table pred with
+  | Plan.Limit _ -> Printf.sprintf "Empty(%s)" (Table.name table)
+  | Plan.Filter (_, p) -> scan p ^ "+filter"
+  | p -> scan p

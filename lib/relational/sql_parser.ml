@@ -501,12 +501,14 @@ let finish st =
   | Sql_lexer.Eof -> ()
   | t -> fail "trailing input: %s" (token_str t)
 
-let parse src =
+let parse_params src =
   let toks = try Sql_lexer.tokenize src with Sql_lexer.Error m -> fail "%s" m in
   let st = { toks; params = 0 } in
   let stmt = parse_stmt st in
   finish st;
-  stmt
+  (stmt, st.params)
+
+let parse src = fst (parse_params src)
 
 let parse_expr src =
   let toks = try Sql_lexer.tokenize src with Sql_lexer.Error m -> fail "%s" m in

@@ -232,6 +232,158 @@ let prop_prepared_equals_inlined =
         findings = []
       end)
 
+(* --- property: bound plans == literal statements ------------------------- *)
+
+(* One statement text with [?] slots, executed through a prepared handle
+   with several bindings on one database, and as the text with each binding
+   printed as literals through [Db.exec] on a twin database. Slots sit in
+   index equality prefixes, range bounds, SET expressions and residuals;
+   bindings include NULL. *)
+
+type slot = Int_slot | Text_slot
+
+let twin () =
+  let db = D.create () in
+  ignore (D.exec db "CREATE TABLE t (a INT NOT NULL, b INT, c INT, d TEXT)");
+  ignore (D.exec db "CREATE UNIQUE INDEX t_a ON t (a)");
+  ignore (D.exec db "CREATE INDEX t_bc ON t (b, c)");
+  for i = 1 to 40 do
+    let opt v = if i mod 7 = 0 then "NULL" else string_of_int v in
+    ignore
+      (D.exec db
+         (Printf.sprintf "INSERT INTO t VALUES (%d, %s, %s, '%s')" i
+            (opt (i mod 4)) (opt (i mod 9)) (if i mod 2 = 0 then "x" else "y")))
+  done;
+  db
+
+(* WHERE atoms and SET items: their text and the slots they add *)
+let where_atoms =
+  [
+    ("a = ?", [ Int_slot ]);
+    ("a >= ?", [ Int_slot ]);
+    ("a < ?", [ Int_slot ]);
+    ("b = ?", [ Int_slot ]);
+    ("c > ?", [ Int_slot ]);
+    ("c <= ?", [ Int_slot ]);
+    ("d <> ?", [ Text_slot ]);
+    ("a % 3 = ?", [ Int_slot ]);
+    ("c + ? > a", [ Int_slot ]);
+    ("b IS NULL", []);
+  ]
+
+let set_items =
+  [
+    ("c = ?", [ Int_slot ]);
+    ("c = c + ?", [ Int_slot ]);
+    ("b = ?", [ Int_slot ]);
+    ("d = ?", [ Text_slot ]);
+    ("a = a + ?", [ Int_slot ]);
+  ]
+
+let gen_value = function
+  | Int_slot ->
+      QCheck.Gen.(
+        frequency [ (1, return V.Null); (8, map (fun i -> V.Int i) (int_range (-2) 42)) ])
+  | Text_slot ->
+      QCheck.Gen.(
+        frequency [ (1, return V.Null); (4, map (fun s -> V.Str s) (oneofl [ "x"; "y"; "z" ])) ])
+
+let gen_bound_stmt =
+  let open QCheck.Gen in
+  let pick l = oneofl l in
+  let* atoms = list_size (int_range 0 3) (pick where_atoms) in
+  let* kind = int_bound 2 in
+  let* sets = list_size (int_range 1 2) (pick set_items) in
+  let where =
+    if atoms = [] then "" else " WHERE " ^ String.concat " AND " (List.map fst atoms)
+  in
+  let text, slots =
+    match kind with
+    | 0 -> ("SELECT a, b, c, d FROM t" ^ where ^ " ORDER BY a", List.concat_map snd atoms)
+    | 1 ->
+        ( "UPDATE t SET " ^ String.concat ", " (List.map fst sets) ^ where,
+          List.concat_map snd sets @ List.concat_map snd atoms )
+    | _ -> ("DELETE FROM t" ^ where, List.concat_map snd atoms)
+  in
+  let gen_binding = flatten_l (List.map gen_value slots) >|= Array.of_list in
+  let* bindings = list_size (int_range 3 5) gen_binding in
+  return (text, bindings)
+
+let literal text binding =
+  let parts = String.split_on_char '?' text in
+  String.concat ""
+    (List.mapi
+       (fun i part ->
+         if i = 0 then part else V.to_sql_literal binding.(i - 1) ^ part)
+       parts)
+
+let print_bound_stmts stmts =
+  String.concat "\n"
+    (List.map
+       (fun (text, bindings) ->
+         String.concat "\n  " (text :: List.map (literal text) bindings))
+       stmts)
+
+let outcome run =
+  match run () with
+  | D.Rows { tuples; _ } -> Ok (`Rows tuples)
+  | D.Affected n -> Ok (`Affected n)
+  | exception D.Sql_error _ -> Error ()
+
+let prop_bound_plans_equal_literals =
+  QCheck.Test.make ~name:"bound plans == literal statements" ~count:150
+    (QCheck.make ~print:print_bound_stmts
+       QCheck.Gen.(list_size (int_range 1 4) gen_bound_stmt))
+    (fun stmts ->
+      let bound = twin () and lit = twin () in
+      List.for_all
+        (fun (text, bindings) ->
+          let s = D.prepare bound text in
+          let _, m0, _ = D.plan_cache_stats bound in
+          let same =
+            List.for_all
+              (fun binding ->
+                let got = outcome (fun () -> D.Stmt.exec s binding) in
+                let want = outcome (fun () -> D.exec lit (literal text binding)) in
+                if got <> want then
+                  QCheck.Test.fail_reportf "%s differs from its literal form %s" text
+                    (literal text binding);
+                if D.dump bound <> D.dump lit then
+                  QCheck.Test.fail_reportf "tables differ after %s" (literal text binding);
+                true)
+              bindings
+          in
+          let _, m1, _ = D.plan_cache_stats bound in
+          if m1 - m0 > 1 then
+            QCheck.Test.fail_reportf "%s missed the plan cache %d times" text (m1 - m0);
+          same)
+        stmts)
+
+(* A handle looks its text up on every execution: after CREATE INDEX the
+   next execution plans again and reads through the new index. *)
+let test_prepared_replans_after_create_index () =
+  let db = D.create () in
+  ignore (D.exec db "CREATE TABLE t2 (x INT, y TEXT)");
+  for i = 1 to 50 do
+    ignore (D.exec db (Printf.sprintf "INSERT INTO t2 VALUES (%d, 'v%d')" (i mod 10) i))
+  done;
+  let s = D.prepare db "SELECT y FROM t2 WHERE x = ? ORDER BY y" in
+  let run () =
+    let r0 = D.rows_read db in
+    let rows = D.Stmt.query s [| V.Int 3 |] in
+    (rows, D.rows_read db - r0)
+  in
+  let rows1, reads1 = run () in
+  check int_t "first execution scans the table" 50 reads1;
+  ignore (D.exec db "CREATE INDEX t2_x ON t2 (x)");
+  check bool_t "EXPLAIN shows the new index" true
+    (Astring_contains.contains
+       (D.explain db (D.Stmt.sql s))
+       "IndexScan t2.t2_x [?1 .. [?1");
+  let rows2, reads2 = run () in
+  check bool_t "same rows after CREATE INDEX" true (rows1 = rows2);
+  check int_t "second execution reads only the matches" (List.length rows2) reads2
+
 (* --- bulk writes -------------------------------------------------------- *)
 
 let test_insert_many () =
@@ -327,6 +479,9 @@ let tests =
         test_cache_restore_and_rollback;
       Alcotest.test_case "cache LRU cap" `Quick test_cache_lru_cap;
       QCheck_alcotest.to_alcotest prop_prepared_equals_inlined;
+      QCheck_alcotest.to_alcotest prop_bound_plans_equal_literals;
+      Alcotest.test_case "prepared statement re-plans after CREATE INDEX" `Quick
+        test_prepared_replans_after_create_index;
       Alcotest.test_case "insert_many" `Quick test_insert_many;
       Alcotest.test_case "multi-row INSERT" `Quick test_multi_row_insert;
       Alcotest.test_case "exec_script transactions" `Quick

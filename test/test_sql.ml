@@ -1033,6 +1033,34 @@ let test_bytes_functions () =
        (fun r -> V.to_string r.(0))
        (D.query db "SELECT path FROM d ORDER BY path"))
 
+(* EXPLAIN of a statement with [?] slots shows the plan that runs: an
+   equality or range on a slot is an index bound, printed as the slot. *)
+let test_explain_params () =
+  let db = fresh () in
+  e db "CREATE TABLE emp (id INT NOT NULL, name TEXT, dept INT, salary INT)";
+  e db "CREATE UNIQUE INDEX emp_pk ON emp (id)";
+  e db "CREATE INDEX emp_dept ON emp (dept, salary)";
+  for i = 1 to 30 do
+    e db (Printf.sprintf "INSERT INTO emp VALUES (%d, 'e%d', %d, %d)" i i (i mod 3) (100 * i))
+  done;
+  let has plan s = Astring_contains.contains plan s in
+  let p = D.explain db "SELECT name FROM emp WHERE id = ?" in
+  check bool_t ("point lookup on a slot: " ^ p) true
+    (has p "IndexScan emp.emp_pk [?1 .. [?1" && not (has p "SeqScan"));
+  let p = D.explain db "SELECT id FROM emp WHERE dept = ? AND salary > ? AND name <> ?" in
+  check bool_t ("prefix and range on slots: " ^ p) true
+    (has p "IndexScan emp.emp_dept (?1|?2 .. [?1" && has p "Filter (#1 <> ?3)");
+  let p = D.explain db "DELETE FROM emp WHERE id >= ? AND id < ?" in
+  check bool_t ("DELETE access path: " ^ p) true (has p "IndexScan emp.emp_pk [?1 .. (?2");
+  (* the plan that runs returns what the literal statement returns *)
+  check (Alcotest.list (Alcotest.list int_t)) "bound range"
+    (ints db "SELECT id FROM emp WHERE dept = 1 AND salary > 1500 ORDER BY id")
+    (List.map
+       (fun r -> List.map (function V.Int i -> i | _ -> -1) (Array.to_list r))
+       (D.Stmt.query
+          (D.prepare db "SELECT id FROM emp WHERE dept = ? AND salary > ? ORDER BY id")
+          [| V.Int 1; V.Int 1500 |]))
+
 let test_min_max_plan () =
   let db = fresh () in
   setup_emp db;
@@ -1281,6 +1309,7 @@ let tests =
       Alcotest.test_case "expression precedence" `Quick test_expression_precedence;
       Alcotest.test_case "scalar functions" `Quick test_scalar_functions;
       Alcotest.test_case "BYTES || and SUBSTR" `Quick test_bytes_functions;
+      Alcotest.test_case "EXPLAIN with ? slots" `Quick test_explain_params;
       Alcotest.test_case "MIN/MAX from the index end" `Quick test_min_max_plan;
       QCheck_alcotest.to_alcotest prop_min_max;
       Alcotest.test_case "MAX(id) reads O(1) rows" `Quick test_max_id_reads;

@@ -607,6 +607,68 @@ let test_durable_front_insert_replays () =
       D.close db2)
     O.Encoding.all
 
+(* Every statement an update sends with [?] slots plans the access path of
+   its literal form: a slot is an index bound exactly as a constant is. The
+   texts are read back from the slow-query log (threshold 0), and the
+   literal form puts 1, 2, ... into the slots, left to right. *)
+let test_bound_texts_plan_like_literals () =
+  let was = Obs.enabled () in
+  Obs.set_enabled true;
+  Fun.protect ~finally:(fun () -> Obs.set_enabled was) @@ fun () ->
+  let doc = base_doc () in
+  let stores = all_stores doc in
+  let db = O.Api.Store.db (snd (List.hd stores)) in
+  D.set_slow_query_threshold db (Some 0.0);
+  let texts = Hashtbl.create 64 in
+  let run f =
+    D.clear_slow_queries db;
+    ignore (f ());
+    List.iter
+      (fun (_, sql) -> if String.contains sql '?' then Hashtbl.replace texts sql ())
+      (D.slow_queries db)
+  in
+  List.iter
+    (fun (_, store) ->
+      let module S = O.Api.Store in
+      let root = S.root_id store in
+      let id q = List.hd (S.query_ids store q) in
+      run (fun () -> S.insert_subtree store ~parent:root ~pos:1 frag);
+      run (fun () -> S.insert_subtree store ~parent:root ~pos:5 frag);
+      run (fun () -> S.set_text store ~id:(id "/doc/item[1]/text()") "changed");
+      run (fun () -> S.set_attribute store ~id:(id "/doc/item[2]") ~name:"k" ~value:"1");
+      run (fun () -> S.set_attribute store ~id:(id "/doc/item[2]") ~name:"j" ~value:"2");
+      run (fun () -> S.set_attribute store ~id:(id "/doc/item[2]") ~name:"k" ~value:"3");
+      run (fun () -> S.remove_attribute store ~id:(id "/doc/item[2]") ~name:"j");
+      run (fun () -> S.delete_subtree store ~id:(id "/doc/item[4]")))
+    stores;
+  let literal sql =
+    String.concat ""
+      (List.mapi
+         (fun i part -> if i = 0 then part else string_of_int i ^ part)
+         (String.split_on_char '?' sql))
+  in
+  (* the tree of operators, with the index of every index access *)
+  let access_path plan =
+    List.map
+      (fun line ->
+        let indent = String.length line - String.length (String.trim line) in
+        match String.split_on_char ' ' (String.trim line) with
+        | (("IndexScan" | "IndexNestedLoopJoin") as op) :: index :: _ ->
+            Printf.sprintf "%d %s %s" indent op index
+        | op :: _ -> Printf.sprintf "%d %s" indent op
+        | [] -> "")
+      (String.split_on_char '\n' plan)
+  in
+  check bool_t "every encoding's update texts were seen" true (Hashtbl.length texts >= 40);
+  Hashtbl.iter
+    (fun sql () ->
+      let bound = D.explain db sql and lit = D.explain db (literal sql) in
+      check (Alcotest.list Alcotest.string) ("access path of " ^ sql)
+        (access_path lit) (access_path bound);
+      check bool_t ("index access for " ^ sql) true
+        (Astring_contains.contains bound "IndexScan"))
+    texts
+
 (* random edit sequences: all encodings converge to the same document and
    keep answering ordered queries correctly *)
 let prop_random_edits =
@@ -690,5 +752,7 @@ let tests =
         test_ordpath_repack_statements;
       Alcotest.test_case "durable front insert replays" `Quick
         test_durable_front_insert_replays;
+      Alcotest.test_case "bound texts plan like literals" `Quick
+        test_bound_texts_plan_like_literals;
       QCheck_alcotest.to_alcotest prop_random_edits;
     ] )
