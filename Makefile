@@ -40,8 +40,10 @@ check: build test lint crash-test bench-smoke
 # renumbered rows + 100; renumbering rewrites index keys in place; LOCAL Q7
 # reads at most twice GLOBAL's rows; bidder[1] / bidder[last()] read Q1's rows
 # plus two per context; after warm-up, a front insert, set_text and delete
-# parse no SQL and miss the plan cache 0 times; Q1/global latency stays within
-# 3x of the checked-in baseline (bench/baseline.json)
+# parse no SQL and miss the plan cache 0 times; at scale 4, Q1-Q4 issue one
+# statement each on GLOBAL, LOCAL and DEWEY and Q6 one on GLOBAL and DEWEY, and
+# open_auction[k]/bidder[1] for 5 new k misses the plan cache 0 times; Q1/global
+# latency stays within 3x of the checked-in baseline (bench/baseline.json)
 bench-smoke:
 	dune exec --no-print-directory bench/smoke.exe -- bench/baseline.json
 

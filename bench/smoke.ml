@@ -23,6 +23,9 @@
      set_text and delete on every encoding miss the plan cache 0 times and
      parse no SQL (no [sql-parse] span): every statement a write sends is a
      fixed text with its per-call values bound to [?] slots, planned once;
+   - runs: on XMark scale 4, Q1-Q4 issue one statement each on GLOBAL,
+     LOCAL and DEWEY and Q6 one on GLOBAL and DEWEY; open_auction[k]/
+     bidder[1] for 5 new k misses the plan cache 0 times;
    - timing: Q1 over GLOBAL must not regress more than 3x over the
      checked-in baseline (bench/baseline.json). *)
 
@@ -242,6 +245,45 @@ let check_positional_reads () =
         [ "Q2"; "Q3" ])
     [ O.Encoding.Global; O.Encoding.Local; O.Encoding.Dewey_enc ]
 
+(* One statement per run: on XMark scale 4, Q1-Q4 are one statement each
+   under GLOBAL, LOCAL and DEWEY, and Q6 one under GLOBAL and DEWEY; a
+   position is a bound value, so open_auction[k]/bidder[1] for new k misses
+   the plan cache 0 times after the first k. *)
+let check_runs () =
+  let doc = O.Workload.dataset ~scale:4 in
+  List.iter
+    (fun enc ->
+      let db = Reldb.Db.create () in
+      let store = O.Api.Store.create db ~name:"b" enc doc in
+      let single =
+        [ "Q1"; "Q2"; "Q3"; "Q4" ] @ if enc = O.Encoding.Local then [] else [ "Q6" ]
+      in
+      List.iter
+        (fun id ->
+          let n = (O.Api.Store.query store (xpath id)).O.Translate.statements in
+          Printf.printf "bench-smoke: %s/%s issued %d statement(s) (limit 1)\n"
+            (String.lowercase_ascii id) (O.Encoding.name enc) n;
+          if n <> 1 then
+            die "bench-smoke: FAIL - %s on %s issued %d statements, not 1" id
+              (O.Encoding.name enc) n)
+        single;
+      let nth k =
+        ignore
+          (O.Api.Store.query store
+             (Printf.sprintf "/site/open_auctions/open_auction[%d]/bidder[1]" k))
+      in
+      nth 1;
+      let _, m0, _ = Reldb.Db.plan_cache_stats db in
+      List.iter nth [ 2; 3; 5; 8; 13 ];
+      let _, m1, _ = Reldb.Db.plan_cache_stats db in
+      Printf.printf
+        "bench-smoke: open_auction[k]/bidder[1]/%s, 5 new k: %d plan-cache misses (limit 0)\n"
+        (O.Encoding.name enc) (m1 - m0);
+      if m1 <> m0 then
+        die "bench-smoke: FAIL - open_auction[k] on %s missed the plan cache %d times"
+          (O.Encoding.name enc) (m1 - m0))
+    [ O.Encoding.Global; O.Encoding.Local; O.Encoding.Dewey_enc ]
+
 let () =
   let baseline_path =
     if Array.length Sys.argv > 1 then Sys.argv.(1) else "bench/baseline.json"
@@ -253,6 +295,7 @@ let () =
   check_order_reads doc;
   check_write_parses doc;
   check_positional_reads ();
+  check_runs ();
   let db = Reldb.Db.create () in
   (* the guarded figure is the in-memory engine: opening a database without
      a directory must keep the WAL code out of the write and query paths *)

@@ -87,7 +87,7 @@ let e2b () =
 (* ------------------------------------------------------------------ E3 *)
 
 let e3 () =
-  header "E3: ordered query performance, Q1-Q8 (scale 4, median ms / rows read)";
+  header "E3: ordered query performance, Q1-Q8 (scale 4, median us / rows read)";
   let doc = O.Workload.dataset ~scale:4 in
   let db = Reldb.Db.create () in
   let stores =
@@ -103,21 +103,52 @@ let e3 () =
           match q.O.Workload.q_xpath with
           | Some xp ->
               Reldb.Db.reset_counters db;
-              let ms = median_ms (fun () -> O.Api.Store.query store xp) in
-              let rows = Reldb.Db.rows_read db / 5 in
-              Printf.printf " %7.1f/%-6d" ms rows
+              let ms = median_ms ~runs:101 (fun () -> O.Api.Store.query store xp) in
+              let rows = Reldb.Db.rows_read db / 101 in
+              Printf.printf " %7.0f/%-6d" (1000. *. ms) rows
           | None ->
               (* Q8: reconstruct the first open auction *)
               let id =
                 List.hd (O.Api.Store.query_ids store O.Workload.q8_target)
               in
               Reldb.Db.reset_counters db;
-              let ms = median_ms (fun () -> O.Api.Store.subtree store ~id) in
-              let rows = Reldb.Db.rows_read db / 5 in
-              Printf.printf " %7.1f/%-6d" ms rows)
+              let ms = median_ms ~runs:101 (fun () -> O.Api.Store.subtree store ~id) in
+              let rows = Reldb.Db.rows_read db / 101 in
+              Printf.printf " %7.0f/%-6d" (1000. *. ms) rows)
         stores;
       print_newline ())
     O.Workload.queries
+
+(* E3b: the path users run (runs of steps, one statement each, plus the
+   middle tier) against the whole path as one statement (Translate_sql),
+   where the path has that form. *)
+let e3b () =
+  header "E3b: runs vs one whole-path statement (scale 4, median us / statements)";
+  let doc = O.Workload.dataset ~scale:4 in
+  let db = Reldb.Db.create () in
+  Printf.printf "%-4s %-8s %16s %16s\n" "id" "encoding" "runs" "whole path";
+  List.iter
+    (fun enc ->
+      ignore (O.Api.Store.create db ~name:"e3b" enc doc);
+      List.iter
+        (fun (q : O.Workload.query) ->
+          Option.iter
+            (fun xp ->
+              let path = O.Xpath_parser.parse xp in
+              let cell eval =
+                let r = eval () in
+                Printf.sprintf "%7.0f/%-2d" (1000. *. median_ms ~runs:101 eval)
+                  r.O.Translate.statements
+              in
+              Printf.printf "%-4s %-8s %16s %16s\n" q.O.Workload.q_id (O.Encoding.name enc)
+                (cell (fun () -> O.Translate.eval db ~doc:"e3b" enc path))
+                (if O.Translate_sql.eligible enc path then
+                   cell (fun () -> O.Translate_sql.eval db ~doc:"e3b" enc path)
+                 else "-"))
+            q.O.Workload.q_xpath)
+        O.Workload.queries;
+      O.Encoding.drop_tables db ~doc:"e3b" enc)
+    encodings
 
 (* ------------------------------------------------------------------ E4 *)
 
@@ -547,7 +578,7 @@ let e14 () =
     stores
 
 let all =
-  [ ("e1", e1); ("e2", e2); ("e2b", e2b); ("e3", e3); ("e4", e4); ("e5", e5);
+  [ ("e1", e1); ("e2", e2); ("e2b", e2b); ("e3", e3); ("e3b", e3b); ("e4", e4); ("e5", e5);
     ("e6", e6); ("e7", e7); ("e8", e8); ("e9", e9); ("e11", e11);
     ("e13", e13); ("e14", e14) ]
 

@@ -197,7 +197,7 @@ let sql_cmd =
         let db, store = load_store ?db_dir path enc in
         Fun.protect ~finally:(fun () -> Reldb.Db.close db) @@ fun () ->
         let r = O.Api.Store.query store q in
-        Printf.printf "-- step-at-a-time: %d statement(s), %d result node(s)\n"
+        Printf.printf "-- runs: %d statement(s), %d result node(s)\n"
           r.O.Translate.statements
           (List.length r.O.Translate.rows);
         List.iter print_endline r.O.Translate.sql_log;

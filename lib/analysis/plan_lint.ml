@@ -29,7 +29,7 @@ let lint_plan plan =
   let reported : (string * string, unit) Hashtbl.t = Hashtbl.create 8 in
   let rec go p =
     match p with
-    | P.Limit { limit = Some 0; _ } ->
+    | P.Limit { limit = Some (E.Const (V.Int 0)); _ } ->
         (* the planner emits LIMIT 0 when it proves the WHERE contradictory;
            the subtree below never executes, so its join shape is moot *)
         ()

@@ -89,25 +89,6 @@ let axis_candidates idx axis i =
     | Ancestor -> Doc_index.ancestors idx i
     | Ancestor_or_self -> i :: Doc_index.ancestors idx i
 
-let number_of_string s =
-  match float_of_string_opt (String.trim s) with
-  | Some f -> f
-  | None -> Float.nan
-
-let cmp_op op (c : int) =
-  match op with
-  | Eq -> c = 0
-  | Ne -> c <> 0
-  | Lt -> c < 0
-  | Le -> c <= 0
-  | Gt -> c > 0
-  | Ge -> c >= 0
-
-let num_cmp op a b =
-  (* any comparison with NaN is false *)
-  if Float.is_nan a || Float.is_nan b then false
-  else cmp_op op (Stdlib.compare a b)
-
 let rec eval_steps idx ctx steps =
   match steps with
   | [] -> ctx
@@ -135,25 +116,16 @@ and apply_pred idx nodes p =
 
 and pred_holds idx ~pos ~last j p =
   match p with
-  | P_pos (op, k) -> cmp_op op (Stdlib.compare pos k)
+  | P_pos (op, k) -> Encoding.cmp_holds op (Stdlib.compare pos k)
   | P_last -> pos = last
   | P_exists path -> eval_steps idx [ j ] path.steps <> []
   | P_cmp (path, op, lit) ->
-      let selected = eval_steps idx [ j ] path.steps in
       List.exists
-        (fun sel ->
-          let sv = Doc_index.string_value idx sel in
-          match lit with
-          | L_num f -> num_cmp op (number_of_string sv) f
-          | L_str s -> begin
-              match op with
-              | Eq | Ne -> cmp_op op (String.compare sv s)
-              | Lt | Le | Gt | Ge ->
-                  num_cmp op (number_of_string sv) (number_of_string s)
-            end)
-        selected
+        (fun sel -> Encoding.value_matches op lit (Doc_index.string_value idx sel))
+        (eval_steps idx [ j ] path.steps)
   | P_count (path, op, k) ->
-      cmp_op op (Stdlib.compare (List.length (eval_steps idx [ j ] path.steps)) k)
+      Encoding.cmp_holds op
+        (Stdlib.compare (List.length (eval_steps idx [ j ] path.steps)) k)
   | P_and (a, b) -> pred_holds idx ~pos ~last j a && pred_holds idx ~pos ~last j b
   | P_or (a, b) -> pred_holds idx ~pos ~last j a || pred_holds idx ~pos ~last j b
   | P_not a -> not (pred_holds idx ~pos ~last j a)

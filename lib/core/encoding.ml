@@ -86,12 +86,34 @@ let create_tables db ~doc enc = Reldb.Db.exec_script db (ddl ~doc enc)
 let drop_tables db ~doc enc =
   ignore (Reldb.Db.exec db (Printf.sprintf "DROP TABLE %s" (table_name ~doc enc)))
 
+let number_of_string s =
+  match float_of_string_opt (String.trim s) with
+  | Some f when Float.is_finite f -> f
+  | Some _ | None -> Float.nan
+
+let cmp_holds (op : Xpath_ast.cmp) c =
+  match op with
+  | Xpath_ast.Eq -> c = 0
+  | Xpath_ast.Ne -> c <> 0
+  | Xpath_ast.Lt -> c < 0
+  | Xpath_ast.Le -> c <= 0
+  | Xpath_ast.Gt -> c > 0
+  | Xpath_ast.Ge -> c >= 0
+
+(* any comparison with NaN is false *)
+let num_holds op a b =
+  (not (Float.is_nan a)) && (not (Float.is_nan b)) && cmp_holds op (Float.compare a b)
+
+let value_matches op (lit : Xpath_ast.literal) sv =
+  match (lit, op) with
+  | Xpath_ast.L_num f, _ -> num_holds op (number_of_string sv) f
+  | Xpath_ast.L_str s, (Xpath_ast.Eq | Xpath_ast.Ne) -> cmp_holds op (String.compare sv s)
+  | Xpath_ast.L_str s, _ -> num_holds op (number_of_string sv) (number_of_string s)
+
 let nval_of ~kind value =
   match kind with
-  | Doc_index.Text_node | Doc_index.Attr -> begin
-      match float_of_string_opt (String.trim value) with
-      | Some f when Float.is_finite f -> Reldb.Value.Float f
-      | Some _ | None -> Reldb.Value.Null
-    end
+  | Doc_index.Text_node | Doc_index.Attr ->
+      let f = number_of_string value in
+      if Float.is_nan f then Reldb.Value.Null else Reldb.Value.Float f
   | Doc_index.Elem | Doc_index.Comment_node | Doc_index.Pi_node ->
       Reldb.Value.Null

@@ -75,5 +75,27 @@ val col_depth : int
 val col_path : int
 (** DEWEY only. *)
 
+(** {2 Numbers}
+
+    One number rule serves shredding, the SQL comparisons the translators
+    emit, the DOM oracle and FLWOR, so a comparison gives the same answer
+    wherever it is evaluated. *)
+
+val number_of_string : string -> float
+(** XPath [number()] of a string: the float it parses as after trimming
+    when that is finite, else NaN (so ["inf"] and ["1e999"] are not
+    numbers). *)
+
+val cmp_holds : Xpath_ast.cmp -> int -> bool
+(** [cmp_holds op c] reads a comparison result [c] (negative, zero or
+    positive) through [op]. *)
+
+val value_matches : Xpath_ast.cmp -> Xpath_ast.literal -> string -> bool
+(** [value_matches op lit sv]: the string value [sv] compared with [lit]
+    under XPath's rules: numerically for a number literal and for the
+    ordering operators (false when either side is NaN), as strings for
+    [=] / [!=] against a string literal. *)
+
 val nval_of : kind:Doc_index.kind -> string -> Reldb.Value.t
-(** Numeric shadow value for a text/attribute payload. *)
+(** Numeric shadow value for a text/attribute payload:
+    {!number_of_string} of it, NULL where that is NaN. *)

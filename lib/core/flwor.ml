@@ -337,41 +337,12 @@ let string_value ctx (r : Node_row.t) =
       T.text_content (Reconstruct.subtree ctx.db ~doc:ctx.doc ctx.enc ~id:r.Node_row.id)
   | _ -> r.Node_row.value
 
-let number_of_string s =
-  match float_of_string_opt (String.trim s) with
-  | Some f -> f
-  | None -> Float.nan
-
-let cmp_op (op : A.cmp) c =
-  match op with
-  | A.Eq -> c = 0
-  | A.Ne -> c <> 0
-  | A.Lt -> c < 0
-  | A.Le -> c <= 0
-  | A.Gt -> c > 0
-  | A.Ge -> c >= 0
-
-let value_matches ctx op sv rhs_value =
-  match rhs_value with
-  | A.L_num f ->
-      let x = number_of_string sv in
-      (not (Float.is_nan x)) && (not (Float.is_nan f)) && cmp_op op (compare x f)
-  | A.L_str s -> (
-      match op with
-      | A.Eq | A.Ne -> cmp_op op (String.compare sv s)
-      | _ ->
-          let x = number_of_string sv and y = number_of_string s in
-          (not (Float.is_nan x))
-          && (not (Float.is_nan y))
-          && cmp_op op (compare x y))
-  [@@warning "-27"]
-
 let cond_holds ctx env (c : cond) =
   let rows = resolve ctx env c.c_path in
   match c.c_cmp with
   | None -> rows <> []
   | Some (op, R_lit lit) ->
-      List.exists (fun r -> value_matches ctx op (string_value ctx r) lit) rows
+      List.exists (fun r -> Encoding.value_matches op lit (string_value ctx r)) rows
   | Some (op, R_path pe) ->
       (* existential pair semantics, as in XPath: any left/right value pair
          may satisfy the comparison *)
@@ -380,7 +351,7 @@ let cond_holds ctx env (c : cond) =
         (fun l ->
           let sv = string_value ctx l in
           List.exists
-            (fun r -> value_matches ctx op sv (A.L_str (string_value ctx r)))
+            (fun r -> Encoding.value_matches op (A.L_str (string_value ctx r)) sv)
             rhs)
         rows
 
@@ -407,11 +378,14 @@ let apply_clause ctx (envs : env list) = function
       in
       let numeric =
         keyed <> []
-        && List.for_all (fun (k, _) -> not (Float.is_nan (number_of_string k))) keyed
+        && List.for_all
+             (fun (k, _) -> not (Float.is_nan (Encoding.number_of_string k)))
+             keyed
       in
       let cmp (a, _) (b, _) =
         let c =
-          if numeric then compare (number_of_string a) (number_of_string b)
+          if numeric then
+            compare (Encoding.number_of_string a) (Encoding.number_of_string b)
           else String.compare a b
         in
         match dir with `Asc -> c | `Desc -> -c

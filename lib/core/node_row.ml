@@ -78,22 +78,23 @@ let ctx_relation = function
         rel_name = "ctx_global";
         rel_cols =
           [
-            ("id", V.Tint); ("parent", V.Tint); ("g_order", V.Tint);
-            ("g_end", V.Tint);
+            ("id", V.Tint); ("parent", V.Tint); ("kind", V.Tint);
+            ("g_order", V.Tint); ("g_end", V.Tint);
           ];
       }
   | Encoding.Local ->
       {
         rel_name = "ctx_local";
-        rel_cols = [ ("id", V.Tint); ("parent", V.Tint); ("l_order", V.Tint) ];
+        rel_cols =
+          [ ("id", V.Tint); ("parent", V.Tint); ("kind", V.Tint); ("l_order", V.Tint) ];
       }
   | Encoding.Dewey_enc | Encoding.Dewey_caret ->
       {
         rel_name = "ctx_dewey";
         rel_cols =
           [
-            ("id", V.Tint); ("parent", V.Tint); ("path", V.Tbytes);
-            ("path_ub", V.Tbytes);
+            ("id", V.Tint); ("parent", V.Tint); ("kind", V.Tint);
+            ("path", V.Tbytes); ("path_ub", V.Tbytes);
           ];
       }
 
@@ -101,11 +102,12 @@ let ids_relation = { rel_name = "ctx_ids"; rel_cols = [ ("id", V.Tint) ] }
 
 let ctx_tuple t =
   let parent = match t.parent with Some p -> V.Int p | None -> V.Null in
+  let kind = V.Int (Doc_index.kind_code t.kind) in
   match t.ord with
-  | Og (o, e) -> [| V.Int t.id; parent; V.Int o; V.Int e |]
-  | Ol o -> [| V.Int t.id; parent; V.Int o |]
+  | Og (o, e) -> [| V.Int t.id; parent; kind; V.Int o; V.Int e |]
+  | Ol o -> [| V.Int t.id; parent; kind; V.Int o |]
   | Od p ->
-      [| V.Int t.id; parent; V.Bytes p; V.Bytes (Dewey.prefix_upper_bound p) |]
+      [| V.Int t.id; parent; kind; V.Bytes p; V.Bytes (Dewey.prefix_upper_bound p) |]
 
 let with_relation db rel rows f =
   Reldb.Db.with_scratch db ~name:rel.rel_name ~cols:rel.rel_cols rows f

@@ -40,9 +40,9 @@ val dewey : t -> Dewey.t
 type relation = { rel_name : string; rel_cols : (string * Reldb.Value.ty) list }
 
 val ctx_relation : Encoding.t -> relation
-(** Context rows of the encoding: [id], [parent], then its order columns
-    ([g_order], [g_end] / [l_order] / [path] and its prefix upper bound
-    [path_ub]). *)
+(** Context rows of the encoding: [id], [parent], [kind], then its order
+    columns ([g_order], [g_end] / [l_order] / [path] and its prefix upper
+    bound [path_ub]). *)
 
 val ids_relation : relation
 (** A set of node ids: one [id] column. *)

@@ -2,27 +2,30 @@
 
     The paper's translator emitted a single SQL statement per path query — a
     chain of self-joins over the edge table, one alias per location step
-    (what the shredding literature calls structural joins). This module
-    implements that mode for the fragment of the subset where a single
-    unordered SQL block is expressive enough:
+    (what the shredding literature calls structural joins). This module is
+    the whole path as one run of {!Translate}'s shared lowering
+    ({!Translate.lower_path}), or {!Not_single_statement}:
 
-    - axes [child], [descendant], [descendant-or-self], [attribute],
-      [parent], plus GLOBAL/DEWEY [following-sibling]/[preceding-sibling]/
-      [following]/[preceding]/[ancestor] (LOCAL supports the sibling axes;
-      its document-order axes need recursion, which single-statement SQL
-      without RECURSIVE cannot express — the paper's point);
+    - axes from the encoding's join table ({!axis_supported}): [child],
+      [attribute], [parent], [self] and the sibling axes everywhere, plus
+      [descendant(-or-self)], [following], [preceding] and
+      [ancestor(-or-self)] under GLOBAL/GLOBAL_GAP (their document-order
+      axes need recursion under LOCAL and a subtree bound under DEWEY, which
+      a single statement without RECURSIVE cannot express — the paper's
+      point);
     - name/wildcard/text()/comment()/node() tests;
     - existence and value-comparison predicates (they become additional
       joined aliases);
-    - {e no} positional predicates — ranking inside an unordered SQL block
-      needs subqueries or window functions, which is exactly why the paper
-      stores sibling ranks as data; use the step-at-a-time evaluator
-      ({!Translate}) for those.
+    - no positional predicates: {!Translate} lowers them as a run's
+      [LIMIT ? OFFSET ? BY] tail, whose rows come in document order per
+      context rather than under the one-column contract below, so they
+      stay outside this fragment.
 
-    The generated statement selects the result nodes' columns with
-    [SELECT DISTINCT], ordered by the encoding's document-order column when
-    it has one (GLOBAL, DEWEY); LOCAL results are returned unordered and the
-    caller middle-tier sorts (documented cost). *)
+    The statement selects the result nodes' columns, under [DISTINCT] when
+    a join can reach a row twice, ordered by the encoding's document-order
+    column when it has one (GLOBAL, DEWEY); LOCAL results are returned
+    unordered and the caller middle-tier sorts (documented cost). Values
+    are printed as SQL literals, so the text runs as it is. *)
 
 exception Not_single_statement of string
 (** The path uses a feature outside the single-statement fragment. *)
@@ -31,7 +34,8 @@ val translate :
   ?unique:bool -> doc:string -> Encoding.t -> Xpath_ast.path -> string
 (** The SQL text. [~unique:true] is an external guarantee (e.g. from the
     schema analysis) that the join can produce no duplicate result rows, so
-    [DISTINCT] is omitted. Defaults to [false].
+    [DISTINCT] is omitted even where a join could fan out. Defaults to
+    [false].
     @raise Not_single_statement when ineligible. *)
 
 type fragment_meta = {
@@ -62,9 +66,9 @@ val translate_meta :
     @raise Not_single_statement when ineligible. *)
 
 val axis_supported : Encoding.t -> Xpath_ast.axis -> bool
-(** Whether the encoding can express the axis inside a single unordered SQL
-    statement (document-order axes such as [following::] need interval
-    numbering — GLOBAL/GLOBAL_GAP only). *)
+(** {!Translate.axis_supported}: whether the encoding can express the axis
+    inside a single unordered SQL statement (document-order axes such as
+    [following::] need interval numbering — GLOBAL/GLOBAL_GAP only). *)
 
 val path_axes : Xpath_ast.path -> Xpath_ast.axis list
 (** Every axis a path uses, including inside predicates (sorted,
@@ -82,3 +86,7 @@ val eval :
     @raise Not_single_statement when ineligible. *)
 
 val eligible : Encoding.t -> Xpath_ast.path -> bool
+(** Whether the whole path is one run: it starts with [child] or
+    [descendant(-or-self)], every step's axis is in {!axis_supported}, and
+    every predicate is a conjunction of existence tests and value
+    comparisons over such steps. *)

@@ -2,22 +2,17 @@ exception Exec_error of string
 
 (* evaluate sort keys once per tuple, then compare decorated pairs *)
 let sort_tuples keys tuples =
-  let decorated =
-    List.map
-      (fun t -> (List.map (fun (e, dir) -> (Expr.eval e t, dir)) keys, t))
-      tuples
-  in
+  let exprs = Array.of_list (List.map fst keys) in
+  let desc = Array.of_list (List.map (fun (_, dir) -> dir = Plan.Desc) keys) in
+  let decorated = List.map (fun t -> (Array.map (fun e -> Expr.eval e t) exprs, t)) tuples in
   let cmp (ka, _) (kb, _) =
-    let rec go a b =
-      match (a, b) with
-      | [], [] -> 0
-      | (va, dir) :: ra, (vb, _) :: rb ->
-          let c = Value.compare va vb in
-          if c <> 0 then (match dir with Plan.Asc -> c | Plan.Desc -> -c)
-          else go ra rb
-      | _ -> 0
+    let rec go i =
+      if i = Array.length ka then 0
+      else
+        let c = Value.compare ka.(i) kb.(i) in
+        if c = 0 then go (i + 1) else if desc.(i) then -c else c
     in
-    go ka kb
+    go 0
   in
   List.map snd (List.stable_sort cmp decorated)
 
@@ -91,6 +86,17 @@ let entries index ~reverse = function
       if reverse then Btree.range_desc index.Table.tree ~lo ~hi
       else Btree.range index.Table.tree ~lo ~hi
 
+(* A LIMIT or OFFSET count: its constant or bound value, which must be a
+   non-negative integer. *)
+let count what e =
+  match Expr.eval e [||] with
+  | Value.Int n when n >= 0 -> n
+  | v ->
+      raise
+        (Exec_error
+           (Printf.sprintf "%s must be a non-negative integer, got %s" what
+              (Value.to_sql_literal v)))
+
 (* The evaluator is parametric in a per-node wrapper so the same operator
    implementations serve both the plain path (identity wrapper) and EXPLAIN
    ANALYZE (a row-counting, pull-timing wrapper around every operator). *)
@@ -124,6 +130,11 @@ let rec eval ~wrap (p : Plan.t) : Tuple.t Seq.t =
         (run outer)
   | Plan.Index_nl_join
       { outer; table; index; key; lo; hi; residual; cap; reverse } ->
+      (* offset + limit past max_int wraps below 0: no cap *)
+      let cap =
+        Option.bind cap (fun e ->
+            match Expr.eval e [||] with Value.Int n when n >= 0 -> Some n | _ -> None)
+      in
       let probe ot =
         let rows =
           Seq.filter_map
@@ -220,18 +231,21 @@ let rec eval ~wrap (p : Plan.t) : Tuple.t Seq.t =
         else entries
       in
       List.to_seq (List.map finalize entries)
-  | Plan.Limit { input; limit; offset; by = [||] } ->
-      let s = Seq.drop offset (run input) in
-      (match limit with None -> s | Some n -> Seq.take n s)
   | Plan.Limit { input; limit; offset; by } ->
-      (* rows seen so far per BY key *)
-      let seen = Hashtbl.create 64 in
-      let keep t =
-        let n = group seen (Array.map (fun e -> Expr.eval e t) by) (fun () -> ref 0) in
-        incr n;
-        !n > offset && match limit with None -> true | Some k -> !n - offset <= k
-      in
-      Seq.filter keep (run input)
+      let offset = count "OFFSET" offset and limit = Option.map (count "LIMIT") limit in
+      if by = [||] then
+        let s = Seq.drop offset (run input) in
+        match limit with None -> s | Some n -> Seq.take n s
+      else begin
+        (* rows seen so far per BY key *)
+        let seen = Hashtbl.create 64 in
+        let keep t =
+          let n = group seen (Array.map (fun e -> Expr.eval e t) by) (fun () -> ref 0) in
+          incr n;
+          !n > offset && match limit with None -> true | Some k -> !n - offset <= k
+        in
+        Seq.filter keep (run input)
+      end
   | Plan.Union_all branches ->
       Seq.concat_map run (List.to_seq branches)
 
@@ -244,7 +258,7 @@ let rec rows_with_ids (p : Plan.t) =
         (entries index ~reverse (Plan.range_bounds range))
   | Plan.Filter (pred, input) ->
       Seq.filter (fun (_, tu) -> Expr.eval_bool pred tu) (rows_with_ids input)
-  | Plan.Limit { limit = Some 0; _ } -> Seq.empty
+  | Plan.Limit { limit = Some (Expr.Const (Value.Int 0)); _ } -> Seq.empty
   | p -> raise (Exec_error ("not a single-table access path: " ^ Plan.label p))
 
 let id_wrap _ s = s

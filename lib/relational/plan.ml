@@ -33,7 +33,7 @@ type t =
       lo : probe_bound option;
       hi : probe_bound option;
       residual : Expr.t option;
-      cap : int option;
+      cap : Expr.t option;
       reverse : bool;
     }
   | Hash_join of {
@@ -50,8 +50,10 @@ type t =
       group_by : (Expr.t * string) array;
       aggs : (agg * string) array;
     }
-  | Limit of { input : t; limit : int option; offset : int; by : Expr.t array }
+  | Limit of { input : t; limit : Expr.t option; offset : Expr.t; by : Expr.t array }
   | Union_all of t list
+
+let count n = Expr.Const (Value.Int n)
 
 let probe_range key ~lo ~hi row =
   let prefix = Array.map (fun e -> Expr.eval e row) key in
@@ -114,6 +116,7 @@ let rec map_exprs f p =
           lo = map_bound f j.lo;
           hi = map_bound f j.hi;
           residual = Option.map f j.residual;
+          cap = Option.map f j.cap;
         }
   | Hash_join j ->
       Hash_join
@@ -127,7 +130,14 @@ let rec map_exprs f p =
           group_by = named a.group_by;
           aggs = Array.map (fun (g, name) -> (map_agg f g, name)) a.aggs;
         }
-  | Limit l -> Limit { l with input = m l.input; by = Array.map f l.by }
+  | Limit l ->
+      Limit
+        {
+          input = m l.input;
+          limit = Option.map f l.limit;
+          offset = f l.offset;
+          by = Array.map f l.by;
+        }
   | Union_all branches -> Union_all (List.map m branches)
 
 let bind_expr params =
@@ -257,7 +267,7 @@ let label = function
         (match residual with None -> "" | Some e -> " filter " ^ expr e)
         (match cap with
         | None -> ""
-        | Some n -> Printf.sprintf " cap %d%s" n (if reverse then " desc" else ""))
+        | Some n -> Printf.sprintf " cap %s%s" (expr n) (if reverse then " desc" else ""))
   | Hash_join { left_key; right_key; _ } ->
       Printf.sprintf "HashJoin build(%s) probe(%s)"
         (String.concat "," (Array.to_list (Array.map string_of_int left_key)))
@@ -277,9 +287,10 @@ let label = function
         (String.concat ", "
            (Array.to_list (Array.map (fun (a, _) -> agg_name a) aggs)))
   | Limit { limit; offset; by; _ } ->
-      Printf.sprintf "Limit %s offset %d%s"
-        (match limit with None -> "ALL" | Some n -> string_of_int n)
-        offset
+      let expr = Format.asprintf "%a" Expr.pp in
+      Printf.sprintf "Limit %s offset %s%s"
+        (match limit with None -> "ALL" | Some n -> expr n)
+        (expr offset)
         (if by = [||] then ""
          else
            Printf.sprintf " by (%s)"

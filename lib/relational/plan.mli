@@ -42,7 +42,7 @@ type t =
       lo : probe_bound option;
       hi : probe_bound option;
       residual : Expr.t option;
-      cap : int option;
+      cap : Expr.t option;
       reverse : bool;
     }
       (** index nested-loop join: for each outer row, probe [index] of
@@ -50,9 +50,12 @@ type t =
           the leading key columns and the next key column within [lo] and
           [hi]. A NULL probe value matches nothing. [residual] is evaluated
           over the concatenated schema (outer then [table]). With [cap =
-          Some n] each probe stops after [n] rows that pass [residual];
-          [reverse] walks the probe's range from its high end. The planner
-          sets them only under a [Limit] with [by] (see {!Planner}). *)
+          Some n] each probe stops after [n] rows that pass [residual]; [n]
+          is a constant or parameter expression, evaluated when the join
+          opens (a negative value, the sum of two counts past [max_int],
+          caps nothing); [reverse] walks the probe's range from its high
+          end. The planner sets them only under a [Limit] with [by] (see
+          {!Planner}). *)
   | Hash_join of {
       left : t;
       right : t;
@@ -67,13 +70,19 @@ type t =
       group_by : (Expr.t * string) array;
       aggs : (agg * string) array;
     }  (** output = group columns then one column per aggregate *)
-  | Limit of { input : t; limit : int option; offset : int; by : Expr.t array }
+  | Limit of { input : t; limit : Expr.t option; offset : Expr.t; by : Expr.t array }
       (** skips [offset] rows, then keeps [limit] (all with [None]). With a
           non-empty [by] the count restarts for every distinct value of the
           [by] expressions: rows [offset + 1 .. offset + limit] of each key,
-          in input order ([LIMIT n OFFSET m BY e1, ...]) *)
+          in input order ([LIMIT n OFFSET m BY e1, ...]). [limit] and
+          [offset] are constant or parameter expressions, evaluated when the
+          operator opens; a value that is not a non-negative integer fails
+          the statement. *)
   | Union_all of t list
       (** concatenation of branch outputs; arities must agree *)
+
+val count : int -> Expr.t
+(** The constant row count [n], for {!Limit} and a probe cap. *)
 
 val probe_range :
   Expr.t array ->

@@ -532,7 +532,9 @@ let min_max_scan env (q : Sql_ast.select) =
                   reverse = f = "MAX";
                 }
             in
-            Some (Plan.Limit { input = scan; limit = Some 1; offset = 0; by = [||] })
+            Some
+              (Plan.Limit
+                 { input = scan; limit = Some (Plan.count 1); offset = Plan.count 0; by = [||] })
           else None)
         (Table.indexes e.table)
   | _ -> None
@@ -630,7 +632,8 @@ let plan_select catalog (q : Sql_ast.select) =
      keeps [SELECT COUNT(+) ... WHERE 1=0] returning its single row. *)
   let joined =
     if contradiction then
-      Plan.Limit { input = joined; limit = Some 0; offset = 0; by = [||] }
+      Plan.Limit
+        { input = joined; limit = Some (Plan.count 0); offset = Plan.count 0; by = [||] }
     else joined
   in
   (* aggregation? *)
@@ -645,6 +648,8 @@ let plan_select catalog (q : Sql_ast.select) =
     Expr.map_columns (fun v -> placed.(vcol_table v) + vcol_local v) e
   in
   let resolve_phys e = to_physical (resolve env e) in
+  let limit = Option.map (resolve env) q.limit in
+  let offset = Option.fold ~none:(Plan.count 0) ~some:(resolve env) q.offset in
   if not has_agg then begin
     (* items *)
     let projections =
@@ -669,27 +674,35 @@ let plan_select catalog (q : Sql_ast.select) =
         | Some p -> p
         | None -> Plan.Sort { input = joined; keys = order_keys }
     in
-    let offset = Option.value q.offset ~default:0 in
     let sorted =
       match q.limit_by with
       | [] -> sorted
       | _ when q.distinct -> fail "LIMIT BY cannot be combined with DISTINCT"
       | by ->
           let by = Array.of_list (List.map resolve_phys by) in
-          let input =
-            match q.limit with
-            | Some n when n <= max_int - offset ->
-                cap_probes ~order_keys ~by ~cap:(offset + n) sorted
-            | Some _ | None -> sorted
+          (* the cap is offset + limit: folded when both are constants (no
+             cap past max_int), else added when the join opens *)
+          let cap =
+            match (offset, limit) with
+            | _, None -> None
+            | Expr.Const (Value.Int m), Some (Expr.Const (Value.Int n)) ->
+                if n <= max_int - m then Some (Plan.count (m + n)) else None
+            | Expr.Const (Value.Int 0), n -> n
+            | m, Some n -> Some (Expr.Arith (Expr.Add, m, n))
           in
-          Plan.Limit { input; limit = q.limit; offset; by }
+          let input =
+            match cap with
+            | Some cap -> cap_probes ~order_keys ~by ~cap sorted
+            | None -> sorted
+          in
+          Plan.Limit { input; limit; offset; by }
     in
     let projected = Plan.Project (Array.of_list projections, sorted) in
     let distinct = if q.distinct then Plan.Distinct projected else projected in
     match (q.limit, q.offset) with
     | None, None -> distinct
     | _ when q.limit_by <> [] -> distinct
-    | limit, _ -> Plan.Limit { input = distinct; limit; offset; by = [||] }
+    | _ -> Plan.Limit { input = distinct; limit; offset; by = [||] }
   end
   else begin
     (* aggregate path *)
@@ -840,9 +853,7 @@ let plan_select catalog (q : Sql_ast.select) =
     let distinct = if q.distinct then Plan.Distinct projected else projected in
     match (q.limit, q.offset) with
     | None, None -> distinct
-    | limit, offset ->
-        Plan.Limit
-          { input = distinct; limit; offset = Option.value offset ~default:0; by = [||] }
+    | _ -> Plan.Limit { input = distinct; limit; offset; by = [||] }
   end
 
 (* ------------------------------------------------------------------ *)
@@ -860,7 +871,13 @@ let table_access table pred =
   let conjuncts = match pred with None -> [] | Some p -> Expr.conjuncts p in
   match Simplify.simplify_conjuncts conjuncts with
   | Simplify.Contradiction ->
-      Plan.Limit { input = Plan.Seq_scan table; limit = Some 0; offset = 0; by = [||] }
+      Plan.Limit
+        {
+          input = Plan.Seq_scan table;
+          limit = Some (Plan.count 0);
+          offset = Plan.count 0;
+          by = [||];
+        }
   | Simplify.Conjuncts cs ->
       let scan, residual, _ = choose_access table cs in
       with_filter scan residual

@@ -32,8 +32,8 @@ type select = {
   group_by : sexpr list;
   having : sexpr option;
   order_by : (sexpr * order_dir) list;
-  limit : int option;
-  offset : int option;
+  limit : sexpr option;  (* an integer literal or a ? slot *)
+  offset : sexpr option;
   limit_by : sexpr list;
       (* LIMIT n [OFFSET m] BY e1, ...: the limit and offset apply per
          distinct key; empty for a plain LIMIT *)

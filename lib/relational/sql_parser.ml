@@ -346,8 +346,16 @@ let parse_select st =
     end
     else []
   in
-  let limit = if try_kw st "LIMIT" then Some (int_lit st) else None in
-  let offset = if try_kw st "OFFSET" then Some (int_lit st) else None in
+  (* a row count: an integer literal or a ? slot, bound when the plan runs *)
+  let count st =
+    if try_sym st "?" then begin
+      st.params <- st.params + 1;
+      E_param (st.params - 1)
+    end
+    else E_const (Value.Int (int_lit st))
+  in
+  let limit = if try_kw st "LIMIT" then Some (count st) else None in
+  let offset = if try_kw st "OFFSET" then Some (count st) else None in
   let limit_by =
     if limit <> None && try_kw st "BY" then begin
       let by = comma_list st parse_or in

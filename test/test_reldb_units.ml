@@ -113,7 +113,13 @@ let test_nl_join_cross () =
 let test_limit_offset_operator () =
   let t = mk_table "t3" (List.init 10 (fun i -> (i, string_of_int i))) in
   let plan limit offset =
-    Reldb.Plan.Limit { input = Reldb.Plan.Seq_scan t; limit; offset; by = [||] }
+    Reldb.Plan.Limit
+      {
+        input = Reldb.Plan.Seq_scan t;
+        limit = Option.map Reldb.Plan.count limit;
+        offset = Reldb.Plan.count offset;
+        by = [||];
+      }
   in
   check int_t "limit" 3 (Reldb.Exec.row_count (plan (Some 3) 0));
   check int_t "offset" 4 (Reldb.Exec.row_count (plan None 6));

@@ -1264,6 +1264,99 @@ let test_script_line_comments () =
       check string_t "escaped quote before comment marker" "it's -- still data" v
   | _ -> Alcotest.fail "row 3 missing"
 
+(* LIMIT ? [OFFSET ?] BY: one cached plan serves every binding. Random
+   rows, ORDER BY and bindings (0 included); the bound text returns the rows
+   of the literal text, misses the plan cache once however many bindings it
+   runs with, and fails with Sql_error on a negative or NULL binding. *)
+let prop_bound_limit_by =
+  let open QCheck in
+  let orders = [| "i.w"; "i.w DESC"; "o.y, i.w"; "i.w, i.id"; "i.z DESC, i.w DESC" |] in
+  let gen =
+    Gen.(
+      triple
+        (pair (list_size (int_range 1 6) (int_bound 3))
+           (list_size (int_bound 20) (triple (int_bound 3) (int_bound 4) (int_bound 2))))
+        (pair (int_bound (Array.length orders - 1)) bool)
+        (list_size (int_range 1 4) (pair (int_bound 4) (int_bound 3))))
+  in
+  let print ((outer, inner), (o, off), binds) =
+    Printf.sprintf "outer [%s] inner [%s] order %s offset %b binds [%s]"
+      (String.concat ";" (List.map string_of_int outer))
+      (String.concat ";" (List.map (fun (k, w, z) -> Printf.sprintf "%d,%d,%d" k w z) inner))
+      orders.(o) off
+      (String.concat ";" (List.map (fun (n, m) -> Printf.sprintf "%d,%d" n m) binds))
+  in
+  Test.make ~name:"bound LIMIT BY = literal LIMIT BY" ~count:200 (make ~print gen)
+    (fun ((outer, inner), (o, off), binds) ->
+      let db = fresh () in
+      e db "CREATE TABLE i (id INT, k INT, w INT, z INT)";
+      e db "CREATE UNIQUE INDEX i_kw ON i (k, w, id)";
+      List.iteri
+        (fun id (k, w, z) -> e db (Printf.sprintf "INSERT INTO i VALUES (%d, %d, %d, %d)" id k w z))
+        inner;
+      let text limit offset =
+        Printf.sprintf
+          "SELECT o.x, i.id, i.w FROM i, ctx_o o WHERE i.k = o.x ORDER BY %s LIMIT %s%s BY o.x"
+          orders.(o) limit
+          (if off then " OFFSET " ^ offset else "")
+      in
+      let bound = text "?" "?" in
+      let run sql params =
+        D.with_scratch db ~name:"ctx_o" ~cols:[ ("x", V.Tint); ("y", V.Tint) ]
+          (List.mapi (fun y x -> [| V.Int x; V.Int y |]) outer)
+          (fun () -> D.query_params db sql params)
+      in
+      let misses () =
+        let _, m, _ = D.plan_cache_stats db in
+        m
+      in
+      let params n m =
+        if off then [| V.Int n; V.Int m |] else [| V.Int n |]
+      in
+      let m0 = misses () in
+      let agree =
+        List.for_all
+          (fun (n, m) ->
+            run bound (params n m) = run (text (string_of_int n) (string_of_int m)) [||])
+          binds
+      in
+      let literal_texts =
+        List.length
+          (List.sort_uniq compare (List.map (fun (n, m) -> if off then (n, m) else (n, 0)) binds))
+      in
+      let bad v =
+        match run bound (if off then [| V.Int 1; v |] else [| v |]) with
+        | _ -> false
+        | exception D.Sql_error _ -> true
+      in
+      agree
+      && misses () - m0 = 1 + literal_texts
+      && bad (V.Int (-1))
+      && bad V.Null
+      && (not off || (match run bound [| V.Null; V.Int 0 |] with
+                      | _ -> false
+                      | exception D.Sql_error _ -> true)))
+
+let test_explain_bound_limit () =
+  let db = fresh () in
+  e db "CREATE TABLE t (id INT NOT NULL, p INT, o INT)";
+  e db "CREATE UNIQUE INDEX t_po ON t (p, o)";
+  let has = Astring_contains.contains in
+  let plan sql =
+    D.with_scratch db ~name:"ctx_p" ~cols:[ ("id", V.Tint) ] [] (fun () -> D.explain db sql)
+  in
+  let p =
+    plan "SELECT c.id, t.id FROM t, ctx_p c WHERE t.p = c.id ORDER BY t.o LIMIT ? OFFSET ? BY c.id"
+  in
+  check bool_t "offset + limit cap" true
+    (has p "cap (?2 + ?1)" && has p "Limit ?1 offset ?2 by (#0)");
+  let p =
+    plan "SELECT c.id, t.id FROM t, ctx_p c WHERE t.p = c.id ORDER BY t.o DESC LIMIT ? BY c.id"
+  in
+  check bool_t "limit cap, reversed" true (has p "cap ?1 desc" && has p "Limit ?1 offset 0");
+  let p = plan "SELECT id FROM t ORDER BY o LIMIT ? OFFSET ?" in
+  check bool_t "plain LIMIT ? OFFSET ?" true (has p "Limit ?1 offset ?2")
+
 let tests =
   ( "sql",
     [
@@ -1303,6 +1396,8 @@ let tests =
       QCheck_alcotest.to_alcotest prop_index_probe_bounds;
       QCheck_alcotest.to_alcotest prop_limit_by;
       Alcotest.test_case "LIMIT BY" `Quick test_limit_by;
+      QCheck_alcotest.to_alcotest prop_bound_limit_by;
+      Alcotest.test_case "EXPLAIN bound LIMIT" `Quick test_explain_bound_limit;
       Alcotest.test_case "UPDATE/DELETE WHERE errors" `Quick test_dml_where_errors;
       Alcotest.test_case "I/O counters" `Quick test_rows_counters;
       Alcotest.test_case "multi-key ORDER BY" `Quick test_multi_key_order;
