@@ -10,11 +10,15 @@ build:
 test:
 	dune runtest
 
-# static analysis smoke test: translated queries must lint clean, a
-# hand-written SQL statement goes through the same rules, and every example
-# query lints without error findings both blind and schema-aware.
+# static analysis smoke test: every compiled run of a query must lint clean
+# (an axis outside the encoding's join table is a middle-tier step, a note,
+# not an error), a hand-written SQL statement goes through the same rules,
+# and every example query lints without error findings both blind and
+# schema-aware.
 lint:
 	$(OXQ) lint '/catalog/book[author]/title'
+	$(OXQ) lint -e local '//title'
+	$(OXQ) lint -e dewey '/catalog/book/title/following::title'
 	$(OXQ) lint --sql 'SELECT a.id FROM doc_global a, doc_global b WHERE a.parent = b.id'
 	@set -e; while IFS= read -r q; do \
 	  case "$$q" in ''|\#*) continue;; esac; \
@@ -29,10 +33,13 @@ crash-test:
 	dune exec --no-print-directory test/test_main.exe -- test wal-crash
 
 # build + tier-1 tests + fault injection + CLI smoke test over the
-# quickstart catalog. Run this before recording a change in CHANGES.md.
+# quickstart catalog; `oxq sql --analyze` must profile the run a positional
+# query executes (an operator tree with its Limit). Run this before
+# recording a change in CHANGES.md.
 check: build test lint crash-test bench-smoke
 	$(OXQ) stats examples/catalog.xml -e dewey
 	$(OXQ) query examples/catalog.xml '/catalog/book[1]/title' --trace
+	$(OXQ) sql examples/catalog.xml '/catalog/book[last()]' --analyze | grep 'Limit'
 	@echo "check: OK"
 
 # regression guards (bench/smoke.ml): Q1-Q7 bump the catalog 0 times and hit

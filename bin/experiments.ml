@@ -119,37 +119,6 @@ let e3 () =
       print_newline ())
     O.Workload.queries
 
-(* E3b: the path users run (runs of steps, one statement each, plus the
-   middle tier) against the whole path as one statement (Translate_sql),
-   where the path has that form. *)
-let e3b () =
-  header "E3b: runs vs one whole-path statement (scale 4, median us / statements)";
-  let doc = O.Workload.dataset ~scale:4 in
-  let db = Reldb.Db.create () in
-  Printf.printf "%-4s %-8s %16s %16s\n" "id" "encoding" "runs" "whole path";
-  List.iter
-    (fun enc ->
-      ignore (O.Api.Store.create db ~name:"e3b" enc doc);
-      List.iter
-        (fun (q : O.Workload.query) ->
-          Option.iter
-            (fun xp ->
-              let path = O.Xpath_parser.parse xp in
-              let cell eval =
-                let r = eval () in
-                Printf.sprintf "%7.0f/%-2d" (1000. *. median_ms ~runs:101 eval)
-                  r.O.Translate.statements
-              in
-              Printf.printf "%-4s %-8s %16s %16s\n" q.O.Workload.q_id (O.Encoding.name enc)
-                (cell (fun () -> O.Translate.eval db ~doc:"e3b" enc path))
-                (if O.Translate_sql.eligible enc path then
-                   cell (fun () -> O.Translate_sql.eval db ~doc:"e3b" enc path)
-                 else "-"))
-            q.O.Workload.q_xpath)
-        O.Workload.queries;
-      O.Encoding.drop_tables db ~doc:"e3b" enc)
-    encodings
-
 (* ------------------------------------------------------------------ E4 *)
 
 let e4 () =
@@ -509,18 +478,13 @@ let e13 () =
 
 let e14 () =
   header "E14: schema-aware vs blind translation (XMark DTD, scale 4)";
-  let dtd = Xmllib.Dtd.parse Xmllib.Generator.xmark_dtd in
+  let g = Analysis.Schema_check.graph (Xmllib.Dtd.parse Xmllib.Generator.xmark_dtd) in
   let doc = O.Workload.dataset ~scale:4 in
   let db = Reldb.Db.create () in
   let stores =
     List.map
       (fun enc -> (enc, O.Api.Store.create db ~name:"e14" enc doc))
       encodings
-  in
-  let parse1 q =
-    match O.Xpath_parser.parse_union q with
-    | [ p ] -> p
-    | _ -> assert false
   in
   let ids (r : O.Translate.result) =
     List.map (fun (row : O.Node_row.t) -> row.O.Node_row.id) r.O.Translate.rows
@@ -539,13 +503,13 @@ let e14 () =
     "b-stmts" "s-stmts";
   List.iter
     (fun (q, note) ->
-      let path = parse1 q in
+      let path = O.Xpath_parser.parse q in
       Printf.printf "-- %s  (%s)\n" q note;
       List.iter
         (fun (enc, _) ->
           (* the schema-aware timing includes the analysis itself *)
           let blind () = O.Translate.eval db ~doc:"e14" enc path in
-          let schema () = Analysis.Schema_check.eval dtd db ~doc:"e14" enc path in
+          let schema () = Analysis.Schema_check.eval g db ~doc:"e14" enc path in
           let bres = blind () and sres = schema () in
           if ids bres <> ids sres then
             Printf.printf "   RESULT MISMATCH under %s!\n" (O.Encoding.name enc);
@@ -553,32 +517,10 @@ let e14 () =
           Printf.printf "%-11s %12.1f %12.1f %9d %9d\n" (O.Encoding.name enc)
             bms sms bres.O.Translate.statements sres.O.Translate.statements)
         stores)
-    queries;
-  (* DISTINCT elimination in single-statement mode: the schema proves the
-     join produces no duplicate rows, so the sort/dedup pass is skipped *)
-  let q = "/site/people/person[address]/emailaddress" in
-  let path = parse1 q in
-  let r = Analysis.Schema_check.analyze dtd path in
-  Printf.printf "\nDISTINCT elimination: %s (unique=%b)\n" q
-    r.Analysis.Schema_check.unique;
-  Printf.printf "%-11s %14s %16s\n" "encoding" "DISTINCT ms" "no-DISTINCT ms";
-  List.iter
-    (fun (enc, _) ->
-      if O.Translate_sql.eligible enc path then begin
-        let d () = O.Translate_sql.eval db ~doc:"e14" enc path in
-        let nd () =
-          O.Translate_sql.eval ~unique:r.Analysis.Schema_check.unique db
-            ~doc:"e14" enc r.Analysis.Schema_check.rewritten
-        in
-        if ids (d ()) <> ids (nd ()) then
-          Printf.printf "   RESULT MISMATCH under %s!\n" (O.Encoding.name enc);
-        Printf.printf "%-11s %14.2f %16.2f\n" (O.Encoding.name enc)
-          (median_ms d) (median_ms nd)
-      end)
-    stores
+    queries
 
 let all =
-  [ ("e1", e1); ("e2", e2); ("e2b", e2b); ("e3", e3); ("e3b", e3b); ("e4", e4); ("e5", e5);
+  [ ("e1", e1); ("e2", e2); ("e2b", e2b); ("e3", e3); ("e4", e4); ("e5", e5);
     ("e6", e6); ("e7", e7); ("e8", e8); ("e9", e9); ("e11", e11);
     ("e13", e13); ("e14", e14) ]
 

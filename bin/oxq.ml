@@ -126,9 +126,10 @@ let load_dtd path =
     Printf.eprintf "DTD error: %s\n" m;
     exit 2
 
-let schema_analyze dtd root path =
+(* the DTD's reachability graph, built once per command *)
+let schema_graph dtd root =
   let roots = Option.map (fun r -> [ r ]) root in
-  Analysis.Schema_check.analyze ?roots dtd path
+  Analysis.Schema_check.graph ?roots dtd
 
 let query_cmd =
   let run enc path q trace db_dir dtd_path root =
@@ -140,6 +141,7 @@ let query_cmd =
           | None -> O.Api.Store.query_nodes store q
           | Some dp -> (
               let dtd = load_dtd dp in
+              let g = schema_graph dtd root in
               match Xmllib.Dtd.validate dtd (O.Api.Store.document store) with
               | Error msgs ->
                   Printf.eprintf
@@ -151,7 +153,7 @@ let query_cmd =
                   let sat =
                     List.filter_map
                       (fun p ->
-                        let r = schema_analyze dtd root p in
+                        let r = Analysis.Schema_check.analyze g p in
                         if r.Analysis.Schema_check.satisfiable then
                           Some r.Analysis.Schema_check.rewritten
                         else None)
@@ -187,38 +189,63 @@ let analyze_flag =
     value & flag
     & info [ "analyze" ]
         ~doc:
-          "Run EXPLAIN ANALYZE on the single-statement translation (when \
-           the query is eligible): the physical plan annotated with actual \
-           row counts, loop counts and per-operator time.")
+          "Run EXPLAIN ANALYZE on each compiled run from the document root, \
+           its values bound: the physical plan annotated with actual row \
+           counts, loop counts and per-operator time.")
+
+let run_path (r : O.Translate.run) =
+  O.Xpath_ast.to_string { O.Xpath_ast.absolute = r.O.Translate.from_root; steps = r.O.Translate.steps }
+
+(* The compiled segments of each path, as evaluation executes them. *)
+let print_segments db ~analyze enc paths =
+  List.iter2
+    (fun p segs ->
+      Printf.printf "-- compiled: %s\n" (O.Xpath_ast.to_string p);
+      List.iteri
+        (fun i seg ->
+          match seg with
+          | O.Translate.Step s ->
+              Printf.printf "-- %d. middle-tier step: %s\n" (i + 1) (O.Xpath_ast.step_to_string s)
+          | O.Translate.Run r ->
+              Printf.printf "-- %d. run%s%s: %s\n%s\n" (i + 1)
+                (if r.O.Translate.from_root then " from the root" else " from the context")
+                (if r.O.Translate.sorted then ", sorted" else "")
+                (run_path r) r.O.Translate.sql;
+              if r.O.Translate.params <> [||] then
+                Printf.printf "--    values: %s\n"
+                  (String.concat ", "
+                     (Array.to_list (Array.map Reldb.Value.to_sql_literal r.O.Translate.params)));
+              if analyze then
+                if r.O.Translate.from_root then
+                  Printf.printf "-- explain analyze:\n%s\n"
+                    (Reldb.Db.explain_analyze db r.O.Translate.sql r.O.Translate.params)
+                else
+                  print_endline
+                    "-- explain analyze: this run reads the previous step's context, \
+                     which exists only while the query runs")
+        segs)
+    paths
+    (O.Translate.compile ~doc:"doc" enc paths)
 
 let sql_cmd =
   let run enc path q analyze db_dir dtd_path root =
     wrap (fun () ->
         let db, store = load_store ?db_dir path enc in
         Fun.protect ~finally:(fun () -> Reldb.Db.close db) @@ fun () ->
+        let paths = O.Xpath_parser.parse_union q in
+        print_segments db ~analyze enc paths;
         let r = O.Api.Store.query store q in
-        Printf.printf "-- runs: %d statement(s), %d result node(s)\n"
+        Printf.printf "-- executed: %d statement(s), %d result node(s)\n"
           r.O.Translate.statements
           (List.length r.O.Translate.rows);
         List.iter print_endline r.O.Translate.sql_log;
-        (match O.Xpath_parser.parse_union q with
-        | [ path ] when O.Translate_sql.eligible enc path ->
-            let sql = O.Translate_sql.translate ~doc:"doc" enc path in
-            Printf.printf "-- single-statement form:\n%s\n" sql;
-            if analyze then
-              Printf.printf "-- explain analyze:\n%s\n"
-                (Reldb.Db.explain_analyze db sql)
-        | _ ->
-            if analyze then
-              print_endline
-                "-- explain analyze: query has no single-statement form");
         match dtd_path with
         | None -> ()
         | Some dp ->
-            let dtd = load_dtd dp in
+            let g = schema_graph (load_dtd dp) root in
             List.iter
               (fun p ->
-                let sr = schema_analyze dtd root p in
+                let sr = Analysis.Schema_check.analyze g p in
                 Printf.printf "-- schema analysis: %s\n"
                   (O.Xpath_ast.to_string p);
                 List.iter
@@ -231,18 +258,16 @@ let sql_cmd =
                      issued"
                 else begin
                   let rw = sr.Analysis.Schema_check.rewritten in
-                  if rw <> p then
+                  if rw <> p then begin
                     Printf.printf "  rewritten: %s\n" (O.Xpath_ast.to_string rw);
-                  if O.Translate_sql.eligible enc rw then
-                    Printf.printf "-- schema-aware single-statement form:\n%s\n"
-                      (O.Translate_sql.translate
-                         ~unique:sr.Analysis.Schema_check.unique ~doc:"doc"
-                         enc rw)
+                    print_segments db ~analyze:false enc [ rw ]
+                  end
                 end)
-              (O.Xpath_parser.parse_union q))
+              paths)
   in
   Cmdliner.Cmd.v
-    (Cmdliner.Cmd.info "sql" ~doc:"Show the SQL a query translates to.")
+    (Cmdliner.Cmd.info "sql"
+       ~doc:"Show the runs a query compiles to and the statements it executes.")
     Cmdliner.Term.(
       const run $ encoding $ file $ xpath $ analyze_flag $ db_dir_opt
       $ dtd_opt $ root_opt)
@@ -357,7 +382,8 @@ let dump_cmd =
 
 (* A small document shredded under every encoding gives the linter real
    schemas and indexes to check against (unsargable, redundant-distinct and
-   plan rules are catalog-aware). *)
+   plan rules are catalog-aware); the context relations are registered so
+   that runs over them plan. *)
 let lint_db () =
   let doc =
     Xmllib.Parser.parse_document
@@ -365,7 +391,9 @@ let lint_db () =
   in
   let db = Reldb.Db.create () in
   List.iter
-    (fun enc -> ignore (O.Api.Store.create db ~name:"doc" enc doc))
+    (fun enc ->
+      ignore (O.Api.Store.create db ~name:"doc" enc doc);
+      O.Node_row.with_relation db (O.Node_row.ctx_relation enc) [] ignore)
     O.Encoding.all;
   db
 
@@ -391,65 +419,33 @@ let lint_sql db stmt_text =
       in
       Analysis.Finding.sort (lint @ plan)
 
-let lint_xpath db ~explicit_enc encodings paths =
-  let catalog = Reldb.Db.catalog db in
+(* Every compiled run of every path, under each encoding: the statements
+   evaluation issues. Middle-tier steps are notes. *)
+let lint_xpath db encodings paths =
   let any_error = ref false in
   List.iter
     (fun enc ->
-      List.iter
-        (fun path ->
+      List.iter2
+        (fun path segs ->
           Printf.printf "-- %s: %s\n" (O.Encoding.name enc)
             (O.Xpath_ast.to_string path);
-          let findings =
-            if O.Translate_sql.eligible enc path then begin
-              let sql, meta = O.Translate_sql.translate_meta ~doc:"doc" enc path in
-              match Reldb.Sql_parser.parse sql with
-              | exception Reldb.Sql_parser.Parse_error m ->
-                  [
-                    Analysis.Finding.error "parse-back"
-                      "translated SQL does not parse back: %s" m;
-                  ]
-              | stmt ->
-                  let lint = Analysis.Lint.lint_stmt ~catalog stmt in
-                  let order = Analysis.Order_check.check_stmt enc ~meta stmt in
-                  let plan =
-                    match stmt with
-                    | Reldb.Sql_ast.Select sel ->
-                        Analysis.Plan_lint.lint_plan
-                          (Reldb.Planner.plan_select catalog sel)
-                    | _ -> []
-                  in
-                  Analysis.Finding.sort (lint @ order @ plan)
-            end
-            else begin
-              (* outside the fragment: unsupported axes are contract
-                 violations when the user pinned the encoding, otherwise
-                 informational (the other encodings may still serve it) *)
-              let severity =
-                if explicit_enc then Analysis.Finding.Error
-                else Analysis.Finding.Info
+          List.iteri
+            (fun i seg ->
+              let what =
+                match seg with
+                | O.Translate.Step s -> "middle-tier step " ^ O.Xpath_ast.step_to_string s
+                | O.Translate.Run r -> "run " ^ run_path r
               in
-              match Analysis.Order_check.check_axes ~severity enc path with
-              | [] ->
-                  let reason =
-                    try
-                      ignore (O.Translate_sql.translate ~doc:"doc" enc path);
-                      "outside the single-statement fragment"
-                    with O.Translate_sql.Not_single_statement m -> m
-                  in
-                  [
-                    Analysis.Finding.info "fragment"
-                      "no single-statement form: %s" reason;
-                  ]
-              | fs -> fs
-            end
-          in
-          if findings = [] then print_endline "  clean"
-          else begin
-            print_findings "  " findings;
-            if Analysis.Finding.has_errors findings then any_error := true
-          end)
-        paths)
+              let findings = Analysis.Lint.lint_segment (Reldb.Db.catalog db) enc seg in
+              Printf.printf "  %d. %s\n" (i + 1) what;
+              if findings = [] then print_endline "    clean"
+              else begin
+                print_findings "    " findings;
+                if Analysis.Finding.has_errors findings then any_error := true
+              end)
+            segs)
+        paths
+        (O.Translate.compile ~doc:"doc" enc paths))
     encodings;
   !any_error
 
@@ -517,10 +513,10 @@ let lint_cmd =
             match dtd_path with
             | None -> paths
             | Some dp ->
-                let dtd = load_dtd dp in
+                let g = schema_graph (load_dtd dp) root in
                 List.filter_map
                   (fun p ->
-                    let r = schema_analyze dtd root p in
+                    let r = Analysis.Schema_check.analyze g p in
                     Printf.printf "-- schema: %s\n" (O.Xpath_ast.to_string p);
                     if r.Analysis.Schema_check.findings = [] then
                       print_endline "  clean"
@@ -537,8 +533,7 @@ let lint_cmd =
                     end)
                   paths
           in
-          if lint_xpath db ~explicit_enc:(enc_opt <> None) encodings paths
-          then any_error := true;
+          if lint_xpath db encodings paths then any_error := true;
           if !any_error then 1 else 0
     with
     | O.Xpath_parser.Parse_error m | Reldb.Db.Sql_error m ->

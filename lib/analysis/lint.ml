@@ -526,3 +526,25 @@ let lint_xpath (path : A.path) =
   in
   walk_path path;
   Finding.sort (List.rev !acc)
+
+let lint_segment catalog enc (seg : Ordered_xml.Translate.segment) =
+  match seg with
+  | Ordered_xml.Translate.Step _ ->
+      [
+        Finding.info "middle-tier" "no join holds this step under %s: the middle tier evaluates it"
+          (Ordered_xml.Encoding.name enc);
+      ]
+  | Ordered_xml.Translate.Run r -> (
+      match Reldb.Sql_parser.parse r.Ordered_xml.Translate.sql with
+      | exception Reldb.Sql_parser.Parse_error m ->
+          [ Finding.error "parse-back" "translated SQL does not parse back: %s" m ]
+      | stmt ->
+          let plan =
+            match stmt with
+            | S.Select sel -> (
+                match Reldb.Planner.plan_select catalog sel with
+                | exception Reldb.Planner.Plan_error m -> [ Finding.error "plan" "run does not plan: %s" m ]
+                | plan -> Plan_lint.lint_plan plan)
+            | _ -> []
+          in
+          Finding.sort (lint_stmt ~catalog stmt @ Order_check.check_run enc r stmt @ plan))

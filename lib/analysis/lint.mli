@@ -35,3 +35,11 @@ val lint_xpath : Ordered_xml.Xpath_ast.path -> Finding.t list
     contradiction (count is never negative); [count(p) > 0] and
     [count(p) = 0] are existence tests in disguise. Recurses into nested
     predicate paths. *)
+
+val lint_segment :
+  Reldb.Catalog.t -> Ordered_xml.Encoding.t -> Ordered_xml.Translate.segment -> Finding.t list
+(** Lint one compiled segment ({!Ordered_xml.Translate.compile}). A run's
+    statement must parse back and plan; it gets the SQL rules above,
+    {!Order_check.check_run} and {!Plan_lint.lint_plan}. A middle-tier step
+    is an [Info] note ([middle-tier]). The catalog must hold the context
+    relations ({!Ordered_xml.Node_row.ctx_relation}) for runs over them. *)

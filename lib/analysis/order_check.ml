@@ -1,5 +1,6 @@
 module O = Ordered_xml
 module S = Reldb.Sql_ast
+module T = O.Translate
 
 let norm = String.lowercase_ascii
 
@@ -9,92 +10,54 @@ let expected_order_column (enc : O.Encoding.t) =
   | O.Encoding.Dewey_enc | O.Encoding.Dewey_caret -> Some "path"
   | O.Encoding.Local -> None
 
-let axis_finding severity enc ax =
-  let f : Finding.t =
-    {
-      Finding.severity;
-      rule = "axis-support";
-      message =
-        Printf.sprintf
-          "axis %s:: is outside the single-statement fragment of the %s \
-           encoding (needs interval numbering)"
-          (O.Xpath_ast.axis_name ax) (O.Encoding.name enc);
-    }
+(* the (alias, column) keys the run's ORDER BY must list, in order *)
+let order_keys enc (r : T.run) =
+  let col = Option.value (expected_order_column enc) ~default:"l_order" in
+  let aliases =
+    match (enc, List.rev r.T.chain) with
+    | O.Encoding.Local, _ -> r.T.chain
+    | _, e :: p :: _ when r.T.tail -> [ p; e ]
+    | _, e :: _ -> [ e ]
+    | _, [] -> []
   in
-  f
+  List.map (fun a -> (a, col)) aliases
 
-let check_axes ?(severity = Finding.Error) enc path =
-  List.filter_map
-    (fun ax ->
-      if O.Translate_sql.axis_supported enc ax then None
-      else Some (axis_finding severity enc ax))
-    (O.Translate_sql.path_axes path)
-
-let check_stmt enc ~(meta : O.Translate_sql.fragment_meta) (stmt : S.stmt) =
-  let acc = ref [] in
-  let add f = acc := f :: !acc in
-  if meta.O.Translate_sql.fm_encoding <> enc then
-    add
-      (Finding.error "order-contract"
-         "statement was translated for %s but is being checked against %s"
-         (O.Encoding.name meta.O.Translate_sql.fm_encoding)
-         (O.Encoding.name enc));
-  List.iter
-    (fun ax ->
-      if not (O.Translate_sql.axis_supported enc ax) then
-        add (axis_finding Finding.Error enc ax))
-    meta.O.Translate_sql.fm_axes;
-  let expect = expected_order_column enc in
-  if expect <> meta.O.Translate_sql.fm_order_column then
-    add
-      (Finding.error "order-contract"
-         "translator metadata promises order column %s but the %s contract \
-          requires %s"
-         (Option.value meta.O.Translate_sql.fm_order_column ~default:"<none>")
-         (O.Encoding.name enc)
-         (Option.value expect ~default:"<none>"));
-  (match stmt with
-  | S.Select sel -> (
-      let result = norm meta.O.Translate_sql.fm_result_alias in
-      match expect with
-      | Some col -> (
-          match sel.S.order_by with
-          | [ (S.E_col (Some q, c), S.Asc) ]
-            when norm q = result && norm c = col ->
-              ()
-          | [] ->
-              add
-                (Finding.error "order-contract"
-                   "missing ORDER BY %s.%s: %s results must come back in \
-                    document order"
-                   meta.O.Translate_sql.fm_result_alias col
-                   (O.Encoding.name enc))
-          | _ ->
-              add
-                (Finding.error "order-contract"
-                   "ORDER BY clause does not match the %s document-order \
-                    contract (expected ORDER BY %s.%s ascending)"
-                   (O.Encoding.name enc) meta.O.Translate_sql.fm_result_alias
-                   col))
-      | None -> (
-          if meta.O.Translate_sql.fm_ordered then
-            add
-              (Finding.error "order-contract"
-                 "metadata claims the statement is ordered, but LOCAL has no \
-                  document-order column");
-          match sel.S.order_by with
-          | [] ->
-              add
-                (Finding.info "order-contract"
-                   "LOCAL statements return unordered results: the middle \
-                    tier must sort them into document order (paper's \
-                    documented LOCAL cost)")
-          | _ ->
-              add
-                (Finding.error "order-contract"
-                   "LOCAL encoding has no document-order column; this ORDER \
-                    BY cannot establish document order")))
-  | _ ->
-      add
-        (Finding.error "order-contract" "translated statement is not a SELECT"));
-  Finding.sort (List.rev !acc)
+let check_run enc (r : T.run) (stmt : S.stmt) =
+  let keys = order_keys enc r in
+  let expected = String.concat ", " (List.map (fun (a, c) -> a ^ "." ^ c) keys) in
+  let sorts =
+    if r.T.sorted then []
+    else
+      [
+        Finding.info "order-contract"
+          "rows come back unsorted: the middle tier sorts the result into document order";
+      ]
+  in
+  match stmt with
+  | S.Select _ when not (r.T.sorted || r.T.tail) -> sorts
+  | S.Select sel ->
+      let n = List.length keys in
+      (* only a positional tail's last key may descend *)
+      let rec matches i keys order_by =
+        match (keys, order_by) with
+        | [], [] -> true
+        | (a, c) :: keys, (S.E_col (Some q, c'), dir) :: order_by ->
+            norm q = norm a && norm c' = c
+            && (dir = S.Asc || (r.T.tail && i = n - 1))
+            && matches (i + 1) keys order_by
+        | _ -> false
+      in
+      let what = if r.T.tail then "a positional tail" else "a sorted run" in
+      (if sel.S.order_by = [] then
+         [ Finding.error "order-contract" "missing ORDER BY %s: %s needs it" expected what ]
+       else if not (matches 0 keys sel.S.order_by) then
+         [
+           Finding.error "order-contract"
+             "ORDER BY does not match the %s order of %s (expected ORDER BY %s ascending)"
+             (O.Encoding.name enc) what expected;
+         ]
+       else if r.T.tail && sel.S.limit = None then
+         [ Finding.error "order-contract" "a positional tail without LIMIT" ]
+       else [])
+      @ sorts
+  | _ -> [ Finding.error "order-contract" "translated statement is not a SELECT" ]

@@ -1,35 +1,30 @@
-(** Order-correctness checking of translated statements.
+(** Order-correctness checking of compiled runs.
 
-    The paper's contract: a single-statement translation must return result
-    nodes in document order when the encoding can express it — GLOBAL and
-    GLOBAL_GAP order by the result alias's [g_order], DEWEY and ORDPATH by
-    the binary [path] — and LOCAL statements are explicitly unordered (the
-    middle tier sorts, at documented cost). Axes that need interval
-    numbering ([descendant::], [following::], [ancestor::], ...) may only
-    appear under encodings that support them. This module checks a parsed
-    statement against the metadata {!Ordered_xml.Translate_sql} emits,
-    rather than re-deriving the contract from SQL text. *)
+    The paper's contract: a translation returns result nodes in document
+    order when the encoding can express it. Each run {!Ordered_xml.Translate}
+    compiles promises an order ({!Ordered_xml.Translate.run}); this module
+    checks a parsed statement against that promise, deriving the columns
+    from the run's alias chain rather than from the SQL text:
+
+    - a run whose rows skip the middle tier's sort ([sorted]) orders by the
+      result's document-order column under GLOBAL and DEWEY ([g_order],
+      [path]) and by every chain alias's [l_order], from the root down,
+      under LOCAL (sibling orders along a child chain);
+    - a positional tail orders each context's candidates by the previous
+      chain alias's order column, then the result's (LOCAL: the whole
+      chain's), under a LIMIT; only the last key may be descending.
+
+    Every key must be ascending otherwise. A run whose rows the middle tier
+    sorts gets an [Info] note. *)
 
 val expected_order_column : Ordered_xml.Encoding.t -> string option
-(** The document-order column the encoding's translations must ORDER BY,
-    or [None] for LOCAL (no such column exists). *)
+(** The document-order column of the encoding: [g_order] or [path], or
+    [None] for LOCAL, whose [l_order] is a sibling order only. *)
 
-val check_stmt :
+val check_run :
   Ordered_xml.Encoding.t ->
-  meta:Ordered_xml.Translate_sql.fragment_meta ->
+  Ordered_xml.Translate.run ->
   Reldb.Sql_ast.stmt ->
   Finding.t list
-(** Check a translated statement: it must be a SELECT whose ORDER BY is
-    exactly the encoding's document-order column on the result alias
-    (ascending), the metadata must agree with the encoding's contract, and
-    every axis the path used must be expressible under the encoding.
-    LOCAL statements get an [Info] noting the middle tier must sort. *)
-
-val check_axes :
-  ?severity:Finding.severity ->
-  Ordered_xml.Encoding.t ->
-  Ordered_xml.Xpath_ast.path ->
-  Finding.t list
-(** Axis-support check on a raw path (no translation needed): one finding
-    per axis the encoding cannot express in a single statement. Severity
-    defaults to [Error]. *)
+(** Check a run's parsed statement against the order the run promises
+    (see above). The statement must be a SELECT. *)

@@ -625,39 +625,11 @@ let reduce_following g ctx (s : A.step) =
 (* The analysis driver                                                 *)
 (* ------------------------------------------------------------------ *)
 
-type result = {
-  findings : Finding.t list;
-  rewritten : A.path;
-  satisfiable : bool;
-  unique : bool;
-}
+type result = { findings : Finding.t list; rewritten : A.path; satisfiable : bool }
 
-(* can the single-statement join over this predicate produce duplicate
-   bindings for one context node? *)
-let rec pred_unique g ctx (p : A.predicate) =
-  match p with
-  | A.P_exists pth -> card_le_one (path_card g ctx pth)
-  | A.P_cmp (pth, _, _) ->
-      (* element targets read an extra text() alias that can bind to any of
-         several text children, so only direct-value targets stay unique *)
-      let direct =
-        match List.rev pth.A.steps with
-        | last :: _ -> (
-            match (last.A.axis, last.A.test) with
-            | A.Attribute, _ -> true
-            | _, (A.Text_test | A.Comment_test) -> true
-            | _ -> false)
-        | [] -> false
-      in
-      direct && card_le_one (path_card g ctx pth)
-  | A.P_and (a, b) -> pred_unique g ctx a && pred_unique g ctx b
-  | A.P_pos _ | A.P_last | A.P_or _ | A.P_not _ | A.P_count _ -> false
-
-let analyze ?roots dtd (path : A.path) =
-  let g = graph ?roots dtd in
+let analyze g (path : A.path) =
   let findings = ref [] in
   let note f = findings := f :: !findings in
-  let unique = ref true in
   let unsat = ref None in
   (* both translators evaluate relative paths from the document root too *)
   let rec walk ctx acc idx = function
@@ -737,18 +709,7 @@ let analyze ?roots dtd (path : A.path) =
                   in
                   if !dead then List.rev acc
                   else begin
-                    let s' = { s with A.preds } in
-                    (* track single-statement uniqueness over the
-                       rewritten steps *)
-                    (match s'.A.axis with
-                    | A.Child | A.Attribute | A.Self -> ()
-                    | _ when idx = 1 -> ()
-                    | _ -> unique := false);
-                    if
-                      not
-                        (List.for_all (pred_unique g ts) s'.A.preds)
-                    then unique := false;
-                    walk ts (s' :: acc) (idx + 1) rest
+                    walk ts ({ s with A.preds } :: acc) (idx + 1) rest
                   end
                 end)
       end
@@ -761,25 +722,16 @@ let analyze ?roots dtd (path : A.path) =
         findings = Finding.sort (List.rev (f :: !findings));
         rewritten = path;
         satisfiable = false;
-        unique = false;
       }
   | None ->
-      let rewritten = { path with A.steps } in
-      let unique = !unique in
-      if unique && List.length steps > 1 then
-        note
-          (Finding.info "schema-distinct"
-             "the DTD proves result rows are already distinct; DISTINCT \
-              can be skipped in single-statement mode");
       {
         findings = Finding.sort (List.rev !findings);
-        rewritten;
+        rewritten = { path with A.steps };
         satisfiable = true;
-        unique;
       }
 
-let eval ?roots dtd db ~doc enc (path : A.path) =
-  let r = analyze ?roots dtd path in
+let eval g db ~doc enc (path : A.path) =
+  let r = analyze g path in
   if not r.satisfiable then
     { Ordered_xml.Translate.rows = []; statements = 0; sql_log = [] }
   else Ordered_xml.Translate.eval db ~doc enc r.rewritten

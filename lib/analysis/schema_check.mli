@@ -15,9 +15,7 @@
       never carry text). Flagged as an [Error] finding; evaluation
       short-circuits to a 0-row result without touching the database.
     + {b cardinality inference} — where the schema proves at-most-one match
-      per context node, no-op [\[1\]]/[\[last()\]] predicates are dropped
-      and the result is marked {e unique} so {!Ordered_xml.Translate_sql}
-      can skip [DISTINCT].
+      per context node, no-op [\[1\]]/[\[last()\]] predicates are dropped.
     + {b axis strength reduction} — [descendant::a] becomes an explicit
       [child::] chain when every DTD path to [a] from the context has one
       fixed shape (a big win for LOCAL, whose descendant scans otherwise
@@ -25,7 +23,8 @@
       to the sibling axes when the schema proves no matches outside the
       context's parent.
 
-    Every rewrite is sound for {e all} documents valid under the DTD; the
+    The graph is built once per DTD ({!graph}); each pass over a path then
+    costs microseconds. Every rewrite is sound for {e all} documents valid under the DTD; the
     differential tests check rewritten and blind translations against
     {!Ordered_xml.Dom_eval} on DTD-sampled documents. *)
 
@@ -59,18 +58,13 @@ type result = {
   satisfiable : bool;
       (** [false] when no valid document can have results: translation
           should short-circuit to a 0-row plan *)
-  unique : bool;
-      (** the single-statement join over [rewritten] cannot produce
-          duplicate result rows, so [DISTINCT] may be skipped *)
 }
 
-val analyze :
-  ?roots:string list -> Xmllib.Dtd.t -> Ordered_xml.Xpath_ast.path -> result
+val analyze : graph -> Ordered_xml.Xpath_ast.path -> result
 (** Run the three passes on an absolute (or root-context) path. *)
 
 val eval :
-  ?roots:string list ->
-  Xmllib.Dtd.t ->
+  graph ->
   Reldb.Db.t ->
   doc:string ->
   Ordered_xml.Encoding.t ->

@@ -260,7 +260,6 @@ let run_length enc ~from_root (steps : A.step list) =
 type gen = {
   g_enc : Encoding.t;
   g_table : string;
-  inline : bool;  (* values as SQL literals, not ? slots *)
   mutable from : string list;  (* reversed *)
   mutable conds : string list;  (* reversed *)
   mutable params : V.t list;  (* reversed *)
@@ -270,11 +269,8 @@ type gen = {
 let add g cond = g.conds <- cond :: g.conds
 
 let value g v =
-  if g.inline then V.to_sql_literal v
-  else begin
-    g.params <- v :: g.params;
-    "?"
-  end
+  g.params <- v :: g.params;
+  "?"
 
 let new_alias g =
   let a = "s" ^ string_of_int g.count in
@@ -330,29 +326,30 @@ and lower_pred g ~ctx (p : A.predicate) =
 and lower_rel g ~ctx (path : A.path) =
   List.fold_left (fun prev step -> lower_step g ~prev step) ctx path.A.steps
 
-type lowered = {
+type run = {
+  steps : A.step list;
   sql : string;
   params : V.t array;
-  result : string;
-  aliases : string list;
+  from_root : bool;
   chain : string list;
-  ordered : bool;
+  tail : bool;
+  sorted : bool;
+  keeps_chain : bool;
 }
 
+type segment = Run of run | Step of A.step
+
 (* [steps] (a run, see run_length) as one statement over the edge table:
-   from the root, or from the context relation [ctx] (alias c, whose id is
+   from the root, or else from the context relation (alias c, whose id is
    selected last). Rows are unique and come in document order, by an ORDER
    BY when [sort], from the root along a child chain, or under GLOBAL and
    DEWEY by the result's order column behind a DISTINCT. A positional
    predicate on the last step sorts by the chain's order columns and keeps
    LIMIT ? OFFSET ? rows per context. [keep_chain]: the rows of the chain's
    earlier steps follow the result's columns. *)
-let lower ?(inline = false) ?(unique = false) ?ctx ~sort ~keep_chain enc ~table steps =
-  let g =
-    { g_enc = enc; g_table = table; inline; from = []; conds = []; params = []; count = 0 }
-  in
-  let prev = Option.map (fun rel -> rel.Node_row.rel_name ^ " c") ctx in
-  g.from <- Option.to_list prev;
+let lower ~from_root ~sort ~keep_chain enc ~table steps =
+  let from = if from_root then [] else [ (Node_row.ctx_relation enc).Node_row.rel_name ^ " c" ] in
+  let g = { g_enc = enc; g_table = table; from; conds = []; params = []; count = 0 } in
   let pos =
     match List.rev steps with
     | { A.axis; preds = [ p ]; _ } :: _ -> position axis p
@@ -373,13 +370,12 @@ let lower ?(inline = false) ?(unique = false) ?ctx ~sort ~keep_chain enc ~table 
             add g (test_cond a A.Child s.A.test);
             List.iter (lower_pred g ~ctx:a) s.A.preds;
             (Some a, [ a ], i + 1))
-      (Option.map (fun _ -> "c") ctx, [], 0)
-      steps
+      ((if from_root then None else Some "c"), [], 0) steps
     |> fun (_, chain, _) -> List.rev chain
   in
   let result = List.nth chain (List.length chain - 1) in
   let ordered =
-    ctx = None
+    from_root
     && (List.for_all (fun (s : A.step) -> List.mem s.A.axis [ A.Child; A.Attribute; A.Self ]) steps
        || (enc <> Encoding.Local && pos = None))
   in
@@ -400,8 +396,7 @@ let lower ?(inline = false) ?(unique = false) ?ctx ~sort ~keep_chain enc ~table 
            row of [p] from several *)
         let by =
           List.map (fun a -> a ^ ".id")
-            ((if ctx = None then [] else [ "c" ])
-            @ match List.rev chain with _ :: p :: _ -> [ p ] | _ -> [])
+            ((if from_root then [] else [ "c" ]) @ match List.rev chain with _ :: p :: _ -> [ p ] | _ -> [])
         in
         let limit = value g (V.Int limit) in
         let offset = value g (V.Int offset) in
@@ -413,29 +408,55 @@ let lower ?(inline = false) ?(unique = false) ?ctx ~sort ~keep_chain enc ~table 
     | None -> ""
   in
   let distinct =
-    pos = None && (not unique)
-    && List.exists Fun.id (List.mapi (fun i s -> step_fans ~lead:(i = 0) s) steps)
+    pos = None && List.exists Fun.id (List.mapi (fun i s -> step_fans ~lead:(i = 0) s) steps)
   in
   let cols =
     List.map (Node_row.select_list enc)
       (result :: (if keep_chain then List.tl (List.rev chain) else []))
-    @ if ctx = None then [] else [ "c.id" ]
+    @ if from_root then [] else [ "c.id" ]
   in
   {
+    steps;
     sql =
       String.concat ""
         [ "SELECT "; (if distinct then "DISTINCT " else ""); String.concat ", " cols;
           " FROM "; String.concat ", " (List.rev g.from);
           " WHERE "; String.concat " AND " (List.rev g.conds); tail ];
     params = Array.of_list (List.rev g.params);
-    result;
-    aliases = List.init g.count (fun i -> "s" ^ string_of_int i);
+    from_root;
     chain;
-    ordered = ordered && tail <> "";
+    tail = pos <> None;
+    sorted = ordered && tail <> "";
+    keeps_chain = keep_chain;
   }
 
-let lower_path ~unique ~sort enc ~table steps =
-  lower ~inline:true ~unique ~sort ~keep_chain:false enc ~table steps
+(* The one segmentation: each maximal run (see run_length) is one
+   statement, every other step one middle-tier step. A run from the root
+   that ends a [final] path sorts its rows when it can; otherwise LOCAL
+   keeps its chain's rows. An absolute path must start with a child or
+   descendant step. *)
+let segments enc ~table ~from_root ~final steps =
+  let rec go ~from_root steps =
+    match steps with
+    | [] -> []
+    | s :: rest -> (
+        match run_length enc ~from_root steps with
+        | 0 -> Step s :: go ~from_root:false rest
+        | n ->
+            let last = final && from_root && n = List.length steps in
+            Run
+              (lower ~from_root ~sort:last ~keep_chain:(from_root && enc = Encoding.Local && not last)
+                 enc ~table (List.filteri (fun i _ -> i < n) steps))
+            :: go ~from_root:false (List.filteri (fun i _ -> i >= n) steps))
+  in
+  match steps with
+  | first :: _ when from_root && not (step_lowers enc ~lead:true { first with A.preds = [] }) -> []
+  | _ -> go ~from_root steps
+
+let compile ~doc enc (u : A.union) =
+  let table = Encoding.table_name ~doc enc in
+  let final = List.length u = 1 in
+  List.map (fun (p : A.path) -> segments enc ~table ~from_root:true ~final p.A.steps) u
 
 (* ------------------------------------------------------------------ *)
 (* Running statements                                                  *)
@@ -468,35 +489,35 @@ let rebind pairs tagged =
   dedup_pairs (List.concat_map (fun (c, r) -> List.map (fun o -> (o, r)) (origins_of c)) tagged)
 
 (* A run from the context rows: (context id, row) pairs. *)
-let ctx_run st ctx_rows steps =
+let ctx_run st ctx_rows (r : run) =
   if ctx_rows = [] then []
   else
-    let rel = Node_row.ctx_relation st.enc in
-    let l = lower ~ctx:rel ~sort:false ~keep_chain:false st.enc ~table:st.tname steps in
-    tagged st rel (List.map Node_row.ctx_tuple ctx_rows) ~params:l.params l.sql
+    tagged st (Node_row.ctx_relation st.enc) (List.map Node_row.ctx_tuple ctx_rows)
+      ~params:r.params r.sql
 
-(* A run from the root: its rows, and whether they are unique and in
-   document order. Unless [final], LOCAL keeps the rows of the chain's
-   earlier steps in the parent-chain cache. *)
-let root_run st ~final steps =
-  let keep_chain = st.enc = Encoding.Local && not final in
-  let l = lower ~sort:final ~keep_chain st.enc ~table:st.tname steps in
-  let n = List.length l.chain in
+(* A run from the root: its rows. LOCAL keeps the rows of the chain's
+   earlier steps in the parent-chain cache when the run selects them. *)
+let root_run st (r : run) =
+  let n = List.length r.chain in
   let remember_chain tu =
     match st.chains with
-    | Some c when keep_chain ->
+    | Some c ->
         let width = Array.length tu / n in
         for i = 1 to n - 1 do
           match tu.((i * width) + Encoding.col_id) with
           | V.Int id when Hashtbl.mem c.rows id -> ()
           | _ -> remember st (Node_row.of_tuple st.enc (Array.sub tu (i * width) width))
         done
-    | _ -> ()
+    | None -> ()
   in
-  let tuples = run_sql st ~params:l.params l.sql in
-  (* a final run's rows need no parent chains *)
-  let decode tu = if final then Node_row.of_tuple st.enc tu else (remember_chain tu; decode st tu) in
-  (List.map decode tuples, l.ordered)
+  (* rows that end the path need no parent chains *)
+  let decode tu = if r.keeps_chain then (remember_chain tu; decode st tu) else Node_row.of_tuple st.enc tu in
+  List.map decode (run_sql st ~params:r.params r.sql)
+
+(* One step without its predicates, as a run from the root (its rows enter
+   LOCAL's cache) or from the context rows. *)
+let step_run st ~from_root (step : A.step) =
+  lower ~from_root ~sort:false ~keep_chain:true st.enc ~table:st.tname [ { step with A.preds = [] } ]
 
 (* ---- LOCAL middle-tier machinery --------------------------------- *)
 
@@ -617,9 +638,7 @@ let local_descendants st ctx_rows =
    after c's subtree; preceding(c) is the run before c minus c's ancestors
    (the prefixes of its key, the owner of an attribute included). *)
 let local_doc_order st ctx_rows (step : A.step) =
-  let cands =
-    fst (root_run st ~final:false [ { step with A.axis = A.Descendant; preds = [] } ])
-  in
+  let cands = root_run st (step_run st ~from_root:true { step with A.axis = A.Descendant }) in
   let key = local_order_keys st (ctx_rows @ cands) in
   let sorted = Array.of_list (List.map (fun r -> (key r, r)) cands) in
   Array.stable_sort (fun (a, _) (b, _) -> compare_key a b) sorted;
@@ -752,26 +771,20 @@ let rec step_candidates st ctx_rows (step : A.step) :
       (pairs, Some (local_order_keys st ctx_rows))
   | (A.Following | A.Preceding), Encoding.Local ->
       if ctx_rows = [] then ([], None) else local_doc_order st ctx_rows step
-  | _ -> (ctx_run st ctx_rows [ { step with A.preds = [] } ], None)
+  | _ -> (ctx_run st ctx_rows (step_run st ~from_root:false step), None)
 
 (* ---- predicates --------------------------------------------------- *)
 
-(* Evaluate a relative path from origin rows; returns (origin id, row):
-   each run of steps one statement can hold is one statement, every other
-   step one middle-tier step. *)
+(* Evaluate a relative path from origin rows; returns (origin id, row). *)
 let rec eval_rel st (origins : Node_row.t list) (steps : A.step list) =
-  eval_steps st (List.map (fun (r : Node_row.t) -> (r.Node_row.id, r)) origins) steps
+  exec_segments st
+    (List.map (fun (r : Node_row.t) -> (r.Node_row.id, r)) origins)
+    (segments st.enc ~table:st.tname ~from_root:false ~final:false steps)
 
-and eval_steps st pairs steps =
-  match steps with
+and exec_segments st pairs = function
   | [] -> pairs
-  | step :: rest -> (
-      match run_length st.enc ~from_root:false steps with
-      | 0 -> eval_steps st (eval_one_step st pairs step) rest
-      | n ->
-          let run = List.filteri (fun i _ -> i < n) steps in
-          let tagged = ctx_run st (dedup_rows (List.map snd pairs)) run in
-          eval_steps st (rebind pairs tagged) (List.filteri (fun i _ -> i >= n) steps))
+  | Run r :: rest -> exec_segments st (rebind pairs (ctx_run st (dedup_rows (List.map snd pairs)) r)) rest
+  | Step s :: rest -> exec_segments st (eval_one_step st pairs s) rest
 
 (* One step over (origin, ctx row) pairs in the middle tier: dedupe
    contexts, fetch candidates, order per group, apply predicates, rebind to
@@ -911,65 +924,52 @@ let doc_sort st rows =
   | Encoding.Local -> sort_by_key (local_order_keys st rows) rows
   | _ -> List.stable_sort Node_row.compare_ord rows
 
-(* [~final:false]: a union sorts the rows again, from LOCAL's chain cache *)
-let eval_path ?(final = true) st (path : A.path) =
-  match path.A.steps with
+(* A path's segments from the root: its rows in document order. *)
+let exec_path st = function
   | [] -> []
-  | first :: _ when not (step_lowers st.enc ~lead:true { first with A.preds = [] }) ->
-      (* an absolute path starts with child or descendant *)
-      []
-  | first :: _ as steps ->
-      let n = run_length st.enc ~from_root:true steps in
-      let rows, ordered =
-        if n > 0 then
-          root_run st ~final:(final && n = List.length steps) (List.filteri (fun i _ -> i < n) steps)
-        else begin
-          (* predicates the statement cannot hold rank or test the first
-             step's candidates in document order, in the middle tier *)
-          let rows, _ = root_run st ~final:false [ { first with A.preds = [] } ] in
-          let rows = doc_sort st rows in
-          let path_sets = eval_path_preds st rows first.A.preds in
-          (List.fold_left (apply_pred path_sets) rows first.A.preds, true)
-        end
+  | first :: rest -> (
+      let rows, sorted =
+        match first with
+        | Run r -> (root_run st r, r.sorted)
+        | Step s ->
+            (* predicates the statement cannot hold rank or test the first
+               step's candidates in document order, in the middle tier *)
+            let rows = doc_sort st (root_run st (step_run st ~from_root:true s)) in
+            let path_sets = eval_path_preds st rows s.A.preds in
+            (List.fold_left (apply_pred path_sets) rows s.A.preds, true)
       in
-      match List.filteri (fun i _ -> i >= max n 1) steps with
-      | [] when ordered -> rows
+      match rest with
+      | [] when sorted -> rows
       | rest ->
-          let pairs = eval_steps st (List.map (fun r -> (0, r)) rows) rest in
-          doc_sort st (dedup_rows (List.map snd pairs))
+          let pairs = exec_segments st (List.map (fun r -> (0, r)) rows) rest in
+          doc_sort st (dedup_rows (List.map snd pairs)))
 
-let eval db ~doc enc path =
+let result st rows = { rows; statements = st.nstmt; sql_log = List.rev st.log }
+
+(* a union sorts its paths' rows again, from LOCAL's chain cache *)
+let eval_union db ~doc enc u =
   let st = new_state db ~doc enc in
-  let rows = eval_path st path in
-  { rows; statements = st.nstmt; sql_log = List.rev st.log }
+  result st
+    (match compile ~doc enc u with
+    | [ p ] -> exec_path st p
+    | ps -> doc_sort st (dedup_rows (List.concat_map (exec_path st) ps)))
+
+let eval db ~doc enc path = eval_union db ~doc enc [ path ]
 
 let eval_ids db ~doc enc path =
   List.map (fun (r : Node_row.t) -> r.Node_row.id) (eval db ~doc enc path).rows
 
-let eval_union db ~doc enc (u : A.union) =
-  let st = new_state db ~doc enc in
-  let rows = List.concat_map (eval_path ~final:false st) u in
-  let rows = doc_sort st (dedup_rows rows) in
-  { rows; statements = st.nstmt; sql_log = List.rev st.log }
-
-let eval_from_ids db ~doc enc ~ids path =
-  let st = new_state db ~doc enc in
-  let rows =
-    if path.A.absolute then eval_path st path
-    else begin
-      let ctx = fetch_by_ids st ids in
-      let pairs = eval_rel st ctx path.A.steps in
-      doc_sort st (dedup_rows (List.map snd pairs))
-    end
-  in
-  { rows; statements = st.nstmt; sql_log = List.rev st.log }
+let eval_from_ids db ~doc enc ~ids (path : A.path) =
+  if path.A.absolute then eval db ~doc enc path
+  else begin
+    let st = new_state db ~doc enc in
+    let pairs = eval_rel st (fetch_by_ids st ids) path.A.steps in
+    result st (doc_sort st (dedup_rows (List.map snd pairs)))
+  end
 
 let sort_document_order db ~doc enc rows =
   let st = new_state db ~doc enc in
   let sorted = doc_sort st (dedup_rows rows) in
   (sorted, st.nstmt)
 
-let eval_string db ~doc enc s =
-  match Xpath_parser.parse_union s with
-  | [ p ] -> eval db ~doc enc p
-  | u -> eval_union db ~doc enc u
+let eval_string db ~doc enc s = eval_union db ~doc enc (Xpath_parser.parse_union s)

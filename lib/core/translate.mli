@@ -1,12 +1,18 @@
 (** XPath evaluation over the shredded relations: the paper's translation of
-    ordered queries into SQL, one strategy per encoding.
+    ordered queries into SQL, one strategy per encoding. This is the one
+    XPath compiler: {!compile} cuts a path into {!segment}s once, and the
+    evaluators execute exactly that list, so what [oxq sql], [oxq lint] and
+    the static analysis read is what runs.
 
     A path is cut into {e runs}: maximal sequences of steps that one SQL
     statement can hold, each a chain of self-joins over the edge table with
     one alias per step, as in the paper's translator. A run holds
-    - steps whose axis is in the encoding's join table ({!axis_supported}),
-      and, on every encoding, a leading [child] or [descendant] step from
-      the document root (a tag-index scan);
+    - steps whose axis is in the encoding's join table ([child],
+      [attribute], [parent], [self] and the sibling axes everywhere; the
+      descendant, ancestor and document-order axes under GLOBAL and
+      GLOBAL/gap only), and,
+      on every encoding, a leading [child] or [descendant] step from the
+      document root (a tag-index scan);
     - predicates that are conjunctions of existence tests and value
       comparisons over such steps, each lowered as more joined aliases (with
       [DISTINCT] when they can reach a row twice);
@@ -98,36 +104,43 @@ val sort_document_order :
     parent chains when the encoding stores no global order (LOCAL). Returns
     the sorted rows and the number of extra SQL statements issued. *)
 
-(** {2 The shared lowering} (what {!Translate_sql} emits) *)
+(** {2 The compiled form}
 
-val axis_supported : Encoding.t -> Xpath_ast.axis -> bool
-(** The join table: whether the encoding joins the axis between two
-    edge-table aliases inside one statement. Document-order and ancestor /
-    descendant axes need interval numbering (GLOBAL, GLOBAL/gap only). *)
+    What {!eval}, {!eval_union} and {!eval_from_ids} execute, and what the
+    CLI and the static analysis read: there is no second compiler. *)
 
-val step_lowers : Encoding.t -> lead:bool -> Xpath_ast.step -> bool
-(** Whether one statement can hold the step and its predicates: its axis in
-    {!axis_supported} (or, when [lead], a [child] / [descendant] /
-    [descendant-or-self] step from the document root) and every predicate a
-    conjunction of existence tests and value comparisons over such steps.
-    Positional predicates are not included. *)
-
-type lowered = {
-  sql : string;
-  params : Reldb.Value.t array;  (** values of the [?] slots, in order *)
-  result : string;  (** the alias whose columns are selected *)
-  aliases : string list;  (** every FROM alias, in emission order *)
-  chain : string list;  (** the aliases of the path's own steps *)
-  ordered : bool;
-      (** the statement returns each row once, in document order *)
+type run = {
+  steps : Xpath_ast.step list;  (** the path steps the statement holds *)
+  sql : string;  (** the statement text, values as [?] slots *)
+  params : Reldb.Value.t array;  (** the values of the slots, in order *)
+  from_root : bool;
+      (** from the document root; otherwise the statement joins the
+          context relation (alias [c]) filled with the previous segment's
+          rows, and selects [c.id] last *)
+  chain : string list;
+      (** the edge-table aliases of the run's own steps, in path order; the
+          last one's columns are selected *)
+  tail : bool;
+      (** a positional predicate on the last step: [ORDER BY] the chain's
+          order columns, [LIMIT ? OFFSET ?] per context *)
+  sorted : bool;
+      (** the statement returns each row once, in document order, through
+          its [ORDER BY]; when the run ends the path, the middle tier does
+          not sort *)
+  keeps_chain : bool;
+      (** LOCAL: the rows of the chain's earlier steps follow the result's
+          columns, for the parent-chain cache *)
 }
 
-val lower_path :
-  unique:bool -> sort:bool -> Encoding.t -> table:string -> Xpath_ast.step list ->
-  lowered
-(** The steps (each accepted by {!step_lowers}, the first with [~lead:true])
-    as one statement from the document root, values printed as SQL
-    literals. With [~sort] a statement that can return document order gets
-    its [ORDER BY]; [~unique] vouches that no join reaches a row twice, so
-    [DISTINCT] is left out.
-    @raise Unsupported when a step has no join. *)
+type segment =
+  | Run of run  (** one statement *)
+  | Step of Xpath_ast.step
+      (** one step in the middle tier, from the previous segment's rows (or,
+          leading a path, from the root): its candidates, ranked and
+          filtered per context *)
+
+val compile : doc:string -> Encoding.t -> Xpath_ast.union -> segment list list
+(** Each path of the union as the segments its evaluation executes, in
+    order. A one-path union is the whole query ({!eval}): its last run
+    from the root sorts its rows when it can. Runs of predicate paths are
+    cut the same way when the middle tier evaluates them. *)

@@ -845,9 +845,12 @@ let explain t sql =
   in
   Format.asprintf "%a" Plan.pp plan
 
-let explain_analyze t sql =
-  match compiled_of t sql with
+let explain_analyze t sql params =
+  let stmt, nparams = parse sql in
+  check_arity nparams params;
+  match compile t stmt with
   | Query plan ->
+      let plan = Plan.bind params plan in
       let read0 = rows_read t in
       let t0 = Obs.Clock.now_ns () in
       let tuples, prof =

@@ -143,12 +143,14 @@ val explain : t -> string -> string
     that reads the rows it changes.
     @raise Sql_error for other statements. *)
 
-val explain_analyze : t -> string -> string
-(** Execute the SELECT with every plan operator instrumented and render the
+val explain_analyze : t -> string -> Value.t array -> string
+(** Execute the SELECT, its [?] slots bound to the values as by
+    {!query_params}, with every plan operator instrumented, and render the
     physical plan annotated with {e actual} row counts, loop counts and
     elapsed time per operator, plus a total line with the logical rows read
     (see {!rows_read}). Same tree shape and operator labels as {!explain}.
-    @raise Sql_error as {!exec}; non-SELECT statements are rejected. *)
+    @raise Sql_error as {!exec_params}; non-SELECT statements are
+    rejected. *)
 
 val check : t -> (unit, string list) Stdlib.result
 (** The index oracle ({!Table.check}) over every table of the database, one

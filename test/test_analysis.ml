@@ -159,49 +159,25 @@ let env =
     (let doc = O.Workload.dataset ~scale:1 in
      let db = Reldb.Db.create () in
      List.iter
-       (fun enc -> ignore (O.Api.Store.create db ~name:"q" enc doc))
+       (fun enc ->
+         ignore (O.Api.Store.create db ~name:"q" enc doc);
+         O.Node_row.with_relation db (O.Node_row.ctx_relation enc) [] ignore)
        O.Encoding.all;
      db)
 
-(* mirror of the translation suite's query lists: the shipped fragment *)
-let global_queries =
-  [
-    "/site/open_auctions/open_auction";
-    "//bidder";
-    "//bidder/increase";
-    "/site/people/person/@id";
-    "//person[address]/name";
-    "//person[profile/@income > 50000]/name";
-    "/site/closed_auctions/closed_auction[price > 500][type = 'Regular']";
-    "//open_auction/bidder/following-sibling::bidder";
-    "//increase/ancestor::open_auction";
-    "/site/regions/africa/item/following::item";
-    "//profile/..";
-    "//annotation/descendant-or-self::*";
-  ]
+(* the fixed query lists of the runs suite *)
+let global_queries = Test_runs.global_queries
+let shared_queries = Test_runs.shared_queries
 
-let shared_queries =
-  [
-    "/site/open_auctions/open_auction";
-    "/site/people/person/@id";
-    "/site/people/person[address]/name";
-    "/site/open_auctions/open_auction/bidder/following-sibling::bidder";
-    "/site/closed_auctions/closed_auction[price > 500]/seller";
-    "/site/open_auctions/open_auction/bidder/personref/..";
-  ]
+let segments enc xpath =
+  List.concat (O.Translate.compile ~doc:"q" enc [ O.Xpath_parser.parse xpath ])
 
-let findings_for enc xpath =
-  let db = Lazy.force env in
-  let path = O.Xpath_parser.parse xpath in
-  let sql, meta = O.Translate_sql.translate_meta ~doc:"q" enc path in
-  let stmt = Reldb.Sql_parser.parse sql in
-  ( Analysis.Lint.lint_stmt ~catalog:(Reldb.Db.catalog db) stmt
-    @ Analysis.Order_check.check_stmt enc ~meta stmt,
-    stmt,
-    meta )
+let runs enc xpath =
+  List.filter_map (function O.Translate.Run r -> Some r | O.Translate.Step _ -> None) (segments enc xpath)
 
 let assert_clean enc xpath =
-  let findings, _, _ = findings_for enc xpath in
+  let catalog = Reldb.Db.catalog (Lazy.force env) in
+  let findings = List.concat_map (Analysis.Lint.lint_segment catalog enc) (segments enc xpath) in
   let bad = List.filter (fun f -> f.F.severity <> F.Info) findings in
   if bad <> [] then
     Alcotest.failf "%s: %s:\n%s" (O.Encoding.name enc) xpath
@@ -225,41 +201,61 @@ let test_order_contract_columns () =
     (expect O.Encoding.Dewey_caret = Some "path");
   check bool_t "local has no order column" true (expect O.Encoding.Local = None)
 
-(* tampering with a correct translation must trip the checker *)
+(* tampering with a correct run's ORDER BY must trip the checker *)
 let test_order_tampering () =
-  let enc = O.Encoding.Global in
-  let _, stmt, meta = findings_for enc "//bidder" in
-  let sel = match stmt with S.Select s -> s | _ -> assert false in
-  let errors s =
-    List.filter
-      (fun f -> f.F.severity = F.Error)
-      (Analysis.Order_check.check_stmt enc ~meta (S.Select s))
+  let tamper enc xpath =
+    let r = match runs enc xpath with [ r ] -> r | _ -> Alcotest.failf "%s: one run" xpath in
+    check bool_t (xpath ^ " sorted") true r.O.Translate.sorted;
+    let sel = match Reldb.Sql_parser.parse r.O.Translate.sql with S.Select s -> s | _ -> assert false in
+    let errors s =
+      List.length
+        (List.filter
+           (fun f -> f.F.severity = F.Error)
+           (Analysis.Order_check.check_run enc r (S.Select s)))
+    in
+    check int_t (xpath ^ ": correct statement has no errors") 0 (errors sel);
+    let caught what order_by =
+      check bool_t (xpath ^ ": " ^ what ^ " caught") true (errors { sel with order_by } > 0)
+    in
+    caught "stripped ORDER BY" [];
+    caught "descending order" (List.map (fun (e, _) -> (e, S.Desc)) sel.order_by);
+    caught "wrong column"
+      [ (S.E_col (Some (List.nth r.O.Translate.chain (List.length r.O.Translate.chain - 1)), "id"), S.Asc) ];
+    (sel, caught)
   in
-  check int_t "correct statement has no errors" 0 (List.length (errors sel));
-  check bool_t "stripped ORDER BY caught" true
-    (errors { sel with order_by = [] } <> []);
-  check bool_t "descending order caught" true
-    (errors
-       { sel with order_by = List.map (fun (e, _) -> (e, S.Desc)) sel.order_by }
-    <> []);
-  check bool_t "wrong column caught" true
-    (errors
-       { sel with order_by = [ (S.E_col (Some meta.O.Translate_sql.fm_result_alias, "id"), S.Asc) ] }
-    <> [])
+  ignore (tamper O.Encoding.Global "//bidder");
+  (* LOCAL orders a child chain by every alias's sibling order, root down *)
+  let sel, caught = tamper O.Encoding.Local "/site/people/person/name" in
+  check int_t "four keys" 4 (List.length sel.order_by);
+  caught "reversed ORDER BY" (List.rev sel.order_by);
+  caught "ORDER BY cut to the last alias" [ List.nth sel.order_by 3 ]
 
-let test_axis_support () =
-  let p = O.Xpath_parser.parse in
-  let errs enc path =
-    List.length (Analysis.Order_check.check_axes enc (p path))
+(* every axis runs on every encoding: one outside the join table is a
+   middle-tier step, an Info note, never an error *)
+let test_middle_tier_steps () =
+  let catalog = Reldb.Db.catalog (Lazy.force env) in
+  let steps enc xpath =
+    List.length (List.filter (function O.Translate.Step _ -> true | O.Translate.Run _ -> false) (segments enc xpath))
   in
-  check int_t "following:: outside LOCAL fragment" 1
-    (errs O.Encoding.Local "/site/regions/africa/item/following::item");
-  check int_t "following:: fine under GLOBAL" 0
-    (errs O.Encoding.Global "/site/regions/africa/item/following::item");
-  check int_t "descendant outside DEWEY single-statement fragment" 1
-    (errs O.Encoding.Dewey_enc "//bidder");
-  check int_t "child/parent axes universal" 0
-    (errs O.Encoding.Local "/site/people/person/..")
+  check int_t "following:: from LOCAL rows" 1
+    (steps O.Encoding.Local "/site/regions/africa/item/following::item");
+  check int_t "following:: joins under GLOBAL" 0
+    (steps O.Encoding.Global "/site/regions/africa/item/following::item");
+  check int_t "DEWEY's //bidder is one run" 0 (steps O.Encoding.Dewey_enc "//bidder");
+  check int_t "parent joins under LOCAL" 0 (steps O.Encoding.Local "/site/people/person/..");
+  List.iter
+    (fun enc ->
+      List.iter
+        (fun seg ->
+          let fs = Analysis.Lint.lint_segment catalog enc seg in
+          check bool_t "no error" false (F.has_errors fs);
+          match seg with
+          | O.Translate.Step _ ->
+              check bool_t "middle-tier note" true
+                (List.exists (fun f -> f.F.rule = "middle-tier" && f.F.severity = F.Info) fs)
+          | O.Translate.Run _ -> ())
+        (segments enc "/site/regions/africa/item/following::item"))
+    O.Encoding.all
 
 (* ---------------- plan lint ------------------------------------------- *)
 
@@ -392,7 +388,7 @@ let tests =
       Alcotest.test_case "order contract columns" `Quick
         test_order_contract_columns;
       Alcotest.test_case "order tampering caught" `Quick test_order_tampering;
-      Alcotest.test_case "axis support" `Quick test_axis_support;
+      Alcotest.test_case "middle-tier steps are Info" `Quick test_middle_tier_steps;
       Alcotest.test_case "plan lint" `Quick test_plan_lint;
       Alcotest.test_case "degenerate count() lint" `Quick
         test_lint_degenerate_count;

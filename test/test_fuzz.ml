@@ -99,46 +99,30 @@ let prop_xpath_render_roundtrip =
       let reparsed = O.Xpath_parser.parse rendered in
       O.Xpath_ast.to_string reparsed = rendered)
 
-(* differential self-check: every generated path inside the single-statement
-   fragment must translate to SQL that (a) parses back through the engine's
-   own parser and (b) survives the static analyzer with nothing worse than
-   an informational note *)
+(* differential self-check: every run every generated path compiles to,
+   under every encoding, must (a) parse back through the engine's own parser
+   and (b) survive the static analyzer — SQL lint, the order check against
+   the run's promise, plan lint — with nothing worse than a note *)
 let analysis_db =
   lazy
     (let doc = Xmllib.Generator.random_tree ~seed:7 ~max_depth:4 ~max_fanout:4 () in
      let db = Reldb.Db.create () in
      List.iter
-       (fun enc -> ignore (O.Api.Store.create db ~name:"q" enc doc))
+       (fun enc ->
+         ignore (O.Api.Store.create db ~name:"q" enc doc);
+         O.Node_row.with_relation db (O.Node_row.ctx_relation enc) [] ignore)
        O.Encoding.all;
      db)
 
 let prop_translation_lints_clean =
   QCheck.Test.make
-    ~name:"single-statement translations parse back and lint clean" ~count:200
+    ~name:"translations parse back and lint clean" ~count:200
     Xpath_gen.arb_path (fun path ->
-      let db = Lazy.force analysis_db in
-      let catalog = Reldb.Db.catalog db in
+      let catalog = Reldb.Db.catalog (Lazy.force analysis_db) in
       List.for_all
         (fun enc ->
-          (not (O.Translate_sql.eligible enc path))
-          ||
-          let sql, meta = O.Translate_sql.translate_meta ~doc:"q" enc path in
-          match Reldb.Sql_parser.parse sql with
-          | exception Reldb.Sql_parser.Parse_error m ->
-              QCheck.Test.fail_reportf
-                "%s: translation does not parse back (%s):\n%s"
-                (O.Encoding.name enc) m sql
-          | stmt -> (
-              let findings =
-                Analysis.Lint.lint_stmt ~catalog stmt
-                @ Analysis.Order_check.check_stmt enc ~meta stmt
-                @
-                match stmt with
-                | Reldb.Sql_ast.Select sel ->
-                    Analysis.Plan_lint.lint_plan
-                      (Reldb.Planner.plan_select catalog sel)
-                | _ -> []
-              in
+          List.for_all
+            (fun seg ->
               match
                 List.filter
                   (fun f ->
@@ -147,15 +131,15 @@ let prop_translation_lints_clean =
                        translates to an always-false WHERE; the contradiction
                        warning is the analyzer doing its job, not a bug *)
                     && f.Analysis.Finding.rule <> "contradiction")
-                  findings
+                  (Analysis.Lint.lint_segment catalog enc seg)
               with
               | [] -> true
               | bad ->
-                  QCheck.Test.fail_reportf "%s: translation not clean:\n%s\n%s"
+                  QCheck.Test.fail_reportf "%s: run not clean:\n%s\n%s"
                     (O.Encoding.name enc)
-                    (String.concat "\n"
-                       (List.map Analysis.Finding.to_string bad))
-                    sql))
+                    (String.concat "\n" (List.map Analysis.Finding.to_string bad))
+                    (match seg with O.Translate.Run r -> r.O.Translate.sql | O.Translate.Step _ -> ""))
+            (List.concat (O.Translate.compile ~doc:"q" enc [ path ])))
         O.Encoding.all)
 
 (* randomized update workloads must leave every encoding's structural

@@ -169,7 +169,7 @@ let test_explain_analyze () =
   done;
   D.reset_counters db;
   let before = D.rows_read db in
-  let out = D.explain_analyze db "SELECT * FROM emp WHERE dept = 1" in
+  let out = D.explain_analyze db "SELECT * FROM emp WHERE dept = 1" [||] in
   let scanned = D.rows_read db - before in
   check bool_t "names the operator" true (Astring_contains.contains out "SeqScan emp");
   check bool_t "scan produced every row" true
@@ -177,13 +177,13 @@ let test_explain_analyze () =
   check bool_t "filter output present" true (Astring_contains.contains out "rows=7");
   check bool_t "total line" true (Astring_contains.contains out "logical rows read");
   (* rejects non-SELECT *)
-  (match D.explain_analyze db "INSERT INTO emp VALUES (0, 0)" with
+  (match D.explain_analyze db "INSERT INTO emp VALUES (0, 0)" [||] with
   | exception D.Sql_error _ -> ()
   | _ -> Alcotest.fail "explain_analyze accepted an INSERT");
   (* loop counts: the inner side of a nested-loop join restarts per outer row *)
   let out2 =
     D.explain_analyze db
-      "SELECT * FROM emp a, emp b WHERE a.id = 1 AND b.dept = a.dept"
+      "SELECT * FROM emp a, emp b WHERE a.id = 1 AND b.dept = a.dept" [||]
   in
   check bool_t "join plan shown" true
     (Astring_contains.contains out2 "Join" || Astring_contains.contains out2 "loops=")

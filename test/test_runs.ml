@@ -1,9 +1,10 @@
 (* Runs: the steps one SQL statement can hold (child and attribute chains,
    value predicates, a positional tail) lowered to a single join with
    LIMIT ? [OFFSET ?] BY, checked against the DOM oracle on every encoding,
-   fresh and after updates; the statement counts this buys on the paper's
-   queries; and the one number rule that makes value predicates agree
-   wherever they are evaluated. *)
+   fresh and after updates; the compiled runs are the statements evaluation
+   issues; whole paths of the join table are one statement; the statement
+   counts this buys on the paper's queries; and the one number rule that
+   makes value predicates agree wherever they are evaluated. *)
 
 module O = Ordered_xml
 module T = Xmllib.Types
@@ -102,6 +103,97 @@ let prop_runs_oracle =
         | Some m -> QCheck.Test.fail_report m
       end)
 
+(* The one compiler: whenever a path has results, every run it compiles to
+   ran, text unchanged and in order (other statements — middle-tier steps,
+   LOCAL's parent chains — interleave). *)
+let prop_compiled_runs_issued =
+  QCheck.Test.make ~name:"compiled runs are what eval issues" ~count:200
+    QCheck.(
+      make
+        ~print:(fun (seed, p) -> Printf.sprintf "seed=%d %s" seed (O.Xpath_ast.to_string p))
+        Gen.(pair (int_bound 5_000) Xpath_gen.gen_path))
+    (fun (seed, path) ->
+      let doc = Xmllib.Generator.random_tree ~seed ~max_depth:4 ~max_fanout:4 () in
+      let db, _ = Test_local_order.stores_of doc in
+      List.for_all
+        (fun enc ->
+          let r = O.Translate.eval db ~doc:"q" enc path in
+          let texts =
+            List.filter_map
+              (function O.Translate.Run r -> Some r.O.Translate.sql | O.Translate.Step _ -> None)
+              (List.concat (O.Translate.compile ~doc:"q" enc [ path ]))
+          in
+          let rec subsequence l log =
+            match (l, log) with
+            | [], _ -> true
+            | _, [] -> false
+            | x :: l', y :: log' -> subsequence (if x = y then l' else l) log'
+          in
+          r.O.Translate.rows = [] || subsequence texts r.O.Translate.sql_log
+          || QCheck.Test.fail_reportf "%s: compiled\n%s\nissued\n%s" (O.Encoding.name enc)
+               (String.concat "\n" texts) (String.concat "\n" r.O.Translate.sql_log))
+        O.Encoding.all)
+
+(* ---- whole paths of the join table ----------------------------------- *)
+
+let global_queries =
+  [
+    "/site/open_auctions/open_auction";
+    "//bidder";
+    "//bidder/increase";
+    "/site/people/person/@id";
+    "//person[address]/name";
+    "//person[profile/@income > 50000]/name";
+    "/site/closed_auctions/closed_auction[price > 500][type = 'Regular']";
+    "//open_auction/bidder/following-sibling::bidder";
+    "//increase/ancestor::open_auction";
+    "/site/regions/africa/item/following::item";
+    "//profile/..";
+    "//annotation/descendant-or-self::*";
+  ]
+
+(* no descendant or document-order axes: one join chain on every encoding *)
+let shared_queries =
+  [
+    "/site/open_auctions/open_auction";
+    "/site/people/person/@id";
+    "/site/people/person[address]/name";
+    "/site/open_auctions/open_auction/bidder/following-sibling::bidder";
+    "/site/closed_auctions/closed_auction[price > 500]/seller";
+    "/site/open_auctions/open_auction/bidder/personref/..";
+  ]
+
+let env =
+  lazy
+    (let doc = O.Workload.dataset ~scale:1 in
+     (O.Doc_index.build doc, snd (Test_local_order.stores_of doc)))
+
+(* [xpath] equals the oracle, in one statement when [one] *)
+let assert_whole_path ~one enc xpath =
+  let idx, stores = Lazy.force env in
+  let r = O.Api.Store.query (List.assoc enc stores) xpath in
+  if one then check int_t (O.Encoding.name enc ^ " " ^ xpath ^ " statements") 1 r.O.Translate.statements;
+  check (Alcotest.list int_t)
+    (O.Encoding.name enc ^ " " ^ xpath)
+    (O.Dom_eval.eval idx (O.Xpath_parser.parse xpath))
+    (List.map (fun (x : O.Node_row.t) -> x.O.Node_row.id) r.O.Translate.rows)
+
+let test_whole_paths () =
+  List.iter (assert_whole_path ~one:true O.Encoding.Global) global_queries;
+  List.iter
+    (fun enc -> List.iter (assert_whole_path ~one:(enc <> O.Encoding.Local) enc) shared_queries)
+    O.Encoding.all
+
+(* regression (caught by fuzzing): attribute nodes have no siblings, so a
+   sibling axis from an attribute context yields nothing *)
+let test_sibling_from_attribute () =
+  let _, stores = Lazy.force env in
+  List.iter
+    (fun (enc, store) ->
+      check int_t (O.Encoding.name enc) 0
+        (List.length (O.Api.Store.query_ids store "/site/people/person/@id/following-sibling::name")))
+    stores
+
 (* Q1-Q4 are one statement on every encoding; Q6 one statement under GLOBAL
    and DEWEY; Q5 and Q7 two runs under GLOBAL and DEWEY; LOCAL pays only the
    parent-chain statements its final sort needs. *)
@@ -186,10 +278,7 @@ let test_number_rule () =
           let path = O.Xpath_parser.parse xpath in
           let what = Printf.sprintf "%s %s" (O.Encoding.name enc) xpath in
           check int_t (what ^ " oracle") n (List.length (O.Dom_eval.eval idx path));
-          check int_t (what ^ " store") n (List.length (O.Api.Store.query_ids store xpath));
-          if O.Translate_sql.eligible enc path then
-            check int_t (what ^ " single statement") n
-              (List.length (O.Translate_sql.eval db ~doc:"n" enc path).O.Translate.rows))
+          check int_t (what ^ " store") n (List.length (O.Api.Store.query_ids store xpath)))
         [
           ("/r/a[b > 1]", 1);
           ("/r/a[b < 1]", 1);
@@ -242,4 +331,13 @@ let tests =
       Alcotest.test_case "LOCAL unions keep their chains" `Quick test_local_union;
       Alcotest.test_case "one number rule" `Quick test_number_rule;
       Alcotest.test_case "stored numbers round-trip" `Quick test_number_roundtrip;
+    ] )
+
+(* the one compiler: what [Translate.compile] lists is what runs *)
+let compiled_tests =
+  ( "compiled-runs",
+    [
+      QCheck_alcotest.to_alcotest prop_compiled_runs_issued;
+      Alcotest.test_case "whole paths, one statement" `Quick test_whole_paths;
+      Alcotest.test_case "sibling-from-attribute empty" `Quick test_sibling_from_attribute;
     ] )

@@ -26,7 +26,7 @@ let catalog_dtd =
        <!ATTLIST book isbn CDATA #REQUIRED year CDATA #IMPLIED>
        |})
 
-let analyze q = SC.analyze (Lazy.force catalog_dtd) (O.Xpath_parser.parse q)
+let analyze q = SC.analyze (SC.graph (Lazy.force catalog_dtd)) (O.Xpath_parser.parse q)
 
 let has_rule rule (r : SC.result) =
   List.exists (fun (f : Analysis.Finding.t) -> f.rule = rule) r.findings
@@ -97,25 +97,6 @@ let test_axis_reduction () =
   check string_t "positional blocks chain" "/descendant::title[1]"
     (A.to_string r.rewritten)
 
-(* --- uniqueness / DISTINCT -------------------------------------------- *)
-
-let test_unique () =
-  (* price? is at most one per book: the join cannot duplicate titles *)
-  let r = analyze "/catalog/book[price]/title" in
-  check bool_t "price pred unique" true r.unique;
-  (* author+ can repeat: DISTINCT must stay *)
-  let r = analyze "/catalog/book[author]/title" in
-  check bool_t "author pred not unique" false r.unique;
-  (* and the translator actually honours the flag *)
-  let sql_of unique =
-    O.Translate_sql.translate ~unique ~doc:"doc" O.Encoding.Global
-      (O.Xpath_parser.parse "/catalog/book[price]/title")
-  in
-  check bool_t "DISTINCT skipped when unique" true
-    (not (Astring_contains.contains (sql_of true) "DISTINCT"));
-  check bool_t "DISTINCT kept when blind" true
-    (Astring_contains.contains (sql_of false) "DISTINCT")
-
 (* --- differential oracle ------------------------------------------------ *)
 
 (* For each seed: a random DAG-shaped DTD, a document sampled from it, and a
@@ -143,6 +124,7 @@ let run_schema_case cases seed =
       Alcotest.failf "seed %d: sampled document invalid: %s" seed
         (String.concat "; " msgs));
   let idx = O.Doc_index.build doc in
+  let g = SC.graph ~roots:[ case.Xpath_gen.root ] dtd in
   let db = Reldb.Db.create () in
   List.iter
     (fun enc -> ignore (O.Api.Store.create db ~name:"s" enc doc))
@@ -156,7 +138,7 @@ let run_schema_case cases seed =
       incr cases;
       let xpath = A.to_string path in
       let expected = O.Dom_eval.eval idx path in
-      let r = SC.analyze ~roots:[ case.Xpath_gen.root ] dtd path in
+      let r = SC.analyze g path in
       if (not r.SC.satisfiable) && expected <> [] then
         Alcotest.failf "seed %d, %s: declared unsatisfiable but oracle has %d rows"
           seed xpath (List.length expected);
@@ -168,9 +150,7 @@ let run_schema_case cases seed =
               res.O.Translate.rows
           in
           let blind = O.Translate.eval db ~doc:"s" enc path in
-          let schema =
-            SC.eval ~roots:[ case.Xpath_gen.root ] dtd db ~doc:"s" enc path
-          in
+          let schema = SC.eval g db ~doc:"s" enc path in
           if ids blind <> expected then
             Alcotest.failf "seed %d, %s, %s: blind [%s], oracle [%s]" seed
               (O.Encoding.name enc) xpath
@@ -203,7 +183,6 @@ let tests =
       Alcotest.test_case "satisfiability" `Quick test_unsat;
       Alcotest.test_case "cardinality inference" `Quick test_cardinality;
       Alcotest.test_case "axis strength reduction" `Quick test_axis_reduction;
-      Alcotest.test_case "uniqueness and DISTINCT" `Quick test_unique;
       Alcotest.test_case "differential: schema vs blind vs DOM (300+ cases)"
         `Quick test_differential;
     ] )
