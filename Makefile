@@ -1,6 +1,6 @@
 OXQ = dune exec --no-print-directory bin/oxq.exe --
 
-.PHONY: all build test lint check crash-test bench-smoke experiments clean
+.PHONY: all build test lint check crash-test bench-smoke bench-record experiments clean
 
 all: build
 
@@ -32,27 +32,27 @@ lint:
 crash-test:
 	dune exec --no-print-directory test/test_main.exe -- test wal-crash
 
-# build + tier-1 tests + fault injection + CLI smoke test over the
-# quickstart catalog; `oxq sql --analyze` must profile the run a positional
-# query executes (an operator tree with its Limit). Run this before
-# recording a change in CHANGES.md.
+# build + tier-1 tests + fault injection + counter gate + CLI smoke test
+# over the quickstart catalog; `oxq sql --analyze` must profile the run a
+# positional query executes (an operator tree with its Limit). Run this
+# before recording a change in CHANGES.md.
 check: build test lint crash-test bench-smoke
 	$(OXQ) stats examples/catalog.xml -e dewey
 	$(OXQ) query examples/catalog.xml '/catalog/book[1]/title' --trace
 	$(OXQ) sql examples/catalog.xml '/catalog/book[last()]' --analyze | grep 'Limit'
 	@echo "check: OK"
 
-# regression guards (bench/smoke.ml): Q1-Q7 bump the catalog 0 times and hit
-# the plan cache on >= 95% of statements; a front insert reads at most its
-# renumbered rows + 100; renumbering rewrites index keys in place; LOCAL Q7
-# reads at most twice GLOBAL's rows; bidder[1] / bidder[last()] read Q1's rows
-# plus two per context; after warm-up, a front insert, set_text and delete
-# parse no SQL and miss the plan cache 0 times; at scale 4, Q1-Q4 issue one
-# statement each on GLOBAL, LOCAL and DEWEY and Q6 one on GLOBAL and DEWEY, and
-# open_auction[k]/bidder[1] for 5 new k misses the plan cache 0 times; Q1/global
-# latency stays within 3x of the checked-in baseline (bench/baseline.json)
+# counter gate (bench/record.py): re-run the benchmark's traced workloads at
+# the newest BENCH_<n>.json's seed and length; fail unless every `# counters`
+# line (statements, rows read/written/renumbered, plan-cache hits/misses,
+# catalog bumps, WAL traffic) equals the file's
 bench-smoke:
-	dune exec --no-print-directory bench/smoke.exe -- bench/baseline.json
+	python3 bench/record.py
+
+# write a new BENCH file from this tree: make bench-record OUT=BENCH_<n>.json
+bench-record:
+	@test -n "$(OUT)" || { echo "usage: make bench-record OUT=BENCH_<n>.json"; exit 2; }
+	python3 bench/record.py $(OUT)
 
 experiments:
 	dune exec bin/experiments.exe -- all

@@ -530,7 +530,7 @@ let caret_insert state b fragments =
 (* --- public API -------------------------------------------------------- *)
 
 let insert_forest db ~doc enc ~parent ~pos fragments =
-  if fragments = [] then invalid_arg "Update.insert_forest: empty forest";
+  if fragments = [] then fail "insert_forest: empty forest";
   transactionally db @@ fun () ->
   let state = { db; enc; tname = Encoding.table_name ~doc enc; st = zero } in
   let b = locate state ~parent ~pos in

@@ -67,8 +67,7 @@ val insert_forest :
     sibling ranks by the forest width, GLOBAL opens one interval window,
     DEWEY rewrites each following sibling's subtree a single time. This is
     the bulk-update amortization the paper's loading discussion relies on.
-    @raise Invalid_argument on an empty list.
-    @raise Update_error as {!insert_subtree}. *)
+    @raise Update_error on an empty list, and as {!insert_subtree}. *)
 
 val append_child :
   Reldb.Db.t -> doc:string -> Encoding.t -> parent:int -> Xmllib.Types.node -> stats

@@ -94,9 +94,16 @@ let tokenize src =
              incr i
            done
          end);
-        emit (Float_lit (float_of_string (String.sub src start (!i - start))))
+        let lit = String.sub src start (!i - start) in
+        match float_of_string_opt lit with
+        | Some f -> emit (Float_lit f)
+        | None -> raise (Error ("malformed number " ^ lit))
       end
-      else emit (Int_lit (int_of_string (String.sub src start (!i - start))))
+      else
+        let lit = String.sub src start (!i - start) in
+        match int_of_string_opt lit with
+        | Some k -> emit (Int_lit k)
+        | None -> raise (Error ("integer out of range " ^ lit))
     end
     else if c = '\'' then begin
       incr i;

@@ -15,4 +15,5 @@ type token =
 exception Error of string
 
 val tokenize : string -> token list
-(** @raise Error on unterminated strings or stray characters. *)
+(** @raise Error on unterminated strings, stray characters, malformed
+    numbers or integers outside [int]'s range. *)

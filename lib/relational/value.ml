@@ -70,7 +70,9 @@ let to_string = function
 
 let to_sql_literal = function
   | Null -> "NULL"
-  | Int i -> string_of_int i
+  | Int i ->
+      (* min_int's magnitude is no int literal: build it from max_int's *)
+      if i = min_int then Printf.sprintf "(%d - 1)" (-max_int) else string_of_int i
   | Float f ->
       (* Non-finite floats have no literal: an overflowing exponent reads
          back as an infinity, and their difference as a NaN. *)

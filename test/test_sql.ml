@@ -96,7 +96,9 @@ let test_parse_errors () =
   bad "INSERT INTO nosuch VALUES (1)";
   bad "CREATE TABLE t (a NOTATYPE)";
   bad "SELECT * FROM t WHERE";
-  bad "DROP TABLE nosuch"
+  bad "DROP TABLE nosuch";
+  bad "SELECT 99999999999999999999 FROM t";
+  bad "SELECT 1.0e FROM t"
 
 let test_quoting () =
   let db = fresh () in
@@ -1206,41 +1208,48 @@ let test_hostile_dump_restore () =
 
 let test_float_literal_roundtrip () =
   let db = fresh () in
-  e db "CREATE TABLE f (id INT NOT NULL, x FLOAT)";
-  let floats =
-    [
-      1e22 (* %.17g prints no decimal point: regression for the dump bug *);
-      1.5;
-      -0.0;
-      1e-300;
-      max_float;
-      Float.min_float;
-      nan;
-      infinity;
-      neg_infinity;
-    ]
+  e db "CREATE TABLE f (id INT NOT NULL, x FLOAT, n INT)";
+  let values =
+    List.map
+      (fun x -> V.Float x)
+      [
+        1e22 (* %.17g prints no decimal point: regression for the dump bug *);
+        1.5;
+        -0.0;
+        1e-300;
+        max_float;
+        Float.min_float;
+        nan;
+        infinity;
+        neg_infinity;
+      ]
+    (* min_int's magnitude is no int literal *)
+    @ [ V.Int min_int; V.Int max_int ]
   in
   List.iteri
-    (fun i x ->
+    (fun i v ->
+      let x, n = match v with V.Int _ -> (V.Null, v) | _ -> (v, V.Null) in
       e db
-        (Printf.sprintf "INSERT INTO f VALUES (%d, %s)" i
-           (V.to_sql_literal (V.Float x))))
-    floats;
+        (Printf.sprintf "INSERT INTO f VALUES (%d, %s, %s)" i (V.to_sql_literal x)
+           (V.to_sql_literal n)))
+    values;
   let db2 = D.restore (D.dump db) in
   List.iteri
-    (fun i x ->
+    (fun i v ->
       match
-        D.query_one db2 (Printf.sprintf "SELECT x FROM f WHERE id = %d" i)
+        (v, D.query_one db2 (Printf.sprintf "SELECT x, n FROM f WHERE id = %d" i))
       with
-      | Some [| V.Float got |] ->
+      | V.Float x, Some [| V.Float got; V.Null |] ->
           let same =
             (Float.is_nan x && Float.is_nan got)
             || (x = got && Float.sign_bit x = Float.sign_bit got)
           in
           if not same then
             Alcotest.failf "float %d: %h restored as %h" i x got
-      | _ -> Alcotest.failf "float %d lost in dump/restore" i)
-    floats
+      | V.Int k, Some [| V.Null; V.Int got |] ->
+          check int_t (Printf.sprintf "int %d" i) k got
+      | _ -> Alcotest.failf "value %d lost in dump/restore" i)
+    values
 
 let test_script_line_comments () =
   (* [--] outside a string literal starts a comment; inside one it is data *)

@@ -76,13 +76,27 @@ let test_insert_nested_fragment () =
     (all_stores doc)
 
 let test_renumbering_costs () =
-  (* front insertion: LOCAL << DEWEY <= GLOBAL; GLOBAL touches ~everything *)
+  (* front insertion: LOCAL << DEWEY <= GLOBAL; GLOBAL touches ~everything.
+     Every encoding renumbers in place: each renumbered row's index entries
+     are rewritten in their slots, none deleted and re-inserted (ORDPATH's
+     caret renumbering lifts the moved siblings last-first, so none crosses
+     a sibling still waiting). *)
   let doc = base_doc () in
+  let was = Obs.enabled () in
+  Obs.set_enabled true;
+  Fun.protect ~finally:(fun () -> Obs.set_enabled was) @@ fun () ->
   let costs =
     List.map
       (fun (enc, store) ->
         let root = O.Api.Store.root_id store in
+        let rewritten = Obs.counter_value "index.rewritten"
+        and moved = Obs.counter_value "index.moved" in
         let st = O.Api.Store.insert_subtree store ~parent:root ~pos:1 frag in
+        let name = O.Encoding.name enc in
+        check int_t (name ^ " index entries moved") 0
+          (Obs.counter_value "index.moved" - moved);
+        check bool_t (name ^ " index entries rewritten in place") true
+          (Obs.counter_value "index.rewritten" - rewritten >= st.U.rows_renumbered);
         (enc, st.U.rows_renumbered))
       (all_stores doc)
   in
@@ -375,7 +389,7 @@ let test_insert_forest () =
   let db = Reldb.Db.create () in
   let s = O.Api.Store.create db ~name:"e" O.Encoding.Local (base_doc ()) in
   match O.Api.Store.insert_forest s ~parent:(O.Api.Store.root_id s) ~pos:1 [] with
-  | exception Invalid_argument _ -> ()
+  | exception U.Update_error _ -> ()
   | _ -> Alcotest.fail "empty forest accepted"
 
 let test_ordpath_zero_renumber () =
@@ -669,6 +683,40 @@ let test_bound_texts_plan_like_literals () =
         (Astring_contains.contains bound "IndexScan"))
     texts
 
+(* Warm writes parse and plan nothing: after one round of a front insert,
+   a set_text on its text node and its delete (with the id lookups between
+   them), a second round opens no [sql-parse] span and misses the plan
+   cache 0 times. An append between the rounds moves the next free id, so
+   the second round's nodes have other ids: a text that inlined one would
+   miss and parse again. *)
+let test_warm_writes_parse_nothing () =
+  let was = Obs.enabled () in
+  Fun.protect ~finally:(fun () -> Obs.set_enabled was) @@ fun () ->
+  List.iter
+    (fun enc ->
+      let module S = O.Api.Store in
+      let db = D.create () in
+      let store = S.create db ~name:"w" enc (base_doc ()) in
+      let root = S.root_id store in
+      let id q = List.hd (S.query_ids store q) in
+      let round () =
+        ignore (S.insert_subtree store ~parent:root ~pos:1 frag);
+        ignore (S.set_text store ~id:(id "/doc/item[1]/text()") "changed");
+        ignore (S.delete_subtree store ~id:(id "/doc/item[1]"))
+      in
+      round ();
+      ignore (S.insert_subtree store ~parent:root ~pos:21 frag);
+      let _, m0, _ = D.plan_cache_stats db in
+      Obs.set_enabled true;
+      let (), spans = Obs.Span.collect round in
+      Obs.set_enabled false;
+      let _, m1, _ = D.plan_cache_stats db in
+      let name = O.Encoding.name enc in
+      check int_t (name ^ " plan-cache misses after warm-up") 0 (m1 - m0);
+      check int_t (name ^ " sql-parse spans after warm-up") 0
+        (List.length (List.filter (fun sp -> sp.Obs.Span.sp_name = "sql-parse") spans)))
+    O.Encoding.all
+
 (* random edit sequences: all encodings converge to the same document and
    keep answering ordered queries correctly *)
 let prop_random_edits =
@@ -754,5 +802,7 @@ let tests =
         test_durable_front_insert_replays;
       Alcotest.test_case "bound texts plan like literals" `Quick
         test_bound_texts_plan_like_literals;
+      Alcotest.test_case "warm writes parse nothing" `Quick
+        test_warm_writes_parse_nothing;
       QCheck_alcotest.to_alcotest prop_random_edits;
     ] )

@@ -309,11 +309,16 @@ let test_prepared_and_bulk_logged () =
          [| V.Int 4; V.Str "rows"; V.Float infinity |];
        ]);
   ignore (D.insert_row db "t" [| V.Int 5; V.Str "single"; V.Null |]);
+  (* min_int's magnitude is no int literal *)
+  ignore (D.Stmt.exec s [| V.Int max_int; V.Str "max"; V.Null |]);
+  ignore
+    (D.exec_params db "INSERT INTO t VALUES (?, ?, ?)"
+       [| V.Int min_int; V.Str "min"; V.Null |]);
   let live = D.dump db in
   D.close db;
   let db2 = D.open_dir dir in
   check string_t "prepared + bulk writes all replay" live (D.dump db2);
-  check int_t "row count" 5 (List.length (D.query db2 "SELECT id FROM t"));
+  check int_t "row count" 7 (List.length (D.query db2 "SELECT id FROM t"));
   (match D.query_one db2 "SELECT v FROM t WHERE id = 1" with
   | Some [| V.Str v |] -> check string_t "quoted param survives" "it's ; tricky" v
   | _ -> Alcotest.fail "row 1 missing");
