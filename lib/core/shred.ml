@@ -17,21 +17,22 @@ let interval_numbering idx ~gap =
   go 0;
   out
 
-let common_prefix (r : Doc_index.record) =
-  let tag = if r.Doc_index.tag = "" then V.Null else V.Str r.Doc_index.tag in
-  let value =
-    match r.Doc_index.kind with
-    | Doc_index.Elem -> V.Null
-    | _ -> V.Str r.Doc_index.value
-  in
-  [|
-    V.Int r.Doc_index.id;
-    (if r.Doc_index.parent < 0 then V.Null else V.Int r.Doc_index.parent);
-    V.Int (Doc_index.kind_code r.Doc_index.kind);
-    tag;
-    value;
-    Encoding.nval_of ~kind:r.Doc_index.kind r.Doc_index.value;
-  |]
+type order = Interval of int * int | Sibling of int | Path of int * Dewey.t
+
+let edge_row ~id ~parent ~kind ~tag ~value order =
+  Array.append
+    [|
+      V.Int id;
+      (if parent < 0 then V.Null else V.Int parent);
+      V.Int (Doc_index.kind_code kind);
+      (if tag = "" then V.Null else V.Str tag);
+      (match kind with Doc_index.Elem -> V.Null | _ -> V.Str value);
+      Encoding.nval_of ~kind value;
+    |]
+    (match order with
+    | Interval (s, e) -> [| V.Int s; V.Int e |]
+    | Sibling pos -> [| V.Int pos |]
+    | Path (depth, path) -> [| V.Int depth; V.Bytes (Dewey.encode path) |])
 
 (* ORDPATH-style load numbering: children at odd components (3, 5, 7, ...),
    leaving even components free as insertion carets and odd slot 1 free for
@@ -39,29 +40,14 @@ let common_prefix (r : Doc_index.record) =
 let caretify path =
   Array.map (fun c -> if c = 0 then 0 else (2 * c) + 1) path
 
-let row_of_record enc ~gap_orders (r : Doc_index.record) =
-  let prefix = common_prefix r in
+(* the order columns a loader gives a node: its GLOBAL interval, its
+   sibling position, or its Dewey path *)
+let load_order enc ~interval:(s, e) ~pos ~dewey =
   match enc with
-  | Encoding.Global | Encoding.Global_gap ->
-      let g_order, g_end =
-        match gap_orders with
-        | Some orders -> orders.(r.Doc_index.id)
-        | None -> invalid_arg "Shred.row_of_record: GLOBAL needs gap_orders"
-      in
-      Array.append prefix [| V.Int g_order; V.Int g_end |]
-  | Encoding.Local -> Array.append prefix [| V.Int r.Doc_index.pos |]
-  | Encoding.Dewey_enc ->
-      Array.append prefix
-        [|
-          V.Int (Dewey.depth r.Doc_index.dewey);
-          V.Bytes (Dewey.encode r.Doc_index.dewey);
-        |]
-  | Encoding.Dewey_caret ->
-      Array.append prefix
-        [|
-          V.Int (Dewey.depth r.Doc_index.dewey);
-          V.Bytes (Dewey.encode (caretify r.Doc_index.dewey));
-        |]
+  | Encoding.Global | Encoding.Global_gap -> Interval (s, e)
+  | Encoding.Local -> Sibling pos
+  | Encoding.Dewey_enc -> Path (Dewey.depth dewey, dewey)
+  | Encoding.Dewey_caret -> Path (Dewey.depth dewey, caretify dewey)
 
 let shred ?gap db ~doc enc document =
   Obs.Span.with_ "shred"
@@ -82,7 +68,15 @@ let shred ?gap db ~doc enc document =
          the engine's loader fast path *)
       let rows =
         Array.fold_right
-          (fun r acc -> row_of_record enc ~gap_orders r :: acc)
+          (fun (r : Doc_index.record) acc ->
+            (* only GLOBAL encodings read the interval *)
+            let interval =
+              match gap_orders with Some o -> o.(r.Doc_index.id) | None -> (0, 0)
+            in
+            edge_row ~id:r.Doc_index.id ~parent:r.Doc_index.parent
+              ~kind:r.Doc_index.kind ~tag:r.Doc_index.tag ~value:r.Doc_index.value
+              (load_order enc ~interval ~pos:r.Doc_index.pos ~dewey:r.Doc_index.dewey)
+            :: acc)
           (Doc_index.records idx) []
       in
       ignore (Reldb.Db.insert_many db (Encoding.table_name ~doc enc) rows);
@@ -133,34 +127,8 @@ let shred_stream ?gap db ~doc enc src =
   in
   let stack : frame list ref = ref [] in
   let add_row ~id ~parent ~kind ~tag ~value ~pos ~dewey ~interval =
-    let tagv = if tag = "" then V.Null else V.Str tag in
-    let valuev =
-      match kind with Doc_index.Elem -> V.Null | _ -> V.Str value
-    in
-    let prefix =
-      [|
-        V.Int id;
-        (if parent < 0 then V.Null else V.Int parent);
-        V.Int (Doc_index.kind_code kind);
-        tagv;
-        valuev;
-        Encoding.nval_of ~kind value;
-      |]
-    in
-    let row =
-      match enc with
-      | Encoding.Global | Encoding.Global_gap ->
-          let s, e = interval in
-          Array.append prefix [| V.Int s; V.Int e |]
-      | Encoding.Local -> Array.append prefix [| V.Int pos |]
-      | Encoding.Dewey_enc ->
-          Array.append prefix
-            [| V.Int (Dewey.depth dewey); V.Bytes (Dewey.encode dewey) |]
-      | Encoding.Dewey_caret ->
-          Array.append prefix
-            [| V.Int (Dewey.depth dewey); V.Bytes (Dewey.encode (caretify dewey)) |]
-    in
-    insert_tuple row
+    insert_tuple
+      (edge_row ~id ~parent ~kind ~tag ~value (load_order enc ~interval ~pos ~dewey))
   in
   let leaf ~kind ~tag ~value =
     let id = next_id () in

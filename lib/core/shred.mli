@@ -12,10 +12,24 @@ val shred :
     other encodings). Returns the document index used for loading.
     @raise Reldb.Db.Sql_error if the tables already exist. *)
 
-val row_of_record :
-  Encoding.t -> gap_orders:(int * int) array option -> Doc_index.record -> Reldb.Tuple.t
-(** The tuple stored for a record. [gap_orders.(id)] supplies the
-    [(g_order, g_end)] pair for GLOBAL encodings. Exposed for tests. *)
+(** The order columns of an edge row. *)
+type order =
+  | Interval of int * int  (** GLOBAL: [(g_order, g_end)] *)
+  | Sibling of int  (** LOCAL: [l_order] *)
+  | Path of int * Dewey.t  (** DEWEY and ORDPATH: logical depth, stored path *)
+
+val edge_row :
+  id:int ->
+  parent:int ->
+  kind:Doc_index.kind ->
+  tag:string ->
+  value:string ->
+  order ->
+  Reldb.Tuple.t
+(** The tuple stored for a node: [id], [parent] (NULL when negative),
+    [kind], [tag] and [value] (NULL when empty or an element), the numeric
+    value, then the order columns. Every loader and every insertion builds
+    its rows here. *)
 
 val shred_stream :
   ?gap:int -> Reldb.Db.t -> doc:string -> Encoding.t -> string -> int

@@ -106,21 +106,9 @@ let bulk_insert state rows =
       }
   end
 
-let common_payload (r : Doc_index.record) ~id ~parent =
-  let tag = if r.Doc_index.tag = "" then V.Null else V.Str r.Doc_index.tag in
-  let value =
-    match r.Doc_index.kind with
-    | Doc_index.Elem -> V.Null
-    | _ -> V.Str r.Doc_index.value
-  in
-  [|
-    V.Int id;
-    V.Int parent;
-    V.Int (Doc_index.kind_code r.Doc_index.kind);
-    tag;
-    value;
-    Encoding.nval_of ~kind:r.Doc_index.kind r.Doc_index.value;
-  |]
+let edge_row (r : Doc_index.record) ~id ~parent order =
+  Shred.edge_row ~id ~parent ~kind:r.Doc_index.kind ~tag:r.Doc_index.tag
+    ~value:r.Doc_index.value order
 
 (* map a fragment-index record to (new id, new parent id) *)
 let remap base ~parent (r : Doc_index.record) =
@@ -186,9 +174,7 @@ let local_insert state b fragments =
             let l_order =
               if r.Doc_index.parent = 0 then l0 + j else r.Doc_index.pos
             in
-            rows :=
-              Array.append (common_payload r ~id ~parent:parent_id) [| V.Int l_order |]
-              :: !rows
+            rows := edge_row r ~id ~parent:parent_id (Shred.Sibling l_order) :: !rows
           end)
         (Doc_index.records fragment_idx))
     fragments;
@@ -295,9 +281,8 @@ let global_insert state b fragments ~gapped =
             let id, parent_id = remap base ~parent:b.parent_row.Node_row.id r in
             let s_ord, e_ord = ordinals.(r.Doc_index.id) in
             rows :=
-              Array.append
-                (common_payload r ~id ~parent:parent_id)
-                [| V.Int (assign (!offset + s_ord)); V.Int (assign (!offset + e_ord)) |]
+              edge_row r ~id ~parent:parent_id
+                (Shred.Interval (assign (!offset + s_ord), assign (!offset + e_ord)))
               :: !rows
           end)
         (Doc_index.records fragment_idx);
@@ -347,11 +332,7 @@ let dewey_graft state b fragment_idx base ~target ~target_depth ~component_map =
         let suffix = Array.sub frag_path 2 (Array.length frag_path - 2) in
         let path = Array.append target (Array.map component_map suffix) in
         let depth = target_depth + Array.length suffix in
-        rows :=
-          Array.append
-            (common_payload r ~id ~parent:parent_id)
-            [| V.Int depth; V.Bytes (Dewey.encode path) |]
-          :: !rows
+        rows := edge_row r ~id ~parent:parent_id (Shred.Path (depth, path)) :: !rows
       end)
     (Doc_index.records fragment_idx);
   bulk_insert state (List.rev !rows)

@@ -18,15 +18,15 @@ type cache_entry = {
 }
 
 (* Durable state for databases opened with [open_dir]: the WAL writer plus
-   the transaction's pending log records. Committed writes are appended to
-   the WAL as SQL text; a transaction buffers its statements here and logs
-   them as one atomic batch record at commit. *)
+   the transaction's pending log entries. Committed writes are appended to
+   the WAL as typed entries; a transaction buffers its encoded entries here
+   and logs them as one atomic record at commit. *)
 type durable = {
   dur_dir : string;
   mutable dur_wal : Wal.writer;
   mutable dur_gen : int;  (* checkpoint generation the WAL belongs to *)
   dur_policy : Wal.fsync_policy;
-  mutable dur_txn_buf : string list;  (* reversed *)
+  dur_txn_buf : Buffer.t;  (* encoded entries of the open transaction *)
   mutable dur_auto : int option;  (* checkpoint when WAL exceeds this size *)
 }
 
@@ -132,48 +132,48 @@ let with_scratch t ~name ~cols rows f =
 
 (* --- dump -------------------------------------------------------------- *)
 
+let sorted_tables t =
+  List.sort
+    (fun a b -> compare (Table.name a) (Table.name b))
+    (Catalog.tables t.cat)
+
+(* The CREATE TABLE and CREATE INDEX texts recreating [tbl], empty. *)
+let table_ddl tbl =
+  let q = Sql_lexer.quote_ident in
+  let schema = Table.schema tbl in
+  let cols cs = String.concat ", " (Array.to_list cs) in
+  Printf.sprintf "CREATE TABLE %s (%s)" (q (Table.name tbl))
+    (cols
+       (Array.map
+          (fun (c : Schema.column) ->
+            Printf.sprintf "%s %s%s" (q c.Schema.col_name)
+              (Value.ty_name c.Schema.col_type)
+              (if c.Schema.nullable then "" else " NOT NULL"))
+          schema))
+  :: List.map
+       (fun (idx : Table.index) ->
+         Printf.sprintf "CREATE %sINDEX %s ON %s (%s)"
+           (if idx.Table.unique then "UNIQUE " else "")
+           (q idx.Table.idx_name) (q (Table.name tbl))
+           (cols (Array.map (fun c -> q schema.(c).Schema.col_name) idx.Table.key_cols)))
+       (Table.indexes tbl)
+
 let row_literal tu =
   Printf.sprintf "(%s)"
     (String.concat ", " (Array.to_list (Array.map Value.to_sql_literal tu)))
 
 let dump t =
   let buf = Buffer.create 4096 in
-  let tables =
-    List.sort
-      (fun a b -> compare (Table.name a) (Table.name b))
-      (Catalog.tables t.cat)
-  in
   List.iter
     (fun tbl ->
-      let schema = Table.schema tbl in
-      Buffer.add_string buf
-        (Printf.sprintf "CREATE TABLE %s (%s);\n" (Table.name tbl)
-           (String.concat ", "
-              (Array.to_list
-                 (Array.map
-                    (fun (c : Schema.column) ->
-                      Printf.sprintf "%s %s%s" c.Schema.col_name
-                        (Value.ty_name c.Schema.col_type)
-                        (if c.Schema.nullable then "" else " NOT NULL"))
-                    schema))));
-      List.iter
-        (fun (idx : Table.index) ->
-          Buffer.add_string buf
-            (Printf.sprintf "CREATE %sINDEX %s ON %s (%s);\n"
-               (if idx.Table.unique then "UNIQUE " else "")
-               idx.Table.idx_name (Table.name tbl)
-               (String.concat ", "
-                  (Array.to_list
-                     (Array.map
-                        (fun c -> schema.(c).Schema.col_name)
-                        idx.Table.key_cols)))))
-        (Table.indexes tbl);
+      List.iter (fun s -> Buffer.add_string buf (s ^ ";\n")) (table_ddl tbl);
       (* batch rows into multi-VALUES inserts *)
       let batch = ref [] and n = ref 0 in
       let flush () =
         if !batch <> [] then begin
           Buffer.add_string buf
-            (Printf.sprintf "INSERT INTO %s VALUES %s;\n" (Table.name tbl)
+            (Printf.sprintf "INSERT INTO %s VALUES %s;\n"
+               (Sql_lexer.quote_ident (Table.name tbl))
                (String.concat ", " (List.rev !batch)));
           batch := [];
           n := 0
@@ -186,7 +186,7 @@ let dump t =
           if !n >= 100 then flush ())
         (Table.scan tbl);
       flush ())
-    tables;
+    (sorted_tables t);
   Buffer.contents buf
 
 let dump_to_file t path =
@@ -197,7 +197,7 @@ let dump_to_file t path =
 
 (* --- durability: WAL logging and checkpointing ------------------------- *)
 
-let ckpt_name gen = Printf.sprintf "checkpoint.%d.sql" gen
+let ckpt_name gen = Printf.sprintf "checkpoint.%d.ckpt" gen
 let wal_name gen = Printf.sprintf "wal.%d.log" gen
 
 let is_durable t = t.dur <> None
@@ -211,11 +211,14 @@ let wal_size t = match t.dur with Some d -> Wal.size d.dur_wal | None -> 0
    recoverable. The commit point is the rename in step 3 — recovery always
    picks the highest generation with a completed checkpoint file.
 
-     1. write checkpoint.<g+1>.sql.tmp (full dump), fsync
+     1. write checkpoint.<g+1>.ckpt.tmp (every table), fsync
      2. create wal.<g+1>.log (header only), fsync
-     3. rename the .tmp to checkpoint.<g+1>.sql, fsync dir   <- commit point
+     3. rename the .tmp to checkpoint.<g+1>.ckpt, fsync dir   <- commit point
      4. switch the writer to the new WAL
-     5. delete checkpoint.<g>.sql and wal.<g>.log, fsync dir *)
+     5. delete checkpoint.<g>.ckpt and wal.<g>.log, fsync dir
+
+   The checkpoint is a file in the WAL's format: one record per table, its
+   DDL texts then all its rows. *)
 let checkpoint t =
   match t.dur with
   | None -> fail "checkpoint requires a database opened with Db.open_dir"
@@ -225,15 +228,12 @@ let checkpoint t =
       let gen' = d.dur_gen + 1 in
       let ckpt = Filename.concat d.dur_dir (ckpt_name gen') in
       let tmp = ckpt ^ ".tmp" in
-      let oc = open_out_bin tmp in
-      (try
-         output_string oc (dump t);
-         flush oc;
-         Unix.fsync (Unix.descr_of_out_channel oc);
-         close_out oc
-       with e ->
-         close_out_noerr oc;
-         raise e);
+      Wal.write_file ~gen:gen' tmp
+        (List.map
+           (fun tbl ->
+             List.map (fun sql -> Wal.Exec (sql, [||])) (table_ddl tbl)
+             @ [ Wal.Rows (Table.name tbl, List.of_seq (Seq.map snd (Table.scan tbl))) ])
+           (sorted_tables t));
       Wal.failpoint "checkpoint.temp_written";
       let wal' =
         Wal.open_writer ~policy:d.dur_policy ~gen:gen'
@@ -264,29 +264,19 @@ let maybe_auto_checkpoint t =
       checkpoint t
   | _ -> ()
 
-(* Log one committed write. Inside a transaction the statement is buffered
-   and becomes part of the commit's batch record; in autocommit mode it is
+(* Log one write that just ran. The entry is encoded now, so a caller
+   that reuses its values array cannot change what is logged. Inside a
+   transaction it joins the commit's record; in autocommit mode it is
    appended (and synced per policy) immediately — the durability point is
    before control returns to the caller. *)
-let log_write t sql =
+let log t entry =
   match t.dur with
   | None -> ()
   | Some d ->
-      if t.txn then d.dur_txn_buf <- sql :: d.dur_txn_buf
+      let payload = Wal.encode [ entry ] in
+      if t.txn then Buffer.add_string d.dur_txn_buf payload
       else begin
-        Wal.append d.dur_wal (Wal.Stmt sql);
-        maybe_auto_checkpoint t
-      end
-
-(* Log several statements that committed as one unit (bulk loads). *)
-let log_batch t sqls =
-  match t.dur with
-  | None -> ()
-  | Some d ->
-      if t.txn then
-        List.iter (fun s -> d.dur_txn_buf <- s :: d.dur_txn_buf) sqls
-      else begin
-        Wal.append d.dur_wal (Wal.Batch sqls);
+        Wal.append d.dur_wal payload;
         maybe_auto_checkpoint t
       end
 
@@ -294,19 +284,19 @@ let log_batch t sqls =
 
 let begin_txn t =
   if t.txn then fail "a transaction is already active";
-  (match t.dur with Some d -> d.dur_txn_buf <- [] | None -> ());
+  (match t.dur with Some d -> Buffer.clear d.dur_txn_buf | None -> ());
   List.iter Table.begin_journal (Catalog.tables t.cat);
   t.txn <- true
 
 let commit t =
   if not t.txn then fail "no active transaction";
-  (* WAL first: once the batch record is on disk the transaction is durable;
-     a crash after this point replays it, a crash before loses it whole. *)
+  (* WAL first: once the record is on disk the transaction is durable; a
+     crash after this point replays it, a crash before loses it whole. *)
   (match t.dur with
-  | Some d when d.dur_txn_buf <> [] ->
+  | Some d when Buffer.length d.dur_txn_buf > 0 ->
       Wal.failpoint "commit.before_log";
-      Wal.append d.dur_wal (Wal.Batch (List.rev d.dur_txn_buf));
-      d.dur_txn_buf <- [];
+      Wal.append d.dur_wal (Buffer.contents d.dur_txn_buf);
+      Buffer.reset d.dur_txn_buf;
       Wal.failpoint "commit.logged"
   | _ -> ());
   List.iter Table.commit_journal (Catalog.tables t.cat);
@@ -316,7 +306,7 @@ let commit t =
 
 let rollback t =
   if not t.txn then fail "no active transaction";
-  (match t.dur with Some d -> d.dur_txn_buf <- [] | None -> ());
+  (match t.dur with Some d -> Buffer.reset d.dur_txn_buf | None -> ());
   List.iter Table.rollback_journal (Catalog.tables t.cat);
   t.txn <- false
 
@@ -329,53 +319,6 @@ let with_transaction t f =
   | exception e ->
       rollback t;
       raise e
-
-(* Inline bound parameter values into the [?]-form SQL text, tracking string
-   literals and quoted identifiers so a '?' inside either is left alone. The
-   result is what the WAL records for a write with parameters: replay then
-   parses plain constants, exactly like an autocommit statement. *)
-let substitute_params sql params =
-  let buf = Buffer.create (String.length sql + 32) in
-  let n = String.length sql in
-  let next = ref 0 in
-  let i = ref 0 in
-  let in_str = ref false and in_ident = ref false in
-  while !i < n do
-    let c = sql.[!i] in
-    if !in_str then begin
-      Buffer.add_char buf c;
-      if c = '\'' then
-        if !i + 1 < n && sql.[!i + 1] = '\'' then begin
-          Buffer.add_char buf '\'';
-          incr i
-        end
-        else in_str := false
-    end
-    else if !in_ident then begin
-      Buffer.add_char buf c;
-      if c = '"' then in_ident := false
-    end
-    else begin
-      match c with
-      | '\'' ->
-          in_str := true;
-          Buffer.add_char buf c
-      | '"' ->
-          in_ident := true;
-          Buffer.add_char buf c
-      | '?' when !next < Array.length params ->
-          Buffer.add_string buf (Value.to_sql_literal params.(!next));
-          incr next
-      | c -> Buffer.add_char buf c
-    end;
-    incr i
-  done;
-  Buffer.contents buf
-
-(* Log a write that just ran, with its parameters printed as literals. *)
-let log_bound t ~sql params =
-  if is_durable t then
-    log_write t (if Array.length params = 0 then sql else substitute_params sql params)
 
 (* constant folding for INSERT value lists; [?] reads the bound values *)
 let rec const_eval params (e : Sql_ast.sexpr) : Value.t =
@@ -637,11 +580,11 @@ let run_compiled t ~sql compiled params =
         else List.map (fun (i, e) -> (i, Plan.bind_expr params e)) sets
       in
       let result = do_update tbl ~sets (bind access) in
-      log_bound t ~sql params;
+      log t (Wal.Exec (sql, params));
       ("update", result)
   | Delete { tbl; access } ->
       let result = do_delete tbl (bind access) in
-      log_bound t ~sql params;
+      log t (Wal.Exec (sql, params));
       ("delete", result)
 
 (* A statement the cache does not hold: compile and cache a SELECT, UNION
@@ -653,7 +596,7 @@ let run_parsed t ~sql (stmt, nparams) params =
   let ran result =
     (match stmt with
     | Sql_ast.Begin_txn | Sql_ast.Commit_txn | Sql_ast.Rollback_txn -> ()
-    | _ -> log_bound t ~sql params);
+    | _ -> log t (Wal.Exec (sql, params)));
     (stmt_kind stmt, result)
   in
   match stmt with
@@ -724,45 +667,7 @@ let query t sql = query_params t sql [||]
 let query_one t sql =
   match query t sql with [] -> None | r :: _ -> Some r
 
-(* --- prepared statements ---------------------------------------------- *)
-
-type stmt = { ps_db : t; ps_sql : string; ps_nparams : int }
-
-let prepare t sql =
-  let _, nparams = parse sql in
-  { ps_db = t; ps_sql = sql; ps_nparams = nparams }
-
-module Stmt = struct
-  let param_count s = s.ps_nparams
-  let sql s = s.ps_sql
-  let exec s params = exec_params s.ps_db s.ps_sql params
-  let query s params = query_params s.ps_db s.ps_sql params
-end
-
 (* --- bulk writes ------------------------------------------------------- *)
-
-(* The dump-form INSERT statements recreating [rows], batched 100 rows per
-   statement like [dump] — the WAL's logical record of a bulk load. *)
-let insert_statements name rows =
-  let stmts = ref [] and batch = ref [] and n = ref 0 in
-  let flush () =
-    if !batch <> [] then begin
-      stmts :=
-        Printf.sprintf "INSERT INTO %s VALUES %s" name
-          (String.concat ", " (List.rev !batch))
-        :: !stmts;
-      batch := [];
-      n := 0
-    end
-  in
-  List.iter
-    (fun row ->
-      batch := row_literal row :: !batch;
-      incr n;
-      if !n >= 100 then flush ())
-    rows;
-  flush ();
-  List.rev !stmts
 
 (* Fast path for loading many rows into one table: skips SQL entirely.
    Atomic: a constraint violation removes the rows inserted so far. *)
@@ -776,8 +681,7 @@ let insert_many t name rows =
    with Table.Constraint_violation m ->
      List.iter (fun rowid -> Table.delete tbl rowid) !inserted;
      fail "%s" m);
-  if is_durable t && rows <> [] then
-    log_batch t (insert_statements (Table.name tbl) rows);
+  if rows <> [] then log t (Wal.Rows (Table.name tbl, rows));
   List.length rows
 
 (* Single-row loader fast path (streaming shredders): one Table.insert plus,
@@ -788,10 +692,7 @@ let insert_row t name row =
     try Table.insert tbl row
     with Table.Constraint_violation m -> fail "%s" m
   in
-  if is_durable t then
-    log_write t
-      (Printf.sprintf "INSERT INTO %s VALUES %s" (Table.name tbl)
-         (row_literal row));
+  log t (Wal.Rows (Table.name tbl, [ row ]));
   rowid
 
 (* --- scripts ----------------------------------------------------------- *)
@@ -892,31 +793,28 @@ let render = function
       Buffer.add_string buf (Printf.sprintf "(%d rows)" (List.length tuples));
       Buffer.contents buf
 
-(* split a script on ';' outside string literals (text values may contain
-   newlines and semicolons, so line-based splitting would corrupt them) and
-   outside '--' line comments (a comment may contain ';', which must not end
-   the statement — the SQL lexer skips the comment, this splitter must too) *)
+(* split a script on ';' outside string literals and quoted identifiers
+   (text values and names may contain newlines and semicolons, so
+   line-based splitting would corrupt them) and outside '--' line comments
+   (a comment may contain ';', which must not end the statement — the SQL
+   lexer skips the comment, this splitter must too). A doubled quote inside
+   a quoted token closes and reopens it, which leaves it quoted. *)
 let split_statements script =
   let out = ref [] in
   let buf = Buffer.create 256 in
   let n = String.length script in
-  let in_str = ref false in
+  let quote = ref None in
   let i = ref 0 in
   while !i < n do
     let c = script.[!i] in
-    (if !in_str then begin
-       Buffer.add_char buf c;
-       if c = '\'' then
-         if !i + 1 < n && script.[!i + 1] = '\'' then begin
-           Buffer.add_char buf '\'';
-           incr i
-         end
-         else in_str := false
-     end
-     else
+    (match !quote with
+     | Some q ->
+         Buffer.add_char buf c;
+         if c = q then quote := None
+     | None -> (
        match c with
-       | '\'' ->
-           in_str := true;
+       | '\'' | '"' ->
+           quote := Some c;
            Buffer.add_char buf c
        | '-' when !i + 1 < n && script.[!i + 1] = '-' ->
            (* drop the comment text; keep the newline as a separator *)
@@ -927,7 +825,7 @@ let split_statements script =
        | ';' ->
            out := Buffer.contents buf :: !out;
            Buffer.clear buf
-       | c -> Buffer.add_char buf c);
+       | c -> Buffer.add_char buf c));
     incr i
   done;
   if String.trim (Buffer.contents buf) <> "" then
@@ -961,20 +859,39 @@ let gen_of_name ~stem ~ext name =
          (String.length name - String.length prefix - String.length suffix))
   else None
 
-let ckpt_gen_of = gen_of_name ~stem:"checkpoint" ~ext:"sql"
+let ckpt_gen_of = gen_of_name ~stem:"checkpoint" ~ext:"ckpt"
 let wal_gen_of = gen_of_name ~stem:"wal" ~ext:"log"
+
+(* Run one record of a checkpoint or the log: statements through the plan
+   cache, rows through the loader. [dur] is [None] here, so nothing is
+   logged again. Returns the number of entries. *)
+let replay t record =
+  List.iter
+    (function
+      | Wal.Exec (sql, params) -> (
+          try ignore (exec_params t sql params)
+          with Sql_error m -> fail "replay failed on %S: %s" sql m)
+      | Wal.Rows (name, rows) -> (
+          try ignore (insert_many t name rows)
+          with Sql_error m -> fail "replay failed on rows of %s: %s" name m))
+    record;
+  List.length record
 
 (* Recovery: load the newest completed checkpoint, replay the WAL of the
    same generation up to its torn tail, and garbage-collect everything else
    (interrupted checkpoints leave .tmp files and, at worst, a fresher empty
-   WAL whose checkpoint never committed — all stale by the generation rule). *)
+   WAL whose checkpoint never committed — all stale by the generation rule).
+   Nothing is swept before both files have been read. *)
 let open_dir ?(fsync = Wal.Every 32) ?auto_checkpoint dir =
   let t0 = Obs.Clock.now_ns () in
   if Sys.file_exists dir then begin
     if not (Sys.is_directory dir) then
       fail "open_dir: %s exists and is not a directory" dir
   end
-  else Unix.mkdir dir 0o755;
+  else (
+    try Unix.mkdir dir 0o755
+    with Unix.Unix_error (e, _, _) ->
+      fail "open_dir: cannot create %s: %s" dir (Unix.error_message e));
   let entries = Sys.readdir dir in
   let gens_of f = List.filter_map f (Array.to_list entries) in
   let ckpt_gens = gens_of ckpt_gen_of and wal_gens = gens_of wal_gen_of in
@@ -984,6 +901,25 @@ let open_dir ?(fsync = Wal.Every 32) ?auto_checkpoint dir =
     | [], w :: ws -> List.fold_left min w ws
     | c :: cs, _ -> List.fold_left max c cs
   in
+  let read path = try Wal.read_file path with Wal.Corrupt m -> fail "%s" m in
+  let t = create () in
+  let ckpt_path = Filename.concat dir (ckpt_name gen) in
+  let have_ckpt = Sys.file_exists ckpt_path in
+  if have_ckpt then begin
+    let ckpt = read ckpt_path in
+    if ckpt.Wal.file_gen <> gen || ckpt.Wal.torn_bytes > 0 then
+      fail "open_dir: checkpoint %s is damaged" ckpt_path;
+    List.iter (fun r -> ignore (replay t r)) ckpt.Wal.records
+  end;
+  let wal_path = Filename.concat dir (wal_name gen) in
+  let parsed =
+    if Sys.file_exists wal_path then read wal_path
+    else { Wal.records = []; file_gen = gen; valid_len = 0; torn_bytes = 0 }
+  in
+  let statements =
+    List.fold_left (fun n r -> n + replay t r) 0 parsed.Wal.records
+  in
+  Obs.add "wal.replayed" statements;
   (* sweep stale generations and interrupted-checkpoint leftovers *)
   Array.iter
     (fun name ->
@@ -995,27 +931,10 @@ let open_dir ?(fsync = Wal.Every 32) ?auto_checkpoint dir =
       if stale then
         try Sys.remove (Filename.concat dir name) with Sys_error _ -> ())
     entries;
-  let ckpt_path = Filename.concat dir (ckpt_name gen) in
-  let have_ckpt = Sys.file_exists ckpt_path in
-  let t = if have_ckpt then restore_from_file ckpt_path else create () in
-  let wal_path = Filename.concat dir (wal_name gen) in
-  let parsed =
-    if Sys.file_exists wal_path then Wal.read_file wal_path
-    else { Wal.records = []; file_gen = gen; valid_len = 0; torn_bytes = 0 }
+  let wal =
+    try Wal.open_writer ~policy:fsync ~gen wal_path
+    with Wal.Corrupt m -> fail "%s" m
   in
-  let statements = ref 0 in
-  let replay sql =
-    incr statements;
-    try ignore (exec t sql)
-    with Sql_error m -> fail "WAL replay failed on %S: %s" sql m
-  in
-  List.iter
-    (function
-      | Wal.Stmt sql -> replay sql
-      | Wal.Batch sqls -> List.iter replay sqls)
-    parsed.Wal.records;
-  Obs.add "wal.replayed" !statements;
-  let wal = Wal.open_writer ~policy:fsync ~gen wal_path in
   Wal.fsync_dir dir;
   t.dur <-
     Some
@@ -1024,7 +943,7 @@ let open_dir ?(fsync = Wal.Every 32) ?auto_checkpoint dir =
         dur_wal = wal;
         dur_gen = gen;
         dur_policy = fsync;
-        dur_txn_buf = [];
+        dur_txn_buf = Buffer.create 256;
         dur_auto = auto_checkpoint;
       };
   let ms = Obs.Clock.since_ms t0 in
@@ -1035,7 +954,7 @@ let open_dir ?(fsync = Wal.Every 32) ?auto_checkpoint dir =
         rec_gen = gen;
         rec_checkpoint = have_ckpt;
         rec_records = List.length parsed.Wal.records;
-        rec_statements = !statements;
+        rec_statements = statements;
         rec_torn_bytes = parsed.Wal.torn_bytes;
         rec_ms = ms;
       };

@@ -46,40 +46,17 @@ val exec_script : t -> string list -> unit
     statement, rolled back if a statement raises). If a transaction is
     already active the statements simply run inside it. *)
 
-(** {2 Prepared statements}
+(** {2 Parameters}
 
     [?] positional placeholders in any expression position are bound at
-    execution time. A compiled statement keeps its [?] slots: an index scan
-    carries its key and bounds as expressions and turns them into a B+-tree
-    range when it opens, so the planner matches index access paths for a
-    slot as for a literal, and one cached plan serves every binding. A slot
-    bound to NULL in an index key or bound matches no row, as [col = NULL]
-    never holds. Binding substitutes the values into a copy of the cached
-    plan; statements without [?] skip it. *)
-
-type stmt
-(** A statement text with [?] placeholders, tied to the {!t} that prepared
-    it. *)
-
-val prepare : t -> string -> stmt
-(** Check that [sql] parses and count its [?] slots. Each execution looks
-    the text up in the plan cache again, so a [CREATE INDEX] between two
-    executions re-plans.
-    @raise Sql_error on parse errors. *)
-
-module Stmt : sig
-  val exec : stmt -> Value.t array -> result
-  (** {!exec_params} on the statement's text: the same path, spans,
-      counters and slow-query log as {!exec}.
-      @raise Sql_error if the arity does not match {!param_count} or on
-      plan/execution errors. *)
-
-  val query : stmt -> Value.t array -> Tuple.t list
-  (** As {!exec}, returning rows. @raise Sql_error if not a SELECT. *)
-
-  val param_count : stmt -> int
-  val sql : stmt -> string
-end
+    execution time by {!exec_params} and {!query_params}. A compiled
+    statement keeps its [?] slots: an index scan carries its key and bounds
+    as expressions and turns them into a B+-tree range when it opens, so
+    the planner matches index access paths for a slot as for a literal, and
+    one cached plan serves every binding. A slot bound to NULL in an index
+    key or bound matches no row, as [col = NULL] never holds. Binding
+    substitutes the values into a copy of the cached plan; statements
+    without [?] skip it. *)
 
 (** {2 Scratch relations}
 
@@ -112,12 +89,12 @@ val insert_many : t -> string -> Tuple.t list -> int
 (** Insert pre-built tuples into a table, bypassing SQL parsing entirely
     (the loader fast path). Returns the number of rows inserted. Atomic: on
     constraint violation the rows inserted so far are removed and
-    [Sql_error] is raised. On durable databases the batch is logged to the
-    WAL as one atomic record of dump-form INSERTs. *)
+    [Sql_error] is raised. On durable databases the call is logged to the
+    WAL as one entry holding all the rows. *)
 
 val insert_row : t -> string -> Tuple.t -> int
 (** Insert one pre-built tuple (streaming-loader fast path). Returns the
-    row id. Logged to the WAL on durable databases.
+    row id. Logged to the WAL as one entry on durable databases.
     @raise Sql_error on constraint violation or missing table. *)
 
 (** {2 Plan cache}
@@ -187,7 +164,9 @@ val with_transaction : t -> (unit -> 'a) -> 'a
     script into a fresh engine. *)
 
 val dump : t -> string
-(** SQL script recreating every table, index and row. *)
+(** SQL script recreating every table, index and row. Table, column and
+    index names are quoted where they would not lex back as themselves
+    ({!Sql_lexer.quote_ident}). *)
 
 val dump_to_file : t -> string -> unit
 
@@ -204,9 +183,15 @@ val restore_from_file : string -> t
     snapshot. The directory holds at most one live generation:
 
     {v
-    <dir>/checkpoint.<g>.sql   snapshot (absent before the first checkpoint)
+    <dir>/checkpoint.<g>.ckpt  snapshot (absent before the first checkpoint)
     <dir>/wal.<g>.log          writes committed since that snapshot
     v}
+
+    Both files have the {!Wal} format. A log record is one committed unit
+    of typed entries: a statement logs its own text with its bound [?]
+    values, and a bulk load ({!insert_many}, {!insert_row}) logs its rows.
+    Nothing is printed as SQL and parsed back. A checkpoint holds one record
+    per table: its CREATE TABLE and CREATE INDEX texts, then all its rows.
 
     Recovery loads the newest completed checkpoint, replays the WAL's valid
     prefix and discards a torn tail, so after a crash the database equals
@@ -217,10 +202,13 @@ val restore_from_file : string -> t
     on power failure for speed (in-process crashes never lose acknowledged
     commits — records are written, if not yet synced, before the ack).
 
-    Transactions log as one atomic batch record at commit; autocommit
-    statements log individually; bulk loads ({!insert_many}, {!insert_row})
-    log dump-form INSERTs. The in-memory path ({!create}) pays none of
-    this — no WAL state exists and every hook is a [None] check. *)
+    Transactions log as one atomic record at commit; autocommit writes log
+    one record each. Each entry is encoded when its statement runs, so a
+    caller may reuse its values array. Recovery runs the checkpoint and the
+    log through one loop: statements through {!exec_params} (and its plan
+    cache), rows through {!insert_many}. The in-memory path ({!create})
+    pays none of this — no WAL state exists and every hook is a [None]
+    check. *)
 
 val open_dir : ?fsync:Wal.fsync_policy -> ?auto_checkpoint:int -> string -> t
 (** Open (creating if needed) a persistent database directory and recover
@@ -228,7 +216,9 @@ val open_dir : ?fsync:Wal.fsync_policy -> ?auto_checkpoint:int -> string -> t
     given, checkpoints automatically once the WAL exceeds that many bytes
     (checked after each autocommit write and commit). Records [wal.replayed]
     and a [db.recovery] latency histogram in {!Obs} when enabled.
-    @raise Sql_error if the path is not a directory, or if replay fails. *)
+    @raise Sql_error if the path is not a directory or cannot be created,
+    if the checkpoint is damaged or of another generation, if a file has
+    another format version, or if replay fails. *)
 
 val close : t -> unit
 (** Sync and close the WAL (rolling back an open transaction, which dies
@@ -236,8 +226,8 @@ val close : t -> unit
     idempotent. The handle must not be used for further writes. *)
 
 val checkpoint : t -> unit
-(** Snapshot the database ({!dump} form) and truncate the log, advancing
-    the generation. Crash-safe at every intermediate point: recovery sees
+(** Snapshot the database (one {!Wal} record per table) and truncate the
+    log, advancing the generation. Crash-safe at every intermediate point: recovery sees
     either the old generation or the new one, never a mix.
     @raise Sql_error on in-memory databases or inside a transaction. *)
 
@@ -255,7 +245,7 @@ type recovery_info = {
   rec_gen : int;  (** generation recovered *)
   rec_checkpoint : bool;  (** whether a checkpoint snapshot was loaded *)
   rec_records : int;  (** WAL records replayed *)
-  rec_statements : int;  (** statements inside those records *)
+  rec_statements : int;  (** entries (statements and bulk loads) inside them *)
   rec_torn_bytes : int;  (** torn tail discarded from the log *)
   rec_ms : float;  (** wall-clock recovery time *)
 }
@@ -272,7 +262,7 @@ val reset_counters : t -> unit
 
 (** {2 Observability}
 
-    When [Obs.enabled ()], {!exec}, {!exec_params} and {!Stmt.exec} time
+    When [Obs.enabled ()], {!exec} and {!exec_params} time
     every statement on the monotonic clock, recording a per-statement-kind
     latency histogram
     ([db.exec.select], [db.exec.insert], [db.exec.update], [db.exec.delete],

@@ -152,3 +152,8 @@ let tokenize src =
     end
   done;
   List.rev (Eof :: !toks)
+
+let quote_ident name =
+  match tokenize name with
+  | [ Ident s; Eof ] when s = name -> name
+  | _ | (exception Error _) -> "\"" ^ name ^ "\""

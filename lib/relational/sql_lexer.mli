@@ -17,3 +17,8 @@ exception Error of string
 val tokenize : string -> token list
 (** @raise Error on unterminated strings, stray characters, malformed
     numbers or integers outside [int]'s range. *)
+
+val quote_ident : string -> string
+(** A name as SQL text that lexes back to [Ident name]: bare when it
+    already does (identifier characters, no keyword), double-quoted
+    otherwise. A name from SQL text never holds a double quote. *)

@@ -1,12 +1,14 @@
 type fsync_policy = Always | Every of int | Never
 
-type record =
-  | Stmt of string
-  | Batch of string list
+type entry =
+  | Exec of string * Value.t array
+  | Rows of string * Tuple.t list
+
+type record = entry list
 
 exception Corrupt of string
 
-let magic = "OXWAL1\n"
+let magic = "OXWAL2\n"
 let header_size = String.length magic + 8
 
 (* --- failpoints -------------------------------------------------------- *)
@@ -38,98 +40,156 @@ let crc32 s = crc32_update 0xFFFFFFFF s lxor 0xFFFFFFFF
 
 (* --- little-endian integer framing ------------------------------------- *)
 
-let put_u32 buf v =
-  Buffer.add_char buf (Char.chr (v land 0xff));
-  Buffer.add_char buf (Char.chr ((v lsr 8) land 0xff));
-  Buffer.add_char buf (Char.chr ((v lsr 16) land 0xff));
-  Buffer.add_char buf (Char.chr ((v lsr 24) land 0xff))
-
-let get_u32 s off =
-  Char.code s.[off]
-  lor (Char.code s.[off + 1] lsl 8)
-  lor (Char.code s.[off + 2] lsl 16)
-  lor (Char.code s.[off + 3] lsl 24)
-
-let put_u64 buf v =
-  for k = 0 to 7 do
-    Buffer.add_char buf (Char.chr ((v lsr (8 * k)) land 0xff))
-  done
-
-let get_u64 s off =
-  let v = ref 0 in
-  for k = 7 downto 0 do
-    v := (!v lsl 8) lor Char.code s.[off + k]
-  done;
-  !v
+let put_u32 buf v = Buffer.add_int32_le buf (Int32.of_int v)
+let get_u32 s off = Int32.to_int (String.get_int32_le s off) land 0xffffffff
 
 (* --- record encoding --------------------------------------------------- *)
 
-let kind_char = function Stmt _ -> 'S' | Batch _ -> 'T'
+(* unsigned LEB128; a negative int (a zigzagged one) takes 9 bytes *)
+let rec put_uvarint buf v =
+  if v land lnot 0x7f = 0 then Buffer.add_char buf (Char.chr v)
+  else begin
+    Buffer.add_char buf (Char.chr (v land 0x7f lor 0x80));
+    put_uvarint buf (v lsr 7)
+  end
 
-let payload_of = function
-  | Stmt s -> s
-  | Batch stmts ->
-      let buf = Buffer.create 256 in
-      List.iter
-        (fun s ->
-          put_u32 buf (String.length s);
-          Buffer.add_string buf s)
-        stmts;
-      Buffer.contents buf
+let put_str buf s =
+  put_uvarint buf (String.length s);
+  Buffer.add_string buf s
 
-let encode_record r =
-  let kind = kind_char r in
-  let payload = payload_of r in
-  let crc = crc32_update 0xFFFFFFFF (String.make 1 kind) in
-  let crc = crc32_update crc payload lxor 0xFFFFFFFF in
-  let buf = Buffer.create (String.length payload + 9) in
-  Buffer.add_char buf kind;
-  put_u32 buf (String.length payload);
-  put_u32 buf crc;
-  Buffer.add_string buf payload;
+let put_value buf = function
+  | Value.Null -> Buffer.add_char buf '\000'
+  | Value.Int i ->
+      Buffer.add_char buf '\001';
+      (* zigzag: small magnitudes of either sign take few bytes *)
+      put_uvarint buf ((i lsl 1) lxor (i asr 62))
+  | Value.Float f ->
+      Buffer.add_char buf '\002';
+      Buffer.add_int64_le buf (Int64.bits_of_float f)
+  | Value.Str s ->
+      Buffer.add_char buf '\003';
+      put_str buf s
+  | Value.Bytes s ->
+      Buffer.add_char buf '\004';
+      put_str buf s
+
+let put_values buf vs =
+  put_uvarint buf (Array.length vs);
+  Array.iter (put_value buf) vs
+
+let encode record =
+  let buf = Buffer.create 64 in
+  List.iter
+    (function
+      | Exec (sql, params) ->
+          Buffer.add_char buf 'E';
+          put_str buf sql;
+          put_values buf params
+      | Rows (table, tuples) ->
+          Buffer.add_char buf 'R';
+          put_str buf table;
+          put_uvarint buf (List.length tuples);
+          List.iter (put_values buf) tuples)
+    record;
   Buffer.contents buf
 
-(* Split a 'T' payload back into statements; None if the length prefixes do
-   not tile the payload exactly (CRC passed, so this is a writer bug rather
-   than disk damage — treat it as end-of-valid-prefix all the same). *)
-let decode_batch payload =
-  let n = String.length payload in
-  let rec go acc off =
-    if off = n then Some (List.rev acc)
-    else if off + 4 > n then None
-    else
-      let len = get_u32 payload off in
-      if len < 0 || off + 4 + len > n then None
-      else go (String.sub payload (off + 4) len :: acc) (off + 4 + len)
-  in
-  go [] 0
+(* A cursor over one payload. Every read checks the bytes it takes against
+   the payload's end, and every count against the bytes left (each element
+   takes at least one), so no length, however damaged, can read past the
+   payload or allocate more than it holds. *)
+exception Short
 
-(* Decode the records of [data] (a whole log file image). Returns the valid
+type cursor = { s : string; mutable pos : int }
+
+let byte c =
+  if c.pos >= String.length c.s then raise Short;
+  c.pos <- c.pos + 1;
+  Char.code c.s.[c.pos - 1]
+
+let uvarint c =
+  let rec go acc shift =
+    let b = byte c in
+    let acc = acc lor ((b land 0x7f) lsl shift) in
+    if b land 0x80 = 0 then acc else if shift >= 56 then raise Short
+    else go acc (shift + 7)
+  in
+  go 0 0
+
+let count c =
+  let n = uvarint c in
+  if n < 0 || n > String.length c.s - c.pos then raise Short;
+  n
+
+let take c n =
+  if n > String.length c.s - c.pos then raise Short;
+  c.pos <- c.pos + n;
+  String.sub c.s (c.pos - n) n
+
+let get_str c = take c (count c)
+
+let get_value c =
+  match byte c with
+  | 0 -> Value.Null
+  | 1 ->
+      let z = uvarint c in
+      Value.Int ((z lsr 1) lxor -(z land 1))
+  | 2 -> Value.Float (Int64.float_of_bits (String.get_int64_le (take c 8) 0))
+  | 3 -> Value.Str (get_str c)
+  | 4 -> Value.Bytes (get_str c)
+  | _ -> raise Short
+
+let get_values c =
+  let n = count c in
+  Array.init n (fun _ -> get_value c)
+
+let decode payload =
+  let c = { s = payload; pos = 0 } in
+  let entry () =
+    match Char.chr (byte c) with
+    | 'E' ->
+        let sql = get_str c in
+        Exec (sql, get_values c)
+    | 'R' ->
+        let table = get_str c in
+        Rows (table, List.init (count c) (fun _ -> get_values c))
+    | _ -> raise Short
+  in
+  let rec go acc =
+    if c.pos = String.length payload then Some (List.rev acc)
+    else go (entry () :: acc)
+  in
+  try go [] with Short -> None
+
+let frame_kind = 'R'
+
+let crc_of payload =
+  crc32_update (crc32_update 0xFFFFFFFF (String.make 1 frame_kind)) payload
+  lxor 0xFFFFFFFF
+
+let frame payload =
+  let buf = Buffer.create (String.length payload + 9) in
+  Buffer.add_char buf frame_kind;
+  put_u32 buf (String.length payload);
+  put_u32 buf (crc_of payload);
+  Buffer.add_string buf payload;
+  Buffer.to_bytes buf
+
+(* Decode the records of [data] (a whole file image). Returns the valid
    records with the byte offset just past each, in order. *)
 let decode_records data =
   let n = String.length data in
   let rec go acc off =
-    if off + 9 > n then List.rev acc
+    if off + 9 > n || data.[off] <> frame_kind then List.rev acc
     else
-      let kind = data.[off] in
-      if kind <> 'S' && kind <> 'T' then List.rev acc
+      let len = get_u32 data (off + 1) in
+      if off + 9 + len > n then List.rev acc
       else
-        let len = get_u32 data (off + 1) in
-        let crc = get_u32 data (off + 5) in
-        if len < 0 || off + 9 + len > n then List.rev acc
+        let payload = String.sub data (off + 9) len in
+        if crc_of payload <> get_u32 data (off + 5) then List.rev acc
         else
-          let payload = String.sub data (off + 9) len in
-          let crc' = crc32_update 0xFFFFFFFF (String.make 1 kind) in
-          let crc' = crc32_update crc' payload lxor 0xFFFFFFFF in
-          if crc' <> crc then List.rev acc
-          else
-            let record =
-              if kind = 'S' then Some (Stmt payload)
-              else Option.map (fun ss -> Batch ss) (decode_batch payload)
-            in
-            match record with
-            | None -> List.rev acc
-            | Some r -> go ((r, off + 9 + len) :: acc) (off + 9 + len)
+          match decode payload with
+          | None -> List.rev acc
+          | Some r -> go ((r, off + 9 + len) :: acc) (off + 9 + len)
   in
   go [] header_size
 
@@ -146,12 +206,22 @@ let read_string path =
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let parse_image data =
+(* A complete header of another format version is no torn tail: reading
+   on would discard, and a writer truncate, a log this code cannot parse. *)
+let parse_image path data =
   let n = String.length data in
+  let version = String.length magic - 2 in
+  if n >= header_size && String.sub data 0 version = String.sub magic 0 version
+     && String.sub data 0 (String.length magic) <> magic
+  then
+    raise
+      (Corrupt
+         (Printf.sprintf "%s: unsupported format %S (this build reads %S)" path
+            (String.sub data 0 (String.length magic)) magic));
   if n < header_size || String.sub data 0 (String.length magic) <> magic then
     { records = []; file_gen = -1; valid_len = 0; torn_bytes = n }
   else
-    let gen = get_u64 data (String.length magic) in
+    let gen = Int64.to_int (String.get_int64_le data (String.length magic)) in
     let decoded = decode_records data in
     let valid_len =
       List.fold_left (fun _ (_, e) -> e) header_size decoded
@@ -163,7 +233,7 @@ let parse_image data =
       torn_bytes = n - valid_len;
     }
 
-let read_file path = parse_image (read_string path)
+let read_file path = parse_image path (read_string path)
 
 let frame_ends path =
   List.map snd (decode_records (read_string path))
@@ -201,7 +271,7 @@ let write_all fd bytes =
 let header_bytes gen =
   let buf = Buffer.create header_size in
   Buffer.add_string buf magic;
-  put_u64 buf gen;
+  Buffer.add_int64_le buf (Int64.of_int gen);
   Buffer.to_bytes buf
 
 let open_writer ?(policy = Every 32) ~gen path =
@@ -219,8 +289,12 @@ let open_writer ?(policy = Every 32) ~gen path =
       w_closed = false;
     }
   in
-  let image = read_string path in
-  let parsed = parse_image image in
+  let parsed =
+    try parse_image path (read_string path)
+    with e ->
+      Unix.close fd;
+      raise e
+  in
   if parsed.file_gen = -1 then begin
     (* fresh file, or a header torn by a crash during creation: start over *)
     ignore (Unix.lseek fd 0 Unix.SEEK_SET);
@@ -251,12 +325,12 @@ let do_fsync w =
   w.w_unsynced <- 0;
   Obs.incr "wal.fsync"
 
-let append w r =
+let append w payload =
   if w.w_closed then invalid_arg "Wal.append: writer is closed";
-  let frame = encode_record r in
+  let frame = frame payload in
   failpoint "wal.append.before";
-  write_all w.w_fd (Bytes.of_string frame);
-  w.w_size <- w.w_size + String.length frame;
+  write_all w.w_fd frame;
+  w.w_size <- w.w_size + Bytes.length frame;
   w.w_appends <- w.w_appends + 1;
   w.w_unsynced <- w.w_unsynced + 1;
   Obs.incr "wal.append";
@@ -267,8 +341,14 @@ let append w r =
   | Never -> ());
   failpoint "wal.append.synced"
 
-let sync w =
-  if (not w.w_closed) && w.w_unsynced > 0 then do_fsync w
+let write_file ~gen path records =
+  let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      write_all fd (header_bytes gen);
+      List.iter (fun r -> write_all fd (frame (encode r))) records;
+      Unix.fsync fd)
 
 let close w =
   if not w.w_closed then begin
@@ -279,6 +359,5 @@ let close w =
 
 let size w = w.w_size
 let gen w = w.w_gen
-let path w = w.w_path
 let appends w = w.w_appends
 let fsyncs w = w.w_fsyncs

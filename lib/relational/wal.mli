@@ -1,27 +1,33 @@
-(** Write-ahead log: an append-only file of CRC-framed records, each holding
-    the SQL text of one committed write (or one committed transaction's worth
-    of writes). The engine keeps data in memory; durability comes from
-    logging every committed statement here and replaying the log over the
-    latest checkpoint on {!Db.open_dir}.
+(** Write-ahead log and checkpoint files: an append-only file of CRC-framed
+    records, each holding one committed unit of writes as typed entries.
+    The engine keeps data in memory; durability comes from logging every
+    committed write here and replaying the checkpoint and the log on
+    {!Db.open_dir}. A checkpoint is a file in the same format.
 
     {2 File format}
 
     {v
-    file   := header record*
-    header := "OXWAL1\n" generation:64le          (15 bytes)
-    record := kind:8 len:32le crc:32le payload    (9-byte frame + payload)
+    file    := header record*
+    header  := "OXWAL2\n" generation:64le          (15 bytes)
+    record  := 'R' len:32le crc:32le payload       (9-byte frame + payload)
+    payload := entry*
+    entry   := 'E' str(sql) count value*           one statement and its ? values
+             | 'R' str(table) count tuple*         one insert_many / insert_row call
+    tuple   := count value*
+    value   := 0x00 | 0x01 zigzag-varint | 0x02 ieee754:64le
+             | 0x03 str | 0x04 str                 NULL, INT, FLOAT, TEXT, BYTES
+    str     := count bytes
+    count   := unsigned LEB128 varint
     v}
 
-    [kind] is ['S'] (one autocommit statement, payload = SQL text) or ['T']
-    (one committed transaction, payload = a sequence of 32le-length-prefixed
-    SQL texts). [crc] is CRC-32 (IEEE) over the kind byte followed by the
-    payload, so a bit flip in either the type or the body of a record is
-    detected. A record is valid only if its whole frame fits in the file and
-    the CRC matches; the first invalid record ends the valid prefix and
-    everything after it is a {e torn tail} — discarded on recovery and
-    truncated away when a writer reopens the file. Appends are single
-    [write(2)] calls, so the log is always a valid prefix followed by at
-    most one torn record. *)
+    [crc] is CRC-32 (IEEE) over the kind byte followed by the payload, so a
+    bit flip in either the type or the body of a record is detected. A
+    record is valid only if its whole frame fits in the file, the CRC
+    matches and its entries tile the payload exactly; the first invalid
+    record ends the valid prefix and everything after it is a {e torn
+    tail} — discarded on recovery and truncated away when a writer reopens
+    the file. Appends are single [write(2)] calls, so the log is always a
+    valid prefix followed by at most one torn record. *)
 
 type fsync_policy =
   | Always  (** fsync after every record: no committed write is ever lost *)
@@ -30,14 +36,28 @@ type fsync_policy =
           commits on power failure (in-process crashes lose nothing) *)
   | Never  (** leave flushing to the OS (and to {!close}) *)
 
-type record =
-  | Stmt of string  (** one autocommit DML/DDL statement *)
-  | Batch of string list  (** one committed transaction *)
+type entry =
+  | Exec of string * Value.t array
+      (** a statement's own text, [?] slots included, and its bound values *)
+  | Rows of string * Tuple.t list  (** rows inserted into a table *)
+
+type record = entry list
+(** One committed unit: an autocommit write, or a whole transaction. *)
 
 exception Corrupt of string
-(** Raised when a log file's header does not belong to the generation the
-    caller expects (record-level damage is never an error: it just ends the
-    valid prefix). *)
+(** Raised when a file's header belongs to another generation than the
+    caller expects, or to another version of the format (record-level
+    damage is never an error: it just ends the valid prefix). *)
+
+(** {2 Encoding} *)
+
+val encode : record -> string
+(** A record's payload: its entries' encodings, concatenated, so
+    [encode (r1 @ r2) = encode r1 ^ encode r2]. *)
+
+val decode : string -> record option
+(** Inverse of {!encode}; [None] if the entries do not tile the payload
+    exactly. Never raises. *)
 
 (** {2 Writing} *)
 
@@ -48,15 +68,18 @@ val open_writer : ?policy:fsync_policy -> gen:int -> string -> writer
     header-torn file is (re)initialized with a fresh header; an existing log
     is scanned and truncated to its valid prefix so new records never land
     after a torn tail.
-    @raise Corrupt if the file carries a different generation. *)
+    @raise Corrupt if the file carries a different generation or format
+    version. *)
 
-val append : writer -> record -> unit
-(** Frame, CRC and append one record in a single write, then fsync according
-    to the policy. Counts [wal.append] (and [wal.fsync] when it syncs) in
-    {!Obs} when enabled. *)
+val append : writer -> string -> unit
+(** Frame and CRC one record payload (built with {!encode}) and append it
+    in a single write, then fsync according to the policy. Counts
+    [wal.append] (and [wal.fsync] when it syncs) in {!Obs} when enabled. *)
 
-val sync : writer -> unit
-(** Unconditional fsync (no-op if nothing was appended since the last). *)
+val write_file : gen:int -> string -> record list -> unit
+(** Write a whole file: the header with generation [gen], then one frame
+    per record, then one fsync. Counts nothing in {!Obs}. Checkpoints are
+    written this way. *)
 
 val close : writer -> unit
 (** Sync and close. Idempotent. *)
@@ -65,7 +88,6 @@ val size : writer -> int
 (** Current file length in bytes, header included. *)
 
 val gen : writer -> int
-val path : writer -> string
 
 val appends : writer -> int
 (** Records appended through this writer. *)
@@ -83,8 +105,9 @@ type read_result = {
 }
 
 val read_file : string -> read_result
-(** Parse a log file, stopping at the first invalid record. Never raises on
-    damaged contents — damage just shortens the valid prefix.
+(** Parse a log or checkpoint file, stopping at the first invalid record.
+    Damaged contents just shorten the valid prefix.
+    @raise Corrupt if a complete header carries another format version.
     @raise Sys_error if the file cannot be opened. *)
 
 val frame_ends : string -> int list

@@ -26,29 +26,29 @@ let make_db () =
 
 let test_prepare_basics () =
   let db = make_db () in
-  let s = D.prepare db "SELECT name FROM emp WHERE id = ?" in
-  check int_t "param count" 1 (D.Stmt.param_count s);
-  (match D.Stmt.query s [| V.Int 3 |] with
+  let s = "SELECT name FROM emp WHERE id = ?" in
+  (match D.query_params db s [| V.Int 3 |] with
   | [ [| V.Str "e3" |] ] -> ()
   | _ -> Alcotest.fail "id=3 should select e3");
   (* same statement, different binding: no cross-talk *)
-  (match D.Stmt.query s [| V.Int 7 |] with
+  (match D.query_params db s [| V.Int 7 |] with
   | [ [| V.Str "e7" |] ] -> ()
   | _ -> Alcotest.fail "id=7 should select e7");
   (* parameters anywhere an expression goes *)
-  let s2 =
-    D.prepare db "SELECT id FROM emp WHERE salary >= ? AND salary <= ? ORDER BY id"
-  in
-  check int_t "two params" 2 (D.Stmt.param_count s2);
+  let s2 = "SELECT id FROM emp WHERE salary >= ? AND salary <= ? ORDER BY id" in
   check int_t "range rows" 3
-    (List.length (D.Stmt.query s2 [| V.Int 400; V.Int 600 |]));
-  (* DML through a prepared statement *)
-  let ins = D.prepare db "INSERT INTO emp VALUES (?, ?, ?)" in
-  (match D.Stmt.exec ins [| V.Int 21; V.Str "e21"; V.Int 2100 |] with
+    (List.length (D.query_params db s2 [| V.Int 400; V.Int 600 |]));
+  (* DML with bound parameters *)
+  (match
+     D.exec_params db "INSERT INTO emp VALUES (?, ?, ?)"
+       [| V.Int 21; V.Str "e21"; V.Int 2100 |]
+   with
   | D.Affected 1 -> ()
   | _ -> Alcotest.fail "prepared INSERT should affect 1 row");
-  let upd = D.prepare db "UPDATE emp SET salary = ? WHERE id = ?" in
-  (match D.Stmt.exec upd [| V.Int 9999; V.Int 21 |] with
+  (match
+     D.exec_params db "UPDATE emp SET salary = ? WHERE id = ?"
+       [| V.Int 9999; V.Int 21 |]
+   with
   | D.Affected 1 -> ()
   | _ -> Alcotest.fail "prepared UPDATE should affect 1 row");
   match D.query db "SELECT salary FROM emp WHERE id = 21" with
@@ -57,12 +57,12 @@ let test_prepare_basics () =
 
 let test_prepare_errors () =
   let db = make_db () in
-  let s = D.prepare db "SELECT name FROM emp WHERE id = ?" in
+  let s = "SELECT name FROM emp WHERE id = ?" in
   (* arity mismatches *)
-  (match D.Stmt.exec s [||] with
+  (match D.exec_params db s [||] with
   | exception D.Sql_error _ -> ()
   | _ -> Alcotest.fail "zero params for one slot should fail");
-  (match D.Stmt.exec s [| V.Int 1; V.Int 2 |] with
+  (match D.exec_params db s [| V.Int 1; V.Int 2 |] with
   | exception D.Sql_error _ -> ()
   | _ -> Alcotest.fail "two params for one slot should fail");
   (* unbound parameters cannot go through plain exec *)
@@ -216,8 +216,7 @@ let prop_prepared_equals_inlined =
       let inlined = mk (string_of_int a) (string_of_int b) in
       let parameterized = mk "?" "?" in
       let expect = D.query db inlined in
-      let s = D.prepare db parameterized in
-      let got = D.Stmt.query s [| V.Int a; V.Int b |] in
+      let got = D.query_params db parameterized [| V.Int a; V.Int b |] in
       if got <> expect then
         QCheck.Test.fail_reportf "prepared differs from inlined for %s" inlined
       else begin
@@ -234,7 +233,7 @@ let prop_prepared_equals_inlined =
 
 (* --- property: bound plans == literal statements ------------------------- *)
 
-(* One statement text with [?] slots, executed through a prepared handle
+(* One statement text with [?] slots, executed through [Db.exec_params]
    with several bindings on one database, and as the text with each binding
    printed as literals through [Db.exec] on a twin database. Slots sit in
    index equality prefixes, range bounds, SET expressions and residuals;
@@ -338,12 +337,11 @@ let prop_bound_plans_equal_literals =
       let bound = twin () and lit = twin () in
       List.for_all
         (fun (text, bindings) ->
-          let s = D.prepare bound text in
           let _, m0, _ = D.plan_cache_stats bound in
           let same =
             List.for_all
               (fun binding ->
-                let got = outcome (fun () -> D.Stmt.exec s binding) in
+                let got = outcome (fun () -> D.exec_params bound text binding) in
                 let want = outcome (fun () -> D.exec lit (literal text binding)) in
                 if got <> want then
                   QCheck.Test.fail_reportf "%s differs from its literal form %s" text
@@ -359,18 +357,18 @@ let prop_bound_plans_equal_literals =
           same)
         stmts)
 
-(* A handle looks its text up on every execution: after CREATE INDEX the
-   next execution plans again and reads through the new index. *)
+(* Each execution looks its text up in the plan cache: after CREATE INDEX
+   the next execution plans again and reads through the new index. *)
 let test_prepared_replans_after_create_index () =
   let db = D.create () in
   ignore (D.exec db "CREATE TABLE t2 (x INT, y TEXT)");
   for i = 1 to 50 do
     ignore (D.exec db (Printf.sprintf "INSERT INTO t2 VALUES (%d, 'v%d')" (i mod 10) i))
   done;
-  let s = D.prepare db "SELECT y FROM t2 WHERE x = ? ORDER BY y" in
+  let s = "SELECT y FROM t2 WHERE x = ? ORDER BY y" in
   let run () =
     let r0 = D.rows_read db in
-    let rows = D.Stmt.query s [| V.Int 3 |] in
+    let rows = D.query_params db s [| V.Int 3 |] in
     (rows, D.rows_read db - r0)
   in
   let rows1, reads1 = run () in
@@ -378,7 +376,7 @@ let test_prepared_replans_after_create_index () =
   ignore (D.exec db "CREATE INDEX t2_x ON t2 (x)");
   check bool_t "EXPLAIN shows the new index" true
     (Astring_contains.contains
-       (D.explain db (D.Stmt.sql s))
+       (D.explain db s)
        "IndexScan t2.t2_x [?1 .. [?1");
   let rows2, reads2 = run () in
   check bool_t "same rows after CREATE INDEX" true (rows1 = rows2);

@@ -914,7 +914,8 @@ let test_limit_by () =
     ]
 
 (* A runtime error in an UPDATE or DELETE WHERE clause fails the statement
-   with Sql_error and changes nothing, in autocommit and prepared. *)
+   with Sql_error and changes nothing, when it is planned and again when its
+   plan comes from the cache. *)
 let test_dml_where_errors () =
   let db = fresh () in
   e db "CREATE TABLE t (a INT, b INT)";
@@ -932,7 +933,7 @@ let test_dml_where_errors () =
           check bool_t (how ^ " leaves the table: " ^ sql) true (table () = before))
         [
           ("autocommit", fun () -> D.exec db sql);
-          ("prepared", fun () -> D.Stmt.exec (D.prepare db sql) [||]);
+          ("cached", fun () -> D.exec_params db sql [||]);
         ])
     [
       "DELETE FROM t WHERE b = 1/0";
@@ -1020,12 +1021,10 @@ let test_bytes_functions () =
   e db "CREATE TABLE d (path BYTES NOT NULL)";
   e db "CREATE UNIQUE INDEX d_path ON d (path)";
   e db "INSERT INTO d VALUES (X'01'), (X'0201'), (X'020105'), (X'0202'), (X'03')";
-  let upd =
-    D.prepare db
-      "UPDATE d SET path = ? || SUBSTR(path, ?) WHERE path >= ? AND path < ?"
-  in
   (match
-     D.Stmt.exec upd [| V.Bytes "\x09"; V.Int 2; V.Bytes "\x02"; V.Bytes "\x03" |]
+     D.exec_params db
+       "UPDATE d SET path = ? || SUBSTR(path, ?) WHERE path >= ? AND path < ?"
+       [| V.Bytes "\x09"; V.Int 2; V.Bytes "\x02"; V.Bytes "\x03" |]
    with
   | D.Affected n -> check int_t "subtree rows moved" 3 n
   | D.Rows _ -> Alcotest.fail "not an UPDATE");
@@ -1059,8 +1058,7 @@ let test_explain_params () =
     (ints db "SELECT id FROM emp WHERE dept = 1 AND salary > 1500 ORDER BY id")
     (List.map
        (fun r -> List.map (function V.Int i -> i | _ -> -1) (Array.to_list r))
-       (D.Stmt.query
-          (D.prepare db "SELECT id FROM emp WHERE dept = ? AND salary > ? ORDER BY id")
+       (D.query_params db "SELECT id FROM emp WHERE dept = ? AND salary > ? ORDER BY id"
           [| V.Int 1; V.Int 1500 |]))
 
 let test_min_max_plan () =
@@ -1194,7 +1192,16 @@ let test_hostile_dump_restore () =
         (Printf.sprintf "INSERT INTO h VALUES (%d, %s)" i
            (V.to_sql_literal (V.Str s))))
     hostile_strings;
+  (* names that only lex back quoted *)
+  e db "CREATE TABLE \"odd name\" (id INT)";
+  e db "INSERT INTO \"odd name\" VALUES (1)";
+  e db "CREATE TABLE k (\"select\" INT)";
+  e db "CREATE UNIQUE INDEX \"k;pk\" ON k (\"select\")";
+  e db "INSERT INTO k VALUES (2)";
   let db2 = D.restore (D.dump db) in
+  check bool_t "quoted names survive" true
+    (D.query db2 "SELECT id FROM \"odd name\"" = [ [| V.Int 1 |] ]
+    && D.query db2 "SELECT \"select\" FROM k" = [ [| V.Int 2 |] ]);
   List.iteri
     (fun i s ->
       match

@@ -78,19 +78,35 @@ let crash_at point f =
 (* wal: framing and the durable engine API                                 *)
 (* ====================================================================== *)
 
+let exec sql = W.Exec (sql, [||])
+
 let sample_records =
   [
-    W.Stmt "INSERT INTO t VALUES (1, 'one')";
-    W.Batch [ "UPDATE t SET v = 'x' WHERE id = 1"; "DELETE FROM t WHERE id = 2" ];
-    W.Batch [];
-    W.Stmt "";
-    W.Stmt "INSERT INTO t VALUES (3, 'embedded; -- hostile\n''quote''')";
+    [ exec "INSERT INTO t VALUES (1, 'one')" ];
+    [ exec "UPDATE t SET v = 'x' WHERE id = 1"; exec "DELETE FROM t WHERE id = 2" ];
+    [];
+    [ exec "" ];
+    [ exec "INSERT INTO t VALUES (3, 'embedded; -- hostile\n''quote''')" ];
+    (* typed entries: bound values and bulk rows *)
+    [
+      W.Exec
+        ( "UPDATE t SET v = ? -- why?\n WHERE id = ?",
+          [| V.Str "it's; --\000\"?"; V.Int min_int; V.Null |] );
+      W.Rows
+        ( "t",
+          [
+            [| V.Int max_int; V.Float infinity; V.Bytes "\x00\xff" |];
+            [| V.Int (-1); V.Float (-0.5); V.Str "" |];
+            [||];
+          ] );
+    ];
+    [ W.Rows ("empty", []) ];
   ]
 
 let write_sample_wal dir =
   let path = Filename.concat dir "wal.0.log" in
   let w = W.open_writer ~policy:W.Never ~gen:0 path in
-  List.iter (W.append w) sample_records;
+  List.iter (fun r -> W.append w (W.encode r)) sample_records;
   W.close w;
   path
 
@@ -158,7 +174,23 @@ let test_corrupt_record_ends_prefix () =
   write_bytes trunc (Bytes.to_string bad);
   let r = W.read_file trunc in
   check int_t "prefix before the flip" 1 (List.length r.W.records);
-  check int_t "valid_len stops at the flip" first_end r.W.valid_len
+  check int_t "valid_len stops at the flip" first_end r.W.valid_len;
+  (* any byte of any frame, typed records included: the records before
+     that frame survive, the rest is tail *)
+  for off = 15 to String.length image - 1 do
+    let bad = Bytes.of_string image in
+    Bytes.set bad off (Char.chr (Char.code (Bytes.get bad off) lxor 0x40));
+    write_bytes trunc (Bytes.to_string bad);
+    let r = W.read_file trunc in
+    let k = List.length (List.filter (fun e -> e <= off) ends) in
+    if r.W.records <> take k sample_records then
+      Alcotest.failf "flip at %d: expected the first %d records, got %d" off k
+        (List.length r.W.records);
+    check int_t
+      (Printf.sprintf "valid_len stops before the flip at %d" off)
+      (if k = 0 then 15 else List.nth ends (k - 1))
+      r.W.valid_len
+  done
 
 let test_writer_truncates_torn_tail () =
   with_dir @@ fun dir ->
@@ -171,11 +203,11 @@ let test_writer_truncates_torn_tail () =
   write_bytes path (String.sub image 0 cut);
   let w = W.open_writer ~policy:W.Never ~gen:0 path in
   check int_t "reopened size is the valid prefix" (List.nth ends 1) (W.size w);
-  W.append w (W.Stmt "after recovery");
+  W.append w (W.encode [ exec "after recovery" ]);
   W.close w;
   let r = W.read_file path in
   check bool_t "append lands after the surviving prefix" true
-    (r.W.records = take 2 sample_records @ [ W.Stmt "after recovery" ]);
+    (r.W.records = take 2 sample_records @ [ [ exec "after recovery" ] ]);
   check int_t "clean file" 0 r.W.torn_bytes
 
 let test_writer_gen_mismatch () =
@@ -203,7 +235,7 @@ let test_fsync_policies () =
     let w = W.open_writer ~policy ~gen:0 path in
     let creation_syncs = W.fsyncs w in
     for i = 1 to 10 do
-      W.append w (W.Stmt (Printf.sprintf "INSERT INTO t VALUES (%d)" i))
+      W.append w (W.encode [ exec (Printf.sprintf "INSERT INTO t VALUES (%d)" i) ])
     done;
     let n = W.fsyncs w - creation_syncs in
     W.close w;
@@ -235,6 +267,11 @@ let expected_dump k =
   D.dump db
 
 let test_open_close_reopen () =
+  (match D.open_dir (Filename.concat (fresh_dir ()) "a/b") with
+  | exception D.Sql_error _ -> ()
+  | db ->
+      D.close db;
+      Alcotest.fail "a directory under a missing parent must raise Sql_error");
   with_dir @@ fun dir ->
   let db = D.open_dir ~fsync:W.Always dir in
   check bool_t "durable" true (D.is_durable db);
@@ -274,10 +311,10 @@ let test_txn_batching () =
   D.with_transaction db (fun () ->
       ignore (D.exec db "INSERT INTO t VALUES (1)");
       ignore (D.exec db "INSERT INTO t VALUES (2)"));
-  (* one committed transaction = one Batch record *)
+  (* one committed transaction = one record *)
   let wal = Filename.concat dir "wal.0.log" in
   (match (W.read_file wal).W.records with
-  | [ W.Stmt _; W.Batch [ _; _ ] ] -> ()
+  | [ [ _ ]; [ _; _ ] ] -> ()
   | rs -> Alcotest.failf "unexpected log shape (%d records)" (List.length rs));
   (* rolled-back work must leave no trace in the log *)
   let size = D.wal_size db in
@@ -299,9 +336,9 @@ let test_prepared_and_bulk_logged () =
   with_dir @@ fun dir ->
   let db = D.open_dir ~fsync:W.Always dir in
   ignore (D.exec db "CREATE TABLE t (id INT NOT NULL, v TEXT, f FLOAT)");
-  let s = D.prepare db "INSERT INTO t VALUES (?, ?, ?)" in
-  ignore (D.Stmt.exec s [| V.Int 1; V.Str "it's ; tricky"; V.Float 0.5 |]);
-  ignore (D.Stmt.exec s [| V.Int 2; V.Null; V.Float 1e22 |]);
+  let s = "INSERT INTO t VALUES (?, ?, ?)" in
+  ignore (D.exec_params db s [| V.Int 1; V.Str "it's ; tricky"; V.Float 0.5 |]);
+  ignore (D.exec_params db s [| V.Int 2; V.Null; V.Float 1e22 |]);
   ignore
     (D.insert_many db "t"
        [
@@ -310,7 +347,7 @@ let test_prepared_and_bulk_logged () =
        ]);
   ignore (D.insert_row db "t" [| V.Int 5; V.Str "single"; V.Null |]);
   (* min_int's magnitude is no int literal *)
-  ignore (D.Stmt.exec s [| V.Int max_int; V.Str "max"; V.Null |]);
+  ignore (D.exec_params db s [| V.Int max_int; V.Str "max"; V.Null |]);
   ignore
     (D.exec_params db "INSERT INTO t VALUES (?, ?, ?)"
        [| V.Int min_int; V.Str "min"; V.Null |]);
@@ -328,6 +365,16 @@ let test_checkpoint () =
   with_dir @@ fun dir ->
   let db = D.open_dir ~fsync:W.Always dir in
   List.iter (fun s -> ignore (D.exec db s)) seed_stmts;
+  (* names that only lex back quoted *)
+  List.iter
+    (fun s -> ignore (D.exec db s))
+    [
+      "CREATE TABLE \"odd name\" (id INT)";
+      "INSERT INTO \"odd name\" VALUES (1)";
+      "CREATE TABLE k (\"select\" INT)";
+      "CREATE INDEX \"by select\" ON k (\"select\")";
+      "INSERT INTO k VALUES (2)";
+    ];
   D.checkpoint db;
   check bool_t "log reset to header" true (D.wal_size db <= 15);
   let files = Sys.readdir dir in
@@ -335,7 +382,7 @@ let test_checkpoint () =
   check
     (Alcotest.list string_t)
     "old generation swept"
-    [ "checkpoint.1.sql"; "wal.1.log" ]
+    [ "checkpoint.1.ckpt"; "wal.1.log" ]
     (Array.to_list files);
   ignore (D.exec db "INSERT INTO t VALUES (9, 'post-checkpoint')");
   let live = D.dump db in
@@ -367,6 +414,117 @@ let test_auto_checkpoint () =
   check bool_t "several generations elapsed" true
     (match D.last_recovery db2 with Some r -> r.D.rec_gen > 1 | None -> false);
   D.close db2
+
+(* A [?] inside a comment is no slot: the log keeps the text as written,
+   with its values beside it, and replay binds them to the same slots. *)
+let test_question_mark_in_comment () =
+  with_dir @@ fun dir ->
+  let db = D.open_dir dir in
+  ignore (D.exec db "CREATE TABLE t (id INT NOT NULL, v TEXT)");
+  ignore (D.exec db "INSERT INTO t VALUES (1, 'a')");
+  ignore
+    (D.exec_params db "UPDATE t SET v = ? -- why?\n WHERE id = ?"
+       [| V.Str "b"; V.Int 1 |]);
+  D.close db;
+  let db2 = D.open_dir dir in
+  (match D.query db2 "SELECT v FROM t WHERE id = 1" with
+  | [ [| V.Str "b" |] ] -> ()
+  | _ -> Alcotest.fail "the update did not replay");
+  D.close db2
+
+(* A checkpoint is complete before its rename commits it, so any damage
+   is an error, not a tail to drop. *)
+let test_damaged_checkpoint () =
+  with_dir @@ fun dir ->
+  let db = D.open_dir dir in
+  List.iter (fun s -> ignore (D.exec db s)) seed_stmts;
+  D.checkpoint db;
+  D.close db;
+  let ckpt = Filename.concat dir "checkpoint.1.ckpt" in
+  let image = read_bytes ckpt in
+  let bad = Bytes.of_string image in
+  let off = String.length image - 2 in
+  Bytes.set bad off (Char.chr (Char.code (Bytes.get bad off) lxor 0x01));
+  write_bytes ckpt (Bytes.to_string bad);
+  (match D.open_dir dir with
+  | exception D.Sql_error _ -> ()
+  | db ->
+      D.close db;
+      Alcotest.fail "a flipped byte in the checkpoint must raise Sql_error");
+  check bool_t "the checkpoint is left as it was" true
+    (read_bytes ckpt = Bytes.to_string bad)
+
+(* A log of another format version is no torn tail: open_dir refuses it and
+   leaves it on disk. *)
+let test_old_format_refused () =
+  with_dir @@ fun dir ->
+  Unix.mkdir dir 0o755;
+  let wal = Filename.concat dir "wal.0.log" in
+  let old =
+    "OXWAL1\n" ^ String.make 8 '\000' ^ "S\024\000\000\000\000\000\000\000"
+    ^ "INSERT INTO t VALUES (1)"
+  in
+  write_bytes wal old;
+  (match D.open_dir dir with
+  | exception D.Sql_error _ -> ()
+  | db ->
+      D.close db;
+      Alcotest.fail "an OXWAL1 log must raise Sql_error");
+  check string_t "the old log is intact" old (read_bytes wal)
+
+let gen_value =
+  let open QCheck.Gen in
+  let hostile =
+    string_size
+      ~gen:(oneofl [ '\''; '"'; '?'; '-'; ';'; '\n'; '\000'; 'a'; '\xff' ])
+      (int_range 0 12)
+  in
+  frequency
+    [
+      (1, return V.Null);
+      (3, map (fun i -> V.Int i) (oneof [ oneofl [ min_int; max_int; 0; -1 ]; int ]));
+      ( 3,
+        map
+          (fun f -> V.Float f)
+          (oneof [ oneofl [ nan; infinity; neg_infinity; -0.0 ]; float ]) );
+      (3, map (fun s -> V.Str s) hostile);
+      (2, map (fun s -> V.Bytes s) hostile);
+    ]
+
+let gen_record =
+  let open QCheck.Gen in
+  let values = array_size (int_range 0 4) gen_value in
+  list_size (int_range 0 4)
+    (oneof
+       [
+         map2 (fun sql vs -> W.Exec (sql, vs)) (string_size (int_range 0 20)) values;
+         map2
+           (fun t rows -> W.Rows (t, rows))
+           (string_size (int_range 0 8))
+           (list_size (int_range 0 4) values);
+       ])
+
+(* NaN equals itself under Value.compare; the type check keeps Int 1 and
+   Float 1.0 apart *)
+let same_values a b =
+  Array.length a = Array.length b
+  && Array.for_all2 (fun x y -> V.compare x y = 0 && V.type_of x = V.type_of y) a b
+
+let same_entry a b =
+  match (a, b) with
+  | W.Exec (s, vs), W.Exec (s', vs') -> s = s' && same_values vs vs'
+  | W.Rows (t, rows), W.Rows (t', rows') ->
+      t = t'
+      && List.length rows = List.length rows'
+      && List.for_all2 same_values rows rows'
+  | _ -> false
+
+let prop_typed_round_trip =
+  QCheck.Test.make ~name:"typed records round trip" ~count:500
+    (QCheck.make gen_record) (fun r ->
+      match W.decode (W.encode r) with
+      | Some r' -> List.length r = List.length r' && List.for_all2 same_entry r r'
+      | None -> false)
 
 let test_in_memory_unaffected () =
   let db = D.create () in
@@ -529,7 +687,7 @@ let test_crash_in_checkpoint () =
       let files = List.sort compare (Array.to_list (Sys.readdir dir)) in
       (match files with
       | [ c; w ]
-        when Filename.check_suffix c ".sql" && Filename.check_suffix w ".log"
+        when Filename.check_suffix c ".ckpt" && Filename.check_suffix w ".log"
         ->
           ()
       | _ ->
@@ -544,7 +702,7 @@ let test_stale_tmp_swept () =
   ignore (D.exec db "CREATE TABLE t (id INT NOT NULL)");
   D.close db;
   (* debris a crash between checkpoint steps could leave behind *)
-  write_bytes (Filename.concat dir "checkpoint.1.sql.tmp") "half a dump";
+  write_bytes (Filename.concat dir "checkpoint.1.ckpt.tmp") "half a dump";
   write_bytes (Filename.concat dir "wal.7.log") "OXW";
   let db2 = D.open_dir dir in
   check int_t "recovered data intact" 0
@@ -619,8 +777,8 @@ let test_store_crash_recovery () =
   in
   with_dir @@ fun dir2 ->
   Unix.mkdir dir2 0o755;
-  let ckpt = read_bytes (Filename.concat dir "checkpoint.1.sql") in
-  write_bytes (Filename.concat dir2 "checkpoint.1.sql") ckpt;
+  let ckpt = read_bytes (Filename.concat dir "checkpoint.1.ckpt") in
+  write_bytes (Filename.concat dir2 "checkpoint.1.ckpt") ckpt;
   List.iter
     (fun cut ->
       write_bytes (Filename.concat dir2 "wal.1.log")
@@ -663,6 +821,11 @@ let tests =
       Alcotest.test_case "prepared and bulk writes are logged" `Quick
         test_prepared_and_bulk_logged;
       Alcotest.test_case "checkpoint folds the log" `Quick test_checkpoint;
+      Alcotest.test_case "a ? inside a comment is no slot" `Quick
+        test_question_mark_in_comment;
+      Alcotest.test_case "damaged checkpoint raises" `Quick test_damaged_checkpoint;
+      Alcotest.test_case "old log format is refused" `Quick test_old_format_refused;
+      QCheck_alcotest.to_alcotest prop_typed_round_trip;
       Alcotest.test_case "auto checkpoint" `Quick test_auto_checkpoint;
       Alcotest.test_case "in-memory databases are unaffected" `Quick
         test_in_memory_unaffected;
