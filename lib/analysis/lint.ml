@@ -451,7 +451,7 @@ let lint_stmt ?catalog (stmt : S.stmt) =
   let findings =
     match stmt with
     | S.Select sel -> lint_select ?catalog sel
-    | S.Union_all sels -> List.concat_map (lint_select ?catalog) sels
+    | S.Union_all u -> List.concat_map (lint_select ?catalog) u.S.branches
     | S.Update { table; where; _ } -> lint_dml ?catalog ~table where
     | S.Delete { table; where } -> lint_dml ?catalog ~table where
     | S.Insert _ | S.Create_table _ | S.Create_index _ | S.Drop_table _

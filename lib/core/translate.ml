@@ -13,11 +13,14 @@ type result = {
 
 exception Unsupported of string
 
+(* tables keyed by node id *)
+module Itbl = Hashtbl.Make (Int)
+
 (* LOCAL's parent-chain cache, one per evaluation call: every edge row the
    call has fetched, and the root-path keys computed from them. *)
 type chains = {
-  rows : (int, Node_row.t) Hashtbl.t;
-  keys : (int, int list) Hashtbl.t;
+  rows : Node_row.t Itbl.t;
+  keys : int array Itbl.t;
 }
 
 type state = {
@@ -33,7 +36,7 @@ let new_state db ~doc enc =
   let chains =
     match enc with
     | Encoding.Local ->
-        Some { rows = Hashtbl.create 64; keys = Hashtbl.create 64 }
+        Some { rows = Itbl.create 64; keys = Itbl.create 64 }
     | _ -> None
   in
   { db; enc; tname = Encoding.table_name ~doc enc; chains; nstmt = 0; log = [] }
@@ -46,7 +49,7 @@ let run_sql st ?(params = [||]) sql =
 
 let remember st (r : Node_row.t) =
   match st.chains with
-  | Some c -> Hashtbl.replace c.rows r.Node_row.id r
+  | Some c -> Itbl.replace c.rows r.Node_row.id r
   | None -> ()
 
 let decode st tu =
@@ -464,26 +467,39 @@ let compile ~doc enc (u : A.union) =
 
 module IdSet = Set.Make (Int)
 
-(* the first element of [l] with each key *)
-let dedup key l =
-  let seen = Hashtbl.create 64 in
+(* the first row with each id *)
+let dedup_rows l =
+  let seen = Itbl.create 64 in
   List.filter
-    (fun x ->
-      let k = key x in
-      (not (Hashtbl.mem seen k)) && (Hashtbl.add seen k (); true))
+    (fun (r : Node_row.t) ->
+      let k = r.Node_row.id in
+      (not (Itbl.mem seen k)) && (Itbl.add seen k (); true))
     l
 
-let dedup_rows = dedup (fun (r : Node_row.t) -> r.Node_row.id)
-let dedup_pairs pairs = dedup (fun (o, (r : Node_row.t)) -> (o, r.Node_row.id)) pairs
+let rec mem_int (x : int) = function [] -> false | y :: l -> x = y || mem_int x l
+
+(* the first (origin, row) pair with each origin and row id *)
+let dedup_pairs pairs =
+  (* row id -> the origins it came with so far *)
+  let seen = Itbl.create 64 in
+  List.filter
+    (fun (o, (r : Node_row.t)) ->
+      let id = r.Node_row.id in
+      match Itbl.find_opt seen id with
+      | None ->
+          Itbl.add seen id [ o ];
+          true
+      | Some os -> (not (mem_int o os)) && (Itbl.replace seen id (o :: os); true))
+    pairs
 
 (* (context id, row) pairs as (origin, row) pairs, through the origins
    [pairs] bind to each context row (a statement returns a context's rows
    together) *)
 let rebind pairs tagged =
-  let origins = Hashtbl.create 64 and last = ref (min_int, []) in
-  List.iter (fun (o, (r : Node_row.t)) -> Hashtbl.add origins r.Node_row.id o) pairs;
+  let origins = Itbl.create 64 and last = ref (min_int, []) in
+  List.iter (fun (o, (r : Node_row.t)) -> Itbl.add origins r.Node_row.id o) pairs;
   let origins_of c =
-    if fst !last <> c then last := (c, Hashtbl.find_all origins c);
+    if fst !last <> c then last := (c, Itbl.find_all origins c);
     snd !last
   in
   dedup_pairs (List.concat_map (fun (c, r) -> List.map (fun o -> (o, r)) (origins_of c)) tagged)
@@ -505,7 +521,7 @@ let root_run st (r : run) =
         let width = Array.length tu / n in
         for i = 1 to n - 1 do
           match tu.((i * width) + Encoding.col_id) with
-          | V.Int id when Hashtbl.mem c.rows id -> ()
+          | V.Int id when Itbl.mem c.rows id -> ()
           | _ -> remember st (Node_row.of_tuple st.enc (Array.sub tu (i * width) width))
         done
     | None -> ()
@@ -535,25 +551,24 @@ let fetch_by_ids st ids =
    from the root down. Attributes have l_order <= 0, so they sort after
    their owner element and before its children. A key's proper prefixes are
    exactly the keys of the row's ancestors. *)
-let rec compare_key a b =
-  match (a, b) with
-  | [], [] -> 0
-  | [], _ -> -1
-  | _, [] -> 1
-  | x :: a, y :: b ->
-      let c = Int.compare x y in
-      if c <> 0 then c else compare_key a b
+let rec compare_from (a : int array) (b : int array) i =
+  if i = Array.length a || i = Array.length b then
+    Int.compare (Array.length a) (Array.length b)
+  else
+    let c = Int.compare a.(i) b.(i) in
+    if c <> 0 then c else compare_from a b (i + 1)
+
+let compare_key a b = compare_from a b 0
 
 (* [l] stably sorted by [key], computed once per element *)
 let sort_by_key key l =
   List.map snd
     (List.stable_sort (fun (a, _) (b, _) -> compare_key a b) (List.map (fun x -> (key x, x)) l))
 
-let rec is_prefix p k =
-  match (p, k) with
-  | [], _ -> true
-  | _, [] -> false
-  | x :: p, y :: k -> x = y && is_prefix p k
+let rec prefix_from (p : int array) (k : int array) i =
+  i = Array.length p || (p.(i) = k.(i) && prefix_from p k (i + 1))
+
+let is_prefix p k = Array.length p <= Array.length k && prefix_from p k 0
 
 let chains st =
   match st.chains with
@@ -566,17 +581,17 @@ let chains st =
 let local_order_keys st (rows : Node_row.t list) =
   let c = chains st in
   List.iter (remember st) rows;
-  let seen = Hashtbl.create 64 in
+  let seen = Itbl.create 64 in
   (* parent ids missing from the cache on r's chain *)
   let rec climb missing (r : Node_row.t) =
-    if Hashtbl.mem c.keys r.Node_row.id || Hashtbl.mem seen r.Node_row.id then
+    if Itbl.mem c.keys r.Node_row.id || Itbl.mem seen r.Node_row.id then
       missing
     else begin
-      Hashtbl.add seen r.Node_row.id ();
+      Itbl.add seen r.Node_row.id ();
       match r.Node_row.parent with
       | None -> missing
       | Some p -> (
-          match Hashtbl.find_opt c.rows p with
+          match Itbl.find_opt c.rows p with
           | Some pr -> climb missing pr
           | None -> p :: missing)
     end
@@ -588,19 +603,24 @@ let local_order_keys st (rows : Node_row.t list) =
   in
   fill rows;
   let rec key id =
-    match Hashtbl.find_opt c.keys id with
+    match Itbl.find_opt c.keys id with
     | Some k -> k
     | None ->
         let k =
-          match Hashtbl.find_opt c.rows id with
-          | None -> []
+          match Itbl.find_opt c.rows id with
+          | None -> [||]
           | Some r -> (
               let o = match r.Node_row.ord with Node_row.Ol o -> o | _ -> 0 in
               match r.Node_row.parent with
-              | None -> [ o ]
-              | Some p -> key p @ [ o ])
+              | None -> [| o |]
+              | Some p ->
+                  let kp = key p in
+                  let n = Array.length kp in
+                  let k = Array.make (n + 1) o in
+                  Array.blit kp 0 k 0 n;
+                  k)
         in
-        Hashtbl.replace c.keys id k;
+        Itbl.replace c.keys id k;
         k
   in
   fun (r : Node_row.t) -> key r.Node_row.id
@@ -615,9 +635,9 @@ let local_descendants st ctx_rows =
         List.sort_uniq compare
           (List.map (fun (_, (r : Node_row.t)) -> r.Node_row.id) frontier)
       in
-      let by_parent = Hashtbl.create 64 in
+      let by_parent = Itbl.create 64 in
       List.iter
-        (fun (p, row) -> Hashtbl.add by_parent p row)
+        (fun (p, row) -> Itbl.add by_parent p row)
         (ctx_join st Node_row.ids_relation (id_tuples ids)
            "e.parent = c.id AND e.kind <> 2");
       let next =
@@ -625,7 +645,7 @@ let local_descendants st ctx_rows =
           (fun (origin, (r : Node_row.t)) ->
             List.map
               (fun kid -> (origin, kid))
-              (Hashtbl.find_all by_parent r.Node_row.id))
+              (Itbl.find_all by_parent r.Node_row.id))
           frontier
       in
       go (List.rev_append next acc) next
@@ -694,7 +714,7 @@ let test_passes axis (test : A.node_test) (r : Node_row.t) =
    function used to sort groups when the row's own ord is not a document
    order (LOCAL descendants). *)
 let rec step_candidates st ctx_rows (step : A.step) :
-    (int * Node_row.t) list * (Node_row.t -> int list) option =
+    (int * Node_row.t) list * (Node_row.t -> int array) option =
   let self axis =
     List.filter_map
       (fun (r : Node_row.t) ->
@@ -745,7 +765,7 @@ let rec step_candidates st ctx_rows (step : A.step) :
       let rec up ctx acc = function
         | None -> acc
         | Some p -> (
-            match Hashtbl.find_opt c.rows p with
+            match Itbl.find_opt c.rows p with
             | None -> acc
             | Some row ->
                 let acc =
@@ -796,14 +816,14 @@ and eval_one_step st pairs (step : A.step) =
   else begin
     (* group by ctx id, preserving candidate order *)
     let group_order = ref [] in
-    let groups : (int, (int * Node_row.t) list ref) Hashtbl.t = Hashtbl.create 64 in
+    let groups : (int * Node_row.t) list ref Itbl.t = Itbl.create 64 in
     List.iter
       (fun (ctx, row) ->
-        match Hashtbl.find_opt groups ctx with
+        match Itbl.find_opt groups ctx with
         | Some cell -> cell := (ctx, row) :: !cell
         | None ->
             group_order := ctx :: !group_order;
-            Hashtbl.add groups ctx (ref [ (ctx, row) ]))
+            Itbl.add groups ctx (ref [ (ctx, row) ]))
       cands;
     let sort_group rows =
       let sorted =
@@ -818,7 +838,7 @@ and eval_one_step st pairs (step : A.step) =
     rebind pairs
       (List.concat_map
          (fun ctx ->
-           let rows = List.map snd (sort_group (List.rev !(Hashtbl.find groups ctx))) in
+           let rows = List.map snd (sort_group (List.rev !(Itbl.find groups ctx))) in
            List.map
              (fun r -> (ctx, r))
              (List.fold_left (apply_pred path_sets) rows step.A.preds))
@@ -855,14 +875,14 @@ and eval_exists st origins (path : A.path) =
 
 and eval_count st origins (path : A.path) op k =
   let pairs = eval_rel st origins path.A.steps in
-  let counts = Hashtbl.create 16 in
+  let counts = Itbl.create 16 in
   List.iter
     (fun ((o, _) : int * Node_row.t) ->
-      Hashtbl.replace counts o (1 + Option.value (Hashtbl.find_opt counts o) ~default:0))
+      Itbl.replace counts o (1 + Option.value (Itbl.find_opt counts o) ~default:0))
     pairs;
   List.fold_left
     (fun s (r : Node_row.t) ->
-      let n = Option.value (Hashtbl.find_opt counts r.Node_row.id) ~default:0 in
+      let n = Option.value (Itbl.find_opt counts r.Node_row.id) ~default:0 in
       if Encoding.cmp_holds op (Stdlib.compare n k) then IdSet.add r.Node_row.id s
       else s)
     IdSet.empty origins
@@ -886,15 +906,15 @@ and eval_cmp st origins (path : A.path) op lit =
     let text_step = { A.axis = A.Child; test = A.Text_test; preds = [] } in
     let texts = eval_rel st elem_rows [ text_step ] in
     (* element id -> passes? *)
-    let elem_pass = Hashtbl.create 16 in
+    let elem_pass = Itbl.create 16 in
     List.iter
       (fun ((eid, (t : Node_row.t)) : int * Node_row.t) ->
         if Encoding.value_matches op lit t.Node_row.value then
-          Hashtbl.replace elem_pass eid ())
+          Itbl.replace elem_pass eid ())
       texts;
     List.iter
       (fun ((o, r) : int * Node_row.t) ->
-        if Hashtbl.mem elem_pass r.Node_row.id then sat := IdSet.add o !sat)
+        if Itbl.mem elem_pass r.Node_row.id then sat := IdSet.add o !sat)
       elems
   end;
   !sat

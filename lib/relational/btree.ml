@@ -263,36 +263,11 @@ let rec compare_trunc_from k b i =
 
 let compare_trunc k b = compare_trunc_from k b 0
 
-let start_leaf t = function
-  | Unbounded -> (leftmost_leaf t, 0)
-  | Incl k | Excl k ->
-      let l = find_leaf t.root k in
-      (l, lower_bound l.keys l.n k)
-
 let within_hi hi k =
   match hi with
   | Unbounded -> true
   | Incl h -> compare_trunc k h <= 0
   | Excl h -> compare_trunc k h < 0
-
-let range t ~lo ~hi =
-  (* Seek with the full-key comparison: for [Incl b] the first qualifying key
-     (truncated-compare >= b) is exactly the first key >= b under full
-     comparison, because a prefix sorts before all its extensions. For
-     [Excl b] we additionally skip the extensions of [b] themselves. *)
-  let leaf0, i0 = start_leaf t lo in
-  let rec seq (l : leaf) i () =
-    if i >= l.n then
-      match l.next with None -> Seq.Nil | Some nxt -> seq nxt 0 ()
-    else
-      let k = l.keys.(i) in
-      if within_hi hi k then Seq.Cons ((k, l.vals.(i)), seq l (i + 1))
-      else Seq.Nil
-  in
-  let base = seq leaf0 i0 in
-  match lo with
-  | Excl b -> Seq.drop_while (fun (k, _) -> compare_trunc k b = 0) base
-  | Unbounded | Incl _ -> base
 
 let above_lo lo k =
   match lo with
@@ -310,35 +285,64 @@ let count_while p a n =
   done;
   !lo
 
-(* Walk from the right, stopping at the first key below [lo]; [rest]
-   continues with the subtrees to the left. Truncation preserves order, so
-   a separator bounds the truncated keys of its neighbours: child [i] holds
-   keys in [seps.(i-1), seps.(i)). The seek to the right end binary-searches
-   [hi] in each node on the rightmost path ([first]); every key left of
-   that path is within [hi]. *)
-let range_desc t ~lo ~hi =
-  let rec walk node ~first rest () =
-    match node with
-    | Leaf l ->
-        let rec from i () =
-          if i < 0 then rest ()
-          else
-            let k = l.keys.(i) in
-            if above_lo lo k then Seq.Cons ((k, l.vals.(i)), from (i - 1))
-            else Seq.Nil
-        in
-        from ((if first then count_while (within_hi hi) l.keys l.n else l.n) - 1) ()
-    | Internal n ->
-        let rec kids i ~first () =
-          if i < 0 then rest ()
-          else if i < Array.length n.seps && not (above_lo lo n.seps.(i)) then
-            Seq.Nil
-          else walk n.children.(i) ~first (kids (i - 1) ~first:false) ()
-        in
-        let ns = Array.length n.seps in
-        kids (if first then count_while (within_hi hi) n.seps ns else ns) ~first ()
-  in
-  walk t.root ~first:true (fun () -> Seq.Nil)
+(* Range walks as push loops: [f] gets each entry and returns whether to go
+   on. Top-level recursions, so that a walk allocates nothing. The seek
+   compares full keys: for [Incl b] the first qualifying key (truncated
+   compare >= b) is exactly the first key >= b, because a prefix sorts
+   before all its extensions; for [Excl b] the walk skips the extensions of
+   [b] themselves. *)
+let rec iter_from lo hi f (l : leaf) i ~leading =
+  if i >= l.n then
+    match l.next with None -> () | Some nxt -> iter_from lo hi f nxt 0 ~leading
+  else
+    let k = l.keys.(i) in
+    if within_hi hi k then
+      let skip =
+        leading && match lo with Excl b -> compare_trunc k b = 0 | Unbounded | Incl _ -> false
+      in
+      if skip then iter_from lo hi f l (i + 1) ~leading
+      else if f k l.vals.(i) then iter_from lo hi f l (i + 1) ~leading:false
+
+(* From the right, stopping at the first key below [lo]; [false] once [f]
+   stops or the walk passes [lo]. Truncation preserves order, so a
+   separator bounds the truncated keys of its neighbours: child [i] holds
+   keys in [seps.(i-1), seps.(i)). The seek to the right end
+   binary-searches [hi] in each node on the rightmost path ([first]); every
+   key left of that path is within [hi]. *)
+let rec desc_node lo hi f node ~first =
+  match node with
+  | Leaf l -> desc_leaf lo f l ((if first then count_while (within_hi hi) l.keys l.n else l.n) - 1)
+  | Internal n ->
+      let ns = Array.length n.seps in
+      desc_kids lo hi f n (if first then count_while (within_hi hi) n.seps ns else ns) ~first
+
+and desc_leaf lo f l i =
+  i < 0 || (above_lo lo l.keys.(i) && f l.keys.(i) l.vals.(i) && desc_leaf lo f l (i - 1))
+
+and desc_kids lo hi f n i ~first =
+  i < 0
+  || ((i >= Array.length n.seps || above_lo lo n.seps.(i))
+     && desc_node lo hi f n.children.(i) ~first
+     && desc_kids lo hi f n (i - 1) ~first:false)
+
+let iter t ~lo ~hi ~reverse f =
+  if reverse then ignore (desc_node lo hi f t.root ~first:true)
+  else
+    match lo with
+    | Unbounded -> iter_from lo hi f (leftmost_leaf t) 0 ~leading:true
+    | Incl k | Excl k ->
+        let l = find_leaf t.root k in
+        iter_from lo hi f l (lower_bound l.keys l.n k) ~leading:true
+
+let entries t ~lo ~hi ~reverse =
+  let acc = ref [] in
+  iter t ~lo ~hi ~reverse (fun k v ->
+      acc := (k, v) :: !acc;
+      true);
+  List.to_seq (List.rev !acc)
+
+let range t ~lo ~hi = entries t ~lo ~hi ~reverse:false
+let range_desc t ~lo ~hi = entries t ~lo ~hi ~reverse:true
 
 let prefix t p = range t ~lo:(Incl p) ~hi:(Incl p)
 

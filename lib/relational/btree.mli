@@ -48,9 +48,11 @@ val length : t -> int
 
 type bound = Unbounded | Incl of Tuple.t | Excl of Tuple.t
 
-val range : t -> lo:bound -> hi:bound -> (Tuple.t * int) Seq.t
-(** Entries between [lo] and [hi] in ascending key order, lazily produced so
-    consumers can stop early.
+val iter : t -> lo:bound -> hi:bound -> reverse:bool -> (Tuple.t -> int -> bool) -> unit
+(** [iter t ~lo ~hi ~reverse f] pushes the entries between [lo] and [hi]
+    to [f], in ascending key order (descending with [reverse]), until [f]
+    returns [false]: no entry past that one is visited. The walk allocates
+    nothing.
 
     Bounds use {e truncated-prefix} semantics: a bound key may be shorter
     than the stored keys, and a stored key is compared against the bound on
@@ -59,13 +61,15 @@ val range : t -> lo:bound -> hi:bound -> (Tuple.t * int) Seq.t
     [hi = Incl [p; 5]] keeps every entry with [parent = p] and [pos <= 5]
     regardless of its [rowid]. [Excl] makes the truncated comparison strict.
     This is exactly what SQL range predicates over an index prefix need.
-    Each entry is checked against [hi] in place, allocating nothing.
-    Behaviour is unspecified if the tree is mutated during consumption. *)
+    A descending walk finds the right end of the range by binary search in
+    every node on the way down: O(log n + k) for the first [k] entries.
+    Behaviour is unspecified if the tree is mutated during the walk. *)
+
+val range : t -> lo:bound -> hi:bound -> (Tuple.t * int) Seq.t
+(** The entries {!iter} visits, in ascending order, read when called. *)
 
 val range_desc : t -> lo:bound -> hi:bound -> (Tuple.t * int) Seq.t
-(** Same entries in descending order, produced lazily from the right end
-    of the range, which is found by binary search in every node on the way
-    down: O(log n + k) for the first [k] entries. *)
+(** The same entries in descending order. *)
 
 val prefix : t -> Tuple.t -> (Tuple.t * int) Seq.t
 (** All entries whose key starts with the given prefix (a prefix compares

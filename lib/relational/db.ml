@@ -1,14 +1,22 @@
-(* A statement compiled once per text: a SELECT or UNION ALL plan, or an
-   UPDATE or DELETE with its table, resolved SET expressions (column
-   position, value) and access path ({!Planner.table_access}). [?] slots
-   stay parameters; each execution binds them. A cache entry is valid only
-   while the catalog version is unchanged; [ce_tick] implements LRU — it
-   records the last lookup that touched the entry; eviction removes the
-   smallest tick. *)
+(* A statement compiled once per text: a SELECT or UNION ALL plan with its
+   pipeline ({!Exec}) and output schema, or an UPDATE or DELETE with its
+   table, compiled SET expressions (column position, value over [| bound
+   values; old row |]) and access path ({!Planner.table_access}), plan and
+   pipeline. [?] slots stay parameters; each execution reads its bound
+   values. A cache entry is valid only while the catalog version is
+   unchanged; [ce_tick] implements LRU — it records the last lookup that
+   touched the entry; eviction removes the smallest tick. *)
+type rows = Value.t array -> (int * Tuple.t) list
+
 type compiled =
-  | Query of Plan.t  (* SELECT, UNION ALL *)
-  | Update of { tbl : Table.t; sets : (int * Expr.t) list; access : Plan.t }
-  | Delete of { tbl : Table.t; access : Plan.t }
+  | Query of { plan : Plan.t; exec : Exec.t; schema : Schema.t }
+  | Update of {
+      tbl : Table.t;
+      sets : (int * (Expr.frame -> Value.t)) list;
+      access : Plan.t;
+      rows : rows;
+    }
+  | Delete of { tbl : Table.t; access : Plan.t; rows : rows }
 
 type cache_entry = {
   ce_version : int;
@@ -374,12 +382,11 @@ let do_insert t params ~table:name ~columns ~values =
 (* Materialize the rows an UPDATE or DELETE touches, before any mutation: a
    runtime error in the WHERE clause fails the statement and changes
    nothing. *)
-let candidates access =
-  try List.of_seq (Exec.rows_with_ids access)
-  with Expr.Eval_error m | Exec.Exec_error m -> fail "%s" m
+let candidates rows params =
+  try rows params with Expr.Eval_error m | Exec.Exec_error m -> fail "%s" m
 
-let do_update tbl ~sets access =
-  let victims = candidates access in
+let do_update tbl ~sets rows params =
+  let victims = candidates rows params in
   (* statement-level constraint semantics: compute every new tuple first,
      then apply them as one bulk in-place update — rowids are preserved, only
      indexes whose key changed are maintained, and a multi-row UPDATE that
@@ -389,11 +396,9 @@ let do_update tbl ~sets access =
   let changes =
     List.map
       (fun (rowid, old) ->
-        let tuple = Array.copy old in
+        let tuple = Array.copy old and f = [| params; old |] in
         List.iter
-          (fun (i, e) ->
-            tuple.(i) <-
-              (try Expr.eval e old with Expr.Eval_error m -> fail "%s" m))
+          (fun (i, e) -> tuple.(i) <- (try e f with Expr.Eval_error m -> fail "%s" m))
           sets;
         (rowid, tuple))
       victims
@@ -402,8 +407,8 @@ let do_update tbl ~sets access =
    with Table.Constraint_violation m -> fail "%s" m);
   Affected (List.length victims)
 
-let do_delete tbl access =
-  let victims = candidates access in
+let do_delete tbl rows params =
+  let victims = candidates rows params in
   List.iter (fun (rowid, _) -> Table.delete tbl rowid) victims;
   Affected (List.length victims)
 
@@ -451,40 +456,61 @@ let stmt_kind : Sql_ast.stmt -> string = function
       "ddl"
   | Sql_ast.Begin_txn | Sql_ast.Commit_txn | Sql_ast.Rollback_txn -> "txn"
 
-let union_plan t qs =
-  let plans = List.map (plan_of_select t) qs in
-  let arities = List.map (fun p -> Schema.arity (Plan.schema_of p)) plans in
-  (match arities with
-  | a :: rest when List.exists (fun b -> b <> a) rest ->
-      fail "UNION ALL branches have different arities"
-  | _ -> ());
-  Plan.Union_all plans
+(* A trailing ORDER BY (of output columns), LIMIT and OFFSET apply to the
+   whole compound. *)
+let union_plan t (u : Sql_ast.compound) =
+  let plans = List.map (plan_of_select t) u.branches in
+  let schemas = List.map Plan.schema_of plans in
+  let schema = match schemas with s :: _ -> s | [] -> [||] in
+  if List.exists (fun s -> Schema.arity s <> Schema.arity schema) schemas then
+    fail "UNION ALL branches have different arities";
+  let value = function
+    | Sql_ast.E_const v -> Expr.Const v
+    | Sql_ast.E_param i -> Expr.Param i
+    | _ -> fail "LIMIT and OFFSET take an integer or ?"
+  and key = function
+    | Sql_ast.E_col (None, c), dir when Schema.find_opt schema c <> None ->
+        (Expr.Col (Schema.find schema c), if dir = Sql_ast.Asc then Plan.Asc else Plan.Desc)
+    | _ -> fail "ORDER BY of a UNION ALL names its output columns"
+  in
+  let union = Plan.Union_all plans in
+  let p =
+    if u.c_order_by = [] then union
+    else Plan.Sort { input = union; keys = List.map key u.c_order_by }
+  in
+  if u.c_limit = None && u.c_offset = None then p
+  else
+    let offset = Option.fold ~none:(Plan.count 0) ~some:value u.c_offset in
+    Plan.Limit { input = p; limit = Option.map value u.c_limit; offset; by = [||] }
 
-(* Compile a SELECT, UNION ALL, UPDATE or DELETE. [?] slots stay in the
-   result as parameters. *)
+(* Plan and compile a SELECT, UNION ALL, UPDATE or DELETE. *)
 let compile t (stmt : Sql_ast.stmt) =
   let resolve tbl e =
     try Planner.resolve_expr_for_table tbl e with Planner.Plan_error m -> fail "%s" m
   in
-  let access tbl where = Planner.table_access tbl (Option.map (resolve tbl) where) in
+  let access tbl where =
+    let plan = Planner.table_access tbl (Option.map (resolve tbl) where) in
+    (plan, try Exec.rows_with_ids plan with Exec.Exec_error m -> fail "%s" m)
+  in
+  let query plan = Query { plan; exec = Exec.compile plan; schema = Plan.schema_of plan } in
   match stmt with
-  | Sql_ast.Select q -> Query (plan_of_select t q)
-  | Sql_ast.Union_all qs -> Query (union_plan t qs)
+  | Sql_ast.Select q -> query (plan_of_select t q)
+  | Sql_ast.Union_all u -> query (union_plan t u)
   | Sql_ast.Update { table = name; sets; where } ->
       let tbl = table t name in
       let schema = Table.schema tbl in
-      let sets =
-        List.map
-          (fun (col, e) ->
-            match Schema.find_opt schema col with
-            | None -> fail "table %s has no column %s" name col
-            | Some i -> (i, resolve tbl e))
-          sets
+      let set (col, e) =
+        match Schema.find_opt schema col with
+        | None -> fail "table %s has no column %s" name col
+        | Some i ->
+            (i, Expr.compile ~arity:(Schema.arity schema) ~col:(fun c -> (1, c)) (resolve tbl e))
       in
-      Update { tbl; sets; access = access tbl where }
+      let access, rows = access tbl where in
+      Update { tbl; sets = List.map set sets; access; rows }
   | Sql_ast.Delete { table = name; where } ->
       let tbl = table t name in
-      Delete { tbl; access = access tbl where }
+      let access, rows = access tbl where in
+      Delete { tbl; access; rows }
   | Sql_ast.Insert _ | Sql_ast.Create_table _ | Sql_ast.Create_index _
   | Sql_ast.Drop_table _ | Sql_ast.Begin_txn | Sql_ast.Commit_txn
   | Sql_ast.Rollback_txn ->
@@ -559,31 +585,22 @@ let check_arity nparams params =
     fail "statement has %d parameter slot(s) but %d value(s) were bound" nparams
       (Array.length params)
 
-let run_select plan =
-  let tuples =
-    Obs.Span.with_ "exec" (fun () ->
-        try Exec.run_list plan
-        with Expr.Eval_error m | Exec.Exec_error m -> fail "%s" m)
-  in
-  Rows { schema = Plan.schema_of plan; tuples }
-
-(* Bind [params] into a compiled statement (skipped when there are none;
-   the compiled form itself is never changed) and run it. *)
+(* Run a compiled statement with [params] as its bound values. *)
 let run_compiled t ~sql compiled params =
-  let unbound = Array.length params = 0 in
-  let bind p = if unbound then p else Plan.bind params p in
   match compiled with
-  | Query plan -> ("select", run_select (bind plan))
-  | Update { tbl; sets; access } ->
-      let sets =
-        if unbound then sets
-        else List.map (fun (i, e) -> (i, Plan.bind_expr params e)) sets
+  | Query { exec; schema; _ } ->
+      let tuples =
+        Obs.Span.with_ "exec" (fun () ->
+            try Exec.run exec params
+            with Expr.Eval_error m | Exec.Exec_error m -> fail "%s" m)
       in
-      let result = do_update tbl ~sets (bind access) in
+      ("select", Rows { schema; tuples })
+  | Update { tbl; sets; rows; _ } ->
+      let result = do_update tbl ~sets rows params in
       log t (Wal.Exec (sql, params));
       ("update", result)
-  | Delete { tbl; access } ->
-      let result = do_delete tbl (bind access) in
+  | Delete { tbl; rows; _ } ->
+      let result = do_delete tbl rows params in
       log t (Wal.Exec (sql, params));
       ("delete", result)
 
@@ -737,25 +754,21 @@ let exec_script t stmts =
       raise e
   end
 
-let compiled_of t sql = compile t (fst (parse sql))
+let plan t sql =
+  match compile t (fst (parse sql)) with
+  | Query { plan; _ } | Update { access = plan; _ } | Delete { access = plan; _ } -> plan
 
-let explain t sql =
-  let plan =
-    match compiled_of t sql with
-    | Query plan | Update { access = plan; _ } | Delete { access = plan; _ } -> plan
-  in
-  Format.asprintf "%a" Plan.pp plan
+let explain t sql = Format.asprintf "%a" Plan.pp (plan t sql)
 
 let explain_analyze t sql params =
   let stmt, nparams = parse sql in
   check_arity nparams params;
   match compile t stmt with
-  | Query plan ->
-      let plan = Plan.bind params plan in
+  | Query { plan; _ } ->
       let read0 = rows_read t in
       let t0 = Obs.Clock.now_ns () in
       let tuples, prof =
-        try Exec.run_profiled plan
+        try Exec.run_profiled plan params
         with Expr.Eval_error m | Exec.Exec_error m -> fail "%s" m
       in
       let total_ms = Obs.Clock.since_ms t0 in

@@ -113,12 +113,15 @@ val plan_cache_stats : t -> int * int * int
 (** [(hits, misses, entries)] since creation, counted even when Obs is
     disabled. *)
 
-val explain : t -> string -> string
-(** The physical plan chosen for a SELECT, rendered as an indented tree:
-    the plan that runs, [?] slots included (an index bound that is a slot
-    prints as [?1], [?2], ...). For an UPDATE or DELETE, the access path
-    that reads the rows it changes.
+val plan : t -> string -> Plan.t
+(** The physical plan chosen for a SELECT or UNION ALL, [?] slots
+    included: the plan {!Exec.compile} turns into what runs. For an UPDATE
+    or DELETE, the access path that reads the rows it changes.
     @raise Sql_error for other statements. *)
+
+val explain : t -> string -> string
+(** {!plan} rendered as an indented tree (an index bound that is a slot
+    prints as [?1], [?2], ...). *)
 
 val explain_analyze : t -> string -> Value.t array -> string
 (** Execute the SELECT, its [?] slots bound to the values as by

@@ -5,7 +5,7 @@ type func = Length | Abs | Lower | Upper | Substr
 type t =
   | Const of Value.t
   | Col of int
-  | Param of int  (* positional ? placeholder, 0-based; bound before eval *)
+  | Param of int  (* positional ? placeholder, 0-based; read from slot 0 *)
   | Cmp of cmp * t * t
   | And of t * t
   | Or of t * t
@@ -24,16 +24,6 @@ exception Eval_error of string
 let err fmt = Printf.ksprintf (fun s -> raise (Eval_error s)) fmt
 
 let bool_v = function true -> Value.Int 1 | false -> Value.Int 0
-
-(* three-valued logic: Some b or None for unknown *)
-let to_tvl = function
-  | Value.Null -> None
-  | Value.Int 0 -> Some false
-  | Value.Int _ -> Some true
-  | Value.Float f -> Some (f <> 0.0)
-  | v -> err "expected a boolean, got %s" (Value.to_string v)
-
-let of_tvl = function None -> Value.Null | Some b -> bool_v b
 
 let like_match ~pattern s =
   (* classic recursive LIKE matcher: % = any run, _ = any single byte *)
@@ -82,80 +72,7 @@ let substr s start len =
   let from = max 1 start - 1 in
   if from >= n || len <= 0 then "" else String.sub s from (min len (n - from))
 
-let rec eval e tuple =
-  match e with
-  | Const v -> v
-  | Param i -> err "unbound parameter ?%d" (i + 1)
-  | Col i ->
-      if i < 0 || i >= Array.length tuple then
-        err "column %d out of range (arity %d)" i (Array.length tuple)
-      else tuple.(i)
-  | Cmp (op, a, b) -> begin
-      let va = eval a tuple and vb = eval b tuple in
-      if Value.is_null va || Value.is_null vb then Value.Null
-      else
-        let c = Value.compare va vb in
-        bool_v
-          (match op with
-          | Eq -> c = 0
-          | Ne -> c <> 0
-          | Lt -> c < 0
-          | Le -> c <= 0
-          | Gt -> c > 0
-          | Ge -> c >= 0)
-    end
-  | And (a, b) -> begin
-      match to_tvl (eval a tuple) with
-      | Some false -> bool_v false
-      | Some true -> of_tvl (to_tvl (eval b tuple))
-      | None -> (
-          match to_tvl (eval b tuple) with
-          | Some false -> bool_v false
-          | Some true | None -> Value.Null)
-    end
-  | Or (a, b) -> begin
-      match to_tvl (eval a tuple) with
-      | Some true -> bool_v true
-      | Some false -> of_tvl (to_tvl (eval b tuple))
-      | None -> (
-          match to_tvl (eval b tuple) with
-          | Some true -> bool_v true
-          | Some false | None -> Value.Null)
-    end
-  | Not a -> of_tvl (Option.map not (to_tvl (eval a tuple)))
-  | Arith (op, a, b) ->
-      let va = eval a tuple and vb = eval b tuple in
-      if Value.is_null va || Value.is_null vb then Value.Null
-      else num_arith op va vb
-  | Neg a -> begin
-      match eval a tuple with
-      | Value.Null -> Value.Null
-      | Value.Int i -> Value.Int (-i)
-      | Value.Float f -> Value.Float (-.f)
-      | v -> err "negation of %s" (Value.to_string v)
-    end
-  | Concat (a, b) -> begin
-      match (eval a tuple, eval b tuple) with
-      | Value.Null, _ | _, Value.Null -> Value.Null
-      | Value.Bytes x, Value.Bytes y -> Value.Bytes (x ^ y)
-      | x, y -> Value.Str (Value.to_string x ^ Value.to_string y)
-    end
-  | Is_null a -> bool_v (Value.is_null (eval a tuple))
-  | Is_not_null a -> bool_v (not (Value.is_null (eval a tuple)))
-  | Like (a, pattern) -> begin
-      match eval a tuple with
-      | Value.Null -> Value.Null
-      | Value.Str s -> bool_v (like_match ~pattern s)
-      | v -> err "LIKE on non-text value %s" (Value.to_string v)
-    end
-  | In_list (a, vs) -> begin
-      match eval a tuple with
-      | Value.Null -> Value.Null
-      | v -> bool_v (List.exists (Value.equal v) vs)
-    end
-  | Func (f, args) -> eval_func f (List.map (fun a -> eval a tuple) args)
-
-and eval_func f args =
+let eval_func f args =
   let open Value in
   match (f, args) with
   | _, args when List.exists Value.is_null args -> Null
@@ -172,8 +89,136 @@ and eval_func f args =
   | (Length | Abs | Lower | Upper | Substr), _ ->
       err "bad arguments to function"
 
-let eval_bool e tuple =
-  match to_tvl (eval e tuple) with Some b -> b | None -> false
+type frame = Tuple.t array
+
+(* SQL's three truth values, unboxed *)
+type tvl = T | F | U
+
+let tvl_of_bool b = if b then T else F
+
+let to_tvl v =
+  match v with
+  | Value.Null -> U
+  | Value.Int 0 -> F
+  | Value.Int _ -> T
+  | Value.Float f -> tvl_of_bool (f <> 0.0)
+  | v -> err "expected a boolean, got %s" (Value.to_string v)
+
+let of_tvl = function T -> bool_v true | F -> bool_v false | U -> Value.Null
+
+(* the test a comparison applies to [Value.compare]'s result *)
+let holds = function
+  | Eq -> fun c -> c = 0
+  | Ne -> fun c -> c <> 0
+  | Lt -> fun c -> c < 0
+  | Le -> fun c -> c <= 0
+  | Gt -> fun c -> c > 0
+  | Ge -> fun c -> c >= 0
+
+let compare_tvl test va vb =
+  if Value.is_null va || Value.is_null vb then U else tvl_of_bool (test (Value.compare va vb))
+
+(* The one evaluator: [e] becomes a closure over a frame. Column [i] of [e]
+   reads [f.(slot).(off)] for [(slot, off) = col i]; [?] slot [i] reads
+   [f.(0).(i)]. *)
+let rec compile ~arity ~col e : frame -> Value.t =
+  let c = compile ~arity ~col in
+  match e with
+  | Const v -> fun _ -> v
+  | Param i ->
+      fun f ->
+        let p = f.(0) in
+        if i < Array.length p then p.(i) else err "unbound parameter ?%d" (i + 1)
+  | Col i ->
+      if i < 0 || i >= arity then fun _ ->
+        err "column %d out of range (arity %d)" i arity
+      else
+        let s, o = col i in
+        fun f -> f.(s).(o)
+  | Cmp _ | And _ | Or _ | Not _ | Is_null _ | Is_not_null _ | Like _ | In_list _ ->
+      let t = compile_tvl ~arity ~col e in
+      fun f -> of_tvl (t f)
+  | Arith (op, a, b) ->
+      let a = c a and b = c b in
+      fun f ->
+        let va = a f and vb = b f in
+        if Value.is_null va || Value.is_null vb then Value.Null else num_arith op va vb
+  | Neg a -> (
+      let a = c a in
+      fun f ->
+        match a f with
+        | Value.Null -> Value.Null
+        | Value.Int i -> Value.Int (-i)
+        | Value.Float x -> Value.Float (-.x)
+        | v -> err "negation of %s" (Value.to_string v))
+  | Concat (a, b) -> (
+      let a = c a and b = c b in
+      fun f ->
+        match (a f, b f) with
+        | Value.Null, _ | _, Value.Null -> Value.Null
+        | Value.Bytes x, Value.Bytes y -> Value.Bytes (x ^ y)
+        | x, y -> Value.Str (Value.to_string x ^ Value.to_string y))
+  | Func (fn, args) ->
+      let args = List.map c args in
+      fun f -> eval_func fn (List.map (fun a -> a f) args)
+
+and compile_tvl ~arity ~col e : frame -> tvl =
+  let c = compile ~arity ~col and t = compile_tvl ~arity ~col in
+  let in_range i = i >= 0 && i < arity in
+  match e with
+  (* a column against a constant reads the frame in place *)
+  | Cmp (op, Col i, Const v) when in_range i && not (Value.is_null v) ->
+      let s, o = col i and test = holds op in
+      fun f ->
+        let x = f.(s).(o) in
+        if Value.is_null x then U else tvl_of_bool (test (Value.compare x v))
+  | Cmp (op, a, b) ->
+      let a = c a and b = c b and test = holds op in
+      fun f -> compare_tvl test (a f) (b f)
+  | And (a, b) -> (
+      let a = t a and b = t b in
+      fun f ->
+        match a f with
+        | F -> F
+        | T -> b f
+        | U -> ( match b f with F -> F | T | U -> U))
+  | Or (a, b) -> (
+      let a = t a and b = t b in
+      fun f ->
+        match a f with
+        | T -> T
+        | F -> b f
+        | U -> ( match b f with T -> T | F | U -> U))
+  | Not a -> (
+      let a = t a in
+      fun f -> match a f with T -> F | F -> T | U -> U)
+  | Is_null a | Is_not_null a ->
+      let a = c a and null = match e with Is_null _ -> true | _ -> false in
+      fun f -> tvl_of_bool (Value.is_null (a f) = null)
+  | Like (a, pattern) -> (
+      let a = c a in
+      fun f ->
+        match a f with
+        | Value.Null -> U
+        | Value.Str s -> tvl_of_bool (like_match ~pattern s)
+        | v -> err "LIKE on non-text value %s" (Value.to_string v))
+  | In_list (a, vs) -> (
+      let a = c a in
+      fun f ->
+        match a f with
+        | Value.Null -> U
+        | v -> tvl_of_bool (List.exists (Value.equal v) vs))
+  | Const _ | Param _ | Col _ | Arith _ | Neg _ | Concat _ | Func _ ->
+      let v = c e in
+      fun f -> to_tvl (v f)
+
+let compile_pred ~arity ~col e =
+  let t = compile_tvl ~arity ~col e in
+  fun f -> match t f with T -> true | F | U -> false
+
+(* over one tuple, the frame's slot 1 *)
+let eval e tu = compile ~arity:(Array.length tu) ~col:(fun i -> (1, i)) e [| [||]; tu |]
+let eval_bool e tu = compile_pred ~arity:(Array.length tu) ~col:(fun i -> (1, i)) e [| [||]; tu |]
 
 let columns e =
   let acc = ref [] in
@@ -210,7 +255,6 @@ let rec map_leaves leaf e =
   | Func (f, args) -> Func (f, List.map s args)
 
 let map_columns f = map_leaves (function Col i -> Col (f i) | e -> e)
-let subst_params f = map_leaves (function Param i -> f i | e -> e)
 
 let shift_columns off e = map_columns (fun i -> i + off) e
 

@@ -13,9 +13,9 @@ type t =
   | Col of int
   | Param of int
       (** Positional [?] placeholder (0-based). Cached plans keep their
-          parameters; each execution binds them ({!Plan.bind})
-          before the plan runs. Evaluating an unbound one raises
-          {!Eval_error}. *)
+          parameters; a compiled expression reads slot [i] of the bound
+          values in its frame's slot 0. Reading a slot with no value
+          raises {!Eval_error}. *)
   | Cmp of cmp * t * t
   | And of t * t
   | Or of t * t
@@ -36,11 +36,25 @@ type t =
 
 exception Eval_error of string
 
+type frame = Tuple.t array
+(** What a compiled expression reads: slot 0 holds the bound [?] values,
+    the other slots tuples (e.g. one per alias of a join). *)
+
+val compile : arity:int -> col:(int -> int * int) -> t -> frame -> Value.t
+(** [compile ~arity ~col e] is [e] as a closure: column [i] (below
+    [arity]) reads [f.(s).(o)] for [(s, o) = col i], [?] slot [i] reads
+    [f.(0).(i)], and a column compared with a constant reads the frame in
+    place. The closure raises {!Eval_error} on type errors (e.g.
+    arithmetic on text), a column at or above [arity] or an unbound slot. *)
+
+val compile_pred : arity:int -> col:(int -> int * int) -> t -> frame -> bool
+(** Predicate semantics: [true] iff the value is truthy and not NULL. *)
+
 val eval : t -> Tuple.t -> Value.t
-(** @raise Eval_error on type errors (e.g. arithmetic on text). *)
+(** {!compile} over one tuple, applied once, with no bound values. *)
 
 val eval_bool : t -> Tuple.t -> bool
-(** Predicate semantics: [true] iff {!eval} yields a truthy non-null value. *)
+(** {!compile_pred} over one tuple, applied once. *)
 
 val like_match : pattern:string -> string -> bool
 (** Exposed for tests. *)
@@ -50,9 +64,6 @@ val columns : t -> int list
 
 val map_columns : (int -> int) -> t -> t
 (** Rewrite every column reference. *)
-
-val subst_params : (int -> t) -> t -> t
-(** [subst_params f e] replaces every [Param i] by [f i]. *)
 
 val shift_columns : int -> t -> t
 (** Add an offset to every column reference (used when an expression over a

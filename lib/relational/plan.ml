@@ -8,7 +8,8 @@ type agg =
   | Max of Expr.t
   | Avg of Expr.t
 
-type probe_bound = { bound : Expr.t; strict : bool }
+type 'e probe_end = { bound : 'e; strict : bool }
+type probe_bound = Expr.t probe_end
 
 type scan_range =
   | Fixed of Btree.bound * Btree.bound
@@ -55,39 +56,37 @@ type t =
 
 let count n = Expr.Const (Value.Int n)
 
-let probe_range key ~lo ~hi row =
-  let prefix = Array.map (fun e -> Expr.eval e row) key in
-  let on_next v ~strict =
-    let k = Array.append prefix [| v |] in
-    if strict then Btree.Excl k else Btree.Incl k
-  in
-  let bound ~default = function
-    | None -> Some default
-    | Some { bound; strict } -> (
-        match Expr.eval bound row with
-        | Value.Null -> None
-        | v -> Some (on_next v ~strict))
-  in
-  let whole =
-    if Array.length prefix = 0 then Btree.Unbounded else Btree.Incl prefix
-  in
-  (* with no lower bound, start above NULL, which ranks lowest: [col < x] is
-     never true of a NULL column *)
-  let floor = if hi = None then whole else on_next Value.Null ~strict:true in
-  match (bound ~default:floor lo, bound ~default:whole hi) with
-  | Some lo, Some hi when not (Array.exists Value.is_null prefix) -> Some (lo, hi)
-  | _ -> None
+(* [prefix] extended by [v], as a bound *)
+let on_next prefix v ~strict =
+  let n = Array.length prefix in
+  let k = Array.make (n + 1) v in
+  Array.blit prefix 0 k 0 n;
+  if strict then Btree.Excl k else Btree.Incl k
 
-let range_bounds = function
-  | Fixed (lo, hi) -> Some (lo, hi)
-  | Probe { key; lo; hi } -> probe_range key ~lo ~hi [||]
+(* one end of a probe range; a NULL value matches nothing *)
+let probe_end eval row prefix ~default = function
+  | None -> default
+  | Some { bound; strict } -> (
+      match eval bound row with Value.Null -> raise_notrace Exit | v -> on_next prefix v ~strict)
 
-let map_bound f = Option.map (fun b -> { b with bound = f b.bound })
-
-let map_range f = function
-  | Fixed _ as r -> r
-  | Probe { key; lo; hi } ->
-      Probe { key = Array.map f key; lo = map_bound f lo; hi = map_bound f hi }
+let probe_range eval key ~lo ~hi row =
+  let n = Array.length key in
+  let prefix = Array.make n Value.Null in
+  for i = 0 to n - 1 do
+    prefix.(i) <- eval key.(i) row
+  done;
+  if Array.exists Value.is_null prefix then None
+  else
+    let whole = if n = 0 then Btree.Unbounded else Btree.Incl prefix in
+    (* with no lower bound, start above NULL, which ranks lowest: [col < x]
+       is never true of a NULL column *)
+    let floor = if Option.is_none hi then whole else on_next prefix Value.Null ~strict:true in
+    match probe_end eval row prefix ~default:floor lo with
+    | exception Exit -> None
+    | lo -> (
+        match probe_end eval row prefix ~default:whole hi with
+        | exception Exit -> None
+        | hi -> Some (lo, hi))
 
 let map_agg f = function
   | Count_star -> Count_star
@@ -96,55 +95,6 @@ let map_agg f = function
   | Min e -> Min (f e)
   | Max e -> Max (f e)
   | Avg e -> Avg (f e)
-
-let rec map_exprs f p =
-  let m = map_exprs f in
-  let named = Array.map (fun (e, name) -> (f e, name)) in
-  match p with
-  | Seq_scan _ -> p
-  | Index_scan s -> Index_scan { s with range = map_range f s.range }
-  | Filter (e, input) -> Filter (f e, m input)
-  | Project (cols, input) -> Project (named cols, m input)
-  | Nl_join j ->
-      Nl_join { outer = m j.outer; inner = m j.inner; pred = Option.map f j.pred }
-  | Index_nl_join j ->
-      Index_nl_join
-        {
-          j with
-          outer = m j.outer;
-          key = Array.map f j.key;
-          lo = map_bound f j.lo;
-          hi = map_bound f j.hi;
-          residual = Option.map f j.residual;
-          cap = Option.map f j.cap;
-        }
-  | Hash_join j ->
-      Hash_join
-        { j with left = m j.left; right = m j.right; residual = Option.map f j.residual }
-  | Sort s -> Sort { input = m s.input; keys = List.map (fun (e, o) -> (f e, o)) s.keys }
-  | Distinct input -> Distinct (m input)
-  | Aggregate a ->
-      Aggregate
-        {
-          input = m a.input;
-          group_by = named a.group_by;
-          aggs = Array.map (fun (g, name) -> (map_agg f g, name)) a.aggs;
-        }
-  | Limit l ->
-      Limit
-        {
-          input = m l.input;
-          limit = Option.map f l.limit;
-          offset = f l.offset;
-          by = Array.map f l.by;
-        }
-  | Union_all branches -> Union_all (List.map m branches)
-
-let bind_expr params =
-  Expr.subst_params (fun i ->
-      if i < Array.length params then Expr.Const params.(i) else Expr.Param i)
-
-let bind params p = map_exprs (bind_expr params) p
 
 let expr_type schema (e : Expr.t) : Value.ty =
   let rec go = function
@@ -226,14 +176,18 @@ let label = function
   | Seq_scan t -> "SeqScan " ^ Table.name t
   | Index_scan { table; index; range; reverse } ->
       (* a parameter shows as its slot: ?1, ?2, ... *)
-      let shown =
-        map_range
-          (Expr.subst_params (fun i ->
-               Expr.Const (Value.Str (Printf.sprintf "?%d" (i + 1)))))
-          range
+      let shown e () =
+        match e with
+        | Expr.Param i -> Value.Str (Printf.sprintf "?%d" (i + 1))
+        | e -> Expr.eval e [||]
+      in
+      let range =
+        match range with
+        | Fixed (lo, hi) -> Some (lo, hi)
+        | Probe { key; lo; hi } -> probe_range shown key ~lo ~hi ()
       in
       Printf.sprintf "IndexScan %s.%s %s%s" (Table.name table) index.Table.idx_name
-        (match range_bounds shown with
+        (match range with
         | Some (lo, hi) -> bound_str lo ^ " .. " ^ bound_str hi
         | None -> "empty")
         (if reverse then " DESC" else "")

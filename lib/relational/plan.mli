@@ -10,10 +10,13 @@ type agg =
   | Max of Expr.t
   | Avg of Expr.t
 
-type probe_bound = { bound : Expr.t; strict : bool }
-(** One end of an index probe's range, an expression (over the outer row
-    for a join probe, over constants and parameters for a scan); [strict]
-    excludes the bound itself. *)
+type 'e probe_end = { bound : 'e; strict : bool }
+(** One end of an index probe's range; [strict] excludes the bound
+    itself. *)
+
+type probe_bound = Expr.t probe_end
+(** An end given as an expression: over the outer row for a join probe,
+    over constants and parameters for a scan. *)
 
 type scan_range =
   | Fixed of Btree.bound * Btree.bound
@@ -85,37 +88,24 @@ val count : int -> Expr.t
 (** The constant row count [n], for {!Limit} and a probe cap. *)
 
 val probe_range :
-  Expr.t array ->
-  lo:probe_bound option ->
-  hi:probe_bound option ->
-  Tuple.t ->
+  ('e -> 'r -> Value.t) ->
+  'e array ->
+  lo:'e probe_end option ->
+  hi:'e probe_end option ->
+  'r ->
   (Btree.bound * Btree.bound) option
-(** [probe_range key ~lo ~hi row] is the B+-tree range of an index access,
-    with [key], [lo] and [hi] evaluated over [row]: the key values equal the
-    leading key columns, and the next key column lies within [lo] and [hi]
-    (strict bounds exclude their value). [None] when a key value or a bound
-    is NULL, which matches nothing. With no lower bound the range starts
-    above NULL. Index scans call it when they open, over their bound
-    constants (with [row = [||]]); index nested-loop joins once per outer
-    row. *)
-
-val range_bounds : scan_range -> (Btree.bound * Btree.bound) option
-(** The B+-tree range of an index scan: a [Fixed] range as it is, a [Probe]
-    through {!probe_range}. *)
+(** [probe_range eval key ~lo ~hi row] is the B+-tree range of an index
+    access, with [key], [lo] and [hi] evaluated over [row] by [eval]: the
+    key values equal the leading key columns, and the next key column lies
+    within [lo] and [hi] (strict bounds exclude their value). [None] when a
+    key value or a bound is NULL, which matches nothing. With no lower
+    bound the range starts above NULL. The executor applies it to compiled
+    expressions when an index scan opens and once per outer row of an index
+    nested-loop join; EXPLAIN applies {!Expr.eval} to a scan's
+    constants, showing a [?] slot as its number. *)
 
 val map_agg : (Expr.t -> Expr.t) -> agg -> agg
 (** Rewrite the aggregate's argument. *)
-
-val bind_expr : Value.t array -> Expr.t -> Expr.t
-(** [bind_expr params e] replaces every [Expr.Param i] in [e] by the
-    constant [params.(i)]. A slot without a value stays a parameter, which
-    fails when evaluated. *)
-
-val bind : Value.t array -> t -> t
-(** [bind params plan] is [plan] with every [Expr.Param i] replaced by the
-    constant [params.(i)] ({!bind_expr} over every expression): a new
-    plan, [plan] itself is left as it was, so a cached plan serves every
-    binding. *)
 
 val schema_of : t -> Schema.t
 (** Output schema of a plan. Column types for computed expressions are

@@ -882,7 +882,7 @@ let table_access table pred =
       let scan, residual, _ = choose_access table cs in
       with_filter scan residual
 
-let table_candidates table pred = Exec.rows_with_ids (table_access table pred)
+let table_candidates table pred = List.to_seq (Exec.rows_with_ids (table_access table pred) [||])
 
 let access_path_description table pred =
   let scan = function

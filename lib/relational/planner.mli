@@ -46,10 +46,9 @@ val table_access : Table.t -> Expr.t option -> Plan.t
 
 val table_candidates : Table.t -> Expr.t option -> (int * Tuple.t) Seq.t
 (** Rows (with ids) of the table satisfying the predicate, read through
-    {!table_access}; no rows, and none read, for a contradiction. The
-    caller must materialize the sequence before mutating the table.
-    @raise Expr.Eval_error when forcing the sequence evaluates a failing
-    predicate. *)
+    {!table_access}; no rows, and none read, for a contradiction. The rows
+    are read before the call returns.
+    @raise Expr.Eval_error when the predicate fails on a row. *)
 
 val access_path_description : Table.t -> Expr.t option -> string
 (** Human-readable description of the access path {!table_candidates} would

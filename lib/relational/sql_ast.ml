@@ -39,11 +39,20 @@ type select = {
          distinct key; empty for a plain LIMIT *)
 }
 
+(* A trailing ORDER BY, LIMIT or OFFSET applies to the whole compound;
+   ORDER BY names output columns. *)
+type compound = {
+  branches : select list;
+  c_order_by : (sexpr * order_dir) list;
+  c_limit : sexpr option;
+  c_offset : sexpr option;
+}
+
 type column_def = { cd_name : string; cd_type : Value.ty; cd_not_null : bool }
 
 type stmt =
   | Select of select
-  | Union_all of select list  (* SELECT ... UNION ALL SELECT ... *)
+  | Union_all of compound  (* SELECT ... UNION ALL SELECT ... *)
   | Insert of { table : string; columns : string list option; values : sexpr list list }
   | Update of { table : string; sets : (string * sexpr) list; where : sexpr option }
   | Delete of { table : string; where : sexpr option }

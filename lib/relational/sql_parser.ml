@@ -482,7 +482,17 @@ let parse_stmt st =
       | qs ->
           if List.exists (fun q -> q.limit_by <> []) qs then
             fail "LIMIT BY cannot be combined with UNION ALL";
-          Union_all qs
+          let last = List.nth qs (List.length qs - 1) in
+          let branches = List.filteri (fun i _ -> i < List.length qs - 1) qs in
+          if List.exists (fun q -> q.order_by <> [] || q.limit <> None || q.offset <> None) branches
+          then fail "ORDER BY and LIMIT of a UNION ALL follow its last SELECT";
+          Union_all
+            {
+              branches = branches @ [ { last with order_by = []; limit = None; offset = None } ];
+              c_order_by = last.order_by;
+              c_limit = last.limit;
+              c_offset = last.offset;
+            }
     end
   | Sql_lexer.Kw "INSERT" -> parse_insert st
   | Sql_lexer.Kw "UPDATE" -> parse_update st

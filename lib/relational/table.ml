@@ -234,6 +234,20 @@ let update t rowid tuple = update_rows t [ (rowid, tuple) ]
 
 let row_count t = t.live
 
+let iter t ~stop f =
+  let n = Vec.length t.slots in
+  let rec go i =
+    if i < n && not !stop then begin
+      (match Vec.get t.slots i with
+      | None -> ()
+      | Some tuple ->
+          t.reads <- t.reads + 1;
+          f i tuple);
+      go (i + 1)
+    end
+  in
+  go 0
+
 let scan t =
   Seq.filter_map
     (fun (i, slot) ->

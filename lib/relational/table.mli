@@ -63,9 +63,13 @@ val get : t -> int -> Tuple.t option
 val row_count : t -> int
 (** Live rows. *)
 
-val scan : t -> (int * Tuple.t) Seq.t
+val iter : t -> stop:bool ref -> (int -> Tuple.t -> unit) -> unit
 (** All live rows with their ids, in slot order (not a meaningful order —
-    relations are unordered; ordered access goes through an index). *)
+    relations are unordered; ordered access goes through an index), pushed
+    to [f]; no row is read once [!stop] holds. *)
+
+val scan : t -> (int * Tuple.t) Seq.t
+(** The rows {!iter} pushes, read lazily. *)
 
 val index_key : index -> rowid:int -> Tuple.t -> Tuple.t
 (** The B+-tree key this index stores for the given row. *)

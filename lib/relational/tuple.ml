@@ -17,8 +17,6 @@ let equal a b = compare_key a b = 0
 
 let hash_key t = Array.fold_left (fun acc v -> (acc * 31) + Value.hash v) 17 t
 
-let concat = Array.append
-
 let to_string t =
   String.concat "|" (Array.to_list (Array.map Value.to_string t))
 

@@ -14,8 +14,6 @@ val equal : t -> t -> bool
 
 val hash_key : t -> int
 
-val concat : t -> t -> t
-
 val to_string : t -> string
 (** Pipe-separated rendering used by tests and the experiment harness. *)
 

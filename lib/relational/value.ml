@@ -47,12 +47,21 @@ let compare a b =
 
 let equal a b = compare a b = 0
 
+(* Numbers hash by the bits of their float image, as [compare] compares an
+   int with a float, so [Int n] and [Float n.0] agree; all NaNs are equal,
+   and so are [-0.0] and [0.0]. Nothing here allocates. *)
+let[@inline] hash_float x =
+  if Float.is_nan x then 0x7ff8
+  else
+    (* the low 63 bits: a float and its negation may collide *)
+    Hashtbl.hash (Int64.to_int (Int64.bits_of_float (x +. 0.0)))
+
 let hash = function
   | Null -> 0
-  | Int x -> Hashtbl.hash (float_of_int x)
-  | Float x -> Hashtbl.hash x
+  | Int x -> hash_float (float_of_int x)
+  | Float x -> hash_float x
   | Str s -> Hashtbl.hash s
-  | Bytes s -> Hashtbl.hash ("B" ^ s)
+  | Bytes s -> Hashtbl.seeded_hash 1 s
 
 let is_null = function Null -> true | Int _ | Float _ | Str _ | Bytes _ -> false
 

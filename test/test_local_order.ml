@@ -255,10 +255,10 @@ let test_cache_is_per_call () =
   check Alcotest.int "after a raising query, same statements" before (stmts good)
 
 (* GLOBAL and DEWEY order without parent chains and allocate no cache. Q1
-   allocates 5,994 (GLOBAL) and 5,983 (DEWEY) minor words per call, one
-   word more than before the cache existed (the state's [None] field); the
-   smallest cache is two 64-bucket tables, over 130 words. *)
-let max_q1_words = 6_050.
+   allocates about 1,980 (GLOBAL) and 1,950 (DEWEY) minor words per call
+   with compiled plans; the bound is 10 % above that, and the smallest
+   cache is two 64-bucket tables, over 130 words. *)
+let max_q1_words = 2_180.
 
 let test_no_cache_outside_local () =
   let _, stores = stores_of (O.Workload.dataset ~scale:1) in
@@ -280,6 +280,36 @@ let test_no_cache_outside_local () =
           (O.Encoding.name enc) words max_q1_words)
     [ O.Encoding.Global; O.Encoding.Dewey_enc ]
 
+(* Minor words the engine allocates per row it reads, running the one
+   GLOBAL statement of Q2 (bidder[1]) and of Q4 (a position() range) from
+   the plan cache: about 43 and 37 with compiled plans, about 199 with the
+   pull interpreter; the bound is 25 % above the larger. *)
+let max_words_per_row = 54.
+
+let test_exec_words_per_row () =
+  let db, stores = stores_of (O.Workload.dataset ~scale:1) in
+  let store = List.assoc O.Encoding.Global stores in
+  List.iter
+    (fun xpath ->
+      match
+        O.Translate.compile ~doc:(O.Api.Store.name store) O.Encoding.Global
+          (O.Xpath_parser.parse_union xpath)
+      with
+      | [ [ O.Translate.Run r ] ] ->
+          let run () = ignore (Reldb.Db.query_params db r.O.Translate.sql r.O.Translate.params) in
+          run ();
+          let w0 = Gc.minor_words () and r0 = Reldb.Db.rows_read db in
+          run ();
+          let per_row = (Gc.minor_words () -. w0) /. float_of_int (Reldb.Db.rows_read db - r0) in
+          if per_row > max_words_per_row then
+            Alcotest.failf "%s: %.1f minor words per row read (limit %.0f)" xpath per_row
+              max_words_per_row
+      | _ -> Alcotest.failf "%s: not one statement" xpath)
+    [
+      "/site/open_auctions/open_auction/bidder[1]";
+      "/site/open_auctions/open_auction/bidder[position() >= 2 and position() <= 4]";
+    ]
+
 let tests =
   ( "local-order",
     [
@@ -291,5 +321,6 @@ let tests =
       Alcotest.test_case "cache is per call" `Quick test_cache_is_per_call;
       Alcotest.test_case "no cache outside LOCAL" `Quick
         test_no_cache_outside_local;
+      Alcotest.test_case "engine words per row read" `Quick test_exec_words_per_row;
       QCheck_alcotest.to_alcotest prop_doc_order_axes;
     ] )

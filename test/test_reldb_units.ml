@@ -331,11 +331,53 @@ let test_expr_columns_shift () =
   check (Alcotest.list int_t) "conjuncts" [ 2 ]
     (List.map (fun _ -> 2) (Reldb.Expr.conjuncts e) |> List.sort_uniq compare)
 
+(* [Value.equal a b] implies [Value.hash a = Value.hash b], across the
+   cases where equal values differ in representation: [Int n] and
+   [Float n.0] (ints beyond 2^53 included), [-0.0] and [0.0], NaNs *)
+let prop_hash_consistent =
+  let gen_value =
+    QCheck.Gen.(
+      oneof
+        [
+          map (fun i -> V.Int i) (int_range (-5) 5);
+          map (fun i -> V.Int i) int;
+          map (fun i -> V.Float (float_of_int i)) (int_range (-5) 5);
+          map (fun f -> V.Float f) float;
+          oneofl [ V.Float 0.0; V.Float (-0.0); V.Float nan; V.Float (-.nan); V.Null ];
+          map (fun s -> V.Str s) (string_size (int_range 0 3));
+          map (fun s -> V.Bytes s) (string_size (int_range 0 3));
+        ])
+  in
+  (* the second value is often the first's numeric twin *)
+  let twin = function
+    | V.Int i -> V.Float (float_of_int i)
+    | V.Float f when Float.is_integer f && Float.abs f < 1e18 -> V.Int (int_of_float f)
+    | V.Float f -> V.Float (-.f)
+    | v -> v
+  in
+  let gen =
+    QCheck.Gen.(
+      gen_value >>= fun a -> map (fun b -> (a, b)) (oneof [ gen_value; return (twin a) ]))
+  in
+  QCheck.Test.make ~name:"equal values hash alike" ~count:2000
+    (QCheck.make ~print:(fun (a, b) -> V.to_sql_literal a ^ ", " ^ V.to_sql_literal b) gen)
+    (fun (a, b) -> (not (V.equal a b)) || V.hash a = V.hash b)
+
+(* ... and spreads values that differ: a hash table of ids must not keep
+   them in one bucket *)
+let test_hash_spread () =
+  let distinct l = List.length (List.sort_uniq compare (List.map V.hash l)) in
+  check int_t "ints" 100 (distinct (List.init 100 (fun i -> V.Int (1000 + (37 * i)))));
+  check int_t "floats" 100 (distinct (List.init 100 (fun i -> V.Float (0.5 +. float_of_int i))));
+  check int_t "strings" 100 (distinct (List.init 100 (fun i -> V.Str (string_of_int i))))
+
 let tests =
   ( "reldb-units",
     [
       Alcotest.test_case "value ordering" `Quick test_value_order;
       Alcotest.test_case "value hashing" `Quick test_value_hash_consistent;
+      QCheck_alcotest.to_alcotest prop_hash_consistent;
+      Alcotest.test_case "value hashes spread" `Quick test_hash_spread;
       Alcotest.test_case "value literals" `Quick test_value_literals;
       Alcotest.test_case "type names" `Quick test_ty_names;
       Alcotest.test_case "schema lookup" `Quick test_schema_lookup;

@@ -394,6 +394,49 @@ let test_union_all () =
   | exception D.Sql_error _ -> ()
   | _ -> Alcotest.fail "arity mismatch accepted"
 
+(* A trailing ORDER BY, LIMIT or OFFSET belongs to the whole UNION ALL;
+   on an earlier branch it is an error. *)
+let test_union_tail () =
+  let db = fresh () in
+  e db "CREATE TABLE t (a INT)";
+  e db "INSERT INTO t VALUES (NULL), (3), (1)";
+  let values sql =
+    List.map (function [| V.Int i |] -> Some i | _ -> None) (D.query db sql)
+  in
+  check int_t "LIMIT over the compound" 2
+    (List.length (D.query db "SELECT a FROM t UNION ALL SELECT a FROM t LIMIT 2"));
+  check bool_t "LIMIT above UnionAll" true
+    (Astring_contains.contains
+       (D.explain db "SELECT a FROM t UNION ALL SELECT a FROM t LIMIT 2")
+       "Limit 2 offset 0\n  UnionAll");
+  check
+    (Alcotest.list (Alcotest.option int_t))
+    "ORDER BY sorts the compound"
+    [ None; None; Some 1; Some 1; Some 3; Some 3 ]
+    (values "SELECT a FROM t UNION ALL SELECT a FROM t ORDER BY a");
+  check
+    (Alcotest.list (Alcotest.option int_t))
+    "ORDER BY DESC, LIMIT ? OFFSET ?" [ Some 3; Some 1 ]
+    (List.map
+       (function [| V.Int i |] -> Some i | _ -> None)
+       (D.query_params db "SELECT a FROM t UNION ALL SELECT a FROM t ORDER BY a DESC LIMIT ? OFFSET ?"
+          [| V.Int 2; V.Int 1 |]));
+  (* a later branch is not opened once the LIMIT is met *)
+  D.reset_counters db;
+  ignore (D.query db "SELECT a FROM t UNION ALL SELECT a FROM t LIMIT 3");
+  check int_t "second branch unread" 3 (D.rows_read db);
+  List.iter
+    (fun sql ->
+      match D.query db sql with
+      | _ -> Alcotest.failf "accepted: %s" sql
+      | exception D.Sql_error _ -> ())
+    [
+      "SELECT a FROM t ORDER BY a DESC LIMIT 1 UNION ALL SELECT a FROM t";
+      "SELECT a FROM t LIMIT 1 UNION ALL SELECT a FROM t";
+      "SELECT a FROM t UNION ALL SELECT a FROM t ORDER BY b";
+      "SELECT a FROM t UNION ALL SELECT a FROM t ORDER BY t.a";
+    ]
+
 let test_transactions () =
   let db = fresh () in
   setup_emp db;
@@ -1399,6 +1442,7 @@ let tests =
       Alcotest.test_case "insert column list" `Quick test_insert_columns;
       Alcotest.test_case "HAVING" `Quick test_having;
       Alcotest.test_case "UNION ALL" `Quick test_union_all;
+      Alcotest.test_case "UNION ALL ORDER BY and LIMIT" `Quick test_union_tail;
       Alcotest.test_case "transactions" `Quick test_transactions;
       Alcotest.test_case "index selection" `Quick test_index_selection;
       Alcotest.test_case "sort elimination" `Quick test_sort_elimination;
