@@ -12,13 +12,18 @@ test:
 
 # static analysis smoke test: every compiled run of a query must lint clean
 # (an axis outside the encoding's join table is a middle-tier step, a note,
-# not an error), a hand-written SQL statement goes through the same rules,
+# not an error), Q5's derived table lints on every encoding, a hand-written
+# SQL statement goes through the same rules,
 # and every example query lints without error findings both blind and
 # schema-aware.
 lint:
 	$(OXQ) lint '/catalog/book[author]/title'
 	$(OXQ) lint -e local '//title'
 	$(OXQ) lint -e dewey '/catalog/book/title/following::title'
+	@set -e; for e in global global-gap local dewey ordpath; do \
+	  echo "lint -e $$e: Q5"; \
+	  $(OXQ) lint -e $$e '/site/open_auctions/open_auction/bidder[1]/following-sibling::bidder' >/dev/null; \
+	done
 	$(OXQ) lint --sql 'SELECT a.id FROM doc_global a, doc_global b WHERE a.parent = b.id'
 	@set -e; while IFS= read -r q; do \
 	  case "$$q" in ''|\#*) continue;; esac; \

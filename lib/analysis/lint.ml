@@ -169,39 +169,40 @@ let make_converter () =
 (* ------------------------------------------------------------------ *)
 
 (* alias resolution for a column reference: a qualifier names its FROM
-   alias; an unqualified name resolves when only one FROM table could own
-   it (trivially with one table, via the catalog schemas otherwise) *)
-let make_resolver ?catalog (from : (string * string option) list) =
-  let aliases =
-    List.map (fun (tn, al) -> norm (Option.value al ~default:tn)) from
+   alias; an unqualified name resolves when only one FROM item could own
+   it (trivially with one item, via the catalog schemas and a derived
+   table's item names otherwise) *)
+let make_resolver ?catalog (from : S.from_item list) =
+  let aliases = List.map (fun i -> norm (S.from_alias i)) from in
+  let owns cat n = function
+    | S.Base (tn, _) -> (
+        match Reldb.Catalog.find_table cat tn with
+        | None -> false
+        | Some t -> Reldb.Schema.find_opt (Reldb.Table.schema t) n <> None)
+    | S.Derived (q, _) ->
+        List.exists
+          (function
+            | S.Star -> true
+            | S.Item (_, Some a) | S.Item (S.E_col (_, a), None) -> norm a = n
+            | S.Item _ -> false)
+          q.S.items
   in
   fun q n ->
     match q with
     | Some q -> if List.mem q aliases then Some q else None
     | None -> (
         match from with
-        | [ (tn, al) ] -> Some (norm (Option.value al ~default:tn))
+        | [ item ] -> Some (norm (S.from_alias item))
         | _ -> (
             match catalog with
             | None -> None
             | Some cat -> (
-                let owners =
-                  List.filter_map
-                    (fun (tn, al) ->
-                      match Reldb.Catalog.find_table cat tn with
-                      | None -> None
-                      | Some t ->
-                          Option.map
-                            (fun _ -> norm (Option.value al ~default:tn))
-                            (Reldb.Schema.find_opt (Reldb.Table.schema t) n))
-                    from
-                in
-                match owners with [ a ] -> Some a | _ -> None)))
+                match List.filter (owns cat n) from with
+                | [ item ] -> Some (norm (S.from_alias item))
+                | _ -> None)))
 
-let lint_cartesian ~resolve (from : (string * string option) list) where add =
-  let aliases =
-    List.map (fun (tn, al) -> norm (Option.value al ~default:tn)) from
-  in
+let lint_cartesian ~resolve (from : S.from_item list) where add =
+  let aliases = List.map (fun i -> norm (S.from_alias i)) from in
   if List.length aliases >= 2 then begin
     let parent = Hashtbl.create 8 in
     List.iter (fun a -> Hashtbl.replace parent a a) aliases;
@@ -308,16 +309,15 @@ let lint_degenerate where add =
           | _ -> ())
         w
 
-let lint_unsargable ?catalog ~resolve (from : (string * string option) list)
-    where add =
+let lint_unsargable ?catalog ~resolve (from : S.from_item list) where add =
   match (catalog, where) with
   | Some cat, Some w ->
       let table_of_alias alias =
         List.find_map
-          (fun (tn, al) ->
-            if norm (Option.value al ~default:tn) = alias then
-              Reldb.Catalog.find_table cat tn
-            else None)
+          (function
+            | S.Base (tn, _) as item when norm (S.from_alias item) = alias ->
+                Reldb.Catalog.find_table cat tn
+            | _ -> None)
           from
       in
       let check_side conj wrapped other =
@@ -384,7 +384,7 @@ let lint_distinct ?catalog (sel : S.select) add =
     end
     else
       match (catalog, sel.S.from) with
-      | Some cat, [ (tname, _) ] -> (
+      | Some cat, [ S.Base (tname, _) ] -> (
           match Reldb.Catalog.find_table cat tname with
           | None -> ()
           | Some table -> (
@@ -423,7 +423,7 @@ let lint_distinct ?catalog (sel : S.select) add =
 (* Entry point                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let lint_select ?catalog (sel : S.select) =
+let rec lint_select ?catalog (sel : S.select) =
   let acc = ref [] in
   let add f = acc := f :: !acc in
   let resolve = make_resolver ?catalog sel.S.from in
@@ -435,11 +435,14 @@ let lint_select ?catalog (sel : S.select) =
   lint_unsargable ?catalog ~resolve sel.S.from sel.S.where add;
   lint_distinct ?catalog sel add;
   List.rev !acc
+  @ List.concat_map
+      (function S.Derived (q, _) -> lint_select ?catalog q | S.Base _ -> [])
+      sel.S.from
 
 let lint_dml ?catalog ~table where =
   let acc = ref [] in
   let add f = acc := f :: !acc in
-  let from = [ (table, None) ] in
+  let from = [ S.Base (table, None) ] in
   let resolve = make_resolver ?catalog from in
   let to_e = make_converter () in
   lint_conjunct_semantics to_e where add;

@@ -226,35 +226,74 @@ let position axis (p : A.predicate) =
           (reverse, lo - 1, if hi < lo then 0 else hi - lo + 1))
         (range p)
 
-(* How many leading steps one statement holds, from the root or from a
-   context relation: steps [step_lowers] accepts while no join fans out,
-   the last of them possibly with one positional predicate. LOCAL orders
-   such a statement only along a child chain from the root (its sibling
-   orders, from the root down); any other LOCAL statement holds one step, so
-   that each step's rows stay in the parent-chain cache for the final
-   sort. *)
-let run_length enc ~from_root (steps : A.step list) =
+let is_sibling = function A.Following_sibling | A.Preceding_sibling -> true | _ -> false
+
+(* A run as the statements it nests: every block but the last is the
+   derived table the next one reads. [b_tail]: the positional predicate of
+   the block's last step (see [position]), lowered as ORDER BY ... LIMIT ?
+   OFFSET ? BY; [b_distinct]: the block's rows are made unique. *)
+type block = { b_steps : A.step list; b_tail : (bool * int * int) option; b_distinct : bool }
+
+(* The leading steps one statement holds, from the root or from a context
+   relation, as the blocks of derived tables and the last block: steps
+   [step_lowers] accepts, each with at most one
+   positional predicate. A positional step followed by more steps ends a
+   block; one after a join that can reach a row twice first ends a
+   DISTINCT block, so that a position counts unique rows. Without [nest]
+   the statement is one block: a positional step ends it, and one after
+   such a join is left to the next segment. LOCAL orders a statement only
+   along a child chain from the root (its sibling orders, from the root
+   down), which with [nest] a sibling step may close as the path's last
+   step; any other LOCAL statement holds one step, so that each step's
+   rows stay in the parent-chain cache for the final sort. *)
+let blocks enc ~nest ~from_root (steps : A.step list) =
   let chain = from_root && (List.hd steps).A.axis = A.Child in
-  let rec go i fans = function
-    | [] -> i
+  let close cur ~tail ~distinct = { b_steps = List.rev cur; b_tail = tail; b_distinct = distinct } in
+  (* [cur]: the open block, reversed; [pending]: the position on its last
+     step, and whether the block's rows can repeat; [single]: the last step
+     kept at most one child per context, so its rows have distinct parents
+     and a sibling step reaches each row once *)
+  let rec go i acc cur fans pending single steps =
+    let stop () = (List.rev acc, close cur ~tail:(Option.map fst pending) ~distinct:(pending = None && fans)) in
+    match steps with
+    | [] -> stop ()
     | (s : A.step) :: rest -> (
         let lead = i = 0 in
         let ok =
-          (enc <> Encoding.Local || lead || (chain && List.mem s.A.axis [ A.Child; A.Attribute ]))
-          && not (lead && s.A.axis = A.Self)
+          (enc <> Encoding.Local || lead
+          || (chain && (List.mem s.A.axis [ A.Child; A.Attribute ] || (nest && is_sibling s.A.axis && rest = []))))
+          && (not (lead && s.A.axis = A.Self))
+          && (nest || pending = None)
         in
         let lowers = step_lowers enc ~lead:(lead && from_root) in
-        match s.A.preds with
-        | [ p ] when position s.A.axis p <> None ->
+        let fans = Option.fold pending ~none:fans ~some:snd in
+        let fan = if single && is_sibling s.A.axis then List.exists pred_fans s.A.preds else step_fans ~lead s in
+        let cut acc cur =
+          match pending with
+          | Some (tail, _) -> (close cur ~tail:(Some tail) ~distinct:false :: acc, [])
+          | None -> (acc, cur)
+        in
+        match List.map (position s.A.axis) s.A.preds with
+        | [ Some pos ] ->
             if
-              ok && (not fans) && s.A.axis <> A.Self
+              ok && (nest || not fans) && s.A.axis <> A.Self
               && lowers { s with A.preds = [] }
               && not (enc = Encoding.Local && lead && from_root && s.A.axis <> A.Child)
-            then i + 1
-            else i
-        | _ -> if ok && lowers s then go (i + 1) (fans || step_fans ~lead s) rest else i)
+            then
+              let acc, cur = cut acc cur in
+              let acc, cur = if fans then (close cur ~tail:None ~distinct:true :: acc, []) else (acc, cur) in
+              let one = match s.A.preds with [ A.P_pos (A.Eq, _) | A.P_last ] -> true | _ -> false in
+              go (i + 1) acc (s :: cur) false (Some (pos, fan)) (one && s.A.axis = A.Child) rest
+            else stop ()
+        | _ ->
+            if ok && lowers s then
+              let acc, cur = cut acc cur in
+              go (i + 1) acc (s :: cur) (fans || fan) None false rest
+            else stop ())
   in
-  go 0 false steps
+  go 0 [] [] false None false steps
+
+let block_steps (derived, last) = List.concat_map (fun b -> b.b_steps) derived @ last.b_steps
 
 (* ------------------------------------------------------------------ *)
 (* Lowering a run to one statement                                     *)
@@ -334,122 +373,154 @@ type run = {
   sql : string;
   params : V.t array;
   from_root : bool;
-  chain : string list;
+  chain : (string * string) list;
   tail : bool;
   sorted : bool;
   keeps_chain : bool;
+  derived : run option;
 }
 
 type segment = Run of run | Step of A.step
 
-(* [steps] (a run, see run_length) as one statement over the edge table:
-   from the root, or else from the context relation (alias c, whose id is
-   selected last). Rows are unique and come in document order, by an ORDER
-   BY when [sort], from the root along a child chain, or under GLOBAL and
-   DEWEY by the result's order column behind a DISTINCT. A positional
-   predicate on the last step sorts by the chain's order columns and keeps
-   LIMIT ? OFFSET ? rows per context. [keep_chain]: the rows of the chain's
-   earlier steps follow the result's columns. *)
-let lower ~from_root ~sort ~keep_chain enc ~table steps =
-  let from = if from_root then [] else [ (Node_row.ctx_relation enc).Node_row.rel_name ^ " c" ] in
-  let g = { g_enc = enc; g_table = table; from; conds = []; params = []; count = 0 } in
-  let pos =
-    match List.rev steps with
-    | { A.axis; preds = [ p ]; _ } :: _ -> position axis p
-    | _ -> None
-  in
-  let n = List.length steps in
-  let chain =
-    List.fold_left
-      (fun (prev, chain, i) (s : A.step) ->
-        let s = if i = n - 1 && pos <> None then { s with A.preds = [] } else s in
-        match prev with
-        | Some p ->
-            let a = lower_step g ~prev:p s in
-            (Some a, (if a = p then chain else a :: chain), i + 1)
-        | None ->
-            let a = new_alias g in
-            add g (a ^ if s.A.axis = A.Child then ".parent IS NULL" else ".kind <> 2");
-            add g (test_cond a A.Child s.A.test);
-            List.iter (lower_pred g ~ctx:a) s.A.preds;
-            (Some a, [ a ], i + 1))
-      ((if from_root then None else Some "c"), [], 0) steps
-    |> fun (_, chain, _) -> List.rev chain
-  in
-  let result = List.nth chain (List.length chain - 1) in
-  let ordered =
-    from_root
-    && (List.for_all (fun (s : A.step) -> List.mem s.A.axis [ A.Child; A.Attribute; A.Self ]) steps
-       || (enc <> Encoding.Local && pos = None))
-  in
-  let col a = a ^ "." ^ Encoding.order_col enc in
-  (* LOCAL's sibling orders from the root down; a global order needs only
-     the previous alias's *)
-  let by_chain =
-    String.concat ", "
-      (List.map col
-         (match List.rev chain with
-         | e :: p :: _ when enc <> Encoding.Local -> [ p; e ]
-         | _ -> chain))
-  in
-  let tail =
-    match pos with
-    | Some (desc, offset, limit) ->
-        (* per context row: a run from a context relation can reach one
-           row of [p] from several *)
-        let by =
-          List.map (fun a -> a ^ ".id")
-            ((if from_root then [] else [ "c" ]) @ match List.rev chain with _ :: p :: _ -> [ p ] | _ -> [])
-        in
-        let limit = value g (V.Int limit) in
-        let offset = value g (V.Int offset) in
-        String.concat ""
-          [ " ORDER BY "; by_chain; (if desc then " DESC" else ""); " LIMIT "; limit;
-            " OFFSET "; offset; (if by = [] then "" else " BY " ^ String.concat ", " by) ]
-    | None when ordered && sort ->
-        " ORDER BY " ^ if enc = Encoding.Local then by_chain else col result
-    | None -> ""
-  in
-  let distinct =
-    pos = None && List.exists Fun.id (List.mapi (fun i s -> step_fans ~lead:(i = 0) s) steps)
-  in
-  let cols =
-    List.map (Node_row.select_list enc)
-      (result :: (if keep_chain then List.tl (List.rev chain) else []))
-    @ if from_root then [] else [ "c.id" ]
-  in
-  {
-    steps;
-    sql =
-      String.concat ""
-        [ "SELECT "; (if distinct then "DISTINCT " else ""); String.concat ", " cols;
-          " FROM "; String.concat ", " (List.rev g.from);
-          " WHERE "; String.concat " AND " (List.rev g.conds); tail ];
-    params = Array.of_list (List.rev g.params);
-    from_root;
-    chain;
-    tail = pos <> None;
-    sorted = ordered && tail <> "";
-    keeps_chain = keep_chain;
-  }
+let init l = List.filteri (fun i _ -> i < List.length l - 1) l
 
-(* The one segmentation: each maximal run (see run_length) is one
-   statement, every other step one middle-tier step. A run from the root
-   that ends a [final] path sorts its rows when it can; otherwise LOCAL
-   keeps its chain's rows. An absolute path must start with a child or
-   descendant step. *)
+(* [blocks] (a run, see above) as one statement over the edge table: from
+   the root, or else from the context relation (alias c, whose id is
+   selected last). Each block but the last is the derived table (alias b0,
+   b1, ...) that the next block's steps join from: it selects its result's
+   columns, under LOCAL the sibling orders of the result's ancestors (o0,
+   o1, ..., from the root down), and the context id (cid). Rows are unique
+   and come in document order, by an ORDER BY when [sort], from the root
+   along a child chain (under LOCAL, also one a sibling step closes), or
+   under GLOBAL and DEWEY by the result's order column behind a DISTINCT.
+   A positional predicate on a block's last step sorts by the chain's order
+   columns and keeps LIMIT ? OFFSET ? rows per context. [keep_chain]: the
+   rows of the chain's earlier steps follow the result's columns. *)
+let lower ~from_root ~sort ~keep_chain enc ~table blocks =
+  let local = enc = Encoding.Local in
+  let all = block_steps blocks in
+  let col a = a ^ "." ^ Encoding.order_col enc and qual (a, c) = a ^ "." ^ c in
+  let plain = List.for_all (fun (s : A.step) -> List.mem s.A.axis [ A.Child; A.Attribute; A.Self ]) all in
+  let closed = local && match List.rev all with s :: _ -> is_sibling s.A.axis | [] -> false in
+  let count = ref 0 in
+  (* one block over [prev], the run of the blocks before it, as derived table
+     [b<k>]; [steps]: the path steps up to the block's last *)
+  let block ~prev ~final ~steps (b : block) =
+    let g = { g_enc = enc; g_table = table; from = []; conds = []; params = []; count = !count } in
+    (* the alias the steps start from, the chain with its LOCAL levels (the
+       sibling orders from the root down) and the context id *)
+    let start, chain, levels, ctx_id =
+      match prev with
+      | Some (d, k) ->
+          let a = "b" ^ string_of_int k in
+          g.from <- [ "(" ^ d.sql ^ ") " ^ a ];
+          g.params <- List.rev (Array.to_list d.params);
+          let n = List.length d.chain in
+          ( Some a, [ a ],
+            List.init n (fun i -> (a, if i = n - 1 then "l_order" else "o" ^ string_of_int i)),
+            if from_root then None else Some (a ^ ".cid") )
+      | None when from_root -> (None, [], [], None)
+      | None ->
+          g.from <- [ (Node_row.ctx_relation enc).Node_row.rel_name ^ " c" ];
+          (Some "c", [], [], Some "c.id")
+    in
+    let last = List.length b.b_steps - 1 in
+    let _, chain, levels =
+      List.fold_left
+        (fun (prev, chain, levels) (i, (s : A.step)) ->
+          let s = if i = last && b.b_tail <> None then { s with A.preds = [] } else s in
+          let a =
+            match prev with
+            | Some p -> lower_step g ~prev:p s
+            | None ->
+                let a = new_alias g in
+                add g (a ^ if s.A.axis = A.Child then ".parent IS NULL" else ".kind <> 2");
+                add g (test_cond a A.Child s.A.test);
+                List.iter (lower_pred g ~ctx:a) s.A.preds;
+                a
+          in
+          if Some a = prev then (prev, chain, levels)
+          else
+            (* a sibling has its context's ancestors *)
+            let up = if is_sibling s.A.axis then init levels else levels in
+            (Some a, chain @ [ a ], up @ [ (a, "l_order") ]))
+        (start, chain, levels)
+        (List.mapi (fun i s -> (i, s)) b.b_steps)
+    in
+    count := g.count;
+    let result = List.nth chain (List.length chain - 1) in
+    let ordered = final && from_root && (plain || (b.b_tail = None && ((not local) || closed))) in
+    let order_by =
+      match b.b_tail with
+      | Some (desc, offset, limit) ->
+          (* per context row: a run from a context relation can reach one
+             row of [p] from several *)
+          let by = Option.to_list ctx_id @ match List.rev chain with _ :: p :: _ -> [ p ^ ".id" ] | _ -> [] in
+          let keys =
+            if local then List.map qual levels
+            else List.map col (match List.rev chain with e :: p :: _ -> [ p; e ] | _ -> chain)
+          in
+          let limit = value g (V.Int limit) in
+          let offset = value g (V.Int offset) in
+          String.concat ""
+            [ " ORDER BY "; String.concat ", " keys; (if desc then " DESC" else ""); " LIMIT "; limit;
+              " OFFSET "; offset; (if by = [] then "" else " BY " ^ String.concat ", " by) ]
+      | None when ordered && sort ->
+          " ORDER BY " ^ if local then String.concat ", " (List.map qual levels) else col result
+      | None -> ""
+    in
+    let cols =
+      if final then
+        List.map (Node_row.select_list enc) (result :: (if keep_chain then List.tl (List.rev chain) else []))
+        @ Option.to_list ctx_id
+      else
+        (Node_row.select_list enc result
+        :: (if local then List.mapi (fun i l -> Printf.sprintf "%s AS o%d" (qual l) i) (init levels) else []))
+        @ List.map (fun c -> c ^ " AS cid") (Option.to_list ctx_id)
+    in
+    {
+      steps;
+      sql =
+        String.concat ""
+          [ "SELECT "; (if b.b_distinct then "DISTINCT " else ""); String.concat ", " cols;
+            " FROM "; String.concat ", " (List.rev g.from);
+            (if g.conds = [] then "" else " WHERE " ^ String.concat " AND " (List.rev g.conds)); order_by ];
+      params = Array.of_list (List.rev g.params);
+      from_root;
+      chain = (if local then levels else List.map (fun a -> (a, Encoding.order_col enc)) chain);
+      tail = b.b_tail <> None;
+      sorted = ordered && order_by <> "";
+      keeps_chain = final && keep_chain;
+      derived = Option.map fst prev;
+    }
+  in
+  let prev, steps =
+    List.fold_left
+      (fun (prev, steps) b ->
+        let steps = steps @ b.b_steps and k = Option.fold prev ~none:0 ~some:(fun (_, k) -> k + 1) in
+        (Some (block ~prev ~final:false ~steps b, k), steps))
+      (None, []) (fst blocks)
+  in
+  block ~prev ~final:true ~steps:(steps @ (snd blocks).b_steps) (snd blocks)
+
+(* The one segmentation: each maximal run (see [blocks]) is one statement,
+   every other step one middle-tier step. A run from the root that ends a
+   [final] path sorts its rows when it can; otherwise LOCAL keeps its
+   chain's rows, and so nests no derived table. An absolute path must
+   start with a child or descendant step. *)
 let segments enc ~table ~from_root ~final steps =
   let rec go ~from_root steps =
     match steps with
     | [] -> []
     | s :: rest -> (
-        match run_length enc ~from_root steps with
+        let whole bs = final && from_root && List.length (block_steps bs) = List.length steps in
+        let bs = blocks enc ~nest:true ~from_root steps in
+        let bs = if enc = Encoding.Local && not (whole bs) then blocks enc ~nest:false ~from_root steps else bs in
+        match List.length (block_steps bs) with
         | 0 -> Step s :: go ~from_root:false rest
         | n ->
-            let last = final && from_root && n = List.length steps in
-            Run
-              (lower ~from_root ~sort:last ~keep_chain:(from_root && enc = Encoding.Local && not last)
-                 enc ~table (List.filteri (fun i _ -> i < n) steps))
+            let last = whole bs in
+            Run (lower ~from_root ~sort:last ~keep_chain:(from_root && enc = Encoding.Local && not last) enc ~table bs)
             :: go ~from_root:false (List.filteri (fun i _ -> i >= n) steps))
   in
   match steps with
@@ -533,7 +604,8 @@ let root_run st (r : run) =
 (* One step without its predicates, as a run from the root (its rows enter
    LOCAL's cache) or from the context rows. *)
 let step_run st ~from_root (step : A.step) =
-  lower ~from_root ~sort:false ~keep_chain:true st.enc ~table:st.tname [ { step with A.preds = [] } ]
+  lower ~from_root ~sort:false ~keep_chain:true st.enc ~table:st.tname
+    ([], { b_steps = [ { step with A.preds = [] } ]; b_tail = None; b_distinct = false })
 
 (* ---- LOCAL middle-tier machinery --------------------------------- *)
 

@@ -16,11 +16,15 @@
     - predicates that are conjunctions of existence tests and value
       comparisons over such steps, each lowered as more joined aliases (with
       [DISTINCT] when they can reach a row twice);
-    - on its last step, one positional predicate — [[k]], [[last()]] or a
+    - on any step, one positional predicate — [[k]], [[last()]] or a
       [position()] range — lowered as [ORDER BY] the chain's order columns
       and [LIMIT ? OFFSET ? BY] the previous alias's id, so a position is a
       bound value and each context's probe of the [(parent, tag, order)]
-      index stops after offset + limit rows.
+      index stops after offset + limit rows. A positional step followed by
+      more steps ends a derived table, [FROM (SELECT ... LIMIT ? OFFSET ?
+      BY ...) b0, ...], that the rest of the statement joins; after a join
+      that can reach a row twice, a [SELECT DISTINCT] derived table comes
+      first, so that a position counts unique rows.
 
     Every other step is evaluated in the middle tier, and the next run
     starts from the context relation ({!Node_row.ctx_relation}): the current
@@ -30,7 +34,8 @@
     are bound to [?] slots, so every plan stays cached.
 
     A run from the root along a child/attribute chain (under GLOBAL and
-    DEWEY: any run from the root without a positional predicate) returns
+    DEWEY: any run from the root without a positional predicate on its last
+    step; under LOCAL: also a whole path a sibling step ends) returns
     each row once and in document order, through its [ORDER BY]; the middle
     tier then neither deduplicates nor sorts. Otherwise the encodings differ:
 
@@ -116,10 +121,15 @@ type run = {
   from_root : bool;
       (** from the document root; otherwise the statement joins the
           context relation (alias [c]) filled with the previous segment's
-          rows, and selects [c.id] last *)
-  chain : string list;
-      (** the edge-table aliases of the run's own steps, in path order; the
-          last one's columns are selected *)
+          rows, and selects the context id last *)
+  chain : (string * string) list;
+      (** the order keys of the statement's chain, root down, as (alias,
+          column): under GLOBAL and DEWEY the order column of each alias
+          of its steps, the derived table's first; under LOCAL the
+          [l_order] of every level from the root, a derived table's
+          levels as its [o0], [o1], ... and [l_order], a sibling step in
+          place of its context's level. The last alias's columns are
+          selected *)
   tail : bool;
       (** a positional predicate on the last step: [ORDER BY] the chain's
           order columns, [LIMIT ? OFFSET ?] per context *)
@@ -130,6 +140,10 @@ type run = {
   keeps_chain : bool;
       (** LOCAL: the rows of the chain's earlier steps follow the result's
           columns, for the parent-chain cache *)
+  derived : run option;
+      (** the run of the leading steps, which the statement reads as its
+          derived table [b<k>] (its [sql] is the subquery): a positional
+          tail or a [DISTINCT] ends it; it is never [sorted] *)
 }
 
 type segment =

@@ -30,6 +30,28 @@ let tok_str = function
   | Xpath_lexer.Ident s -> s
   | Xpath_lexer.Eof -> "end of input"
 
+(* [n op f] over the integers [n >= least] (positions count from 1, counts
+   from 0), where the literal [f] is an XPath number: the same test as an
+   integer comparison, never truncated. A literal beyond the integers, or a
+   fraction, becomes the integer bound it implies, or a test that always
+   ([>= least]) or never ([< least]) holds. *)
+let int_cmp ~least op f =
+  let never = (Lt, least) and always = (Ge, least) in
+  let beyond = 0x1p62 (* -. float min_int *) in
+  if Float.is_integer f && Float.abs f < beyond then (op, int_of_float f)
+  else
+    match op with
+    | Eq -> never
+    | Ne -> always
+    | Lt | Le ->
+        (* n <= floor f *)
+        let c = Float.floor f in
+        if c >= beyond then always else if c < float least then never else (Le, int_of_float c)
+    | Gt | Ge ->
+        (* n >= ceil f *)
+        let c = Float.ceil f in
+        if c >= beyond then never else if c <= float least then always else (Ge, int_of_float c)
+
 let axis_of_name = function
   | "child" -> Some Child
   | "descendant" -> Some Descendant
@@ -95,9 +117,8 @@ and parse_atom st =
   match peek st with
   | Xpath_lexer.Num f ->
       advance st;
-      let k = int_of_float f in
-      if float_of_int k <> f || k < 1 then fail "positions must be positive integers";
-      P_pos (Eq, k)
+      if not (Float.is_integer f && f >= 1. && f < 0x1p62) then fail "positions must be positive integers";
+      P_pos (Eq, int_of_float f)
   | Xpath_lexer.Lparen ->
       advance st;
       let p = parse_or st in
@@ -127,11 +148,11 @@ and parse_atom st =
             c
         | t -> fail "expected a comparison after count(), got %s" (tok_str t)
       in
-      let k =
+      let op, k =
         match peek st with
         | Xpath_lexer.Num f ->
             advance st;
-            int_of_float f
+            int_cmp ~least:0 op f
         | t -> fail "expected a number, got %s" (tok_str t)
       in
       P_count (path, op, k)
@@ -155,11 +176,11 @@ and parse_atom st =
             c
         | t -> fail "expected a comparison after position(), got %s" (tok_str t)
       in
-      let k =
+      let op, k =
         match peek st with
         | Xpath_lexer.Num f ->
             advance st;
-            int_of_float f
+            int_cmp ~least:1 op f
         | t -> fail "expected a number, got %s" (tok_str t)
       in
       P_pos (op, k)

@@ -19,6 +19,14 @@ end)
 
 module Vals = Hashtbl.Make (Value)
 
+(* rows by their hash, computed once per row (DISTINCT) *)
+module Hashes = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash h = h land max_int
+end)
+
 type frame = Expr.frame
 
 (* Where an operator's output columns live: column [i] is
@@ -366,12 +374,19 @@ and compile_op cx p =
   | Plan.Distinct input ->
       let il, iop, ipr = compile cx input in
       let row = flatten il in
-      let seen = keyed (module Rows) Tuple.equal row (fun _ -> ref false) in
       let op f stop k =
-        let seen = seen () in
+        (* a row equal to the one before it needs no lookup *)
+        let seen = Hashes.create 64 and last = ref [||] in
         iop f stop (fun () ->
-            let first = seen f in
-            if not !first then (first := true; k ()))
+            let r = row f in
+            if not (Tuple.equal r !last) then begin
+              last := r;
+              let h = Tuple.hash_key r in
+              if not (List.exists (Tuple.equal r) (Hashes.find_all seen h)) then begin
+                Hashes.add seen h r;
+                k ()
+              end
+            end)
       in
       (il, op, [ ipr ])
   | Plan.Aggregate { input; group_by; aggs } ->

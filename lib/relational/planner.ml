@@ -23,22 +23,46 @@ let scalar_func = function
 (* Name resolution                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* [scratch]: an engine-owned scratch relation (Catalog.scratch), whose row
-   count at planning time says nothing about later executions *)
-type from_entry = { alias : string; table : Table.t; tbl_idx : int; scratch : bool }
+(* A FROM entry: a table, or a derived table planned on its own. [first]:
+   an engine-owned scratch relation (Catalog.scratch), whose row count at
+   planning time says nothing about later executions, or a derived table;
+   either drives the join. *)
+type source = Base of Table.t | Derived of Plan.t
+
+type from_entry = {
+  alias : string;
+  schema : Schema.t;
+  source : source;
+  tbl_idx : int;
+  first : bool;
+}
 
 let norm = String.lowercase_ascii
 
-let make_env catalog (from : (string * string option) list) =
+let base_entry alias table i ~first =
+  { alias; schema = Table.schema table; source = Base table; tbl_idx = i; first }
+
+let make_env ~plan catalog (from : Sql_ast.from_item list) =
   List.mapi
-    (fun i (name, alias) ->
-      let alias = norm (Option.value alias ~default:name) in
-      match Catalog.find_table catalog name with
-      | Some table -> { alias; table; tbl_idx = i; scratch = false }
-      | None -> (
-          match Catalog.find_scratch catalog name with
-          | Some table -> { alias; table; tbl_idx = i; scratch = true }
-          | None -> fail "no such table %s" name))
+    (fun i item ->
+      let alias = norm (Sql_ast.from_alias item) in
+      match item with
+      | Sql_ast.Base (name, _) -> (
+          match Catalog.find_table catalog name with
+          | Some table -> base_entry alias table i ~first:false
+          | None -> (
+              match Catalog.find_scratch catalog name with
+              | Some table -> base_entry alias table i ~first:true
+              | None -> fail "no such table %s" name))
+      | Sql_ast.Derived (q, _) ->
+          let p = plan catalog q in
+          let schema = Plan.schema_of p in
+          Array.iteri
+            (fun c (col : Schema.column) ->
+              if Schema.find_opt schema col.Schema.col_name <> Some c then
+                fail "derived table %s has two columns named %s" alias col.Schema.col_name)
+            schema;
+          { alias; schema; source = Derived p; tbl_idx = i; first = true })
     from
 
 let resolve_col env qualifier name =
@@ -47,7 +71,7 @@ let resolve_col env qualifier name =
       match List.find_opt (fun e -> e.alias = norm q) env with
       | None -> fail "unknown table alias %s" q
       | Some e -> (
-          match Schema.find_opt (Table.schema e.table) name with
+          match Schema.find_opt e.schema name with
           | Some c -> vcol e.tbl_idx c
           | None -> fail "table %s has no column %s" q name)
     end
@@ -55,8 +79,7 @@ let resolve_col env qualifier name =
       let hits =
         List.filter_map
           (fun e ->
-            Option.map (fun c -> vcol e.tbl_idx c)
-              (Schema.find_opt (Table.schema e.table) name))
+            Option.map (fun c -> vcol e.tbl_idx c) (Schema.find_opt e.schema name))
           env
       in
       match hits with
@@ -230,9 +253,7 @@ let plan_joins env table_plans vconjuncts =
   let n = List.length env in
   let placed = Array.make n (-1) in
   (* physical offset per table once placed *)
-  let arity i =
-    Schema.arity (Table.schema (List.nth env i).table)
-  in
+  let arity i = Schema.arity (List.nth env i).schema in
   let remaining = ref (List.init n (fun i -> i)) in
   let used = ref [] in
   let conj_remaining = ref vconjuncts in
@@ -243,11 +264,11 @@ let plan_joins env table_plans vconjuncts =
   let all_placed e =
     List.for_all (fun t -> placed.(t) >= 0) (cols_of_tables e)
   in
-  (* pick the first table: a scratch relation (a context set drives the
-     join, and a cached plan must not depend on how many rows it held when
-     planned), else prefer an indexed access path, then the fewest estimated
-     rows (a crude cardinality model: each pushed conjunct is assumed to keep
-     a third of the rows) *)
+  (* pick the first table: a scratch relation or a derived table (a context
+     set drives the join, and a cached plan must not depend on how many rows
+     it held when planned), else prefer an indexed access path, then the
+     fewest estimated rows (a crude cardinality model: each pushed conjunct
+     is assumed to keep a third of the rows) *)
   let estimate i =
     let plan, residual, _, _ = List.nth table_plans i in
     let base =
@@ -260,7 +281,7 @@ let plan_joins env table_plans vconjuncts =
     base *. indexed /. (3.0 ** float_of_int (List.length residual))
   in
   let first =
-    match List.find_opt (fun e -> e.scratch) env with
+    match List.find_opt (fun e -> e.first) env with
     | Some e -> e.tbl_idx
     | None ->
         List.fold_left
@@ -307,7 +328,12 @@ let plan_joins env table_plans vconjuncts =
           | None -> List.hd !remaining)
     in
     let jplan, jresid, jscore, jlocal = List.nth table_plans j in
-    let jtable = (List.nth env j).table in
+    (* a derived table has no index to probe *)
+    let jindexes =
+      match (List.nth env j).source with
+      | Base t -> List.map (fun index -> (t, index)) (Table.indexes t)
+      | Derived _ -> []
+    in
     let right_plan = with_filter jplan jresid in
     let split = !current_arity in
     (* equi pairs between used-set and j *)
@@ -342,7 +368,7 @@ let plan_joins env table_plans vconjuncts =
     let reads_outer e = Expr.columns e <> [] in
     let probe, _ =
       List.fold_left
-        (fun ((_, best) as acc) index ->
+        (fun ((_, best) as acc) (jtable, index) ->
           let key, lo, hi, consumed, score =
             match_index ~split ~usable:outer_only index probe_conjs
           in
@@ -354,13 +380,13 @@ let plan_joins env table_plans vconjuncts =
           in
           let rank = (joined, score) in
           if (joined || (ranged && score > jscore)) && rank > best then
-            (Some (index, key, lo, hi, consumed), rank)
+            (Some (jtable, index, key, lo, hi, consumed), rank)
           else acc)
         (None, (false, 0))
-        (Table.indexes jtable)
+        jindexes
     in
     (match probe with
-    | Some (index, key, lo, hi, consumed) ->
+    | Some (jtable, index, key, lo, hi, consumed) ->
         let residual =
           Expr.conjoin
             (List.filter (fun c -> not (List.memq c consumed)) probe_conjs)
@@ -510,7 +536,7 @@ let cap_probes ~order_keys ~by ~cap plan =
    or all-NULL column still yields NULL. *)
 let min_max_scan env (q : Sql_ast.select) =
   match (env, q.items) with
-  | ( [ e ],
+  | ( [ { source = Base table; _ } ],
       [
         Sql_ast.Item
           ( Sql_ast.E_func
@@ -526,7 +552,7 @@ let min_max_scan env (q : Sql_ast.select) =
             let scan =
               Plan.Index_scan
                 {
-                  table = e.table;
+                  table;
                   index;
                   range = Plan.Fixed (Btree.Excl [| Value.Null |], Btree.Unbounded);
                   reverse = f = "MAX";
@@ -536,7 +562,7 @@ let min_max_scan env (q : Sql_ast.select) =
               (Plan.Limit
                  { input = scan; limit = Some (Plan.count 1); offset = Plan.count 0; by = [||] })
           else None)
-        (Table.indexes e.table)
+        (Table.indexes table)
   | _ -> None
 
 (* ------------------------------------------------------------------ *)
@@ -558,11 +584,10 @@ let expand_star env placed =
   in
   List.concat_map
     (fun e ->
-      let schema = Table.schema e.table in
       List.mapi
         (fun c (col : Schema.column) ->
           (Expr.Col (placed.(e.tbl_idx) + c), col.Schema.col_name))
-        (Array.to_list schema))
+        (Array.to_list e.schema))
     entries
 
 let extract_agg env (e : Sql_ast.sexpr) : Plan.agg =
@@ -577,9 +602,9 @@ let extract_agg env (e : Sql_ast.sexpr) : Plan.agg =
       fail "%s takes exactly one argument" f
   | _ -> fail "only plain aggregate calls are supported in SELECT"
 
-let plan_select catalog (q : Sql_ast.select) =
+let rec plan_select catalog (q : Sql_ast.select) =
   if q.from = [] then fail "FROM clause is required";
-  let env = make_env catalog q.from in
+  let env = make_env ~plan:plan_select catalog q.from in
   (* duplicate alias check *)
   let aliases = List.map (fun e -> e.alias) env in
   if List.length (List.sort_uniq compare aliases) <> List.length aliases then
@@ -618,7 +643,11 @@ let plan_select catalog (q : Sql_ast.select) =
         let local =
           List.map (Expr.map_columns (fun v -> vcol_local v)) mine
         in
-        let scan, residual, score = choose_access e.table local in
+        let scan, residual, score =
+          match e.source with
+          | Base table -> choose_access table local
+          | Derived p -> (p, local, 0)
+        in
         (scan, residual, score, local))
       env
   in
@@ -862,7 +891,7 @@ let plan_select catalog (q : Sql_ast.select) =
 
 let resolve_expr_for_table table e =
   let alias = norm (Table.name table) in
-  resolve [ { alias; table; tbl_idx = 0; scratch = false } ] e
+  resolve [ base_entry alias table 0 ~first:false ] e
 
 (* The access path of an UPDATE or DELETE: the simplification and index
    matching of a single-table SELECT, the residual conjuncts as a Filter

@@ -11,12 +11,15 @@
     B+-tree range by {!Plan.probe_range} when the scan opens, so a plan
     with parameters is planned once and bound per execution; a join
     probe's bounds read the outer row and become a range once per outer
-    row. Joins are ordered greedily: a scratch relation (else the table
-    with the fewest estimated rows) first, then tables connected by
-    equalities, then by any predicate; each join probes an index of the
-    joined table when the probe reads the outer row, else it is a hash join
-    on equalities or a nested loop. A final Sort is elided when a chosen
-    index already delivers the requested order.
+    row. A derived table in FROM, [(SELECT ...) AS b], is planned on its
+    own (it may not read the outer aliases) and its plan stands in for a
+    table scan, its columns named by its select list. Joins are ordered
+    greedily: a scratch relation or a derived table (else the table with
+    the fewest estimated rows) first, then tables connected by equalities,
+    then by any predicate; each join probes an index of the joined table
+    when the probe reads the outer row, else it is a hash join on
+    equalities or a nested loop. A final Sort is elided when a chosen index
+    already delivers the requested order.
 
     [LIMIT n OFFSET m BY keys] plans as a {!Plan.Limit} with [by] between
     the Sort and the Project. When the BY keys read only the outer row of
@@ -31,8 +34,9 @@
 exception Plan_error of string
 
 val plan_select : Catalog.t -> Sql_ast.select -> Plan.t
-(** @raise Plan_error on unknown tables/columns, ambiguous references, or
-    unsupported constructs. *)
+(** @raise Plan_error on unknown tables/columns, ambiguous references
+    (a derived table with two columns of one name), or unsupported
+    constructs. *)
 
 val resolve_expr_for_table : Table.t -> Sql_ast.sexpr -> Expr.t
 (** Resolve an expression against a single table's schema, as in a

@@ -27,7 +27,7 @@ type select_item = Item of sexpr * string option  (* expr AS alias *) | Star
 type select = {
   distinct : bool;
   items : select_item list;
-  from : (string * string option) list;  (* table name, alias *)
+  from : from_item list;
   where : sexpr option;
   group_by : sexpr list;
   having : sexpr option;
@@ -38,6 +38,12 @@ type select = {
       (* LIMIT n [OFFSET m] BY e1, ...: the limit and offset apply per
          distinct key; empty for a plain LIMIT *)
 }
+
+and from_item =
+  | Base of string * string option  (* table name, alias *)
+  | Derived of select * string  (* (SELECT ...) AS alias: uncorrelated *)
+
+let from_alias = function Base (name, alias) -> Option.value alias ~default:name | Derived (_, a) -> a
 
 (* A trailing ORDER BY, LIMIT or OFFSET applies to the whole compound;
    ORDER BY names output columns. *)

@@ -278,7 +278,7 @@ and parse_primary st =
 
 (* --- statements ----------------------------------------------------- *)
 
-let parse_select st =
+let rec parse_select st =
   eat_kw st "SELECT";
   let distinct = try_kw st "DISTINCT" in
   let rec items acc =
@@ -304,21 +304,28 @@ let parse_select st =
   in
   let items = items [] in
   eat_kw st "FROM";
-  let rec tables acc =
-    let name = ident st in
-    let alias =
-      if try_kw st "AS" then Some (ident st)
-      else
-        match peek st with
-        | Sql_lexer.Ident a ->
-            advance st;
-            Some a
-        | _ -> None
-    in
-    if try_sym st "," then tables ((name, alias) :: acc)
-    else List.rev ((name, alias) :: acc)
+  let alias () =
+    if try_kw st "AS" then Some (ident st)
+    else
+      match peek st with
+      | Sql_lexer.Ident a ->
+          advance st;
+          Some a
+      | _ -> None
   in
-  let from = tables [] in
+  let from_item st =
+    if try_sym st "(" then begin
+      let q = parse_select st in
+      eat_sym st ")";
+      match alias () with
+      | Some a -> Derived (q, a)
+      | None -> fail "a derived table needs an alias"
+    end
+    else
+      let name = ident st in
+      Base (name, alias ())
+  in
+  let from = comma_list st from_item in
   let where = if try_kw st "WHERE" then Some (parse_or st) else None in
   let group_by =
     if try_kw st "GROUP" then begin

@@ -220,7 +220,7 @@ let test_order_tampering () =
     caught "stripped ORDER BY" [];
     caught "descending order" (List.map (fun (e, _) -> (e, S.Desc)) sel.order_by);
     caught "wrong column"
-      [ (S.E_col (Some (List.nth r.O.Translate.chain (List.length r.O.Translate.chain - 1)), "id"), S.Asc) ];
+      [ (S.E_col (Some (fst (List.nth r.O.Translate.chain (List.length r.O.Translate.chain - 1))), "id"), S.Asc) ];
     (sel, caught)
   in
   ignore (tamper O.Encoding.Global "//bidder");
@@ -229,6 +229,38 @@ let test_order_tampering () =
   check int_t "four keys" 4 (List.length sel.order_by);
   caught "reversed ORDER BY" (List.rev sel.order_by);
   caught "ORDER BY cut to the last alias" [ List.nth sel.order_by 3 ]
+
+(* Q5 reads its positional prefix as a derived table: the checker follows
+   the run's [derived] into the subquery, so tampering with either ORDER BY
+   is caught *)
+let test_derived_order_checked () =
+  let q5 = "/site/open_auctions/open_auction/bidder[1]/following-sibling::bidder" in
+  List.iter
+    (fun enc ->
+      let what = O.Encoding.name enc ^ " Q5" in
+      let r = match runs enc q5 with [ r ] -> r | _ -> Alcotest.failf "%s: one run" what in
+      check bool_t (what ^ " sorted") true r.O.Translate.sorted;
+      check bool_t (what ^ " reads a derived run") true (r.O.Translate.derived <> None);
+      let sel = match Reldb.Sql_parser.parse r.O.Translate.sql with S.Select s -> s | _ -> assert false in
+      let errors s =
+        List.length
+          (List.filter (fun f -> f.F.severity = F.Error) (Analysis.Order_check.check_run enc r (S.Select s)))
+      in
+      check int_t (what ^ ": correct statement") 0 (errors sel);
+      check bool_t (what ^ ": outer ORDER BY stripped") true (errors { sel with order_by = [] } > 0);
+      let inner f =
+        {
+          sel with
+          from = List.map (function S.Derived (q, a) -> S.Derived (f q, a) | b -> b) sel.from;
+        }
+      in
+      check bool_t (what ^ ": derived ORDER BY stripped") true
+        (errors (inner (fun q -> { q with S.order_by = [] })) > 0);
+      check bool_t (what ^ ": derived ORDER BY reversed") true
+        (errors (inner (fun q -> { q with S.order_by = List.rev q.S.order_by })) > 0);
+      check bool_t (what ^ ": derived table dropped") true
+        (errors { sel with from = List.filter (function S.Derived _ -> false | S.Base _ -> true) sel.from } > 0))
+    O.Encoding.all
 
 (* every axis runs on every encoding: one outside the join table is a
    middle-tier step, an Info note, never an error *)
@@ -388,6 +420,7 @@ let tests =
       Alcotest.test_case "order contract columns" `Quick
         test_order_contract_columns;
       Alcotest.test_case "order tampering caught" `Quick test_order_tampering;
+      Alcotest.test_case "derived-table order checked" `Quick test_derived_order_checked;
       Alcotest.test_case "middle-tier steps are Info" `Quick test_middle_tier_steps;
       Alcotest.test_case "plan lint" `Quick test_plan_lint;
       Alcotest.test_case "degenerate count() lint" `Quick

@@ -5,8 +5,12 @@
    indexes each, composite and unique ones included) and random statements:
    joins over two or three aliases with equality and range conditions, [?]
    parameters, ORDER BY [DESC], DISTINCT, GROUP BY with aggregates,
-   LIMIT [OFFSET] [BY], UNION ALL; and UPDATE and DELETE, which must touch
-   the rows the reference access path yields and leave [Db.check] Ok. *)
+   LIMIT [OFFSET] [BY], UNION ALL, derived tables (DISTINCT or ORDER BY
+   with LIMIT [OFFSET] [BY] inside, nested once, the outer input of an
+   index join); and UPDATE and DELETE, which must touch the rows the
+   reference access path yields and leave [Db.check] Ok. A derived table
+   must also return what the same statement returns over a table filled
+   with its rows. *)
 
 module D = Reldb.Db
 module V = Reldb.Value
@@ -119,18 +123,48 @@ let order_by rs cols =
   ^ String.concat ", "
       (List.init (upto rs 1 2) (fun _ -> pick rs cols ^ if chance rs 2 then " DESC" else ""))
 
-let gen_from rs tables =
-  let aliases = List.init (upto rs 1 3) (fun i -> (Printf.sprintf "a%d" i, pick rs tables)) in
+(* A derived table over a base table (or, [depth] times at most, over
+   another derived table): some of the inner's columns renamed c0, c1, ...,
+   with a WHERE and either DISTINCT or an ORDER BY with LIMIT [OFFSET]
+   [BY]. It reads as a table whose name is the parenthesized subquery and
+   which has no index. *)
+let rec derived st rs tables ~depth =
+  let x = Printf.sprintf "x%d" depth in
+  let inner =
+    if depth > 0 && chance rs 3 then derived st rs tables ~depth:(depth - 1) else pick rs tables
+  in
+  let cols = List.init (upto rs 1 3) (fun _ -> Random.State.int rs (Array.length inner.types)) in
+  let refs = List.map (Printf.sprintf "%s.c%d" x) cols in
+  let where = gen_where ~most:2 st rs [ (x, inner) ] in
+  let tail =
+    match Random.State.int rs 4 with
+    | 0 -> ""
+    | 1 -> order_by rs refs ^ limit st rs
+    | _ -> order_by rs refs ^ limit st rs ^ " BY " ^ pick rs refs
+  in
+  let text =
+    Printf.sprintf "(SELECT %s%s FROM %s %s%s%s)"
+      (if tail = "" && chance rs 2 then "DISTINCT " else "")
+      (String.concat ", " (List.mapi (fun k r -> Printf.sprintf "%s AS c%d" r k) refs))
+      inner.tname x where tail
+  in
+  { tname = text; types = Array.of_list (List.map (fun j -> inner.types.(j)) cols); indexes = [] }
+
+let gen_from st rs tables =
+  let aliases =
+    List.init (upto rs 1 3) (fun i ->
+        (Printf.sprintf "a%d" i, if chance rs 4 then derived st rs tables ~depth:1 else pick rs tables))
+  in
   let text = String.concat ", " (List.map (fun (a, t) -> t.tname ^ " " ^ a) aliases) in
   (aliases, " FROM " ^ text)
 
 let gen_select st rs tables =
-  let aliases, from = gen_from rs tables in
-  let cols = List.init (upto rs 1 3) (fun _ -> column rs aliases) in
-  let items = String.concat ", " cols in
   let probed = List.filter (fun t -> List.exists (fun c -> List.length c = 2) t.indexes) tables in
   let shape = Random.State.int rs 6 in
   let shape = if shape = 5 && probed = [] then 4 else shape in
+  let aliases, from = if shape = 5 || shape = 2 then ([], "") else gen_from st rs tables in
+  let cols = if aliases = [] then [] else List.init (upto rs 1 3) (fun _ -> column rs aliases) in
+  let items = String.concat ", " cols in
   let where = if shape = 2 || shape = 5 then "" else gen_where st rs aliases in
   match shape with
   | 5 ->
@@ -141,7 +175,8 @@ let gen_select st rs tables =
         | [ x; y ] -> (x, y)
         | _ -> (0, 0)
       in
-      let outer = pick rs tables in
+      (* the outer input: a table, or a derived table *)
+      let outer = if chance rs 3 then derived st rs tables ~depth:1 else pick rs tables in
       let oc () = Printf.sprintf "a0.c%d" (Random.State.int rs (Array.length outer.types)) in
       let dir = if chance rs 2 then " DESC" else "" in
       let k = oc () in
@@ -163,7 +198,7 @@ let gen_select st rs tables =
   | 2 ->
       (* UNION ALL with a trailing ORDER BY and LIMIT over the compound *)
       let branch st =
-        let aliases, from = gen_from rs tables in
+        let aliases, from = gen_from st rs tables in
         Printf.sprintf "SELECT %s AS v, %s AS w%s%s" (column rs aliases) (column rs aliases) from
           (gen_where st rs aliases)
       in
@@ -217,7 +252,7 @@ let print_case c =
 
 (* ---- the property ----------------------------------------------------- *)
 
-let planned = ref 0
+let planned = ref 0 and planned_derived = ref 0
 
 (* [Ok rows] or [Error ()] for a failed statement *)
 let outcome f = match f () with rows -> Ok rows | exception _ -> Error ()
@@ -227,6 +262,7 @@ let check_select db sql params =
   | exception D.Sql_error _ -> true (* a statement the planner refuses *)
   | plan ->
       incr planned;
+      if Astring_contains.contains sql "(SELECT" then incr planned_derived;
       let reading f =
         let r0 = D.rows_read db in
         let out = outcome f in
@@ -309,13 +345,83 @@ let prop_oracle =
           else check_dml db sql params)
         c.statements)
 
+(* ---- a derived table = its rows materialized ---------------------------- *)
+
+(* [FROM (q) b] must return the rows the same outer statement returns over a
+   table [m] filled with q's rows: b alone or joined with a base table, a
+   WHERE over both, and either no order (compared as multisets) or an ORDER
+   BY of every output column with a LIMIT (compared in order). *)
+type materialized = {
+  m_schema : string list;
+  q : string;  (* the subquery, without its parentheses *)
+  q_params : V.t array;
+  q_types : V.ty array;
+  outer : string -> string;  (* the statement over b's FROM item *)
+  o_params : V.t array;
+  ordered : bool;
+}
+
+let gen_materialized rs =
+  let tables, m_schema = gen_schema rs in
+  let sq = { params = [] } and so = { params = [] } in
+  let b = derived sq rs tables ~depth:1 in
+  let joined = if chance rs 2 then [ ("a1", pick rs tables) ] else [] in
+  let aliases = ("b", b) :: joined in
+  let cols = List.init (upto rs 1 3) (fun _ -> column rs aliases) in
+  let where = gen_where so rs aliases in
+  let ordered = chance rs 2 in
+  let tail = if ordered then " ORDER BY " ^ String.concat ", " cols ^ limit so rs else "" in
+  let rest = String.concat "" (List.map (fun (a, t) -> Printf.sprintf ", %s %s" t.tname a) joined) in
+  {
+    m_schema;
+    q = String.sub b.tname 1 (String.length b.tname - 2);
+    q_params = Array.of_list sq.params;
+    q_types = b.types;
+    outer = (fun item -> Printf.sprintf "SELECT %s FROM %s b%s%s%s" (String.concat ", " cols) item rest where tail);
+    o_params = Array.of_list so.params;
+    ordered;
+  }
+
+let print_materialized c =
+  Printf.sprintf "%s;\n%s  -- [%s]"
+    (String.concat ";\n" c.m_schema)
+    (c.outer ("(" ^ c.q ^ ")"))
+    (String.concat ", " (Array.to_list (Array.map V.to_sql_literal (Array.append c.q_params c.o_params))))
+
+let prop_materialized =
+  QCheck.Test.make ~name:"FROM (q) AS b = FROM a table of q's rows" ~count:300
+    (QCheck.make ~print:print_materialized gen_materialized)
+    (fun c ->
+      let db = D.create () in
+      List.iter (fun sql -> try ignore (D.exec db sql) with D.Sql_error _ -> ()) c.m_schema;
+      match D.query_params db c.q c.q_params with
+      | exception D.Sql_error _ -> true
+      | rows ->
+          ignore
+            (D.exec db
+               (Printf.sprintf "CREATE TABLE m (%s)"
+                  (String.concat ", "
+                     (Array.to_list (Array.mapi (fun k ty -> Printf.sprintf "c%d %s" k (V.ty_name ty)) c.q_types)))));
+          ignore (D.insert_many db "m" rows);
+          let settle l = if c.ordered then l else List.sort compare l in
+          let run sql params = Result.map settle (outcome (fun () -> D.query_params db sql params)) in
+          let direct = run (c.outer ("(" ^ c.q ^ ")")) (Array.append c.q_params c.o_params) in
+          let via_m = run (c.outer "m") c.o_params in
+          direct = via_m
+          || QCheck.Test.fail_reportf "derived: %s rows, materialized: %s rows"
+               (match direct with Ok r -> string_of_int (List.length r) | Error () -> "error")
+               (match via_m with Ok r -> string_of_int (List.length r) | Error () -> "error"))
+
 (* the generator must reach the executor: most statements plan *)
 let test_exercised () =
-  if !planned < 1500 then Alcotest.failf "only %d statements were planned" !planned
+  if !planned < 1500 then Alcotest.failf "only %d statements were planned" !planned;
+  if !planned_derived < 600 then
+    Alcotest.failf "only %d statements with a derived table were planned (%d in all)" !planned_derived !planned
 
 let tests =
   ( "exec-oracle",
     [
       QCheck_alcotest.to_alcotest prop_oracle;
+      QCheck_alcotest.to_alcotest prop_materialized;
       Alcotest.test_case "statements planned" `Quick test_exercised;
     ] )

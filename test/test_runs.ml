@@ -103,6 +103,48 @@ let prop_runs_oracle =
         | Some m -> QCheck.Test.fail_report m
       end)
 
+(* Paths whose positional steps are followed by more steps: each such step
+   is a derived table the rest of the statement joins, DISTINCT first where
+   a join before it can reach a row twice (an existence test, a descendant
+   or sibling step); nested up to three deep. *)
+let gen_nested_path =
+  let open QCheck.Gen in
+  let tag = oneof [ oneofa tags; return "*" ] in
+  let pos =
+    oneof
+      [
+        map (Printf.sprintf "[%d]") (int_range 1 3);
+        return "[last()]";
+        map2 (fun a b -> Printf.sprintf "[position() >= %d and position() <= %d]" a b) (int_range 1 2) (int_range 2 3);
+      ]
+  in
+  let pred = frequency [ (3, pos); (1, map (Printf.sprintf "[%s]") (oneofa tags)); (2, return "") ] in
+  let step =
+    frequency
+      [
+        (4, map2 ( ^ ) tag pred);
+        (3, map3 (fun ax t p -> ax ^ t ^ p) (oneofl [ "following-sibling::"; "preceding-sibling::" ]) tag pred);
+        (1, map3 (fun ax t p -> ax ^ t ^ p) (oneofl [ "descendant::"; "following::"; "preceding::" ]) tag pred);
+      ]
+  in
+  map2
+    (fun lead rest -> String.concat "/" (lead :: rest))
+    (oneof [ return "/*"; map (fun t -> "//" ^ t) (oneofa tags) ])
+    (list_size (int_range 2 4) step)
+
+let prop_nested_positions =
+  QCheck.Test.make ~name:"positions inside paths = DOM" ~count:300
+    QCheck.(make ~print:(fun (seed, xp) -> Printf.sprintf "seed=%d %s" seed xp) Gen.(pair (int_bound 10_000) gen_nested_path))
+    (fun (seed, xpath) ->
+      let doc = Xmllib.Generator.random_tree ~seed ~tags ~max_depth:4 ~max_fanout:5 () in
+      let _, stores = Test_local_order.stores_of doc in
+      let expected = O.Dom_eval.eval (O.Doc_index.build doc) (O.Xpath_parser.parse xpath) in
+      List.for_all
+        (fun (enc, s) ->
+          O.Api.Store.query_ids s xpath = expected
+          || QCheck.Test.fail_reportf "%s differs from the DOM" (O.Encoding.name enc))
+        stores)
+
 (* The one compiler: whenever a path has results, every run it compiles to
    ran, text unchanged and in order (other statements — middle-tier steps,
    LOCAL's parent chains — interleave). *)
@@ -148,6 +190,7 @@ let global_queries =
     "//open_auction/bidder/following-sibling::bidder";
     "//increase/ancestor::open_auction";
     "/site/regions/africa/item/following::item";
+    "/site/regions/africa/item[1]/following::item";
     "//profile/..";
     "//annotation/descendant-or-self::*";
   ]
@@ -161,6 +204,8 @@ let shared_queries =
     "/site/open_auctions/open_auction/bidder/following-sibling::bidder";
     "/site/closed_auctions/closed_auction[price > 500]/seller";
     "/site/open_auctions/open_auction/bidder/personref/..";
+    "/site/open_auctions/open_auction[2]/bidder[1]";
+    "/site/open_auctions/open_auction/bidder[1]/following-sibling::bidder";
   ]
 
 let env =
@@ -184,6 +229,31 @@ let test_whole_paths () =
     (fun enc -> List.iter (assert_whole_path ~one:(enc <> O.Encoding.Local) enc) shared_queries)
     O.Encoding.all
 
+(* The census: 2,000 generated paths, compiled on every encoding. Two
+   adjacent runs are a statement boundary the middle tier crosses although
+   no middle-tier step stands between them; a positional step and a join
+   that can reach a row twice are derived tables instead, so outside LOCAL
+   (whose runs from a context hold one step each, so that its final sort
+   finds every row's parent chain) there is none. LOCAL's count may only
+   fall. *)
+let test_census () =
+  let paths = QCheck.Gen.generate ~rand:(Random.State.make [| 7 |]) ~n:2000 Xpath_gen.gen_path in
+  let rec adjacent = function
+    | O.Translate.Run _ :: O.Translate.Run _ :: _ -> true
+    | _ :: rest -> adjacent rest
+    | [] -> false
+  in
+  List.iter
+    (fun enc ->
+      let n =
+        List.length
+          (List.filter (fun p -> adjacent (List.concat (O.Translate.compile ~doc:"q" enc [ p ]))) paths)
+      in
+      let name = O.Encoding.name enc ^ ": paths with two adjacent runs" in
+      if enc = O.Encoding.Local then check bool_t (Printf.sprintf "%s (%d) <= 532" name n) true (n <= 532)
+      else check int_t name 0 n)
+    O.Encoding.all
+
 (* regression (caught by fuzzing): attribute nodes have no siblings, so a
    sibling axis from an attribute context yields nothing *)
 let test_sibling_from_attribute () =
@@ -194,9 +264,10 @@ let test_sibling_from_attribute () =
         (List.length (O.Api.Store.query_ids store "/site/people/person/@id/following-sibling::name")))
     stores
 
-(* Q1-Q4 are one statement on every encoding; Q6 one statement under GLOBAL
-   and DEWEY; Q5 and Q7 two runs under GLOBAL and DEWEY; LOCAL pays only the
-   parent-chain statements its final sort needs. *)
+(* Q1-Q5 are one statement on every encoding (Q5's positional step is a
+   derived table); Q6 one statement under GLOBAL and DEWEY; Q7 one under
+   GLOBAL and two under DEWEY, whose following:: is a middle-tier step;
+   LOCAL pays only the parent-chain statements its final sort needs. *)
 let test_paper_query_statements () =
   let doc = O.Workload.dataset ~scale:1 in
   let db = Reldb.Db.create () in
@@ -214,17 +285,13 @@ let test_paper_query_statements () =
   let expect enc id n = check int_t (Printf.sprintf "%s %s" id (O.Encoding.name enc)) n (stmts enc id) in
   List.iter
     (fun enc ->
-      List.iter (fun id -> expect enc id 1) [ "Q1"; "Q2"; "Q3"; "Q4" ])
+      List.iter (fun id -> expect enc id 1) [ "Q1"; "Q2"; "Q3"; "Q4"; "Q5" ])
     O.Encoding.all;
-  List.iter
-    (fun enc ->
-      expect enc "Q6" 1;
-      expect enc "Q5" 2;
-      expect enc "Q7" 2)
-    [ O.Encoding.Global; O.Encoding.Global_gap; O.Encoding.Dewey_enc; O.Encoding.Dewey_caret ];
-  (* LOCAL: the chain's rows answer the sibling step's sort; following::
-     fetches the other regions; //person pays two parent levels *)
-  expect O.Encoding.Local "Q5" 2;
+  List.iter (fun enc -> expect enc "Q6" 1) [ O.Encoding.Global; O.Encoding.Global_gap; O.Encoding.Dewey_enc; O.Encoding.Dewey_caret ];
+  List.iter (fun enc -> expect enc "Q7" 1) [ O.Encoding.Global; O.Encoding.Global_gap ];
+  List.iter (fun enc -> expect enc "Q7" 2) [ O.Encoding.Dewey_enc; O.Encoding.Dewey_caret ];
+  (* LOCAL: following:: fetches the other regions; //person pays two
+     parent levels *)
   expect O.Encoding.Local "Q7" 3;
   expect O.Encoding.Local "Q6" 4
 
@@ -259,6 +326,50 @@ let test_position_is_bound () =
       check int_t (O.Encoding.name enc ^ " plan-cache misses") 0 (m1 - m0);
       O.Api.Store.drop store)
     O.Encoding.all
+
+(* position() and count() compare with their literal exactly: a fraction or
+   a number beyond the integers is never truncated. The counts are the
+   scale-1 document's: open_auction[1] has 6 bidders; each of the 12
+   auctions has a bidder, and 4 have one or two. *)
+let test_exact_comparisons () =
+  let _, stores = Lazy.force env in
+  let a = "/site/open_auctions/open_auction" in
+  let cases =
+    [
+      (a ^ "[1]/bidder", 6);
+      (a ^ "[1]/bidder[position() < 2.5]", 2);
+      (a ^ "[1]/bidder[position() <= 2.5]", 2);
+      (a ^ "[1]/bidder[position() = 1.5]", 0);
+      (a ^ "[1]/bidder[position() != 1.5]", 6);
+      (a ^ "[1]/bidder[position() >= 1.5]", 5);
+      (a ^ "[1]/bidder[position() > 1.5]", 5);
+      (a ^ "[1]/bidder[position() > 10000000000000000000000]", 0);
+      (a ^ "[1]/bidder[position() < 10000000000000000000000]", 6);
+      (a ^ "[1]/bidder[position() = 4611686018427387903]", 0);
+      (a ^ "[count(bidder) > 0]", 12);
+      (a ^ "[count(bidder) = 2.5]", 0);
+      (a ^ "[count(bidder) != 2.5]", 12);
+      (a ^ "[count(bidder) > 10000000000000000000000]", 0);
+      (a ^ "[count(bidder) < 2.5]", 4);
+      (a ^ "[count(bidder) <= 2]", 4);
+    ]
+  in
+  List.iter
+    (fun (enc, store) ->
+      List.iter
+        (fun (xpath, n) ->
+          check int_t (O.Encoding.name enc ^ " " ^ xpath) n (List.length (O.Api.Store.query_ids store xpath)))
+        cases)
+    stores;
+  List.iter
+    (fun (xpath, shown) ->
+      check Alcotest.string xpath shown (O.Xpath_ast.to_string (O.Xpath_parser.parse xpath)))
+    [
+      ("a[position() = 4611686018427387903]", "a[position() < 1]");
+      ("a[position() < 2.5]", "a[position() <= 2]");
+      ("a[count(b) > 10000000000000000000000]", "a[count(b) < 0]");
+      ("a[position() < 3]", "a[position() < 3]");
+    ]
 
 (* ---- the number rule ------------------------------------------------ *)
 
@@ -325,9 +436,11 @@ let tests =
   ( "runs",
     [
       QCheck_alcotest.to_alcotest prop_runs_oracle;
+      QCheck_alcotest.to_alcotest prop_nested_positions;
       Alcotest.test_case "paper queries, statements per run" `Quick
         test_paper_query_statements;
       Alcotest.test_case "a position is a bound value" `Quick test_position_is_bound;
+      Alcotest.test_case "position() and count() compare exactly" `Quick test_exact_comparisons;
       Alcotest.test_case "LOCAL unions keep their chains" `Quick test_local_union;
       Alcotest.test_case "one number rule" `Quick test_number_rule;
       Alcotest.test_case "stored numbers round-trip" `Quick test_number_roundtrip;
@@ -340,4 +453,5 @@ let compiled_tests =
       QCheck_alcotest.to_alcotest prop_compiled_runs_issued;
       Alcotest.test_case "whole paths, one statement" `Quick test_whole_paths;
       Alcotest.test_case "sibling-from-attribute empty" `Quick test_sibling_from_attribute;
+      Alcotest.test_case "census: no adjacent runs" `Quick test_census;
     ] )

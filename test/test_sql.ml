@@ -956,6 +956,62 @@ let test_limit_by () =
       "SELECT id FROM t LIMIT 1 BY p LIMIT 2";
     ]
 
+(* A derived table is planned on its own and drives the join: the first
+   child per parent, then each parent's later children through the
+   (p, o) index; nested once; DISTINCT inside with LIMIT BY outside. A
+   malformed one is a Sql_error. *)
+let test_derived_tables () =
+  let db = fresh () in
+  e db "CREATE TABLE t (id INT NOT NULL, p INT, o INT)";
+  e db "CREATE UNIQUE INDEX t_po ON t (p, o)";
+  e db "INSERT INTO t VALUES (1, 1, 10), (2, 1, 20), (3, 1, 30), (4, 2, 5), (5, 2, 7), (6, 3, 1)";
+  let first = "SELECT id, p, o FROM t ORDER BY p, o LIMIT ? BY p" in
+  let later = Printf.sprintf "SELECT s.id FROM (%s) AS b, t s WHERE s.p = b.p AND s.o > b.o ORDER BY s.id" first in
+  check bool_t "later siblings of each first child" true
+    (List.map (fun r -> r.(0)) (D.query_params db later [| V.Int 1 |]) = [ V.Int 2; V.Int 3; V.Int 5 ]);
+  let plan = D.explain db later in
+  check bool_t "the derived table is the outer input of an index join" true
+    (Astring_contains.contains plan "IndexNestedLoopJoin t.t_po key(#1) range (#2 .. +inf"
+    && Astring_contains.contains plan "  Limit ?1 offset 0 by (#1)");
+  (* EXPLAIN ANALYZE profiles the derived subplan under its join *)
+  let lines = String.split_on_char '\n' (D.explain_analyze db later [| V.Int 1 |]) in
+  let depth prefix =
+    List.find_map
+      (fun l ->
+        let t = String.trim l in
+        if String.length t >= String.length prefix && String.sub t 0 (String.length prefix) = prefix then
+          Some (String.length l - String.length (String.trim l))
+        else None)
+      lines
+  in
+  check bool_t "derived subplan profiled under the join" true
+    (match (depth "IndexNestedLoopJoin t.t_po key(#1)", depth "Limit ?1") with
+    | Some j, Some l -> l > j
+    | _ -> false);
+  check bool_t "nested once" true
+    (ints db
+       "SELECT d.id FROM (SELECT b.id, b.p FROM (SELECT id, p, o FROM t ORDER BY o DESC LIMIT 1 BY p) b \
+        WHERE b.p > 1) d ORDER BY d.id"
+    = [ [ 5 ]; [ 6 ] ]);
+  check bool_t "DISTINCT inside, LIMIT BY outside" true
+    (ints db
+       "SELECT s.id FROM (SELECT DISTINCT p FROM t) b, t s WHERE s.p = b.p ORDER BY s.o LIMIT 1 OFFSET 1 BY b.p"
+    = [ [ 5 ]; [ 2 ] ]);
+  List.iter
+    (fun sql ->
+      match D.query db sql with
+      | _ -> Alcotest.failf "accepted: %s" sql
+      | exception D.Sql_error _ -> ())
+    [
+      "SELECT * FROM (SELECT id FROM t b";
+      "SELECT * FROM (SELECT id FROM t)";
+      "SELECT * FROM (SELECT id FROM t) b, t b";
+      "SELECT * FROM t a, (SELECT id FROM t WHERE t.p = a.p) b";
+      "SELECT * FROM (SELECT id, id FROM t) b";
+      "SELECT * FROM (SELECT id FROM t UNION ALL SELECT id FROM t) b";
+      "SELECT * FROM (SELECT id FROM t) b WHERE b.o = 1";
+    ]
+
 (* A runtime error in an UPDATE or DELETE WHERE clause fails the statement
    with Sql_error and changes nothing, when it is planned and again when its
    plan comes from the cache. *)
@@ -1456,6 +1512,7 @@ let tests =
       QCheck_alcotest.to_alcotest prop_index_probe_bounds;
       QCheck_alcotest.to_alcotest prop_limit_by;
       Alcotest.test_case "LIMIT BY" `Quick test_limit_by;
+      Alcotest.test_case "derived tables" `Quick test_derived_tables;
       QCheck_alcotest.to_alcotest prop_bound_limit_by;
       Alcotest.test_case "EXPLAIN bound LIMIT" `Quick test_explain_bound_limit;
       Alcotest.test_case "UPDATE/DELETE WHERE errors" `Quick test_dml_where_errors;
