@@ -34,11 +34,11 @@ let measure db ~doc enc =
   let index_entries = ref 0 and index_bytes = ref 0 in
   List.iter
     (fun (idx : Reldb.Table.index) ->
-      Seq.iter
-        (fun (key, _) ->
+      Reldb.Btree.iter idx.Reldb.Table.tree ~lo:Unbounded ~hi:Unbounded ~reverse:false
+        (fun key _ ->
           incr index_entries;
-          index_bytes := !index_bytes + Reldb.Tuple.size_bytes key)
-        (Reldb.Btree.to_seq idx.Reldb.Table.tree))
+          index_bytes := !index_bytes + Reldb.Tuple.size_bytes key;
+          true))
     (Reldb.Table.indexes table);
   {
     encoding = enc;

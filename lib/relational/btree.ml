@@ -12,14 +12,31 @@ and leaf = {
 }
 
 and internal = {
-  (* children.(i) covers keys k with seps.(i-1) <= k < seps.(i) *)
+  (* children.(i) covers keys k with seps.(i-1) <= k < seps.(i); each
+     separator owns its array, so rewriting a leaf key moves no bound *)
   mutable seps : Tuple.t array;
   mutable children : node array;
 }
 
-type t = { mutable root : node; branching : int; mutable count : int }
+(* The finger: the leaf of the last [rewrite_key] and the deepest
+   separators bounding it, [lo.seps.(lo_j)] below and [hi.seps.(hi_j)]
+   above ([-1]: no bound on that side). A split moves separators and
+   drops it; a rewrite, a delete or an insert that splits nothing keeps it. *)
+type finger = {
+  mutable leaf : leaf;
+  mutable lo : internal;
+  mutable lo_j : int;
+  mutable hi : internal;
+  mutable hi_j : int;
+}
+
+type t = { mutable root : node; branching : int; mutable count : int; finger : finger }
 
 type bound = Unbounded | Incl of Tuple.t | Excl of Tuple.t
+
+(* an empty leaf: the finger holding it matches no key *)
+let no_leaf = { keys = [||]; vals = [||]; n = 0; next = None }
+let no_internal = { seps = [||]; children = [||] }
 
 let create ?(branching = 64) () =
   let branching = max 4 branching in
@@ -27,6 +44,7 @@ let create ?(branching = 64) () =
     root = Leaf { keys = [||]; vals = [||]; n = 0; next = None };
     branching;
     count = 0;
+    finger = { leaf = no_leaf; lo = no_internal; lo_j = -1; hi = no_internal; hi_j = -1 };
   }
 
 (* room for one more entry in [l]: a full leaf's arrays grow by half, up to
@@ -105,6 +123,7 @@ let rec insert_node t node k v ~replace_existing =
         if l.n > t.branching then begin
           (* both halves get arrays of their own size: a leaf filled by
              appends keeps no empty slots once it has split *)
+          t.finger.leaf <- no_leaf;
           let n = l.n in
           let mid = n / 2 in
           let right =
@@ -119,7 +138,7 @@ let rec insert_node t node k v ~replace_existing =
           l.vals <- Array.sub l.vals 0 mid;
           l.n <- mid;
           l.next <- Some right;
-          Some (right.keys.(0), Leaf right)
+          Some (Array.copy right.keys.(0), Leaf right)
         end
         else None
       end
@@ -171,77 +190,69 @@ let delete t k =
 
 (* Rewrite [old] to [nk] in its slot, keeping the tree's shape. The slot's
    neighbours are its leaf mates, or across a leaf edge the first key of
-   [l.next] and the last key of the rightmost leaf left of [l]. [lo] and
-   [hi] are the deepest separators on the descent path that bound [l]
-   from below and above: [n.seps.(j)] heads the child [j + 1] holding [l],
-   with the subtree to its left at [n.children.(j)]. A key that leaves
-   [l]'s bounds moves exactly one of them: the upper one rises to the next
-   leaf's first key, the lower one falls to [nk]. Every other separator
-   already lies beyond the neighbour on its side. *)
-let rec descend k node lo hi =
+   [l.next] and the last key of the rightmost leaf left of [l]. The
+   finger's [lo] and [hi] are the deepest separators on the descent path
+   that bound [l] from below and above: [n.seps.(j)] heads the child
+   [j + 1] holding [l], with the subtree to its left at [n.children.(j)].
+   A key that leaves [l]'s bounds moves exactly one of them: the upper one
+   rises to the next leaf's first key, the lower one falls to [nk]. Every
+   other separator already lies beyond the neighbour on its side. *)
+let rec descend f k node =
   match node with
-  | Leaf l -> (l, lo, hi)
+  | Leaf l -> f.leaf <- l
   | Internal n ->
       let ci = child_index n k in
-      let lo = if ci > 0 then Some (n, ci - 1) else lo in
-      let hi = if ci < Array.length n.seps then Some (n, ci) else hi in
-      descend k n.children.(ci) lo hi
+      if ci > 0 then (f.lo <- n; f.lo_j <- ci - 1);
+      if ci < Array.length n.seps then (f.hi <- n; f.hi_j <- ci);
+      descend f k n.children.(ci)
 
 let rec rightmost = function
   | Leaf l -> l
   | Internal n -> rightmost n.children.(Array.length n.children - 1)
 
 (* what [nk] needs on one side of its slot *)
-type side = Inside | Set_sep of internal * int * Tuple.t | Crosses
+type side = Inside | Moves | Crosses
 
 let rewrite_key t ~old nk =
-  let l, lo, hi = descend old t.root None None in
+  let f = t.finger in
+  let l = f.leaf in
+  (* the finger's leaf if its keys span [old], else a descent *)
+  if not (l.n > 0 && Tuple.compare_key l.keys.(0) old <= 0
+          && Tuple.compare_key old l.keys.(l.n - 1) <= 0)
+  then (f.lo_j <- -1; f.hi_j <- -1; descend f old t.root);
+  let l = f.leaf in
   let i = lower_bound l.keys l.n old in
   let last = l.n - 1 in
-  if i > last || Tuple.compare_key l.keys.(i) old <> 0 then false
+  if i > last || Tuple.compare_key l.keys.(i) old <> 0
+     || Array.length l.keys.(i) <> Array.length nk
+  then false
   else
     let below =
       if i > 0 then
         if Tuple.compare_key l.keys.(i - 1) nk < 0 then Inside else Crosses
+      else if f.lo_j < 0 || Tuple.compare_key f.lo.seps.(f.lo_j) nk <= 0 then Inside
       else
-        match lo with
-        | None -> Inside
-        | Some (n, j) ->
-            if Tuple.compare_key n.seps.(j) nk <= 0 then Inside
-            else
-              let p = rightmost n.children.(j) in
-              let pn = p.n in
-              if pn > 0 && Tuple.compare_key p.keys.(pn - 1) nk < 0 then
-                Set_sep (n, j, nk)
-              else Crosses
+        let p = rightmost f.lo.children.(f.lo_j) in
+        if p.n > 0 && Tuple.compare_key p.keys.(p.n - 1) nk < 0 then Moves
+        else Crosses
     in
     let above =
       if i < last then
         if Tuple.compare_key nk l.keys.(i + 1) < 0 then Inside else Crosses
+      else if f.hi_j < 0 || Tuple.compare_key nk f.hi.seps.(f.hi_j) < 0 then Inside
       else
-        match hi with
-        | None -> Inside
-        | Some (n, j) -> (
-            if Tuple.compare_key nk n.seps.(j) < 0 then Inside
-            else
-              match l.next with
-              | Some r
-                when r.n > 0 && Tuple.compare_key nk r.keys.(0) < 0
-                ->
-                  Set_sep (n, j, r.keys.(0))
-              | _ -> Crosses)
+        match l.next with
+        | Some r when r.n > 0 && Tuple.compare_key nk r.keys.(0) < 0 -> Moves
+        | _ -> Crosses
     in
-    let apply = function
-      | Set_sep (n, j, k) -> n.seps.(j) <- k
-      | Inside | Crosses -> ()
-    in
-    match (below, above) with
-    | Crosses, _ | _, Crosses -> false
-    | _ ->
-        apply below;
-        apply above;
-        l.keys.(i) <- nk;
-        true
+    if below = Crosses || above = Crosses then false
+    else begin
+      if below = Moves then f.lo.seps.(f.lo_j) <- Array.copy nk;
+      if above = Moves then
+        Option.iter (fun r -> f.hi.seps.(f.hi_j) <- Array.copy r.keys.(0)) l.next;
+      Array.blit nk 0 l.keys.(i) 0 (Array.length nk);
+      true
+    end
 
 let leftmost_leaf t =
   let rec go = function
@@ -337,7 +348,7 @@ let iter t ~lo ~hi ~reverse f =
 let entries t ~lo ~hi ~reverse =
   let acc = ref [] in
   iter t ~lo ~hi ~reverse (fun k v ->
-      acc := (k, v) :: !acc;
+      acc := (Array.copy k, v) :: !acc;
       true);
   List.to_seq (List.rev !acc)
 
@@ -376,6 +387,8 @@ let check_invariants t =
   let err = ref None in
   let fail msg = if !err = None then err := Some msg in
   let leaf_depth = ref (-1) and entries = ref 0 and prev = ref None in
+  (* separators passed since the last leaf key, the only key one can share *)
+  let pending = ref [] in
   (* the leaf the chain must reach next, if it visits leaves in tree order *)
   let chain = ref (Some (leftmost_leaf t)) in
   let rec check lo hi depth node =
@@ -394,6 +407,9 @@ let check_invariants t =
         for i = 0 to l.n - 1 do
           let k = l.keys.(i) in
           if not (in_bounds k) then fail "leaf key out of separator bounds";
+          if List.exists (fun sep -> sep == k) !pending then
+            fail "separator shares a leaf key's array";
+          pending := [];
           (match !prev with
           | Some p when Tuple.compare_key p k >= 0 ->
               fail "leaf keys not strictly ascending"
@@ -413,6 +429,7 @@ let check_invariants t =
           (fun i child ->
             let lo' = if i = 0 then lo else Some n.seps.(i - 1) in
             let hi' = if i = Array.length n.seps then hi else Some n.seps.(i) in
+            if i > 0 then pending := n.seps.(i - 1) :: !pending;
             check lo' hi' (depth + 1) child)
           n.children
   in

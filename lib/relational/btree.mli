@@ -23,7 +23,8 @@ val create : ?branching:int -> unit -> t
 (** [branching] is the max entries per node (default 64, minimum 4). *)
 
 val insert : t -> Tuple.t -> int -> unit
-(** @raise Duplicate_key if the key is already present. *)
+(** The tree keeps the array as its own key ({!rewrite_key} writes into
+    it). @raise Duplicate_key if the key is already present. *)
 
 val replace : t -> Tuple.t -> int -> unit
 (** Insert or overwrite. *)
@@ -36,13 +37,17 @@ val delete : t -> Tuple.t -> bool
 val rewrite_key : t -> old:Tuple.t -> Tuple.t -> bool
 (** [rewrite_key t ~old nk] replaces the key [old] by [nk] in [old]'s slot,
     keeping its payload, if [nk] sorts strictly between [old]'s neighbours
-    in key order. Returns [false] and leaves the tree untouched otherwise:
-    [old] absent, [nk] at or beyond a neighbour, or a neighbour in an
-    adjacent leaf that is empty. A key that crosses its leaf's bounding
-    separator moves that one separator (up to the next leaf's first key,
-    or down to [nk]). So a [true] result leaves a valid tree holding the
-    same keys with [old] replaced by [nk], never a duplicate, whatever the
-    order of the calls. One descent, no split, no merge. *)
+    in key order. [nk]'s values are copied into the stored array, so [nk]
+    may be a scratch key the caller refills; separators own their arrays.
+    Returns [false] and leaves the tree untouched otherwise: [old] absent,
+    [nk] not of [old]'s length, [nk] at or beyond a neighbour, or a
+    neighbour in an adjacent leaf that is empty. A key that crosses its
+    leaf's bounding separator moves that one separator (up to a copy of
+    the next leaf's first key, or down to a copy of [nk]). So a [true]
+    result leaves a valid tree holding the same keys with [old] replaced
+    by [nk], never a duplicate, whatever the order of the calls. No split,
+    no merge, and no descent while [old] lies within the keys of the leaf
+    the last rewrite wrote. *)
 
 val length : t -> int
 
@@ -61,12 +66,14 @@ val iter : t -> lo:bound -> hi:bound -> reverse:bool -> (Tuple.t -> int -> bool)
     [hi = Incl [p; 5]] keeps every entry with [parent = p] and [pos <= 5]
     regardless of its [rowid]. [Excl] makes the truncated comparison strict.
     This is exactly what SQL range predicates over an index prefix need.
+    [f] borrows the tree's own key array: a later {!rewrite_key} changes it.
     A descending walk finds the right end of the range by binary search in
     every node on the way down: O(log n + k) for the first [k] entries.
     Behaviour is unspecified if the tree is mutated during the walk. *)
 
 val range : t -> lo:bound -> hi:bound -> (Tuple.t * int) Seq.t
-(** The entries {!iter} visits, in ascending order, read when called. *)
+(** The entries {!iter} visits, in ascending order, read when called, each
+    key a copy (so in {!range_desc}, {!prefix} and {!to_seq}). *)
 
 val range_desc : t -> lo:bound -> hi:bound -> (Tuple.t * int) Seq.t
 (** The same entries in descending order. *)
@@ -85,5 +92,6 @@ val stats : t -> stats
 
 val check_invariants : t -> (unit, string) result
 (** Structural check: key ordering within and across leaves, separator
-    consistency, depth uniformity, entry count, and a leaf chain that visits
-    every leaf in tree order. One walk, building no list of the entries. *)
+    consistency, depth uniformity, entry count, a leaf chain that visits
+    every leaf in tree order, and no separator that is physically a leaf's
+    key array. One walk, building no list of the entries. *)

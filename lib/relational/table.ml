@@ -41,15 +41,18 @@ let indexes t = t.idxs
 let find_index t n =
   List.find_opt (fun i -> String.lowercase_ascii i.idx_name = String.lowercase_ascii n) t.idxs
 
-(* one allocation per key: every insert, delete and renumbered row builds
-   its keys here *)
-let index_key idx ~rowid tuple =
+let key_length idx = Array.length idx.key_cols + if idx.unique then 0 else 1
+
+(* write the key this index stores for the row into [k]: a fresh key for
+   every insert and delete, one of two scratch keys when renumbering *)
+let fill_key idx k ~rowid tuple =
   let cols = idx.key_cols in
-  let n = Array.length cols in
-  let k = Array.make (if idx.unique then n else n + 1) (Value.Int rowid) in
-  for i = 0 to n - 1 do
-    k.(i) <- tuple.(cols.(i))
-  done;
+  for i = 0 to Array.length cols - 1 do k.(i) <- tuple.(cols.(i)) done;
+  if not idx.unique then k.(Array.length cols) <- Value.Int rowid
+
+let index_key idx ~rowid tuple =
+  let k = Array.make (key_length idx) Value.Null in
+  fill_key idx k ~rowid tuple;
   k
 
 let insert_key t idx k rowid =
@@ -69,6 +72,7 @@ let index_delete idx rowid tuple =
 let create_index t ~name ~cols ~unique =
   Array.iter
     (fun c ->
+      (* Db resolves every column by name in this table's schema *)
       if c < 0 || c >= Schema.arity t.tbl_schema then
         invalid_arg "Table.create_index: column out of range")
     cols;
@@ -121,14 +125,18 @@ let get t rowid =
     Vec.get t.slots rowid
   end
 
+(* drop a live row and its index entries *)
+let unlink t rowid tuple =
+  List.iter (fun idx -> index_delete idx rowid tuple) t.idxs;
+  Vec.set t.slots rowid None;
+  t.live <- t.live - 1
+
 let delete t rowid =
   if rowid >= 0 && rowid < Vec.length t.slots then
     match Vec.get t.slots rowid with
     | None -> ()
     | Some tuple ->
-        List.iter (fun idx -> index_delete idx rowid tuple) t.idxs;
-        Vec.set t.slots rowid None;
-        t.live <- t.live - 1;
+        unlink t rowid tuple;
         t.writes <- t.writes + 1;
         record t (U_delete (rowid, tuple))
 
@@ -139,54 +147,66 @@ let rec key_differs cols old tu i =
   && (Value.compare old.(cols.(i)) tu.(cols.(i)) <> 0
      || key_differs cols old tu (i + 1))
 
-(* Move the changed keys of one index, [rows] in access-path order. Each key
-   is first rewritten in its slot ([Btree.rewrite_key]); visiting the rows
-   top-down when the keys move up (bottom-up when they move down) lets every
-   key of an order-preserving shift find its neighbour already out of its
-   way. Keys refused there are deleted and re-inserted after all in-place
-   writes. Returns the function that undoes both. *)
-let move_keys t idx rows =
-  let keyed =
-    List.map
-      (fun (rowid, old, tu) ->
-        (rowid, index_key idx ~rowid old, index_key idx ~rowid tu))
-      rows
+(* Move the changed keys of one index; [rows] (with [olds], their current
+   images) are in access-path order. Each key is first rewritten in its
+   slot ([Btree.rewrite_key]) from two scratch keys; visiting the rows
+   top-down when the keys move up (bottom-up when they move down) lets
+   every key of an order-preserving shift find its neighbour already out
+   of its way. Keys refused there are deleted and re-inserted after all
+   in-place writes. Returns the function that undoes both, rebuilding the
+   keys from the row images. *)
+let move_keys t idx rows olds =
+  let n = Array.length rows in
+  let changed i = key_differs idx.key_cols olds.(i) (snd rows.(i)) 0 in
+  let rec first i = if i < n && not (changed i) then first (i + 1) else i in
+  let first = first 0 in
+  let ok = Array.make (key_length idx) Value.Null in
+  let nk = Array.make (key_length idx) Value.Null in
+  let fill i =
+    let rowid, tu = rows.(i) in
+    fill_key idx ok ~rowid olds.(i);
+    fill_key idx nk ~rowid tu;
+    rowid
   in
-  let keyed =
-    match keyed with
-    | (_, ok, nk) :: _ when Tuple.compare_key nk ok > 0 -> List.rev keyed
-    | _ -> keyed
+  let up = first < n && (ignore (fill first); Tuple.compare_key nk ok > 0) in
+  (* every changed row, in the order its key is rewritten or in reverse *)
+  let visit ~reverse g =
+    if up <> reverse then for i = n - 1 downto first do if changed i then g i done
+    else for i = first to n - 1 do if changed i then g i done
   in
-  let rewritten, refused =
-    List.fold_left
-      (fun (rw, rf) ((_, ok, nk) as r) ->
-        if Btree.rewrite_key idx.tree ~old:ok nk then (r :: rw, rf)
-        else (rw, r :: rf))
-      ([], []) keyed
-  in
-  let refused = List.rev refused in
-  List.iter (fun (_, ok, _) -> ignore (Btree.delete idx.tree ok)) refused;
-  let inserted = ref [] in
+  let refused = ref [] and rewritten = ref 0 in
+  visit ~reverse:false (fun i ->
+      ignore (fill i);
+      if Btree.rewrite_key idx.tree ~old:ok nk then incr rewritten
+      else refused := i :: !refused);
+  let refused = List.rev !refused and inserted = ref 0 in
+  List.iter (fun i -> ignore (fill i); ignore (Btree.delete idx.tree ok)) refused;
   let undo () =
-    List.iter (fun nk -> ignore (Btree.delete idx.tree nk)) !inserted;
-    List.iter (fun (rowid, ok, _) -> Btree.insert idx.tree ok rowid) refused;
-    (* [rewritten] is newest first, so each old key is free when it returns *)
-    List.iter
-      (fun (rowid, ok, nk) ->
-        ignore (Btree.delete idx.tree nk);
-        Btree.insert idx.tree ok rowid)
-      rewritten
+    List.iteri
+      (fun j i -> if j < !inserted then (ignore (fill i); ignore (Btree.delete idx.tree nk)))
+      refused;
+    List.iter (fun i -> let rowid = fill i in Btree.insert idx.tree (Array.copy ok) rowid) refused;
+    let moved = Array.make n false in
+    List.iter (fun i -> moved.(i) <- true) refused;
+    (* newest first, so each old key is free when it returns *)
+    visit ~reverse:true (fun i ->
+        let rowid = fill i in
+        if not (moved.(i) || Btree.rewrite_key idx.tree ~old:nk ok) then begin
+          ignore (Btree.delete idx.tree nk);
+          Btree.insert idx.tree (Array.copy ok) rowid
+        end)
   in
   (try
      List.iter
-       (fun (rowid, _, nk) ->
-         insert_key t idx nk rowid;
-         inserted := nk :: !inserted)
+       (fun i ->
+         let rowid = fill i in
+         insert_key t idx (Array.copy nk) rowid;
+         incr inserted)
        refused
    with Constraint_violation _ as e ->
      undo ();
      raise e);
-  Obs.add "index.rewritten" (List.length rewritten);
+  Obs.add "index.rewritten" !rewritten;
   Obs.add "index.moved" (List.length refused);
   undo
 
@@ -196,25 +216,20 @@ let move_keys t idx rows =
    shifts g_order never touches the id index, and a value-only UPDATE touches
    no index at all. Atomic with respect to unique-key violations. *)
 let update_rows t changes =
-  let images =
-    List.map
+  let rows = Array.of_list changes in
+  let olds =
+    Array.map
       (fun (rowid, tu) ->
         validate t tu;
         match Vec.get t.slots rowid with
+        (* Db updates only the rows its access path has just read *)
         | None -> invalid_arg "Table.update_rows: row deleted"
-        | Some old -> (rowid, old, tu))
-      changes
+        | Some old -> old)
+      rows
   in
   let undos = ref [] in
   (try
-     List.iter
-       (fun idx ->
-         match
-           List.filter (fun (_, old, tu) -> key_differs idx.key_cols old tu 0) images
-         with
-         | [] -> ()
-         | rows -> undos := move_keys t idx rows :: !undos)
-       t.idxs
+     List.iter (fun idx -> undos := move_keys t idx rows olds :: !undos) t.idxs
    with Constraint_violation _ as e ->
      List.iter (fun undo -> undo ()) !undos;
      raise e);
@@ -222,13 +237,13 @@ let update_rows t changes =
      U_update entries: rollback replays newest-first, so all the new images
      are removed before any old image is restored — per-row U_update replay
      could transiently collide on a unique key mid-unwind. *)
-  List.iter (fun (rowid, old, _) -> record t (U_delete (rowid, old))) images;
-  List.iter
-    (fun (rowid, _, tu) ->
+  Array.iteri (fun i (rowid, _) -> record t (U_delete (rowid, olds.(i)))) rows;
+  Array.iter
+    (fun (rowid, tu) ->
       Vec.set t.slots rowid (Some tu);
       record t (U_insert rowid))
-    images;
-  t.writes <- t.writes + List.length images
+    rows;
+  t.writes <- t.writes + Array.length rows
 
 let update t rowid tuple = update_rows t [ (rowid, tuple) ]
 
@@ -259,6 +274,7 @@ let scan t =
     (Vec.to_seq t.slots)
 
 let truncate t =
+  (* Db truncates only scratch relations, which never join a journal *)
   if t.journal <> None then
     invalid_arg "Table.truncate: not allowed inside a transaction";
   Vec.clear t.slots;
@@ -301,10 +317,10 @@ let check t =
     (Ok ()) t.idxs
 
 let begin_journal t =
+  (* Db opens journals only in [begin_txn], which refuses a second
+     transaction, and refuses DDL inside one *)
   if t.journal <> None then invalid_arg "Table.begin_journal: already active";
   t.journal <- Some []
-
-let journal_active t = t.journal <> None
 
 let commit_journal t = t.journal <- None
 
@@ -320,10 +336,7 @@ let rollback_journal t =
           | U_insert rowid -> (
               match Vec.get t.slots rowid with
               | None -> ()
-              | Some tuple ->
-                  List.iter (fun idx -> index_delete idx rowid tuple) t.idxs;
-                  Vec.set t.slots rowid None;
-                  t.live <- t.live - 1)
+              | Some tuple -> unlink t rowid tuple)
           | U_delete (rowid, tuple) ->
               Vec.set t.slots rowid (Some tuple);
               List.iter (fun idx -> index_insert t idx rowid tuple) t.idxs;

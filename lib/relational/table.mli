@@ -44,18 +44,21 @@ val update_rows : t -> (int * Tuple.t) list -> unit
 
     Per index, each changed key is first rewritten in its slot
     ({!Btree.rewrite_key}), which succeeds whenever the key stays between
-    its neighbours. The rows are visited top-down when the batch's keys move
-    up and bottom-up when they move down, taking the given list as ascending
-    (the access-path order of an index range scan), so every key of an
-    order-preserving renumbering finds its neighbour already out of its way.
-    The keys refused there are deleted and re-inserted after all in-place
-    writes. Obs counters [index.rewritten] and [index.moved] count the
-    entries taking each path.
+    its neighbours, from two scratch keys per index and statement: a
+    renumbered row allocates no key. The rows are visited top-down when the
+    batch's keys move up and bottom-up when they move down, taking the
+    given list as ascending (the access-path order of an index range scan),
+    so every key of an order-preserving renumbering finds its neighbour
+    already out of its way. The keys refused there are deleted and
+    re-inserted after all in-place writes. Obs counters [index.rewritten]
+    and [index.moved] count the entries taking each path.
 
     Atomic: a unique-key violation undoes the rewrites and the moves of
-    every index and leaves all rows untouched.
+    every index (rebuilding the keys from the row images) and leaves all
+    rows untouched.
     @raise Constraint_violation on schema or unique-key violation.
-    @raise Invalid_argument if any rowid refers to a deleted row. *)
+    @raise Invalid_argument if any rowid refers to a deleted row ({!Db}
+    updates only rows its access path has just read). *)
 
 val get : t -> int -> Tuple.t option
 (** [None] if the slot was deleted. *)
@@ -71,9 +74,6 @@ val iter : t -> stop:bool ref -> (int -> Tuple.t -> unit) -> unit
 val scan : t -> (int * Tuple.t) Seq.t
 (** The rows {!iter} pushes, read lazily. *)
 
-val index_key : index -> rowid:int -> Tuple.t -> Tuple.t
-(** The B+-tree key this index stores for the given row. *)
-
 val truncate : t -> unit
 (** Remove all rows (indexes emptied too). The slot array is reset, so a
     scan of a refilled table walks only the new rows and the next insert
@@ -81,7 +81,7 @@ val truncate : t -> unit
 
 val check : t -> (unit, string) result
 (** Index oracle: every index passes {!Btree.check_invariants} and holds
-    exactly the keys {!index_key} rebuilds from the live rows. Reads the
+    exactly the keys rebuilt from the live rows. Reads the
     heap without counting rows read. *)
 
 (** {2 Undo journal} (transaction support; driven by {!Db})
@@ -92,8 +92,6 @@ val check : t -> (unit, string) result
 
 val begin_journal : t -> unit
 (** @raise Invalid_argument if a journal is already active. *)
-
-val journal_active : t -> bool
 
 val commit_journal : t -> unit
 (** Discard the recorded inverses, keeping all changes. *)

@@ -317,6 +317,56 @@ let test_rewrite_refusals () =
   refused "empty leaf above" t ~old:(key1 3) (half 5.5);
   refused "empty leaf below" t ~old:(key1 6) (half 3.5)
 
+(* Separators own their arrays. A tree built through splits, whose keys
+   are then shifted up and back down with one scratch key refilled for
+   every rewrite, crossing leaf edges both ways (so separators rise to the
+   next leaf's first key and fall to the new key), stays valid and holds
+   exactly the shifted keys, also once the scratch key is overwritten.
+   Inserts after the shifts split leaves under the finger of the last
+   rewrite, and rewrites after them still see the right bounds. *)
+let test_separator_ownership () =
+  let t = B.create ~branching:4 () in
+  let n = 60 in
+  for i = 0 to n - 1 do
+    B.insert t (key1 (10 * i)) i
+  done;
+  valid t;
+  let scratch = [| V.Null |] and old = [| V.Null |] in
+  let keys = Array.init n (fun i -> 10 * i) in
+  let shift d =
+    let order = List.init n (fun i -> if d > 0 then n - 1 - i else i) in
+    List.iter
+      (fun i ->
+        old.(0) <- V.Int keys.(i);
+        scratch.(0) <- V.Int (keys.(i) + d);
+        check bool_t "shift in place" true (B.rewrite_key t ~old scratch);
+        keys.(i) <- keys.(i) + d)
+      order;
+    scratch.(0) <- V.Int 100_000;
+    old.(0) <- V.Int 100_000;
+    valid t;
+    check (Alcotest.list int_t) "keys after the shift"
+      (Array.to_list keys)
+      (List.map (fun (k, _) -> match k.(0) with V.Int x -> x | _ -> -1) (List.of_seq (B.to_seq t)))
+  in
+  shift 7;
+  shift (-7);
+  shift 9;
+  (* keys 9, 19, ..: fill the gaps below keys 300..590 so their leaves and
+     parents split, then move each of those keys down into the gap *)
+  for i = 30 to n - 1 do
+    B.insert t (key1 ((10 * i) + 1)) (n + i)
+  done;
+  valid t;
+  for i = n - 1 downto 30 do
+    old.(0) <- V.Int ((10 * i) + 9);
+    scratch.(0) <- V.Int ((10 * i) + 5);
+    check bool_t "down after splits" true (B.rewrite_key t ~old scratch);
+    scratch.(0) <- V.Int (-1);
+    valid t
+  done;
+  check int_t "length" (n + 30) (B.length t)
+
 (* Model property for [rewrite_key]: rows carry a value [a] and a group [p];
    two indexes hold [(a, rowid)] and [(p, a, rowid)]. A shift adds [d] to
    [a] on a range of rows, visiting them top-down when [d > 0] as
@@ -448,5 +498,6 @@ let tests =
       Alcotest.test_case "range_desc seeks inside leaves" `Quick test_desc_seek;
       Alcotest.test_case "rewrite_key in place" `Quick test_rewrite_in_place;
       Alcotest.test_case "rewrite_key refusals" `Quick test_rewrite_refusals;
+      Alcotest.test_case "separators own their arrays" `Quick test_separator_ownership;
       QCheck_alcotest.to_alcotest prop_rewrite_model;
     ] )

@@ -244,6 +244,59 @@ let test_table_rollback_on_unique () =
        (fun (_, tu) -> tu.(0) = V.Int 1)
        (List.of_seq (Reldb.Table.scan t)))
 
+(* A multi-row UPDATE that rewrites its keys in place in two indexes (a
+   unique one and one with a rowid suffix) and then hits a unique violation
+   in a third: outside a transaction, and inside one after an UPDATE that
+   succeeded, the statement raises Sql_error and leaves the rows, every
+   index's entries and Db.check as they were; rolling the transaction back
+   then restores the state before it. *)
+let test_in_place_rollback () =
+  let db = Reldb.Db.create () in
+  List.iter
+    (fun s -> ignore (Reldb.Db.exec db s))
+    [
+      "CREATE TABLE ip (a INT, b INT, c INT)";
+      "CREATE UNIQUE INDEX ip_a ON ip (a)";
+      "CREATE INDEX ip_c ON ip (c, a)";
+      "CREATE UNIQUE INDEX ip_b ON ip (b)";
+    ];
+  for i = 0 to 39 do
+    ignore
+      (Reldb.Db.exec db
+         (Printf.sprintf "INSERT INTO ip VALUES (%d, %d, %d)" (10 * i) i (i mod 3)))
+  done;
+  let tbl = Reldb.Db.table db "ip" in
+  let state () =
+    ( List.of_seq (Reldb.Table.scan tbl),
+      List.map
+        (fun idx -> List.of_seq (Reldb.Btree.to_seq idx.Reldb.Table.tree))
+        (Reldb.Table.indexes tbl) )
+  in
+  let same what before =
+    check bool_t (what ^ ": rows and index entries") true (state () = before);
+    check bool_t (what ^ ": Db.check") true (Reldb.Db.check db = Ok ())
+  in
+  (* rows 10..20 shift [a] up by 5 in place (in ip_a and ip_c); row 20's
+     [b] becomes 21, which row 21 holds *)
+  let failing () =
+    match
+      Reldb.Db.exec db "UPDATE ip SET a = a + 5, b = b + 1 WHERE a >= 100 AND a <= 200"
+    with
+    | exception Reldb.Db.Sql_error _ -> ()
+    | _ -> Alcotest.fail "duplicate b accepted"
+  in
+  let before = state () in
+  failing ();
+  same "outside a transaction" before;
+  Reldb.Db.begin_txn db;
+  ignore (Reldb.Db.exec db "UPDATE ip SET a = a + 1, c = c + 3 WHERE a >= 50");
+  let shifted = state () in
+  check bool_t "the first UPDATE moved keys" true (shifted <> before);
+  failing ();
+  same "inside a transaction" shifted;
+  Reldb.Db.rollback db;
+  same "after rollback" before
+
 let test_truncate () =
   let t = mk_table "tr" [ (1, "a"); (2, "b") ] in
   ignore (Reldb.Table.create_index t ~name:"tr_k" ~cols:[| 0 |] ~unique:true);
@@ -394,6 +447,7 @@ let tests =
       Alcotest.test_case "string aggregates" `Quick test_string_aggregates;
       Alcotest.test_case "access-path choice" `Quick test_access_path_choice;
       Alcotest.test_case "constraint rollback" `Quick test_table_rollback_on_unique;
+      Alcotest.test_case "in-place keys roll back" `Quick test_in_place_rollback;
       Alcotest.test_case "truncate" `Quick test_truncate;
       Alcotest.test_case "result rendering" `Quick test_render;
       Alcotest.test_case "catalog" `Quick test_catalog;

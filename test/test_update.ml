@@ -770,12 +770,50 @@ let prop_random_edits =
       | d0 :: rest -> List.for_all (fun d -> T.equal_document d0 d) rest
       | [] -> true)
 
+(* Minor words per renumbered row of a front insert of
+   [Workload.small_fragment] under /site/open_auctions on XMark scale 2,
+   the insert the edit benchmark repeats, with a warm plan cache: about 64
+   (GLOBAL, 1,878 rows) and 90 (DEWEY, 1,695 rows) with keys rewritten in
+   place from scratch keys, 217 and 239 when each renumbered row built
+   fresh keys and descended from the root. The bounds are 10 % above. *)
+let max_renumber_words = [ (O.Encoding.Global, 71.); (O.Encoding.Dewey_enc, 99.) ]
+
+let test_renumber_words_per_row () =
+  let doc = O.Workload.dataset ~scale:2 in
+  List.iter
+    (fun (enc, limit) ->
+      let store = O.Api.Store.create (Reldb.Db.create ()) ~name:"w" enc doc in
+      let container =
+        match O.Api.Store.query_ids store "/site/open_auctions" with
+        | [ id ] -> id
+        | _ -> Alcotest.fail "no open_auctions"
+      in
+      let insert () =
+        O.Api.Store.insert_subtree store ~parent:container ~pos:1
+          O.Workload.small_fragment
+      in
+      let remove () =
+        match O.Api.Store.query_ids store "/site/open_auctions/bidder" with
+        | [ id ] -> ignore (O.Api.Store.delete_subtree store ~id)
+        | _ -> Alcotest.fail "not one inserted bidder"
+      in
+      ignore (insert ());
+      remove ();
+      let w0 = Gc.minor_words () in
+      let st = insert () in
+      let per_row = (Gc.minor_words () -. w0) /. float_of_int st.U.rows_renumbered in
+      if per_row > limit then
+        Alcotest.failf "%s: %.1f minor words per renumbered row (limit %.0f)"
+          (O.Encoding.name enc) per_row limit)
+    max_renumber_words
+
 let tests =
   ( "update",
     [
       Alcotest.test_case "insert at front/middle/back" `Quick test_insert_positions;
       Alcotest.test_case "insert nested fragment" `Quick test_insert_nested_fragment;
       Alcotest.test_case "renumbering costs" `Quick test_renumbering_costs;
+      Alcotest.test_case "renumbering words per row" `Quick test_renumber_words_per_row;
       Alcotest.test_case "append is cheap" `Quick test_back_insert_cheap_everywhere;
       Alcotest.test_case "gap exhaustion fallback" `Quick test_gap_exhaustion_falls_back;
       Alcotest.test_case "delete subtree" `Quick test_delete;
