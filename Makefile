@@ -39,12 +39,17 @@ crash-test:
 
 # build + tier-1 tests + fault injection + counter gate + CLI smoke test
 # over the quickstart catalog; `oxq sql --analyze` must profile the run a
-# positional query executes (an operator tree with its Limit). Run this
-# before recording a change in CHANGES.md.
+# positional query executes (an operator tree with its Limit), and a query
+# on the directory `oxq dump` writes must print what it prints on the XML.
+# Run this before recording a change in CHANGES.md.
 check: build test lint crash-test bench-smoke
 	$(OXQ) stats examples/catalog.xml -e dewey
 	$(OXQ) query examples/catalog.xml '/catalog/book[1]/title' --trace
 	$(OXQ) sql examples/catalog.xml '/catalog/book[last()]' --analyze | grep 'Limit'
+	rm -rf _build/check-db
+	$(OXQ) dump examples/catalog.xml -o _build/check-db
+	$(OXQ) query _build/check-db '//book[2]/title' > _build/check-db.out
+	$(OXQ) query examples/catalog.xml '//book[2]/title' | diff _build/check-db.out -
 	@echo "check: OK"
 
 # counter gate (bench/record.py): re-run the benchmark's traced workloads at

@@ -17,10 +17,10 @@ let read_file path =
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-(* .sql files are engine dumps (see `oxq dump`); anything else is XML.
-   With [--db DIR] the engine is durable: the first run shreds the input
-   into DIR (checkpoint + write-ahead log) and later runs recover from DIR,
-   ignoring the input file's contents. *)
+(* A directory is a database directory (see `oxq dump`); anything else is
+   XML. With [--db DIR] the engine is durable: the first run shreds the
+   input into DIR (checkpoint + write-ahead log) and later runs recover
+   from DIR, ignoring the input file's contents. *)
 let load_store ?db_dir path enc =
   match db_dir with
   | Some dir -> (
@@ -31,8 +31,8 @@ let load_store ?db_dir path enc =
           let doc = Xmllib.Parser.parse_document (read_file path) in
           (db, O.Api.Store.create db ~name:"doc" enc doc))
   | None ->
-      if Filename.check_suffix path ".sql" then
-        let db = Reldb.Db.restore_from_file path in
+      if Sys.is_directory path then
+        let db = Reldb.Db.open_dir path in
         (db, O.Api.Store.open_existing db ~name:"doc" enc)
       else begin
         let doc = Xmllib.Parser.parse_document (read_file path) in
@@ -69,7 +69,10 @@ let encoding =
 
 let file =
   Cmdliner.Arg.(
-    required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc:"XML input.")
+    required & pos 0 (some file) None & info [] ~docv:"FILE"
+      ~doc:
+        "XML input; query, sql, tables and flwor also take a database \
+         directory written by $(b,oxq dump).")
 
 let xpath =
   Cmdliner.Arg.(
@@ -84,7 +87,8 @@ let wrap f =
   | O.Xpath_parser.Parse_error m
   | O.Flwor.Parse_error m
   | O.Flwor.Eval_error m
-  | Reldb.Db.Sql_error m ->
+  | Reldb.Db.Sql_error m
+  | Sys_error m ->
       Printf.eprintf "error: %s\n" m;
       1
 
@@ -360,21 +364,21 @@ let dump_cmd =
     Cmdliner.Arg.(
       required
       & opt (some string) None
-      & info [ "o"; "output" ] ~docv:"OUT.sql" ~doc:"Output SQL script.")
+      & info [ "o"; "output" ] ~docv:"DIR" ~doc:"Output database directory.")
   in
-  let run enc path out db_dir =
+  let run enc path out =
     wrap (fun () ->
-        let db, _ = load_store ?db_dir path enc in
-        Reldb.Db.dump_to_file db out;
-        Printf.printf "wrote %s\n" out;
-        Reldb.Db.close db)
+        let db, _ = load_store ~db_dir:out path enc in
+        Reldb.Db.checkpoint db;
+        Reldb.Db.close db;
+        Printf.printf "wrote %s\n" out)
   in
   Cmdliner.Cmd.v
     (Cmdliner.Cmd.info "dump"
        ~doc:
-         "Shred the document and write the whole database as a SQL script \
-          (reload it by passing the .sql file to query/sql/tables).")
-    Cmdliner.Term.(const run $ encoding $ file $ out $ db_dir_opt)
+         "Shred the document into a database directory and checkpoint it \
+          (query it by passing the directory to query/sql/tables).")
+    Cmdliner.Term.(const run $ encoding $ file $ out)
 
 (* ------------------------------------------------------------------ *)
 (* Static analysis (oxq lint)                                          *)

@@ -1,6 +1,6 @@
 (* Streaming ingest: load XML into the relational store in one SAX pass —
-   no DOM — then keep it current with bulk (forest) insertions, and persist
-   the whole database as a SQL script.
+   no DOM — into a database directory, keep it current with bulk (forest)
+   insertions, and checkpoint the directory.
 
    Every order encoding supports one-pass loading because all three are
    stack-computable (preorder interval counters, sibling counters, a Dewey
@@ -18,7 +18,12 @@ let () =
   in
   Printf.printf "incoming document: %d bytes\n" (String.length xml);
 
-  let db = Reldb.Db.create () in
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "feed_%d" (Unix.getpid ()))
+  in
+  (* every row is logged as it lands; the OS flushes the log *)
+  let db = Reldb.Db.open_dir ~fsync:Reldb.Wal.Never dir in
   let t0 = Unix.gettimeofday () in
   let records = O.Shred.shred_stream db ~doc:"feed" O.Encoding.Dewey_caret xml in
   let ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
@@ -55,17 +60,15 @@ let () =
        "/site/open_auctions/open_auction[position() <= 5][bidder]"
     = 5);
 
-  (* persist everything as a SQL script and prove it reloads *)
-  let path = Filename.temp_file "feed" ".sql" in
-  Reldb.Db.dump_to_file db path;
-  let db2 = Reldb.Db.restore_from_file path in
+  (* fold the log into a checkpoint and prove the directory reloads *)
+  Reldb.Db.checkpoint db;
+  Reldb.Db.close db;
+  let db2 = Reldb.Db.open_dir dir in
   let store2 = O.Api.Store.open_existing db2 ~name:"feed" O.Encoding.Dewey_caret in
-  Printf.printf "dumped to %s (%d bytes); reload agrees: %b\n" path
-    (let ic = open_in_bin path in
-     let n = in_channel_length ic in
-     close_in ic;
-     n)
+  Printf.printf "checkpointed to %s; reload agrees: %b\n" dir
     (Xmllib.Types.equal_document
        (O.Api.Store.document store)
        (O.Api.Store.document store2));
-  Sys.remove path
+  Reldb.Db.close db2;
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  Sys.rmdir dir

@@ -1,4 +1,5 @@
 exception No_subtree = Reconstruct.No_subtree
+exception No_document = Reconstruct.No_document
 
 module Store = struct
   type t = { db : Reldb.Db.t; name : string; enc : Encoding.t }

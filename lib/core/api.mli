@@ -31,6 +31,12 @@ exception No_subtree of int
     when the node id is unknown or names an attribute, which roots no
     subtree. The same exception as {!Reconstruct.No_subtree}. *)
 
+exception No_document of string
+(** Raised by {!Store.document} and {!Store.root_id} when the store's edge
+    table holds no root element (say, after its rows were deleted through
+    SQL); carries the store's name. The same exception as
+    {!Reconstruct.No_document}. *)
+
 module Store : sig
   type t
 
@@ -99,7 +105,11 @@ module Store : sig
   (** {2 Whole-document access} *)
 
   val document : t -> Xmllib.Types.document
+  (** @raise No_document if the store holds no root element. *)
+
   val root_id : t -> int
+  (** @raise No_document as {!document}. *)
+
   val subtree : t -> id:int -> Xmllib.Types.node
   (** @raise No_subtree on an unknown id or an attribute. *)
 

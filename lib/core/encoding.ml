@@ -81,7 +81,8 @@ let ddl ~doc enc =
         Printf.sprintf "CREATE UNIQUE INDEX %s_tag ON %s (tag, path)" t t;
       ]
 
-let create_tables db ~doc enc = Reldb.Db.exec_script db (ddl ~doc enc)
+let create_tables db ~doc enc =
+  List.iter (fun sql -> ignore (Reldb.Db.exec db sql)) (ddl ~doc enc)
 
 let drop_tables db ~doc enc =
   ignore (Reldb.Db.exec db (Printf.sprintf "DROP TABLE %s" (table_name ~doc enc)))

@@ -2,6 +2,7 @@ module T = Xmllib.Types
 module V = Reldb.Value
 
 exception No_subtree of int
+exception No_document of string
 
 (* The rows of edge table [e] joined with the relation [c] holding [ctx]. *)
 let ctx_rows db ~doc enc rel ctx ~where =
@@ -13,14 +14,6 @@ let ctx_rows db ~doc enc rel ctx ~where =
               (Encoding.table_name ~doc enc)
               rel.Node_row.rel_name where)))
 
-let fetch_row db ~doc enc ~id =
-  match
-    ctx_rows db ~doc enc Node_row.ids_relation [ [| V.Int id |] ]
-      ~where:"e.id = c.id"
-  with
-  | r :: _ -> r
-  | [] -> raise Not_found
-
 let root_id db ~doc enc =
   let tname = Encoding.table_name ~doc enc in
   let sql =
@@ -29,7 +22,7 @@ let root_id db ~doc enc =
   in
   match Reldb.Db.query_one db sql with
   | Some tu -> (Node_row.of_tuple enc tu).Node_row.id
-  | None -> raise Not_found
+  | None -> raise (No_document doc)
 
 let fetch_subtree_rows db ~doc enc ~root =
   (* document order by the order value: sorting the decoded rows here is
@@ -59,17 +52,15 @@ let fetch_subtree_rows db ~doc enc ~root =
       done;
       !acc
 
-let assemble rows ~root_id:rid =
+let assemble rows ~(root : Node_row.t) =
   (* children grouped by parent and sorted by the encoding's order value;
      attributes (kind 2) have negative LOCAL ranks / 0-level Dewey paths /
      early global intervals, so the same sort puts them first *)
   let by_parent : (int, Node_row.t list ref) Hashtbl.t = Hashtbl.create 256 in
-  let by_id : (int, Node_row.t) Hashtbl.t = Hashtbl.create 256 in
   List.iter
     (fun (r : Node_row.t) ->
-      Hashtbl.replace by_id r.Node_row.id r;
       match r.Node_row.parent with
-      | Some p when r.Node_row.id <> rid ->
+      | Some p when r.Node_row.id <> root.Node_row.id ->
           let cell =
             match Hashtbl.find_opt by_parent p with
             | Some c -> c
@@ -91,7 +82,10 @@ let assemble rows ~root_id:rid =
     | Doc_index.Text_node -> T.Text r.Node_row.value
     | Doc_index.Comment_node -> T.Comment r.Node_row.value
     | Doc_index.Pi_node -> T.Pi { target = r.Node_row.tag; data = r.Node_row.value }
-    | Doc_index.Attr -> invalid_arg "Reconstruct: attribute outside element"
+    | Doc_index.Attr ->
+        (* unreachable: [subtree_root] refuses an attribute, and an
+           element's attributes go to [attrs], never to [build] *)
+        invalid_arg "Reconstruct: attribute outside element"
     | Doc_index.Elem ->
         let kids = children_of r.Node_row.id in
         let attrs, others =
@@ -108,21 +102,20 @@ let assemble rows ~root_id:rid =
             children = List.map build others;
           }
   in
-  match Hashtbl.find_opt by_id rid with
-  | None -> raise Not_found
-  | Some root -> build root
+  build root
 
 (* The row of a node that roots a subtree: an element, text, comment or PI. *)
 let subtree_root db ~doc enc ~id =
-  match fetch_row db ~doc enc ~id with
-  | exception Not_found -> raise (No_subtree id)
-  | { Node_row.kind = Doc_index.Attr; _ } -> raise (No_subtree id)
-  | root -> root
+  match
+    ctx_rows db ~doc enc Node_row.ids_relation [ [| V.Int id |] ]
+      ~where:"e.id = c.id"
+  with
+  | root :: _ when root.Node_row.kind <> Doc_index.Attr -> root
+  | _ -> raise (No_subtree id)
 
 let subtree db ~doc enc ~id =
   let root = subtree_root db ~doc enc ~id in
-  let rows = fetch_subtree_rows db ~doc enc ~root in
-  assemble rows ~root_id:id
+  assemble (fetch_subtree_rows db ~doc enc ~root) ~root
 
 (* Single-pass serialization from document-ordered rows: a stack of open
    elements, closed when the next row's parent chain no longer includes
@@ -183,7 +176,7 @@ let serialize_rows buf rows =
           | Doc_index.Pi_node ->
               Xmllib.Printer.add_pi buf ~target:r.Node_row.tag
                 ~data:r.Node_row.value
-          | Doc_index.Attr -> assert false))
+          | Doc_index.Attr -> assert false (* handled by the outer match *)))
     rows;
   while !stack <> [] do
     pop ()
@@ -203,7 +196,7 @@ let serialize_subtree db ~doc enc ~id =
   Buffer.contents buf
 
 let document db ~doc enc =
-  let rid = root_id db ~doc enc in
-  match subtree db ~doc enc ~id:rid with
+  match subtree db ~doc enc ~id:(root_id db ~doc enc) with
   | T.Element root -> { T.decl = false; root }
-  | T.Text _ | T.Comment _ | T.Pi _ -> assert false
+  | T.Text _ | T.Comment _ | T.Pi _ | (exception No_subtree _) ->
+      raise (No_document doc)

@@ -13,15 +13,22 @@
 exception No_subtree of int
 (** The id names no node, or an attribute (which roots no subtree). *)
 
+exception No_document of string
+(** The named document's edge table holds no root element: no row with a
+    NULL parent, or one that is not an element (say, after rows were
+    deleted through SQL). *)
+
 val root_id : Reldb.Db.t -> doc:string -> Encoding.t -> int
-(** Id of the document root (the row with NULL parent). *)
+(** Id of the document root (the row with NULL parent).
+    @raise No_document if there is none. *)
 
 val subtree : Reldb.Db.t -> doc:string -> Encoding.t -> id:int -> Xmllib.Types.node
 (** Rebuild the subtree rooted at [id]. @raise No_subtree on an unknown id
     or an attribute node. *)
 
 val document : Reldb.Db.t -> doc:string -> Encoding.t -> Xmllib.Types.document
-(** Rebuild the whole document. *)
+(** Rebuild the whole document. @raise No_document as {!root_id}, or if the
+    root is not an element. *)
 
 val serialize_subtree : Reldb.Db.t -> doc:string -> Encoding.t -> id:int -> string
 (** Serialize the subtree straight off the ordered row stream in a single
@@ -30,9 +37,6 @@ val serialize_subtree : Reldb.Db.t -> doc:string -> Encoding.t -> id:int -> stri
     encodings enable); LOCAL still fetches level by level and sorts first.
     Produces exactly {!Xmllib.Printer.node_to_string} of {!subtree}.
     @raise No_subtree as {!subtree}. *)
-
-val fetch_row : Reldb.Db.t -> doc:string -> Encoding.t -> id:int -> Node_row.t
-(** Fetch one node's row by id. @raise Not_found if absent. *)
 
 val fetch_subtree_rows :
   Reldb.Db.t -> doc:string -> Encoding.t -> root:Node_row.t -> Node_row.t list

@@ -100,14 +100,7 @@ let shred_stream ?gap db ~doc enc src =
  @@ fun () ->
   Encoding.create_tables db ~doc enc;
   let tname = Encoding.table_name ~doc enc in
-  let table = Reldb.Db.table db tname in
-  (* durable databases go through the engine so each row is WAL-logged;
-     the in-memory path keeps the direct heap insert *)
-  let insert_tuple =
-    if Reldb.Db.is_durable db then fun row ->
-      ignore (Reldb.Db.insert_row db tname row)
-    else fun row -> ignore (Reldb.Table.insert table row)
-  in
+  let insert_tuple row = ignore (Reldb.Db.insert_many db tname [ row ]) in
   let gap =
     match enc with
     | Encoding.Global -> 1

@@ -87,7 +87,7 @@ let fragment_size idx = Doc_index.length idx - 1
 
 (* routed through the engine so durable databases WAL-log the row *)
 let insert_row state tuple =
-  (try ignore (Reldb.Db.insert_row state.db state.tname tuple)
+  (try ignore (Reldb.Db.insert_many state.db state.tname [ tuple ])
    with Reldb.Db.Sql_error m -> fail "%s" m);
   state.st <- { state.st with rows_inserted = state.st.rows_inserted + 1 }
 

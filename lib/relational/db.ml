@@ -119,7 +119,7 @@ let reset_counters t = List.iter Table.reset_counters (Catalog.tables t.cat)
 
 (* A scratch relation is filled for the one statement [f] runs and emptied
    afterwards, also when [f] raises. It never enters a transaction journal,
-   the WAL, a dump or the catalog version (see Catalog.scratch), so the
+   the WAL, a snapshot or the catalog version (see Catalog.scratch), so the
    statements that read it keep a fixed text and a cached plan. *)
 let with_scratch t ~name ~cols rows f =
   let schema =
@@ -138,7 +138,7 @@ let with_scratch t ~name ~cols rows f =
        with Table.Constraint_violation m -> fail "%s" m);
       f ())
 
-(* --- dump -------------------------------------------------------------- *)
+(* --- snapshot ---------------------------------------------------------- *)
 
 let sorted_tables t =
   List.sort
@@ -166,42 +166,12 @@ let table_ddl tbl =
            (cols (Array.map (fun c -> q schema.(c).Schema.col_name) idx.Table.key_cols)))
        (Table.indexes tbl)
 
-let row_literal tu =
-  Printf.sprintf "(%s)"
-    (String.concat ", " (Array.to_list (Array.map Value.to_sql_literal tu)))
-
-let dump t =
-  let buf = Buffer.create 4096 in
-  List.iter
+let snapshot t =
+  List.map
     (fun tbl ->
-      List.iter (fun s -> Buffer.add_string buf (s ^ ";\n")) (table_ddl tbl);
-      (* batch rows into multi-VALUES inserts *)
-      let batch = ref [] and n = ref 0 in
-      let flush () =
-        if !batch <> [] then begin
-          Buffer.add_string buf
-            (Printf.sprintf "INSERT INTO %s VALUES %s;\n"
-               (Sql_lexer.quote_ident (Table.name tbl))
-               (String.concat ", " (List.rev !batch)));
-          batch := [];
-          n := 0
-        end
-      in
-      Seq.iter
-        (fun (_, tu) ->
-          batch := row_literal tu :: !batch;
-          incr n;
-          if !n >= 100 then flush ())
-        (Table.scan tbl);
-      flush ())
-    (sorted_tables t);
-  Buffer.contents buf
-
-let dump_to_file t path =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (dump t))
+      List.map (fun sql -> Wal.Exec (sql, [||])) (table_ddl tbl)
+      @ [ Wal.Rows (Table.name tbl, List.of_seq (Seq.map snd (Table.scan tbl))) ])
+    (sorted_tables t)
 
 (* --- durability: WAL logging and checkpointing ------------------------- *)
 
@@ -225,8 +195,7 @@ let wal_size t = match t.dur with Some d -> Wal.size d.dur_wal | None -> 0
      4. switch the writer to the new WAL
      5. delete checkpoint.<g>.ckpt and wal.<g>.log, fsync dir
 
-   The checkpoint is a file in the WAL's format: one record per table, its
-   DDL texts then all its rows. *)
+   The checkpoint is a file in the WAL's format holding [snapshot t]. *)
 let checkpoint t =
   match t.dur with
   | None -> fail "checkpoint requires a database opened with Db.open_dir"
@@ -236,12 +205,7 @@ let checkpoint t =
       let gen' = d.dur_gen + 1 in
       let ckpt = Filename.concat d.dur_dir (ckpt_name gen') in
       let tmp = ckpt ^ ".tmp" in
-      Wal.write_file ~gen:gen' tmp
-        (List.map
-           (fun tbl ->
-             List.map (fun sql -> Wal.Exec (sql, [||])) (table_ddl tbl)
-             @ [ Wal.Rows (Table.name tbl, List.of_seq (Seq.map snd (Table.scan tbl))) ])
-           (sorted_tables t));
+      Wal.write_file ~gen:gen' tmp (snapshot t);
       Wal.failpoint "checkpoint.temp_written";
       let wal' =
         Wal.open_writer ~policy:d.dur_policy ~gen:gen'
@@ -523,7 +487,7 @@ let parse sql =
 (* Compiled SELECT, UNION ALL, UPDATE and DELETE statements are cached,
    keyed by the raw SQL text and looked up BEFORE lexing: a hit skips
    parse, simplify and planning entirely. Entries are validated against the
-   catalog version; DDL and CREATE INDEX bump it, and [restore] builds a
+   catalog version; DDL and CREATE INDEX bump it, and [open_dir] builds a
    fresh Db, so stale plans are never served. The hit and miss counters
    count SELECT and UNION ALL lookups only. *)
 
@@ -606,8 +570,8 @@ let run_compiled t ~sql compiled params =
 
 (* A statement the cache does not hold: compile and cache a SELECT, UNION
    ALL, UPDATE or DELETE; run INSERT, DDL and transaction control from the
-   AST, so one-off INSERT texts (dumps, scripts, WAL replay) never enter
-   the cache. *)
+   AST, so one-off INSERT texts (such as logged ones on replay) never
+   enter the cache. *)
 let run_parsed t ~sql (stmt, nparams) params =
   check_arity nparams params;
   let ran result =
@@ -686,8 +650,9 @@ let query_one t sql =
 
 (* --- bulk writes ------------------------------------------------------- *)
 
-(* Fast path for loading many rows into one table: skips SQL entirely.
-   Atomic: a constraint violation removes the rows inserted so far. *)
+(* Fast path for loading rows into one table, one row or many: skips SQL
+   entirely. Atomic: a constraint violation removes the rows inserted so
+   far. *)
 let insert_many t name rows =
   let tbl = table t name in
   let inserted = ref [] in
@@ -700,59 +665,6 @@ let insert_many t name rows =
      fail "%s" m);
   if rows <> [] then log t (Wal.Rows (Table.name tbl, rows));
   List.length rows
-
-(* Single-row loader fast path (streaming shredders): one Table.insert plus,
-   on durable databases, one WAL record. *)
-let insert_row t name row =
-  let tbl = table t name in
-  let rowid =
-    try Table.insert tbl row
-    with Table.Constraint_violation m -> fail "%s" m
-  in
-  log t (Wal.Rows (Table.name tbl, [ row ]));
-  rowid
-
-(* --- scripts ----------------------------------------------------------- *)
-
-(* Each statement is parsed exactly once. Runs of DML execute inside one
-   implicit transaction (opened lazily, committed before any DDL or explicit
-   transaction-control statement, which must run outside a journal); if the
-   caller already holds a transaction, statements just run in it. *)
-let exec_script t stmts =
-  let parsed = List.map (fun s -> (s, parse s)) stmts in
-  let run (sql, parsed) = ignore (run_parsed t ~sql parsed [||]) in
-  if t.txn then List.iter run parsed
-  else begin
-    let open_bracket = ref false in
-    let close () =
-      if !open_bracket then begin
-        commit t;
-        open_bracket := false
-      end
-    in
-    try
-      List.iter
-        (fun ((_, (ast, _)) as stmt) ->
-          (match ast with
-          | Sql_ast.Create_table _ | Sql_ast.Create_index _
-          | Sql_ast.Drop_table _ | Sql_ast.Begin_txn | Sql_ast.Commit_txn
-          | Sql_ast.Rollback_txn ->
-              close ()
-          | Sql_ast.Select _ | Sql_ast.Union_all _ | Sql_ast.Insert _
-          | Sql_ast.Update _ | Sql_ast.Delete _ ->
-              if (not !open_bracket) && not t.txn then begin
-                begin_txn t;
-                open_bracket := true
-              end);
-          run stmt;
-          (* an explicit BEGIN inside the script takes over bracketing *)
-          if !open_bracket && not t.txn then open_bracket := false)
-        parsed;
-      close ()
-    with e ->
-      if !open_bracket && t.txn then rollback t;
-      raise e
-  end
 
 let plan t sql =
   match compile t (fst (parse sql)) with
@@ -806,56 +718,6 @@ let render = function
       Buffer.add_string buf (Printf.sprintf "(%d rows)" (List.length tuples));
       Buffer.contents buf
 
-(* split a script on ';' outside string literals and quoted identifiers
-   (text values and names may contain newlines and semicolons, so
-   line-based splitting would corrupt them) and outside '--' line comments
-   (a comment may contain ';', which must not end the statement — the SQL
-   lexer skips the comment, this splitter must too). A doubled quote inside
-   a quoted token closes and reopens it, which leaves it quoted. *)
-let split_statements script =
-  let out = ref [] in
-  let buf = Buffer.create 256 in
-  let n = String.length script in
-  let quote = ref None in
-  let i = ref 0 in
-  while !i < n do
-    let c = script.[!i] in
-    (match !quote with
-     | Some q ->
-         Buffer.add_char buf c;
-         if c = q then quote := None
-     | None -> (
-       match c with
-       | '\'' | '"' ->
-           quote := Some c;
-           Buffer.add_char buf c
-       | '-' when !i + 1 < n && script.[!i + 1] = '-' ->
-           (* drop the comment text; keep the newline as a separator *)
-           while !i < n && script.[!i] <> '\n' do
-             incr i
-           done;
-           if !i < n then Buffer.add_char buf '\n'
-       | ';' ->
-           out := Buffer.contents buf :: !out;
-           Buffer.clear buf
-       | c -> Buffer.add_char buf c));
-    incr i
-  done;
-  if String.trim (Buffer.contents buf) <> "" then
-    out := Buffer.contents buf :: !out;
-  List.rev_map String.trim !out |> List.filter (fun s -> s <> "")
-
-let restore script =
-  let t = create () in
-  exec_script t (split_statements script);
-  t
-
-let restore_from_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> restore (really_input_string ic (in_channel_length ic)))
-
 (* --- persistent databases ---------------------------------------------- *)
 
 (* Parse "<stem>.<gen>.<ext>" names; None for anything else (including the
@@ -897,15 +759,20 @@ let replay t record =
    Nothing is swept before both files have been read. *)
 let open_dir ?(fsync = Wal.Every 32) ?auto_checkpoint dir =
   let t0 = Obs.Clock.now_ns () in
+  (* a path the engine uses but cannot read or write (a directory under a
+     file's name, no permission) fails the open like a damaged file *)
+  let io path f =
+    try f () with
+    | Wal.Corrupt m -> fail "%s" m
+    | Sys_error m -> fail "open_dir: %s: %s" path m
+    | Unix.Unix_error (e, _, _) -> fail "open_dir: %s: %s" path (Unix.error_message e)
+  in
   if Sys.file_exists dir then begin
     if not (Sys.is_directory dir) then
       fail "open_dir: %s exists and is not a directory" dir
   end
-  else (
-    try Unix.mkdir dir 0o755
-    with Unix.Unix_error (e, _, _) ->
-      fail "open_dir: cannot create %s: %s" dir (Unix.error_message e));
-  let entries = Sys.readdir dir in
+  else io dir (fun () -> Unix.mkdir dir 0o755);
+  let entries = io dir (fun () -> Sys.readdir dir) in
   let gens_of f = List.filter_map f (Array.to_list entries) in
   let ckpt_gens = gens_of ckpt_gen_of and wal_gens = gens_of wal_gen_of in
   let gen =
@@ -914,7 +781,7 @@ let open_dir ?(fsync = Wal.Every 32) ?auto_checkpoint dir =
     | [], w :: ws -> List.fold_left min w ws
     | c :: cs, _ -> List.fold_left max c cs
   in
-  let read path = try Wal.read_file path with Wal.Corrupt m -> fail "%s" m in
+  let read path = io path (fun () -> Wal.read_file path) in
   let t = create () in
   let ckpt_path = Filename.concat dir (ckpt_name gen) in
   let have_ckpt = Sys.file_exists ckpt_path in
@@ -944,10 +811,7 @@ let open_dir ?(fsync = Wal.Every 32) ?auto_checkpoint dir =
       if stale then
         try Sys.remove (Filename.concat dir name) with Sys_error _ -> ())
     entries;
-  let wal =
-    try Wal.open_writer ~policy:fsync ~gen wal_path
-    with Wal.Corrupt m -> fail "%s" m
-  in
+  let wal = io wal_path (fun () -> Wal.open_writer ~policy:fsync ~gen wal_path) in
   Wal.fsync_dir dir;
   t.dur <-
     Some

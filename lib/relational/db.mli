@@ -39,13 +39,6 @@ val query_params : t -> string -> Value.t array -> Tuple.t list
 val query_one : t -> string -> Tuple.t option
 (** First row of a SELECT, if any. *)
 
-val exec_script : t -> string list -> unit
-(** Run a list of statements, discarding results. Each statement is parsed
-    exactly once, and maximal runs of DML execute inside one implicit
-    transaction (committed before any DDL or explicit transaction-control
-    statement, rolled back if a statement raises). If a transaction is
-    already active the statements simply run inside it. *)
-
 (** {2 Parameters}
 
     [?] positional placeholders in any expression position are bound at
@@ -65,7 +58,7 @@ val exec_script : t -> string list -> unit
     column shape, registered on first use under a fixed name, and the same
     {!Table.t} for the life of the database. A SELECT finds it by name, so a
     statement that reads it has a fixed text and its plan stays cached. It
-    is not a table of the database: {!Catalog.tables}, {!dump}, checkpoints,
+    is not a table of the database: {!Catalog.tables}, {!snapshot}, checkpoints,
     transactions, the WAL and the catalog version never see it. *)
 
 val with_scratch :
@@ -87,14 +80,10 @@ val with_scratch :
 
 val insert_many : t -> string -> Tuple.t list -> int
 (** Insert pre-built tuples into a table, bypassing SQL parsing entirely
-    (the loader fast path). Returns the number of rows inserted. Atomic: on
-    constraint violation the rows inserted so far are removed and
-    [Sql_error] is raised. On durable databases the call is logged to the
-    WAL as one entry holding all the rows. *)
-
-val insert_row : t -> string -> Tuple.t -> int
-(** Insert one pre-built tuple (streaming-loader fast path). Returns the
-    row id. Logged to the WAL as one entry on durable databases.
+    (the loader fast path, also for one row at a time). Returns the number
+    of rows inserted. Atomic: on constraint violation the rows inserted so
+    far are removed and [Sql_error] is raised. On durable databases the
+    call is logged to the WAL as one entry holding all the rows.
     @raise Sql_error on constraint violation or missing table. *)
 
 (** {2 Plan cache}
@@ -104,8 +93,8 @@ val insert_row : t -> string -> Tuple.t -> int
     table, SET expressions and access path. A repeated text, with or
     without [?] slots, skips lexing, parsing, simplification and planning.
     Entries are invalidated by a catalog version counter bumped on every
-    CREATE/DROP TABLE and CREATE INDEX, and {!restore} starts from an empty
-    cache. The hit and miss counts, and the [db.plan_cache.hit] /
+    CREATE/DROP TABLE and CREATE INDEX, and {!open_dir} starts from an
+    empty cache. The hit and miss counts, and the [db.plan_cache.hit] /
     [db.plan_cache.miss] Obs counters, cover SELECT and UNION ALL lookups
     only. *)
 
@@ -160,24 +149,6 @@ val with_transaction : t -> (unit -> 'a) -> 'a
 (** Run [f] inside a transaction: commit on return, roll back (and re-raise)
     on exception. *)
 
-(** {2 Persistence}
-
-    The database serializes to a plain SQL script (DDL + INSERTs), the
-    lingua franca for moving relational data around. Restoring executes the
-    script into a fresh engine. *)
-
-val dump : t -> string
-(** SQL script recreating every table, index and row. Table, column and
-    index names are quoted where they would not lex back as themselves
-    ({!Sql_lexer.quote_ident}). *)
-
-val dump_to_file : t -> string -> unit
-
-val restore : string -> t
-(** @raise Sql_error if the script fails. *)
-
-val restore_from_file : string -> t
-
 (** {2 Durability}
 
     A database opened with {!open_dir} is {e durable}: every committed
@@ -192,9 +163,10 @@ val restore_from_file : string -> t
 
     Both files have the {!Wal} format. A log record is one committed unit
     of typed entries: a statement logs its own text with its bound [?]
-    values, and a bulk load ({!insert_many}, {!insert_row}) logs its rows.
-    Nothing is printed as SQL and parsed back. A checkpoint holds one record
-    per table: its CREATE TABLE and CREATE INDEX texts, then all its rows.
+    values, and a bulk load ({!insert_many}) logs its rows. Nothing is
+    printed as SQL and parsed back. A checkpoint holds {!snapshot}. It is
+    the one serialized form of a database, and {!open_dir} its one reader:
+    to move a database, checkpoint it into a directory and open that.
 
     Recovery loads the newest completed checkpoint, replays the WAL's valid
     prefix and discards a torn tail, so after a crash the database equals
@@ -220,17 +192,25 @@ val open_dir : ?fsync:Wal.fsync_policy -> ?auto_checkpoint:int -> string -> t
     (checked after each autocommit write and commit). Records [wal.replayed]
     and a [db.recovery] latency histogram in {!Obs} when enabled.
     @raise Sql_error if the path is not a directory or cannot be created,
-    if the checkpoint is damaged or of another generation, if a file has
-    another format version, or if replay fails. *)
+    if a checkpoint or log name cannot be read or written as a file, if the
+    checkpoint is damaged or of another generation, if a file has another
+    format version, or if replay fails. *)
 
 val close : t -> unit
 (** Sync and close the WAL (rolling back an open transaction, which dies
     with the handle exactly as in a crash). No-op on in-memory databases;
     idempotent. The handle must not be used for further writes. *)
 
+val snapshot : t -> Wal.record list
+(** The records a checkpoint holds: one per table in name order, its CREATE
+    TABLE and CREATE INDEX texts, then all its rows. Names are quoted where
+    they would not lex back as themselves ({!Sql_lexer.quote_ident}).
+    Comparing two snapshots' encodings ({!Wal.encode}) compares the
+    tables, indexes and rows in scan order, byte for byte (NaN included). *)
+
 val checkpoint : t -> unit
-(** Snapshot the database (one {!Wal} record per table) and truncate the
-    log, advancing the generation. Crash-safe at every intermediate point: recovery sees
+(** Write {!snapshot} as the next generation's checkpoint and truncate the
+    log. Crash-safe at every intermediate point: recovery sees
     either the old generation or the new one, never a mix.
     @raise Sql_error on in-memory databases or inside a transaction. *)
 

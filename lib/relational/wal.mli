@@ -12,7 +12,7 @@
     record  := 'R' len:32le crc:32le payload       (9-byte frame + payload)
     payload := entry*
     entry   := 'E' str(sql) count value*           one statement and its ? values
-             | 'R' str(table) count tuple*         one insert_many / insert_row call
+             | 'R' str(table) count tuple*         one insert_many call
     tuple   := count value*
     value   := 0x00 | 0x01 zigzag-varint | 0x02 ieee754:64le
              | 0x03 str | 0x04 str                 NULL, INT, FLOAT, TEXT, BYTES

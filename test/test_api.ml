@@ -64,42 +64,39 @@ let test_multi_store_one_db () =
   O.Api.Store.drop a;
   check int_t "b survives" 5 (O.Api.Store.count b "/doc/item")
 
+(* A store reloaded from a checkpointed directory (Test_wal.reload). *)
 let test_dump_restore () =
-  let db = D.create () in
-  let store =
-    O.Api.Store.create db ~name:"c" O.Encoding.Dewey_enc (catalog_doc ())
+  let db, db2 =
+    Test_wal.reload (fun db ->
+        let s = O.Api.Store.create db ~name:"c" O.Encoding.Dewey_enc (catalog_doc ()) in
+        (* exercise values with quotes and newlines *)
+        let tid = List.hd (O.Api.Store.query_ids s "/catalog/book[1]/title/text()") in
+        ignore (O.Api.Store.set_text s ~id:tid "it's\nmulti;line"))
   in
-  (* exercise values with quotes and newlines *)
-  let tid = List.hd (O.Api.Store.query_ids store "/catalog/book[1]/title/text()") in
-  ignore (O.Api.Store.set_text store ~id:tid "it's\nmulti;line");
-  let script = D.dump db in
-  let db2 = D.restore script in
+  let store = O.Api.Store.open_existing db ~name:"c" O.Encoding.Dewey_enc in
   let store2 = O.Api.Store.open_existing db2 ~name:"c" O.Encoding.Dewey_enc in
   check bool_t "documents equal" true
     (T.equal_document (O.Api.Store.document store) (O.Api.Store.document store2));
   (* indexes were restored: ordered query must still work *)
   check int_t "positional query" 1 (O.Api.Store.count store2 "/catalog/book[2]");
-  (* double roundtrip is stable *)
-  check string_t "dump stable" script (D.dump db2)
+  (* the reloaded state is the checkpointed one *)
+  check string_t "state stable" (Test_wal.state db) (Test_wal.state db2)
 
 let test_dump_restore_files () =
-  let db = D.create () in
-  ignore (O.Api.Store.create db ~name:"c" O.Encoding.Global (catalog_doc ()));
-  let path = Filename.temp_file "oxdump" ".sql" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      D.dump_to_file db path;
-      let db2 = D.restore_from_file path in
-      let s2 = O.Api.Store.open_existing db2 ~name:"c" O.Encoding.Global in
-      check int_t "restored rows" 2 (O.Api.Store.count s2 "/catalog/book"))
+  let _, db2 =
+    Test_wal.reload (fun db ->
+        ignore (O.Api.Store.create db ~name:"c" O.Encoding.Global (catalog_doc ())))
+  in
+  let s2 = O.Api.Store.open_existing db2 ~name:"c" O.Encoding.Global in
+  check int_t "restored rows" 2 (O.Api.Store.count s2 "/catalog/book")
 
 let test_float_values_roundtrip () =
-  (* whole floats must stay floats across dump/restore *)
-  let db = D.create () in
-  ignore (D.exec db "CREATE TABLE f (x FLOAT)");
-  ignore (D.exec db "INSERT INTO f VALUES (42.0), (0.5)");
-  let db2 = D.restore (D.dump db) in
+  (* whole floats must stay floats across a checkpoint reload *)
+  let _, db2 =
+    Test_wal.reload (fun db ->
+        ignore (D.exec db "CREATE TABLE f (x FLOAT)");
+        ignore (D.exec db "INSERT INTO f VALUES (42.0), (0.5)"))
+  in
   match D.query db2 "SELECT x FROM f ORDER BY x" with
   | [ [| Reldb.Value.Float 0.5 |]; [| Reldb.Value.Float 42.0 |] ] -> ()
   | _ -> Alcotest.fail "float roundtrip"
@@ -126,6 +123,23 @@ let test_no_subtree () =
       | _ -> Alcotest.fail "query_nodes rebuilt an attribute")
     O.Encoding.all
 
+(* Rows deleted through SQL leave no document: root_id and document raise
+   the declared No_document, not Not_found. *)
+let test_no_document () =
+  List.iter
+    (fun enc ->
+      let db = D.create () in
+      let store = O.Api.Store.create db ~name:"c" enc (catalog_doc ()) in
+      ignore (D.exec db ("DELETE FROM " ^ O.Encoding.table_name ~doc:"c" enc));
+      let label = O.Encoding.name enc in
+      (match O.Api.Store.root_id store with
+      | exception O.Api.No_document name -> check string_t (label ^ " root_id") "c" name
+      | _ -> Alcotest.fail (label ^ ": root_id of an empty store"));
+      match O.Api.Store.document store with
+      | exception O.Api.No_document name -> check string_t (label ^ " document") "c" name
+      | _ -> Alcotest.fail (label ^ ": document of an empty store"))
+    O.Encoding.all
+
 let tests =
   ( "api",
     [
@@ -136,6 +150,7 @@ let tests =
       Alcotest.test_case "dump/restore files" `Quick test_dump_restore_files;
       Alcotest.test_case "float literal roundtrip" `Quick test_float_values_roundtrip;
       Alcotest.test_case "subtree of no node" `Quick test_no_subtree;
+      Alcotest.test_case "no document after DELETE" `Quick test_no_document;
     ] )
 
 (* baseline: the same edits, applied to documents built node by node, must

@@ -100,9 +100,15 @@ let scratch_hidden db =
   let tables =
     List.map Reldb.Table.name (Reldb.Catalog.tables (Reldb.Db.catalog db))
   in
-  let dump = Reldb.Db.dump db in
+  let snapshot = Reldb.Db.snapshot db in
   List.for_all
-    (fun n -> (not (List.mem n tables)) && not (Astring_contains.contains dump n))
+    (fun n ->
+      (not (List.mem n tables))
+      && List.for_all
+           (List.for_all (function
+             | Reldb.Wal.Rows (t, _) -> t <> n
+             | Reldb.Wal.Exec (sql, _) -> not (Astring_contains.contains sql n)))
+           snapshot)
     scratch_names
 
 (* Q1-Q7, Q8's subtree and serialization, and the parent of the root, an

@@ -180,8 +180,9 @@ let test_after_updates () =
 
 (* A durable store under a random update workload, killed at a random WAL
    offset: the recovered store must agree with the DOM oracle replayed to
-   the same committed prefix. Fragment values are chosen to also stress the
-   statement quoting the WAL shares with dump/restore. *)
+   the same committed prefix. Fragment values carry the characters that
+   broke SQL-text quoting and statement splitting, which the typed log
+   entries must carry as data. *)
 
 let hostile_texts =
   [| "plain"; "a;b -- c"; "it's"; "line\nbreak"; "tab\there;"; "" |]

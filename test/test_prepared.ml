@@ -1,8 +1,8 @@
 (* Prepared statements, plan cache and bulk-write path (ISSUE 3): binding
    [?] parameters must behave exactly like inlined literals, the plan cache
-   must hit on repeats and never serve stale plans across DDL / restore /
-   rollback, and the script and bulk-insert paths must keep their
-   transactional guarantees. *)
+   must hit on repeats and never serve stale plans across DDL / reopening /
+   rollback, and the bulk-insert path must keep its transactional
+   guarantees. *)
 
 module D = Reldb.Db
 module V = Reldb.Value
@@ -11,8 +11,7 @@ let check = Alcotest.check
 let int_t = Alcotest.int
 let bool_t = Alcotest.bool
 
-let make_db () =
-  let db = D.create () in
+let make_db ?(db = D.create ()) () =
   ignore (D.exec db "CREATE TABLE emp (id INT NOT NULL, name TEXT, salary INT)");
   ignore (D.exec db "CREATE UNIQUE INDEX emp_pk ON emp (id)");
   for i = 1 to 20 do
@@ -158,12 +157,14 @@ let test_cache_invalidation_index () =
   | _ -> Alcotest.fail "index-backed replan returns the right row"
 
 let test_cache_restore_and_rollback () =
-  let db = make_db () in
   let q = "SELECT COUNT(*) FROM emp" in
-  ignore (D.query db q);
-  ignore (D.query db q);
-  (* restore builds a fresh engine: cold cache, correct answers *)
-  let db2 = D.restore (D.dump db) in
+  let _, db2 =
+    Test_wal.reload (fun db ->
+        ignore (make_db ~db ());
+        ignore (D.query db q);
+        ignore (D.query db q))
+  in
+  (* reopening builds a fresh engine: cold cache, correct answers *)
   let hits, misses, entries = D.plan_cache_stats db2 in
   check int_t "restored cache is cold (hits)" 0 hits;
   check int_t "restored cache is cold (misses)" 0 misses;
@@ -346,7 +347,7 @@ let prop_bound_plans_equal_literals =
                 if got <> want then
                   QCheck.Test.fail_reportf "%s differs from its literal form %s" text
                     (literal text binding);
-                if D.dump bound <> D.dump lit then
+                if Test_wal.state bound <> Test_wal.state lit then
                   QCheck.Test.fail_reportf "tables differ after %s" (literal text binding);
                 true)
               bindings
@@ -418,46 +419,12 @@ let test_multi_row_insert () =
   | [ [| V.Int 3 |] ] -> ()
   | _ -> Alcotest.fail "three rows present"
 
-(* --- exec_script -------------------------------------------------------- *)
-
-let test_exec_script_transactional () =
-  let db = D.create () in
-  (* DDL + DML mix: DDL closes the implicit bracket, DML groups *)
-  D.exec_script db
-    [
-      "CREATE TABLE t (a INT NOT NULL)";
-      "INSERT INTO t VALUES (1)";
-      "INSERT INTO t VALUES (2)";
-      "CREATE UNIQUE INDEX t_a ON t (a)";
-      "INSERT INTO t VALUES (3)";
-    ];
-  (match D.query db "SELECT COUNT(*) FROM t" with
-  | [ [| V.Int 3 |] ] -> ()
-  | _ -> Alcotest.fail "script loaded all rows");
-  (* a failing statement rolls back the whole DML run it belongs to *)
-  (match
-     D.exec_script db
-       [ "INSERT INTO t VALUES (10)"; "INSERT INTO t VALUES (1)" (* dup *) ]
-   with
-  | exception D.Sql_error _ -> ()
-  | _ -> Alcotest.fail "duplicate in script should fail");
-  (match D.query db "SELECT COUNT(*) FROM t" with
-  | [ [| V.Int 3 |] ] -> ()
-  | _ -> Alcotest.fail "failed script run left no partial rows");
-  check bool_t "no transaction left open" false (D.in_transaction db);
-  (* inside a caller transaction the script just joins it *)
-  D.begin_txn db;
-  D.exec_script db [ "INSERT INTO t VALUES (11)" ];
-  check bool_t "caller txn still open" true (D.in_transaction db);
-  D.rollback db;
-  match D.query db "SELECT COUNT(*) FROM t" with
-  | [ [| V.Int 3 |] ] -> ()
-  | _ -> Alcotest.fail "caller rollback undoes script rows"
-
 let test_dump_restore_roundtrip () =
-  let db = make_db () in
-  ignore (D.exec db "UPDATE emp SET name = 'renamed' WHERE id = 2");
-  let db2 = D.restore (D.dump db) in
+  let db, db2 =
+    Test_wal.reload (fun db ->
+        ignore (make_db ~db ());
+        ignore (D.exec db "UPDATE emp SET name = 'renamed' WHERE id = 2"))
+  in
   check bool_t "roundtrip preserves rows" true
     (D.query db "SELECT * FROM emp ORDER BY id"
     = D.query db2 "SELECT * FROM emp ORDER BY id")
@@ -482,8 +449,6 @@ let tests =
         test_prepared_replans_after_create_index;
       Alcotest.test_case "insert_many" `Quick test_insert_many;
       Alcotest.test_case "multi-row INSERT" `Quick test_multi_row_insert;
-      Alcotest.test_case "exec_script transactions" `Quick
-        test_exec_script_transactional;
       Alcotest.test_case "dump/restore roundtrip" `Quick
         test_dump_restore_roundtrip;
     ] )

@@ -369,7 +369,7 @@ let test_with_scratch () =
   check bool_t "no DROP" true (sql_error (fun () -> Reldb.Db.exec db "DROP TABLE ctx"));
   check bool_t "no CREATE" true
     (sql_error (fun () -> Reldb.Db.exec db "CREATE TABLE ctx (id INT)"));
-  check int_t "no dump" 0 (String.length (Reldb.Db.dump db))
+  check int_t "no snapshot" 0 (List.length (Reldb.Db.snapshot db))
 
 let test_expr_columns_shift () =
   let e =

@@ -1268,9 +1268,11 @@ let test_order_by_aggregate () =
   | [ [| V.Int _; V.Int a |]; [| V.Int _; V.Int b |] ] when a >= b -> ()
   | _ -> Alcotest.fail "order by aggregate"
 
-(* --- hostile values through dump / restore (ISSUE 4) ------------------- *)
+(* --- hostile values through a checkpoint reload ------------------------ *)
 
-(* strings chosen to break naive statement splitting or literal quoting *)
+(* strings chosen to break naive statement splitting or literal quoting;
+   inserted as SQL literals, then carried by the checkpoint as typed
+   values (Test_wal.reload) *)
 let hostile_strings =
   [
     "semi;colon";
@@ -1283,21 +1285,22 @@ let hostile_strings =
   ]
 
 let test_hostile_dump_restore () =
-  let db = fresh () in
-  e db "CREATE TABLE h (id INT NOT NULL, v TEXT)";
-  List.iteri
-    (fun i s ->
-      e db
-        (Printf.sprintf "INSERT INTO h VALUES (%d, %s)" i
-           (V.to_sql_literal (V.Str s))))
-    hostile_strings;
-  (* names that only lex back quoted *)
-  e db "CREATE TABLE \"odd name\" (id INT)";
-  e db "INSERT INTO \"odd name\" VALUES (1)";
-  e db "CREATE TABLE k (\"select\" INT)";
-  e db "CREATE UNIQUE INDEX \"k;pk\" ON k (\"select\")";
-  e db "INSERT INTO k VALUES (2)";
-  let db2 = D.restore (D.dump db) in
+  let db, db2 =
+    Test_wal.reload (fun db ->
+        e db "CREATE TABLE h (id INT NOT NULL, v TEXT)";
+        List.iteri
+          (fun i s ->
+            e db
+              (Printf.sprintf "INSERT INTO h VALUES (%d, %s)" i
+                 (V.to_sql_literal (V.Str s))))
+          hostile_strings;
+        (* names that only lex back quoted *)
+        e db "CREATE TABLE \"odd name\" (id INT)";
+        e db "INSERT INTO \"odd name\" VALUES (1)";
+        e db "CREATE TABLE k (\"select\" INT)";
+        e db "CREATE UNIQUE INDEX \"k;pk\" ON k (\"select\")";
+        e db "INSERT INTO k VALUES (2)")
+  in
   check bool_t "quoted names survive" true
     (D.query db2 "SELECT id FROM \"odd name\"" = [ [| V.Int 1 |] ]
     && D.query db2 "SELECT \"select\" FROM k" = [ [| V.Int 2 |] ]);
@@ -1308,18 +1311,16 @@ let test_hostile_dump_restore () =
       with
       | Some [| V.Str got |] ->
           check string_t (Printf.sprintf "hostile string %d" i) s got
-      | _ -> Alcotest.failf "hostile string %d lost in dump/restore" i)
+      | _ -> Alcotest.failf "hostile string %d lost in the reload" i)
     hostile_strings;
-  check string_t "dump is a fixpoint" (D.dump db) (D.dump db2)
+  check string_t "state is a fixpoint" (Test_wal.state db) (Test_wal.state db2)
 
 let test_float_literal_roundtrip () =
-  let db = fresh () in
-  e db "CREATE TABLE f (id INT NOT NULL, x FLOAT, n INT)";
   let values =
     List.map
       (fun x -> V.Float x)
       [
-        1e22 (* %.17g prints no decimal point: regression for the dump bug *);
+        1e22 (* %.17g prints no decimal point: a literal must still read back as FLOAT *);
         1.5;
         -0.0;
         1e-300;
@@ -1332,14 +1333,17 @@ let test_float_literal_roundtrip () =
     (* min_int's magnitude is no int literal *)
     @ [ V.Int min_int; V.Int max_int ]
   in
-  List.iteri
-    (fun i v ->
-      let x, n = match v with V.Int _ -> (V.Null, v) | _ -> (v, V.Null) in
-      e db
-        (Printf.sprintf "INSERT INTO f VALUES (%d, %s, %s)" i (V.to_sql_literal x)
-           (V.to_sql_literal n)))
-    values;
-  let db2 = D.restore (D.dump db) in
+  let _, db2 =
+    Test_wal.reload (fun db ->
+        e db "CREATE TABLE f (id INT NOT NULL, x FLOAT, n INT)";
+        List.iteri
+          (fun i v ->
+            let x, n = match v with V.Int _ -> (V.Null, v) | _ -> (v, V.Null) in
+            e db
+              (Printf.sprintf "INSERT INTO f VALUES (%d, %s, %s)" i (V.to_sql_literal x)
+                 (V.to_sql_literal n)))
+          values)
+  in
   List.iteri
     (fun i v ->
       match
@@ -1354,19 +1358,20 @@ let test_float_literal_roundtrip () =
             Alcotest.failf "float %d: %h restored as %h" i x got
       | V.Int k, Some [| V.Null; V.Int got |] ->
           check int_t (Printf.sprintf "int %d" i) k got
-      | _ -> Alcotest.failf "value %d lost in dump/restore" i)
+      | _ -> Alcotest.failf "value %d lost in the reload" i)
     values
 
 let test_script_line_comments () =
   (* [--] outside a string literal starts a comment; inside one it is data *)
-  let db =
-    D.restore
+  let db = fresh () in
+  List.iter (e db)
+    [
       "-- header comment; with semicolons\n\
-       CREATE TABLE t (id INT NOT NULL, v TEXT); -- trailing comment\n\
-       INSERT INTO t VALUES (1, '-- not; a comment\nsecond line');\n\
-       -- INSERT INTO t VALUES (2, 'commented out');\n\
-       INSERT INTO t VALUES (3, 'it''s -- still data');"
-  in
+       CREATE TABLE t (id INT NOT NULL, v TEXT) -- trailing comment";
+      "INSERT INTO t VALUES (1, '-- not; a comment\nsecond line');";
+      "-- INSERT INTO t VALUES (2, 'commented out');\n\
+       INSERT INTO t VALUES (3, 'it''s -- still data')";
+    ];
   check int_t "commented-out statement skipped" 2
     (List.length (D.query db "SELECT id FROM t"));
   (match D.query_one db "SELECT v FROM t WHERE id = 1" with

@@ -457,7 +457,7 @@ let test_atomic_updates () =
   let stores = all_stores doc in
   List.iter
     (fun (enc, store) ->
-      let before = Reldb.Db.dump (O.Api.Store.db store) in
+      let before = Test_wal.state (O.Api.Store.db store) in
       (match
          O.Api.Store.atomically store (fun () ->
              let root = O.Api.Store.root_id store in
@@ -470,7 +470,7 @@ let test_atomic_updates () =
       check bool_t
         (O.Encoding.name enc ^ " identical after rollback")
         true
-        (String.equal before (Reldb.Db.dump (O.Api.Store.db store)));
+        (String.equal before (Test_wal.state (O.Api.Store.db store)));
       (* and a successful batch commits *)
       O.Api.Store.atomically store (fun () ->
           let root = O.Api.Store.root_id store in

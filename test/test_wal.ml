@@ -54,6 +54,32 @@ let write_bytes path s =
   output_string oc s;
   close_out oc
 
+(* A database's state as bytes: its snapshot, encoded, then the index
+   names its catalog holds. The names are read apart from the snapshot, so
+   a checkpoint that loses an index cannot hide it on both sides of a
+   comparison. Byte equality, unlike [=], treats NaN as itself. *)
+let state db =
+  String.concat "" (List.map W.encode (D.snapshot db))
+  ^ String.concat ","
+      (List.sort compare
+         (List.concat_map
+            (fun tbl ->
+              List.map (fun i -> i.Reldb.Table.idx_name) (Reldb.Table.indexes tbl))
+            (Reldb.Catalog.tables (D.catalog db))))
+
+(* Run [build] on a database opened in a fresh directory, checkpoint and
+   close it, and open the directory again: the second handle holds what the
+   checkpoint carried. Both handles come back closed, usable in memory. *)
+let reload build =
+  with_dir @@ fun dir ->
+  let db = D.open_dir ~fsync:W.Never dir in
+  build db;
+  D.checkpoint db;
+  D.close db;
+  let db2 = D.open_dir dir in
+  D.close db2;
+  (db, db2)
+
 let rec take n = function
   | x :: rest when n > 0 -> x :: take (n - 1) rest
   | _ -> []
@@ -253,6 +279,7 @@ let test_fsync_policies () =
 let seed_stmts =
   [
     "CREATE TABLE t (id INT NOT NULL, v TEXT)";
+    "CREATE UNIQUE INDEX t_id ON t (id)";
     "INSERT INTO t VALUES (1, 'one')";
     "INSERT INTO t VALUES (2, 'two'), (3, 'three')";
     "UPDATE t SET v = 'ONE' WHERE id = 1";
@@ -260,11 +287,11 @@ let seed_stmts =
     "INSERT INTO t VALUES (4, 'four; -- not a comment\n''line''')";
   ]
 
-(* the state after replaying the first [k] seed statements, as a dump *)
-let expected_dump k =
+(* the state after running the first [k] seed statements *)
+let expected_state k =
   let db = D.create () in
   List.iter (fun s -> ignore (D.exec db s)) (take k seed_stmts);
-  D.dump db
+  state db
 
 let test_open_close_reopen () =
   (match D.open_dir (Filename.concat (fresh_dir ()) "a/b") with
@@ -277,11 +304,11 @@ let test_open_close_reopen () =
   check bool_t "durable" true (D.is_durable db);
   check (Alcotest.option string_t) "db_dir" (Some dir) (D.db_dir db);
   List.iter (fun s -> ignore (D.exec db s)) seed_stmts;
-  let live = D.dump db in
+  let live = state db in
   D.close db;
   check bool_t "closed handle is no longer durable" false (D.is_durable db);
   let db2 = D.open_dir dir in
-  check string_t "recovered state equals the live state" live (D.dump db2);
+  check string_t "recovered state equals the live state" live (state db2);
   (match D.last_recovery db2 with
   | None -> Alcotest.fail "open_dir must report recovery stats"
   | Some r ->
@@ -345,16 +372,16 @@ let test_prepared_and_bulk_logged () =
          [| V.Int 3; V.Str "bulk"; V.Float nan |];
          [| V.Int 4; V.Str "rows"; V.Float infinity |];
        ]);
-  ignore (D.insert_row db "t" [| V.Int 5; V.Str "single"; V.Null |]);
+  ignore (D.insert_many db "t" [ [| V.Int 5; V.Str "single"; V.Null |] ]);
   (* min_int's magnitude is no int literal *)
   ignore (D.exec_params db s [| V.Int max_int; V.Str "max"; V.Null |]);
   ignore
     (D.exec_params db "INSERT INTO t VALUES (?, ?, ?)"
        [| V.Int min_int; V.Str "min"; V.Null |]);
-  let live = D.dump db in
+  let live = state db in
   D.close db;
   let db2 = D.open_dir dir in
-  check string_t "prepared + bulk writes all replay" live (D.dump db2);
+  check string_t "prepared + bulk writes all replay" live (state db2);
   check int_t "row count" 7 (List.length (D.query db2 "SELECT id FROM t"));
   (match D.query_one db2 "SELECT v FROM t WHERE id = 1" with
   | Some [| V.Str v |] -> check string_t "quoted param survives" "it's ; tricky" v
@@ -385,10 +412,10 @@ let test_checkpoint () =
     [ "checkpoint.1.ckpt"; "wal.1.log" ]
     (Array.to_list files);
   ignore (D.exec db "INSERT INTO t VALUES (9, 'post-checkpoint')");
-  let live = D.dump db in
+  let live = state db in
   D.close db;
   let db2 = D.open_dir dir in
-  check string_t "checkpoint + suffix replay" live (D.dump db2);
+  check string_t "checkpoint + suffix replay" live (state db2);
   (match D.last_recovery db2 with
   | Some r ->
       check int_t "gen 1" 1 r.D.rec_gen;
@@ -407,10 +434,10 @@ let test_auto_checkpoint () =
   done;
   check bool_t "log stays under the threshold plus one record" true
     (D.wal_size db < 600);
-  let live = D.dump db in
+  let live = state db in
   D.close db;
   let db2 = D.open_dir dir in
-  check string_t "state survives auto checkpoints" live (D.dump db2);
+  check string_t "state survives auto checkpoints" live (state db2);
   check bool_t "several generations elapsed" true
     (match D.last_recovery db2 with Some r -> r.D.rec_gen > 1 | None -> false);
   D.close db2
@@ -471,6 +498,96 @@ let test_old_format_refused () =
       D.close db;
       Alcotest.fail "an OXWAL1 log must raise Sql_error");
   check string_t "the old log is intact" old (read_bytes wal)
+
+(* A directory under a checkpoint's or the log's name is no file: open_dir
+   fails with Sql_error, as for a damaged one. *)
+let test_name_taken_by_directory () =
+  List.iter
+    (fun name ->
+      with_dir @@ fun dir ->
+      Unix.mkdir dir 0o755;
+      Unix.mkdir (Filename.concat dir name) 0o755;
+      match D.open_dir dir with
+      | exception D.Sql_error _ -> ()
+      | db ->
+          D.close db;
+          Alcotest.failf "%s as a directory must raise Sql_error" name)
+    [ "checkpoint.1.ckpt"; "wal.0.log" ]
+
+(* Entries whose frames are valid but whose content does not fit the
+   database [seed_stmts] builds. *)
+let misfits =
+  [|
+    W.Rows ("t", [ [| V.Int 10 |] ]);
+    W.Rows ("t", [ [| V.Int 10; V.Str "a"; V.Int 3 |] ]);
+    W.Rows ("t", [ [| V.Str "10"; V.Str "a" |] ]);
+    W.Rows ("t", [ [| V.Bytes "x"; V.Float nan |] ]);
+    W.Rows ("t", [ [| V.Null; V.Str "a" |] ]);
+    W.Rows ("t", [ [| V.Int 11; V.Str "a" |]; [| V.Int 1; V.Str "dup" |] ]);
+    W.Rows ("missing", [ [| V.Int 1 |] ]);
+    W.Rows ("ctx_ids", [ [| V.Int 1 |] ]);
+    W.Exec ("SELEC id FROM t", [||]);
+    W.Exec ("", [||]);
+    W.Exec ("INSERT INTO t VALUES (?, ?)", [| V.Str "x"; V.Int 1 |]);
+    W.Exec ("INSERT INTO t VALUES (?, ?)", [| V.Int 12 |]);
+    W.Exec ("INSERT INTO t VALUES (13, 'a')", [| V.Int 9 |]);
+    W.Exec ("INSERT INTO t VALUES (1 + 'a', NULL)", [||]);
+    W.Exec ("UPDATE t SET id = v", [||]);
+    W.Exec ("UPDATE t SET id = id / 0", [||]);
+    W.Exec ("UPDATE t SET id = 1", [||]);
+    W.Exec ("SELECT id + v FROM t", [||]);
+    W.Exec ("DELETE FROM missing WHERE x = ?", [| V.Null |]);
+    W.Exec ("CREATE TABLE t (id INT)", [||]);
+    W.Exec ("CREATE INDEX t_id ON t (id)", [||]);
+    W.Exec ("CREATE UNIQUE INDEX t_v ON t (v)", [||]);
+    W.Exec ("CREATE INDEX t_x ON t (nope)", [||]);
+    W.Exec ("DROP TABLE missing", [||]);
+    W.Exec ("DROP TABLE t", [||]);
+    W.Exec ("BEGIN", [||]);
+    W.Exec ("COMMIT", [||]);
+    W.Exec ("ROLLBACK", [||]);
+    W.Exec ("INSERT INTO t VALUES (14, 'fits')", [||]);
+  |]
+
+let show_entry = function
+  | W.Exec (sql, params) -> Printf.sprintf "Exec %S (%d values)" sql (Array.length params)
+  | W.Rows (t, rows) ->
+      Printf.sprintf "Rows %s [%s]" t
+        (String.concat "; " (List.map Reldb.Tuple.to_string rows))
+
+(* Such entries, in a checkpoint or in the log after the seed: open_dir
+   recovers or raises Sql_error, and nothing else. *)
+let prop_misfit_records =
+  QCheck.Test.make ~name:"misfit records raise Sql_error or recover" ~count:150
+    (QCheck.make
+       ~print:(fun (in_ckpt, records) ->
+         Printf.sprintf "%s: %s"
+           (if in_ckpt then "checkpoint" else "log")
+           (String.concat " | "
+              (List.map
+                 (fun r ->
+                   String.concat "; " (List.map (fun i -> show_entry misfits.(i)) r))
+                 records)))
+       QCheck.Gen.(
+         pair bool
+           (list_size (int_range 1 3)
+              (list_size (int_range 1 3) (int_bound (Array.length misfits - 1))))))
+    (fun (in_ckpt, records) ->
+      with_dir @@ fun dir ->
+      Unix.mkdir dir 0o755;
+      let seed = List.map (fun s -> [ W.Exec (s, [||]) ]) seed_stmts in
+      let records = List.map (List.map (fun i -> misfits.(i))) records in
+      if in_ckpt then
+        W.write_file ~gen:1 (Filename.concat dir "checkpoint.1.ckpt")
+          (List.concat seed :: records)
+      else W.write_file ~gen:0 (Filename.concat dir "wal.0.log") (seed @ records);
+      match D.open_dir dir with
+      | db ->
+          D.close db;
+          true
+      | exception D.Sql_error _ -> true
+      | exception e ->
+          QCheck.Test.fail_reportf "open_dir raised %s" (Printexc.to_string e))
 
 let gen_value =
   let open QCheck.Gen in
@@ -572,7 +689,7 @@ let test_truncate_wal_every_offset () =
   let wal = Filename.concat dir "wal.0.log" in
   let image = read_bytes wal in
   let ends = W.frame_ends wal in
-  let expected = Array.init (List.length seed_stmts + 1) expected_dump in
+  let expected = Array.init (List.length seed_stmts + 1) expected_state in
   with_dir @@ fun dir2 ->
   Unix.mkdir dir2 0o755;
   let wal2 = Filename.concat dir2 "wal.0.log" in
@@ -580,10 +697,10 @@ let test_truncate_wal_every_offset () =
     write_bytes wal2 (String.sub image 0 len);
     let k = List.length (List.filter (fun e -> e <= len) ends) in
     let db = D.open_dir dir2 in
-    let dump = D.dump db in
+    let got = state db in
     let stats = D.last_recovery db in
     D.close db;
-    if dump <> expected.(k) then
+    if got <> expected.(k) then
       Alcotest.failf "truncated at %d: state is not the %d-statement prefix"
         len k;
     (match stats with
@@ -595,11 +712,11 @@ let test_truncate_wal_every_offset () =
     (* recovery truncated the tail: a second open replays the same prefix *)
     if len mod 7 = 0 then begin
       let db = D.open_dir dir2 in
-      let again = D.dump db in
+      let again = state db in
       D.close db;
       check string_t
         (Printf.sprintf "reopen after recovery at %d is stable" len)
-        dump again
+        got again
     end
   done
 
@@ -618,10 +735,10 @@ let test_write_after_recovery () =
   write_bytes wal (String.sub image 0 cut);
   let db = D.open_dir ~fsync:W.Always dir in
   ignore (D.exec db "INSERT INTO t VALUES (7, 'fresh')");
-  let live = D.dump db in
+  let live = state db in
   D.close db;
   let db2 = D.open_dir dir in
-  check string_t "prefix + fresh write" live (D.dump db2);
+  check string_t "prefix + fresh write" live (state db2);
   check int_t "recovered record count" 4
     (match D.last_recovery db2 with Some r -> r.D.rec_records | None -> -1);
   D.close db2
@@ -669,19 +786,18 @@ let test_crash_in_checkpoint () =
       with_dir @@ fun dir ->
       let db = D.open_dir ~fsync:W.Always dir in
       List.iter (fun s -> ignore (D.exec db s)) seed_stmts;
-      let full = D.dump db in
+      let full = state db in
       crash_at point (fun () -> D.checkpoint db);
       let db2 = D.open_dir dir in
-      let dump = D.dump db2 in
-      if dump <> full then
+      if state db2 <> full then
         Alcotest.failf "kill at %s lost data during checkpoint" point;
       (* the survivor is fully usable: write, checkpoint, reopen *)
       ignore (D.exec db2 "INSERT INTO t VALUES (8, 'post-crash')");
       D.checkpoint db2;
-      let live = D.dump db2 in
+      let live = state db2 in
       D.close db2;
       let db3 = D.open_dir dir in
-      if D.dump db3 <> live then
+      if state db3 <> live then
         Alcotest.failf "state diverged after recovering from %s" point;
       (* exactly one generation remains on disk *)
       let files = List.sort compare (Array.to_list (Sys.readdir dir)) in
@@ -702,7 +818,7 @@ let test_stale_tmp_swept () =
   ignore (D.exec db "CREATE TABLE t (id INT NOT NULL)");
   D.close db;
   (* debris a crash between checkpoint steps could leave behind *)
-  write_bytes (Filename.concat dir "checkpoint.1.ckpt.tmp") "half a dump";
+  write_bytes (Filename.concat dir "checkpoint.1.ckpt.tmp") "half a checkpoint";
   write_bytes (Filename.concat dir "wal.7.log") "OXW";
   let db2 = D.open_dir dir in
   check int_t "recovered data intact" 0
@@ -825,6 +941,9 @@ let tests =
         test_question_mark_in_comment;
       Alcotest.test_case "damaged checkpoint raises" `Quick test_damaged_checkpoint;
       Alcotest.test_case "old log format is refused" `Quick test_old_format_refused;
+      Alcotest.test_case "a directory under a file's name raises" `Quick
+        test_name_taken_by_directory;
+      QCheck_alcotest.to_alcotest prop_misfit_records;
       QCheck_alcotest.to_alcotest prop_typed_round_trip;
       Alcotest.test_case "auto checkpoint" `Quick test_auto_checkpoint;
       Alcotest.test_case "in-memory databases are unaffected" `Quick
