@@ -39,8 +39,9 @@ crash-test:
 
 # build + tier-1 tests + fault injection + counter gate + CLI smoke test
 # over the quickstart catalog; `oxq sql --analyze` must profile the run a
-# positional query executes (an operator tree with its Limit), and a query
-# on the directory `oxq dump` writes must print what it prints on the XML.
+# positional query executes (an operator tree with its Limit), a query on
+# the directory `oxq dump` writes must print what it prints on the XML, and
+# `oxq stats` (XML only) must refuse that directory by name.
 # Run this before recording a change in CHANGES.md.
 check: build test lint crash-test bench-smoke
 	$(OXQ) stats examples/catalog.xml -e dewey
@@ -50,6 +51,8 @@ check: build test lint crash-test bench-smoke
 	$(OXQ) dump examples/catalog.xml -o _build/check-db
 	$(OXQ) query _build/check-db '//book[2]/title' > _build/check-db.out
 	$(OXQ) query examples/catalog.xml '//book[2]/title' | diff _build/check-db.out -
+	! $(OXQ) stats _build/check-db 2> _build/check-db.err
+	grep -qx 'error: _build/check-db: is a directory' _build/check-db.err
 	@echo "check: OK"
 
 # counter gate (bench/record.py): re-run the benchmark's traced workloads at

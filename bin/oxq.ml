@@ -11,7 +11,9 @@
 
 module O = Ordered_xml
 
+(* [open_in_bin] opens a directory; reading it would fail without the path *)
 let read_file path =
+  if Sys.is_directory path then raise (Sys_error (path ^ ": is a directory"));
   let ic = open_in_bin path in
   Fun.protect
     ~finally:(fun () -> close_in ic)
@@ -540,7 +542,7 @@ let lint_cmd =
           if lint_xpath db encodings paths then any_error := true;
           if !any_error then 1 else 0
     with
-    | O.Xpath_parser.Parse_error m | Reldb.Db.Sql_error m ->
+    | O.Xpath_parser.Parse_error m | Reldb.Db.Sql_error m | Sys_error m ->
         Printf.eprintf "error: %s\n" m;
         2
   in

@@ -2,16 +2,15 @@ type t = int array
 
 let root = [| 1 |]
 
-let compare (a : t) (b : t) =
-  let la = Array.length a and lb = Array.length b in
-  let n = min la lb in
-  let rec go i =
-    if i >= n then Stdlib.compare la lb
-    else
-      let c = Stdlib.compare a.(i) b.(i) in
-      if c <> 0 then c else go (i + 1)
-  in
-  go 0
+(* top-level recursion: no closure per call, as sorts call these often *)
+let rec compare_from (a : t) (b : t) i =
+  if i = Array.length a || i = Array.length b then
+    Int.compare (Array.length a) (Array.length b)
+  else
+    let c = Int.compare a.(i) b.(i) in
+    if c <> 0 then c else compare_from a b (i + 1)
+
+let compare a b = compare_from a b 0
 
 let parent p =
   if Array.length p <= 1 then None else Some (Array.sub p 0 (Array.length p - 1))
@@ -30,12 +29,10 @@ let with_last p k =
   out.(Array.length out - 1) <- k;
   out
 
-let is_strict_prefix a d =
-  let la = Array.length a in
-  la < Array.length d
-  &&
-  let rec go i = i >= la || (a.(i) = d.(i) && go (i + 1)) in
-  go 0
+let rec prefix_from (a : t) (d : t) i =
+  i = Array.length a || (a.(i) = d.(i) && prefix_from a d (i + 1))
+
+let is_strict_prefix a d = Array.length a < Array.length d && prefix_from a d 0
 
 let to_string p =
   String.concat "." (Array.to_list (Array.map string_of_int p))

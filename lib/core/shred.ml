@@ -1,22 +1,5 @@
 module V = Reldb.Value
 
-let interval_numbering idx ~gap =
-  let n = Doc_index.length idx in
-  let out = Array.make n (0, 0) in
-  let counter = ref 0 in
-  let next () =
-    counter := !counter + gap;
-    !counter
-  in
-  let rec go i =
-    let start = next () in
-    List.iter go (Doc_index.attributes idx i);
-    List.iter go (Doc_index.children idx i);
-    out.(i) <- (start, next ())
-  in
-  go 0;
-  out
-
 type order = Interval of int * int | Sibling of int | Path of int * Dewey.t
 
 let edge_row ~id ~parent ~kind ~tag ~value order =
@@ -37,151 +20,142 @@ let edge_row ~id ~parent ~kind ~tag ~value order =
 (* ORDPATH-style load numbering: children at odd components (3, 5, 7, ...),
    leaving even components free as insertion carets and odd slot 1 free for
    one cheap prepend; the reserved attribute level 0 stays 0. *)
-let caretify path =
-  Array.map (fun c -> if c = 0 then 0 else (2 * c) + 1) path
+let component enc c =
+  match enc with Encoding.Dewey_caret when c <> 0 -> (2 * c) + 1 | _ -> c
 
-(* the order columns a loader gives a node: its GLOBAL interval, its
-   sibling position, or its Dewey path *)
-let load_order enc ~interval:(s, e) ~pos ~dewey =
-  match enc with
-  | Encoding.Global | Encoding.Global_gap -> Interval (s, e)
-  | Encoding.Local -> Sibling pos
-  | Encoding.Dewey_enc -> Path (Dewey.depth dewey, dewey)
-  | Encoding.Dewey_caret -> Path (Dewey.depth dewey, caretify dewey)
+(* An open element, or (at the bottom of the stack) the parent of the
+   top-level nodes. *)
+type frame = {
+  f_id : int;
+  f_tag : string;
+  f_pos : int;  (* LOCAL sibling position *)
+  f_start : int;  (* GLOBAL interval start *)
+  f_path : Dewey.t;  (* stored path *)
+  f_depth : int;  (* logical depth *)
+  mutable f_kids : int;  (* non-attribute children so far *)
+}
+
+let build_rows enc ~first_id ~endpoint ~parent ~pos ~path ~depth events emit =
+  let next_id = ref first_id and ends = ref 0 in
+  let fresh_id () =
+    let id = !next_id in
+    incr next_id;
+    id
+  in
+  let endpoint () =
+    let v = endpoint !ends in
+    incr ends;
+    v
+  in
+  let paths = match enc with Encoding.Dewey_enc | Encoding.Dewey_caret -> true | _ -> false in
+  let stack =
+    ref
+      [ { f_id = parent; f_tag = ""; f_pos = 0; f_start = 0; f_path = [||];
+          f_depth = depth - 1; f_kids = pos - 1 } ]
+  in
+  (* a new non-attribute node under the innermost frame: that frame, and
+     the node's stored path *)
+  let place () =
+    match !stack with
+    | [] -> assert false
+    | f :: rest ->
+        f.f_kids <- f.f_kids + 1;
+        if not paths then (f, [||])
+        else if rest <> [] then (f, Dewey.child f.f_path (component enc f.f_kids))
+        else if f.f_kids = pos then (f, path)
+        else invalid_arg "Shred.build_rows: a second top-level node needs its own path"
+  in
+  let row ~id ~parent ~kind ~tag ~value ~pos ~path ~depth start =
+    emit
+      (edge_row ~id ~parent ~kind ~tag ~value
+         (match enc with
+         | Encoding.Global | Encoding.Global_gap -> Interval (start, endpoint ())
+         | Encoding.Local -> Sibling pos
+         | Encoding.Dewey_enc | Encoding.Dewey_caret -> Path (depth, path)))
+  in
+  let leaf kind tag value =
+    let id = fresh_id () in
+    let f, path = place () in
+    row ~id ~parent:f.f_id ~kind ~tag ~value ~pos:f.f_kids ~path ~depth:(f.f_depth + 1)
+      (endpoint ())
+  in
+  events (function
+    | Xmllib.Sax.Start_element { tag; attrs } ->
+        let id = fresh_id () in
+        let f, path = place () in
+        let depth = f.f_depth + 1 in
+        let start = endpoint () in
+        let m = List.length attrs in
+        List.iteri
+          (fun j (name, value) ->
+            let path =
+              if paths then Array.append path [| 0; component enc (j + 1) |] else path
+            in
+            row ~id:(fresh_id ()) ~parent:id ~kind:Doc_index.Attr ~tag:name ~value
+              ~pos:(j - m) ~path ~depth:(depth + 2) (endpoint ()))
+          attrs;
+        stack :=
+          { f_id = id; f_tag = tag; f_pos = f.f_kids; f_start = start; f_path = path;
+            f_depth = depth; f_kids = 0 }
+          :: !stack
+    | Xmllib.Sax.End_element _ -> (
+        (* the row is complete only now, when its interval end is known *)
+        match !stack with
+        | e :: (f :: _ as rest) ->
+            stack := rest;
+            row ~id:e.f_id ~parent:f.f_id ~kind:Doc_index.Elem ~tag:e.f_tag ~value:""
+              ~pos:e.f_pos ~path:e.f_path ~depth:e.f_depth e.f_start
+        | _ -> invalid_arg "Shred.build_rows: end tag without a start tag")
+    | Xmllib.Sax.Text s -> leaf Doc_index.Text_node "" s
+    | Xmllib.Sax.Comment s -> leaf Doc_index.Comment_node "" s
+    | Xmllib.Sax.Pi { target; data } -> leaf Doc_index.Pi_node target data);
+  !next_id - first_id
+
+let in_id_order ~first_id rows =
+  let out = Array.make (List.length rows) [||] in
+  List.iter
+    (fun row ->
+      match row.(0) with V.Int id -> out.(id - first_id) <- row | _ -> assert false)
+    rows;
+  Array.to_list out
+
+(* A whole document: ids from 0, the root without a parent at sibling
+   position 1 and path 1, interval endpoints [gap] apart. *)
+let document_rows ?gap enc events emit =
+  let gap =
+    match enc with
+    | Encoding.Global_gap -> Option.value gap ~default:Encoding.default_gap
+    | _ -> 1
+  in
+  build_rows enc ~first_id:0
+    ~endpoint:(fun i -> (i + 1) * gap)
+    ~parent:(-1) ~pos:1
+    ~path:(Array.map (component enc) Dewey.root)
+    ~depth:(Dewey.depth Dewey.root) events emit
 
 let shred ?gap db ~doc enc document =
   Obs.Span.with_ "shred"
     ~attrs:[ ("doc", doc); ("encoding", Encoding.name enc) ]
     (fun () ->
-      let idx = Doc_index.build document in
       Encoding.create_tables db ~doc enc;
-      let gap_orders =
-        match enc with
-        | Encoding.Global -> Some (interval_numbering idx ~gap:1)
-        | Encoding.Global_gap ->
-            Some
-              (interval_numbering idx
-                 ~gap:(Option.value gap ~default:Encoding.default_gap))
-        | Encoding.Local | Encoding.Dewey_enc | Encoding.Dewey_caret -> None
+      let rows = ref [] in
+      let n =
+        document_rows ?gap enc
+          (fun f -> Xmllib.Sax.iter_node f (Xmllib.Types.Element document.Xmllib.Types.root))
+          (fun row -> rows := row :: !rows)
       in
-      (* bulk-load in one call: build all rows first, then hand the batch to
-         the engine's loader fast path *)
-      let rows =
-        Array.fold_right
-          (fun (r : Doc_index.record) acc ->
-            (* only GLOBAL encodings read the interval *)
-            let interval =
-              match gap_orders with Some o -> o.(r.Doc_index.id) | None -> (0, 0)
-            in
-            edge_row ~id:r.Doc_index.id ~parent:r.Doc_index.parent
-              ~kind:r.Doc_index.kind ~tag:r.Doc_index.tag ~value:r.Doc_index.value
-              (load_order enc ~interval ~pos:r.Doc_index.pos ~dewey:r.Doc_index.dewey)
-            :: acc)
-          (Doc_index.records idx) []
-      in
-      ignore (Reldb.Db.insert_many db (Encoding.table_name ~doc enc) rows);
-      idx)
+      (* bulk-load in one call: the engine's loader fast path *)
+      ignore
+        (Reldb.Db.insert_many db (Encoding.table_name ~doc enc)
+           (in_id_order ~first_id:0 !rows));
+      n)
 
-(* ------------------------------------------------------------------ *)
-(* Streaming load                                                      *)
-(* ------------------------------------------------------------------ *)
-
-type frame = {
-  f_id : int;
-  f_tag : string;
-  f_start : int;  (* GLOBAL interval start *)
-  mutable f_children : int;  (* non-attribute children seen *)
-  f_dewey : Dewey.t;  (* logical path *)
-}
-
+(* rows are inserted as they complete: memory stays bounded by the depth *)
 let shred_stream ?gap db ~doc enc src =
- Obs.Span.with_ "shred"
-   ~attrs:[ ("doc", doc); ("encoding", Encoding.name enc); ("mode", "stream") ]
- @@ fun () ->
-  Encoding.create_tables db ~doc enc;
-  let tname = Encoding.table_name ~doc enc in
-  let insert_tuple row = ignore (Reldb.Db.insert_many db tname [ row ]) in
-  let gap =
-    match enc with
-    | Encoding.Global -> 1
-    | Encoding.Global_gap -> Option.value gap ~default:Encoding.default_gap
-    | Encoding.Local | Encoding.Dewey_enc | Encoding.Dewey_caret -> 1
-  in
-  let counter = ref 0 in
-  let next () =
-    counter := !counter + gap;
-    !counter
-  in
-  let ids = ref 0 in
-  let next_id () =
-    let id = !ids in
-    incr ids;
-    id
-  in
-  let stack : frame list ref = ref [] in
-  let add_row ~id ~parent ~kind ~tag ~value ~pos ~dewey ~interval =
-    insert_tuple
-      (edge_row ~id ~parent ~kind ~tag ~value (load_order enc ~interval ~pos ~dewey))
-  in
-  let leaf ~kind ~tag ~value =
-    let id = next_id () in
-    let parent, pos, dewey =
-      match !stack with
-      | [] -> invalid_arg "Shred.shred_stream: leaf outside root"
-      | f :: _ ->
-          f.f_children <- f.f_children + 1;
-          (f.f_id, f.f_children, Dewey.child f.f_dewey f.f_children)
-    in
-    let s = next () in
-    let e = next () in
-    add_row ~id ~parent ~kind ~tag ~value ~pos ~dewey ~interval:(s, e)
-  in
-  Xmllib.Sax.iter src (fun ev ->
-      match ev with
-      | Xmllib.Sax.Start_element { tag; attrs } ->
-          let id = next_id () in
-          let parent, pos, dewey =
-            match !stack with
-            | [] -> (-1, 1, Dewey.root)
-            | f :: _ ->
-                f.f_children <- f.f_children + 1;
-                (f.f_id, f.f_children, Dewey.child f.f_dewey f.f_children)
-          in
-          let f_start = next () in
-          let m = List.length attrs in
-          List.iteri
-            (fun j (an, av) ->
-              let aid = next_id () in
-              let s = next () in
-              let e = next () in
-              add_row ~id:aid ~parent:id ~kind:Doc_index.Attr ~tag:an ~value:av
-                ~pos:(j - m)
-                ~dewey:(Dewey.child (Dewey.child dewey 0) (j + 1))
-                ~interval:(s, e))
-            attrs;
-          stack :=
-            { f_id = id; f_tag = tag; f_start; f_children = 0; f_dewey = dewey }
-            :: !stack;
-          (* the element row itself is written at End_element, when its
-             interval end is known; other encodings do not mind *)
-          ignore pos;
-          ignore parent
-      | Xmllib.Sax.End_element _ -> (
-          match !stack with
-          | [] -> assert false
-          | f :: rest ->
-              let g_end = next () in
-              let parent, pos =
-                match rest with
-                | [] -> (-1, 1)
-                | p :: _ -> (p.f_id, p.f_children)
-              in
-              add_row ~id:f.f_id ~parent ~kind:Doc_index.Elem ~tag:f.f_tag
-                ~value:"" ~pos ~dewey:f.f_dewey ~interval:(f.f_start, g_end);
-              stack := rest)
-      | Xmllib.Sax.Text s -> leaf ~kind:Doc_index.Text_node ~tag:"" ~value:s
-      | Xmllib.Sax.Comment s ->
-          leaf ~kind:Doc_index.Comment_node ~tag:"" ~value:s
-      | Xmllib.Sax.Pi { target; data } ->
-          leaf ~kind:Doc_index.Pi_node ~tag:target ~value:data);
-  !ids
+  Obs.Span.with_ "shred"
+    ~attrs:[ ("doc", doc); ("encoding", Encoding.name enc); ("mode", "stream") ]
+    (fun () ->
+      Encoding.create_tables db ~doc enc;
+      let tname = Encoding.table_name ~doc enc in
+      document_rows ?gap enc (Xmllib.Sax.iter src) (fun row ->
+          ignore (Reldb.Db.insert_many db tname [ row ])))

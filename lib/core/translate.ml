@@ -620,27 +620,14 @@ let fetch_by_ids st ids =
         (ctx_join st Node_row.ids_relation (id_tuples ids) "e.id = c.id")
 
 (* A LOCAL row's document-order key is its root path: the l_order values
-   from the root down. Attributes have l_order <= 0, so they sort after
-   their owner element and before its children. A key's proper prefixes are
-   exactly the keys of the row's ancestors. *)
-let rec compare_from (a : int array) (b : int array) i =
-  if i = Array.length a || i = Array.length b then
-    Int.compare (Array.length a) (Array.length b)
-  else
-    let c = Int.compare a.(i) b.(i) in
-    if c <> 0 then c else compare_from a b (i + 1)
-
-let compare_key a b = compare_from a b 0
-
-(* [l] stably sorted by [key], computed once per element *)
+   from the root down, compared as a Dewey path. Attributes have
+   l_order <= 0, so they sort after their owner element and before its
+   children. A key's proper prefixes are exactly the keys of the row's
+   ancestors. [sort_by_key key l] is [l] stably sorted by [key], computed
+   once per element. *)
 let sort_by_key key l =
   List.map snd
-    (List.stable_sort (fun (a, _) (b, _) -> compare_key a b) (List.map (fun x -> (key x, x)) l))
-
-let rec prefix_from (p : int array) (k : int array) i =
-  i = Array.length p || (p.(i) = k.(i) && prefix_from p k (i + 1))
-
-let is_prefix p k = Array.length p <= Array.length k && prefix_from p k 0
+    (List.stable_sort (fun (a, _) (b, _) -> Dewey.compare a b) (List.map (fun x -> (key x, x)) l))
 
 let chains st =
   match st.chains with
@@ -733,7 +720,7 @@ let local_doc_order st ctx_rows (step : A.step) =
   let cands = root_run st (step_run st ~from_root:true { step with A.axis = A.Descendant }) in
   let key = local_order_keys st (ctx_rows @ cands) in
   let sorted = Array.of_list (List.map (fun r -> (key r, r)) cands) in
-  Array.stable_sort (fun (a, _) (b, _) -> compare_key a b) sorted;
+  Array.stable_sort (fun (a, _) (b, _) -> Dewey.compare a b) sorted;
   let n = Array.length sorted in
   (* first index whose key satisfies [p], monotone over the sorted keys *)
   let first p =
@@ -753,13 +740,13 @@ let local_doc_order st ctx_rows (step : A.step) =
         match step.A.axis with
         | A.Following ->
             let i =
-              first (fun k -> compare_key k kc > 0 && not (is_prefix kc k))
+              first (fun k -> Dewey.compare k kc > 0 && not (Dewey.is_strict_prefix kc k))
             in
             List.init (n - i) (fun j -> pair sorted.(i + j))
         | _ ->
-            let i = first (fun k -> compare_key k kc >= 0) in
+            let i = first (fun k -> Dewey.compare k kc >= 0) in
             List.filter_map
-              (fun (k, _ as e) -> if is_prefix k kc then None else Some (pair e))
+              (fun (k, _ as e) -> if Dewey.is_strict_prefix k kc then None else Some (pair e))
               (Array.to_list (Array.sub sorted 0 i)))
       ctx_rows
   in
@@ -1063,5 +1050,3 @@ let sort_document_order db ~doc enc rows =
   let st = new_state db ~doc enc in
   let sorted = doc_sort st (dedup_rows rows) in
   (sorted, st.nstmt)
-
-let eval_string db ~doc enc s = eval_union db ~doc enc (Xpath_parser.parse_union s)

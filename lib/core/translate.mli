@@ -91,10 +91,6 @@ val eval_union : Reldb.Db.t -> doc:string -> Encoding.t -> Xpath_ast.union -> re
 val eval_ids : Reldb.Db.t -> doc:string -> Encoding.t -> Xpath_ast.path -> int list
 (** Just the node ids, in document order. *)
 
-val eval_string : Reldb.Db.t -> doc:string -> Encoding.t -> string -> result
-(** Parse then evaluate (handles top-level unions).
-    @raise Xpath_parser.Parse_error on bad syntax. *)
-
 val eval_from_ids :
   Reldb.Db.t -> doc:string -> Encoding.t -> ids:int list -> Xpath_ast.path ->
   result

@@ -71,18 +71,6 @@ let max_id state =
   | [ [| V.Int m |] ] -> m
   | _ -> 0
 
-(* --- fragment flattening -------------------------------------------- *)
-
-(* Wrap the fragment under a dummy root, index it, and drop the dummy:
-   record ids 1.. are the fragment's records in record order. *)
-let fragment_index fragment =
-  match fragment with
-  | T.Element _ | T.Text _ | T.Comment _ | T.Pi _ ->
-      Doc_index.build
-        { T.decl = false; root = { T.tag = "frag"; attrs = []; children = [ fragment ] } }
-
-let fragment_size idx = Doc_index.length idx - 1
-
 (* --- shared row construction ----------------------------------------- *)
 
 (* routed through the engine so durable databases WAL-log the row *)
@@ -106,18 +94,6 @@ let bulk_insert state rows =
       }
   end
 
-let edge_row (r : Doc_index.record) ~id ~parent order =
-  Shred.edge_row ~id ~parent ~kind:r.Doc_index.kind ~tag:r.Doc_index.tag
-    ~value:r.Doc_index.value order
-
-(* map a fragment-index record to (new id, new parent id) *)
-let remap base ~parent (r : Doc_index.record) =
-  let id = base + (r.Doc_index.id - 1) in
-  let parent_id =
-    if r.Doc_index.parent = 0 then parent else base + (r.Doc_index.parent - 1)
-  in
-  (id, parent_id)
-
 (* --- insertion boundary ---------------------------------------------- *)
 
 type boundary = {
@@ -136,11 +112,25 @@ let locate state ~parent ~pos =
     fail "position %d out of range (parent has %d children)" pos n;
   { parent_row; siblings; pos }
 
+(* Run the row builder over [fragments], their top nodes under the
+   boundary's parent and their ids from [first_id], and insert the rows in
+   one call; returns the number of rows. *)
+let insert_fragments state b ~first_id ?(endpoint = Fun.id) ?(pos = 1) ?(path = [||])
+    ?(depth = 0) fragments =
+  let rows = ref [] in
+  let n =
+    Shred.build_rows state.enc ~first_id ~endpoint ~parent:b.parent_row.Node_row.id ~pos
+      ~path ~depth
+      (fun f -> List.iter (Xmllib.Sax.iter_node f) fragments)
+      (fun row -> rows := row :: !rows)
+  in
+  bulk_insert state (Shred.in_id_order ~first_id !rows);
+  n
+
 (* --- LOCAL ----------------------------------------------------------- *)
 
-let local_insert state b fragments =
-  (* fragments: (index, base id) pairs; one sibling shift makes room for
-     the whole forest *)
+let local_insert state b ~first_id fragments =
+  (* one sibling shift makes room for the whole forest *)
   let k = List.length fragments in
   let l0 =
     if b.pos <= List.length b.siblings then
@@ -163,31 +153,9 @@ let local_insert state b fragments =
      in
      state.st <- { state.st with rows_renumbered = state.st.rows_renumbered + shifted }
    end);
-  let rows = ref [] in
-  List.iteri
-    (fun j (fragment_idx, base) ->
-      Array.iter
-        (fun (r : Doc_index.record) ->
-          if r.Doc_index.id = 0 then ()
-          else begin
-            let id, parent_id = remap base ~parent:b.parent_row.Node_row.id r in
-            let l_order =
-              if r.Doc_index.parent = 0 then l0 + j else r.Doc_index.pos
-            in
-            rows := edge_row r ~id ~parent:parent_id (Shred.Sibling l_order) :: !rows
-          end)
-        (Doc_index.records fragment_idx))
-    fragments;
-  bulk_insert state (List.rev !rows)
+  ignore (insert_fragments state b ~first_id ~pos:l0 fragments)
 
 (* --- GLOBAL (dense and gapped) --------------------------------------- *)
-
-(* endpoint ordinals within the fragment: record i of the wrapper document
-   gets interval (start, end) from a dense numbering where the wrapper root
-   consumed the first start and the last end; ordinals are 0-based *)
-let fragment_ordinals fragment_idx =
-  let nums = Shred.interval_numbering fragment_idx ~gap:1 in
-  Array.map (fun (s, e) -> (s - 2, e - 2)) nums
 
 (* Open [k] values at [hi]: one index-range statement moves every row at
    or after [hi], both endpoints at once; then the rows whose interval
@@ -217,9 +185,8 @@ let global_shift state ~(around : Node_row.t) ~hi k =
   state.st <-
     { state.st with rows_renumbered = state.st.rows_renumbered + moved + stretched }
 
-let global_insert state b fragments ~gapped =
-  let sizes = List.map (fun (idx, _) -> fragment_size idx) fragments in
-  let total = List.fold_left ( + ) 0 sizes in
+let global_insert state b ~first_id fragments ~gapped =
+  let total = List.fold_left (fun n f -> n + T.node_count f) 0 fragments in
   let need = 2 * total in
   (* free window (lo, hi): between the predecessor's last used value and the
      successor's first *)
@@ -253,6 +220,7 @@ let global_insert state b fragments ~gapped =
     else
       match b.parent_row.Node_row.ord with Node_row.Og (_, e) -> e | _ -> assert false
   in
+  (* the value of the forest's [ordinal]-th interval endpoint *)
   let assign =
     if gapped && hi - lo > need then begin
       (* place endpoints inside the gap: ordinal i -> lo + (i+1)*(hi-lo)/(need+1) *)
@@ -269,26 +237,7 @@ let global_insert state b fragments ~gapped =
       else fun ordinal -> hi + ordinal
     end
   in
-  let offset = ref 0 in
-  let rows = ref [] in
-  List.iter
-    (fun (fragment_idx, base) ->
-      let ordinals = fragment_ordinals fragment_idx in
-      Array.iter
-        (fun (r : Doc_index.record) ->
-          if r.Doc_index.id = 0 then ()
-          else begin
-            let id, parent_id = remap base ~parent:b.parent_row.Node_row.id r in
-            let s_ord, e_ord = ordinals.(r.Doc_index.id) in
-            rows :=
-              edge_row r ~id ~parent:parent_id
-                (Shred.Interval (assign (!offset + s_ord), assign (!offset + e_ord)))
-              :: !rows
-          end)
-        (Doc_index.records fragment_idx);
-      offset := !offset + (2 * fragment_size fragment_idx))
-    fragments;
-  bulk_insert state (List.rev !rows)
+  ignore (insert_fragments state b ~first_id ~endpoint:assign fragments)
 
 (* --- DEWEY (plain and caret) ------------------------------------------ *)
 
@@ -316,26 +265,15 @@ let rewrite_subtree_paths state ~old_path ~new_path =
   in
   state.st <- { state.st with rows_renumbered = state.st.rows_renumbered + n }
 
-(* insert the fragment rows grafted under [target]. [component_map] adjusts
-   the fragment's logical components ([Fun.id] for DEWEY, caretify for
-   ORDPATH); [target_depth] is the logical depth of the fragment top. *)
-let dewey_graft state b fragment_idx base ~target ~target_depth ~component_map =
-  let rows = ref [] in
-  Array.iter
-    (fun (r : Doc_index.record) ->
-      if r.Doc_index.id = 0 then ()
-      else begin
-        let id, parent_id = remap base ~parent:b.parent_row.Node_row.id r in
-        (* fragment record paths are [1; 1; suffix...]: drop the wrapper
-           root and the fragment top, graft onto [target] *)
-        let frag_path = r.Doc_index.dewey in
-        let suffix = Array.sub frag_path 2 (Array.length frag_path - 2) in
-        let path = Array.append target (Array.map component_map suffix) in
-        let depth = target_depth + Array.length suffix in
-        rows := edge_row r ~id ~parent:parent_id (Shred.Path (depth, path)) :: !rows
-      end)
-    (Doc_index.records fragment_idx);
-  bulk_insert state (List.rev !rows)
+(* one bulk insert per fragment, in order; [target j] gives the j-th
+   fragment's top node its stored path and logical depth *)
+let graft state b ~first_id fragments target =
+  ignore
+    (List.fold_left
+       (fun (j, first_id) fragment ->
+         let path, depth = target j in
+         (j + 1, first_id + insert_fragments state b ~first_id ~path ~depth [ fragment ]))
+       (0, first_id) fragments)
 
 let fetch_depth state id =
   match
@@ -344,7 +282,7 @@ let fetch_depth state id =
   | [ [| V.Int d |] ] -> d
   | _ -> fail "node %d has no depth" id
 
-let dewey_insert state b fragments =
+let dewey_insert state b ~first_id fragments =
   let k = List.length fragments in
   let parent_path = parent_dewey b in
   let comp_of (r : Node_row.t) = Dewey.last (Node_row.dewey r) in
@@ -367,12 +305,9 @@ let dewey_insert state b fragments =
       rewrite_subtree_paths state ~old_path
         ~new_path:(Dewey.with_last old_path (Dewey.last old_path + k)))
     to_shift;
-  List.iteri
-    (fun j (fragment_idx, base) ->
+  graft state b ~first_id fragments (fun j ->
       let target = Dewey.child parent_path (c0 + j) in
-      dewey_graft state b fragment_idx base ~target
-        ~target_depth:(Dewey.depth target) ~component_map:Fun.id)
-    fragments
+      (target, Dewey.depth target))
 
 (* --- ORDPATH-style caret allocation ------------------------------------ *)
 
@@ -478,7 +413,7 @@ let caret_renumber state b ~parent_path ~lo_head =
     final_heads;
   target_head
 
-let caret_insert state b fragments =
+let caret_insert state b ~first_id fragments =
   let parent_path = parent_dewey b in
   let parent_len = Array.length parent_path in
   let lo0 =
@@ -494,8 +429,7 @@ let caret_insert state b fragments =
   (* allocate slots one after another, each bounded below by the previous
      allocation; careting never renumbers except on zone exhaustion *)
   let lo = ref lo0 in
-  List.iter
-    (fun (fragment_idx, base) ->
+  graft state b ~first_id fragments (fun _ ->
       let rel =
         try caret_between !lo hi
         with No_slot ->
@@ -503,10 +437,7 @@ let caret_insert state b fragments =
           [ caret_renumber state b ~parent_path ~lo_head ]
       in
       lo := Some rel;
-      let target = Array.append parent_path (Array.of_list rel) in
-      dewey_graft state b fragment_idx base ~target ~target_depth
-        ~component_map:(fun c -> if c = 0 then 0 else (2 * c) + 1))
-    fragments
+      (Array.append parent_path (Array.of_list rel), target_depth))
 
 (* --- public API -------------------------------------------------------- *)
 
@@ -515,21 +446,13 @@ let insert_forest db ~doc enc ~parent ~pos fragments =
   transactionally db @@ fun () ->
   let state = { db; enc; tname = Encoding.table_name ~doc enc; st = zero } in
   let b = locate state ~parent ~pos in
-  let base0 = max_id state + 1 in
-  let _, with_bases =
-    List.fold_left
-      (fun (base, acc) fragment ->
-        let idx = fragment_index fragment in
-        (base + fragment_size idx, (idx, base) :: acc))
-      (base0, []) fragments
-  in
-  let with_bases = List.rev with_bases in
+  let first_id = max_id state + 1 in
   (match enc with
-  | Encoding.Local -> local_insert state b with_bases
-  | Encoding.Global -> global_insert state b with_bases ~gapped:false
-  | Encoding.Global_gap -> global_insert state b with_bases ~gapped:true
-  | Encoding.Dewey_enc -> dewey_insert state b with_bases
-  | Encoding.Dewey_caret -> caret_insert state b with_bases);
+  | Encoding.Local -> local_insert state b ~first_id fragments
+  | Encoding.Global -> global_insert state b ~first_id fragments ~gapped:false
+  | Encoding.Global_gap -> global_insert state b ~first_id fragments ~gapped:true
+  | Encoding.Dewey_enc -> dewey_insert state b ~first_id fragments
+  | Encoding.Dewey_caret -> caret_insert state b ~first_id fragments);
   state.st
 
 let insert_subtree db ~doc enc ~parent ~pos fragment =
@@ -634,13 +557,9 @@ let set_attribute db ~doc enc ~id ~name ~value =
       { state.st with rows_renumbered = n }
   | None -> begin
       let new_id = max_id state + 1 in
-
-      let payload =
-        [|
-          V.Int new_id; V.Int id; V.Int (Doc_index.kind_code Doc_index.Attr);
-          V.Str name; V.Str value;
-          Encoding.nval_of ~kind:Doc_index.Attr value;
-        |]
+      let insert order =
+        insert_row state
+          (Shred.edge_row ~id:new_id ~parent:id ~kind:Doc_index.Attr ~tag:name ~value order)
       in
       (match enc with
       | Encoding.Local ->
@@ -654,7 +573,7 @@ let set_attribute db ~doc enc ~id ~name ~value =
           in
           state.st <-
             { state.st with rows_renumbered = state.st.rows_renumbered + shifted };
-          insert_row state (Array.append payload [| V.Int (-1) |])
+          insert (Shred.Sibling (-1))
       | Encoding.Global | Encoding.Global_gap ->
           (* open two interval values right after the last attribute *)
           let hi =
@@ -667,7 +586,7 @@ let set_attribute db ~doc enc ~id ~name ~value =
                 match row.Node_row.ord with Node_row.Og (_, e) -> e | _ -> 0)
           in
           global_shift state ~around:row ~hi 2;
-          insert_row state (Array.append payload [| V.Int hi; V.Int (hi + 1) |])
+          insert (Shred.Interval (hi, hi + 1))
       | Encoding.Dewey_enc | Encoding.Dewey_caret ->
           let parent_path =
             match row.Node_row.ord with
@@ -679,12 +598,8 @@ let set_attribute db ~doc enc ~id ~name ~value =
             | [] -> 1
             | last :: _ -> Dewey.last (Node_row.dewey last) + 1
           in
-          let path =
-            Array.append parent_path [| 0; next_j |]
-          in
           let depth = fetch_depth state id + 2 in
-          insert_row state
-            (Array.append payload [| V.Int depth; V.Bytes (Dewey.encode path) |]));
+          insert (Shred.Path (depth, Array.append parent_path [| 0; next_j |])));
       state.st
     end
 

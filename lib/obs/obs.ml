@@ -35,26 +35,6 @@ module Counter = struct
   let find name = Hashtbl.find_opt registry name
 end
 
-module Gauge = struct
-  type t = { g_name : string; g_help : string; mutable g_value : float }
-
-  let registry : (string, t) Hashtbl.t = Hashtbl.create 32
-
-  let create ?(help = "") name =
-    match Hashtbl.find_opt registry name with
-    | Some g -> g
-    | None ->
-        let g = { g_name = name; g_help = help; g_value = 0.0 } in
-        Hashtbl.add registry name g;
-        g
-
-  let set g v = if !enabled_flag then g.g_value <- v
-  let add g v = if !enabled_flag then g.g_value <- g.g_value +. v
-  let value g = g.g_value
-  let name g = g.g_name
-  let find name = Hashtbl.find_opt registry name
-end
-
 module Histogram = struct
   (* raw samples up to a cap; count/sum/min/max stay exact past it *)
   let sample_cap = 65536
@@ -149,7 +129,6 @@ let incr name = if !enabled_flag then Counter.incr (Counter.create name)
 let counter_value name =
   match Counter.find name with Some c -> Counter.value c | None -> 0
 let add name n = if !enabled_flag then Counter.add (Counter.create name) n
-let set_gauge name v = if !enabled_flag then Gauge.set (Gauge.create name) v
 
 let observe name v =
   if !enabled_flag then Histogram.observe (Histogram.create name) v
@@ -270,7 +249,6 @@ end
 
 let reset () =
   Hashtbl.reset Counter.registry;
-  Hashtbl.reset Gauge.registry;
   Hashtbl.reset Histogram.registry;
   Span.clear ()
 
@@ -282,7 +260,6 @@ module Report = struct
   let to_text () =
     let buf = Buffer.create 512 in
     let counters = sorted_values Counter.registry in
-    let gauges = sorted_values Gauge.registry in
     let hists = sorted_values Histogram.registry in
     if counters <> [] then begin
       Buffer.add_string buf "counters:\n";
@@ -291,14 +268,6 @@ module Report = struct
           Buffer.add_string buf
             (Printf.sprintf "  %-32s %d\n" (Counter.name c) (Counter.value c)))
         counters
-    end;
-    if gauges <> [] then begin
-      Buffer.add_string buf "gauges:\n";
-      List.iter
-        (fun g ->
-          Buffer.add_string buf
-            (Printf.sprintf "  %-32s %g\n" (Gauge.name g) (Gauge.value g)))
-        gauges
     end;
     if hists <> [] then begin
       Buffer.add_string buf
@@ -343,11 +312,6 @@ module Report = struct
         (fun c -> field (Counter.name c) (string_of_int (Counter.value c)))
         (sorted_values Counter.registry)
     in
-    let gauges =
-      List.map
-        (fun g -> field (Gauge.name g) (json_float (Gauge.value g)))
-        (sorted_values Gauge.registry)
-    in
     let hists =
       List.map
         (fun h ->
@@ -368,7 +332,6 @@ module Report = struct
     obj
       [
         field "counters" (obj counters);
-        field "gauges" (obj gauges);
         field "histograms" (obj hists);
       ]
 end

@@ -1,5 +1,5 @@
-(** Engine observability: monotonic timers, labeled counters and gauges,
-    latency histograms, and hierarchical spans with a pluggable sink.
+(** Engine observability: monotonic timers, labeled counters, latency
+    histograms, and hierarchical spans with a pluggable sink.
 
     All state is process-global (the engine is single-connection and
     single-threaded). Instrumentation is {e zero-cost when disabled}: every
@@ -7,7 +7,7 @@
     the registries when it is off — benchmarks flip the switch once at
     startup.
 
-    Metrics (counters / gauges / histograms) accumulate from process start
+    Metrics (counters / histograms) accumulate from process start
     until {!reset}. Span {e retention} is separate: spans are always timed
     and handed to the sink when enabled, but are only kept in memory inside
     {!Span.collect} (or when an explicit sink is installed), so long-running
@@ -17,7 +17,7 @@ val enabled : unit -> bool
 val set_enabled : bool -> unit
 
 val reset : unit -> unit
-(** Drop every registered counter, gauge and histogram, and any buffered
+(** Drop every registered counter and histogram, and any buffered
     spans. Instances obtained before the reset are detached: they keep
     working but no longer appear in reports. *)
 
@@ -44,17 +44,6 @@ module Counter : sig
   val incr : t -> unit
   val add : t -> int -> unit
   val value : t -> int
-  val name : t -> string
-  val find : string -> t option
-end
-
-module Gauge : sig
-  type t
-
-  val create : ?help:string -> string -> t
-  val set : t -> float -> unit
-  val add : t -> float -> unit
-  val value : t -> float
   val name : t -> string
   val find : string -> t option
 end
@@ -90,7 +79,6 @@ end
 
 val incr : string -> unit
 val add : string -> int -> unit
-val set_gauge : string -> float -> unit
 val observe : string -> float -> unit
 
 val counter_value : string -> int
@@ -134,9 +122,9 @@ end
 
 module Report : sig
   val to_text : unit -> string
-  (** Every registered counter, gauge and histogram, sorted by name. *)
+  (** Every registered counter and histogram, sorted by name. *)
 
   val to_json : unit -> string
   (** Same content as a single JSON object:
-      [{"counters":{...},"gauges":{...},"histograms":{...}}]. *)
+      [{"counters":{...},"histograms":{...}}]. *)
 end

@@ -739,13 +739,16 @@ let wal_gen_of = gen_of_name ~stem:"wal" ~ext:"log"
 
 (* Run one record of a checkpoint or the log: statements through the plan
    cache, rows through the loader. [dur] is [None] here, so nothing is
-   logged again. Returns the number of entries. *)
+   logged again. The writer never logs transaction control, so a BEGIN is a
+   misfit: it would leave the handle inside a transaction (COMMIT and
+   ROLLBACK then fail for want of one). Returns the number of entries. *)
 let replay t record =
   List.iter
     (function
       | Wal.Exec (sql, params) -> (
-          try ignore (exec_params t sql params)
-          with Sql_error m -> fail "replay failed on %S: %s" sql m)
+          (try ignore (exec_params t sql params)
+           with Sql_error m -> fail "replay failed on %S: %s" sql m);
+          if t.txn then fail "replay failed on %S: transaction control in a log" sql)
       | Wal.Rows (name, rows) -> (
           try ignore (insert_many t name rows)
           with Sql_error m -> fail "replay failed on rows of %s: %s" name m))

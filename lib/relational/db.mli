@@ -48,8 +48,8 @@ val query_one : t -> string -> Tuple.t option
     the planner matches index access paths for a slot as for a literal, and
     one cached plan serves every binding. A slot bound to NULL in an index
     key or bound matches no row, as [col = NULL] never holds. Binding
-    substitutes the values into a copy of the cached plan; statements
-    without [?] skip it. *)
+    copies nothing: the compiled plan reads the values from the one array
+    passed with each execution. *)
 
 (** {2 Scratch relations}
 

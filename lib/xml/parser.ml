@@ -97,12 +97,3 @@ let parse_doc ~keep_ws src =
 
 let parse_document src = parse_doc ~keep_ws:false src
 let parse_document_ws src = parse_doc ~keep_ws:true src
-
-let parse_fragment src =
-  let lx = Lexer.create src in
-  try
-    match parse_siblings lx ~keep_ws:false [] with
-    | nodes, `Eof -> nodes
-    | _, `End (name, pos) ->
-        fail_at pos (Printf.sprintf "unexpected end tag </%s>" name)
-  with Lexer.Error (pos, msg) -> fail_at pos msg

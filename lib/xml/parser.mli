@@ -12,7 +12,3 @@ val parse_document : string -> Types.document
 val parse_document_ws : string -> Types.document
 (** Like {!parse_document} but preserves whitespace-only text nodes
     (document-centric mode). *)
-
-val parse_fragment : string -> Types.node list
-(** Parse a sequence of nodes without requiring a single root element.
-    Whitespace-only text between nodes is dropped. *)

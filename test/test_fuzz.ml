@@ -55,6 +55,35 @@ let prop_sax =
   no_crash "sax never crashes" 500 xmlish (fun s ->
       ignore (Xmllib.Sax.count_events s))
 
+(* whole markup pieces: concatenations are often well-formed documents,
+   with prologs, epilogs and repeated attributes *)
+let markupish =
+  biased
+    [ "<a>"; "</a>"; "<b x='1'>"; "</b>"; "<a/>"; "<b x='1' x='2'/>";
+      "<b x='1' y='2'/>"; "<!--c-->"; "<?p d?>"; "<?xml version='1.0'?>";
+      "<!DOCTYPE a>"; "t"; " "; "&amp;"; "<![CDATA[<]]>" ]
+
+(* The streaming reader accepts exactly what the DOM parser accepts, and
+   then yields the events of the parsed tree. *)
+let prop_sax_agrees =
+  QCheck.Test.make ~name:"sax events = parsed DOM events" ~count:1000
+    (QCheck.oneof [ xmlish; markupish ])
+    (fun src ->
+      let dom =
+        match Xmllib.Parser.parse_document src with
+        | doc ->
+            let evs = ref [] in
+            Xmllib.Sax.iter_node (fun ev -> evs := ev :: !evs) (Xmllib.Types.Element doc.root);
+            Some (List.rev !evs)
+        | exception Xmllib.Parser.Parse_error _ -> None
+      in
+      let sax =
+        match Xmllib.Sax.fold src ~init:[] ~f:(fun evs ev -> ev :: evs) with
+        | evs -> Some (List.rev evs)
+        | exception Xmllib.Sax.Error _ -> None
+      in
+      dom = sax)
+
 let prop_xpath_parser =
   no_crash "xpath parser never crashes" 500 xpathish (fun s ->
       ignore (O.Xpath_parser.parse_union s))
@@ -220,6 +249,7 @@ let tests =
     [
       QCheck_alcotest.to_alcotest prop_xml_parser;
       QCheck_alcotest.to_alcotest prop_sax;
+      QCheck_alcotest.to_alcotest prop_sax_agrees;
       QCheck_alcotest.to_alcotest prop_xpath_parser;
       QCheck_alcotest.to_alcotest prop_sql;
       QCheck_alcotest.to_alcotest prop_sql_tail;

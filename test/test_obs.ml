@@ -28,15 +28,6 @@ let test_counter () =
   check bool_t "find" true (Obs.Counter.find "c.test" <> None);
   check bool_t "find missing" true (Obs.Counter.find "c.absent" = None)
 
-let test_gauge () =
-  fresh ();
-  let g = Obs.Gauge.create "g.test" in
-  Obs.Gauge.set g 2.5;
-  Obs.Gauge.add g 1.0;
-  check float_t "set+add" 3.5 (Obs.Gauge.value g);
-  Obs.set_gauge "g.test" 7.0;
-  check float_t "name-based set overwrites" 7.0 (Obs.Gauge.value g)
-
 let test_histogram_percentiles () =
   fresh ();
   let h = Obs.Histogram.create "h.test" in
@@ -192,7 +183,6 @@ let tests =
   ( "obs",
     [
       Alcotest.test_case "counters" `Quick test_counter;
-      Alcotest.test_case "gauges" `Quick test_gauge;
       Alcotest.test_case "histogram percentiles" `Quick test_histogram_percentiles;
       Alcotest.test_case "disabled switch" `Quick test_disabled_is_inert;
       Alcotest.test_case "span nesting" `Quick test_span_nesting;

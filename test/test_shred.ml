@@ -18,10 +18,11 @@ let shred_all doc =
 
 let test_row_counts () =
   let db, loaded = shred_all sample in
-  let idx = snd (List.hd loaded) in
+  let idx = O.Doc_index.build sample in
   List.iter
-    (fun (enc, _) ->
+    (fun (enc, n) ->
       let table = Reldb.Db.table db (O.Encoding.table_name ~doc:"t" enc) in
+      check int_t (O.Encoding.name enc ^ " loaded") (O.Doc_index.length idx) n;
       check int_t
         (O.Encoding.name enc ^ " rows")
         (O.Doc_index.length idx)
@@ -58,11 +59,24 @@ let test_interval_nesting () =
         rows)
     [ O.Encoding.Global; O.Encoding.Global_gap ]
 
+(* the stored (g_order, g_end) of every id, loaded with the given gap *)
+let intervals enc ?gap doc =
+  let db = Reldb.Db.create () in
+  let n = O.Shred.shred ?gap db ~doc:"g" enc doc in
+  let out = Array.make n (0, 0) in
+  List.iter
+    (function
+      | [| V.Int id; V.Int o; V.Int e |] -> out.(id) <- (o, e)
+      | _ -> Alcotest.fail "row shape")
+    (Reldb.Db.query db
+       (Printf.sprintf "SELECT id, g_order, g_end FROM %s"
+          (O.Encoding.table_name ~doc:"g" enc)));
+  out
+
 let test_gap_numbering_spacing () =
-  let idx = O.Doc_index.build sample in
-  let dense = O.Shred.interval_numbering idx ~gap:1 in
-  let gapped = O.Shred.interval_numbering idx ~gap:32 in
-  let n = O.Doc_index.length idx in
+  let dense = intervals O.Encoding.Global sample in
+  let gapped = intervals O.Encoding.Global_gap ~gap:32 sample in
+  let n = Array.length dense in
   (* dense uses exactly 2n values *)
   let all_dense =
     Array.to_list dense |> List.concat_map (fun (a, b) -> [ a; b ])
@@ -101,6 +115,9 @@ let test_local_unique_sibling_ranks () =
       | V.Int 1 -> ()
       | _ -> Alcotest.fail "duplicate (parent, l_order)")
     rows;
+  (match Reldb.Db.query db "SELECT l_order FROM t_local WHERE parent IS NULL" with
+  | [ [| V.Int 1 |] ] -> ()
+  | _ -> Alcotest.fail "the root's l_order is not 1");
   (* children are 1..n dense, attrs negative *)
   let kid_orders =
     Reldb.Db.query db
@@ -112,8 +129,8 @@ let test_local_unique_sibling_ranks () =
     (List.map (fun r -> match r.(0) with V.Int i -> i | _ -> 0) kid_orders)
 
 let test_dewey_paths_sorted () =
-  let db, loaded = shred_all sample in
-  let idx = snd (List.hd loaded) in
+  let db, _ = shred_all sample in
+  let idx = O.Doc_index.build sample in
   let rows =
     Reldb.Db.query db "SELECT id, path FROM t_dewey ORDER BY path"
   in
@@ -212,6 +229,18 @@ let test_stream_shred_equals_dom_shred () =
           (O.Encoding.name enc))
     O.Encoding.all
 
+(* comments and PIs outside the root element are not nodes of the document *)
+let test_stream_outside_root () =
+  List.iter
+    (fun src ->
+      List.iter
+        (fun enc ->
+          let db = Reldb.Db.create () in
+          check int_t (src ^ " " ^ O.Encoding.name enc) 1
+            (O.Shred.shred_stream db ~doc:"p" enc src))
+        O.Encoding.all)
+    [ "<!--c--><a/>"; "<a/><!--c-->"; "<?pi x?><a/>" ]
+
 let test_streaming_serialization () =
   let doc = Xmllib.Generator.xmark ~seed:4 ~scale:1 () in
   let db, _ = shred_all doc |> fun (db, l) -> (db, l) in
@@ -287,6 +316,7 @@ let tests =
       Alcotest.test_case "reconstruct subtree" `Quick test_reconstruct_subtree;
       Alcotest.test_case "storage measures" `Quick test_storage_measures;
       Alcotest.test_case "streaming = DOM shredding" `Quick test_stream_shred_equals_dom_shred;
+      Alcotest.test_case "streaming load outside the root" `Quick test_stream_outside_root;
       Alcotest.test_case "streaming serialization" `Quick test_streaming_serialization;
       QCheck_alcotest.to_alcotest prop_streaming_serialization_random;
       QCheck_alcotest.to_alcotest prop_roundtrip_random;

@@ -556,7 +556,8 @@ let show_entry = function
         (String.concat "; " (List.map Reldb.Tuple.to_string rows))
 
 (* Such entries, in a checkpoint or in the log after the seed: open_dir
-   recovers or raises Sql_error, and nothing else. *)
+   recovers or raises Sql_error, and nothing else. A recovered handle is
+   outside any transaction and can checkpoint. *)
 let prop_misfit_records =
   QCheck.Test.make ~name:"misfit records raise Sql_error or recover" ~count:150
     (QCheck.make
@@ -583,6 +584,9 @@ let prop_misfit_records =
       else W.write_file ~gen:0 (Filename.concat dir "wal.0.log") (seed @ records);
       match D.open_dir dir with
       | db ->
+          if D.in_transaction db then
+            QCheck.Test.fail_report "open_dir returned inside a transaction";
+          D.checkpoint db;
           D.close db;
           true
       | exception D.Sql_error _ -> true

@@ -92,11 +92,6 @@ let test_errors () =
   parse_fails "text only";
   parse_fails "<a/><b/>"
 
-let test_fragment () =
-  match P.parse_fragment "<a/>text<b>x</b>" with
-  | [ T.Element _; T.Text "text"; T.Element _ ] -> ()
-  | _ -> Alcotest.fail "fragment shape"
-
 (* --- printing ------------------------------------------------------ *)
 
 let test_print_escapes () =
@@ -278,7 +273,19 @@ let test_sax_wellformedness () =
   bad "<a></b>";
   bad "<a/><b/>";
   bad "text";
-  bad ""
+  bad "";
+  bad "<a x=\"1\" x=\"2\"/>";
+  bad "<!--c--><?xml version=\"1.0\"?><a/>";
+  bad " <?xml version=\"1.0\"?><a/>"
+
+(* comments and PIs outside the root element are not nodes: no events *)
+let test_sax_outside_root () =
+  List.iter
+    (fun src ->
+      match List.rev (Xmllib.Sax.fold src ~init:[] ~f:(fun l ev -> ev :: l)) with
+      | [ Xmllib.Sax.Start_element { tag = "a"; attrs = [] }; Xmllib.Sax.End_element "a" ] -> ()
+      | evs -> Alcotest.failf "%S: %d events" src (List.length evs))
+    [ "<!--c--><a/>"; "<a/><!--c-->"; "<?pi x?><a/>"; "<a/><?pi x?>" ]
 
 let test_sax_counts_match_dom () =
   let doc = Xmllib.Generator.xmark ~seed:2 ~scale:1 () in
@@ -304,7 +311,6 @@ let tests =
       Alcotest.test_case "self-closing" `Quick test_self_closing;
       Alcotest.test_case "deep nesting" `Quick test_nested_deep;
       Alcotest.test_case "malformed inputs" `Quick test_errors;
-      Alcotest.test_case "fragments" `Quick test_fragment;
       Alcotest.test_case "print escapes" `Quick test_print_escapes;
       Alcotest.test_case "print/parse stable" `Quick test_print_parse_roundtrip;
       Alcotest.test_case "attr control chars roundtrip" `Quick
@@ -326,6 +332,7 @@ let tests =
       Alcotest.test_case "sax events" `Quick test_sax_events;
       Alcotest.test_case "sax well-formedness" `Quick test_sax_wellformedness;
       Alcotest.test_case "sax matches dom" `Quick test_sax_counts_match_dom;
+      Alcotest.test_case "sax outside the root" `Quick test_sax_outside_root;
       QCheck_alcotest.to_alcotest prop_print_parse;
       QCheck_alcotest.to_alcotest prop_decode_entities;
     ] )
