@@ -40,8 +40,9 @@ crash-test:
 # build + tier-1 tests + fault injection + counter gate + CLI smoke test
 # over the quickstart catalog; `oxq sql --analyze` must profile the run a
 # positional query executes (an operator tree with its Limit), a query on
-# the directory `oxq dump` writes must print what it prints on the XML, and
-# `oxq stats` (XML only) must refuse that directory by name.
+# the directory `oxq dump` writes must print what it prints on the XML,
+# `oxq stats` (XML only) must refuse that directory by name, and a
+# reconstructed subtree must print the same bytes on every encoding.
 # Run this before recording a change in CHANGES.md.
 check: build test lint crash-test bench-smoke
 	$(OXQ) stats examples/catalog.xml -e dewey
@@ -53,6 +54,11 @@ check: build test lint crash-test bench-smoke
 	$(OXQ) query examples/catalog.xml '//book[2]/title' | diff _build/check-db.out -
 	! $(OXQ) stats _build/check-db 2> _build/check-db.err
 	grep -qx 'error: _build/check-db: is a directory' _build/check-db.err
+	$(OXQ) query -e global examples/catalog.xml '/catalog/book[2]' > _build/check-book.out
+	@set -e; for e in global-gap local dewey ordpath; do \
+	  echo "query -e $$e: /catalog/book[2]"; \
+	  $(OXQ) query -e $$e examples/catalog.xml '/catalog/book[2]' | diff _build/check-book.out -; \
+	done
 	@echo "check: OK"
 
 # counter gate (bench/record.py): re-run the benchmark's traced workloads at

@@ -52,13 +52,7 @@ module Store = struct
   let query_values t xpath =
     let rows = (query t xpath).Translate.rows in
     Obs.Span.with_ "reconstruct" @@ fun () ->
-    List.map
-      (fun (r : Node_row.t) ->
-        match r.Node_row.kind with
-        | Doc_index.Elem ->
-            Xmllib.Types.text_content (subtree t ~id:r.Node_row.id)
-        | _ -> r.Node_row.value)
-      rows
+    List.map (Reconstruct.string_value t.db ~doc:t.name t.enc) rows
 
   let count t xpath = List.length (query t xpath).Translate.rows
 

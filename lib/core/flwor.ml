@@ -331,11 +331,7 @@ let resolve ctx (env : env) = function
               (Translate.eval_from_ids ctx.db ~doc:ctx.doc ctx.enc ~ids p)
                 .Translate.rows))
 
-let string_value ctx (r : Node_row.t) =
-  match r.Node_row.kind with
-  | Doc_index.Elem ->
-      T.text_content (Reconstruct.subtree ctx.db ~doc:ctx.doc ctx.enc ~id:r.Node_row.id)
-  | _ -> r.Node_row.value
+let string_value ctx r = Reconstruct.string_value ctx.db ~doc:ctx.doc ctx.enc r
 
 let cond_holds ctx env (c : cond) =
   let rows = resolve ctx env c.c_path in

@@ -38,8 +38,10 @@ let fetch_subtree_rows db ~doc enc ~root =
   | Encoding.Dewey_enc | Encoding.Dewey_caret ->
       range "e.path >= c.path AND e.path < c.path_ub"
   | Encoding.Local ->
-      (* breadth-first: one SQL statement per level *)
-      let acc = ref [ root ] in
+      (* breadth-first: one SQL statement per level; then document order in
+         the middle tier, each node followed by its children in sibling
+         rank (attributes' negative ranks first), depth first *)
+      let kids = Hashtbl.create 256 in
       let frontier = ref [ root ] in
       while !frontier <> [] do
         let level =
@@ -47,62 +49,60 @@ let fetch_subtree_rows db ~doc enc ~root =
             (List.map (fun (r : Node_row.t) -> [| V.Int r.Node_row.id |]) !frontier)
             ~where:"e.parent = c.id"
         in
-        acc := !acc @ level;
+        List.iter
+          (fun (r : Node_row.t) ->
+            Option.iter (fun p -> Hashtbl.add kids p r) r.Node_row.parent)
+          level;
         frontier := level
       done;
-      !acc
+      let rec walk acc (r : Node_row.t) =
+        List.fold_left walk (r :: acc)
+          (List.sort Node_row.compare_ord (Hashtbl.find_all kids r.Node_row.id))
+      in
+      List.rev (walk [] root)
 
-let assemble rows ~(root : Node_row.t) =
-  (* children grouped by parent and sorted by the encoding's order value;
-     attributes (kind 2) have negative LOCAL ranks / 0-level Dewey paths /
-     early global intervals, so the same sort puts them first *)
-  let by_parent : (int, Node_row.t list ref) Hashtbl.t = Hashtbl.create 256 in
+(* The events of document-ordered rows: a stack of open elements, closed
+   when a row's parent is not the innermost (-1 closes them all: no id is
+   negative). An element's [Start_element] waits in [pending] for the
+   attribute rows that follow it. *)
+let iter_events rows emit =
+  let stack = ref [] in
+  let pending = ref None in
+  let start () =
+    Option.iter
+      (fun ((e : Node_row.t), attrs) ->
+        emit (Xmllib.Sax.Start_element { tag = e.Node_row.tag; attrs = List.rev attrs });
+        stack := (e.Node_row.id, e.Node_row.tag) :: !stack;
+        pending := None)
+      !pending
+  in
+  let rec unwind parent =
+    match !stack with
+    | (id, tag) :: rest when id <> parent ->
+        emit (Xmllib.Sax.End_element tag);
+        stack := rest;
+        unwind parent
+    | _ -> ()
+  in
   List.iter
     (fun (r : Node_row.t) ->
-      match r.Node_row.parent with
-      | Some p when r.Node_row.id <> root.Node_row.id ->
-          let cell =
-            match Hashtbl.find_opt by_parent p with
-            | Some c -> c
-            | None ->
-                let c = ref [] in
-                Hashtbl.add by_parent p c;
-                c
-          in
-          cell := r :: !cell
-      | _ -> ())
+      match (r.Node_row.kind, !pending) with
+      | Doc_index.Attr, Some (e, attrs) ->
+          pending := Some (e, (r.Node_row.tag, r.Node_row.value) :: attrs)
+      | Doc_index.Attr, None -> ()
+      | kind, _ -> (
+          start ();
+          unwind (Option.value r.Node_row.parent ~default:(-1));
+          match kind with
+          | Doc_index.Elem -> pending := Some (r, [])
+          | Doc_index.Text_node -> emit (Xmllib.Sax.Text r.Node_row.value)
+          | Doc_index.Comment_node -> emit (Xmllib.Sax.Comment r.Node_row.value)
+          | Doc_index.Pi_node ->
+              emit (Xmllib.Sax.Pi { target = r.Node_row.tag; data = r.Node_row.value })
+          | Doc_index.Attr -> ()))
     rows;
-  let children_of id =
-    match Hashtbl.find_opt by_parent id with
-    | None -> []
-    | Some c -> List.sort Node_row.compare_ord !c
-  in
-  let rec build (r : Node_row.t) =
-    match r.Node_row.kind with
-    | Doc_index.Text_node -> T.Text r.Node_row.value
-    | Doc_index.Comment_node -> T.Comment r.Node_row.value
-    | Doc_index.Pi_node -> T.Pi { target = r.Node_row.tag; data = r.Node_row.value }
-    | Doc_index.Attr ->
-        (* unreachable: [subtree_root] refuses an attribute, and an
-           element's attributes go to [attrs], never to [build] *)
-        invalid_arg "Reconstruct: attribute outside element"
-    | Doc_index.Elem ->
-        let kids = children_of r.Node_row.id in
-        let attrs, others =
-          List.partition (fun (k : Node_row.t) -> k.Node_row.kind = Doc_index.Attr) kids
-        in
-        T.Element
-          {
-            T.tag = r.Node_row.tag;
-            attrs =
-              List.map
-                (fun (a : Node_row.t) ->
-                  { T.attr_name = a.Node_row.tag; attr_value = a.Node_row.value })
-                attrs;
-            children = List.map build others;
-          }
-  in
-  build root
+  start ();
+  unwind (-1)
 
 (* The row of a node that roots a subtree: an element, text, comment or PI. *)
 let subtree_root db ~doc enc ~id =
@@ -115,85 +115,25 @@ let subtree_root db ~doc enc ~id =
 
 let subtree db ~doc enc ~id =
   let root = subtree_root db ~doc enc ~id in
-  assemble (fetch_subtree_rows db ~doc enc ~root) ~root
-
-(* Single-pass serialization from document-ordered rows: a stack of open
-   elements, closed when the next row's parent chain no longer includes
-   them. Attribute rows arrive between their element and its first child,
-   while the start tag is still open. *)
-let serialize_rows buf rows =
-  (* stack: (id, tag, still_open) where still_open = '>' not yet emitted *)
-  let stack : (int * string * bool ref) list ref = ref [] in
-  let close_tag () =
-    match !stack with
-    | (_, _, ({ contents = true } as pending)) :: _ ->
-        Buffer.add_char buf '>';
-        pending := false
-    | _ -> ()
-  in
-  let pop () =
-    match !stack with
-    | (_, tag, pending) :: rest ->
-        if !pending then Buffer.add_string buf "/>"
-        else begin
-          Buffer.add_string buf "</";
-          Buffer.add_string buf tag;
-          Buffer.add_char buf '>'
-        end;
-        stack := rest
-    | [] -> ()
-  in
-  let rec unwind_to parent =
-    match !stack with
-    | (id, _, _) :: _ when Some id <> parent -> begin
-        pop ();
-        match !stack with [] -> () | _ -> unwind_to parent
-      end
-    | _ -> ()
-  in
-  List.iter
-    (fun (r : Node_row.t) ->
-      match r.Node_row.kind with
-      | Doc_index.Attr ->
-          (* belongs to the still-open element on top of the stack *)
-          Buffer.add_char buf ' ';
-          Buffer.add_string buf r.Node_row.tag;
-          Buffer.add_string buf "=\"";
-          Buffer.add_string buf (Xmllib.Printer.escape_attr r.Node_row.value);
-          Buffer.add_char buf '"'
-      | kind ->
-          unwind_to r.Node_row.parent;
-          close_tag ();
-          (match kind with
-          | Doc_index.Elem ->
-              Buffer.add_char buf '<';
-              Buffer.add_string buf r.Node_row.tag;
-              stack := (r.Node_row.id, r.Node_row.tag, ref true) :: !stack
-          | Doc_index.Text_node ->
-              Buffer.add_string buf (Xmllib.Printer.escape_text r.Node_row.value)
-          | Doc_index.Comment_node ->
-              Xmllib.Printer.add_comment buf r.Node_row.value
-          | Doc_index.Pi_node ->
-              Xmllib.Printer.add_pi buf ~target:r.Node_row.tag
-                ~data:r.Node_row.value
-          | Doc_index.Attr -> assert false (* handled by the outer match *)))
-    rows;
-  while !stack <> [] do
-    pop ()
-  done
+  match Xmllib.Sax.build (iter_events (fetch_subtree_rows db ~doc enc ~root)) with
+  | node :: _ -> node
+  | [] -> raise (No_subtree id)
 
 let serialize_subtree db ~doc enc ~id =
   let root = subtree_root db ~doc enc ~id in
-  let rows = fetch_subtree_rows db ~doc enc ~root in
-  let rows =
-    match enc with
-    | Encoding.Local -> fst (Translate.sort_document_order db ~doc enc rows)
-    | _ -> rows
-  in
-  (* rebase: the subtree root must behave like a top-level node *)
   let buf = Buffer.create 1024 in
-  serialize_rows buf rows;
+  Xmllib.Printer.add_events buf (iter_events (fetch_subtree_rows db ~doc enc ~root));
   Buffer.contents buf
+
+let string_value db ~doc enc (r : Node_row.t) =
+  match r.Node_row.kind with
+  | Doc_index.Elem ->
+      let buf = Buffer.create 64 in
+      iter_events (fetch_subtree_rows db ~doc enc ~root:r) (function
+        | Xmllib.Sax.Text s -> Buffer.add_string buf s
+        | _ -> ());
+      Buffer.contents buf
+  | _ -> r.Node_row.value
 
 let document db ~doc enc =
   match subtree db ~doc enc ~id:(root_id db ~doc enc) with

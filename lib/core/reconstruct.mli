@@ -8,7 +8,12 @@
     the middle tier — the recursive-composition cost the paper attributes
     to local order. Every statement reads its root or frontier from a
     context relation (see {!Node_row.ctx_relation}), so its text never
-    names a node. *)
+    names a node.
+
+    The document-ordered rows become {!Xmllib.Sax.event}s, one stack of open
+    elements for every encoding; {!Xmllib.Sax.build} turns them into a tree
+    ({!subtree}) and {!Xmllib.Printer.add_events} into text
+    ({!serialize_subtree}). *)
 
 exception No_subtree of int
 (** The id names no node, or an attribute (which roots no subtree). *)
@@ -32,13 +37,16 @@ val document : Reldb.Db.t -> doc:string -> Encoding.t -> Xmllib.Types.document
 
 val serialize_subtree : Reldb.Db.t -> doc:string -> Encoding.t -> id:int -> string
 (** Serialize the subtree straight off the ordered row stream in a single
-    pass — no intermediate DOM. For GLOBAL and DEWEY this is one ordered
-    range scan feeding a tag stack (the streaming-publishing fast path those
-    encodings enable); LOCAL still fetches level by level and sorts first.
+    pass — no intermediate DOM, and the statements {!subtree} issues.
     Produces exactly {!Xmllib.Printer.node_to_string} of {!subtree}.
     @raise No_subtree as {!subtree}. *)
 
+val string_value : Reldb.Db.t -> doc:string -> Encoding.t -> Node_row.t -> string
+(** XPath string value of the node a row holds: for an element, its
+    subtree's text in document order (no tree is built); otherwise the
+    row's value. *)
+
 val fetch_subtree_rows :
   Reldb.Db.t -> doc:string -> Encoding.t -> root:Node_row.t -> Node_row.t list
-(** All rows of the subtree (including the root and attributes). For GLOBAL
-    and DEWEY the list is in document order. *)
+(** All rows of the subtree (including the root and attributes), in
+    document order on every encoding; an element's attributes follow it. *)

@@ -1045,8 +1045,3 @@ let eval_from_ids db ~doc enc ~ids (path : A.path) =
     let pairs = eval_rel st (fetch_by_ids st ids) path.A.steps in
     result st (doc_sort st (dedup_rows (List.map snd pairs)))
   end
-
-let sort_document_order db ~doc enc rows =
-  let st = new_state db ~doc enc in
-  let sorted = doc_sort st (dedup_rows rows) in
-  (sorted, st.nstmt)

@@ -98,13 +98,6 @@ val eval_from_ids :
     from the document root). Used by the FLWOR layer to resolve
     variable-relative paths. *)
 
-val sort_document_order :
-  Reldb.Db.t -> doc:string -> Encoding.t -> Node_row.t list ->
-  Node_row.t list * int
-(** Sort arbitrary rows into document order (deduplicating by id), fetching
-    parent chains when the encoding stores no global order (LOCAL). Returns
-    the sorted rows and the number of extra SQL statements issued. *)
-
 (** {2 The compiled form}
 
     What {!eval}, {!eval_union} and {!eval_from_ids} execute, and what the

@@ -64,6 +64,14 @@ let read_name t =
 
 (* Decoding of entity/character references, shared with attribute parsing. *)
 
+(* Char ::= #x9 | #xA | #xD | [#x20-#xD7FF] | [#xE000-#xFFFD] |
+   [#x10000-#x10FFFF] *)
+let is_xml_char c =
+  c = 0x9 || c = 0xA || c = 0xD
+  || (c >= 0x20 && c <= 0xD7FF)
+  || (c >= 0xE000 && c <= 0xFFFD)
+  || (c >= 0x10000 && c <= 0x10FFFF)
+
 let decode_ref_at src pos ~err =
   (* [pos] points at '&'; returns (decoded, next_pos); [err] builds the
      exception to raise on malformed references. *)
@@ -87,34 +95,25 @@ let decode_ref_at src pos ~err =
     | "quot" -> "\""
     | _ ->
         if String.length body > 1 && body.[0] = '#' then begin
-          let code =
-            try
-              if body.[1] = 'x' || body.[1] = 'X' then
-                int_of_string ("0x" ^ String.sub body 2 (String.length body - 2))
-              else int_of_string (String.sub body 1 (String.length body - 1))
-            with Failure _ -> err ("bad character reference &" ^ body ^ ";")
+          (* CharRef ::= '&#' [0-9]+ ';' | '&#x' [0-9a-fA-F]+ ';' *)
+          let hex = body.[1] = 'x' in
+          let skip = if hex then 2 else 1 in
+          let digits = String.sub body skip (String.length body - skip) in
+          let is_digit = function
+            | '0' .. '9' -> true
+            | 'a' .. 'f' | 'A' .. 'F' -> hex
+            | _ -> false
           in
-          if code < 0 || code > 0x10FFFF then
-            err ("character reference out of range &" ^ body ^ ";");
-          (* UTF-8 encode *)
-          let b = Buffer.create 4 in
-          if code < 0x80 then Buffer.add_char b (Char.chr code)
-          else if code < 0x800 then begin
-            Buffer.add_char b (Char.chr (0xC0 lor (code lsr 6)));
-            Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F)))
-          end
-          else if code < 0x10000 then begin
-            Buffer.add_char b (Char.chr (0xE0 lor (code lsr 12)));
-            Buffer.add_char b (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-            Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F)))
-          end
-          else begin
-            Buffer.add_char b (Char.chr (0xF0 lor (code lsr 18)));
-            Buffer.add_char b (Char.chr (0x80 lor ((code lsr 12) land 0x3F)));
-            Buffer.add_char b (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-            Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F)))
-          end;
-          Buffer.contents b
+          let code =
+            if digits = "" || not (String.for_all is_digit digits) then None
+            else int_of_string_opt ((if hex then "0x" else "") ^ digits)
+          in
+          match code with
+          | Some c when is_xml_char c ->
+              let b = Buffer.create 4 in
+              Buffer.add_utf_8_uchar b (Uchar.of_int c);
+              Buffer.contents b
+          | _ -> err ("bad character reference &" ^ body ^ ";")
         end
         else err ("unknown entity &" ^ body ^ ";")
   in

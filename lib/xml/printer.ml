@@ -27,11 +27,6 @@ let escape_text s =
   escape buf ~quot:false s;
   Buffer.contents buf
 
-let escape_attr s =
-  let buf = Buffer.create (String.length s + 8) in
-  escape buf ~quot:true s;
-  Buffer.contents buf
-
 (* Comments and processing instructions have no escaping mechanism at all,
    so contents that collide with their delimiters cannot be serialized —
    reject rather than emit XML that will not parse back. *)
@@ -61,68 +56,89 @@ let add_pi buf ~target ~data =
   end;
   Buffer.add_string buf "?>"
 
-let add_attrs buf attrs =
-  List.iter
-    (fun (a : Types.attribute) ->
-      Buffer.add_char buf ' ';
-      Buffer.add_string buf a.attr_name;
-      Buffer.add_string buf "=\"";
-      escape buf ~quot:true a.attr_value;
-      Buffer.add_char buf '"')
-    attrs
+(* The event writer. [pending] while a start tag awaits its ['>']: the
+   next event decides, and an [End_element] self-closes it ([<a/>]). *)
+type writer = { buf : Buffer.t; mutable pending : bool }
 
-let rec add_node buf (n : Types.node) =
-  match n with
-  | Types.Text s -> escape buf ~quot:false s
-  | Types.Comment s -> add_comment buf s
-  | Types.Pi { target; data } -> add_pi buf ~target ~data
-  | Types.Element e ->
-      Buffer.add_char buf '<';
-      Buffer.add_string buf e.tag;
-      add_attrs buf e.attrs;
-      if e.children = [] then Buffer.add_string buf "/>"
+let flush w =
+  if w.pending then begin
+    Buffer.add_char w.buf '>';
+    w.pending <- false
+  end
+
+let write w (ev : Sax.event) =
+  let buf = w.buf in
+  match ev with
+  | Sax.End_element tag ->
+      if w.pending then begin
+        Buffer.add_string buf "/>";
+        w.pending <- false
+      end
       else begin
-        Buffer.add_char buf '>';
-        List.iter (add_node buf) e.children;
         Buffer.add_string buf "</";
-        Buffer.add_string buf e.tag;
+        Buffer.add_string buf tag;
         Buffer.add_char buf '>'
       end
+  | Sax.Start_element { tag; attrs } ->
+      flush w;
+      Buffer.add_char buf '<';
+      Buffer.add_string buf tag;
+      List.iter
+        (fun (name, value) ->
+          Buffer.add_char buf ' ';
+          Buffer.add_string buf name;
+          Buffer.add_string buf "=\"";
+          escape buf ~quot:true value;
+          Buffer.add_char buf '"')
+        attrs;
+      w.pending <- true
+  | Sax.Text s ->
+      flush w;
+      escape buf ~quot:false s
+  | Sax.Comment s ->
+      flush w;
+      add_comment buf s
+  | Sax.Pi { target; data } ->
+      flush w;
+      add_pi buf ~target ~data
+
+let add_events buf produce =
+  let w = { buf; pending = false } in
+  produce (write w);
+  flush w
 
 let node_to_string n =
   let buf = Buffer.create 256 in
-  add_node buf n;
+  add_events buf (fun emit -> Sax.iter_node emit n);
   Buffer.contents buf
 
 let document_to_string (d : Types.document) =
   let buf = Buffer.create 256 in
   if d.decl then Buffer.add_string buf "<?xml version=\"1.0\"?>\n";
-  add_node buf (Types.Element d.root);
+  add_events buf (fun emit -> Sax.iter_node emit (Types.Element d.root));
   Buffer.contents buf
 
 let pretty ?(indent = 2) n =
-  let buf = Buffer.create 256 in
-  let pad level = Buffer.add_string buf (String.make (level * indent) ' ') in
+  let w = { buf = Buffer.create 256; pending = false } in
+  let line level f =
+    Buffer.add_string w.buf (String.make (level * indent) ' ');
+    f ();
+    flush w;
+    Buffer.add_char w.buf '\n'
+  in
   let has_text children =
     List.exists (function Types.Text _ -> true | _ -> false) children
   in
   let rec go level (n : Types.node) =
     match n with
     | Types.Element e when e.children <> [] && not (has_text e.children) ->
-        pad level;
-        Buffer.add_char buf '<';
-        Buffer.add_string buf e.tag;
-        add_attrs buf e.attrs;
-        Buffer.add_string buf ">\n";
+        let attrs =
+          List.map (fun (a : Types.attribute) -> (a.attr_name, a.attr_value)) e.attrs
+        in
+        line level (fun () -> write w (Sax.Start_element { tag = e.tag; attrs }));
         List.iter (go (level + 1)) e.children;
-        pad level;
-        Buffer.add_string buf "</";
-        Buffer.add_string buf e.tag;
-        Buffer.add_string buf ">\n"
-    | n ->
-        pad level;
-        add_node buf n;
-        Buffer.add_char buf '\n'
+        line level (fun () -> write w (Sax.End_element e.tag))
+    | n -> line level (fun () -> Sax.iter_node (write w) n)
   in
   go 0 n;
-  Buffer.contents buf
+  Buffer.contents w.buf

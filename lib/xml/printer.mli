@@ -17,15 +17,12 @@ exception Unserializable of string
 val escape_text : string -> string
 (** Escape [& < > \r] for character data. *)
 
-val escape_attr : string -> string
-(** Escape ampersand, angle brackets, the double quote, and tab/LF/CR for
-    double-quoted attribute values. *)
-
-val add_comment : Buffer.t -> string -> unit
-(** Append [<!--s-->]. @raise Unserializable, see above. *)
-
-val add_pi : Buffer.t -> target:string -> data:string -> unit
-(** Append [<?target data?>]. @raise Unserializable, see above. *)
+val add_events : Buffer.t -> ((Sax.event -> unit) -> unit) -> unit
+(** [add_events buf produce] runs [produce] with the event writer, which
+    appends the XML text of its events to [buf]. An element with no content
+    events is written self-closed ([<a/>]). Every serialization goes through
+    it: the functions below, and [Reconstruct.serialize_subtree] over the
+    events of stored rows. @raise Unserializable, see above. *)
 
 val node_to_string : Types.node -> string
 (** Compact serialization (no added whitespace). Empty elements are written

@@ -24,14 +24,13 @@ let rec check_attrs pos = function
         fail pos (Printf.sprintf "duplicate attribute %s" name);
       check_attrs pos rest
 
-(* Accepts what {!Parser.parse_document} accepts: an XML declaration only as
-   the very first token, comments and PIs outside the root element dropped
-   (no events), no duplicate attribute names. *)
-let fold ?(keep_ws = false) src ~init ~f =
+(* An XML declaration only as the very first token, comments and PIs
+   outside the root element dropped (no events), no duplicate attribute
+   names. {!Parser} is this reader plus {!build}. *)
+let iter ?(keep_ws = false) src emit =
   let lx = Lexer.create src in
-  let acc = ref init in
-  let emit ev = acc := f !acc ev in
   let stack = ref [] in
+  let inside () = match !stack with [] -> false | _ :: _ -> true in
   let seen_root = ref false in
   let rec go ~first =
     let pos = Lexer.position lx in
@@ -44,22 +43,22 @@ let fold ?(keep_ws = false) src ~init ~f =
         if not first then fail pos "misplaced XML declaration";
         go ~first:false
     | Lexer.Doctype_tok ->
-        if !stack <> [] || !seen_root then fail pos "misplaced declaration";
+        if inside () || !seen_root then fail pos "misplaced declaration";
         go ~first:false
     | Lexer.Chars s ->
-        if !stack = [] then begin
+        if not (inside ()) then begin
           if not (is_blank s) then fail pos "text outside the document root"
         end
         else if keep_ws || not (is_blank s) then emit (Text s);
         go ~first:false
     | Lexer.Comment_tok s ->
-        if !stack <> [] then emit (Comment s);
+        if inside () then emit (Comment s);
         go ~first:false
     | Lexer.Pi_tok { target; data } ->
-        if !stack <> [] then emit (Pi { target; data });
+        if inside () then emit (Pi { target; data });
         go ~first:false
     | Lexer.Start_tag { name; attrs; self_closing } ->
-        if !stack = [] && !seen_root then fail pos "content after document root";
+        if (not (inside ())) && !seen_root then fail pos "content after document root";
         check_attrs pos attrs;
         seen_root := true;
         emit (Start_element { tag = name; attrs });
@@ -78,10 +77,12 @@ let fold ?(keep_ws = false) src ~init ~f =
                  top name)
         | [] -> fail pos (Printf.sprintf "stray end tag </%s>" name))
   in
-  (try go ~first:true with Lexer.Error (pos, msg) -> fail pos msg);
-  !acc
+  try go ~first:true with Lexer.Error (pos, msg) -> fail pos msg
 
-let iter ?keep_ws src f = fold ?keep_ws src ~init:() ~f:(fun () ev -> f ev)
+let fold ?keep_ws src ~init ~f =
+  let acc = ref init in
+  iter ?keep_ws src (fun ev -> acc := f !acc ev);
+  !acc
 
 let count_events src = fold src ~init:0 ~f:(fun n _ -> n + 1)
 
@@ -98,3 +99,28 @@ let rec iter_node f = function
   | Types.Text s -> f (Text s)
   | Types.Comment s -> f (Comment s)
   | Types.Pi { target; data } -> f (Pi { target; data })
+
+(* The tree builder: a stack of open elements, each holding its children
+   so far in reverse; the bottom frame collects the top-level nodes. *)
+type frame = { tag : string; attrs : Types.attribute list; mutable kids : Types.node list }
+
+let build produce =
+  let base = { tag = ""; attrs = []; kids = [] } in
+  let stack = ref [ base ] in
+  let add n = match !stack with f :: _ -> f.kids <- n :: f.kids | [] -> () in
+  produce (function
+    | Start_element { tag; attrs } ->
+        let attrs =
+          List.map (fun (attr_name, attr_value) -> { Types.attr_name; attr_value }) attrs
+        in
+        stack := { tag; attrs; kids = [] } :: !stack
+    | End_element _ -> (
+        match !stack with
+        | f :: (_ :: _ as rest) ->
+            stack := rest;
+            add (Types.Element { tag = f.tag; attrs = f.attrs; children = List.rev f.kids })
+        | _ -> ())
+    | Text s -> add (Types.Text s)
+    | Comment s -> add (Types.Comment s)
+    | Pi { target; data } -> add (Types.Pi { target; data }));
+  List.rev base.kids

@@ -1,8 +1,13 @@
-(** Streaming (SAX-style) traversal: parse events off the wire without
-    building a DOM. The streaming shredder uses this to load documents in
-    one pass — possible for every order encoding precisely because all
-    three can be computed with a stack (preorder counters, sibling
-    counters, Dewey component stack). *)
+(** The one event format every XML conversion goes through.
+
+    Producers: {!fold} / {!iter} (XML text), {!iter_node} (a DOM tree) and
+    [Reconstruct]'s row reader (document-ordered edge rows). Consumers:
+    [Shred.build_rows] (edge rows), {!build} (a DOM tree, so
+    {!Parser} is {!fold} plus {!build}) and {!Printer.add_events} (XML
+    text). The streaming shredder loads documents in one pass off {!iter}
+    — possible for every order encoding precisely because all three can
+    be computed with a stack (preorder counters, sibling counters, Dewey
+    component stack). *)
 
 type event =
   | Start_element of { tag : string; attrs : (string * string) list }
@@ -18,11 +23,10 @@ val fold :
   ?keep_ws:bool -> string -> init:'a -> f:('a -> event -> 'a) -> 'a
 (** Run the event stream over a complete document, checking
     well-formedness (matching tags, single root, distinct attribute names,
-    an XML declaration only at the start). Comments and PIs outside the
-    root element produce no events, as {!Parser} drops them: a document
-    {!Parser.parse_document} accepts yields exactly the events
-    {!iter_node} yields for its root. [keep_ws] as in
-    {!Parser.parse_document_ws}; default false. *)
+    an XML declaration only at the start, character references naming XML
+    characters). Comments and PIs outside the root element produce no
+    events. [keep_ws] keeps whitespace-only text (see
+    {!Parser.parse_document_ws}); default false. *)
 
 val iter : ?keep_ws:bool -> string -> (event -> unit) -> unit
 
@@ -31,3 +35,10 @@ val count_events : string -> int
 
 val iter_node : (event -> unit) -> Types.node -> unit
 (** The events of a DOM subtree, in document order. *)
+
+val build : ((event -> unit) -> unit) -> Types.node list
+(** [build produce] runs [produce] with a sink and returns the trees its
+    events describe, top-level nodes in order. The stream must be balanced,
+    as every producer above makes it: an [End_element] closes the innermost
+    open element whatever its name, one with no open element is ignored,
+    and an element still open at the end is dropped. *)

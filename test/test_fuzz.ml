@@ -47,14 +47,6 @@ let flworish =
     [ "for"; "let"; "where"; "order"; "by"; "return"; "$x"; "in"; ":=";
       "/a"; "$x/b"; "<r>"; "</r>"; "{"; "}"; "'s'"; ">"; "1"; " " ]
 
-let prop_xml_parser =
-  no_crash "xml parser never crashes" 500 xmlish (fun s ->
-      ignore (Xmllib.Parser.parse_document s))
-
-let prop_sax =
-  no_crash "sax never crashes" 500 xmlish (fun s ->
-      ignore (Xmllib.Sax.count_events s))
-
 (* whole markup pieces: concatenations are often well-formed documents,
    with prologs, epilogs and repeated attributes *)
 let markupish =
@@ -62,6 +54,20 @@ let markupish =
     [ "<a>"; "</a>"; "<b x='1'>"; "</b>"; "<a/>"; "<b x='1' x='2'/>";
       "<b x='1' y='2'/>"; "<!--c-->"; "<?p d?>"; "<?xml version='1.0'?>";
       "<!DOCTYPE a>"; "t"; " "; "&amp;"; "<![CDATA[<]]>" ]
+
+(* the XML readers raise their own declared exception and nothing else:
+   no lexer error, no Invalid_argument *)
+let prop_xml_parser =
+  QCheck.Test.make ~name:"xml parser never crashes" ~count:1000
+    (QCheck.oneof [ xmlish; markupish ])
+    (fun s ->
+      match Xmllib.Parser.parse_document s with
+      | _ | (exception Xmllib.Parser.Parse_error _) -> true)
+
+let prop_sax =
+  QCheck.Test.make ~name:"sax never crashes" ~count:500 xmlish (fun s ->
+      match Xmllib.Sax.count_events s with
+      | _ | (exception Xmllib.Sax.Error _) -> true)
 
 (* The streaming reader accepts exactly what the DOM parser accepts, and
    then yields the events of the parsed tree. *)

@@ -267,6 +267,29 @@ let test_streaming_serialization () =
           (O.Encoding.name enc))
     O.Encoding.all
 
+(* Serializing a subtree reads the rows rebuilding it reads, on every
+   encoding: LOCAL orders its level-by-level fetch in the middle tier, with
+   no statement of its own. Statements counted as plan-cache lookups. *)
+let test_serialize_statements () =
+  let doc = Xmllib.Generator.xmark ~seed:4 ~scale:1 () in
+  List.iter
+    (fun enc ->
+      let db = Reldb.Db.create () in
+      let store = O.Api.Store.create db ~name:"s" enc doc in
+      let id =
+        List.nth (O.Api.Store.query_ids store "/site/open_auctions/open_auction") 1
+      in
+      let statements f =
+        let h0, m0, _ = Reldb.Db.plan_cache_stats db in
+        ignore (f ());
+        let h1, m1, _ = Reldb.Db.plan_cache_stats db in
+        h1 - h0 + (m1 - m0)
+      in
+      let rebuilt = statements (fun () -> O.Api.Store.subtree store ~id) in
+      let serialized = statements (fun () -> O.Api.Store.serialize store ~id) in
+      check int_t (O.Encoding.name enc ^ " statements") rebuilt serialized)
+    O.Encoding.all
+
 let prop_streaming_serialization_random =
   let gen =
     QCheck.Gen.map
@@ -318,6 +341,8 @@ let tests =
       Alcotest.test_case "streaming = DOM shredding" `Quick test_stream_shred_equals_dom_shred;
       Alcotest.test_case "streaming load outside the root" `Quick test_stream_outside_root;
       Alcotest.test_case "streaming serialization" `Quick test_streaming_serialization;
+      Alcotest.test_case "serialize issues subtree's statements" `Quick
+        test_serialize_statements;
       QCheck_alcotest.to_alcotest prop_streaming_serialization_random;
       QCheck_alcotest.to_alcotest prop_roundtrip_random;
     ] )

@@ -37,6 +37,25 @@ let test_entities () =
   let doc = parse_ok "<a>&lt;&gt;&amp;&apos;&quot;&#65;&#x42;</a>" in
   check string_t "decoded" "<>&'\"AB" (T.text_content (T.Element doc.T.root))
 
+(* CharRef ::= '&#' [0-9]+ ';' | '&#x' [0-9a-fA-F]+ ';', naming an XML
+   Char: no sign, underscore or radix prefix, no NUL, surrogate or U+FFFE *)
+let test_char_refs () =
+  List.iter
+    (fun r ->
+      let src = "<a>" ^ r ^ "</a>" in
+      parse_fails src;
+      match Xmllib.Sax.count_events src with
+      | exception Xmllib.Sax.Error _ -> ()
+      | _ -> Alcotest.failf "expected SAX error on %S" src)
+    [ "&#0x41;"; "&#+65;"; "&#1_0;"; "&#0;"; "&#xD800;"; "&#xFFFE;" ];
+  List.iter
+    (fun (r, utf8) ->
+      let doc = parse_ok ("<a b='" ^ r ^ "'>[" ^ r ^ "]</a>") in
+      check string_t r ("[" ^ utf8 ^ "]") (T.text_content (T.Element doc.T.root));
+      check (Alcotest.option string_t) (r ^ " in an attribute") (Some utf8)
+        (T.attribute_value (T.Element doc.T.root) "b"))
+    [ ("&#9;", "\t"); ("&#xE000;", "\xee\x80\x80"); ("&#x10FFFF;", "\xf4\x8f\xbf\xbf") ]
+
 let test_cdata () =
   let doc = parse_ok "<a><![CDATA[<raw> & text]]></a>" in
   check string_t "cdata" "<raw> & text" (T.text_content (T.Element doc.T.root))
@@ -303,6 +322,7 @@ let tests =
       Alcotest.test_case "simple" `Quick test_simple;
       Alcotest.test_case "attributes" `Quick test_attributes;
       Alcotest.test_case "entities" `Quick test_entities;
+      Alcotest.test_case "character references" `Quick test_char_refs;
       Alcotest.test_case "cdata" `Quick test_cdata;
       Alcotest.test_case "comment+pi" `Quick test_comment_pi;
       Alcotest.test_case "decl+doctype" `Quick test_decl_doctype;
