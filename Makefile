@@ -41,8 +41,9 @@ crash-test:
 # over the quickstart catalog; `oxq sql --analyze` must profile the run a
 # positional query executes (an operator tree with its Limit), a query on
 # the directory `oxq dump` writes must print what it prints on the XML,
-# `oxq stats` (XML only) must refuse that directory by name, and a
-# reconstructed subtree must print the same bytes on every encoding.
+# `oxq stats` (XML only) must refuse that directory by name, a
+# reconstructed subtree must print the same bytes on every encoding, and a
+# comment holding "--" must be refused as malformed XML (exit 1, `error:`).
 # Run this before recording a change in CHANGES.md.
 check: build test lint crash-test bench-smoke
 	$(OXQ) stats examples/catalog.xml -e dewey
@@ -59,6 +60,9 @@ check: build test lint crash-test bench-smoke
 	  echo "query -e $$e: /catalog/book[2]"; \
 	  $(OXQ) query -e $$e examples/catalog.xml '/catalog/book[2]' | diff _build/check-book.out -; \
 	done
+	printf '<a><!-- x -- y --></a>' > _build/check-comment.xml
+	! $(OXQ) query _build/check-comment.xml '/a' 2> _build/check-comment.err
+	grep -q '^error: ' _build/check-comment.err
 	@echo "check: OK"
 
 # counter gate (bench/record.py): re-run the benchmark's traced workloads at

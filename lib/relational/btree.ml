@@ -18,12 +18,14 @@ and internal = {
   mutable children : node array;
 }
 
-(* The finger: the leaf of the last [rewrite_key] and the deepest
+(* The finger: the leaf and slot of the last [rewrite_key] and the deepest
    separators bounding it, [lo.seps.(lo_j)] below and [hi.seps.(hi_j)]
    above ([-1]: no bound on that side). A split moves separators and
-   drops it; a rewrite, a delete or an insert that splits nothing keeps it. *)
+   drops it; a rewrite, a delete or an insert that splits nothing keeps it.
+   The slot is a hint, checked against the key before use. *)
 type finger = {
   mutable leaf : leaf;
+  mutable slot : int;
   mutable lo : internal;
   mutable lo_j : int;
   mutable hi : internal;
@@ -44,7 +46,7 @@ let create ?(branching = 64) () =
     root = Leaf { keys = [||]; vals = [||]; n = 0; next = None };
     branching;
     count = 0;
-    finger = { leaf = no_leaf; lo = no_internal; lo_j = -1; hi = no_internal; hi_j = -1 };
+    finger = { leaf = no_leaf; slot = 0; lo = no_internal; lo_j = -1; hi = no_internal; hi_j = -1 };
   }
 
 (* room for one more entry in [l]: a full leaf's arrays grow by half, up to
@@ -213,15 +215,23 @@ let rec rightmost = function
 (* what [nk] needs on one side of its slot *)
 type side = Inside | Moves | Crosses
 
+let holds l i k = i >= 0 && i < l.n && Tuple.compare_key l.keys.(i) k = 0
+
 let rewrite_key t ~old nk =
   let f = t.finger in
   let l = f.leaf in
-  (* the finger's leaf if its keys span [old], else a descent *)
-  if not (l.n > 0 && Tuple.compare_key l.keys.(0) old <= 0
-          && Tuple.compare_key old l.keys.(l.n - 1) <= 0)
-  then (f.lo_j <- -1; f.hi_j <- -1; descend f old t.root);
+  (* a slot beside the last rewrite's, else the finger's leaf if its keys
+     span [old], else a descent *)
+  let i =
+    if holds l (f.slot - 1) old then f.slot - 1
+    else if holds l (f.slot + 1) old then f.slot + 1
+    else (
+      if not (l.n > 0 && Tuple.compare_key l.keys.(0) old <= 0
+              && Tuple.compare_key old l.keys.(l.n - 1) <= 0)
+      then (Obs.incr "index.descents"; f.lo_j <- -1; f.hi_j <- -1; descend f old t.root);
+      lower_bound f.leaf.keys f.leaf.n old)
+  in
   let l = f.leaf in
-  let i = lower_bound l.keys l.n old in
   let last = l.n - 1 in
   if i > last || Tuple.compare_key l.keys.(i) old <> 0
      || Array.length l.keys.(i) <> Array.length nk
@@ -251,6 +261,7 @@ let rewrite_key t ~old nk =
       if above = Moves then
         Option.iter (fun r -> f.hi.seps.(f.hi_j) <- Array.copy r.keys.(0)) l.next;
       Array.blit nk 0 l.keys.(i) 0 (Array.length nk);
+      f.slot <- i;
       true
     end
 

@@ -47,7 +47,9 @@ val rewrite_key : t -> old:Tuple.t -> Tuple.t -> bool
     result leaves a valid tree holding the same keys with [old] replaced
     by [nk], never a duplicate, whatever the order of the calls. No split,
     no merge, and no descent while [old] lies within the keys of the leaf
-    the last rewrite wrote. *)
+    the last rewrite wrote, whose slots beside the one written are tried
+    before a binary search: calls in key order (either direction) find each
+    key at once. Obs counter [index.descents] counts the descents. *)
 
 val length : t -> int
 

@@ -35,11 +35,6 @@ let drop_table t name =
   Hashtbl.remove t.tbls (norm name);
   bump_version t
 
-let get_table t name =
-  match find_table t name with
-  | Some tbl -> tbl
-  | None -> raise (Catalog_error (Printf.sprintf "no such table %s" name))
-
 let tables t = Hashtbl.fold (fun _ tbl acc -> tbl :: acc) t.tbls []
 
 let find_scratch t name = Hashtbl.find_opt t.scratch (norm name)

@@ -13,9 +13,6 @@ val drop_table : t -> string -> unit
 (** @raise Catalog_error if absent. *)
 
 val find_table : t -> string -> Table.t option
-val get_table : t -> string -> Table.t
-(** @raise Catalog_error if absent. *)
-
 val tables : t -> Table.t list
 (** The database's tables; scratch relations are not among them. *)
 

@@ -351,25 +351,26 @@ let candidates rows params =
 
 let do_update tbl ~sets rows params =
   let victims = candidates rows params in
-  (* statement-level constraint semantics: compute every new tuple first,
-     then apply them as one bulk in-place update — rowids are preserved, only
+  (* statement-level constraint semantics: compute every new row first,
+     then apply them as one bulk update — rowids are preserved, only
      indexes whose key changed are maintained, and a multi-row UPDATE that
      shifts a uniquely indexed column never trips over its own transient
-     duplicates (Table.update_rows deletes all changed old keys per index
-     before inserting any new ones). *)
-  let changes =
-    List.map
-      (fun (rowid, old) ->
-        let tuple = Array.copy old and f = [| params; old |] in
-        List.iter
-          (fun (i, e) -> tuple.(i) <- (try e f with Expr.Eval_error m -> fail "%s" m))
-          sets;
-        (rowid, tuple))
-      victims
-  in
-  (try Table.update_rows tbl changes
+     duplicates. The arrays start from immediates: an array over 256 words
+     made from a young value ([Array.of_list]) forces a minor collection. *)
+  let n = List.length victims in
+  let rowids = Array.make n 0 and news = Array.make n [||] in
+  List.iteri
+    (fun j (rowid, old) ->
+      let tuple = Array.copy old and f = [| params; old |] in
+      List.iter
+        (fun (i, e) -> tuple.(i) <- (try e f with Expr.Eval_error m -> fail "%s" m))
+        sets;
+      rowids.(j) <- rowid;
+      news.(j) <- tuple)
+    victims;
+  (try Table.update_rows tbl rowids news
    with Table.Constraint_violation m -> fail "%s" m);
-  Affected (List.length victims)
+  Affected n
 
 let do_delete tbl rows params =
   let victims = candidates rows params in

@@ -4,9 +4,6 @@ type t = column array
 
 let column ?(nullable = true) col_name col_type = { col_name; col_type; nullable }
 
-let make cols =
-  Array.of_list (List.map (fun (n, ty) -> column n ty) cols)
-
 let arity = Array.length
 
 let norm = String.lowercase_ascii
@@ -24,43 +21,33 @@ let find_opt t name =
 let find t name =
   match find_opt t name with Some i -> i | None -> raise Not_found
 
-let names t = Array.to_list (Array.map (fun c -> c.col_name) t)
-
 let concat = Array.append
 
 let rename_prefix alias t =
   Array.map (fun c -> { c with col_name = alias ^ "." ^ c.col_name }) t
+
+let fits c (v : Value.t) =
+  match (v, c.col_type) with
+  | Null, _ -> c.nullable
+  | Int _, Tint | Float _, Tfloat | Str _, Ttext | Bytes _, Tbytes -> true
+  | _ -> false
 
 let check_tuple t tuple =
   if Array.length tuple <> Array.length t then
     Error
       (Printf.sprintf "arity mismatch: schema has %d columns, tuple has %d"
          (Array.length t) (Array.length tuple))
-  else begin
-    let bad = ref None in
-    Array.iteri
-      (fun i v ->
-        if !bad = None then
-          match (Value.type_of v, t.(i)) with
-          | None, { nullable = false; col_name; _ } ->
-              bad := Some (Printf.sprintf "column %s is NOT NULL" col_name)
-          | None, _ -> ()
-          | Some vt, { col_type; col_name; _ } when vt <> col_type ->
-              bad :=
-                Some
-                  (Printf.sprintf "column %s expects %s, got %s" col_name
-                     (Value.ty_name col_type) (Value.ty_name vt))
-          | Some _, _ -> ())
-      tuple;
-    match !bad with None -> Ok () | Some msg -> Error msg
-  end
-
-let pp ppf t =
-  Format.fprintf ppf "(%s)"
-    (String.concat ", "
-       (Array.to_list
-          (Array.map
-             (fun c ->
-               Printf.sprintf "%s %s%s" c.col_name (Value.ty_name c.col_type)
-                 (if c.nullable then "" else " NOT NULL"))
-             t)))
+  else
+    let rec go i =
+      if i = Array.length t then Ok ()
+      else if fits t.(i) tuple.(i) then go (i + 1)
+      else
+        let c = t.(i) in
+        match Value.type_of tuple.(i) with
+        | None -> Error (Printf.sprintf "column %s is NOT NULL" c.col_name)
+        | Some vt ->
+            Error
+              (Printf.sprintf "column %s expects %s, got %s" c.col_name
+                 (Value.ty_name c.col_type) (Value.ty_name vt))
+    in
+    go 0

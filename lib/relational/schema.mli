@@ -7,9 +7,6 @@ type t = column array
 val column : ?nullable:bool -> string -> Value.ty -> column
 (** Columns are nullable by default. *)
 
-val make : (string * Value.ty) list -> t
-(** Nullable columns with the given names/types. *)
-
 val arity : t -> int
 
 val find : t -> string -> int
@@ -18,16 +15,15 @@ val find : t -> string -> int
 
 val find_opt : t -> string -> int option
 
-val names : t -> string list
-
 val concat : t -> t -> t
 (** Schema of a join result. *)
 
 val rename_prefix : string -> t -> t
 (** Qualify every column name with ["alias."]. *)
 
+val fits : column -> Value.t -> bool
+(** Whether the column may hold the value: its type, or NULL if nullable. *)
+
 val check_tuple : t -> Value.t array -> (unit, string) result
 (** Validate arity, types and null constraints of a tuple against the
     schema. *)
-
-val pp : Format.formatter -> t -> unit

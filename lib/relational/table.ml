@@ -8,6 +8,7 @@ type index = {
 type undo =
   | U_insert of int  (* row id to remove *)
   | U_delete of int * Tuple.t  (* row id to resurrect with this image *)
+  | U_update of int array * Tuple.t array  (* an UPDATE's rows, old images *)
 
 type t = {
   tbl_name : string;
@@ -18,6 +19,8 @@ type t = {
   mutable reads : int;
   mutable writes : int;
   mutable journal : undo list option;
+  (* 1 + a row's position in the running UPDATE's batch, 0 elsewhere *)
+  mutable marks : int array;
 }
 
 exception Constraint_violation of string
@@ -32,6 +35,7 @@ let create tbl_name tbl_schema =
     reads = 0;
     writes = 0;
     journal = None;
+    marks = [||];
   }
 
 let name t = t.tbl_name
@@ -140,39 +144,63 @@ let delete t rowid =
         t.writes <- t.writes + 1;
         record t (U_delete (rowid, tuple))
 
-(* [true] when the row's key under an index over [cols] differs between the
-   two images; a rowid suffix is the same on both sides *)
-let rec key_differs cols old tu i =
-  i < Array.length cols
-  && (Value.compare old.(cols.(i)) tu.(cols.(i)) <> 0
-     || key_differs cols old tu (i + 1))
+(* [compare_old]: index order on the old images of batch rows [i] and [j]
+   (a non-unique index's keys end in the rowid); top-level, so that sorting
+   a batch allocates nothing per comparison *)
+let compare_old idx rowids olds i j =
+  let c = Tuple.compare_cols idx.key_cols olds.(i) olds.(j) in
+  if c <> 0 || idx.unique then c else Int.compare rowids.(i) rowids.(j)
 
-(* Move the changed keys of one index; [rows] (with [olds], their current
-   images) are in access-path order. Each key is first rewritten in its
-   slot ([Btree.rewrite_key]) from two scratch keys; visiting the rows
-   top-down when the keys move up (bottom-up when they move down) lets
-   every key of an order-preserving shift find its neighbour already out
+let rec ascending cmp order k =
+  k >= Array.length order || (cmp order.(k - 1) order.(k) < 0 && ascending cmp order (k + 1))
+
+(* The batch positions of the rows whose key under [idx] changed, in the
+   order of their old keys: as the access path read them when that is
+   already key order, else picked out of one walk over the index (through
+   [t.marks]) when they are at least a fourteenth of its entries (one per
+   live row; the measured crossover, see DESIGN.md), else sorted. [all],
+   as long as the batch, is the statement's scratch, shared by its indexes. *)
+let key_order t idx rowids olds news all =
+  let m = ref 0 in
+  let add order j =
+    if j >= 0 && Tuple.compare_cols idx.key_cols olds.(j) news.(j) <> 0 then (order.(!m) <- j; incr m)
+  in
+  Array.iteri (fun j _ -> add all j) rowids;
+  let order = Array.sub all 0 !m and cmp i j = compare_old idx rowids olds i j in
+  if not (ascending cmp order 1) then
+    if 14 * !m >= t.live then begin
+      m := 0;
+      Btree.iter idx.tree ~lo:Unbounded ~hi:Unbounded ~reverse:false (fun _ rowid ->
+          add order (t.marks.(rowid) - 1);
+          !m < Array.length order)
+    end
+    else Array.stable_sort cmp order;
+  order
+
+(* Move the changed keys of one index. Each key is first rewritten in its
+   slot ([Btree.rewrite_key]) from two scratch keys, visiting the rows in
+   old-key order ([key_order]) so the tree's finger holds from one to the
+   next: top-down when the keys move up, bottom-up when they move down, so
+   every key of an order-preserving shift finds its neighbour already out
    of its way. Keys refused there are deleted and re-inserted after all
    in-place writes. Returns the function that undoes both, rebuilding the
    keys from the row images. *)
-let move_keys t idx rows olds =
-  let n = Array.length rows in
-  let changed i = key_differs idx.key_cols olds.(i) (snd rows.(i)) 0 in
-  let rec first i = if i < n && not (changed i) then first (i + 1) else i in
-  let first = first 0 in
+let move_keys t idx rowids olds news all =
+  let order = key_order t idx rowids olds news all in
+  let m = Array.length order in
   let ok = Array.make (key_length idx) Value.Null in
   let nk = Array.make (key_length idx) Value.Null in
-  let fill i =
-    let rowid, tu = rows.(i) in
-    fill_key idx ok ~rowid olds.(i);
-    fill_key idx nk ~rowid tu;
+  let fill j =
+    let rowid = rowids.(j) in
+    fill_key idx ok ~rowid olds.(j);
+    fill_key idx nk ~rowid news.(j);
     rowid
   in
-  let up = first < n && (ignore (fill first); Tuple.compare_key nk ok > 0) in
+  let up = m > 0 && (ignore (fill order.(0)); Tuple.compare_key nk ok > 0) in
   (* every changed row, in the order its key is rewritten or in reverse *)
   let visit ~reverse g =
-    if up <> reverse then for i = n - 1 downto first do if changed i then g i done
-    else for i = first to n - 1 do if changed i then g i done
+    if up <> reverse then for k = m - 1 downto 0 do g order.(k) done
+    else for k = 0 to m - 1 do g order.(k) done
   in
   let refused = ref [] and rewritten = ref 0 in
   visit ~reverse:false (fun i ->
@@ -186,7 +214,7 @@ let move_keys t idx rows olds =
       (fun j i -> if j < !inserted then (ignore (fill i); ignore (Btree.delete idx.tree nk)))
       refused;
     List.iter (fun i -> let rowid = fill i in Btree.insert idx.tree (Array.copy ok) rowid) refused;
-    let moved = Array.make n false in
+    let moved = Array.make (Array.length rowids) false in
     List.iter (fun i -> moved.(i) <- true) refused;
     (* newest first, so each old key is free when it returns *)
     visit ~reverse:true (fun i ->
@@ -210,42 +238,43 @@ let move_keys t idx rows olds =
   Obs.add "index.moved" (List.length refused);
   undo
 
-(* Statement-level bulk update. Rowids are preserved (rows are overwritten in
-   place, not deleted and re-inserted) and each index is maintained only for
-   the rows whose key under THAT index actually changed — an UPDATE that
-   shifts g_order never touches the id index, and a value-only UPDATE touches
-   no index at all. Atomic with respect to unique-key violations. *)
-let update_rows t changes =
-  let rows = Array.of_list changes in
-  let olds =
-    Array.map
-      (fun (rowid, tu) ->
-        validate t tu;
-        match Vec.get t.slots rowid with
-        (* Db updates only the rows its access path has just read *)
-        | None -> invalid_arg "Table.update_rows: row deleted"
-        | Some old -> old)
-      rows
-  in
-  let undos = ref [] in
-  (try
-     List.iter (fun idx -> undos := move_keys t idx rows olds :: !undos) t.idxs
-   with Constraint_violation _ as e ->
-     List.iter (fun undo -> undo ()) !undos;
-     raise e);
-  (* Journal the batch as delete-all + reinsert-all rather than per-row
-     U_update entries: rollback replays newest-first, so all the new images
-     are removed before any old image is restored — per-row U_update replay
-     could transiently collide on a unique key mid-unwind. *)
-  Array.iteri (fun i (rowid, _) -> record t (U_delete (rowid, olds.(i)))) rows;
-  Array.iter
-    (fun (rowid, tu) ->
-      Vec.set t.slots rowid (Some tu);
-      record t (U_insert rowid))
-    rows;
-  t.writes <- t.writes + Array.length rows
+(* Statement-level bulk update. Rowids are preserved (each row's slot takes
+   its new image) and each index is maintained only for the rows whose key
+   under THAT index actually changed — an UPDATE that shifts g_order never
+   touches the id index, and a value-only UPDATE touches no index at all.
+   Only the columns whose value the statement replaced are validated.
+   Atomic with respect to unique-key violations. *)
+let update_rows t rowids news =
+  let n = Array.length rowids in
+  let olds = Array.make n [||] in
+  for j = 0 to n - 1 do
+    match Vec.get t.slots rowids.(j) with
+    (* Db updates only the rows its access path has just read *)
+    | None -> invalid_arg "Table.update_rows: row deleted"
+    | Some old ->
+        let tu = news.(j) in
+        if Array.length tu <> Array.length old then validate t tu;
+        for c = 0 to Array.length tu - 1 do
+          if tu.(c) != old.(c) && not (Schema.fits t.tbl_schema.(c) tu.(c)) then validate t tu
+        done;
+        olds.(j) <- old
+  done;
+  if Array.length t.marks < Vec.length t.slots then
+    t.marks <- Array.make (Vec.length t.slots + (Vec.length t.slots / 8) + 64) 0;
+  Array.iteri (fun j rowid -> t.marks.(rowid) <- j + 1) rowids;
+  let undos = ref [] and all = Array.make n 0 in
+  Fun.protect
+    ~finally:(fun () -> Array.iter (fun rowid -> t.marks.(rowid) <- 0) rowids)
+    (fun () ->
+      try List.iter (fun idx -> undos := move_keys t idx rowids olds news all :: !undos) t.idxs
+      with Constraint_violation _ as e ->
+        List.iter (fun undo -> undo ()) !undos;
+        raise e);
+  record t (U_update (rowids, olds));
+  Array.iteri (fun j rowid -> Vec.set t.slots rowid (Some news.(j))) rowids;
+  t.writes <- t.writes + n
 
-let update t rowid tuple = update_rows t [ (rowid, tuple) ]
+let update t rowid tuple = update_rows t [| rowid |] [| tuple |]
 
 let row_count t = t.live
 
@@ -330,17 +359,21 @@ let rollback_journal t =
   | Some log ->
       (* stop recording while we unwind *)
       t.journal <- None;
+      (* an UPDATE removes all its new images before restoring any old
+         one, so no unique key collides mid-unwind *)
+      let remove rowid = Option.iter (unlink t rowid) (Vec.get t.slots rowid) in
+      let resurrect rowid tuple =
+        Vec.set t.slots rowid (Some tuple);
+        List.iter (fun idx -> index_insert t idx rowid tuple) t.idxs;
+        t.live <- t.live + 1
+      in
       List.iter
-        (fun entry ->
-          match entry with
-          | U_insert rowid -> (
-              match Vec.get t.slots rowid with
-              | None -> ()
-              | Some tuple -> unlink t rowid tuple)
-          | U_delete (rowid, tuple) ->
-              Vec.set t.slots rowid (Some tuple);
-              List.iter (fun idx -> index_insert t idx rowid tuple) t.idxs;
-              t.live <- t.live + 1)
+        (function
+          | U_insert rowid -> remove rowid
+          | U_delete (rowid, tuple) -> resurrect rowid tuple
+          | U_update (rowids, olds) ->
+              Array.iter remove rowids;
+              Array.iteri (fun j rowid -> resurrect rowid olds.(j)) rowids)
         log
 
 let rows_read t = t.reads

@@ -36,26 +36,32 @@ val delete : t -> int -> unit
 (** Delete by row id; no-op if already deleted. *)
 
 val update : t -> int -> Tuple.t -> unit
-(** [update t rowid tuple] is [update_rows t [ (rowid, tuple) ]]. *)
+(** [update t rowid tuple] is [update_rows t [| rowid |] [| tuple |]]. *)
 
-val update_rows : t -> (int * Tuple.t) list -> unit
-(** Statement-level bulk update: overwrite each row in place (rowids stable)
-    and maintain only the indexes whose key actually changed for a given row.
+val update_rows : t -> int array -> Tuple.t array -> unit
+(** [update_rows t rowids news] is one statement's bulk update: each of
+    the distinct rows [rowids.(j)] takes the image [news.(j)] in its slot
+    (rowids stable; a stored image is never written in place, so one
+    handed out earlier keeps its values), validating only the columns
+    whose value is not the old one, and each index is maintained only for
+    the rows whose key under it changed. The table keeps both arrays.
 
     Per index, each changed key is first rewritten in its slot
-    ({!Btree.rewrite_key}), which succeeds whenever the key stays between
-    its neighbours, from two scratch keys per index and statement: a
-    renumbered row allocates no key. The rows are visited top-down when the
-    batch's keys move up and bottom-up when they move down, taking the
-    given list as ascending (the access-path order of an index range scan),
-    so every key of an order-preserving renumbering finds its neighbour
-    already out of its way. The keys refused there are deleted and
+    ({!Btree.rewrite_key}) from two scratch keys, visiting the rows in
+    that index's old-key order: the access-path order when it is already
+    that, else one walk over the index picking them out (by a row-id mark
+    array kept per table) when they are at least a fourteenth of its entries,
+    else a sort. So each rewrite finds its key beside the last one. That
+    order runs top-down when the keys move up, bottom-up when they move
+    down, so every key of an order-preserving renumbering finds its
+    neighbour already out of its way. Keys refused there are deleted and
     re-inserted after all in-place writes. Obs counters [index.rewritten]
     and [index.moved] count the entries taking each path.
 
     Atomic: a unique-key violation undoes the rewrites and the moves of
     every index (rebuilding the keys from the row images) and leaves all
-    rows untouched.
+    rows untouched. In a transaction the statement is one journal entry,
+    whose rollback removes every new image before restoring any old one.
     @raise Constraint_violation on schema or unique-key violation.
     @raise Invalid_argument if any rowid refers to a deleted row ({!Db}
     updates only rows its access path has just read). *)

@@ -10,6 +10,10 @@ val compare_key : t -> t -> int
     that is a prefix of a longer one compares smaller, which is what B+-tree
     prefix scans rely on. *)
 
+val compare_cols : int array -> t -> t -> int
+(** [compare_cols cols a b] is [compare_key (key cols a) (key cols b)]
+    without building the keys; it allocates nothing. *)
+
 val equal : t -> t -> bool
 
 val hash_key : t -> int

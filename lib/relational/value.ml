@@ -115,5 +115,3 @@ let size_bytes = function
   | Int _ -> 8
   | Float _ -> 8
   | Str s | Bytes s -> 4 + String.length s
-
-let pp ppf v = Format.pp_print_string ppf (to_string v)

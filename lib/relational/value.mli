@@ -44,5 +44,3 @@ val to_sql_literal : t -> string
 
 val size_bytes : t -> int
 (** Approximate storage footprint in bytes, used by the storage experiment. *)
-
-val pp : Format.formatter -> t -> unit

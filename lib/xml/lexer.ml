@@ -72,6 +72,19 @@ let is_xml_char c =
   || (c >= 0xE000 && c <= 0xFFFD)
   || (c >= 0x10000 && c <= 0x10FFFF)
 
+(* Length of the XML Char whose UTF-8 encoding starts at [s.[i]], 0 when
+   the bytes there are malformed or encode a character outside Char: the
+   raw form of a character is refused exactly when its reference is. *)
+let char_length s i =
+  let c = Char.code (String.unsafe_get s i) in
+  if c >= 0x20 && c < 0x80 then 1
+  else if c < 0x80 then if c = 0x9 || c = 0xA || c = 0xD then 1 else 0
+  else
+    let d = String.get_utf_8_uchar s i in
+    if Uchar.utf_decode_is_valid d && is_xml_char (Uchar.to_int (Uchar.utf_decode_uchar d))
+    then Uchar.utf_decode_length d
+    else 0
+
 let decode_ref_at src pos ~err =
   (* [pos] points at '&'; returns (decoded, next_pos); [err] builds the
      exception to raise on malformed references. *)
@@ -140,6 +153,24 @@ let decode_entities s =
       in
       go 0
 
+(* Copy the Char at [t.pos] into [buf] and step past it; printable ASCII,
+   the bulk of most documents, takes the first branch. *)
+let[@inline] add_char t buf =
+  let c = peek t in
+  if c >= ' ' && c < '\128' then begin
+    Buffer.add_char buf c;
+    t.pos <- t.pos + 1
+  end
+  else
+    match char_length t.src t.pos with
+    | 0 -> error t "character not allowed in XML"
+    | 1 ->
+        Buffer.add_char buf c;
+        advance t
+    | k ->
+        Buffer.add_substring buf t.src t.pos k;
+        t.pos <- t.pos + k
+
 let read_quoted_value t =
   let quote = peek t in
   if quote <> '"' && quote <> '\'' then error t "expected quoted attribute value";
@@ -158,8 +189,7 @@ let read_quoted_value t =
         go ()
       end
       else begin
-        Buffer.add_char buf c;
-        advance t;
+        add_char t buf;
         go ()
       end
   in
@@ -191,13 +221,20 @@ let expect_str t s =
     advance t
   done
 
+(* Scan one Char at a time for the closing delimiter, comparing it in
+   place; returns the content before it. *)
 let read_until t close =
-  (* Scan forward for the closing delimiter; returns content before it. *)
   let n = String.length t.src and cn = String.length close in
+  let rec matches i k = k >= cn || (t.src.[i + k] = close.[k] && matches i (k + 1)) in
   let rec find i =
     if i + cn > n then error t (Printf.sprintf "missing %S" close)
-    else if String.sub t.src i cn = close then i
-    else find (i + 1)
+    else if matches i 0 then i
+    else
+      match char_length t.src i with
+      | 0 ->
+          while t.pos < i do advance t done;
+          error t "character not allowed in XML"
+      | k -> find (i + k)
   in
   let stop = find t.pos in
   let content = String.sub t.src t.pos (stop - t.pos) in
@@ -234,7 +271,11 @@ let read_markup t =
       if peek t = '-' && peek2 t = '-' then begin
         advance t;
         advance t;
-        let content = read_until t "-->" in
+        (* Comment ::= '<!--' ((Char - '-') | ('-' (Char - '-')))* '-->':
+           the first "--" must close it *)
+        let content = read_until t "--" in
+        if peek t <> '>' then error t "\"--\" inside a comment";
+        advance t;
         Comment_tok content
       end
       else if peek t = '[' then begin
@@ -297,9 +338,8 @@ let read_chars t =
           Buffer.add_string buf decoded;
           t.pos <- next;
           go ()
-      | c ->
-          Buffer.add_char buf c;
-          advance t;
+      | _ ->
+          add_char t buf;
           go ()
   in
   go ();

@@ -4,7 +4,11 @@
 
     Entity references ([&lt; &gt; &amp; &apos; &quot;]) and numeric character
     references ([&#n;], [&#xn;]) are decoded in character data and attribute
-    values. *)
+    values. Raw characters in text, CDATA, attribute values, comments and
+    PIs follow XML's [Char] production in UTF-8: malformed
+    UTF-8 and C0 controls other than tab, LF and CR are refused, as their
+    references are. A comment holds no ["--"] and does not end in ['-'],
+    so every comment read can be printed again. *)
 
 type position = { line : int; col : int; offset : int }
 
@@ -39,3 +43,9 @@ val position : t -> position
 val decode_entities : string -> string
 (** Decode entity and character references in a string.
     @raise Error on an unknown or unterminated reference. *)
+
+val char_length : string -> int -> int
+(** [char_length s i] is the byte length of the XML [Char] whose UTF-8
+    encoding starts at [s.[i]], or 0 when the bytes there are malformed
+    UTF-8 or encode a character outside [Char]: exactly the raw characters
+    this lexer refuses. *)

@@ -3,24 +3,42 @@ exception Unserializable of string
 let unserializable fmt =
   Printf.ksprintf (fun s -> raise (Unserializable s)) fmt
 
+(* The index after the XML Char at [s.[i]]. A byte sequence the parser
+   refuses (malformed UTF-8, a C0 control other than tab, LF and CR) has
+   no escape, since XML refuses its character reference too. *)
+let next_char s i =
+  match Lexer.char_length s i with
+  | 0 -> unserializable "character not allowed in XML at byte %d of %S" i s
+  | k -> i + k
+
+let check_chars s =
+  let rec go i = if i < String.length s then go (next_char s i) in
+  go 0
+
 (* XML 1.0 gives parsers license to rewrite whitespace we emit raw: §3.3.3
    attribute-value normalization folds tab/CR/LF in attribute values to
    spaces, and §2.11 end-of-line handling folds CR (and CRLF) in content to
    LF. Emitting them as character references is the only way a round trip
    preserves the exact string. *)
 let escape buf ~quot s =
-  String.iter
-    (fun c ->
-      match c with
-      | '&' -> Buffer.add_string buf "&amp;"
-      | '<' -> Buffer.add_string buf "&lt;"
-      | '>' -> Buffer.add_string buf "&gt;"
-      | '"' when quot -> Buffer.add_string buf "&quot;"
-      | '\n' when quot -> Buffer.add_string buf "&#10;"
-      | '\t' when quot -> Buffer.add_string buf "&#9;"
-      | '\r' -> Buffer.add_string buf "&#13;"
-      | c -> Buffer.add_char buf c)
-    s
+  let n = String.length s in
+  let rec go i =
+    if i < n then
+      match s.[i] with
+      | '&' -> Buffer.add_string buf "&amp;"; go (i + 1)
+      | '<' -> Buffer.add_string buf "&lt;"; go (i + 1)
+      | '>' -> Buffer.add_string buf "&gt;"; go (i + 1)
+      | '"' when quot -> Buffer.add_string buf "&quot;"; go (i + 1)
+      | '\n' when quot -> Buffer.add_string buf "&#10;"; go (i + 1)
+      | '\t' when quot -> Buffer.add_string buf "&#9;"; go (i + 1)
+      | '\r' -> Buffer.add_string buf "&#13;"; go (i + 1)
+      | ' ' .. '\127' as c -> Buffer.add_char buf c; go (i + 1)
+      | _ ->
+          let j = next_char s i in
+          Buffer.add_substring buf s i (j - i);
+          go j
+  in
+  go 0
 
 let escape_text s =
   let buf = Buffer.create (String.length s + 8) in
@@ -37,6 +55,7 @@ let contains_sub s sub =
   m > 0 && go 0
 
 let add_comment buf s =
+  check_chars s;
   if contains_sub s "--" then
     unserializable "comment contains \"--\": %S" s;
   if s <> "" && s.[String.length s - 1] = '-' then
@@ -46,6 +65,7 @@ let add_comment buf s =
   Buffer.add_string buf "-->"
 
 let add_pi buf ~target ~data =
+  check_chars data;
   if contains_sub data "?>" then
     unserializable "processing-instruction data contains \"?>\": %S" data;
   Buffer.add_string buf "<?";

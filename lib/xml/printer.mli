@@ -8,14 +8,20 @@
     would otherwise fold them to spaces). Comments and processing
     instructions have {e no} escaping mechanism, so contents colliding with
     their delimiters raise {!Unserializable} instead of producing
-    unparseable output. *)
+    unparseable output. A character the parser refuses raw (malformed
+    UTF-8, a C0 control other than tab, LF and CR; see
+    {!Lexer.char_length}) has no escape either, since XML refuses its
+    reference too, so it raises {!Unserializable} wherever it stands. *)
 
 exception Unserializable of string
 (** Raised for nodes XML cannot represent: a comment containing ["--"] or
-    ending with ["-"], or processing-instruction data containing ["?>"]. *)
+    ending with ["-"], processing-instruction data containing ["?>"], or
+    text, an attribute value, a comment or PI data holding a character
+    outside XML's [Char] production or bytes that are not UTF-8. *)
 
 val escape_text : string -> string
-(** Escape [& < > \r] for character data. *)
+(** Escape [& < > \r] for character data.
+    @raise Unserializable on a character outside XML's [Char]. *)
 
 val add_events : Buffer.t -> ((Sax.event -> unit) -> unit) -> unit
 (** [add_events buf produce] runs [produce] with the event writer, which

@@ -140,6 +140,33 @@ let test_no_document () =
       | _ -> Alcotest.fail (label ^ ": document of an empty store"))
     O.Encoding.all
 
+(* A store keeps any string set_text and set_attribute are given, but one
+   the parser would refuse raw is refused on the way out: serialize never
+   writes XML that does not parse back. *)
+let test_unprintable_values () =
+  List.iter
+    (fun enc ->
+      let db = D.create () in
+      let store = O.Api.Store.create db ~name:"c" enc (catalog_doc ()) in
+      let label = O.Encoding.name enc in
+      let book = List.hd (O.Api.Store.query_ids store "/catalog/book[1]") in
+      let tid = List.hd (O.Api.Store.query_ids store "/catalog/book[1]/title/text()") in
+      let refused what =
+        match O.Api.Store.serialize store ~id:book with
+        | exception Xmllib.Printer.Unserializable _ -> ()
+        | s -> Alcotest.failf "%s: %s serialized as %S" label what s
+      in
+      ignore (O.Api.Store.set_text store ~id:tid "\x01");
+      refused "text \\x01";
+      ignore (O.Api.Store.set_text store ~id:tid "t");
+      ignore (O.Api.Store.set_attribute store ~id:book ~name:"y" ~value:"\xff");
+      refused "attribute \\xff";
+      ignore (O.Api.Store.set_attribute store ~id:book ~name:"y" ~value:"\xc3\xa9");
+      let doc = Xmllib.Parser.parse_document (O.Api.Store.serialize store ~id:book) in
+      check (Alcotest.option string_t) (label ^ " UTF-8 parses back") (Some "\xc3\xa9")
+        (T.attribute_value (T.Element doc.T.root) "y"))
+    O.Encoding.all
+
 let tests =
   ( "api",
     [
@@ -151,6 +178,7 @@ let tests =
       Alcotest.test_case "float literal roundtrip" `Quick test_float_values_roundtrip;
       Alcotest.test_case "subtree of no node" `Quick test_no_subtree;
       Alcotest.test_case "no document after DELETE" `Quick test_no_document;
+      Alcotest.test_case "unprintable values" `Quick test_unprintable_values;
     ] )
 
 (* baseline: the same edits, applied to documents built node by node, must

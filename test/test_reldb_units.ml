@@ -4,7 +4,12 @@
    planner's access-path selection. *)
 
 module V = Reldb.Value
-module S = Reldb.Schema
+module S = struct
+  include Reldb.Schema
+
+  (* nullable columns with the given names and types *)
+  let make cols = Array.of_list (List.map (fun (n, ty) -> column n ty) cols)
+end
 module Tu = Reldb.Tuple
 
 let check = Alcotest.check
@@ -75,6 +80,36 @@ let test_tuple_key_order () =
   check bool_t "prefix smaller" true (Tu.compare_key a ab < 0);
   check bool_t "projection" true
     (Tu.key [| 2; 0 |] [| V.Int 1; V.Int 2; V.Int 3 |] = [| V.Int 3; V.Int 1 |])
+
+(* [compare_cols] reads in place the order [compare_key] gives the keys, so
+   a batch sorted by it visits an index's entries in the tree's order *)
+let prop_compare_cols =
+  let value =
+    QCheck.Gen.(
+      oneof
+        [
+          map (fun i -> V.Int i) (int_range (-3) 3);
+          map (fun f -> V.Float f) (oneofl [ -1.5; 0.0; 2.0; nan ]);
+          map (fun s -> V.Str s) (string_size ~gen:(char_range 'a' 'c') (int_range 0 2));
+          return V.Null;
+        ])
+  in
+  let gen =
+    QCheck.Gen.(
+      triple
+        (array_size (int_range 0 4) (int_range 0 3))
+        (array_repeat 4 value) (array_repeat 4 value))
+  in
+  let print (cols, a, b) =
+    Printf.sprintf "[%s] %s / %s"
+      (String.concat ";" (Array.to_list (Array.map string_of_int cols)))
+      (Tu.to_string a) (Tu.to_string b)
+  in
+  QCheck.Test.make ~name:"tuple compare_cols is compare_key of the keys" ~count:2000
+    (QCheck.make ~print gen)
+    (fun (cols, a, b) ->
+      Int.compare (Tu.compare_cols cols a b) 0
+      = Int.compare (Tu.compare_key (Tu.key cols a) (Tu.key cols b)) 0)
 
 (* --- vec ---------------------------------------------------------------- *)
 
@@ -297,6 +332,74 @@ let test_in_place_rollback () =
   Reldb.Db.rollback db;
   same "after rollback" before
 
+(* UPDATEs of more than 256 rows inside a transaction, then a rollback.
+   The table has 600 rows; each index takes its rows in another order: in
+   access-path order (lu_a under a range on [a]), picked out of a walk
+   over the index (lu_c when at least a fourteenth of its entries
+   change), sorted (lu_c when fewer change), or reversed (half the keys of lu_b,
+   which the rewrite in place refuses and moves). The second statement
+   shifts [a] down by the spacing of its values, so each new key is
+   another row's old one: the rollback must remove every new image before
+   it restores any old one. Each statement leaves Db.check green, and the
+   rollback restores every row and index entry. *)
+let test_large_update_rollback () =
+  let db = Reldb.Db.create () in
+  List.iter
+    (fun s -> ignore (Reldb.Db.exec db s))
+    [
+      "CREATE TABLE lu (a INT, b INT, c INT)";
+      "CREATE UNIQUE INDEX lu_a ON lu (a)";
+      "CREATE INDEX lu_c ON lu (c, a)";
+      "CREATE UNIQUE INDEX lu_b ON lu (b)";
+    ];
+  for i = 0 to 599 do
+    ignore
+      (Reldb.Db.exec db
+         (Printf.sprintf "INSERT INTO lu VALUES (%d, %d, %d)" (10 * i) i (i mod 7)))
+  done;
+  let tbl = Reldb.Db.table db "lu" in
+  let state () =
+    ( List.of_seq (Reldb.Table.scan tbl),
+      List.map
+        (fun idx -> List.of_seq (Reldb.Btree.to_seq idx.Reldb.Table.tree))
+        (Reldb.Table.indexes tbl) )
+  in
+  let before = state () in
+  Reldb.Db.begin_txn db;
+  List.iter
+    (fun (sql, rows) ->
+      (match Reldb.Db.exec db sql with
+      | Reldb.Db.Affected n -> check int_t (sql ^ ": rows") rows n
+      | _ -> Alcotest.fail "not an UPDATE result");
+      check bool_t (sql ^ ": Db.check") true (Reldb.Db.check db = Ok ()))
+    [
+      ("UPDATE lu SET a = a + 3, c = c + 1 WHERE a >= 1000", 500);
+      ("UPDATE lu SET a = a - 10, c = c - 2 WHERE a >= 1000", 500);
+      ("UPDATE lu SET b = 0 - b, c = 9 - c WHERE a >= 3000", 299);
+      ("UPDATE lu SET c = c + 5 WHERE a >= 5700", 29);
+    ];
+  check int_t "row ids and images" 600 (Reldb.Table.row_count tbl);
+  check bool_t "the updates changed rows" true (state () <> before);
+  Reldb.Db.rollback db;
+  check bool_t "rows and index entries restored" true (state () = before);
+  check bool_t "Db.check after rollback" true (Reldb.Db.check db = Ok ())
+
+(* Stored rows are never written in place: a snapshot taken before an
+   UPDATE still holds the old values after it. *)
+let test_snapshot_survives_update () =
+  let db = Reldb.Db.create () in
+  ignore (Reldb.Db.exec db "CREATE TABLE sv (a INT, b TEXT)");
+  ignore (Reldb.Db.exec db "CREATE UNIQUE INDEX sv_a ON sv (a)");
+  for i = 0 to 299 do
+    ignore (Reldb.Db.exec db (Printf.sprintf "INSERT INTO sv VALUES (%d, 'v%d')" i i))
+  done;
+  let encode snap = List.map Reldb.Wal.encode snap in
+  let snap = Reldb.Db.snapshot db in
+  let taken = encode snap in
+  ignore (Reldb.Db.exec db "UPDATE sv SET a = a + 1, b = 'w' WHERE a >= 0");
+  check bool_t "the snapshot is unchanged" true (encode snap = taken);
+  check bool_t "a new snapshot differs" true (encode (Reldb.Db.snapshot db) <> taken)
+
 let test_truncate () =
   let t = mk_table "tr" [ (1, "a"); (2, "b") ] in
   ignore (Reldb.Table.create_index t ~name:"tr_k" ~cols:[| 0 |] ~unique:true);
@@ -436,6 +539,7 @@ let tests =
       Alcotest.test_case "schema lookup" `Quick test_schema_lookup;
       Alcotest.test_case "schema checking" `Quick test_schema_check;
       Alcotest.test_case "tuple keys" `Quick test_tuple_key_order;
+      QCheck_alcotest.to_alcotest prop_compare_cols;
       Alcotest.test_case "vec" `Quick test_vec;
       Alcotest.test_case "nested-loop cross join" `Quick test_nl_join_cross;
       Alcotest.test_case "limit/offset operator" `Quick test_limit_offset_operator;
@@ -448,6 +552,8 @@ let tests =
       Alcotest.test_case "access-path choice" `Quick test_access_path_choice;
       Alcotest.test_case "constraint rollback" `Quick test_table_rollback_on_unique;
       Alcotest.test_case "in-place keys roll back" `Quick test_in_place_rollback;
+      Alcotest.test_case "large UPDATE rolls back" `Quick test_large_update_rollback;
+      Alcotest.test_case "snapshot survives UPDATE" `Quick test_snapshot_survives_update;
       Alcotest.test_case "truncate" `Quick test_truncate;
       Alcotest.test_case "result rendering" `Quick test_render;
       Alcotest.test_case "catalog" `Quick test_catalog;

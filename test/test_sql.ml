@@ -247,8 +247,15 @@ let test_constraints () =
   (match D.exec db "INSERT INTO t VALUES (NULL)" with
   | exception D.Sql_error _ -> ()
   | _ -> Alcotest.fail "not null must fail");
-  (* failed insert must not corrupt the table *)
-  check int_t "intact" 1 (List.length (D.query db "SELECT k FROM t"))
+  (* an UPDATE validates the columns it changes *)
+  List.iter
+    (fun sql ->
+      match D.exec db sql with
+      | exception D.Sql_error _ -> ()
+      | _ -> Alcotest.failf "%s must fail" sql)
+    [ "UPDATE t SET k = NULL"; "UPDATE t SET k = 'x'"; "UPDATE t SET k = 1.5" ];
+  (* failed statements must not corrupt the table *)
+  check Alcotest.(list (list int)) "intact" [ [ 1 ] ] (ints db "SELECT k FROM t")
 
 (* the index oracle: every index holds exactly the keys of the heap *)
 let check_indexes db =

@@ -111,6 +111,59 @@ let test_errors () =
   parse_fails "text only";
   parse_fails "<a/><b/>"
 
+(* Comment ::= '<!--' ((Char - '-') | ('-' (Char - '-')))* '-->': no "--"
+   inside and no '-' last, so every comment parsed can be printed again *)
+let test_comment_grammar () =
+  List.iter
+    (fun src ->
+      parse_fails src;
+      match Xmllib.Sax.count_events src with
+      | exception Xmllib.Sax.Error _ -> ()
+      | _ -> Alcotest.failf "expected SAX error on %S" src)
+    [ "<a><!-- x -- y --></a>"; "<a><!-- x ---></a>"; "<a><!-----></a>"; "<a><!--x</a>" ];
+  List.iter
+    (fun (src, body) ->
+      match (parse_ok src).T.root.T.children with
+      | [ T.Comment c ] ->
+          check string_t src body c;
+          check string_t (src ^ " prints back") src (roundtrip src)
+      | _ -> Alcotest.failf "%S: not one comment" src)
+    [ ("<a><!----></a>", ""); ("<a><!--x - y--></a>", "x - y"); ("<a><!-- -x- --></a>", " -x- ") ]
+
+(* Char ::= #x9 | #xA | #xD | [#x20-#xD7FF] | [#xE000-#xFFFD] |
+   [#x10000-#x10FFFF], in UTF-8: a raw character is refused in text, CDATA
+   and attribute values exactly when its character reference is *)
+let test_raw_chars () =
+  let contexts raw = [ "<a>x" ^ raw ^ "y</a>"; "<a b='" ^ raw ^ "'/>"; "<a><![CDATA[" ^ raw ^ "]]></a>" ] in
+  List.iter
+    (fun raw ->
+      List.iter
+        (fun src ->
+          parse_fails src;
+          match Xmllib.Sax.count_events src with
+          | exception Xmllib.Sax.Error _ -> ()
+          | _ -> Alcotest.failf "expected SAX error on %S" src)
+        (contexts raw))
+    [ "\x00"; "\x01"; "\x1f"; "\xff"; "\xc3"; "\xc0\x80"; "\xed\xa0\x80"; "\xef\xbf\xbe"; "\xf4\x90\x80\x80" ];
+  List.iter
+    (fun raw ->
+      let doc = parse_ok ("<a b='" ^ raw ^ "'>[" ^ raw ^ "]</a>") in
+      check string_t "text" ("[" ^ raw ^ "]") (T.text_content (T.Element doc.T.root));
+      check (Alcotest.option string_t) "attribute" (Some raw)
+        (T.attribute_value (T.Element doc.T.root) "b"))
+    [ "\t"; "\xc3\xa9"; "\xee\x80\x80"; "\xef\xbf\xbd"; "\xf0\x9f\x98\x80"; "\xf4\x8f\xbf\xbf" ]
+
+(* a comment's delimiter is matched in place: no string per scanned byte *)
+let test_long_comment_allocation () =
+  let body = String.make (1 lsl 20) 'c' in
+  let src = "<a><!--" ^ body ^ "--></a>" in
+  let w0 = Gc.minor_words () in
+  let doc = parse_ok src in
+  let per_byte = (Gc.minor_words () -. w0) /. float_of_int (String.length src) in
+  check int_t "one comment" 1 (List.length doc.T.root.T.children);
+  if per_byte >= 0.5 then
+    Alcotest.failf "%.2f minor words per input byte (limit 0.5)" per_byte
+
 (* --- printing ------------------------------------------------------ *)
 
 let test_print_escapes () =
@@ -165,6 +218,26 @@ let test_pi_unserializable () =
   (match Pr.node_to_string (T.Pi { target = "p"; data = "a?>b" }) with
   | exception Pr.Unserializable _ -> ()
   | s -> Alcotest.failf "PI data with \"?>\" must not serialize (got %S)" s)
+
+(* a character the parser refuses raw has no escape either: printing it
+   would emit XML that does not parse back *)
+let test_unprintable_chars () =
+  List.iter
+    (fun raw ->
+      List.iter
+        (fun (what, n) ->
+          match Pr.node_to_string n with
+          | exception Pr.Unserializable _ -> ()
+          | s -> Alcotest.failf "%s holding %S must not serialize (got %S)" what raw s)
+        [
+          ("text", T.element "a" [ T.text ("x" ^ raw) ]);
+          ("attribute", T.element ~attrs:[ { T.attr_name = "b"; attr_value = raw } ] "a" []);
+          ("comment", T.Comment raw);
+          ("PI data", T.Pi { target = "p"; data = raw });
+        ])
+    [ "\x01"; "\xff"; "\xef\xbf\xbe" ];
+  let n = T.element "a" [ T.text "\xc3\xa9\t" ] in
+  check string_t "valid UTF-8 prints raw" "<a>\xc3\xa9\t</a>" (Pr.node_to_string n)
 
 let test_pretty () =
   let n = T.element "a" [ T.element "b" [ T.text "x" ] ] in
@@ -331,7 +404,11 @@ let tests =
       Alcotest.test_case "self-closing" `Quick test_self_closing;
       Alcotest.test_case "deep nesting" `Quick test_nested_deep;
       Alcotest.test_case "malformed inputs" `Quick test_errors;
+      Alcotest.test_case "comment grammar" `Quick test_comment_grammar;
+      Alcotest.test_case "raw characters" `Quick test_raw_chars;
+      Alcotest.test_case "long comment allocation" `Quick test_long_comment_allocation;
       Alcotest.test_case "print escapes" `Quick test_print_escapes;
+      Alcotest.test_case "unprintable characters" `Quick test_unprintable_chars;
       Alcotest.test_case "print/parse stable" `Quick test_print_parse_roundtrip;
       Alcotest.test_case "attr control chars roundtrip" `Quick
         test_attr_control_roundtrip;
