@@ -167,7 +167,7 @@ let query_cmd =
                   in
                   if sat = [] then []
                   else
-                    let res = O.Translate.eval_union db ~doc:"doc" enc sat in
+                    let res = O.Translate.exec db ~doc:"doc" enc (O.Translate.compile ~doc:"doc" enc sat) in
                     List.map
                       (fun (row : O.Node_row.t) ->
                         O.Api.Store.subtree store ~id:row.O.Node_row.id)
@@ -202,8 +202,15 @@ let analyze_flag =
 let run_path (r : O.Translate.run) =
   O.Xpath_ast.to_string { O.Xpath_ast.absolute = r.O.Translate.from_root; steps = r.O.Translate.steps }
 
+(* the statement a middle-tier step reads its candidates with, if one *)
+let rec fetch_sql = function
+  | O.Translate.Root r | O.Translate.Context r | O.Translate.Doc_order r -> Some r.O.Translate.sql
+  | O.Translate.Prefixes sql -> Some sql
+  | O.Translate.With_self f -> fetch_sql f
+  | O.Translate.Self_rows | O.Translate.Chain_walk | O.Translate.Levels -> None
+
 (* The compiled segments of each path, as evaluation executes them. *)
-let print_segments db ~analyze enc paths =
+let print_segments db ~analyze paths compiled =
   List.iter2
     (fun p segs ->
       Printf.printf "-- compiled: %s\n" (O.Xpath_ast.to_string p);
@@ -211,7 +218,9 @@ let print_segments db ~analyze enc paths =
         (fun i seg ->
           match seg with
           | O.Translate.Step s ->
-              Printf.printf "-- %d. middle-tier step: %s\n" (i + 1) (O.Xpath_ast.step_to_string s)
+              Printf.printf "-- %d. middle-tier step: %s\n" (i + 1)
+                (O.Xpath_ast.step_to_string s.O.Translate.step);
+              Option.iter print_endline (fetch_sql s.O.Translate.fetch)
           | O.Translate.Run r ->
               Printf.printf "-- %d. run%s%s: %s\n%s\n" (i + 1)
                 (if r.O.Translate.from_root then " from the root" else " from the context")
@@ -230,16 +239,16 @@ let print_segments db ~analyze enc paths =
                     "-- explain analyze: this run reads the previous step's context, \
                      which exists only while the query runs")
         segs)
-    paths
-    (O.Translate.compile ~doc:"doc" enc paths)
+    paths compiled
 
 let sql_cmd =
   let run enc path q analyze db_dir dtd_path root =
     wrap (fun () ->
         let db, store = load_store ?db_dir path enc in
         Fun.protect ~finally:(fun () -> Reldb.Db.close db) @@ fun () ->
+        (* the store's compiled query: the value [query] runs next *)
         let paths = O.Xpath_parser.parse_union q in
-        print_segments db ~analyze enc paths;
+        print_segments db ~analyze paths (O.Api.Store.compile store q);
         let r = O.Api.Store.query store q in
         Printf.printf "-- executed: %d statement(s), %d result node(s)\n"
           r.O.Translate.statements
@@ -266,7 +275,7 @@ let sql_cmd =
                   let rw = sr.Analysis.Schema_check.rewritten in
                   if rw <> p then begin
                     Printf.printf "  rewritten: %s\n" (O.Xpath_ast.to_string rw);
-                    print_segments db ~analyze:false enc [ rw ]
+                    print_segments db ~analyze:false [ rw ] (O.Translate.compile ~doc:"doc" enc [ rw ])
                   end
                 end)
               paths)
@@ -279,7 +288,13 @@ let sql_cmd =
       $ dtd_opt $ root_opt)
 
 let stats_cmd =
-  let run enc path =
+  let xpaths =
+    Cmdliner.Arg.(
+      value & pos_right 0 string []
+      & info [] ~docv:"XPATH"
+          ~doc:"Queries to run once each, in order, after the load; the metrics include them.")
+  in
+  let run enc path xpaths =
     wrap (fun () ->
         let doc = Xmllib.Parser.parse_document (read_file path) in
         Format.printf "%a@." Xmllib.Stats.pp (Xmllib.Stats.compute doc);
@@ -288,9 +303,14 @@ let stats_cmd =
         let db = Reldb.Db.create () in
         let store = O.Api.Store.create db ~name:"doc" enc doc in
         Format.printf "@.%a@." O.Storage.pp (O.Api.Store.storage store);
+        List.iter (fun q -> ignore (O.Api.Store.query store q)) xpaths;
         let hits, misses, entries = Reldb.Db.plan_cache_stats db in
         Printf.printf "\nplan cache: %d hit(s), %d miss(es), %d cached plan(s)\n"
           hits misses entries;
+        Printf.printf "xpath cache: %d hit(s), %d miss(es), %d compiled quer%s\n"
+          (Obs.counter_value "xpath_cache.hit") (Obs.counter_value "xpath_cache.miss")
+          (O.Api.Store.cached store)
+          (if O.Api.Store.cached store = 1 then "y" else "ies");
         print_newline ();
         print_string (Obs.Report.to_text ()))
   in
@@ -298,8 +318,8 @@ let stats_cmd =
     (Cmdliner.Cmd.info "stats"
        ~doc:
          "Structural statistics of the document, storage cost under the \
-          chosen encoding, and engine metrics for the load.")
-    Cmdliner.Term.(const run $ encoding $ file)
+          chosen encoding, and engine metrics for the load and the given queries.")
+    Cmdliner.Term.(const run $ encoding $ file $ xpaths)
 
 let tables_cmd =
   let run enc path db_dir =
@@ -439,7 +459,7 @@ let lint_xpath db encodings paths =
             (fun i seg ->
               let what =
                 match seg with
-                | O.Translate.Step s -> "middle-tier step " ^ O.Xpath_ast.step_to_string s
+                | O.Translate.Step s -> "middle-tier step " ^ O.Xpath_ast.step_to_string s.O.Translate.step
                 | O.Translate.Run r -> "run " ^ run_path r
               in
               let findings = Analysis.Lint.lint_segment (Reldb.Db.catalog db) enc seg in

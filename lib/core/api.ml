@@ -2,16 +2,19 @@ exception No_subtree = Reconstruct.No_subtree
 exception No_document = Reconstruct.No_document
 
 module Store = struct
-  type t = { db : Reldb.Db.t; name : string; enc : Encoding.t }
+  (* [cache]: XPath text -> compiled query, as many as the plan cache holds *)
+  type t = { db : Reldb.Db.t; name : string; enc : Encoding.t; cache : (string, Translate.query) Reldb.Lru.t }
+
+  let make db ~name enc = { db; name; enc; cache = Reldb.Lru.create 128 }
 
   let create ?gap db ~name enc doc =
     ignore (Shred.shred ?gap db ~doc:name enc doc);
-    { db; name; enc }
+    make db ~name enc
 
   let open_existing db ~name enc =
     (* probe the table so a missing store fails loudly *)
     ignore (Reldb.Db.table db (Encoding.table_name ~doc:name enc));
-    { db; name; enc }
+    make db ~name enc
 
   let drop t = Encoding.drop_tables t.db ~doc:t.name t.enc
 
@@ -24,19 +27,36 @@ module Store = struct
   let op_span t name f =
     Obs.Span.with_ name ~attrs:[ ("encoding", Encoding.name t.enc) ] f
 
+  (* The cached query of [xpath], counted as a hit or a miss. *)
+  let lookup t xpath =
+    let q = Reldb.Lru.find t.cache xpath in
+    Obs.incr (if Option.is_none q then "xpath_cache.miss" else "xpath_cache.hit");
+    q
+
+  let remember t xpath u =
+    let q = Translate.compile ~doc:t.name t.enc u in
+    Reldb.Lru.add t.cache xpath q;
+    q
+
+  let compile t xpath =
+    match lookup t xpath with Some q -> q | None -> remember t xpath (Xpath_parser.parse_union xpath)
+
+  let cached t = Reldb.Lru.length t.cache
+
   let query t xpath =
-    Obs.Span.with_ "query"
-      ~attrs:[ ("xpath", xpath); ("encoding", Encoding.name t.enc) ]
-    @@ fun () ->
-    let parsed =
-      Obs.Span.with_ "xpath-parse" (fun () -> Xpath_parser.parse_union xpath)
+    let hit = lookup t xpath in
+    let attrs = [ ("xpath", xpath); ("encoding", Encoding.name t.enc); ("cached", string_of_bool (hit <> None)) ] in
+    Obs.Span.with_ "query" ~attrs @@ fun () ->
+    let q =
+      match hit with
+      | Some q -> q
+      | None ->
+          let u = Obs.Span.with_ "xpath-parse" (fun () -> Xpath_parser.parse_union xpath) in
+          Obs.Span.with_ "translate" (fun () -> remember t xpath u)
     in
-    (* translation emits and executes SQL as it walks the steps, so engine
-       spans (sql-parse / plan / exec) nest under [translate] *)
-    Obs.Span.with_ "translate" @@ fun () ->
-    match parsed with
-    | [ p ] -> Translate.eval t.db ~doc:t.name t.enc p
-    | u -> Translate.eval_union t.db ~doc:t.name t.enc u
+    (* the compiled statements run, and engine spans (sql-parse / plan /
+       exec) nest, under [translate] *)
+    Obs.Span.with_ "translate" (fun () -> Translate.exec t.db ~doc:t.name t.enc q)
 
   let query_ids t xpath =
     List.map (fun (r : Node_row.t) -> r.Node_row.id) (query t xpath).Translate.rows

@@ -64,7 +64,15 @@ module Store : sig
 
   val query : t -> string -> Translate.result
   (** Evaluate an XPath string. @raise Xpath_parser.Parse_error on bad
-      syntax. *)
+      syntax. The store caches the compiled query of up to 128 texts
+      (least recently used out first), which updates never invalidate; a
+      hit skips parsing and translation, and its [query] span says
+      [cached=true] (Obs counters [xpath_cache.hit] / [.miss]). *)
+
+  val compile : t -> string -> Translate.query
+  (** The compiled query {!query} runs for the text, through the cache. *)
+
+  val cached : t -> int  (** texts whose compiled query the store holds *)
 
   val query_ids : t -> string -> int list
   (** Node ids in document order. *)

@@ -315,21 +315,31 @@ let parse src =
 
 type env = (string * Node_row.t list) list
 
-type ectx = { db : Reldb.Db.t; doc : string; enc : Encoding.t }
+(* [paths]: each path compiled on first use, once per evaluation *)
+type ectx = { db : Reldb.Db.t; doc : string; enc : Encoding.t; mutable paths : (A.path * Translate.query) list }
+
+(* The rows of [p] from the nodes [ids], or from the root when absolute *)
+let path_rows ctx (p : A.path) ~ids =
+  let ids = if p.A.absolute then None else ids in
+  let q =
+    match List.assq_opt p ctx.paths with
+    | Some q -> q
+    | None ->
+        let q = Translate.compile ~relative:(ids <> None) ~doc:ctx.doc ctx.enc [ p ] in
+        ctx.paths <- (p, q) :: ctx.paths;
+        q
+  in
+  (Translate.exec ?ids ctx.db ~doc:ctx.doc ctx.enc q).Translate.rows
 
 let resolve ctx (env : env) = function
-  | P_abs p ->
-      (Translate.eval ctx.db ~doc:ctx.doc ctx.enc p).Translate.rows
+  | P_abs p -> path_rows ctx p ~ids:None
   | P_var (v, rel) -> (
       match List.assoc_opt v env with
       | None -> efail "unbound variable $%s" v
       | Some rows -> (
           match rel with
           | None -> rows
-          | Some p ->
-              let ids = List.map (fun (r : Node_row.t) -> r.Node_row.id) rows in
-              (Translate.eval_from_ids ctx.db ~doc:ctx.doc ctx.enc ~ids p)
-                .Translate.rows))
+          | Some p -> path_rows ctx p ~ids:(Some (List.map (fun (r : Node_row.t) -> r.Node_row.id) rows))))
 
 let string_value ctx r = Reconstruct.string_value ctx.db ~doc:ctx.doc ctx.enc r
 
@@ -422,7 +432,7 @@ let rec instantiate ctx env (c : content) : T.node list =
       [ T.Element { T.tag = e.e_tag; attrs; children } ]
 
 let eval db ~doc enc (q : t) =
-  let ctx = { db; doc; enc } in
+  let ctx = { db; doc; enc; paths = [] } in
   let envs = List.fold_left (apply_clause ctx) [ [] ] q.clauses in
   List.concat_map
     (fun env -> List.concat_map (instantiate ctx env) q.ctor)

@@ -27,18 +27,14 @@ type state = {
   db : Reldb.Db.t;
   enc : Encoding.t;
   tname : string;
-  chains : chains option;  (* LOCAL only *)
+  chains : chains;  (* filled under LOCAL only *)
   mutable nstmt : int;
   mutable log : string list;  (* reversed *)
 }
 
 let new_state db ~doc enc =
-  let chains =
-    match enc with
-    | Encoding.Local ->
-        Some { rows = Itbl.create 64; keys = Itbl.create 64 }
-    | _ -> None
-  in
+  let n = if enc = Encoding.Local then 64 else 1 in
+  let chains = { rows = Itbl.create n; keys = Itbl.create n } in
   { db; enc; tname = Encoding.table_name ~doc enc; chains; nstmt = 0; log = [] }
 
 let run_sql st ?(params = [||]) sql =
@@ -48,9 +44,7 @@ let run_sql st ?(params = [||]) sql =
   Reldb.Db.query_params st.db sql params
 
 let remember st (r : Node_row.t) =
-  match st.chains with
-  | Some c -> Itbl.replace c.rows r.Node_row.id r
-  | None -> ()
+  if st.enc = Encoding.Local then Itbl.replace st.chains.rows r.Node_row.id r
 
 let decode st tu =
   let r = Node_row.of_tuple st.enc tu in
@@ -59,7 +53,8 @@ let decode st tu =
 
 (* Statements over a context relation select c.id last, after the columns
    Node_row.of_tuple reads: the rows of [sql] over [rel] filled with [ctx],
-   each tagged with its context id. *)
+   each tagged with its context id. Every relation's id column is an INT
+   filled from node ids, so the last value is an int. *)
 let tagged st rel ctx ?params sql =
   let ctx_id tu =
     match tu.(Array.length tu - 1) with
@@ -69,11 +64,11 @@ let tagged st rel ctx ?params sql =
   Node_row.with_relation st.db rel ctx (fun () ->
       List.map (fun tu -> (ctx_id tu, decode st tu)) (run_sql st ?params sql))
 
-let ctx_join st rel ctx where =
-  tagged st rel ctx
-    (Printf.sprintf "SELECT %s, c.id FROM %s e, %s c WHERE %s"
-       (Node_row.select_list st.enc "e")
-       st.tname rel.Node_row.rel_name where)
+let ctx_sql enc ~table rel where =
+  Printf.sprintf "SELECT %s, c.id FROM %s e, %s c WHERE %s" (Node_row.select_list enc "e") table
+    rel.Node_row.rel_name where
+
+let ctx_join st rel ctx where = tagged st rel ctx (ctx_sql st.enc ~table:st.tname rel where)
 
 (* ------------------------------------------------------------------ *)
 (* The join table                                                      *)
@@ -380,7 +375,30 @@ type run = {
   derived : run option;
 }
 
-type segment = Run of run | Step of A.step
+type segment = Run of run | Step of step
+and step = { step : A.step; fetch : fetch; preds : pred list }
+
+and fetch =
+  | Self_rows
+  | Root of run
+  | Context of run
+  | Prefixes of string
+  | Chain_walk
+  | Levels
+  | Doc_order of run
+  | With_self of fetch
+
+and pred =
+  | Pos of A.cmp * int
+  | Last
+  | Exists of segment list
+  | Cmp of segment list * A.cmp * A.literal * segment list
+  | Count of segment list * A.cmp * int
+  | And of pred * pred
+  | Or of pred * pred
+  | Not of pred
+
+type query = segment list list
 
 let init l = List.filteri (fun i _ -> i < List.length l - 1) l
 
@@ -397,6 +415,7 @@ let init l = List.filteri (fun i _ -> i < List.length l - 1) l
    columns and keeps LIMIT ? OFFSET ? rows per context. [keep_chain]: the
    rows of the chain's earlier steps follow the result's columns. *)
 let lower ~from_root ~sort ~keep_chain enc ~table blocks =
+  Obs.incr "translate.lowered";
   let local = enc = Encoding.Local in
   let all = block_steps blocks in
   let col a = a ^ "." ^ Encoding.order_col enc and qual (a, c) = a ^ "." ^ c in
@@ -503,12 +522,19 @@ let lower ~from_root ~sort ~keep_chain enc ~table blocks =
   in
   block ~prev ~final:true ~steps:(steps @ (snd blocks).b_steps) (snd blocks)
 
+(* One step without its predicates, as a run from the root or from the
+   context relation; under LOCAL its rows enter the parent-chain cache. *)
+let step_run enc ~table ~from_root (step : A.step) =
+  lower ~from_root ~sort:false ~keep_chain:true enc ~table
+    ([], { b_steps = [ { step with A.preds = [] } ]; b_tail = None; b_distinct = false })
+
 (* The one segmentation: each maximal run (see [blocks]) is one statement,
-   every other step one middle-tier step. A run from the root that ends a
-   [final] path sorts its rows when it can; otherwise LOCAL keeps its
-   chain's rows, and so nests no derived table. An absolute path must
-   start with a child or descendant step. *)
-let segments enc ~table ~from_root ~final steps =
+   every other step one middle-tier step, compiled with the statements that
+   fetch its candidates and the segments of its predicates' paths. A run
+   from the root that ends a [final] path sorts its rows when it can;
+   otherwise LOCAL keeps its chain's rows, and so nests no derived table. An
+   absolute path must start with a child or descendant step. *)
+let rec segments enc ~table ~from_root ~final steps =
   let rec go ~from_root steps =
     match steps with
     | [] -> []
@@ -517,7 +543,7 @@ let segments enc ~table ~from_root ~final steps =
         let bs = blocks enc ~nest:true ~from_root steps in
         let bs = if enc = Encoding.Local && not (whole bs) then blocks enc ~nest:false ~from_root steps else bs in
         match List.length (block_steps bs) with
-        | 0 -> Step s :: go ~from_root:false rest
+        | 0 -> Step (middle_step enc ~table ~lead:from_root s) :: go ~from_root:false rest
         | n ->
             let last = whole bs in
             Run (lower ~from_root ~sort:last ~keep_chain:(from_root && enc = Encoding.Local && not last) enc ~table bs)
@@ -527,10 +553,43 @@ let segments enc ~table ~from_root ~final steps =
   | first :: _ when from_root && not (step_lowers enc ~lead:true { first with A.preds = [] }) -> []
   | _ -> go ~from_root steps
 
-let compile ~doc enc (u : A.union) =
+(* How the middle tier reads a step's candidates: a step leading the path
+   from the root, else per axis and encoding (see [candidates]). *)
+and middle_step enc ~table ~lead (s : A.step) =
+  let rec fetch (axis : A.axis) =
+    let local = enc = Encoding.Local in
+    match axis with
+    | _ when lead -> Root (step_run enc ~table ~from_root:true s)
+    | A.Self -> Self_rows
+    | A.Ancestor_or_self when not (is_global enc) -> With_self (fetch A.Ancestor)
+    | A.Descendant_or_self when not (is_global enc) -> With_self (fetch A.Descendant)
+    | A.Ancestor when local -> Chain_walk
+    | A.Ancestor when not (is_global enc) ->
+        Prefixes
+          (ctx_sql enc ~table (Node_row.ctx_relation enc) ("e.path = c.path AND " ^ test_cond "e" axis s.A.test))
+    | A.Descendant when local -> Levels
+    | (A.Following | A.Preceding) when local ->
+        Doc_order (step_run enc ~table ~from_root:true { s with A.axis = A.Descendant })
+    | _ -> Context (step_run enc ~table ~from_root:false { s with A.axis })
+  in
+  { step = s; fetch = fetch s.A.axis; preds = List.map (compile_pred enc ~table) s.A.preds }
+
+and compile_pred enc ~table (p : A.predicate) =
+  let path steps = segments enc ~table ~from_root:false ~final:false steps in
+  match p with
+  | A.P_pos (op, k) -> Pos (op, k)
+  | A.P_last -> Last
+  | A.P_exists p -> Exists (path p.A.steps)
+  | A.P_cmp (p, op, lit) -> Cmp (path p.A.steps, op, lit, path [ { A.axis = A.Child; test = A.Text_test; preds = [] } ])
+  | A.P_count (p, op, k) -> Count (path p.A.steps, op, k)
+  | A.P_and (a, b) -> And (compile_pred enc ~table a, compile_pred enc ~table b)
+  | A.P_or (a, b) -> Or (compile_pred enc ~table a, compile_pred enc ~table b)
+  | A.P_not a -> Not (compile_pred enc ~table a)
+
+let compile ?(relative = false) ~doc enc (u : A.union) =
   let table = Encoding.table_name ~doc enc in
-  let final = List.length u = 1 in
-  List.map (fun (p : A.path) -> segments enc ~table ~from_root:true ~final p.A.steps) u
+  let final = (not relative) && List.length u = 1 in
+  List.map (fun (p : A.path) -> segments enc ~table ~from_root:(not relative) ~final p.A.steps) u
 
 (* ------------------------------------------------------------------ *)
 (* Running statements                                                  *)
@@ -587,25 +646,16 @@ let ctx_run st ctx_rows (r : run) =
 let root_run st (r : run) =
   let n = List.length r.chain in
   let remember_chain tu =
-    match st.chains with
-    | Some c ->
-        let width = Array.length tu / n in
-        for i = 1 to n - 1 do
-          match tu.((i * width) + Encoding.col_id) with
-          | V.Int id when Itbl.mem c.rows id -> ()
-          | _ -> remember st (Node_row.of_tuple st.enc (Array.sub tu (i * width) width))
-        done
-    | None -> ()
+    let width = Array.length tu / n in
+    for i = 1 to n - 1 do
+      match tu.((i * width) + Encoding.col_id) with
+      | V.Int id when Itbl.mem st.chains.rows id -> ()
+      | _ -> remember st (Node_row.of_tuple st.enc (Array.sub tu (i * width) width))
+    done
   in
   (* rows that end the path need no parent chains *)
   let decode tu = if r.keeps_chain then (remember_chain tu; decode st tu) else Node_row.of_tuple st.enc tu in
   List.map decode (run_sql st ~params:r.params r.sql)
-
-(* One step without its predicates, as a run from the root (its rows enter
-   LOCAL's cache) or from the context rows. *)
-let step_run st ~from_root (step : A.step) =
-  lower ~from_root ~sort:false ~keep_chain:true st.enc ~table:st.tname
-    ([], { b_steps = [ { step with A.preds = [] } ]; b_tail = None; b_distinct = false })
 
 (* ---- LOCAL middle-tier machinery --------------------------------- *)
 
@@ -623,22 +673,26 @@ let fetch_by_ids st ids =
    from the root down, compared as a Dewey path. Attributes have
    l_order <= 0, so they sort after their owner element and before its
    children. A key's proper prefixes are exactly the keys of the row's
-   ancestors. [sort_by_key key l] is [l] stably sorted by [key], computed
-   once per element. *)
-let sort_by_key key l =
-  List.map snd
-    (List.stable_sort (fun (a, _) (b, _) -> Dewey.compare a b) (List.map (fun x -> (key x, x)) l))
+   ancestors. [keyed key l] pairs [l] with [key], computed once per element,
+   stably sorted by it; like Exec's Sort, it leaves input that arrives in
+   order as it is. *)
+let rec is_sorted cmp = function a :: (b :: _ as l) -> cmp a b <= 0 && is_sorted cmp l | _ -> true
 
-let chains st =
-  match st.chains with
-  | Some c -> c
-  | None -> invalid_arg "Translate: parent chains are LOCAL-only"
+let keyed key l =
+  let kl = List.map (fun x -> (key x, x)) l and cmp (a, _) (b, _) = Dewey.compare a b in
+  if is_sorted cmp kl then kl
+  else
+    let a = Array.of_list kl in
+    Array.stable_sort cmp a;
+    Array.to_list a
+
+let sort_by_key key l = List.map snd (keyed key l)
 
 (* Make the parent chains of [rows] complete in the query's cache: only
    ancestors no statement has fetched yet are fetched, one join per level.
    Returns the key function, which reads the cache and memoizes. *)
 let local_order_keys st (rows : Node_row.t list) =
-  let c = chains st in
+  let c = st.chains in
   List.iter (remember st) rows;
   let seen = Itbl.create 64 in
   (* parent ids missing from the cache on r's chain *)
@@ -712,15 +766,15 @@ let local_descendants st ctx_rows =
   in
   go [] (List.map (fun (r : Node_row.t) -> (r.Node_row.id, r)) ctx_rows)
 
-(* LOCAL following/preceding: fetch the rows passing the node test, key
-   them and their ancestors, and sort them once. following(c) is the run
-   after c's subtree; preceding(c) is the run before c minus c's ancestors
-   (the prefixes of its key, the owner of an attribute included). *)
-let local_doc_order st ctx_rows (step : A.step) =
-  let cands = root_run st (step_run st ~from_root:true { step with A.axis = A.Descendant }) in
+(* LOCAL following/preceding from the root's descendants passing the node
+   test ([cands_run]): key them and their ancestors, and sort them once.
+   following(c) is the run after c's subtree; preceding(c) is the run
+   before c minus c's ancestors (the prefixes of its key, the owner of an
+   attribute included). *)
+let local_doc_order st ctx_rows axis cands_run =
+  let cands = root_run st cands_run in
   let key = local_order_keys st (ctx_rows @ cands) in
-  let sorted = Array.of_list (List.map (fun r -> (key r, r)) cands) in
-  Array.stable_sort (fun (a, _) (b, _) -> Dewey.compare a b) sorted;
+  let sorted = Array.of_list (keyed key cands) in
   let n = Array.length sorted in
   (* first index whose key satisfies [p], monotone over the sorted keys *)
   let first p =
@@ -737,7 +791,7 @@ let local_doc_order st ctx_rows (step : A.step) =
       (fun (c : Node_row.t) ->
         let kc = key c in
         let pair (_, r) = (c.Node_row.id, r) in
-        match step.A.axis with
+        match axis with
         | A.Following ->
             let i =
               first (fun k -> Dewey.compare k kc > 0 && not (Dewey.is_strict_prefix kc k))
@@ -769,31 +823,26 @@ let test_passes axis (test : A.node_test) (r : Node_row.t) =
   | _, A.Node_test -> k <> Doc_index.Attr
 
 (* Candidates for one step from a deduplicated context row list, in the
-   middle tier. Returns (ctx id, row) pairs plus an optional doc-order key
-   function used to sort groups when the row's own ord is not a document
-   order (LOCAL descendants). *)
-let rec step_candidates st ctx_rows (step : A.step) :
+   middle tier, through the step's compiled [fetch]. Returns (ctx id, row)
+   pairs plus an optional doc-order key function used to sort groups when
+   the row's own ord is not a document order (LOCAL descendants). *)
+let rec candidates st ctx_rows (s : step) fetch :
     (int * Node_row.t) list * (Node_row.t -> int array) option =
-  let self axis =
-    List.filter_map
-      (fun (r : Node_row.t) ->
-        if test_passes axis step.A.test r then Some (r.Node_row.id, r) else None)
-      ctx_rows
+  let { A.axis; test; _ } = s.step in
+  let self () =
+    List.filter_map (fun (r : Node_row.t) -> if test_passes A.Child test r then Some (r.Node_row.id, r) else None) ctx_rows
   in
-  let with_self axis =
-    (* reverse-axis sorting puts self before its ancestors, and self sorts
-       before its descendants; LOCAL's key function covers the self rows,
-       whose chains it completed *)
-    let more, keys = step_candidates st ctx_rows { step with A.axis } in
-    (self A.Child @ more, keys)
-  in
-  match (step.A.axis, st.enc) with
-  | A.Self, _ -> (self step.A.axis, None)
-  | A.Ancestor_or_self, (Encoding.Local | Encoding.Dewey_enc | Encoding.Dewey_caret) ->
-      with_self A.Ancestor
-  | A.Descendant_or_self, (Encoding.Local | Encoding.Dewey_enc | Encoding.Dewey_caret) ->
-      with_self A.Descendant
-  | A.Ancestor, (Encoding.Dewey_enc | Encoding.Dewey_caret) ->
+  match fetch with
+  | Self_rows -> (self (), None)
+  | With_self f ->
+      (* reverse-axis sorting puts self before its ancestors, and self sorts
+         before its descendants; LOCAL's key function covers the self rows,
+         whose chains it completed *)
+      let more, keys = candidates st ctx_rows s f in
+      (self () @ more, keys)
+  | Root r -> (List.map (fun r -> (0, r)) (root_run st r), None)
+  | Context r -> (ctx_run st ctx_rows r, None)
+  | Prefixes sql ->
       (* every ancestor's path is a proper prefix of the context's path:
          one join of the path index with (ctx id, prefix) rows (prefixes
          that are no node — carets — simply match nothing) *)
@@ -810,55 +859,35 @@ let rec step_candidates st ctx_rows (step : A.step) :
                 |]))
           ctx_rows
       in
-      let pairs =
-        if prefixes = [] then []
-        else
-          ctx_join st (Node_row.ctx_relation st.enc) prefixes
-            ("e.path = c.path AND " ^ test_cond "e" step.A.axis step.A.test)
-      in
-      (pairs, None)
-  | A.Ancestor, Encoding.Local ->
+      ((if prefixes = [] then [] else tagged st (Node_row.ctx_relation st.enc) prefixes sql), None)
+  | Chain_walk ->
       (* complete the context rows' chains, then walk them in the cache *)
       let key = local_order_keys st ctx_rows in
-      let c = chains st in
+      let c = st.chains in
       let rec up ctx acc = function
         | None -> acc
         | Some p -> (
             match Itbl.find_opt c.rows p with
             | None -> acc
             | Some row ->
-                let acc =
-                  if test_passes step.A.axis step.A.test row then
-                    (ctx, row) :: acc
-                  else acc
-                in
+                let acc = if test_passes axis test row then (ctx, row) :: acc else acc in
                 up ctx acc row.Node_row.parent)
       in
-      ( List.concat_map
-          (fun (r : Node_row.t) -> up r.Node_row.id [] r.Node_row.parent)
-          ctx_rows,
-        Some key )
-  | A.Descendant, Encoding.Local ->
-      let pairs =
-        List.filter
-          (fun (_, row) -> test_passes step.A.axis step.A.test row)
-          (local_descendants st ctx_rows)
-      in
+      (List.concat_map (fun (r : Node_row.t) -> up r.Node_row.id [] r.Node_row.parent) ctx_rows, Some key)
+  | Levels ->
+      let pairs = List.filter (fun (_, row) -> test_passes axis test row) (local_descendants st ctx_rows) in
       (* positional predicates need each group in document order; every
          descendant's chain runs through a context row, so completing the
          context rows' chains keys them all *)
       (pairs, Some (local_order_keys st ctx_rows))
-  | (A.Following | A.Preceding), Encoding.Local ->
-      if ctx_rows = [] then ([], None) else local_doc_order st ctx_rows step
-  | _ -> (ctx_run st ctx_rows (step_run st ~from_root:false step), None)
+  | Doc_order r -> if ctx_rows = [] then ([], None) else local_doc_order st ctx_rows axis r
 
 (* ---- predicates --------------------------------------------------- *)
 
-(* Evaluate a relative path from origin rows; returns (origin id, row). *)
-let rec eval_rel st (origins : Node_row.t list) (steps : A.step list) =
-  exec_segments st
-    (List.map (fun (r : Node_row.t) -> (r.Node_row.id, r)) origins)
-    (segments st.enc ~table:st.tname ~from_root:false ~final:false steps)
+(* A relative path's compiled segments from origin rows; returns (origin
+   id, row). *)
+let rec eval_rel st (origins : Node_row.t list) segs =
+  exec_segments st (List.map (fun (r : Node_row.t) -> (r.Node_row.id, r)) origins) segs
 
 and exec_segments st pairs = function
   | [] -> pairs
@@ -868,10 +897,10 @@ and exec_segments st pairs = function
 (* One step over (origin, ctx row) pairs in the middle tier: dedupe
    contexts, fetch candidates, order per group, apply predicates, rebind to
    origins. *)
-and eval_one_step st pairs (step : A.step) =
+and eval_one_step st pairs (s : step) =
   let ctx_rows = dedup_rows (List.map snd pairs) in
-  let cands, keyfn = step_candidates st ctx_rows step in
-  if step.A.preds = [] then rebind pairs cands
+  let cands, keyfn = candidates st ctx_rows s s.fetch in
+  if s.preds = [] then rebind pairs cands
   else begin
     (* group by ctx id, preserving candidate order *)
     let group_order = ref [] in
@@ -890,50 +919,42 @@ and eval_one_step st pairs (step : A.step) =
         | Some key -> sort_by_key (fun (_, r) -> key r) rows
         | None -> List.stable_sort (fun (_, a) (_, b) -> Node_row.compare_ord a b) rows
       in
-      if is_reverse_axis step.A.axis then List.rev sorted else sorted
+      if is_reverse_axis s.step.A.axis then List.rev sorted else sorted
     in
     (* batched evaluation of path sub-predicates over all candidates *)
-    let path_sets = eval_path_preds st (dedup_rows (List.map snd cands)) step.A.preds in
+    let path_sets = eval_path_preds st (dedup_rows (List.map snd cands)) s.preds in
     rebind pairs
       (List.concat_map
          (fun ctx ->
            let rows = List.map snd (sort_group (List.rev !(Itbl.find groups ctx))) in
-           List.map
-             (fun r -> (ctx, r))
-             (List.fold_left (apply_pred path_sets) rows step.A.preds))
+           List.map (fun r -> (ctx, r)) (List.fold_left (apply_pred path_sets) rows s.preds))
          (List.rev !group_order))
   end
 
-(* Evaluate all P_exists / P_cmp subterms of the predicates, batched over
-   every candidate row; returns an assoc list keyed by physical identity. *)
+(* Evaluate all Exists / Cmp / Count subterms of the predicates, batched
+   over every candidate row; returns an assoc list keyed by physical
+   identity. *)
 and eval_path_preds st cand_rows preds =
   let sets = ref [] in
-  let rec walk (p : A.predicate) =
+  let rec walk p =
     match p with
-    | A.P_exists path ->
-        let sat = eval_exists st cand_rows path in
-        sets := (Obj.repr p, sat) :: !sets
-    | A.P_cmp (path, op, lit) ->
-        let sat = eval_cmp st cand_rows path op lit in
-        sets := (Obj.repr p, sat) :: !sets
-    | A.P_count (path, op, k) ->
-        let sat = eval_count st cand_rows path op k in
-        sets := (Obj.repr p, sat) :: !sets
-    | A.P_and (a, b) | A.P_or (a, b) ->
+    | Exists segs -> sets := (p, eval_exists st cand_rows segs) :: !sets
+    | Cmp (segs, op, lit, texts) -> sets := (p, eval_cmp st cand_rows segs op lit texts) :: !sets
+    | Count (segs, op, k) -> sets := (p, eval_count st cand_rows segs op k) :: !sets
+    | And (a, b) | Or (a, b) ->
         walk a;
         walk b
-    | A.P_not a -> walk a
-    | A.P_pos _ | A.P_last -> ()
+    | Not a -> walk a
+    | Pos _ | Last -> ()
   in
   List.iter walk preds;
   !sets
 
-and eval_exists st origins (path : A.path) =
-  let pairs = eval_rel st origins path.A.steps in
-  List.fold_left (fun s (o, _) -> IdSet.add o s) IdSet.empty pairs
+and eval_exists st origins segs =
+  List.fold_left (fun s (o, _) -> IdSet.add o s) IdSet.empty (eval_rel st origins segs)
 
-and eval_count st origins (path : A.path) op k =
-  let pairs = eval_rel st origins path.A.steps in
+and eval_count st origins segs op k =
+  let pairs = eval_rel st origins segs in
   let counts = Itbl.create 16 in
   List.iter
     (fun ((o, _) : int * Node_row.t) ->
@@ -946,8 +967,9 @@ and eval_count st origins (path : A.path) op k =
       else s)
     IdSet.empty origins
 
-and eval_cmp st origins (path : A.path) op lit =
-  let pairs = eval_rel st origins path.A.steps in
+(* [texts]: the segments of child::text() *)
+and eval_cmp st origins segs op lit texts =
+  let pairs = eval_rel st origins segs in
   (* element results compare via their text children (data-centric
      string-value; see interface documentation) *)
   let elems, direct =
@@ -961,9 +983,7 @@ and eval_cmp st origins (path : A.path) op lit =
       if Encoding.value_matches op lit r.Node_row.value then sat := IdSet.add o !sat)
     direct;
   if elems <> [] then begin
-    let elem_rows = dedup_rows (List.map snd elems) in
-    let text_step = { A.axis = A.Child; test = A.Text_test; preds = [] } in
-    let texts = eval_rel st elem_rows [ text_step ] in
+    let texts = eval_rel st (dedup_rows (List.map snd elems)) texts in
     (* element id -> passes? *)
     let elem_pass = Itbl.create 16 in
     List.iter
@@ -978,30 +998,30 @@ and eval_cmp st origins (path : A.path) op lit =
   end;
   !sat
 
-and apply_pred path_sets rows (p : A.predicate) =
+and apply_pred path_sets rows p =
   let last = List.length rows in
-  let rec holds pos (r : Node_row.t) (p : A.predicate) =
+  let rec holds pos (r : Node_row.t) p =
     match p with
-    | A.P_pos (op, k) -> Encoding.cmp_holds op (Stdlib.compare pos k)
-    | A.P_last -> pos = last
-    | A.P_exists _ | A.P_cmp _ | A.P_count _ -> begin
-        match List.assq_opt (Obj.repr p) path_sets with
+    | Pos (op, k) -> Encoding.cmp_holds op (Stdlib.compare pos k)
+    | Last -> pos = last
+    | Exists _ | Cmp _ | Count _ -> begin
+        match List.assq_opt p path_sets with
         | Some set -> IdSet.mem r.Node_row.id set
         | None -> false
       end
-    | A.P_and (a, b) -> holds pos r a && holds pos r b
-    | A.P_or (a, b) -> holds pos r a || holds pos r b
-    | A.P_not a -> not (holds pos r a)
+    | And (a, b) -> holds pos r a && holds pos r b
+    | Or (a, b) -> holds pos r a || holds pos r b
+    | Not a -> not (holds pos r a)
   in
   List.filteri (fun i r -> holds (i + 1) r p) rows
 
 (* ---- whole paths --------------------------------------------------- *)
 
-(* sort candidates into document order *)
+(* sort candidates into document order, unless they already are *)
 let doc_sort st rows =
   match st.enc with
   | Encoding.Local -> sort_by_key (local_order_keys st rows) rows
-  | _ -> List.stable_sort Node_row.compare_ord rows
+  | _ -> if is_sorted Node_row.compare_ord rows then rows else List.stable_sort Node_row.compare_ord rows
 
 (* A path's segments from the root: its rows in document order. *)
 let exec_path st = function
@@ -1013,9 +1033,9 @@ let exec_path st = function
         | Step s ->
             (* predicates the statement cannot hold rank or test the first
                step's candidates in document order, in the middle tier *)
-            let rows = doc_sort st (root_run st (step_run st ~from_root:true s)) in
-            let path_sets = eval_path_preds st rows s.A.preds in
-            (List.fold_left (apply_pred path_sets) rows s.A.preds, true)
+            let rows = doc_sort st (List.map snd (fst (candidates st [] s s.fetch))) in
+            let path_sets = eval_path_preds st rows s.preds in
+            (List.fold_left (apply_pred path_sets) rows s.preds, true)
       in
       match rest with
       | [] when sorted -> rows
@@ -1026,22 +1046,14 @@ let exec_path st = function
 let result st rows = { rows; statements = st.nstmt; sql_log = List.rev st.log }
 
 (* a union sorts its paths' rows again, from LOCAL's chain cache *)
-let eval_union db ~doc enc u =
+let exec ?ids db ~doc enc (q : query) =
   let st = new_state db ~doc enc in
   result st
-    (match compile ~doc enc u with
-    | [ p ] -> exec_path st p
-    | ps -> doc_sort st (dedup_rows (List.concat_map (exec_path st) ps)))
+    (match (ids, q) with
+    | Some ids, q ->
+        let ctx = fetch_by_ids st ids in
+        doc_sort st (dedup_rows (List.concat_map (fun segs -> List.map snd (eval_rel st ctx segs)) q))
+    | None, [ p ] -> exec_path st p
+    | None, ps -> doc_sort st (dedup_rows (List.concat_map (exec_path st) ps)))
 
-let eval db ~doc enc path = eval_union db ~doc enc [ path ]
-
-let eval_ids db ~doc enc path =
-  List.map (fun (r : Node_row.t) -> r.Node_row.id) (eval db ~doc enc path).rows
-
-let eval_from_ids db ~doc enc ~ids (path : A.path) =
-  if path.A.absolute then eval db ~doc enc path
-  else begin
-    let st = new_state db ~doc enc in
-    let pairs = eval_rel st (fetch_by_ids st ids) path.A.steps in
-    result st (doc_sort st (dedup_rows (List.map snd pairs)))
-  end
+let eval db ~doc enc path = exec db ~doc enc (compile ~doc enc [ path ])

@@ -53,7 +53,7 @@
       call of the functions below keeps, for LOCAL only, one id -> row table
       (every edge row the call fetched) and one id -> key memo, shared by
       every step and the final sort, and drops both when it returns or
-      raises; GLOBAL and DEWEY allocate neither. So that this cache holds
+      raises; GLOBAL and DEWEY leave both empty. So that this cache holds
       every row a sort needs, a LOCAL run holds one step unless it is a
       child chain from the root, and such a chain, when more steps follow
       it or a union sorts it again, also selects the rows of its earlier
@@ -82,26 +82,16 @@ type result = {
 exception Unsupported of string
 
 val eval : Reldb.Db.t -> doc:string -> Encoding.t -> Xpath_ast.path -> result
-(** Evaluate an absolute or relative (root-context) path. *)
-
-val eval_union : Reldb.Db.t -> doc:string -> Encoding.t -> Xpath_ast.union -> result
-(** Evaluate a union of paths; results are merged, deduplicated and returned
-    in document order. *)
-
-val eval_ids : Reldb.Db.t -> doc:string -> Encoding.t -> Xpath_ast.path -> int list
-(** Just the node ids, in document order. *)
-
-val eval_from_ids :
-  Reldb.Db.t -> doc:string -> Encoding.t -> ids:int list -> Xpath_ast.path ->
-  result
-(** Evaluate a path with the given nodes as context (absolute paths restart
-    from the document root). Used by the FLWOR layer to resolve
-    variable-relative paths. *)
+(** Evaluate an absolute or relative (root-context) path: {!compile}, then
+    {!exec}. *)
 
 (** {2 The compiled form}
 
-    What {!eval}, {!eval_union} and {!eval_from_ids} execute, and what the
-    CLI and the static analysis read: there is no second compiler. *)
+    What {!exec} runs, and what the CLI and the static analysis read: there
+    is no second compiler. A compiled query holds every statement its
+    evaluation can issue, with its bound values, so running it lowers
+    nothing. It depends only on the table name, the encoding and the path,
+    so it can be kept and run again after any update. *)
 
 type run = {
   steps : Xpath_ast.step list;  (** the path steps the statement holds *)
@@ -137,13 +127,48 @@ type run = {
 
 type segment =
   | Run of run  (** one statement *)
-  | Step of Xpath_ast.step
+  | Step of step
       (** one step in the middle tier, from the previous segment's rows (or,
           leading a path, from the root): its candidates, ranked and
           filtered per context *)
 
-val compile : doc:string -> Encoding.t -> Xpath_ast.union -> segment list list
+and step = {
+  step : Xpath_ast.step;  (** the path step; its predicates run as [preds] *)
+  fetch : fetch;  (** how the step's candidates are read *)
+  preds : pred list;
+}
+
+and fetch =
+  | Self_rows  (** the context rows that pass the node test: no statement *)
+  | Root of run  (** a step leading the path: its rows from the root *)
+  | Context of run  (** one statement over the context relation *)
+  | Prefixes of string  (** DEWEY [ancestor]: one join with the contexts' path prefixes *)
+  | Chain_walk  (** LOCAL [ancestor]: parent chains, fetched by id per level *)
+  | Levels  (** LOCAL [descendant]: children by parent id, per level *)
+  | Doc_order of run  (** LOCAL [following]/[preceding]: the candidates from the root *)
+  | With_self of fetch  (** [-or-self] outside GLOBAL: the context rows, then [fetch] *)
+
+(** A predicate with the compiled segments of each path it reads from the
+    candidates; [Cmp]'s last segments read the elements' [child::text()]. *)
+and pred =
+  | Pos of Xpath_ast.cmp * int
+  | Last
+  | Exists of segment list
+  | Cmp of segment list * Xpath_ast.cmp * Xpath_ast.literal * segment list
+  | Count of segment list * Xpath_ast.cmp * int
+  | And of pred * pred
+  | Or of pred * pred
+  | Not of pred
+
+type query = segment list list
+
+val compile : ?relative:bool -> doc:string -> Encoding.t -> Xpath_ast.union -> query
 (** Each path of the union as the segments its evaluation executes, in
-    order. A one-path union is the whole query ({!eval}): its last run
-    from the root sorts its rows when it can. Runs of predicate paths are
-    cut the same way when the middle tier evaluates them. *)
+    order; a one-path union's last run from the root sorts when it can.
+    With [~relative:true], paths start from the context nodes given to
+    {!exec}. Each statement lowered counts in Obs's [translate.lowered]. *)
+
+val exec : ?ids:int list -> Reldb.Db.t -> doc:string -> Encoding.t -> query -> result
+(** Run a query compiled for the same [doc] and encoding; [ids] are the
+    context nodes of a [relative] one. The paths of a union are merged,
+    deduplicated and returned in document order. *)

@@ -4,8 +4,7 @@
    values; old row |]) and access path ({!Planner.table_access}), plan and
    pipeline. [?] slots stay parameters; each execution reads its bound
    values. A cache entry is valid only while the catalog version is
-   unchanged; [ce_tick] implements LRU — it records the last lookup that
-   touched the entry; eviction removes the smallest tick. *)
+   unchanged. *)
 type rows = Value.t array -> (int * Tuple.t) list
 
 type compiled =
@@ -22,7 +21,6 @@ type cache_entry = {
   ce_version : int;
   ce_compiled : compiled;
   ce_nparams : int;
-  mutable ce_tick : int;
 }
 
 (* Durable state for databases opened with [open_dir]: the WAL writer plus
@@ -52,8 +50,7 @@ type t = {
   mutable txn : bool;
   mutable slow_ms : float option;  (* slow-query log threshold *)
   mutable slow_log : (float * string) list;  (* newest first, capped *)
-  plan_cache : (string, cache_entry) Hashtbl.t;  (* keyed by raw SQL text *)
-  mutable cache_tick : int;
+  plan_cache : (string, cache_entry) Lru.t;  (* keyed by raw SQL text *)
   mutable cache_hits : int;
   mutable cache_misses : int;
   mutable dur : durable option;  (* None: plain in-memory database *)
@@ -77,8 +74,7 @@ let create () =
     txn = false;
     slow_ms = None;
     slow_log = [];
-    plan_cache = Hashtbl.create 64;
-    cache_tick = 0;
+    plan_cache = Lru.create plan_cache_cap;
     cache_hits = 0;
     cache_misses = 0;
     dur = None;
@@ -492,15 +488,10 @@ let parse sql =
    fresh Db, so stale plans are never served. The hit and miss counters
    count SELECT and UNION ALL lookups only. *)
 
-let cache_touch t entry =
-  t.cache_tick <- t.cache_tick + 1;
-  entry.ce_tick <- t.cache_tick
-
 let cache_lookup t sql =
-  match Hashtbl.find_opt t.plan_cache sql with
+  match Lru.find t.plan_cache sql with
   | Some entry
     when entry.ce_version = Catalog.version t.cat ->
-      cache_touch t entry;
       (match entry.ce_compiled with
       | Query _ ->
           t.cache_hits <- t.cache_hits + 1;
@@ -508,40 +499,21 @@ let cache_lookup t sql =
       | Update _ | Delete _ -> ());
       Some entry
   | Some _ ->
-      Hashtbl.remove t.plan_cache sql;
+      Lru.remove t.plan_cache sql;
       None
   | None -> None
 
 let cache_store t sql compiled nparams =
-  if Hashtbl.length t.plan_cache >= plan_cache_cap then begin
-    (* evict the least recently used entry; O(n) over a small fixed cap *)
-    let victim = ref None in
-    Hashtbl.iter
-      (fun key entry ->
-        match !victim with
-        | Some (_, best) when entry.ce_tick >= best -> ()
-        | _ -> victim := Some (key, entry.ce_tick))
-      t.plan_cache;
-    match !victim with
-    | Some (key, _) -> Hashtbl.remove t.plan_cache key
-    | None -> ()
-  end;
   (match compiled with
   | Query _ ->
       t.cache_misses <- t.cache_misses + 1;
       Obs.incr "db.plan_cache.miss"
   | Update _ | Delete _ -> ());
-  t.cache_tick <- t.cache_tick + 1;
-  Hashtbl.replace t.plan_cache sql
-    {
-      ce_version = Catalog.version t.cat;
-      ce_compiled = compiled;
-      ce_nparams = nparams;
-      ce_tick = t.cache_tick;
-    }
+  Lru.add t.plan_cache sql
+    { ce_version = Catalog.version t.cat; ce_compiled = compiled; ce_nparams = nparams }
 
 let plan_cache_stats t =
-  (t.cache_hits, t.cache_misses, Hashtbl.length t.plan_cache)
+  (t.cache_hits, t.cache_misses, Lru.length t.plan_cache)
 
 (* --- the execution path ------------------------------------------------ *)
 

@@ -29,7 +29,7 @@ let create tbl_name tbl_schema =
   {
     tbl_name;
     tbl_schema;
-    slots = Vec.create ();
+    slots = Vec.create ~fill:None;
     live = 0;
     idxs = [];
     reads = 0;

@@ -1,18 +1,18 @@
-type 'a t = { mutable data : 'a array; mutable len : int }
+type 'a t = { mutable data : 'a array; mutable len : int; fill : 'a }
 
-let create () = { data = [||]; len = 0 }
+let create ~fill = { data = [||]; len = 0; fill }
 
 let length t = t.len
 
-let grow t x =
+let grow t =
   let cap = Array.length t.data in
   let ncap = max 8 (cap * 2) in
-  let nd = Array.make ncap x in
+  let nd = Array.make ncap t.fill in
   Array.blit t.data 0 nd 0 t.len;
   t.data <- nd
 
 let push t x =
-  if t.len >= Array.length t.data then grow t x;
+  if t.len >= Array.length t.data then grow t;
   t.data.(t.len) <- x;
   t.len <- t.len + 1;
   t.len - 1

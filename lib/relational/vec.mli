@@ -2,7 +2,10 @@
 
 type 'a t
 
-val create : unit -> 'a t
+val create : fill:'a -> 'a t
+(** [fill] fills free slots: make it an immediate such as [None], or each
+    growth past 256 slots forces a minor collection. *)
+
 val length : 'a t -> int
 val push : 'a t -> 'a -> int
 (** Appends and returns the index of the new element. *)

@@ -114,7 +114,7 @@ let prop_compare_cols =
 (* --- vec ---------------------------------------------------------------- *)
 
 let test_vec () =
-  let v = Reldb.Vec.create () in
+  let v = Reldb.Vec.create ~fill:0 in
   for i = 0 to 99 do
     ignore (Reldb.Vec.push v i)
   done;
@@ -126,6 +126,20 @@ let test_vec () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "oob get");
   check int_t "to_seq" 100 (Seq.length (Reldb.Vec.to_seq v))
+
+(* Growing past 256 slots with a young element to push must not empty the
+   minor heap: Array.make over a young block would collect first. *)
+let test_vec_grow_young () =
+  let v = Reldb.Vec.create ~fill:None in
+  for _ = 1 to 512 do
+    ignore (Reldb.Vec.push v None)
+  done;
+  Gc.minor ();
+  let before = (Gc.quick_stat ()).Gc.minor_collections in
+  (* full at 512 slots: this push grows the array to 1024 *)
+  ignore (Reldb.Vec.push v (Some (ref 513)));
+  check int_t "no forced minor collection" before (Gc.quick_stat ()).Gc.minor_collections;
+  check int_t "pushed" 513 (match Reldb.Vec.get v 512 with Some r -> !r | None -> 0)
 
 (* --- physical operators -------------------------------------------------- *)
 
@@ -541,6 +555,7 @@ let tests =
       Alcotest.test_case "tuple keys" `Quick test_tuple_key_order;
       QCheck_alcotest.to_alcotest prop_compare_cols;
       Alcotest.test_case "vec" `Quick test_vec;
+      Alcotest.test_case "vec grows without a forced collection" `Quick test_vec_grow_young;
       Alcotest.test_case "nested-loop cross join" `Quick test_nl_join_cross;
       Alcotest.test_case "limit/offset operator" `Quick test_limit_offset_operator;
       Alcotest.test_case "distinct operator" `Quick test_distinct_operator;

@@ -255,8 +255,9 @@ let test_streaming_serialization () =
         Alcotest.failf "%s: streaming serialization diverges" (O.Encoding.name enc);
       (* also a nested subtree with attributes and mixed content *)
       let sub =
-        List.hd (O.Translate.eval_ids db ~doc:"t" enc
-                   (O.Xpath_parser.parse "/site/open_auctions/open_auction[2]"))
+        (List.hd (O.Translate.eval db ~doc:"t" enc
+                    (O.Xpath_parser.parse "/site/open_auctions/open_auction[2]")).O.Translate.rows)
+          .O.Node_row.id
       in
       let d2 = O.Reconstruct.serialize_subtree db ~doc:"t" enc ~id:sub in
       let v2 =
