@@ -39,7 +39,9 @@ crash-test:
 
 # build + tier-1 tests + fault injection + counter gate + CLI smoke test
 # over the quickstart catalog; `oxq sql --analyze` must profile the run a
-# positional query executes (an operator tree with its Limit), a query on
+# positional query executes (an operator tree with its Limit), a GLOBAL
+# following:: step must join one staircase row and run no Sort and no
+# Distinct operator (its ORDER BY is delivered), a query on
 # the directory `oxq dump` writes must print what it prints on the XML,
 # `oxq stats` (XML only) must refuse that directory by name, a
 # reconstructed subtree must print the same bytes on every encoding, and a
@@ -49,6 +51,9 @@ check: build test lint crash-test bench-smoke
 	$(OXQ) stats examples/catalog.xml -e dewey
 	$(OXQ) query examples/catalog.xml '/catalog/book[1]/title' --trace
 	$(OXQ) sql examples/catalog.xml '/catalog/book[last()]' --analyze | grep 'Limit'
+	$(OXQ) sql -e global examples/catalog.xml '/catalog/book[1]/following::title' --analyze > _build/check-stair.out
+	grep -q 'Ordered .* (delivered)' _build/check-stair.out
+	! grep -E '^ *(Sort \[|Distinct( |$$))' _build/check-stair.out
 	rm -rf _build/check-db
 	$(OXQ) dump examples/catalog.xml -o _build/check-db
 	$(OXQ) query _build/check-db '//book[2]/title' > _build/check-db.out

@@ -530,24 +530,45 @@ let lint_xpath (path : A.path) =
   walk_path path;
   Finding.sort (List.rev !acc)
 
-let lint_segment catalog enc (seg : Ordered_xml.Translate.segment) =
-  match seg with
-  | Ordered_xml.Translate.Step _ ->
-      [
+(* one statement a compiled query holds: parsed back, linted and planned,
+   and checked against the order its run promises *)
+let lint_compiled catalog ?order sql =
+  match Reldb.Sql_parser.parse sql with
+  | exception Reldb.Sql_parser.Parse_error m ->
+      [ Finding.error "parse-back" "translated SQL does not parse back: %s" m ]
+  | stmt ->
+      let plan =
+        match stmt with
+        | S.Select sel -> (
+            match Reldb.Planner.plan_select catalog sel with
+            | exception Reldb.Planner.Plan_error m -> [ Finding.error "plan" "run does not plan: %s" m ]
+            | plan -> Plan_lint.lint_plan plan)
+        | _ -> []
+      in
+      lint_stmt ~catalog stmt @ Option.fold order ~none:[] ~some:(fun (enc, r) -> Order_check.check_run enc r stmt) @ plan
+
+let rec lint_segment catalog enc (seg : Ordered_xml.Translate.segment) =
+  let module T = Ordered_xml.Translate in
+  let run (r : T.run) = lint_compiled catalog ~order:(enc, r) r.T.sql in
+  let segments = List.concat_map (lint_segment catalog enc) in
+  let rec fetch = function
+    | T.Root r | T.Context r | T.Doc_order r -> run r
+    | T.Prefixes sql -> lint_compiled catalog sql
+    | T.With_self f -> fetch f
+    | T.Self_rows | T.Chain_walk | T.Levels -> []
+  in
+  let rec pred = function
+    | T.Exists segs | T.Count (segs, _, _) -> segments segs
+    | T.Cmp (segs, _, _, texts) -> segments (segs @ texts)
+    | T.And (a, b) | T.Or (a, b) -> pred a @ pred b
+    | T.Not a -> pred a
+    | T.Pos _ | T.Last -> []
+  in
+  Finding.sort
+    (match seg with
+    | T.Run r -> run r
+    | T.Step s ->
         Finding.info "middle-tier" "no join holds this step under %s: the middle tier evaluates it"
-          (Ordered_xml.Encoding.name enc);
-      ]
-  | Ordered_xml.Translate.Run r -> (
-      match Reldb.Sql_parser.parse r.Ordered_xml.Translate.sql with
-      | exception Reldb.Sql_parser.Parse_error m ->
-          [ Finding.error "parse-back" "translated SQL does not parse back: %s" m ]
-      | stmt ->
-          let plan =
-            match stmt with
-            | S.Select sel -> (
-                match Reldb.Planner.plan_select catalog sel with
-                | exception Reldb.Planner.Plan_error m -> [ Finding.error "plan" "run does not plan: %s" m ]
-                | plan -> Plan_lint.lint_plan plan)
-            | _ -> []
-          in
-          Finding.sort (lint_stmt ~catalog stmt @ Order_check.check_run enc r stmt @ plan))
+          (Ordered_xml.Encoding.name enc)
+        :: fetch s.T.fetch
+        @ List.concat_map pred s.T.preds)

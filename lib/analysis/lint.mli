@@ -41,5 +41,9 @@ val lint_segment :
 (** Lint one compiled segment ({!Ordered_xml.Translate.compile}). A run's
     statement must parse back and plan; it gets the SQL rules above,
     {!Order_check.check_run} and {!Plan_lint.lint_plan}. A middle-tier step
-    is an [Info] note ([middle-tier]). The catalog must hold the context
-    relations ({!Ordered_xml.Node_row.ctx_relation}) for runs over them. *)
+    is an [Info] note ([middle-tier]), followed by the findings of every
+    statement it holds: the run that fetches its candidates, DEWEY's
+    ancestor-prefix statement (no order check: it promises none) and the
+    segments of its predicates' paths, recursively. The catalog must hold
+    the context relations ({!Ordered_xml.Node_row.ctx_relation}) for runs
+    over them. *)

@@ -11,12 +11,15 @@ let expected_order_column (enc : O.Encoding.t) =
   | O.Encoding.Local -> None
 
 (* the (alias, column) keys the run's ORDER BY must list, in order: under
-   LOCAL the chain's levels, otherwise the encoding's order column of the
-   chain's last alias, or of its last two for a positional tail *)
+   LOCAL the chain's levels, and for a child chain from the root every
+   chain alias's order column, root down; otherwise the encoding's order
+   column of the chain's last alias, or of its last two for a positional
+   tail *)
 let order_keys enc (r : T.run) =
   let col = Option.value (expected_order_column enc) ~default:"l_order" in
   match (enc, List.rev r.T.chain) with
   | O.Encoding.Local, _ -> r.T.chain
+  | _ when T.child_chain ~from_root:r.T.from_root r.T.steps -> r.T.chain
   | _, (e, _) :: (p, _) :: _ when r.T.tail -> [ (p, col); (e, col) ]
   | _, (e, _) :: _ -> [ (e, col) ]
   | _, [] -> []

@@ -12,7 +12,12 @@
       under LOCAL (sibling orders along a child chain);
     - a positional tail orders each context's candidates by the previous
       chain alias's order column, then the result's (LOCAL: the whole
-      chain's), under a LIMIT; only the last key may be descending.
+      chain's), under a LIMIT; only the last key may be descending;
+    - a child chain from the root ({!Ordered_xml.Translate.child_chain})
+      orders by every chain alias's order column, root down, under every
+      encoding, whether sorted or a positional tail: its rows' document
+      order is their chain's, and it is the order the chain's index
+      nested-loop joins deliver.
 
     Every key must be ascending otherwise. A run whose rows the middle tier
     sorts gets an [Info] note. *)

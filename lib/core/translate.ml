@@ -226,8 +226,20 @@ let is_sibling = function A.Following_sibling | A.Preceding_sibling -> true | _ 
 (* A run as the statements it nests: every block but the last is the
    derived table the next one reads. [b_tail]: the positional predicate of
    the block's last step (see [position]), lowered as ORDER BY ... LIMIT ?
-   OFFSET ? BY; [b_distinct]: the block's rows are made unique. *)
-type block = { b_steps : A.step list; b_tail : (bool * int * int) option; b_distinct : bool }
+   OFFSET ? BY; [b_distinct]: the block's rows are made unique; [b_stair]:
+   the block is the one row a GLOBAL [following] ([preceding]) step
+   joins, the least [g_end] (greatest [g_order]) of its rows. *)
+type block = {
+  b_steps : A.step list;
+  b_tail : (bool * int * int) option;
+  b_distinct : bool;
+  b_stair : A.axis option;
+}
+
+(* A run from the root whose steps are a child chain: its rows' document
+   order is the order of their chain, root down. *)
+let child_chain ~from_root (steps : A.step list) =
+  from_root && List.for_all (fun (s : A.step) -> List.mem s.A.axis [ A.Child; A.Attribute; A.Self ]) steps
 
 (* The leading steps one statement holds, from the root or from a context
    relation, as the blocks of derived tables and the last block: steps
@@ -243,7 +255,7 @@ type block = { b_steps : A.step list; b_tail : (bool * int * int) option; b_dist
    rows stay in the parent-chain cache for the final sort. *)
 let blocks enc ~nest ~from_root (steps : A.step list) =
   let chain = from_root && (List.hd steps).A.axis = A.Child in
-  let close cur ~tail ~distinct = { b_steps = List.rev cur; b_tail = tail; b_distinct = distinct } in
+  let close cur ~tail ~distinct = { b_steps = List.rev cur; b_tail = tail; b_distinct = distinct; b_stair = None } in
   (* [cur]: the open block, reversed; [pending]: the position on its last
      step, and whether the block's rows can repeat; [single]: the last step
      kept at most one child per context, so its rows have distinct parents
@@ -263,6 +275,10 @@ let blocks enc ~nest ~from_root (steps : A.step list) =
         let lowers = step_lowers enc ~lead:(lead && from_root) in
         let fans = Option.fold pending ~none:fans ~some:snd in
         let fan = if single && is_sibling s.A.axis then List.exists pred_fans s.A.preds else step_fans ~lead s in
+        (* a GLOBAL following (preceding) step from the root: the union of
+           its contexts' rows is the rows of the context that ends first
+           (starts last), the staircase join *)
+        let stair = from_root && nest && (not lead) && is_global enc && List.mem s.A.axis [ A.Following; A.Preceding ] in
         let cut acc cur =
           match pending with
           | Some (tail, _) -> (close cur ~tail:(Some tail) ~distinct:false :: acc, [])
@@ -280,11 +296,16 @@ let blocks enc ~nest ~from_root (steps : A.step list) =
               let one = match s.A.preds with [ A.P_pos (A.Eq, _) | A.P_last ] -> true | _ -> false in
               go (i + 1) acc (s :: cur) false (Some (pos, fan)) (one && s.A.axis = A.Child) rest
             else stop ()
+        | _ when not (ok && lowers s) -> stop ()
+        | _ when stair ->
+            (* the steps before close into one aggregate row; the step's own
+               rows are unique unless a predicate join repeats them *)
+            let acc, cur = cut acc cur in
+            let one = { (close cur ~tail:None ~distinct:false) with b_stair = Some s.A.axis } in
+            go (i + 1) (one :: acc) [ s ] (List.exists pred_fans s.A.preds) None false rest
         | _ ->
-            if ok && lowers s then
-              let acc, cur = cut acc cur in
-              go (i + 1) acc (s :: cur) (fans || fan) None false rest
-            else stop ())
+            let acc, cur = cut acc cur in
+            go (i + 1) acc (s :: cur) (fans || fan) None false rest)
   in
   go 0 [] [] false None false steps
 
@@ -419,7 +440,7 @@ let lower ~from_root ~sort ~keep_chain enc ~table blocks =
   let local = enc = Encoding.Local in
   let all = block_steps blocks in
   let col a = a ^ "." ^ Encoding.order_col enc and qual (a, c) = a ^ "." ^ c in
-  let plain = List.for_all (fun (s : A.step) -> List.mem s.A.axis [ A.Child; A.Attribute; A.Self ]) all in
+  let plain = child_chain ~from_root:true all in
   let closed = local && match List.rev all with s :: _ -> is_sibling s.A.axis | [] -> false in
   let count = ref 0 in
   (* one block over [prev], the run of the blocks before it, as derived table
@@ -469,33 +490,40 @@ let lower ~from_root ~sort ~keep_chain enc ~table blocks =
     count := g.count;
     let result = List.nth chain (List.length chain - 1) in
     let ordered = final && from_root && (plain || (b.b_tail = None && ((not local) || closed))) in
+    (* the order columns a chain sorts by: LOCAL's levels, a child chain's
+       aliases, else the result's *)
+    let chained = child_chain ~from_root steps in
+    let keys = function
+      | _ when local -> List.map qual levels
+      | _ when chained -> List.map col chain
+      | aliases -> List.map col aliases
+    in
     let order_by =
       match b.b_tail with
       | Some (desc, offset, limit) ->
           (* per context row: a run from a context relation can reach one
              row of [p] from several *)
           let by = Option.to_list ctx_id @ match List.rev chain with _ :: p :: _ -> [ p ^ ".id" ] | _ -> [] in
-          let keys =
-            if local then List.map qual levels
-            else List.map col (match List.rev chain with e :: p :: _ -> [ p; e ] | _ -> chain)
-          in
+          let keys = keys (match List.rev chain with e :: p :: _ -> [ p; e ] | _ -> chain) in
           let limit = value g (V.Int limit) in
           let offset = value g (V.Int offset) in
           String.concat ""
             [ " ORDER BY "; String.concat ", " keys; (if desc then " DESC" else ""); " LIMIT "; limit;
               " OFFSET "; offset; (if by = [] then "" else " BY " ^ String.concat ", " by) ]
-      | None when ordered && sort ->
-          " ORDER BY " ^ if local then String.concat ", " (List.map qual levels) else col result
+      | None when ordered && sort -> " ORDER BY " ^ String.concat ", " (keys [ result ])
       | None -> ""
     in
     let cols =
-      if final then
-        List.map (Node_row.select_list enc) (result :: (if keep_chain then List.tl (List.rev chain) else []))
-        @ Option.to_list ctx_id
-      else
-        (Node_row.select_list enc result
-        :: (if local then List.mapi (fun i l -> Printf.sprintf "%s AS o%d" (qual l) i) (init levels) else []))
-        @ List.map (fun c -> c ^ " AS cid") (Option.to_list ctx_id)
+      match b.b_stair with
+      | Some A.Following -> [ Printf.sprintf "MIN(%s.g_end) AS g_end" result ]
+      | Some _ -> [ Printf.sprintf "MAX(%s.g_order) AS g_order" result ]
+      | None when final ->
+          List.map (Node_row.select_list enc) (result :: (if keep_chain then List.tl (List.rev chain) else []))
+          @ Option.to_list ctx_id
+      | None ->
+          (Node_row.select_list enc result
+          :: (if local then List.mapi (fun i l -> Printf.sprintf "%s AS o%d" (qual l) i) (init levels) else []))
+          @ List.map (fun c -> c ^ " AS cid") (Option.to_list ctx_id)
     in
     {
       steps;
@@ -526,7 +554,7 @@ let lower ~from_root ~sort ~keep_chain enc ~table blocks =
    context relation; under LOCAL its rows enter the parent-chain cache. *)
 let step_run enc ~table ~from_root (step : A.step) =
   lower ~from_root ~sort:false ~keep_chain:true enc ~table
-    ([], { b_steps = [ { step with A.preds = [] } ]; b_tail = None; b_distinct = false })
+    ([], { b_steps = [ { step with A.preds = [] } ]; b_tail = None; b_distinct = false; b_stair = None })
 
 (* The one segmentation: each maximal run (see [blocks]) is one statement,
    every other step one middle-tier step, compiled with the statements that

@@ -24,7 +24,15 @@
       more steps ends a derived table, [FROM (SELECT ... LIMIT ? OFFSET ?
       BY ...) b0, ...], that the rest of the statement joins; after a join
       that can reach a row twice, a [SELECT DISTINCT] derived table comes
-      first, so that a position counts unique rows.
+      first, so that a position counts unique rows;
+    - under GLOBAL and GLOBAL/gap, in a run from the root, a [following]
+      ([preceding]) step without a positional predicate joins one row
+      instead of every context: the least [g_end] (greatest [g_order]) of
+      the steps before it, a derived table [(SELECT MIN(...) AS g_end ...)]
+      (the staircase join: the union of the contexts' following nodes is
+      the following nodes of the context that ends first). Its rows are
+      then unique, so the step carries no [DISTINCT] unless a predicate
+      join repeats them.
 
     Every other step is evaluated in the middle tier, and the next run
     starts from the context relation ({!Node_row.ctx_relation}): the current
@@ -37,7 +45,12 @@
     DEWEY: any run from the root without a positional predicate on its last
     step; under LOCAL: also a whole path a sibling step ends) returns
     each row once and in document order, through its [ORDER BY]; the middle
-    tier then neither deduplicates nor sorts. Otherwise the encodings differ:
+    tier then neither deduplicates nor sorts. A child chain from the root
+    ({!child_chain}) orders by every chain alias's order column, root down,
+    under every encoding (LOCAL's sibling orders, or [g_order] or [path]):
+    that is its rows' document order, and it is the order the chain's index
+    nested-loop joins already deliver, so the planner runs no Sort for it
+    ({!Reldb.Planner}). Otherwise the encodings differ:
 
     - ordered axes map to order-column ranges — [g_order]/[g_end] intervals
       for GLOBAL, [path] prefix ranges for DEWEY, [(parent, l_order)] ranges
@@ -161,6 +174,11 @@ and pred =
   | Not of pred
 
 type query = segment list list
+
+val child_chain : from_root:bool -> Xpath_ast.step list -> bool
+(** A run's steps are a child chain from the root: from the root, and every
+    step a [child], [attribute] or [self] step. Such a run orders by its
+    whole {!run.chain}, root down, on every encoding. *)
 
 val compile : ?relative:bool -> doc:string -> Encoding.t -> Xpath_ast.union -> query
 (** Each path of the union as the segments its evaluation executes, in

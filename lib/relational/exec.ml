@@ -371,6 +371,9 @@ and compile_op cx p =
   | Plan.Sort { input; keys } ->
       let il, iop, ipr = compile cx input in
       (il, sort_op il keys iop, [ ipr ])
+  | Plan.Ordered { input; _ } ->
+      let il, iop, ipr = compile cx input in
+      (il, iop, [ ipr ])
   | Plan.Distinct input ->
       let il, iop, ipr = compile cx input in
       let row = flatten il in

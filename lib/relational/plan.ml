@@ -45,6 +45,7 @@ type t =
       residual : Expr.t option;
     }
   | Sort of { input : t; keys : (Expr.t * order) list }
+  | Ordered of { input : t; keys : (Expr.t * order) list }
   | Distinct of t
   | Aggregate of {
       input : t;
@@ -137,7 +138,7 @@ let rec schema_of = function
       Schema.concat (schema_of outer) (Table.schema table)
   | Hash_join { left; right; _ } ->
       Schema.concat (schema_of left) (schema_of right)
-  | Sort { input; _ } | Limit { input; _ } -> schema_of input
+  | Sort { input; _ } | Ordered { input; _ } | Limit { input; _ } -> schema_of input
   | Union_all [] -> [||]
   | Union_all (p :: _) -> schema_of p
   | Aggregate { input; group_by; aggs } ->
@@ -171,6 +172,13 @@ let bound_str = function
   | Btree.Unbounded -> "-inf"
   | Btree.Incl k -> "[" ^ Tuple.to_string k
   | Btree.Excl k -> "(" ^ Tuple.to_string k
+
+let keys_str keys =
+  Printf.sprintf "[%s]"
+    (String.concat ", "
+       (List.map
+          (fun (e, o) -> Format.asprintf "%a %s" Expr.pp e (match o with Asc -> "ASC" | Desc -> "DESC"))
+          keys))
 
 let label = function
   | Seq_scan t -> "SeqScan " ^ Table.name t
@@ -226,14 +234,8 @@ let label = function
       Printf.sprintf "HashJoin build(%s) probe(%s)"
         (String.concat "," (Array.to_list (Array.map string_of_int left_key)))
         (String.concat "," (Array.to_list (Array.map string_of_int right_key)))
-  | Sort { keys; _ } ->
-      Printf.sprintf "Sort [%s]"
-        (String.concat ", "
-           (List.map
-              (fun (e, o) ->
-                Format.asprintf "%a %s" Expr.pp e
-                  (match o with Asc -> "ASC" | Desc -> "DESC"))
-              keys))
+  | Sort { keys; _ } -> "Sort " ^ keys_str keys
+  | Ordered { keys; _ } -> "Ordered " ^ keys_str keys ^ " (delivered)"
   | Distinct _ -> "Distinct"
   | Aggregate { group_by; aggs; _ } ->
       Printf.sprintf "Aggregate groups=[%s] aggs=[%s]"
@@ -257,6 +259,7 @@ let children = function
   | Filter (_, p)
   | Project (_, p)
   | Sort { input = p; _ }
+  | Ordered { input = p; _ }
   | Distinct p
   | Aggregate { input = p; _ }
   | Limit { input = p; _ } ->

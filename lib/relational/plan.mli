@@ -67,6 +67,9 @@ type t =
       residual : Expr.t option;
     }  (** equi-join; build on left, probe with right *)
   | Sort of { input : t; keys : (Expr.t * order) list }
+  | Ordered of { input : t; keys : (Expr.t * order) list }
+      (** an ORDER BY its input already delivers (see {!Planner}): it passes
+          the input's rows through as they come *)
   | Distinct of t
   | Aggregate of {
       input : t;

@@ -440,90 +440,142 @@ let plan_joins env table_plans vconjuncts =
   (!current, placed)
 
 (* ------------------------------------------------------------------ *)
-(* Sort elimination                                                    *)
+(* Order property                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let rec scan_of = function
-  | Plan.Index_scan _ as p -> Some p
-  | Plan.Filter (_, p) -> scan_of p
+(* The order a plan delivers (Simmen, Shekita and Malkemus, "Fundamental
+   Techniques for Order Optimization", SIGMOD 1996): its rows come sorted
+   by [order]'s columns, and with [key] no two of them agree on all those
+   columns, so [order = []] with [key] is at most one row. [fixed] columns
+   hold one value in every row (an [=] with a constant side, or IS NULL):
+   they are left out of [order], and an ORDER BY key over one is met. *)
+type delivered = { order : (int * Plan.order) list; key : bool; fixed : int list }
+
+let unordered = { order = []; key = false; fixed = [] }
+
+let fixed_by pred =
+  let const e = Expr.columns e = [] in
+  List.filter_map
+    (function
+      | Expr.Cmp (Expr.Eq, Expr.Col c, e) when const e -> Some c
+      | Expr.Cmp (Expr.Eq, e, Expr.Col c) when const e -> Some c
+      | Expr.Is_null (Expr.Col c) -> Some c
+      | _ -> None)
+    (Option.fold ~none:[] ~some:Expr.conjuncts pred)
+
+let fix cols d =
+  let fixed = cols @ d.fixed in
+  { d with order = List.filter (fun (c, _) -> not (List.mem c fixed)) d.order; fixed }
+
+(* [index]'s key columns from the [from]th on, at offset [split] *)
+let key_order (index : Table.index) ~from ~split ~reverse =
+  let dir = if reverse then Plan.Desc else Plan.Asc in
+  let cols = List.filteri (fun i _ -> i >= from) (Array.to_list index.Table.key_cols) in
+  { order = List.map (fun c -> (split + c, dir)) cols; key = index.Table.unique; fixed = [] }
+
+(* a join's rows: each outer row's inner rows in turn, so the inner order
+   follows the outer one only where the outer order is a key *)
+let nested outer inner =
+  let fixed = outer.fixed @ inner.fixed in
+  if outer.key then { order = outer.order @ inner.order; key = inner.key; fixed }
+  else { outer with key = false; fixed }
+
+let rec delivered (p : Plan.t) =
+  match p with
+  | Plan.Index_scan { index; range; reverse; _ } ->
+      let neq = match range with Plan.Probe { key; _ } -> Array.length key | Plan.Fixed _ -> 0 in
+      fix
+        (List.filteri (fun i _ -> i < neq) (Array.to_list index.Table.key_cols))
+        (key_order index ~from:0 ~split:0 ~reverse)
+  | Plan.Filter (e, p) -> fix (fixed_by (Some e)) (delivered p)
+  | Plan.Index_nl_join { outer; index; key; residual; reverse; _ } ->
+      (* key columns probed with a constant are fixed *)
+      let split = Schema.arity (Plan.schema_of outer) and neq = Array.length key in
+      let consts = List.filteri (fun i _ -> i < neq && Expr.columns key.(i) = []) (Array.to_list index.Table.key_cols) in
+      fix
+        (List.map (( + ) split) consts @ fixed_by residual)
+        (nested (delivered outer) (key_order index ~from:neq ~split ~reverse))
+  | Plan.Nl_join { outer; inner; pred } ->
+      let split = Schema.arity (Plan.schema_of outer) and i = delivered inner in
+      let i = { i with order = List.map (fun (c, d) -> (split + c, d)) i.order; fixed = List.map (( + ) split) i.fixed } in
+      fix (fixed_by pred) (nested (delivered outer) i)
+  | Plan.Project (cols, p) ->
+      (* the order up to its first column the projection drops *)
+      let d = delivered p in
+      let out c = Array.find_index (fun (e, _) -> e = Expr.Col c) cols in
+      let rec map = function (c, dir) :: rest when out c <> None -> (Option.get (out c), dir) :: map rest | _ -> [] in
+      let order = map d.order in
+      let fixed i = match fst cols.(i) with Expr.Col c -> List.mem c d.fixed | e -> Expr.columns e = [] in
+      let fixed = List.filter fixed (List.init (Array.length cols) Fun.id) in
+      { order; key = d.key && List.compare_lengths order d.order = 0; fixed }
+  | Plan.Limit { input; limit = Some (Expr.Const (Value.Int n)); by = [||]; _ } when n <= 1 ->
+      { (delivered input) with order = []; key = true }
+  | Plan.Limit { input = p; _ } | Plan.Ordered { input = p; _ } | Plan.Distinct p -> delivered p
+  | Plan.Aggregate { group_by = [||]; _ } -> { unordered with key = true }
+  | Plan.Seq_scan _ | Plan.Hash_join _ | Plan.Sort _ | Plan.Aggregate _ | Plan.Union_all _ -> unordered
+
+(* whether rows delivered as [d] already come in the order of [keys] *)
+let rec satisfies d keys =
+  let fixed = function Expr.Col c -> List.mem c d.fixed | e -> Expr.columns e = [] in
+  match (keys, d.order) with
+  | [], _ -> true
+  | (e, _) :: rest, _ when fixed e -> satisfies d rest
+  | (Expr.Col c, dir) :: rest, (c', dir') :: order when c = c' && dir = dir' ->
+      satisfies { d with order } rest
+  | _, [] -> d.key
+  | _ -> false
+
+(* the plan with its driving index scan, under its filters and join outers,
+   walked the other way *)
+let rec reverse_lead_scan = function
+  | Plan.Index_scan s -> Some (Plan.Index_scan { s with reverse = not s.reverse })
+  | Plan.Filter (e, p) -> Option.map (fun p -> Plan.Filter (e, p)) (reverse_lead_scan p)
+  | Plan.Index_nl_join j -> Option.map (fun outer -> Plan.Index_nl_join { j with outer }) (reverse_lead_scan j.outer)
+  | Plan.Nl_join j -> Option.map (fun outer -> Plan.Nl_join { j with outer }) (reverse_lead_scan j.outer)
   | _ -> None
 
-let rec replace_scan plan new_scan =
-  match plan with
-  | Plan.Index_scan _ -> new_scan
-  | Plan.Filter (e, p) -> Plan.Filter (e, replace_scan p new_scan)
-  | p -> p
-
-(* If the plan is a single-table chain over an index scan whose key order
-   already matches the ORDER BY columns, drop the sort (reversing the scan
-   direction for DESC). *)
-let try_order_via_index plan (keys : (Expr.t * Plan.order) list) =
-  match scan_of plan with
-  | Some (Plan.Index_scan ({ index; _ } as is)) ->
-      let dirs = List.map snd keys in
-      let all_asc = List.for_all (fun d -> d = Plan.Asc) dirs in
-      let all_desc = List.for_all (fun d -> d = Plan.Desc) dirs in
-      let cols =
-        List.map (fun (e, _) -> match e with Expr.Col i -> Some i | _ -> None) keys
-      in
-      if (not (all_asc || all_desc)) || List.exists Option.is_none cols then None
-      else begin
-        let cols = List.map Option.get cols in
-        let key_cols = Array.to_list index.Table.key_cols in
-        let rec is_prefix a b =
-          match (a, b) with
-          | [], _ -> true
-          | x :: xs, y :: ys -> x = y && is_prefix xs ys
-          | _ :: _, [] -> false
-        in
-        if is_prefix cols key_cols then
-          Some
-            (replace_scan plan
-               (Plan.Index_scan { is with reverse = all_desc }))
-        else None
-      end
-  | _ -> None
+(* [plan] in the order of [keys]: as it comes when it delivers that order,
+   or with its driving scan reversed when that delivers it, else sorted *)
+let order_by plan keys =
+  let ordered p = if satisfies (delivered p) keys then Some (Plan.Ordered { input = p; keys }) else None in
+  if keys = [] then plan
+  else
+    match ordered plan with
+    | Some p -> p
+    | None -> (
+        match Option.bind (reverse_lead_scan plan) ordered with
+        | Some p -> p
+        | None -> Plan.Sort { input = plan; keys })
 
 (* ------------------------------------------------------------------ *)
 (* Per-probe caps for LIMIT BY                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* [LIMIT n OFFSET m BY keys] over an index nested-loop join, directly or
-   under the Sort: when the BY keys read only the outer row, and the ORDER
-   BY keys, less those over the outer row alone, are the index key columns
+(* [LIMIT n OFFSET m BY keys] over an index nested-loop join: when the BY
+   keys read only the outer row, and the ORDER BY keys, less those over the
+   outer row alone, are the index key columns
    after the probe's equality prefix, in one direction, then a probe's rows
    share their BY key and sort among themselves in index order. Only the
    first [m + n] of them, read from the end the direction names, can be
    kept, whatever the other probes of that key hold. *)
-let cap_probes ~order_keys ~by ~cap plan =
-  let capped = function
-    | Plan.Index_nl_join ({ outer; index; key; _ } as j) ->
-        let split = Schema.arity (Plan.schema_of outer) in
-        let outer_only e = List.for_all (fun c -> c < split) (Expr.columns e) in
-        let inner = List.filter (fun (e, _) -> not (outer_only e)) order_keys in
-        let neq = Array.length key in
-        let suffix =
-          Array.sub index.Table.key_cols neq (Array.length index.Table.key_cols - neq)
-        in
-        let dirs = List.sort_uniq compare (List.map snd inner) in
-        if
-          Array.for_all outer_only by
-          && List.length dirs <= 1
-          && List.map fst inner
-             = Array.to_list (Array.map (fun c -> Expr.Col (split + c)) suffix)
-        then
-          Some
-            (Plan.Index_nl_join
-               { j with cap = Some cap; reverse = dirs = [ Plan.Desc ] })
-        else None
-    | _ -> None
-  in
-  match plan with
-  | Plan.Sort ({ input; _ } as s) -> (
-      match capped input with
-      | Some j -> Plan.Sort { s with input = j }
-      | None -> plan)
-  | p -> Option.value (capped p) ~default:p
+let cap_probes ~order_keys ~by ~cap = function
+  | Plan.Index_nl_join ({ outer; index; key; _ } as j) as plan ->
+      let split = Schema.arity (Plan.schema_of outer) in
+      let outer_only e = List.for_all (fun c -> c < split) (Expr.columns e) in
+      let inner = List.filter (fun (e, _) -> not (outer_only e)) order_keys in
+      let neq = Array.length key in
+      let suffix =
+        Array.sub index.Table.key_cols neq (Array.length index.Table.key_cols - neq)
+      in
+      let dirs = List.sort_uniq compare (List.map snd inner) in
+      if
+        Array.for_all outer_only by
+        && List.length dirs <= 1
+        && List.map fst inner
+           = Array.to_list (Array.map (fun c -> Expr.Col (split + c)) suffix)
+      then Plan.Index_nl_join { j with cap = Some cap; reverse = dirs = [ Plan.Desc ] }
+      else plan
+  | p -> p
 
 (* ------------------------------------------------------------------ *)
 (* MIN / MAX from the index end                                        *)
@@ -697,15 +749,8 @@ let rec plan_select catalog (q : Sql_ast.select) =
         q.order_by
     in
     let sorted =
-      if order_keys = [] then joined
-      else
-        match try_order_via_index joined order_keys with
-        | Some p -> p
-        | None -> Plan.Sort { input = joined; keys = order_keys }
-    in
-    let sorted =
       match q.limit_by with
-      | [] -> sorted
+      | [] -> order_by joined order_keys
       | _ when q.distinct -> fail "LIMIT BY cannot be combined with DISTINCT"
       | by ->
           let by = Array.of_list (List.map resolve_phys by) in
@@ -719,12 +764,12 @@ let rec plan_select catalog (q : Sql_ast.select) =
             | Expr.Const (Value.Int 0), n -> n
             | m, Some n -> Some (Expr.Arith (Expr.Add, m, n))
           in
-          let input =
+          let joined =
             match cap with
-            | Some cap -> cap_probes ~order_keys ~by ~cap sorted
-            | None -> sorted
+            | Some cap -> cap_probes ~order_keys ~by ~cap joined
+            | None -> joined
           in
-          Plan.Limit { input; limit; offset; by }
+          Plan.Limit { input = order_by joined order_keys; limit; offset; by }
     in
     let projected = Plan.Project (Array.of_list projections, sorted) in
     let distinct = if q.distinct then Plan.Distinct projected else projected in
@@ -874,11 +919,7 @@ let rec plan_select catalog (q : Sql_ast.select) =
         )
         q.order_by
     in
-    let sorted =
-      if order_keys = [] then agg_plan
-      else Plan.Sort { input = agg_plan; keys = order_keys }
-    in
-    let projected = Plan.Project (Array.of_list item_exprs, sorted) in
+    let projected = Plan.Project (Array.of_list item_exprs, order_by agg_plan order_keys) in
     let distinct = if q.distinct then Plan.Distinct projected else projected in
     match (q.limit, q.offset) with
     | None, None -> distinct

@@ -18,13 +18,25 @@
     the fewest estimated rows) first, then tables connected by equalities,
     then by any predicate; each join probes an index of the joined table
     when the probe reads the outer row, else it is a hash join on
-    equalities or a nested loop. A final Sort is elided when a chosen index
-    already delivers the requested order.
+    equalities or a nested loop.
+
+    ORDER BY runs no Sort when the plan already delivers the order,
+    computed bottom-up: an index range delivers its key columns in the
+    scan's direction; columns an [=] with a constant or [IS NULL] fixes
+    drop out of any order (an ORDER BY key over one is met); Filter,
+    Project (up to a dropped column), Limit and DISTINCT keep their input's
+    order; an index nested-loop join delivers the outer order, then, where
+    that is a key of the outer rows (a unique index's columns, or at most
+    one row: [LIMIT 1], an aggregate without GROUP BY), the inner index's
+    key columns after the probe's equality prefix, in the probe's
+    direction. Such an ORDER BY is a pass-through {!Plan.Ordered}, shown
+    by EXPLAIN as [Ordered [keys] (delivered)], over the plan as it is or
+    with its driving index scan reversed; any other is a {!Plan.Sort}.
 
     [LIMIT n OFFSET m BY keys] plans as a {!Plan.Limit} with [by] between
-    the Sort and the Project. When the BY keys read only the outer row of
-    the index nested-loop join directly under the Sort (or under the
-    Limit, with no ORDER BY), and the ORDER BY keys less those over the
+    the ORDER BY and the Project. When the BY keys read only the outer row
+    of the index nested-loop join directly under the ORDER BY (or under
+    the Limit, with no ORDER BY), and the ORDER BY keys less those over the
     outer row alone are exactly the probed index's key columns after its
     equality prefix, all in one direction, the join's probes are capped at
     [m + n] rows each, walked from the high end for DESC: a probe's later

@@ -82,6 +82,7 @@ type interval = {
   mutable lo : bound option;
   mutable hi : bound option;
   mutable eq : (Value.t * Expr.t) option;
+  mutable ne : (Value.t * Expr.t) list;  (* [<>] conjuncts seen before an equality *)
   mutable dead : Expr.t list;  (* conjuncts subsumed by tighter ones *)
   mutable broken : bool;  (* constraints are mutually exclusive *)
 }
@@ -140,16 +141,19 @@ let add_constraint iv conj (op : Expr.cmp) v =
                   let c = Value.compare v b.v in
                   if b.strict then c < 0 else c <= 0
             in
-            if ok_lo && ok_hi then begin
+            (* an earlier [<>] is implied by the equality, or contradicts it *)
+            let ok_ne = List.for_all (fun (w, _) -> Value.compare v w <> 0) iv.ne in
+            if ok_lo && ok_hi && ok_ne then begin
               (* the bounds collected so far are implied by the equality *)
               (match iv.lo with Some b -> iv.dead <- b.src :: iv.dead | None -> ());
               (match iv.hi with Some b -> iv.dead <- b.src :: iv.dead | None -> ());
+              iv.dead <- List.map snd iv.ne @ iv.dead;
               iv.lo <- None;
               iv.hi <- None;
               iv.eq <- Some (v, conj)
             end
             else iv.broken <- true
-        | Expr.Ne -> ()  (* kept as-is; too weak to subsume or contradict alone *)
+        | Expr.Ne -> iv.ne <- (v, conj) :: iv.ne  (* kept unless an equality follows *)
         | Expr.Gt | Expr.Ge ->
             let strict = op = Expr.Gt in
             (match iv.lo with
@@ -205,7 +209,7 @@ let simplify_conjuncts conjuncts =
               | Some iv -> iv
               | None ->
                   let iv =
-                    { lo = None; hi = None; eq = None; dead = []; broken = false }
+                    { lo = None; hi = None; eq = None; ne = []; dead = []; broken = false }
                   in
                   Hashtbl.add intervals col iv;
                   iv

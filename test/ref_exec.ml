@@ -1,8 +1,10 @@
 (* The reference evaluator of the executor oracle: the pull-based [Seq]
    interpreter and the tree-walking expression evaluator the engine ran
    before plans were compiled into push pipelines, kept here unchanged but
-   for one thing: a [?] slot reads [params] instead of a copy of the plan
-   with the values bound in. It shares only the plan types, [Btree],
+   for two things: a [?] slot reads [params] instead of a copy of the plan
+   with the values bound in, and an [Ordered] node passes its input
+   through as the engine does (the planner oracle, not this one, checks
+   that the order it claims holds). It shares only the plan types, [Btree],
    [Table] and [Plan.probe_range] with the engine. *)
 
 module R = Reldb
@@ -315,6 +317,7 @@ let rec eval_plan params (p : Plan.t) : Tuple.t Seq.t =
   | Plan.Sort { input; keys } ->
       let rows = List.of_seq (run input) in
       List.to_seq (sort_tuples params keys rows)
+  | Plan.Ordered { input; _ } -> run input
   | Plan.Distinct input ->
       let seen = Hashtbl.create 256 in
       Seq.filter

@@ -66,6 +66,20 @@ let test_simplify_subsumption () =
     (List.length
        (kept [ cmp E.Gt (col 0) (iconst 3); cmp E.Lt (col 0) (iconst 5) ]))
 
+(* an equality drops a [<>] of the same column it implies, and contradicts
+   one of its own constant, whichever comes first *)
+let test_simplify_ne () =
+  let ne = cmp E.Ne (col 0) (iconst 2) in
+  List.iter
+    (fun (what, cs) ->
+      check bool_t (what ^ ": implied <> dropped") true
+        (match kept cs with [ E.Cmp (E.Eq, E.Col 0, E.Const (V.Int 0)) ] -> true | _ -> false))
+    [ ("x <> 2 AND x = 0", [ ne; cmp E.Eq (col 0) (iconst 0) ]);
+      ("x = 0 AND x <> 2", [ cmp E.Eq (col 0) (iconst 0); ne ]) ];
+  check bool_t "x <> 2 AND x = 2" true (is_contradiction [ ne; cmp E.Eq (col 0) (iconst 2) ]);
+  check bool_t "x = 2 AND x <> 2" true (is_contradiction [ cmp E.Eq (col 0) (iconst 2); ne ]);
+  check int_t "x <> 2 AND y = 0 both kept" 2 (List.length (kept [ ne; cmp E.Eq (col 1) (iconst 0) ]))
+
 let test_fold () =
   check bool_t "arithmetic folds" true
     (Simplify.fold (E.Arith (E.Add, iconst 1, iconst 2)) = iconst 3);
@@ -289,6 +303,33 @@ let test_middle_tier_steps () =
         (segments enc "/site/regions/africa/item/following::item"))
     O.Encoding.all
 
+(* a middle-tier step's own statements are linted: the run fetching its
+   candidates, the runs of its predicates' paths and DEWEY's ancestor-prefix
+   statement each plan, and each run gets its order note *)
+let test_middle_tier_statements () =
+  let catalog = Reldb.Db.catalog (Lazy.force env) in
+  let notes xpath =
+    List.map
+      (fun seg ->
+        let fs = Analysis.Lint.lint_segment catalog O.Encoding.Dewey_enc seg in
+        check bool_t (xpath ^ ": no error") false (F.has_errors fs);
+        List.length (List.filter (fun f -> f.F.rule = "order-contract") fs))
+      (segments O.Encoding.Dewey_enc xpath)
+  in
+  (* the item run from the root, bidder's and @featured's runs from it *)
+  check (Alcotest.list int_t) "order notes per step" [ 3; 0 ]
+    (notes "//item[count(bidder) > 1 or @featured]/ancestor::*");
+  let planted =
+    List.map
+      (function
+        | O.Translate.Step ({ fetch = O.Translate.Prefixes _; _ } as s) ->
+            O.Translate.Step { s with fetch = O.Translate.Prefixes "SELECT nope FROM doc_dewey" }
+        | seg -> seg)
+      (segments O.Encoding.Dewey_enc "//item/ancestor::*")
+  in
+  check bool_t "a bad prefix statement is caught" true
+    (List.exists (fun seg -> F.has_errors (Analysis.Lint.lint_segment catalog O.Encoding.Dewey_enc seg)) planted)
+
 (* ---------------- plan lint ------------------------------------------- *)
 
 let test_plan_lint () =
@@ -412,6 +453,7 @@ let tests =
       Alcotest.test_case "simplify: subsumption" `Quick
         test_simplify_subsumption;
       Alcotest.test_case "simplify: constant folding" `Quick test_fold;
+      Alcotest.test_case "simplify: <> before and after =" `Quick test_simplify_ne;
       Alcotest.test_case "planner short-circuits contradictions" `Quick
         test_contradiction_short_circuits;
       Alcotest.test_case "lint rules" `Quick test_lint_rules;
@@ -422,6 +464,7 @@ let tests =
       Alcotest.test_case "order tampering caught" `Quick test_order_tampering;
       Alcotest.test_case "derived-table order checked" `Quick test_derived_order_checked;
       Alcotest.test_case "middle-tier steps are Info" `Quick test_middle_tier_steps;
+      Alcotest.test_case "middle-tier statements linted" `Quick test_middle_tier_statements;
       Alcotest.test_case "plan lint" `Quick test_plan_lint;
       Alcotest.test_case "degenerate count() lint" `Quick
         test_lint_degenerate_count;
