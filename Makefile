@@ -38,8 +38,10 @@ crash-test:
 	dune exec --no-print-directory test/test_main.exe -- test wal-crash
 
 # build + tier-1 tests + fault injection + counter gate + CLI smoke test
-# over the quickstart catalog; `oxq sql --analyze` must profile the run a
-# positional query executes (an operator tree with its Limit), a GLOBAL
+# over the quickstart catalog; `oxq stats` must print each index's B+-tree
+# shape (a bottom-up build puts the catalog's 28 keys in one leaf), `oxq sql
+# --analyze` must profile the run a positional query executes (an
+# operator tree with its Limit), a GLOBAL
 # following:: step must join one staircase row and run no Sort and no
 # Distinct operator (its ORDER BY is delivered), a query on
 # the directory `oxq dump` writes must print what it prints on the XML,
@@ -48,7 +50,8 @@ crash-test:
 # comment holding "--" must be refused as malformed XML (exit 1, `error:`).
 # Run this before recording a change in CHANGES.md.
 check: build test lint crash-test bench-smoke
-	$(OXQ) stats examples/catalog.xml -e dewey
+	$(OXQ) stats examples/catalog.xml -e dewey | tee _build/check-stats.out
+	grep -qx 'index doc_dewey_path: depth 1, 1 leaves, occupancy 0.44' _build/check-stats.out
 	$(OXQ) query examples/catalog.xml '/catalog/book[1]/title' --trace
 	$(OXQ) sql examples/catalog.xml '/catalog/book[last()]' --analyze | grep 'Limit'
 	$(OXQ) sql -e global examples/catalog.xml '/catalog/book[1]/following::title' --analyze > _build/check-stair.out

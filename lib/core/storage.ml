@@ -10,6 +10,7 @@ type t = {
   total_bytes : int;
   avg_key_bytes : float;
   max_key_bytes : int;
+  trees : (string * Reldb.Btree.stats) list;
 }
 
 let order_cols = function
@@ -37,7 +38,8 @@ let measure db ~doc enc =
       Reldb.Btree.iter idx.Reldb.Table.tree ~lo:Unbounded ~hi:Unbounded ~reverse:false
         (fun key _ ->
           incr index_entries;
-          index_bytes := !index_bytes + Reldb.Tuple.size_bytes key;
+          (* the encoded key, and a word per entry as before *)
+          index_bytes := !index_bytes + 8 + Bytes.length key;
           true))
     (Reldb.Table.indexes table);
   {
@@ -51,6 +53,11 @@ let measure db ~doc enc =
     avg_key_bytes =
       (if rows = 0 then 0.0 else float_of_int !order_bytes /. float_of_int rows);
     max_key_bytes = !max_key;
+    trees =
+      List.map
+        (fun (idx : Reldb.Table.index) ->
+          (idx.Reldb.Table.idx_name, Reldb.Btree.stats idx.Reldb.Table.tree))
+        (Reldb.Table.indexes table);
   }
 
 let pp ppf t =
@@ -58,7 +65,12 @@ let pp ppf t =
     "%-10s rows=%d heap=%dB order=%dB (avg %.1fB/row, max %dB) index \
      entries=%d index=%dB total=%dB"
     (Encoding.name t.encoding) t.rows t.heap_bytes t.order_bytes
-    t.avg_key_bytes t.max_key_bytes t.index_entries t.index_bytes t.total_bytes
+    t.avg_key_bytes t.max_key_bytes t.index_entries t.index_bytes t.total_bytes;
+  List.iter
+    (fun (name, (s : Reldb.Btree.stats)) ->
+      Format.fprintf ppf "@\nindex %s: depth %d, %d leaves, occupancy %.2f" name
+        s.Reldb.Btree.depth s.Reldb.Btree.leaves s.Reldb.Btree.occupancy)
+    t.trees
 
 let dewey_path_length_histogram db ~doc =
   match

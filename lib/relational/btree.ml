@@ -5,7 +5,7 @@ type node = Leaf of leaf | Internal of internal
 and leaf = {
   (* entries [0, n) are live; an insert or delete shifts them in place, and
      a full leaf grows its arrays by half (see [make_room]) *)
-  mutable keys : Tuple.t array;
+  mutable keys : bytes array;
   mutable vals : int array;
   mutable n : int;
   mutable next : leaf option;
@@ -13,8 +13,8 @@ and leaf = {
 
 and internal = {
   (* children.(i) covers keys k with seps.(i-1) <= k < seps.(i); each
-     separator owns its array, so rewriting a leaf key moves no bound *)
-  mutable seps : Tuple.t array;
+     separator owns its bytes, so rewriting a leaf key moves no bound *)
+  mutable seps : bytes array;
   mutable children : node array;
 }
 
@@ -32,9 +32,26 @@ type finger = {
   mutable hi_j : int;
 }
 
-type t = { mutable root : node; branching : int; mutable count : int; finger : finger }
+(* [build] names the tree's current set of leaves, unique across trees: a
+   tree gets a new one when made and when {!build} replaces its leaves *)
+type t = {
+  mutable root : node;
+  branching : int;
+  mutable count : int;
+  finger : finger;
+  mutable build : int;
+}
 
-type bound = Unbounded | Incl of Tuple.t | Excl of Tuple.t
+let builds = ref 0
+
+let next_build () =
+  incr builds;
+  !builds
+
+(* the leaf of a walk's last seek, in the tree's build [h_build] *)
+type hint = { mutable h_leaf : leaf; mutable h_build : int }
+
+type bound = Unbounded | Incl of bytes | Excl of bytes
 
 (* an empty leaf: the finger holding it matches no key *)
 let no_leaf = { keys = [||]; vals = [||]; n = 0; next = None }
@@ -47,7 +64,10 @@ let create ?(branching = 64) () =
     branching;
     count = 0;
     finger = { leaf = no_leaf; slot = 0; lo = no_internal; lo_j = -1; hi = no_internal; hi_j = -1 };
+    build = next_build ();
   }
+
+let hint () = { h_leaf = no_leaf; h_build = 0 }
 
 (* room for one more entry in [l]: a full leaf's arrays grow by half, up to
    the [branching + 1] entries a leaf holds before it splits, so inserts
@@ -55,7 +75,7 @@ let create ?(branching = 64) () =
 let make_room t l =
   if l.n = Array.length l.keys then begin
     let cap = min (t.branching + 1) (l.n + (l.n / 2) + 4) in
-    let keys = Array.make cap [||] and vals = Array.make cap 0 in
+    let keys = Array.make cap Bytes.empty and vals = Array.make cap 0 in
     Array.blit l.keys 0 keys 0 l.n;
     Array.blit l.vals 0 vals 0 l.n;
     l.keys <- keys;
@@ -64,14 +84,17 @@ let make_room t l =
 
 let length t = t.count
 
-(* position of first key >= k among the sorted keys.(0 .. n - 1) *)
-let lower_bound keys n k =
+(* position of the first key >= k ([c = 0]) or > k ([c = 1]) among the
+   sorted keys.(0 .. n - 1) *)
+let search keys n k c =
   let lo = ref 0 and hi = ref n in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
-    if Tuple.compare_key keys.(mid) k < 0 then lo := mid + 1 else hi := mid
+    if Bytes.compare keys.(mid) k < c then lo := mid + 1 else hi := mid
   done;
   !lo
+
+let lower_bound keys n k = search keys n k 0
 
 (* child index for key [k] in an internal node *)
 let child_index (n : internal) k =
@@ -79,7 +102,7 @@ let child_index (n : internal) k =
   let lo = ref 0 and hi = ref (Array.length n.seps) in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
-    if Tuple.compare_key n.seps.(mid) k <= 0 then lo := mid + 1 else hi := mid
+    if Bytes.compare n.seps.(mid) k <= 0 then lo := mid + 1 else hi := mid
   done;
   !lo
 
@@ -98,7 +121,7 @@ let rec find_leaf node k =
 let find t k =
   let l = find_leaf t.root k in
   let i = lower_bound l.keys l.n k in
-  if i < l.n && Tuple.compare_key l.keys.(i) k = 0 then
+  if i < l.n && Bytes.equal l.keys.(i) k then
     Some l.vals.(i)
   else None
 
@@ -107,7 +130,7 @@ let rec insert_node t node k v ~replace_existing =
   match node with
   | Leaf l ->
       let i = lower_bound l.keys l.n k in
-      if i < l.n && Tuple.compare_key l.keys.(i) k = 0 then begin
+      if i < l.n && Bytes.equal l.keys.(i) k then begin
         if replace_existing then begin
           l.vals.(i) <- v;
           None
@@ -140,7 +163,7 @@ let rec insert_node t node k v ~replace_existing =
           l.vals <- Array.sub l.vals 0 mid;
           l.n <- mid;
           l.next <- Some right;
-          Some (Array.copy right.keys.(0), Leaf right)
+          Some (Bytes.copy right.keys.(0), Leaf right)
         end
         else None
       end
@@ -180,11 +203,11 @@ let replace t k v = insert_gen t k v ~replace_existing:true
 let delete t k =
   let l = find_leaf t.root k in
   let i = lower_bound l.keys l.n k in
-  if i < l.n && Tuple.compare_key l.keys.(i) k = 0 then begin
+  if i < l.n && Bytes.equal l.keys.(i) k then begin
     Array.blit l.keys (i + 1) l.keys i (l.n - 1 - i);
     Array.blit l.vals (i + 1) l.vals i (l.n - 1 - i);
     l.n <- l.n - 1;
-    l.keys.(l.n) <- [||];
+    l.keys.(l.n) <- Bytes.empty;
     t.count <- t.count - 1;
     true
   end
@@ -215,55 +238,105 @@ let rec rightmost = function
 (* what [nk] needs on one side of its slot *)
 type side = Inside | Moves | Crosses
 
-let holds l i k = i >= 0 && i < l.n && Tuple.compare_key l.keys.(i) k = 0
+let holds l i value = i >= 0 && i < l.n && l.vals.(i) = value
 
-let rewrite_key t ~old nk =
-  let f = t.finger in
+(* the slot of the entry [old (), value], or [-1] *)
+let locate t f ~value ~old =
   let l = f.leaf in
   (* a slot beside the last rewrite's, else the finger's leaf if its keys
-     span [old], else a descent *)
-  let i =
-    if holds l (f.slot - 1) old then f.slot - 1
-    else if holds l (f.slot + 1) old then f.slot + 1
-    else (
-      if not (l.n > 0 && Tuple.compare_key l.keys.(0) old <= 0
-              && Tuple.compare_key old l.keys.(l.n - 1) <= 0)
-      then (Obs.incr "index.descents"; f.lo_j <- -1; f.hi_j <- -1; descend f old t.root);
-      lower_bound f.leaf.keys f.leaf.n old)
-  in
+     span the old key, else a descent *)
+  if holds l (f.slot - 1) value then f.slot - 1
+  else if holds l (f.slot + 1) value then f.slot + 1
+  else
+    let old = old () in
+    if not (l.n > 0 && Bytes.compare l.keys.(0) old <= 0 && Bytes.compare old l.keys.(l.n - 1) <= 0)
+    then (
+      Obs.incr "index.descents";
+      f.lo_j <- -1;
+      f.hi_j <- -1;
+      descend f old t.root);
+    let l = f.leaf in
+    let i = lower_bound l.keys l.n old in
+    if i < l.n && Bytes.equal l.keys.(i) old && l.vals.(i) = value then i else -1
+
+let rewrite_key t ~value ~old nk =
+  let f = t.finger in
+  let i = locate t f ~value ~old in
   let l = f.leaf in
   let last = l.n - 1 in
-  if i > last || Tuple.compare_key l.keys.(i) old <> 0
-     || Array.length l.keys.(i) <> Array.length nk
-  then false
+  if i < 0 then false
   else
     let below =
       if i > 0 then
-        if Tuple.compare_key l.keys.(i - 1) nk < 0 then Inside else Crosses
-      else if f.lo_j < 0 || Tuple.compare_key f.lo.seps.(f.lo_j) nk <= 0 then Inside
+        if Bytes.compare l.keys.(i - 1) nk < 0 then Inside else Crosses
+      else if f.lo_j < 0 || Bytes.compare f.lo.seps.(f.lo_j) nk <= 0 then Inside
       else
         let p = rightmost f.lo.children.(f.lo_j) in
-        if p.n > 0 && Tuple.compare_key p.keys.(p.n - 1) nk < 0 then Moves
+        if p.n > 0 && Bytes.compare p.keys.(p.n - 1) nk < 0 then Moves
         else Crosses
     in
     let above =
       if i < last then
-        if Tuple.compare_key nk l.keys.(i + 1) < 0 then Inside else Crosses
-      else if f.hi_j < 0 || Tuple.compare_key nk f.hi.seps.(f.hi_j) < 0 then Inside
+        if Bytes.compare nk l.keys.(i + 1) < 0 then Inside else Crosses
+      else if f.hi_j < 0 || Bytes.compare nk f.hi.seps.(f.hi_j) < 0 then Inside
       else
         match l.next with
-        | Some r when r.n > 0 && Tuple.compare_key nk r.keys.(0) < 0 -> Moves
+        | Some r when r.n > 0 && Bytes.compare nk r.keys.(0) < 0 -> Moves
         | _ -> Crosses
     in
     if below = Crosses || above = Crosses then false
     else begin
-      if below = Moves then f.lo.seps.(f.lo_j) <- Array.copy nk;
+      if below = Moves then f.lo.seps.(f.lo_j) <- Bytes.copy nk;
       if above = Moves then
-        Option.iter (fun r -> f.hi.seps.(f.hi_j) <- Array.copy r.keys.(0)) l.next;
-      Array.blit nk 0 l.keys.(i) 0 (Array.length nk);
+        Option.iter (fun r -> f.hi.seps.(f.hi_j) <- Bytes.copy r.keys.(0)) l.next;
+      let n = Bytes.length nk in
+      if Bytes.length l.keys.(i) = n then Bytes.blit nk 0 l.keys.(i) 0 n
+      else l.keys.(i) <- Bytes.copy nk;
       f.slot <- i;
       true
     end
+
+(* Bottom-up: [n] entries make ceil (n / branching) leaves, filled left to
+   right as evenly as they go, and each level above takes as many
+   children per node until one node is left. A node's separators are
+   copies of the first keys of its children but the first. *)
+let build t n key value =
+  t.root <- Leaf { keys = [||]; vals = [||]; n = 0; next = None };
+  t.count <- 0;
+  t.finger.leaf <- no_leaf;
+  t.build <- next_build ();
+  if n > 0 then begin
+    let spread n f =
+      let k = (n + t.branching - 1) / t.branching in
+      Array.init k (fun i -> f (i * n / k) (((i + 1) * n / k) - (i * n / k)))
+    in
+    let leaves =
+      spread n (fun a len ->
+          {
+            keys = Array.init len (fun i -> key (a + i));
+            vals = Array.init len (fun i -> value (a + i));
+            n = len;
+            next = None;
+          })
+    in
+    Array.iteri (fun i l -> if i > 0 then leaves.(i - 1).next <- Some l) leaves;
+    (* [firsts.(i)]: the least key under [nodes.(i)] *)
+    let rec up nodes firsts =
+      if Array.length nodes = 1 then nodes.(0)
+      else
+        let m = Array.length nodes in
+        up
+          (spread m (fun a len ->
+               Internal
+                 {
+                   seps = Array.init (len - 1) (fun j -> Bytes.copy firsts.(a + j + 1));
+                   children = Array.sub nodes a len;
+                 }))
+          (spread m (fun a _ -> firsts.(a)))
+    in
+    t.root <- up (Array.map (fun l -> Leaf l) leaves) (Array.map (fun l -> l.keys.(0)) leaves);
+    t.count <- n
+  end
 
 let leftmost_leaf t =
   let rec go = function
@@ -272,30 +345,17 @@ let leftmost_leaf t =
   in
   go t.root
 
-(* Compare a stored key against a (possibly shorter) bound key on the bound's
-   arity only, in place. A stored key shorter than the bound falls back to
-   full comparison (cannot happen for well-formed index keys). Top-level, so
-   that the per-row bound check of a range scan allocates nothing. *)
-let rec compare_trunc_from k b i =
-  if i >= Array.length b then 0
-  else if i >= Array.length k then -1
-  else
-    let c = Value.compare k.(i) b.(i) in
-    if c <> 0 then c else compare_trunc_from k b (i + 1)
-
-let compare_trunc k b = compare_trunc_from k b 0
-
 let within_hi hi k =
   match hi with
   | Unbounded -> true
-  | Incl h -> compare_trunc k h <= 0
-  | Excl h -> compare_trunc k h < 0
+  | Incl h -> Bytes.compare k h <= 0
+  | Excl h -> Bytes.compare k h < 0
 
 let above_lo lo k =
   match lo with
   | Unbounded -> true
-  | Incl l -> compare_trunc k l >= 0
-  | Excl l -> compare_trunc k l > 0
+  | Incl l -> Bytes.compare k l >= 0
+  | Excl l -> Bytes.compare k l > 0
 
 (* Number of leading entries of the sorted a.(0 .. n - 1) that satisfy
    [p], which holds on a prefix of them and fails on the rest. *)
@@ -308,29 +368,45 @@ let count_while p a n =
   !lo
 
 (* Range walks as push loops: [f] gets each entry and returns whether to go
-   on. Top-level recursions, so that a walk allocates nothing. The seek
-   compares full keys: for [Incl b] the first qualifying key (truncated
-   compare >= b) is exactly the first key >= b, because a prefix sorts
-   before all its extensions; for [Excl b] the walk skips the extensions of
-   [b] themselves. *)
-let rec iter_from lo hi f (l : leaf) i ~leading =
+   on. Top-level recursions, so that a walk allocates nothing. A leaf the
+   walk enters from its left neighbour is [whole] when its last key is
+   within [hi]: its keys are then pushed unchecked. *)
+let rec iter_from hi f (l : leaf) i ~whole =
   if i >= l.n then
-    match l.next with None -> () | Some nxt -> iter_from lo hi f nxt 0 ~leading
+    match l.next with
+    | None -> ()
+    | Some r -> iter_from hi f r 0 ~whole:(r.n > 0 && within_hi hi r.keys.(r.n - 1))
   else
     let k = l.keys.(i) in
-    if within_hi hi k then
-      let skip =
-        leading && match lo with Excl b -> compare_trunc k b = 0 | Unbounded | Incl _ -> false
-      in
-      if skip then iter_from lo hi f l (i + 1) ~leading
-      else if f k l.vals.(i) then iter_from lo hi f l (i + 1) ~leading:false
+    if (whole || within_hi hi k) && f k l.vals.(i) then iter_from hi f l (i + 1) ~whole
+
+(* [l]'s last key is at or above the bound [k] ([c = 0]), or above it
+   ([c = 1]) *)
+let past l k c = l.n > 0 && Bytes.compare l.keys.(l.n - 1) k >= c
+
+(* The leaf holding the first key at or above the bound, or the one left
+   of it: the hint's leaf when its last key is past the bound and its first
+   is not, the next leaf when the hint's lies wholly below the bound and
+   the next one's last key is past it (the probes of a join in key order
+   mostly land in one of the two), else the leaf a descent finds. No leaf
+   leaves the tree before a new build, so a leaf of the hint's build is in
+   the tree, and its keys are a run of the tree's. *)
+let seek t h k c =
+  let l = h.h_leaf in
+  let l =
+    if h.h_build <> t.build || l.n = 0 then find_leaf t.root k
+    else if past l k c then if Bytes.compare l.keys.(0) k < c then l else find_leaf t.root k
+    else match l.next with Some r when past r k c -> r | _ -> find_leaf t.root k
+  in
+  h.h_leaf <- l;
+  h.h_build <- t.build;
+  l
 
 (* From the right, stopping at the first key below [lo]; [false] once [f]
-   stops or the walk passes [lo]. Truncation preserves order, so a
-   separator bounds the truncated keys of its neighbours: child [i] holds
-   keys in [seps.(i-1), seps.(i)). The seek to the right end
-   binary-searches [hi] in each node on the rightmost path ([first]); every
-   key left of that path is within [hi]. *)
+   stops or the walk passes [lo]. Child [i] holds keys in
+   [seps.(i-1), seps.(i)). The seek to the right end binary-searches [hi]
+   in each node on the rightmost path ([first]); every key left of that
+   path is within [hi]. *)
 let rec desc_node lo hi f node ~first =
   match node with
   | Leaf l -> desc_leaf lo f l ((if first then count_while (within_hi hi) l.keys l.n else l.n) - 1)
@@ -347,26 +423,27 @@ and desc_kids lo hi f n i ~first =
      && desc_node lo hi f n.children.(i) ~first
      && desc_kids lo hi f n (i - 1) ~first:false)
 
-let iter t ~lo ~hi ~reverse f =
+let iter ?(hint = hint ()) t ~lo ~hi ~reverse f =
   if reverse then ignore (desc_node lo hi f t.root ~first:true)
   else
     match lo with
-    | Unbounded -> iter_from lo hi f (leftmost_leaf t) 0 ~leading:true
-    | Incl k | Excl k ->
-        let l = find_leaf t.root k in
-        iter_from lo hi f l (lower_bound l.keys l.n k) ~leading:true
+    | Unbounded -> iter_from hi f (leftmost_leaf t) 0 ~whole:false
+    | Incl k ->
+        let l = seek t hint k 0 in
+        iter_from hi f l (search l.keys l.n k 0) ~whole:false
+    | Excl k ->
+        let l = seek t hint k 1 in
+        iter_from hi f l (search l.keys l.n k 1) ~whole:false
 
 let entries t ~lo ~hi ~reverse =
   let acc = ref [] in
   iter t ~lo ~hi ~reverse (fun k v ->
-      acc := (Array.copy k, v) :: !acc;
+      acc := (Bytes.copy k, v) :: !acc;
       true);
   List.to_seq (List.rev !acc)
 
 let range t ~lo ~hi = entries t ~lo ~hi ~reverse:false
 let range_desc t ~lo ~hi = entries t ~lo ~hi ~reverse:true
-
-let prefix t p = range t ~lo:(Incl p) ~hi:(Incl p)
 
 let to_seq t = range t ~lo:Unbounded ~hi:Unbounded
 
@@ -404,8 +481,8 @@ let check_invariants t =
   let chain = ref (Some (leftmost_leaf t)) in
   let rec check lo hi depth node =
     let in_bounds k =
-      (match lo with None -> true | Some b -> Tuple.compare_key b k <= 0)
-      && match hi with None -> true | Some b -> Tuple.compare_key k b < 0
+      (match lo with None -> true | Some b -> Bytes.compare b k <= 0)
+      && match hi with None -> true | Some b -> Bytes.compare k b < 0
     in
     match node with
     | Leaf l ->
@@ -422,7 +499,7 @@ let check_invariants t =
             fail "separator shares a leaf key's array";
           pending := [];
           (match !prev with
-          | Some p when Tuple.compare_key p k >= 0 ->
+          | Some p when Bytes.compare p k >= 0 ->
               fail "leaf keys not strictly ascending"
           | _ -> ());
           prev := Some k
@@ -433,7 +510,7 @@ let check_invariants t =
         Array.iteri
           (fun i sep ->
             if not (in_bounds sep) then fail "separator out of bounds";
-            if i > 0 && Tuple.compare_key n.seps.(i - 1) sep >= 0 then
+            if i > 0 && Bytes.compare n.seps.(i - 1) sep >= 0 then
               fail "separators not ascending")
           n.seps;
         Array.iteri

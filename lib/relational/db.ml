@@ -130,8 +130,7 @@ let with_scratch t ~name ~cols rows f =
   Fun.protect
     ~finally:(fun () -> Table.truncate tbl)
     (fun () ->
-      (try List.iter (fun row -> ignore (Table.insert tbl row)) rows
-       with Table.Constraint_violation m -> fail "%s" m);
+      (try Table.insert_many tbl rows with Table.Constraint_violation m -> fail "%s" m);
       f ())
 
 (* --- snapshot ---------------------------------------------------------- *)
@@ -624,18 +623,11 @@ let query_one t sql =
 (* --- bulk writes ------------------------------------------------------- *)
 
 (* Fast path for loading rows into one table, one row or many: skips SQL
-   entirely. Atomic: a constraint violation removes the rows inserted so
-   far. *)
+   entirely, and builds an empty table's indexes bottom-up. Atomic: a
+   constraint violation removes the rows inserted so far. *)
 let insert_many t name rows =
   let tbl = table t name in
-  let inserted = ref [] in
-  (try
-     List.iter
-       (fun row -> inserted := Table.insert tbl row :: !inserted)
-       rows
-   with Table.Constraint_violation m ->
-     List.iter (fun rowid -> Table.delete tbl rowid) !inserted;
-     fail "%s" m);
+  (try Table.insert_many tbl rows with Table.Constraint_violation m -> fail "%s" m);
   if rows <> [] then log t (Wal.Rows (Table.name tbl, rows));
   List.length rows
 

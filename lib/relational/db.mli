@@ -80,8 +80,9 @@ val with_scratch :
 
 val insert_many : t -> string -> Tuple.t list -> int
 (** Insert pre-built tuples into a table, bypassing SQL parsing entirely
-    (the loader fast path, also for one row at a time). Returns the number
-    of rows inserted. Atomic: on constraint violation the rows inserted so
+    (the loader fast path, also for one row at a time; into an empty table
+    each index is built bottom-up, {!Table.insert_many}). Returns the
+    number of rows inserted. Atomic: on constraint violation the rows inserted so
     far are removed and [Sql_error] is raised. On durable databases the
     call is logged to the WAL as one entry holding all the rows.
     @raise Sql_error on constraint violation or missing table. *)

@@ -232,10 +232,16 @@ let agg_expr = function
   | Plan.Count_star -> None
   | Plan.Count e | Plan.Sum e | Plan.Min e | Plan.Max e | Plan.Avg e -> Some e
 
-(* an index range from compiled key and bound expressions *)
+(* an index range from compiled key and bound expressions, encoded in
+   scratch of the probe's own, its constant key parts encoded once *)
 let probe_range l key lo hi =
   let bound = Option.map (fun (p : Plan.probe_bound) -> { p with Plan.bound = expr l p.bound }) in
-  Plan.probe_range ( @@ ) (Array.map (expr l) key) ~lo:(bound lo) ~hi:(bound hi)
+  let fixed = function
+    | Expr.Const v when not (Value.is_null v) -> Some (Key.encode [| v |])
+    | _ -> None
+  in
+  Plan.probe_range ( @@ ) (Plan.probe_scratch (Array.map fixed key)) (Array.map (expr l) key)
+    ~lo:(bound lo) ~hi:(bound hi)
 
 (* Row, loop and time counters around [op]: time is spent inside the
    operator and below it, without the time its consumer takes. *)
@@ -273,13 +279,14 @@ and compile_op cx p =
       let s = new_slot cx in
       let range =
         match range with
-        | Plan.Fixed (lo, hi) -> fun _ -> Some (lo, hi)
+        | Plan.Non_null -> fun _ -> Some Plan.non_null
         | Plan.Probe { key; lo; hi } -> probe_range no_cols key lo hi
       in
+      let hint = Btree.hint () in
       let op f stop k =
         Option.iter
           (fun (lo, hi) ->
-            Btree.iter index.Table.tree ~lo ~hi ~reverse (fun _ rowid ->
+            Btree.iter ~hint index.Table.tree ~lo ~hi ~reverse (fun _ rowid ->
                 (not !stop) && (read cx table s f k rowid; true)))
           (range f)
       in
@@ -325,6 +332,7 @@ and compile_op cx p =
       let l = join ol (whole si (Schema.arity (Table.schema table))) in
       let range = probe_range ol key lo hi in
       let keep = pred l residual and cap = Option.map (expr no_cols) cap in
+      let hint = Btree.hint () in
       let op f stop k =
         (* offset + limit past max_int wraps below 0: no cap *)
         let cap =
@@ -346,7 +354,7 @@ and compile_op cx p =
             | None -> ()
             | Some (lo, hi) ->
                 passed := 0;
-                Btree.iter index.Table.tree ~lo ~hi ~reverse visit)
+                Btree.iter ~hint index.Table.tree ~lo ~hi ~reverse visit)
       in
       (l, op, [ opr ])
   | Plan.Hash_join { left; right; left_key; right_key; residual } ->

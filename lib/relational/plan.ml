@@ -12,7 +12,7 @@ type 'e probe_end = { bound : 'e; strict : bool }
 type probe_bound = Expr.t probe_end
 
 type scan_range =
-  | Fixed of Btree.bound * Btree.bound
+  | Non_null
   | Probe of { key : Expr.t array; lo : probe_bound option; hi : probe_bound option }
 
 type t =
@@ -57,37 +57,108 @@ type t =
 
 let count n = Expr.Const (Value.Int n)
 
-(* [prefix] extended by [v], as a bound *)
-let on_next prefix v ~strict =
-  let n = Array.length prefix in
-  let k = Array.make (n + 1) v in
-  Array.blit prefix 0 k 0 n;
-  if strict then Btree.Excl k else Btree.Incl k
+let non_null = (Btree.Incl (Key.prefix_end (Key.encode [| Value.Null |])), Btree.Unbounded)
 
-(* one end of a probe range; a NULL value matches nothing *)
-let probe_end eval row prefix ~default = function
-  | None -> default
-  | Some { bound; strict } -> (
-      match eval bound row with Value.Null -> raise_notrace Exit | v -> on_next prefix v ~strict)
+(* [fixed.(i)]: the encoding of key part [i] if the caller knows it is a
+   constant *)
+type probe_scratch = {
+  fixed : bytes option array;
+  keys : Key.scratch;
+  lo_keys : Key.scratch;
+  hi_keys : Key.scratch;
+}
 
-let probe_range eval key ~lo ~hi row =
-  let n = Array.length key in
-  let prefix = Array.make n Value.Null in
-  for i = 0 to n - 1 do
-    prefix.(i) <- eval key.(i) row
-  done;
-  if Array.exists Value.is_null prefix then None
+let probe_scratch fixed =
+  { fixed; keys = Key.scratch (); lo_keys = Key.scratch (); hi_keys = Key.scratch () }
+
+let fixed sc i = if i < Array.length sc.fixed then sc.fixed.(i) else None
+
+(* [len] bytes of [src] into [dst] at [pos]: for a few bytes a loop is
+   cheaper than Bytes.blit *)
+let copy src dst pos len =
+  for j = 0 to len - 1 do
+    Bytes.set dst (pos + j) (Bytes.get src j)
+  done
+
+(* The probe's key [pre], [size] bytes, extended by [v] if any, and with
+   [past] the least key above all its extensions: [pre] itself or a
+   scratch key of [keys] *)
+let extend keys pre size v ~past =
+  match v with
+  | None when not past -> pre
+  | _ ->
+      let len = size + (match v with Some v -> Key.size v | None -> 0) + if past then 1 else 0 in
+      let b = Key.scratch_key keys len in
+      copy pre b 0 size;
+      let pos = match v with Some v -> Key.write b size v | None -> size in
+      if past then ignore (Key.write_end b pos);
+      b
+
+(* one end of a probe range, its value and whether it is strict *)
+let end_value eval row = function
+  | None -> None
+  | Some { bound; strict } -> Some (eval bound row, strict)
+
+(* the encoded size of key parts [i ..], or -1 if one is NULL *)
+let rec key_size eval sc key row i acc =
+  if i >= Array.length key then acc
   else
-    let whole = if n = 0 then Btree.Unbounded else Btree.Incl prefix in
-    (* with no lower bound, start above NULL, which ranks lowest: [col < x]
-       is never true of a NULL column *)
-    let floor = if Option.is_none hi then whole else on_next prefix Value.Null ~strict:true in
-    match probe_end eval row prefix ~default:floor lo with
-    | exception Exit -> None
-    | lo -> (
-        match probe_end eval row prefix ~default:whole hi with
-        | exception Exit -> None
-        | hi -> Some (lo, hi))
+    match fixed sc i with
+    | Some e -> key_size eval sc key row (i + 1) (acc + Bytes.length e)
+    | None -> (
+        match eval key.(i) row with
+        | Value.Null -> -1
+        | v -> key_size eval sc key row (i + 1) (acc + Key.size v))
+
+let probe_range eval sc key ~lo ~hi row =
+  let n = Array.length key in
+  let size = key_size eval sc key row 0 0 in
+  match (size < 0, end_value eval row lo, end_value eval row hi) with
+  | true, _, _ | _, Some (Value.Null, _), _ | _, _, Some (Value.Null, _) -> None
+  | false, lo_v, hi_v ->
+      (* the parts again (expressions are pure), now into a key of their size *)
+      let pre = Key.scratch_key sc.keys size in
+      let pos = ref 0 in
+      for i = 0 to n - 1 do
+        match fixed sc i with
+        | Some e ->
+            copy e pre !pos (Bytes.length e);
+            pos := !pos + Bytes.length e
+        | None -> pos := Key.write pre !pos (eval key.(i) row)
+      done;
+      let lo =
+        match lo_v with
+        | Some (v, strict) -> Btree.Incl (extend sc.lo_keys pre size (Some v) ~past:strict)
+        (* with no lower bound but an upper one, start above NULL, which
+           ranks lowest: [col < x] is never true of a NULL column *)
+        | None when Option.is_some hi ->
+            Btree.Incl (extend sc.lo_keys pre size (Some Value.Null) ~past:true)
+        | None when n = 0 -> Btree.Unbounded
+        | None -> Btree.Incl pre
+      in
+      let hi =
+        match hi_v with
+        | Some (v, strict) -> Btree.Excl (extend sc.hi_keys pre size (Some v) ~past:(not strict))
+        | None when n = 0 -> Btree.Unbounded
+        | None -> Btree.Excl (extend sc.hi_keys pre size None ~past:true)
+      in
+      Some (lo, hi)
+
+(* [probe_range] as EXPLAIN shows it: each end as the values it bounds,
+   "[" inclusive, "(" exclusive, each bound on the key's leading values *)
+let probe_text show key ~lo ~hi =
+  let prefix = Array.map show key in
+  let on v strict = (if strict then "(" else "[") ^ Tuple.to_string (Array.append prefix [| v |]) in
+  let whole = if Array.length prefix = 0 then "-inf" else "[" ^ Tuple.to_string prefix in
+  let text default = function
+    | None -> Some default
+    | Some { bound; strict } -> (
+        match show bound with Value.Null -> None | v -> Some (on v strict))
+  in
+  let floor = if Option.is_none hi then whole else on Value.Null true in
+  match (Array.exists Value.is_null prefix, text floor lo, text whole hi) with
+  | false, Some lo, Some hi -> lo ^ " .. " ^ hi
+  | _ -> "empty"
 
 let map_agg f = function
   | Count_star -> Count_star
@@ -168,11 +239,6 @@ let agg_name = function
   | Max _ -> "MAX"
   | Avg _ -> "AVG"
 
-let bound_str = function
-  | Btree.Unbounded -> "-inf"
-  | Btree.Incl k -> "[" ^ Tuple.to_string k
-  | Btree.Excl k -> "(" ^ Tuple.to_string k
-
 let keys_str keys =
   Printf.sprintf "[%s]"
     (String.concat ", "
@@ -184,20 +250,14 @@ let label = function
   | Seq_scan t -> "SeqScan " ^ Table.name t
   | Index_scan { table; index; range; reverse } ->
       (* a parameter shows as its slot: ?1, ?2, ... *)
-      let shown e () =
-        match e with
+      let shown = function
         | Expr.Param i -> Value.Str (Printf.sprintf "?%d" (i + 1))
         | e -> Expr.eval e [||]
       in
-      let range =
-        match range with
-        | Fixed (lo, hi) -> Some (lo, hi)
-        | Probe { key; lo; hi } -> probe_range shown key ~lo ~hi ()
-      in
       Printf.sprintf "IndexScan %s.%s %s%s" (Table.name table) index.Table.idx_name
         (match range with
-        | Some (lo, hi) -> bound_str lo ^ " .. " ^ bound_str hi
-        | None -> "empty")
+        | Non_null -> "(NULL .. -inf"
+        | Probe { key; lo; hi } -> probe_text shown key ~lo ~hi)
         (if reverse then " DESC" else "")
   | Filter (e, _) -> Format.asprintf "Filter %a" Expr.pp e
   | Project (cols, _) ->

@@ -19,8 +19,9 @@ type probe_bound = Expr.t probe_end
     over constants and parameters for a scan. *)
 
 type scan_range =
-  | Fixed of Btree.bound * Btree.bound
-      (** a range matched on no conjunct: MIN/MAX from an index end *)
+  | Non_null
+      (** every key whose leading value is not NULL ({!non_null}), matched
+          on no conjunct: MIN/MAX from an index end *)
   | Probe of { key : Expr.t array; lo : probe_bound option; hi : probe_bound option }
       (** the range {!probe_range} builds from [key], [lo] and [hi] when the
           scan opens; a NULL value in any of them reads no rows *)
@@ -90,22 +91,43 @@ type t =
 val count : int -> Expr.t
 (** The constant row count [n], for {!Limit} and a probe cap. *)
 
+val non_null : Btree.bound * Btree.bound
+(** The B+-tree range of {!Non_null}: from above every key leading with
+    NULL, unbounded above. *)
+
+type probe_scratch
+(** Where {!probe_range} encodes a probe: scratch keys, and the encodings
+    of the key parts that are constants. *)
+
+val probe_scratch : bytes option array -> probe_scratch
+(** [probe_scratch fixed]: [fixed.(i)], where given, is the {!Key} encoding
+    of key part [i], a constant, which {!probe_range} copies instead of
+    evaluating the part ([[||]] gives none). *)
+
 val probe_range :
   ('e -> 'r -> Value.t) ->
+  probe_scratch ->
   'e array ->
   lo:'e probe_end option ->
   hi:'e probe_end option ->
   'r ->
   (Btree.bound * Btree.bound) option
-(** [probe_range eval key ~lo ~hi row] is the B+-tree range of an index
-    access, with [key], [lo] and [hi] evaluated over [row] by [eval]: the
-    key values equal the leading key columns, and the next key column lies
-    within [lo] and [hi] (strict bounds exclude their value). [None] when a
-    key value or a bound is NULL, which matches nothing. With no lower
-    bound the range starts above NULL. The executor applies it to compiled
+(** [probe_range eval sc key ~lo ~hi row] is the B+-tree range of an
+    index access, with [key], [lo] and [hi] evaluated over [row] by [eval]:
+    the key values equal the leading key columns, and the next key column
+    lies within [lo] and [hi] (strict bounds exclude their value). [None]
+    when a key value or a bound is NULL, which matches nothing. With no
+    lower bound the range starts above NULL. The key values are encoded
+    once and each end is that prefix extended by its bound's {!Key}
+    encoding; an inclusive upper end and a strict lower end are
+    {!Key.prefix_end} of it. Each key part is evaluated twice, to size the
+    key and to write it. The ends are scratch keys of [sc], valid until
+    the next call with [sc], which allocates no key. A bound of another type
+    than its column needs no conversion: the encoding orders every value as
+    {!Value.compare} does, so the range holds exactly the keys a filter on
+    the same comparison keeps. The executor applies it to compiled
     expressions when an index scan opens and once per outer row of an index
-    nested-loop join; EXPLAIN applies {!Expr.eval} to a scan's
-    constants, showing a [?] slot as its number. *)
+    nested-loop join. *)
 
 val map_agg : (Expr.t -> Expr.t) -> agg -> agg
 (** Rewrite the aggregate's argument. *)

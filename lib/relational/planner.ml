@@ -483,7 +483,7 @@ let nested outer inner =
 let rec delivered (p : Plan.t) =
   match p with
   | Plan.Index_scan { index; range; reverse; _ } ->
-      let neq = match range with Plan.Probe { key; _ } -> Array.length key | Plan.Fixed _ -> 0 in
+      let neq = match range with Plan.Probe { key; _ } -> Array.length key | Plan.Non_null -> 0 in
       fix
         (List.filteri (fun i _ -> i < neq) (Array.to_list index.Table.key_cols))
         (key_order index ~from:0 ~split:0 ~reverse)
@@ -606,7 +606,7 @@ let min_max_scan env (q : Sql_ast.select) =
                 {
                   table;
                   index;
-                  range = Plan.Fixed (Btree.Excl [| Value.Null |], Btree.Unbounded);
+                  range = Plan.Non_null;
                   reverse = f = "MAX";
                 }
             in
@@ -630,17 +630,14 @@ let item_name i (item : Sql_ast.select_item) =
   | Sql_ast.Star -> "*"
 
 let expand_star env placed =
-  (* all columns of all tables, in join order *)
-  let entries =
-    List.sort (fun a b -> compare placed.(a.tbl_idx) placed.(b.tbl_idx)) env
-  in
+  (* all columns of all tables, in FROM order whatever the join order *)
   List.concat_map
     (fun e ->
       List.mapi
         (fun c (col : Schema.column) ->
           (Expr.Col (placed.(e.tbl_idx) + c), col.Schema.col_name))
         (Array.to_list e.schema))
-    entries
+    env
 
 let extract_agg env (e : Sql_ast.sexpr) : Plan.agg =
   match e with

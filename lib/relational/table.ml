@@ -45,33 +45,88 @@ let indexes t = t.idxs
 let find_index t n =
   List.find_opt (fun i -> String.lowercase_ascii i.idx_name = String.lowercase_ascii n) t.idxs
 
-let key_length idx = Array.length idx.key_cols + if idx.unique then 0 else 1
+(* The key this index stores for the row (see Key): its key columns, then
+   for a non-unique index the row id. [key_size] is its length and
+   [write_key] writes it into a key of that length. *)
+let key_size idx ~rowid tuple =
+  let n = ref (if idx.unique then 0 else Key.size (Value.Int rowid)) in
+  for i = 0 to Array.length idx.key_cols - 1 do
+    n := !n + Key.size tuple.(idx.key_cols.(i))
+  done;
+  !n
 
-(* write the key this index stores for the row into [k]: a fresh key for
-   every insert and delete, one of two scratch keys when renumbering *)
-let fill_key idx k ~rowid tuple =
-  let cols = idx.key_cols in
-  for i = 0 to Array.length cols - 1 do k.(i) <- tuple.(cols.(i)) done;
-  if not idx.unique then k.(Array.length cols) <- Value.Int rowid
+let write_key idx b ~rowid tuple =
+  let pos = ref 0 in
+  for i = 0 to Array.length idx.key_cols - 1 do
+    pos := Key.write b !pos tuple.(idx.key_cols.(i))
+  done;
+  if not idx.unique then ignore (Key.write b !pos (Value.Int rowid))
 
 let index_key idx ~rowid tuple =
-  let k = Array.make (key_length idx) Value.Null in
-  fill_key idx k ~rowid tuple;
-  k
+  let b = Bytes.create (key_size idx ~rowid tuple) in
+  write_key idx b ~rowid tuple;
+  b
 
-let insert_key t idx k rowid =
-  try Btree.insert idx.tree k rowid
-  with Btree.Duplicate_key ->
-    raise
-      (Constraint_violation
-         (Printf.sprintf "unique index %s on %s: duplicate key %s" idx.idx_name
-            t.tbl_name (Tuple.to_string k)))
+let duplicate t idx tuple =
+  Constraint_violation
+    (Printf.sprintf "unique index %s on %s: duplicate key %s" idx.idx_name t.tbl_name
+       (Tuple.to_string (Tuple.key idx.key_cols tuple)))
+
+let insert_key t idx k ~rowid tuple =
+  try Btree.insert idx.tree k rowid with Btree.Duplicate_key -> raise (duplicate t idx tuple)
 
 let index_insert t idx rowid tuple =
-  insert_key t idx (index_key idx ~rowid tuple) rowid
+  insert_key t idx (index_key idx ~rowid tuple) ~rowid tuple
 
 let index_delete idx rowid tuple =
   ignore (Btree.delete idx.tree (index_key idx ~rowid tuple))
+
+(* The keys under [idx] of the rows [rowid i] (ascending in [i]) with
+   images [tuples.(i)], and the position of the [k]-th of them in key
+   order. A unique index that would refuse a row inserted one at a time,
+   in row-id order, is [Error i] for the least such row: the second of a
+   run of equal keys. Keys that already ascend (the loaders' order and id
+   indexes) are not sorted. *)
+let sorted_keys idx rowid tuples =
+  let keys = Array.mapi (fun i tuple -> index_key idx ~rowid:(rowid i) tuple) tuples in
+  let cmp i j = Bytes.compare keys.(i) keys.(j) in
+  let rec ascending i = i >= Array.length keys || (cmp (i - 1) i < 0 && ascending (i + 1)) in
+  if ascending 1 then Ok (keys, Fun.id)
+  else begin
+    let order = Array.init (Array.length keys) Fun.id in
+    Array.stable_sort cmp order;
+    let refused = ref max_int in
+    for k = 1 to Array.length order - 1 do
+      if cmp order.(k - 1) order.(k) = 0 then refused := min !refused order.(k)
+    done;
+    if !refused < max_int then Error !refused else Ok (keys, Array.get order)
+  end
+
+let empty idx = Btree.build idx.tree 0 (fun _ -> Bytes.empty) Fun.id
+
+(* Fill the empty indexes [idxs] bottom-up over these rows, one at a time,
+   or raise the violation inserting the rows one at a time would: the
+   least refused row, at the first index refusing it. A violation leaves
+   every index empty. *)
+let build t idxs rowid tuples =
+  let refused =
+    List.fold_left
+      (fun acc idx ->
+        match (sorted_keys idx rowid tuples, acc) with
+        | Ok (keys, nth), _ ->
+            Btree.build idx.tree (Array.length keys)
+              (fun k -> keys.(nth k))
+              (fun k -> rowid (nth k));
+            acc
+        | Error i, Some (_, j) when j <= i -> acc
+        | Error i, _ -> Some (idx, i))
+      None idxs
+  in
+  Option.iter
+    (fun (idx, i) ->
+      List.iter empty idxs;
+      raise (duplicate t idx tuples.(i)))
+    refused
 
 let create_index t ~name ~cols ~unique =
   Array.iter
@@ -81,12 +136,11 @@ let create_index t ~name ~cols ~unique =
         invalid_arg "Table.create_index: column out of range")
     cols;
   let idx = { idx_name = name; key_cols = cols; unique; tree = Btree.create () } in
-  Vec.iteri
-    (fun rowid slot ->
-      match slot with
-      | None -> ()
-      | Some tuple -> index_insert t idx rowid tuple)
-    t.slots;
+  let live =
+    Array.of_seq
+      (Seq.filter_map (fun (i, s) -> Option.map (fun tu -> (i, tu)) s) (Vec.to_seq t.slots))
+  in
+  build t [ idx ] (fun i -> fst live.(i)) (Array.map snd live);
   t.idxs <- t.idxs @ [ idx ];
   idx
 
@@ -144,6 +198,25 @@ let delete t rowid =
         t.writes <- t.writes + 1;
         record t (U_delete (rowid, tuple))
 
+let insert_many t rows =
+  let tuples = Array.of_list rows in
+  if t.live = 0 && Array.for_all (fun tu -> Schema.check_tuple t.tbl_schema tu = Ok ()) tuples
+  then begin
+    let base = Vec.length t.slots in
+    build t t.idxs (fun i -> base + i) tuples;
+    Array.iter (fun tu -> record t (U_insert (Vec.push t.slots (Some tu)))) tuples;
+    t.live <- Array.length tuples;
+    t.writes <- t.writes + Array.length tuples
+  end
+  else begin
+    (* one at a time; a refused row removes the rows inserted before it *)
+    let inserted = ref [] in
+    try List.iter (fun row -> inserted := insert t row :: !inserted) rows
+    with Constraint_violation _ as e ->
+      List.iter (delete t) !inserted;
+      raise e
+  end
+
 (* [compare_old]: index order on the old images of batch rows [i] and [j]
    (a non-unique index's keys end in the rowid); top-level, so that sorting
    a batch allocates nothing per comparison *)
@@ -188,15 +261,21 @@ let key_order t idx rowids olds news all =
 let move_keys t idx rowids olds news all =
   let order = key_order t idx rowids olds news all in
   let m = Array.length order in
-  let ok = Array.make (key_length idx) Value.Null in
-  let nk = Array.make (key_length idx) Value.Null in
-  let fill j =
-    let rowid = rowids.(j) in
-    fill_key idx ok ~rowid olds.(j);
-    fill_key idx nk ~rowid news.(j);
-    rowid
+  (* the old and new key of row [!cur], in scratch keys reused per length;
+     an in-place rewrite beside the last one reads no old key *)
+  let olds_k = Key.scratch () and news_k = Key.scratch () and cur = ref 0 in
+  let scratch keys tuples =
+    let j = !cur and rowid = rowids.(!cur) in
+    let b = Key.scratch_key keys (key_size idx ~rowid tuples.(j)) in
+    write_key idx b ~rowid tuples.(j);
+    b
   in
-  let up = m > 0 && (ignore (fill order.(0)); Tuple.compare_key nk ok > 0) in
+  let old_key () = scratch olds_k olds and new_key () = scratch news_k news in
+  let fill j =
+    cur := j;
+    rowids.(j)
+  in
+  let up = m > 0 && (ignore (fill order.(0)); Bytes.compare (new_key ()) (old_key ()) > 0) in
   (* every changed row, in the order its key is rewritten or in reverse *)
   let visit ~reverse g =
     if up <> reverse then for k = m - 1 downto 0 do g order.(k) done
@@ -204,31 +283,35 @@ let move_keys t idx rowids olds news all =
   in
   let refused = ref [] and rewritten = ref 0 in
   visit ~reverse:false (fun i ->
-      ignore (fill i);
-      if Btree.rewrite_key idx.tree ~old:ok nk then incr rewritten
+      let value = fill i in
+      if Btree.rewrite_key idx.tree ~value ~old:old_key (new_key ()) then incr rewritten
       else refused := i :: !refused);
   let refused = List.rev !refused and inserted = ref 0 in
-  List.iter (fun i -> ignore (fill i); ignore (Btree.delete idx.tree ok)) refused;
+  List.iter (fun i -> ignore (fill i); ignore (Btree.delete idx.tree (old_key ()))) refused;
   let undo () =
     List.iteri
-      (fun j i -> if j < !inserted then (ignore (fill i); ignore (Btree.delete idx.tree nk)))
+      (fun j i ->
+        if j < !inserted then (ignore (fill i); ignore (Btree.delete idx.tree (new_key ()))))
       refused;
-    List.iter (fun i -> let rowid = fill i in Btree.insert idx.tree (Array.copy ok) rowid) refused;
+    List.iter
+      (fun i -> let rowid = fill i in Btree.insert idx.tree (Bytes.copy (old_key ())) rowid)
+      refused;
     let moved = Array.make (Array.length rowids) false in
     List.iter (fun i -> moved.(i) <- true) refused;
     (* newest first, so each old key is free when it returns *)
     visit ~reverse:true (fun i ->
         let rowid = fill i in
-        if not (moved.(i) || Btree.rewrite_key idx.tree ~old:nk ok) then begin
-          ignore (Btree.delete idx.tree nk);
-          Btree.insert idx.tree (Array.copy ok) rowid
+        if not (moved.(i) || Btree.rewrite_key idx.tree ~value:rowid ~old:new_key (old_key ()))
+        then begin
+          ignore (Btree.delete idx.tree (new_key ()));
+          Btree.insert idx.tree (Bytes.copy (old_key ())) rowid
         end)
   in
   (try
      List.iter
        (fun i ->
          let rowid = fill i in
-         insert_key t idx (Array.copy nk) rowid;
+         insert_key t idx (Bytes.copy (new_key ())) ~rowid news.(i);
          incr inserted)
        refused
    with Constraint_violation _ as e ->
@@ -308,12 +391,7 @@ let truncate t =
     invalid_arg "Table.truncate: not allowed inside a transaction";
   Vec.clear t.slots;
   t.live <- 0;
-  let rebuilt =
-    List.map
-      (fun idx -> { idx with tree = Btree.create () })
-      t.idxs
-  in
-  t.idxs <- rebuilt
+  List.iter empty t.idxs
 
 let check t =
   let check_index idx =
@@ -332,14 +410,14 @@ let check t =
            entries are exactly the keys rebuilt from the heap *)
         let lost (rowid, slot) =
           match slot with
-          | None -> None
-          | Some tuple ->
-              let k = index_key idx ~rowid tuple in
-              if Btree.find idx.tree k = Some rowid then None else Some k
+          | Some tuple when Btree.find idx.tree (index_key idx ~rowid tuple) <> Some rowid ->
+              Some (rowid, tuple)
+          | _ -> None
         in
         match Seq.find_map lost (Vec.to_seq t.slots) with
         | None -> Ok ()
-        | Some k -> fail "no entry %s for its row" (Tuple.to_string k))
+        | Some (rowid, tuple) ->
+            fail "no entry %s for row %d" (Tuple.to_string (Tuple.key idx.key_cols tuple)) rowid)
   in
   List.fold_left
     (fun acc idx -> match acc with Ok () -> check_index idx | Error _ -> acc)

@@ -2,8 +2,9 @@
 
     Rows live in a growable slot array; a row id is the slot number and stays
     valid until the row is deleted. Indexes are maintained synchronously on
-    every insert/delete/update. Non-unique indexes get the row id appended to
-    the key so that B+-tree keys stay unique. *)
+    every insert/delete/update. An index key is the {!Key} encoding of the
+    row's key columns; non-unique indexes append the row id so that B+-tree
+    keys stay unique. *)
 
 type t
 
@@ -22,7 +23,8 @@ val name : t -> string
 val schema : t -> Schema.t
 
 val create_index : t -> name:string -> cols:int array -> unique:bool -> index
-(** Builds the index over existing rows and registers it for maintenance.
+(** Builds the index bottom-up over the existing rows (their keys sorted,
+    {!Btree.build}) and registers it for maintenance.
     @raise Constraint_violation if [unique] and duplicates exist. *)
 
 val indexes : t -> index list
@@ -31,6 +33,15 @@ val find_index : t -> string -> index option
 val insert : t -> Tuple.t -> int
 (** Returns the new row id. @raise Constraint_violation on schema or unique
     violations. *)
+
+val insert_many : t -> Tuple.t list -> unit
+(** Insert the rows in order, atomically: a refused row removes the rows
+    inserted before it and re-raises. Into a table with no live rows,
+    every row valid, each index is built bottom-up from its sorted keys
+    instead of taking the rows one at a time; a duplicate key of a unique
+    index raises the violation inserting the rows one at a time would
+    raise (the same row and index), and nothing is inserted.
+    @raise Constraint_violation on schema or unique violations. *)
 
 val delete : t -> int -> unit
 (** Delete by row id; no-op if already deleted. *)

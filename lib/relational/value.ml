@@ -34,22 +34,35 @@ let rank = function
   | Str _ -> 2
   | Bytes _ -> 3
 
+(* [Int x] against [Float y], exactly: NaN ranks below every number, a
+   float beyond the int range beyond every int, and one within it by its
+   floor, then by whether it has a fraction. Comparing [float_of_int x]
+   would round [x] above 2^53 and make the order intransitive. *)
+let compare_int_float x y =
+  if Float.is_nan y then 1
+  else if y >= 0x1p62 then -1
+  else if y < -0x1p62 then 1
+  else
+    let fl = Float.floor y in
+    let n = int_of_float fl in
+    if x <> n then Int.compare x n else if y > fl then -1 else 0
+
 let compare a b =
   match (a, b) with
   | Null, Null -> 0
   | Int x, Int y -> Int.compare x y
   | Float x, Float y -> Float.compare x y
-  | Int x, Float y -> Float.compare (float_of_int x) y
-  | Float x, Int y -> Float.compare x (float_of_int y)
+  | Int x, Float y -> compare_int_float x y
+  | Float x, Int y -> - compare_int_float y x
   | Str x, Str y -> String.compare x y
   | Bytes x, Bytes y -> String.compare x y
   | a, b -> Int.compare (rank a) (rank b)
 
 let equal a b = compare a b = 0
 
-(* Numbers hash by the bits of their float image, as [compare] compares an
-   int with a float, so [Int n] and [Float n.0] agree; all NaNs are equal,
-   and so are [-0.0] and [0.0]. Nothing here allocates. *)
+(* Numbers hash by the bits of their float image: an [Int n] equal to a
+   [Float] is exactly [float_of_int n], so the two agree; all NaNs are
+   equal, and so are [-0.0] and [0.0]. Nothing here allocates. *)
 let[@inline] hash_float x =
   if Float.is_nan x then 0x7ff8
   else

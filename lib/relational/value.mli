@@ -25,7 +25,9 @@ val ty_of_name : string -> ty option
 val compare : t -> t -> int
 (** Total order used by indexes and sorting: [Null] sorts first, values of
     different types sort by type tag, ints and floats compare numerically
-    with each other. *)
+    with each other and exactly ([Int (2^53 + 1)] is above [Float 2^53]);
+    a NaN is below every other number and equal to itself. {!Key} encodes
+    this order as bytes. *)
 
 val equal : t -> t -> bool
 (** Equality consistent with {!compare} (so [Int 1] equals [Float 1.0]). *)

@@ -31,11 +31,6 @@ let set t i x =
   check t i;
   t.data.(i) <- x
 
-let iteri f t =
-  for i = 0 to t.len - 1 do
-    f i t.data.(i)
-  done
-
 let fold f acc t =
   let acc = ref acc in
   for i = 0 to t.len - 1 do

@@ -15,6 +15,5 @@ val clear : 'a t -> unit
 
 val get : 'a t -> int -> 'a
 val set : 'a t -> int -> 'a -> unit
-val iteri : (int -> 'a -> unit) -> 'a t -> unit
 val fold : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
 val to_seq : 'a t -> (int * 'a) Seq.t

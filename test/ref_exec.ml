@@ -239,8 +239,8 @@ let count params what e =
               (Value.to_sql_literal v)))
 
 let range_bounds params = function
-  | Plan.Fixed (lo, hi) -> Some (lo, hi)
-  | Plan.Probe { key; lo; hi } -> Plan.probe_range (eval params) key ~lo ~hi [||]
+  | Plan.Non_null -> Some Plan.non_null
+  | Plan.Probe { key; lo; hi } -> Plan.probe_range (eval params) (Plan.probe_scratch [||]) key ~lo ~hi [||]
 
 let rec eval_plan params (p : Plan.t) : Tuple.t Seq.t =
   let run = eval_plan params in
@@ -283,7 +283,7 @@ let rec eval_plan params (p : Plan.t) : Tuple.t Seq.t =
                   match residual with
                   | None -> Some joined
                   | Some e -> if eval_bool e joined then Some joined else None))
-            (entries index ~reverse (Plan.probe_range eval key ~lo ~hi ot))
+            (entries index ~reverse (Plan.probe_range eval (Plan.probe_scratch [||]) key ~lo ~hi ot))
         in
         match cap with None -> rows | Some n -> Seq.take n rows
       in

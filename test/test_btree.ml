@@ -1,10 +1,17 @@
-(* B+-tree: unit semantics, truncated-prefix bounds, model-based qcheck. *)
+(* B+-tree: unit semantics, prefix bounds, model-based qcheck. *)
 
 module B = Reldb.Btree
+module K = Reldb.Key
 module V = Reldb.Value
 
-let key1 i = [| V.Int i |]
-let key2 a b = [| V.Int a; V.Int b |]
+let k = K.encode
+let key1 i = k [| V.Int i |]
+let key2 a b = k [| V.Int a; V.Int b |]
+
+(* bounds on a key prefix [p]: every key extending [p] is at or below
+   [upto p] and below [above p] *)
+let upto p = B.Excl (K.prefix_end p)
+let above p = B.Incl (K.prefix_end p)
 
 let check = Alcotest.check
 let int_t = Alcotest.int
@@ -67,29 +74,29 @@ let test_truncated_bounds () =
     [ (1, 1); (1, 2); (2, 1); (2, 2); (2, 3); (3, 1) ];
   (* prefix scan a = 2 *)
   check (Alcotest.list int_t) "prefix" [ 201; 202; 203 ]
-    (entries_ids (B.prefix t [| V.Int 2 |]));
+    (entries_ids (B.range t ~lo:(B.Incl (key1 2)) ~hi:(upto (key1 2))));
   (* lo = Incl [2] keeps all a >= 2 including extensions of [2] *)
   check (Alcotest.list int_t) "trunc lo incl" [ 201; 202; 203; 301 ]
-    (entries_ids (B.range t ~lo:(B.Incl [| V.Int 2 |]) ~hi:B.Unbounded));
-  (* lo = Excl [2] skips every key whose first component is 2 *)
+    (entries_ids (B.range t ~lo:(B.Incl (key1 2)) ~hi:B.Unbounded));
+  (* lo = above [2] skips every key whose first component is 2 *)
   check (Alcotest.list int_t) "trunc lo excl" [ 301 ]
-    (entries_ids (B.range t ~lo:(B.Excl [| V.Int 2 |]) ~hi:B.Unbounded));
-  (* hi = Incl [2] keeps extensions of [2]; hi = Excl [2] drops them *)
+    (entries_ids (B.range t ~lo:(above (key1 2)) ~hi:B.Unbounded));
+  (* hi = upto [2] keeps extensions of [2]; hi = Excl [2] drops them *)
   check (Alcotest.list int_t) "trunc hi incl" [ 101; 102; 201; 202; 203 ]
-    (entries_ids (B.range t ~lo:B.Unbounded ~hi:(B.Incl [| V.Int 2 |])));
+    (entries_ids (B.range t ~lo:B.Unbounded ~hi:(upto (key1 2))));
   check (Alcotest.list int_t) "trunc hi excl" [ 101; 102 ]
-    (entries_ids (B.range t ~lo:B.Unbounded ~hi:(B.Excl [| V.Int 2 |])));
+    (entries_ids (B.range t ~lo:B.Unbounded ~hi:(B.Excl (key1 2))));
   (* two-component range on (2, b >= 2) *)
   check (Alcotest.list int_t) "two-comp" [ 202; 203 ]
-    (entries_ids (B.range t ~lo:(B.Incl (key2 2 2)) ~hi:(B.Incl [| V.Int 2 |])))
+    (entries_ids (B.range t ~lo:(B.Incl (key2 2 2)) ~hi:(upto (key1 2))))
 
 let test_mixed_types_order () =
   let t = B.create () in
-  B.insert t [| V.Null |] 0;
-  B.insert t [| V.Int 5 |] 1;
-  B.insert t [| V.Float 5.5 |] 2;
-  B.insert t [| V.Str "a" |] 3;
-  B.insert t [| V.Bytes "a" |] 4;
+  B.insert t (k [| V.Null |]) 0;
+  B.insert t (k [| V.Int 5 |]) 1;
+  B.insert t (k [| V.Float 5.5 |]) 2;
+  B.insert t (k [| V.Str "a" |]) 3;
+  B.insert t (k [| V.Bytes "a" |]) 4;
   check (Alcotest.list int_t) "type order" [ 0; 1; 2; 3; 4 ]
     (entries_ids (B.to_seq t))
 
@@ -172,19 +179,21 @@ let prop_model =
       !ok && B.check_invariants t = Ok ())
 
 (* random bounds: unbounded, or inclusive / exclusive over a 1- or 2-column
-   key — a 1-column bound over the 2-column keys is a truncated prefix *)
+   key or the prefix end of one — a 1-column bound over the 2-column keys
+   is a prefix *)
 let bound_gen =
   QCheck.Gen.(
     let key =
       oneof [ map key1 (int_bound 12); map2 key2 (int_bound 12) (int_bound 12) ]
     in
+    let key = oneof [ key; map K.prefix_end key ] in
     oneof
       [ return B.Unbounded; map (fun k -> B.Incl k) key; map (fun k -> B.Excl k) key ])
 
 let print_bound = function
   | B.Unbounded -> "-"
-  | B.Incl k -> "[" ^ Reldb.Tuple.to_string k
-  | B.Excl k -> "(" ^ Reldb.Tuple.to_string k
+  | B.Incl k -> "[" ^ String.escaped (Bytes.to_string k)
+  | B.Excl k -> "(" ^ String.escaped (Bytes.to_string k)
 
 let prop_desc_is_reverse =
   let open QCheck in
@@ -205,10 +214,8 @@ let prop_desc_is_reverse =
       List.iteri (fun i (a, b) -> B.replace t (key2 a b) i) keys;
       (* deletes leave sparse and empty leaves behind *)
       List.iter (fun (a, b) -> ignore (B.delete t (key2 a b))) dels;
-      (* reference: every entry, filtered by the truncated-prefix rule *)
-      let trunc k b =
-        Reldb.Tuple.compare_key (Array.sub k 0 (Array.length b)) b
-      in
+      (* reference: every entry, filtered by the bounds *)
+      let trunc = Bytes.compare in
       let keep (k, _) =
         (match lo with
         | B.Unbounded -> true
@@ -239,12 +246,12 @@ let test_desc_seek () =
   done;
   check bool_t "three levels" true ((B.stats t).B.depth >= 3);
   let his =
-    [ B.Unbounded; B.Incl (key2 4 5); B.Excl (key2 4 5); B.Incl [| V.Int 6 |];
-      B.Excl [| V.Int 6 |]; B.Incl [| V.Float 3.5 |]; B.Excl (key2 9 9);
-      B.Incl (key2 0 0); B.Excl (key2 0 0); B.Incl [| V.Int 12 |] ]
+    [ B.Unbounded; B.Incl (key2 4 5); B.Excl (key2 4 5); upto (key1 6);
+      B.Excl (key1 6); upto (k [| V.Float 3.5 |]); B.Excl (key2 9 9);
+      B.Incl (key2 0 0); B.Excl (key2 0 0); upto (key1 12) ]
   and los =
-    [ B.Unbounded; B.Incl (key2 2 7); B.Excl (key2 2 7); B.Incl [| V.Int 4 |];
-      B.Excl [| V.Int 4 |]; B.Incl [| V.Float 3.5 |] ]
+    [ B.Unbounded; B.Incl (key2 2 7); B.Excl (key2 2 7); B.Incl (key1 4);
+      above (key1 4); B.Incl (k [| V.Float 3.5 |]) ]
   in
   List.iter
     (fun hi ->
@@ -271,7 +278,11 @@ let pairs_tree () =
   done;
   t
 
-let half x = [| V.Float x |]
+let half x = k [| V.Float x |]
+
+(* [B.rewrite_key] of the entry whose key is [old] *)
+let rewrite t ~old nk =
+  B.rewrite_key t ~value:(Option.value (B.find t old) ~default:(-1)) ~old:(fun () -> old) nk
 
 let valid t =
   match B.check_invariants t with
@@ -280,7 +291,7 @@ let valid t =
 
 let refused what t ~old nk =
   let before = List.of_seq (B.to_seq t) in
-  check bool_t what false (B.rewrite_key t ~old nk);
+  check bool_t what false (rewrite t ~old nk);
   check bool_t (what ^ ": tree unchanged") true
     (List.of_seq (B.to_seq t) = before);
   valid t
@@ -289,13 +300,13 @@ let test_rewrite_in_place () =
   let t = pairs_tree () in
   (* within a leaf, then across a leaf edge in both directions: the
      bounding separator rises to the next leaf's first key, or falls *)
-  check bool_t "inside a leaf" true (B.rewrite_key t ~old:(key1 2) (half 2.5));
+  check bool_t "inside a leaf" true (rewrite t ~old:(key1 2) (half 2.5));
   ignore (B.delete t (key1 6));
-  check bool_t "up across an edge" true (B.rewrite_key t ~old:(key1 5) (half 6.5));
+  check bool_t "up across an edge" true (rewrite t ~old:(key1 5) (half 6.5));
   valid t;
   ignore (B.delete t (key1 9));
   check bool_t "down across an edge" true
-    (B.rewrite_key t ~old:(key1 10) (half 8.5));
+    (rewrite t ~old:(key1 10) (half 8.5));
   valid t;
   check bool_t "payload kept" true
     (B.find t (half 6.5) = Some 5 && B.find t (half 8.5) = Some 10);
@@ -331,23 +342,31 @@ let test_separator_ownership () =
     B.insert t (key1 (10 * i)) i
   done;
   valid t;
-  let scratch = [| V.Null |] and old = [| V.Null |] in
+  (* scratch keys, one per length, refilled for every rewrite *)
+  let news = K.scratch () and olds = K.scratch () in
+  let fill s v =
+    let b = K.scratch_key s (K.size (V.Int v)) in
+    ignore (K.write b 0 (V.Int v));
+    b
+  in
+  let clobber () =
+    List.iter (fun v -> ignore (fill news v); ignore (fill olds v)) [ -1; 100_000 ]
+  in
   let keys = Array.init n (fun i -> 10 * i) in
   let shift d =
     let order = List.init n (fun i -> if d > 0 then n - 1 - i else i) in
     List.iter
       (fun i ->
-        old.(0) <- V.Int keys.(i);
-        scratch.(0) <- V.Int (keys.(i) + d);
-        check bool_t "shift in place" true (B.rewrite_key t ~old scratch);
+        let old = fill olds keys.(i) in
+        let scratch = fill news (keys.(i) + d) in
+        check bool_t "shift in place" true (rewrite t ~old scratch);
         keys.(i) <- keys.(i) + d)
       order;
-    scratch.(0) <- V.Int 100_000;
-    old.(0) <- V.Int 100_000;
+    clobber ();
     valid t;
-    check (Alcotest.list int_t) "keys after the shift"
-      (Array.to_list keys)
-      (List.map (fun (k, _) -> match k.(0) with V.Int x -> x | _ -> -1) (List.of_seq (B.to_seq t)))
+    check (Alcotest.list Alcotest.bytes) "keys after the shift"
+      (List.map key1 (Array.to_list keys))
+      (List.map fst (List.of_seq (B.to_seq t)))
   in
   shift 7;
   shift (-7);
@@ -359,10 +378,10 @@ let test_separator_ownership () =
   done;
   valid t;
   for i = n - 1 downto 30 do
-    old.(0) <- V.Int ((10 * i) + 9);
-    scratch.(0) <- V.Int ((10 * i) + 5);
-    check bool_t "down after splits" true (B.rewrite_key t ~old scratch);
-    scratch.(0) <- V.Int (-1);
+    let old = fill olds ((10 * i) + 9) in
+    let scratch = fill news ((10 * i) + 5) in
+    check bool_t "down after splits" true (rewrite t ~old scratch);
+    clobber ();
     valid t
   done;
   check int_t "length" (n + 30) (B.length t)
@@ -404,8 +423,8 @@ let prop_rewrite_model =
     (fun ops ->
       let keys =
         [
-          (fun (_, a) r -> [| V.Int a; V.Int r |]);
-          (fun (p, a) r -> [| V.Int p; V.Int a; V.Int r |]);
+          (fun (_, a) r -> k [| V.Int a; V.Int r |]);
+          (fun (p, a) r -> k [| V.Int p; V.Int a; V.Int r |]);
         ]
       in
       let trees = List.map (fun key -> (B.create ~branching:4 (), key)) keys in
@@ -420,7 +439,7 @@ let prop_rewrite_model =
       in
       let rewrite t ok_key nk =
         let before = List.of_seq (B.to_seq t) in
-        let did = B.rewrite_key t ~old:ok_key nk in
+        let did = rewrite t ~old:ok_key nk in
         let after = List.of_seq (B.to_seq t) in
         (if did then
            let replaced =
@@ -428,7 +447,7 @@ let prop_rewrite_model =
            in
            let rec ascending = function
              | (a, _) :: ((b, _) :: _ as rest) ->
-                 Reldb.Tuple.compare_key a b < 0 && ascending rest
+                 Bytes.compare a b < 0 && ascending rest
              | _ -> true
            in
            expect "accepted a crossing" (ascending replaced && after = replaced)
@@ -475,7 +494,7 @@ let prop_rewrite_model =
                   expect "invariants" (B.check_invariants t = Ok ());
                   let model =
                     Hashtbl.fold (fun r pa acc -> (key pa r, r) :: acc) rows []
-                    |> List.sort (fun (a, _) (b, _) -> Reldb.Tuple.compare_key a b)
+                    |> List.sort (fun (a, _) (b, _) -> Bytes.compare a b)
                   in
                   expect "model" (List.of_seq (B.to_seq t) = model))
                 trees)

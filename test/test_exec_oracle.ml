@@ -21,16 +21,30 @@ let upto rs lo hi = lo + Random.State.int rs (hi - lo + 1)
 
 type table = { tname : string; types : V.ty array; mutable indexes : int list list }
 
+(* Mostly few distinct values, so joins match; now and then one where the
+   index key encoding has edges: ints around 2^53 and at the ends of the
+   int range, fractions and -0.0 (a float bound on an int column),
+   strings holding 00 or ff bytes and prefixes of one another. Floats
+   stay small, so that a SUM does not depend on the order it adds in. *)
 let value rs ty =
   if chance rs 6 then V.Null
   else
+    let rare = chance rs 8 in
     match ty with
+    | V.Tint when rare -> V.Int (pick rs [ (1 lsl 53) + 1; 1 lsl 53; max_int; min_int ])
     | V.Tint -> V.Int (upto rs (-1) 4)
+    | V.Tfloat when rare -> V.Float (pick rs [ 2.5; -0.0; -0.5 ])
     | V.Tfloat -> V.Float (pick rs [ 0.5; 1.0; 2.0; 3.5 ])
+    | V.Ttext when rare -> V.Str (pick rs [ ""; "a\x00"; "a\xff"; "ab" ])
     | V.Ttext -> V.Str (pick rs [ "a"; "b"; "c" ])
+    | V.Tbytes when rare -> V.Bytes (pick rs [ ""; "\xff"; "\x00\xff"; "\x01\x00" ])
     | V.Tbytes -> V.Bytes (pick rs [ "\x00"; "\x01"; "\x00\x01" ])
 
-let any_value rs = value rs (pick rs [ V.Tint; V.Tfloat; V.Ttext; V.Tbytes ])
+(* a literal or parameter: any type, and now and then a float beyond 2^53
+   or beyond the int range (a bound no int equals) *)
+let any_value rs =
+  if chance rs 12 then V.Float (pick rs [ 0x1p53; Float.succ 0x1p53; 0x1p62; -0x1p63; 1e20 ])
+  else value rs (pick rs [ V.Tint; V.Tfloat; V.Ttext; V.Tbytes ])
 
 (* the schema script of a case, and its tables *)
 let gen_schema rs =

@@ -426,7 +426,7 @@ let test_truncate () =
   check bool_t "index agrees" true
     (Option.is_some
        (Reldb.Btree.find (Option.get (Reldb.Table.find_index t "tr_k")).Reldb.Table.tree
-          [| V.Int 1 |]))
+          (Reldb.Key.encode [| V.Int 1 |])))
 
 let test_render () =
   let db = Reldb.Db.create () in

@@ -1484,6 +1484,21 @@ let test_explain_bound_limit () =
   let p = plan "SELECT id FROM t ORDER BY o LIMIT ? OFFSET ?" in
   check bool_t "plain LIMIT ? OFFSET ?" true (has p "Limit ?1 offset ?2")
 
+(* SELECT * lists its columns in FROM order, whichever table the planner
+   joins first: a derived table and a filtered table both drive the join
+   here. *)
+let test_star_from_order () =
+  let db = fresh () in
+  e db "CREATE TABLE t (a INT, b TEXT)";
+  e db "CREATE TABLE u (c INT)";
+  e db "INSERT INTO t VALUES (1, 'x')";
+  e db "INSERT INTO u VALUES (7)";
+  List.iter
+    (fun sql ->
+      check (Alcotest.list string_t) sql [ "1|x|7" ]
+        (List.map Reldb.Tuple.to_string (D.query db sql)))
+    [ "SELECT * FROM t, (SELECT c FROM u) d"; "SELECT * FROM t, u WHERE u.c = 7" ]
+
 let tests =
   ( "sql",
     [
@@ -1545,4 +1560,5 @@ let tests =
         test_float_literal_roundtrip;
       Alcotest.test_case "script line comments" `Quick
         test_script_line_comments;
+      Alcotest.test_case "SELECT * in FROM order" `Quick test_star_from_order;
     ] )
