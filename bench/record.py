@@ -8,7 +8,9 @@ Run it from the repository root. Recording runs every workload of
 BENCHMARK.json through perfbench/run.py twice: untraced for the benchmark's
 run_seconds, and traced at a fixed seed and length. The file keeps both
 result lines, the traced run's `# counters` lines, the line count of lib/
-and the commit the tree is based on (git rev-parse HEAD).
+and, as `base_commit`, the commit the working tree is based on (git
+rev-parse HEAD). A BENCH file is recorded before its change is committed,
+so that is the parent of the commit that adds the file.
 
 Checking re-runs only the traced runs, with the seed and length of the
 highest-numbered BENCH_*.json, and fails unless every `# counters` line
@@ -49,7 +51,7 @@ def lib_lines():
 def record(path, workloads, run_seconds):
     head = subprocess.run(["git", "rev-parse", "HEAD"], stdout=subprocess.PIPE,
                           text=True, check=True).stdout.strip()
-    out = {"commit": head, "lib_lines": lib_lines(),
+    out = {"base_commit": head, "lib_lines": lib_lines(),
            "seed": SEED, "seconds": SECONDS, "workloads": {}}
     for w in workloads:
         result, _ = run(w, SEED, run_seconds, 0)

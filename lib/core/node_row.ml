@@ -11,22 +11,23 @@ type t = {
   ord : ord;
 }
 
-let get_int = function
-  | V.Int i -> i
-  | v -> invalid_arg ("Node_row: expected INT, got " ^ V.to_string v)
+(* Every tuple decoded here is a row of a statement that selects
+   [select_list] (over a context relation, the context id last) from tables
+   the engine type-checks on every insert, whose [id], [kind] and order
+   columns are NOT NULL. So no call of [mistyped] can be reached. *)
+let mistyped v = invalid_arg ("Node_row: mistyped column " ^ V.to_string v)
+let get_int = function V.Int i -> i | v -> mistyped v
+let get_str_opt = function V.Null -> "" | V.Str s -> s | v -> mistyped v
+let ctx_id tu = get_int tu.(Array.length tu - 1)
 
-let get_str_opt = function
-  | V.Null -> ""
-  | V.Str s -> s
-  | v -> invalid_arg ("Node_row: expected TEXT, got " ^ V.to_string v)
+module Tbl = Hashtbl.Make (struct type t = int let equal = Int.equal let hash = V.hash_int end)
 
 let of_tuple enc (tu : Reldb.Tuple.t) =
   let id = get_int tu.(Encoding.col_id) in
   let parent =
     match tu.(Encoding.col_parent) with
     | V.Null -> None
-    | V.Int p -> Some p
-    | v -> invalid_arg ("Node_row: bad parent " ^ V.to_string v)
+    | v -> Some (get_int v)
   in
   let kind = Doc_index.kind_of_code (get_int tu.(Encoding.col_kind)) in
   let tag = get_str_opt tu.(Encoding.col_tag) in
@@ -37,9 +38,7 @@ let of_tuple enc (tu : Reldb.Tuple.t) =
         Og (get_int tu.(Encoding.col_g_order), get_int tu.(Encoding.col_g_end))
     | Encoding.Local -> Ol (get_int tu.(Encoding.col_l_order))
     | Encoding.Dewey_enc | Encoding.Dewey_caret -> begin
-        match tu.(Encoding.col_path) with
-        | V.Bytes b -> Od b
-        | v -> invalid_arg ("Node_row: bad path " ^ V.to_string v)
+        match tu.(Encoding.col_path) with V.Bytes b -> Od b | v -> mistyped v
       end
   in
   { id; parent; kind; tag; value; ord }
@@ -61,11 +60,13 @@ let compare_ord a b =
   | Og (x, _), Og (y, _) -> Stdlib.compare x y
   | Ol x, Ol y -> Stdlib.compare x y
   | Od x, Od y -> String.compare x y
+  (* unreachable: the rows one call compares come from one table *)
   | _ -> invalid_arg "Node_row.compare_ord: mixed encodings"
 
 let dewey t =
   match t.ord with
   | Od b -> Dewey.decode b
+  (* unreachable: only DEWEY and ORDPATH code paths ask for a path *)
   | Og _ | Ol _ -> invalid_arg "Node_row.dewey: not a DEWEY row"
 
 (* ---- context relations --------------------------------------------- *)

@@ -18,6 +18,12 @@ type t = {
 val of_tuple : Encoding.t -> Reldb.Tuple.t -> t
 (** Decode a full edge-table row (schema per {!Encoding}). *)
 
+val ctx_id : Reldb.Tuple.t -> int
+(** The context id a statement over a context relation selects last. *)
+
+module Tbl : Hashtbl.S with type key = int
+(** Tables keyed by node id, hashed by {!Reldb.Value.hash_int}. *)
+
 val select_list : Encoding.t -> string -> string
 (** [select_list enc alias] — the projection of all edge columns (payload
     then order columns), qualified by [alias], in the column order

@@ -41,7 +41,7 @@ let fetch_subtree_rows db ~doc enc ~root =
       (* breadth-first: one SQL statement per level; then document order in
          the middle tier, each node followed by its children in sibling
          rank (attributes' negative ranks first), depth first *)
-      let kids = Hashtbl.create 256 in
+      let kids = Node_row.Tbl.create 256 in
       let frontier = ref [ root ] in
       while !frontier <> [] do
         let level =
@@ -51,13 +51,13 @@ let fetch_subtree_rows db ~doc enc ~root =
         in
         List.iter
           (fun (r : Node_row.t) ->
-            Option.iter (fun p -> Hashtbl.add kids p r) r.Node_row.parent)
+            Option.iter (fun p -> Node_row.Tbl.add kids p r) r.Node_row.parent)
           level;
         frontier := level
       done;
       let rec walk acc (r : Node_row.t) =
         List.fold_left walk (r :: acc)
-          (List.sort Node_row.compare_ord (Hashtbl.find_all kids r.Node_row.id))
+          (List.sort Node_row.compare_ord (Node_row.Tbl.find_all kids r.Node_row.id))
       in
       List.rev (walk [] root)
 

@@ -13,28 +13,26 @@ type result = {
 
 exception Unsupported of string
 
-(* tables keyed by node id *)
-module Itbl = Hashtbl.Make (Int)
+module Itbl = Node_row.Tbl
 
 (* LOCAL's parent-chain cache, one per evaluation call: every edge row the
-   call has fetched, and the root-path keys computed from them. *)
-type chains = {
-  rows : Node_row.t Itbl.t;
-  keys : int array Itbl.t;
-}
+   call has fetched, each with its root-path key once computed ([||]
+   before, [climbed] once its parent chain is known to be cached). *)
+type link = { row : Node_row.t; mutable key : int array }
+
+let climbed = [| min_int |]
 
 type state = {
   db : Reldb.Db.t;
   enc : Encoding.t;
   tname : string;
-  chains : chains;  (* filled under LOCAL only *)
+  chains : link Itbl.t;  (* filled under LOCAL only *)
   mutable nstmt : int;
   mutable log : string list;  (* reversed *)
 }
 
 let new_state db ~doc enc =
-  let n = if enc = Encoding.Local then 64 else 1 in
-  let chains = { rows = Itbl.create n; keys = Itbl.create n } in
+  let chains = Itbl.create (if enc = Encoding.Local then 64 else 1) in
   { db; enc; tname = Encoding.table_name ~doc enc; chains; nstmt = 0; log = [] }
 
 let run_sql st ?(params = [||]) sql =
@@ -43,8 +41,16 @@ let run_sql st ?(params = [||]) sql =
   Log.debug (fun m -> m "%s" sql);
   Reldb.Db.query_params st.db sql params
 
-let remember st (r : Node_row.t) =
-  if st.enc = Encoding.Local then Itbl.replace st.chains.rows r.Node_row.id r
+(* [r]'s link in the cache, added unless some statement fetched it before *)
+let link st (r : Node_row.t) =
+  match Itbl.find_opt st.chains r.Node_row.id with
+  | Some l -> l
+  | None ->
+      let l = { row = r; key = [||] } in
+      Itbl.add st.chains r.Node_row.id l;
+      l
+
+let remember st r = if st.enc = Encoding.Local then ignore (link st r)
 
 let decode st tu =
   let r = Node_row.of_tuple st.enc tu in
@@ -53,16 +59,10 @@ let decode st tu =
 
 (* Statements over a context relation select c.id last, after the columns
    Node_row.of_tuple reads: the rows of [sql] over [rel] filled with [ctx],
-   each tagged with its context id. Every relation's id column is an INT
-   filled from node ids, so the last value is an int. *)
+   each tagged with its context id. *)
 let tagged st rel ctx ?params sql =
-  let ctx_id tu =
-    match tu.(Array.length tu - 1) with
-    | V.Int i -> i
-    | v -> invalid_arg ("Translate: bad ctx id " ^ V.to_string v)
-  in
   Node_row.with_relation st.db rel ctx (fun () ->
-      List.map (fun tu -> (ctx_id tu, decode st tu)) (run_sql st ?params sql))
+      List.map (fun tu -> (Node_row.ctx_id tu, decode st tu)) (run_sql st ?params sql))
 
 let ctx_sql enc ~table rel where =
   Printf.sprintf "SELECT %s, c.id FROM %s e, %s c WHERE %s" (Node_row.select_list enc "e") table
@@ -625,14 +625,17 @@ let compile ?(relative = false) ~doc enc (u : A.union) =
 
 module IdSet = Set.Make (Int)
 
-(* the first row with each id *)
-let dedup_rows l =
-  let seen = Itbl.create 64 in
+(* the first element with each row id, as [id] reads it: one lookup each *)
+let dedup_on id l =
+  let seen = Itbl.create (List.length l) in
   List.filter
-    (fun (r : Node_row.t) ->
-      let k = r.Node_row.id in
-      (not (Itbl.mem seen k)) && (Itbl.add seen k (); true))
+    (fun x ->
+      let n = Itbl.length seen in
+      Itbl.replace seen (id x) ();
+      Itbl.length seen > n)
     l
+
+let dedup_rows = dedup_on (fun (r : Node_row.t) -> r.Node_row.id)
 
 let rec mem_int (x : int) = function [] -> false | y :: l -> x = y || mem_int x l
 
@@ -652,15 +655,20 @@ let dedup_pairs pairs =
 
 (* (context id, row) pairs as (origin, row) pairs, through the origins
    [pairs] bind to each context row (a statement returns a context's rows
-   together) *)
+   together). Pairs with one origin (every path from the root has origin
+   0) bind each row to it once. *)
 let rebind pairs tagged =
-  let origins = Itbl.create 64 and last = ref (min_int, []) in
-  List.iter (fun (o, (r : Node_row.t)) -> Itbl.add origins r.Node_row.id o) pairs;
-  let origins_of c =
-    if fst !last <> c then last := (c, Itbl.find_all origins c);
-    snd !last
-  in
-  dedup_pairs (List.concat_map (fun (c, r) -> List.map (fun o -> (o, r)) (origins_of c)) tagged)
+  match pairs with
+  | (o, _) :: rest when List.for_all (fun (o', _) -> o' = o) rest ->
+      List.map (fun (_, r) -> (o, r)) (dedup_on (fun (_, (r : Node_row.t)) -> r.Node_row.id) tagged)
+  | _ ->
+      let origins = Itbl.create 64 and last = ref (min_int, []) in
+      List.iter (fun (o, (r : Node_row.t)) -> Itbl.add origins r.Node_row.id o) pairs;
+      let origins_of c =
+        if fst !last <> c then last := (c, Itbl.find_all origins c);
+        snd !last
+      in
+      dedup_pairs (List.concat_map (fun (c, r) -> List.map (fun o -> (o, r)) (origins_of c)) tagged)
 
 (* A run from the context rows: (context id, row) pairs. *)
 let ctx_run st ctx_rows (r : run) =
@@ -677,7 +685,7 @@ let root_run st (r : run) =
     let width = Array.length tu / n in
     for i = 1 to n - 1 do
       match tu.((i * width) + Encoding.col_id) with
-      | V.Int id when Itbl.mem st.chains.rows id -> ()
+      | V.Int id when Itbl.mem st.chains id -> ()
       | _ -> remember st (Node_row.of_tuple st.enc (Array.sub tu (i * width) width))
     done
   in
@@ -718,53 +726,39 @@ let sort_by_key key l = List.map snd (keyed key l)
 
 (* Make the parent chains of [rows] complete in the query's cache: only
    ancestors no statement has fetched yet are fetched, one join per level.
+   A row with a key, or climbed before, has its chain cached already.
    Returns the key function, which reads the cache and memoizes. *)
 let local_order_keys st (rows : Node_row.t list) =
   let c = st.chains in
-  List.iter (remember st) rows;
-  let seen = Itbl.create 64 in
-  (* parent ids missing from the cache on r's chain *)
-  let rec climb missing (r : Node_row.t) =
-    if Itbl.mem c.keys r.Node_row.id || Itbl.mem seen r.Node_row.id then
-      missing
+  (* parent ids missing from the cache on l's chain *)
+  let rec climb missing l =
+    if Array.length l.key > 0 then missing
     else begin
-      Itbl.add seen r.Node_row.id ();
-      match r.Node_row.parent with
+      l.key <- climbed;
+      match l.row.Node_row.parent with
       | None -> missing
-      | Some p -> (
-          match Itbl.find_opt c.rows p with
-          | Some pr -> climb missing pr
-          | None -> p :: missing)
+      | Some p -> ( match Itbl.find_opt c p with Some pl -> climb missing pl | None -> p :: missing)
     end
   in
   let rec fill level =
-    match List.fold_left climb [] level with
+    match List.fold_left (fun missing r -> climb missing (link st r)) [] level with
     | [] -> ()
     | missing -> fill (fetch_by_ids st missing)
   in
   fill rows;
-  let rec key id =
-    match Itbl.find_opt c.keys id with
-    | Some k -> k
-    | None ->
-        let k =
-          match Itbl.find_opt c.rows id with
-          | None -> [||]
-          | Some r -> (
-              let o = match r.Node_row.ord with Node_row.Ol o -> o | _ -> 0 in
-              match r.Node_row.parent with
-              | None -> [| o |]
-              | Some p ->
-                  let kp = key p in
-                  let n = Array.length kp in
-                  let k = Array.make (n + 1) o in
-                  Array.blit kp 0 k 0 n;
-                  k)
-        in
-        Itbl.replace c.keys id k;
-        k
+  let rec key l =
+    if Array.length l.key > 0 && l.key != climbed then l.key
+    else
+      let r = l.row in
+      let o = match r.Node_row.ord with Node_row.Ol o -> o | _ -> 0 in
+      let kp = match Option.bind r.Node_row.parent (Itbl.find_opt c) with Some pl -> key pl | None -> [||] in
+      let n = Array.length kp in
+      let k = Array.make (n + 1) o in
+      Array.blit kp 0 k 0 n;
+      l.key <- k;
+      k
   in
-  fun (r : Node_row.t) -> key r.Node_row.id
+  fun (r : Node_row.t) -> key (link st r)
 
 (* LOCAL descendants, breadth-first: one join per level over the frontier's
    distinct ids. Returns (ctx id, row) pairs. *)
@@ -895,9 +889,9 @@ let rec candidates st ctx_rows (s : step) fetch :
       let rec up ctx acc = function
         | None -> acc
         | Some p -> (
-            match Itbl.find_opt c.rows p with
+            match Itbl.find_opt c p with
             | None -> acc
-            | Some row ->
+            | Some { row; _ } ->
                 let acc = if test_passes axis test row then (ctx, row) :: acc else acc in
                 up ctx acc row.Node_row.parent)
       in
@@ -1067,9 +1061,10 @@ let exec_path st = function
       in
       match rest with
       | [] when sorted -> rows
+      | [] -> doc_sort st (dedup_rows rows)
       | rest ->
-          let pairs = exec_segments st (List.map (fun r -> (0, r)) rows) rest in
-          doc_sort st (dedup_rows (List.map snd pairs)))
+          (* one origin: [rebind] leaves each row once *)
+          doc_sort st (List.map snd (exec_segments st (List.map (fun r -> (0, r)) rows) rest)))
 
 let result st rows = { rows; statements = st.nstmt; sql_log = List.rev st.log }
 

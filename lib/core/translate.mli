@@ -63,10 +63,12 @@
       root down: a [following]/[preceding] step reads the rows passing its
       node test, then fetches only those ancestors of them and of the
       context rows that no earlier statement of the call has fetched. Each
-      call of the functions below keeps, for LOCAL only, one id -> row table
-      (every edge row the call fetched) and one id -> key memo, shared by
-      every step and the final sort, and drops both when it returns or
-      raises; GLOBAL and DEWEY leave both empty. So that this cache holds
+      call of the functions below keeps, for LOCAL only, one node-id table
+      ({!Node_row.Tbl}) of every edge row the call fetched, each with its
+      key once computed, so a row is looked up once per pass; every step
+      and the final sort share it, a sort of rows that have keys climbs no
+      chain, and it is dropped when the call returns or raises; GLOBAL and
+      DEWEY leave it empty. So that this cache holds
       every row a sort needs, a LOCAL run holds one step unless it is a
       child chain from the root, and such a chain, when more steps follow
       it or a union sorts it again, also selects the rows of its earlier

@@ -197,7 +197,8 @@ let simplify_conjuncts conjuncts =
   let folded = List.map fold conjuncts in
   if List.exists (fun c -> truth_of c = False) folded then Contradiction
   else begin
-    let live = List.filter (fun c -> truth_of c <> True) folded in
+    (* a conjunct that repeats an earlier one is dropped *)
+    let live = List.rev (List.fold_left (fun l c -> if truth_of c = True || List.mem c l then l else c :: l) [] folded) in
     let intervals : (int, interval) Hashtbl.t = Hashtbl.create 8 in
     List.iter
       (fun conj ->

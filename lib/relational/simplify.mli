@@ -27,8 +27,9 @@ type verdict =
   | Contradiction
       (** the conjunction is unsatisfiable — no row can pass *)
   | Conjuncts of Expr.t list
-      (** folded conjuncts with always-true and interval-subsumed members
-          removed (may be empty, meaning always true) *)
+      (** folded conjuncts with always-true, repeated and
+          interval-subsumed members removed (may be empty, meaning always
+          true) *)
 
 val simplify_conjuncts : Expr.t list -> verdict
 (** Fold each conjunct, then run per-column interval analysis over the

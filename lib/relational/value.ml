@@ -60,19 +60,23 @@ let compare a b =
 
 let equal a b = compare a b = 0
 
-(* Numbers hash by the bits of their float image: an [Int n] equal to a
-   [Float] is exactly [float_of_int n], so the two agree; all NaNs are
-   equal, and so are [-0.0] and [0.0]. Nothing here allocates. *)
-let[@inline] hash_float x =
-  if Float.is_nan x then 0x7ff8
-  else
-    (* the low 63 bits: a float and its negation may collide *)
-    Hashtbl.hash (Int64.to_int (Int64.bits_of_float (x +. 0.0)))
+(* An integer mix computed in OCaml, not by the [caml_hash] C call: one
+   multiply spreads the low bits up, and the shift folds the high bits back
+   down, where a hash table's bucket index reads them, so ids spaced by a
+   power of two do not share a bucket. *)
+let[@inline] hash_int x =
+  let x = x * 0x1f3d5b79a4c1e6b5 in
+  (x lxor (x lsr 31)) land max_int
 
+(* Numbers equal to an int hash as that int: a [Float] equals an [Int n]
+   only when it is exactly [n], an integer inside the int range ([-0.0]
+   included). Other floats hash by their bits; all NaNs are equal. *)
 let hash = function
   | Null -> 0
-  | Int x -> hash_float (float_of_int x)
-  | Float x -> hash_float x
+  | Int x -> hash_int x
+  | Float x when Float.is_integer x && x >= -0x1p62 && x < 0x1p62 -> hash_int (int_of_float x)
+  | Float x when Float.is_nan x -> 0x7ff8
+  | Float x -> hash_int (Int64.to_int (Int64.bits_of_float x))
   | Str s -> Hashtbl.hash s
   | Bytes s -> Hashtbl.seeded_hash 1 s
 

@@ -33,7 +33,10 @@ val equal : t -> t -> bool
 (** Equality consistent with {!compare} (so [Int 1] equals [Float 1.0]). *)
 
 val hash : t -> int
-(** Hash consistent with {!equal}. *)
+(** Hash consistent with {!equal}; numbers hash without a C call. *)
+
+val hash_int : int -> int
+(** {!hash} of an [Int]: an integer mix that spreads strided ids. *)
 
 val is_null : t -> bool
 

@@ -470,6 +470,27 @@ let test_delivered_orders () =
       Alcotest.(check bool) "global Q7: no DISTINCT" false (Astring_contains.contains r.sql "DISTINCT")
   | _ -> Alcotest.fail "global Q7: one run"
 
+(* A descendant node() step holds [kind <> 2] twice, once from its node
+   test and once from its join. Simplify keeps one copy, so the join order
+   estimate does not favour the descendant alias, and the plan drives from
+   the text rows, probing (g_order, g_end) ranges: at XMark scale 1 it
+   reads one scan of the table (2,080 rows). *)
+let test_repeated_conjunct () =
+  let db = Lazy.force xmark_db in
+  let occurrences needle s =
+    let n = String.length needle in
+    let rec go i acc = if i + n > String.length s then acc else go (i + 1) (acc + Bool.to_int (String.sub s i n = needle)) in
+    go 0 0
+  in
+  match runs Ordered_xml.Encoding.Global "/descendant::text()/descendant::node()" with
+  | [ r ] ->
+      let plan = D.explain db r.sql in
+      Alcotest.(check int) ("one <> 2 in\n" ^ plan) 1 (occurrences "<> 2" plan);
+      let before = D.rows_read db in
+      Alcotest.(check int) "no rows" 0 (List.length (D.query_params db r.sql r.params));
+      Alcotest.(check bool) "rows read <= 2,080" true (D.rows_read db - before <= 2080)
+  | _ -> Alcotest.fail "one run"
+
 (* Every statement 2,000 generated paths (seed 7) compile to on GLOBAL,
    those of middle-tier steps and predicates included: how many carry a
    DISTINCT, and how many plans keep a Sort. Both pins may only fall; they
@@ -511,4 +532,5 @@ let tests =
       Alcotest.test_case "statements checked" `Quick test_exercised;
       Alcotest.test_case "delivered orders: Q1-Q5, Q7" `Quick test_delivered_orders;
       Alcotest.test_case "census: DISTINCT and Sort" `Quick test_census;
+      Alcotest.test_case "a repeated conjunct is planned once" `Quick test_repeated_conjunct;
     ] )

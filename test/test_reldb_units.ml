@@ -31,7 +31,9 @@ let test_value_order () =
 
 let test_value_hash_consistent () =
   (* equal values must hash equally (Int 2 = Float 2.0) *)
-  check int_t "hash agreement" (V.hash (V.Int 2)) (V.hash (V.Float 2.0))
+  check int_t "hash agreement" (V.hash (V.Int 2)) (V.hash (V.Float 2.0));
+  check int_t "-0.0 hashes as 0" (V.hash (V.Int 0)) (V.hash (V.Float (-0.0)));
+  check int_t "min_int" (V.hash (V.Int min_int)) (V.hash (V.Float (-0x1p62)))
 
 let test_value_literals () =
   check string_t "string escape" "'it''s'" (V.to_sql_literal (V.Str "it's"));
@@ -503,7 +505,9 @@ let test_expr_columns_shift () =
 
 (* [Value.equal a b] implies [Value.hash a = Value.hash b], across the
    cases where equal values differ in representation: [Int n] and
-   [Float n.0] (ints beyond 2^53 included), [-0.0] and [0.0], NaNs *)
+   [Float n.0] (ints beyond 2^53 included), [-0.0] and [0.0], NaNs, and at
+   the ends of the int range: [min_int], [max_int], floats at and just
+   inside +-2^62, and integral floats beyond 2^53 *)
 let prop_hash_consistent =
   let gen_value =
     QCheck.Gen.(
@@ -513,7 +517,11 @@ let prop_hash_consistent =
           map (fun i -> V.Int i) int;
           map (fun i -> V.Float (float_of_int i)) (int_range (-5) 5);
           map (fun f -> V.Float f) float;
+          map (fun i -> V.Float (float_of_int i)) int;
           oneofl [ V.Float 0.0; V.Float (-0.0); V.Float nan; V.Float (-.nan); V.Null ];
+          oneofl
+            [ V.Int min_int; V.Int max_int; V.Float 0x1p62; V.Float (-0x1p62); V.Float (Float.pred 0x1p62);
+              V.Float (Float.succ (-0x1p62)); V.Float 0x1p53; V.Float (0x1p53 +. 2.) ];
           map (fun s -> V.Str s) (string_size (int_range 0 3));
           map (fun s -> V.Bytes s) (string_size (int_range 0 3));
         ])
@@ -521,7 +529,7 @@ let prop_hash_consistent =
   (* the second value is often the first's numeric twin *)
   let twin = function
     | V.Int i -> V.Float (float_of_int i)
-    | V.Float f when Float.is_integer f && Float.abs f < 1e18 -> V.Int (int_of_float f)
+    | V.Float f when Float.is_integer f && f >= -0x1p62 && f < 0x1p62 -> V.Int (int_of_float f)
     | V.Float f -> V.Float (-.f)
     | v -> v
   in
@@ -541,6 +549,17 @@ let test_hash_spread () =
   check int_t "floats" 100 (distinct (List.init 100 (fun i -> V.Float (0.5 +. float_of_int i))));
   check int_t "strings" 100 (distinct (List.init 100 (fun i -> V.Str (string_of_int i))))
 
+(* The node-id table's buckets stay short for ids spaced by a power of
+   two: 4,096 ids fill 2,048 buckets, two per bucket on average *)
+let test_id_table_spread () =
+  List.iter
+    (fun stride ->
+      let t = Ordered_xml.Node_row.Tbl.create 64 in
+      for i = 0 to 4095 do Ordered_xml.Node_row.Tbl.replace t (1 + (i * stride)) () done;
+      let longest = (Ordered_xml.Node_row.Tbl.stats t).Hashtbl.max_bucket_length in
+      check bool_t (Printf.sprintf "stride %d: longest bucket %d <= 12" stride longest) true (longest <= 12))
+    [ 1; 8; 64; 1024 ]
+
 let tests =
   ( "reldb-units",
     [
@@ -548,6 +567,7 @@ let tests =
       Alcotest.test_case "value hashing" `Quick test_value_hash_consistent;
       QCheck_alcotest.to_alcotest prop_hash_consistent;
       Alcotest.test_case "value hashes spread" `Quick test_hash_spread;
+      Alcotest.test_case "id table spreads strided ids" `Quick test_id_table_spread;
       Alcotest.test_case "value literals" `Quick test_value_literals;
       Alcotest.test_case "type names" `Quick test_ty_names;
       Alcotest.test_case "schema lookup" `Quick test_schema_lookup;
