@@ -43,7 +43,8 @@ crash-test:
 # --analyze` must profile the run a positional query executes (an
 # operator tree with its Limit), a GLOBAL
 # following:: step must join one staircase row and run no Sort and no
-# Distinct operator (its ORDER BY is delivered), a query on
+# Distinct operator (its ORDER BY is delivered), a DEWEY following:: step
+# must join inside its run (one statement), a query on
 # the directory `oxq dump` writes must print what it prints on the XML,
 # `oxq stats` (XML only) must refuse that directory by name, a
 # reconstructed subtree must print the same bytes on every encoding, and a
@@ -57,6 +58,8 @@ check: build test lint crash-test bench-smoke
 	$(OXQ) sql -e global examples/catalog.xml '/catalog/book[1]/following::title' --analyze > _build/check-stair.out
 	grep -q 'Ordered .* (delivered)' _build/check-stair.out
 	! grep -E '^ *(Sort \[|Distinct( |$$))' _build/check-stair.out
+	$(OXQ) sql -e dewey examples/catalog.xml '/catalog/book[1]/following::title' --analyze > _build/check-dewey-following.out
+	grep -q 'executed: 1 statement(s)' _build/check-dewey-following.out
 	rm -rf _build/check-db
 	$(OXQ) dump examples/catalog.xml -o _build/check-db
 	$(OXQ) query _build/check-db '//book[2]/title' > _build/check-db.out

@@ -19,6 +19,12 @@ let depth = Array.length
 
 let child p k = Array.append p [| k |]
 
+(* The argument errors below are documented caller errors (dewey.mli) that
+   the system cannot reach: it asks [last] and [with_last] only of stored
+   paths, which hold the root's component at least; it parses no dotted
+   path ([of_string] serves tests and tools); it encodes only sibling
+   positions and caret labels, all positive and far below [max_component];
+   and it decodes only bytes [encode] wrote. *)
 let last p =
   if Array.length p = 0 then invalid_arg "Dewey.last: empty path"
   else p.(Array.length p - 1)
@@ -129,19 +135,3 @@ let decode s =
     else invalid_arg "Dewey.decode: invalid lead byte"
   done;
   Array.of_list (List.rev !out)
-
-let prefix_upper_bound enc =
-  (* increment the byte string as a big-endian number, dropping trailing
-     0xFF bytes; valid encodings never consist solely of 0xFF bytes because
-     lead bytes are < 0xF0 *)
-  let n = String.length enc in
-  let rec go i =
-    if i < 0 then invalid_arg "Dewey.prefix_upper_bound: all 0xFF"
-    else if enc.[i] = '\xFF' then go (i - 1)
-    else begin
-      let b = Bytes.of_string (String.sub enc 0 (i + 1)) in
-      Bytes.set b i (Char.chr (Char.code enc.[i] + 1));
-      Bytes.to_string b
-    end
-  in
-  if n = 0 then invalid_arg "Dewey.prefix_upper_bound: empty" else go (n - 1)

@@ -11,7 +11,10 @@
     query. The codec is UTF-8-style: each component becomes 1–4 bytes whose
     first byte determines the length, with longer encodings starting at
     higher first bytes, so the encoding of a smaller component is never a
-    prefix of (nor lexically above) a larger one's. *)
+    prefix of (nor lexically above) a larger one's. No first byte is above
+    [ef], so [encode p ^ "\xff"] is above every extension of [p] and below
+    every later path: a subtree is the byte range [\[encode p, encode p ^
+    "\xff")] (see {!Node_row.subtree_range}). *)
 
 type t = int array
 (** Components; all [>= 0], root is [[|1|]]. *)
@@ -57,8 +60,3 @@ val decode : string -> t
 (** @raise Invalid_argument on malformed bytes. *)
 
 val encode_component : int -> string
-
-val prefix_upper_bound : string -> string
-(** [prefix_upper_bound enc] is the smallest byte string greater than every
-    string having [enc] as a prefix — i.e. descendants-of ranges are
-    [enc < key < prefix_upper_bound enc]. *)

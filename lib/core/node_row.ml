@@ -55,19 +55,25 @@ let select_list enc alias =
        (fun c -> alias ^ "." ^ c)
        ([ "id"; "parent"; "kind"; "tag"; "value"; "nval" ] @ order_cols))
 
+(* unreachable: each encoding's code reads only its own order values, and
+   the rows one call compares come from one table *)
+let other_encoding f = invalid_arg ("Node_row." ^ f ^ ": another encoding's row")
+
 let compare_ord a b =
   match (a.ord, b.ord) with
   | Og (x, _), Og (y, _) -> Stdlib.compare x y
   | Ol x, Ol y -> Stdlib.compare x y
   | Od x, Od y -> String.compare x y
-  (* unreachable: the rows one call compares come from one table *)
-  | _ -> invalid_arg "Node_row.compare_ord: mixed encodings"
+  | _ -> other_encoding "compare_ord"
 
-let dewey t =
-  match t.ord with
-  | Od b -> Dewey.decode b
-  (* unreachable: only DEWEY and ORDPATH code paths ask for a path *)
-  | Og _ | Ol _ -> invalid_arg "Node_row.dewey: not a DEWEY row"
+let global t = match t.ord with Og (o, e) -> (o, e) | Ol _ | Od _ -> other_encoding "global"
+let local t = match t.ord with Ol o -> o | Og _ | Od _ -> other_encoding "local"
+let dewey t = match t.ord with Od b -> Dewey.decode b | Og _ | Ol _ -> other_encoding "dewey"
+
+let subtree_range = function
+  | Og (o, e) -> Some ("g_order >= ? AND g_order <= ?", [| V.Int o; V.Int e |])
+  | Od p -> Some ("path >= ? AND path < ?", [| V.Bytes p; V.Bytes (p ^ "\xff") |])
+  | Ol _ -> None
 
 (* ---- context relations --------------------------------------------- *)
 
@@ -93,10 +99,7 @@ let ctx_relation = function
       {
         rel_name = "ctx_dewey";
         rel_cols =
-          [
-            ("id", V.Tint); ("parent", V.Tint); ("kind", V.Tint);
-            ("path", V.Tbytes); ("path_ub", V.Tbytes);
-          ];
+          [ ("id", V.Tint); ("parent", V.Tint); ("kind", V.Tint); ("path", V.Tbytes) ];
       }
 
 let ids_relation = { rel_name = "ctx_ids"; rel_cols = [ ("id", V.Tint) ] }
@@ -107,8 +110,7 @@ let ctx_tuple t =
   match t.ord with
   | Og (o, e) -> [| V.Int t.id; parent; kind; V.Int o; V.Int e |]
   | Ol o -> [| V.Int t.id; parent; kind; V.Int o |]
-  | Od p ->
-      [| V.Int t.id; parent; kind; V.Bytes p; V.Bytes (Dewey.prefix_upper_bound p) |]
+  | Od p -> [| V.Int t.id; parent; kind; V.Bytes p |]
 
 let with_relation db rel rows f =
   Reldb.Db.with_scratch db ~name:rel.rel_name ~cols:rel.rel_cols rows f

@@ -1,5 +1,6 @@
-(** Decoding of edge-table tuples into a typed view, shared by the
-    translator, reconstruction and updates. *)
+(** Decoding of edge-table tuples into a typed view, each encoding's order
+    values, the range of a node's subtree, and the context relations a
+    statement joins: shared by the translator, reconstruction and updates. *)
 
 type ord =
   | Og of int * int  (** GLOBAL: (g_order, g_end) *)
@@ -32,8 +33,28 @@ val select_list : Encoding.t -> string -> string
 val compare_ord : t -> t -> int
 (** Document-order comparison usable within one encoding. *)
 
+(** {2 Order values}
+
+    Each accessor reads one encoding's order values; code for one encoding
+    reads only rows of that encoding's table. *)
+
+val global : t -> int * int
+(** GLOBAL's [(g_order, g_end)]. *)
+
+val local : t -> int
+(** LOCAL's [l_order]. *)
+
 val dewey : t -> Dewey.t
-(** @raise Invalid_argument unless the row is DEWEY-encoded. *)
+(** DEWEY's (and ORDPATH's) decoded path. *)
+
+val subtree_range : ord -> (string * Reldb.Value.t array) option
+(** The rows of the subtree a node with this order value roots, itself and
+    its attributes included, as a condition on the unqualified order column
+    and the values of its two [?] slots: GLOBAL's interval
+    [\[g_order, g_end\]], or DEWEY's prefix range [\[path, path ^ "\xff")]
+    (no component's first byte is above [ef], so the path followed by [ff]
+    is above all its extensions and below every later path). [None] under
+    LOCAL, whose subtree has no range. *)
 
 (** {2 Context relations}
 
@@ -47,8 +68,7 @@ type relation = { rel_name : string; rel_cols : (string * Reldb.Value.ty) list }
 
 val ctx_relation : Encoding.t -> relation
 (** Context rows of the encoding: [id], [parent], [kind], then its order
-    columns ([g_order], [g_end] / [l_order] / [path] and its prefix upper
-    bound [path_ub]). *)
+    columns ([g_order], [g_end] / [l_order] / [path]). *)
 
 val ids_relation : relation
 (** A set of node ids: one [id] column. *)
@@ -58,4 +78,6 @@ val ctx_tuple : t -> Reldb.Tuple.t
 
 val with_relation :
   Reldb.Db.t -> relation -> Reldb.Tuple.t list -> (unit -> 'a) -> 'a
-(** Fill the relation with the tuples around one statement. *)
+(** Fill the relation with the tuples around one statement. A relation
+    holds a set: contexts, LOCAL frontiers, ids or DEWEY prefixes; a
+    single row's values are bound to [?] slots instead. *)

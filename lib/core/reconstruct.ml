@@ -4,50 +4,42 @@ module V = Reldb.Value
 exception No_subtree of int
 exception No_document of string
 
-(* The rows of edge table [e] joined with the relation [c] holding [ctx]. *)
-let ctx_rows db ~doc enc rel ctx ~where =
-  Node_row.with_relation db rel ctx (fun () ->
-      List.map (Node_row.of_tuple enc)
-        (Reldb.Db.query db
-           (Printf.sprintf "SELECT %s FROM %s e, %s c WHERE %s"
-              (Node_row.select_list enc "e")
-              (Encoding.table_name ~doc enc)
-              rel.Node_row.rel_name where)))
+(* The rows of edge table [e] that [where] selects. *)
+let select ~doc enc ?(from = "") where =
+  Printf.sprintf "SELECT %s FROM %s e%s WHERE %s" (Node_row.select_list enc "e")
+    (Encoding.table_name ~doc enc) from where
+
+let rows db enc ?(params = [||]) sql =
+  List.map (Node_row.of_tuple enc) (Reldb.Db.query_params db sql params)
+
+let fetch_row db ~doc enc ~id =
+  match rows db enc (select ~doc enc "e.id = ?") ~params:[| V.Int id |] with
+  | r :: _ -> Some r
+  | [] -> None
 
 let root_id db ~doc enc =
-  let tname = Encoding.table_name ~doc enc in
-  let sql =
-    Printf.sprintf "SELECT %s FROM %s e WHERE e.parent IS NULL"
-      (Node_row.select_list enc "e") tname
-  in
-  match Reldb.Db.query_one db sql with
-  | Some tu -> (Node_row.of_tuple enc tu).Node_row.id
-  | None -> raise (No_document doc)
+  match rows db enc (select ~doc enc "e.parent IS NULL") with
+  | r :: _ -> r.Node_row.id
+  | [] -> raise (No_document doc)
 
 let fetch_subtree_rows db ~doc enc ~root =
-  (* document order by the order value: sorting the decoded rows here is
-     cheaper than an ORDER BY over the join's concatenated tuples *)
-  let range where =
-    List.stable_sort Node_row.compare_ord
-      (ctx_rows db ~doc enc (Node_row.ctx_relation enc)
-         [ Node_row.ctx_tuple root ] ~where)
-  in
-  match enc with
-  | Encoding.Global | Encoding.Global_gap ->
-      range "e.g_order >= c.g_order AND e.g_order <= c.g_end"
-  | Encoding.Dewey_enc | Encoding.Dewey_caret ->
-      range "e.path >= c.path AND e.path < c.path_ub"
-  | Encoding.Local ->
-      (* breadth-first: one SQL statement per level; then document order in
-         the middle tier, each node followed by its children in sibling
-         rank (attributes' negative ranks first), depth first *)
+  match Node_row.subtree_range root.Node_row.ord with
+  | Some (range, bounds) ->
+      (* the order index delivers the ORDER BY *)
+      rows db enc (select ~doc enc range ^ " ORDER BY e." ^ Encoding.order_col enc) ~params:bounds
+  | None ->
+      (* LOCAL, breadth-first: one SQL statement per level; then document
+         order in the middle tier, each node followed by its children in
+         sibling rank (attributes' negative ranks first), depth first *)
+      let ids = Node_row.ids_relation in
+      let sql = select ~doc enc ~from:(", " ^ ids.Node_row.rel_name ^ " c") "e.parent = c.id" in
       let kids = Node_row.Tbl.create 256 in
       let frontier = ref [ root ] in
       while !frontier <> [] do
         let level =
-          ctx_rows db ~doc enc Node_row.ids_relation
+          Node_row.with_relation db ids
             (List.map (fun (r : Node_row.t) -> [| V.Int r.Node_row.id |]) !frontier)
-            ~where:"e.parent = c.id"
+            (fun () -> rows db enc sql)
         in
         List.iter
           (fun (r : Node_row.t) ->
@@ -106,11 +98,8 @@ let iter_events rows emit =
 
 (* The row of a node that roots a subtree: an element, text, comment or PI. *)
 let subtree_root db ~doc enc ~id =
-  match
-    ctx_rows db ~doc enc Node_row.ids_relation [ [| V.Int id |] ]
-      ~where:"e.id = c.id"
-  with
-  | root :: _ when root.Node_row.kind <> Doc_index.Attr -> root
+  match fetch_row db ~doc enc ~id with
+  | Some root when root.Node_row.kind <> Doc_index.Attr -> root
   | _ -> raise (No_subtree id)
 
 let subtree db ~doc enc ~id =

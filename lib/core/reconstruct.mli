@@ -2,13 +2,14 @@
     paper treats as the correctness bar for an order encoding.
 
     GLOBAL and DEWEY fetch a subtree with a single range query (the
-    interval, resp. the path prefix range), in document order. LOCAL has no
-    global order in the relation, so the subtree is fetched breadth-first,
-    one SQL statement per level, and stitched together by sibling rank in
+    interval, resp. the path prefix range; see {!Node_row.subtree_range})
+    whose bounds are bound to [?] slots and whose order index delivers
+    document order. LOCAL has no global order in the relation, so the
+    subtree is fetched breadth-first, one SQL statement per level, each
+    level joining its frontier's ids (a context relation, see
+    {!Node_row.with_relation}), and stitched together by sibling rank in
     the middle tier — the recursive-composition cost the paper attributes
-    to local order. Every statement reads its root or frontier from a
-    context relation (see {!Node_row.ctx_relation}), so its text never
-    names a node.
+    to local order. No statement's text names a node.
 
     The document-ordered rows become {!Xmllib.Sax.event}s, one stack of open
     elements for every encoding; {!Xmllib.Sax.build} turns them into a tree
@@ -22,6 +23,9 @@ exception No_document of string
 (** The named document's edge table holds no root element: no row with a
     NULL parent, or one that is not an element (say, after rows were
     deleted through SQL). *)
+
+val fetch_row : Reldb.Db.t -> doc:string -> Encoding.t -> id:int -> Node_row.t option
+(** The row of node [id], if there is one: [e.id = ?] on the id index. *)
 
 val root_id : Reldb.Db.t -> doc:string -> Encoding.t -> int
 (** Id of the document root (the row with NULL parent).

@@ -97,56 +97,54 @@ let is_global = function
 (* The condition putting the rows of alias [a] on [axis] from the row [p]:
    an edge-table alias or the context relation (Node_row.ctx_relation).
    [None] where the encoding has no join for the axis (self is a test on
-   [p]). The DEWEY descendant and document-order axes read the subtree's
-   upper bound [path_ub], which only a context relation carries. *)
+   [p]). A subtree ends below [p]'s [g_end], or below its path followed by
+   the byte ff (see Node_row.subtree_range). *)
 let axis_join enc (axis : A.axis) ~p a =
-  (* [a.x op p.y AND ...] from (x, op, y) triples, then [a] not an
-     attribute unless the axis reaches attributes *)
+  (* [a.x op y AND ...] from (x, op, y) triples, then [a] not an attribute
+     unless the axis reaches attributes *)
   let conds ?(elem = true) cmps =
     Some
       (String.concat " AND "
-         (List.map (fun (x, op, y) -> String.concat "" [ a; "."; x; " "; op; " "; p; "."; y ]) cmps
+         (List.map (fun (x, op, y) -> String.concat "" [ a; "."; x; " "; op; " "; y ]) cmps
          @ if elem then [ a ^ ".kind <> 2" ] else []))
   in
+  let pc c = p ^ "." ^ c in
   let o = Encoding.order_col enc in
+  let subtree_end = if is_global enc then pc "g_end" else "(" ^ pc "path" ^ " || X'FF')" in
   match axis with
-  | A.Child -> conds [ ("parent", "=", "id") ]
-  | A.Attribute -> conds ~elem:false [ ("parent", "=", "id") ]
-  | A.Parent -> conds ~elem:false [ ("id", "=", "parent") ]
+  | A.Child -> conds [ ("parent", "=", pc "id") ]
+  | A.Attribute -> conds ~elem:false [ ("parent", "=", pc "id") ]
+  | A.Parent -> conds ~elem:false [ ("id", "=", pc "parent") ]
   | A.Following_sibling | A.Preceding_sibling ->
       (* attribute nodes have no siblings *)
       Option.map
         (fun c -> c ^ " AND " ^ p ^ ".kind <> 2")
-        (conds [ ("parent", "=", "parent"); (o, (if axis = A.Following_sibling then ">" else "<"), o) ])
+        (conds [ ("parent", "=", pc "parent"); (o, (if axis = A.Following_sibling then ">" else "<"), pc o) ])
   | A.Self -> None
   | _ when enc = Encoding.Local -> None
-  | A.Descendant when is_global enc -> conds [ ("g_order", ">", "g_order"); ("g_order", "<", "g_end") ]
-  | A.Descendant_or_self when is_global enc ->
-      conds [ ("g_order", ">=", "g_order"); ("g_order", "<", "g_end") ]
-  | A.Following when is_global enc -> conds [ ("g_order", ">", "g_end") ]
-  | A.Preceding when is_global enc -> conds [ ("g_end", "<", "g_order") ]
+  | A.Descendant -> conds [ (o, ">", pc o); (o, "<", subtree_end) ]
+  | A.Descendant_or_self -> conds [ (o, ">=", pc o); (o, "<", subtree_end) ]
+  | A.Following -> conds [ (o, ">", subtree_end) ]
+  | A.Preceding when is_global enc -> conds [ ("g_end", "<", pc "g_order") ]
   | A.Ancestor when is_global enc ->
       (* strict interval containment *)
-      conds ~elem:false [ ("g_order", "<", "g_order"); ("g_end", ">", "g_end") ]
+      conds ~elem:false [ ("g_order", "<", pc "g_order"); ("g_end", ">", pc "g_end") ]
   | A.Ancestor_or_self when is_global enc ->
-      conds ~elem:false [ ("g_order", "<=", "g_order"); ("g_end", ">=", "g_end") ]
-  | A.Descendant -> conds [ ("path", ">", "path"); ("path", "<", "path_ub") ]
-  | A.Following -> conds [ ("path", ">=", "path_ub") ]
+      conds ~elem:false [ ("g_order", "<=", pc "g_order"); ("g_end", ">=", pc "g_end") ]
   | A.Preceding ->
       (* less the ancestors: the nodes whose path is a prefix of [p]'s *)
       Option.map
         (fun c -> String.concat "" [ c; " AND SUBSTR("; p; ".path, 1, LENGTH("; a; ".path)) <> "; a; ".path" ])
-        (conds [ ("path", "<", "path") ])
-  | A.Descendant_or_self | A.Ancestor | A.Ancestor_or_self -> None
+        (conds [ ("path", "<", pc "path") ])
+  | A.Ancestor | A.Ancestor_or_self -> None
 
 let axis_supported enc (axis : A.axis) =
   match axis with
   | A.Child | A.Attribute | A.Parent | A.Self | A.Following_sibling
   | A.Preceding_sibling ->
       true
-  | A.Descendant | A.Descendant_or_self | A.Following | A.Preceding
-  | A.Ancestor | A.Ancestor_or_self ->
-      is_global enc
+  | A.Descendant | A.Descendant_or_self | A.Following -> enc <> Encoding.Local
+  | A.Preceding | A.Ancestor | A.Ancestor_or_self -> is_global enc
 
 let is_reverse_axis = function
   | A.Preceding | A.Preceding_sibling | A.Ancestor | A.Ancestor_or_self -> true
@@ -590,7 +588,7 @@ and middle_step enc ~table ~lead (s : A.step) =
     | _ when lead -> Root (step_run enc ~table ~from_root:true s)
     | A.Self -> Self_rows
     | A.Ancestor_or_self when not (is_global enc) -> With_self (fetch A.Ancestor)
-    | A.Descendant_or_self when not (is_global enc) -> With_self (fetch A.Descendant)
+    | A.Descendant_or_self when local -> With_self (fetch A.Descendant)
     | A.Ancestor when local -> Chain_walk
     | A.Ancestor when not (is_global enc) ->
         Prefixes
@@ -875,10 +873,7 @@ let rec candidates st ctx_rows (s : step) fetch :
             List.init
               (max 0 (Array.length path - 1))
               (fun i ->
-                [|
-                  V.Int c.Node_row.id; V.Null; V.Null;
-                  V.Bytes (Dewey.encode (Array.sub path 0 (i + 1))); V.Null;
-                |]))
+                [| V.Int c.Node_row.id; V.Null; V.Null; V.Bytes (Dewey.encode (Array.sub path 0 (i + 1))) |]))
           ctx_rows
       in
       ((if prefixes = [] then [] else tagged st (Node_row.ctx_relation st.enc) prefixes sql), None)

@@ -9,8 +9,9 @@
     one alias per step, as in the paper's translator. A run holds
     - steps whose axis is in the encoding's join table ([child],
       [attribute], [parent], [self] and the sibling axes everywhere; the
-      descendant, ancestor and document-order axes under GLOBAL and
-      GLOBAL/gap only), and,
+      descendant(-or-self) and [following] axes under GLOBAL and DEWEY,
+      whose subtrees end below [g_end] or below the path followed by the
+      byte [ff]; the ancestor and [preceding] axes under GLOBAL only), and,
       on every encoding, a leading [child] or [descendant] step from the
       document root (a tag-index scan);
     - predicates that are conjunctions of existence tests and value
@@ -161,7 +162,7 @@ and fetch =
   | Chain_walk  (** LOCAL [ancestor]: parent chains, fetched by id per level *)
   | Levels  (** LOCAL [descendant]: children by parent id, per level *)
   | Doc_order of run  (** LOCAL [following]/[preceding]: the candidates from the root *)
-  | With_self of fetch  (** [-or-self] outside GLOBAL: the context rows, then [fetch] *)
+  | With_self of fetch  (** [-or-self] without a join: the context rows, then [fetch] *)
 
 (** A predicate with the compiled segments of each path it reads from the
     candidates; [Cmp]'s last segments read the elements' [child::text()]. *)

@@ -18,7 +18,15 @@ let fail fmt = Printf.ksprintf (fun s -> raise (Update_error s)) fmt
 
 let zero = { rows_inserted = 0; rows_deleted = 0; rows_renumbered = 0; statements = 0 }
 
-type state = { db : Reldb.Db.t; enc : Encoding.t; tname : string; mutable st : stats }
+type state = {
+  db : Reldb.Db.t;
+  doc : string;
+  enc : Encoding.t;
+  tname : string;
+  mutable st : stats;
+}
+
+let new_state db ~doc enc = { db; doc; enc; tname = Encoding.table_name ~doc enc; st = zero }
 
 (* Every public update runs as one transaction: a logical XML update either
    lands completely or not at all. Compound operations (move, replace) call
@@ -47,14 +55,10 @@ let renumber state sql params =
   Obs.Span.with_ "renumber" (fun () -> exec state sql params)
 
 let fetch_node state id =
-  let sql =
-    Printf.sprintf "SELECT %s FROM %s e WHERE e.id = ?"
-      (Node_row.select_list state.enc "e") state.tname
-  in
-  match query state sql [| V.Int id |] with
-  | [ tu ] -> Node_row.of_tuple state.enc tu
-  | [] -> fail "no node with id %d" id
-  | _ -> assert false
+  state.st <- { state.st with statements = state.st.statements + 1 };
+  match Reconstruct.fetch_row state.db ~doc:state.doc state.enc ~id with
+  | Some r -> r
+  | None -> fail "no node with id %d" id
 
 (* non-attribute children of a node, in document order *)
 let fetch_children state id =
@@ -133,15 +137,8 @@ let local_insert state b ~first_id fragments =
   (* one sibling shift makes room for the whole forest *)
   let k = List.length fragments in
   let l0 =
-    if b.pos <= List.length b.siblings then
-      match (List.nth b.siblings (b.pos - 1)).Node_row.ord with
-      | Node_row.Ol o -> o
-      | _ -> assert false
-    else
-      match List.rev b.siblings with
-      | [] -> 1
-      | last :: _ -> (
-          match last.Node_row.ord with Node_row.Ol o -> o + 1 | _ -> assert false)
+    if b.pos <= List.length b.siblings then Node_row.local (List.nth b.siblings (b.pos - 1))
+    else match List.rev b.siblings with [] -> 1 | last :: _ -> Node_row.local last + 1
   in
   (if b.pos <= List.length b.siblings then begin
      let shifted =
@@ -202,23 +199,13 @@ let global_insert state b ~first_id fragments ~gapped =
       in
       match attr_end with
       | [ [| V.Int m |] ] -> m
-      | _ -> (
-          match b.parent_row.Node_row.ord with
-          | Node_row.Og (o, _) -> o
-          | _ -> assert false)
+      | _ -> fst (Node_row.global b.parent_row)
     end
-    else
-      match (List.nth b.siblings (b.pos - 2)).Node_row.ord with
-      | Node_row.Og (_, e) -> e
-      | _ -> assert false
+    else snd (Node_row.global (List.nth b.siblings (b.pos - 2)))
   in
   let hi =
-    if b.pos <= List.length b.siblings then
-      match (List.nth b.siblings (b.pos - 1)).Node_row.ord with
-      | Node_row.Og (o, _) -> o
-      | _ -> assert false
-    else
-      match b.parent_row.Node_row.ord with Node_row.Og (_, e) -> e | _ -> assert false
+    if b.pos <= List.length b.siblings then fst (Node_row.global (List.nth b.siblings (b.pos - 1)))
+    else snd (Node_row.global b.parent_row)
   in
   (* the value of the forest's [ordinal]-th interval endpoint *)
   let assign =
@@ -241,27 +228,16 @@ let global_insert state b ~first_id fragments ~gapped =
 
 (* --- DEWEY (plain and caret) ------------------------------------------ *)
 
-let parent_dewey (b : boundary) =
-  match b.parent_row.Node_row.ord with
-  | Node_row.Od p -> Dewey.decode p
-  | _ -> assert false
-
 (* Move a whole subtree to a new path prefix: every row under the old
    prefix gets the new prefix followed by the rest of its own path. *)
 let rewrite_subtree_paths state ~old_path ~new_path =
   Obs.Span.with_ "renumber" ~attrs:[ ("op", "rewrite-paths") ] @@ fun () ->
   let old_enc = Dewey.encode old_path in
+  let range, bounds = Option.get (Node_row.subtree_range (Node_row.Od old_enc)) in
   let n =
     exec state
-      (Printf.sprintf
-         "UPDATE %s SET path = ? || SUBSTR(path, ?) WHERE path >= ? AND path < ?"
-         state.tname)
-      [|
-        V.Bytes (Dewey.encode new_path);
-        V.Int (String.length old_enc + 1);
-        V.Bytes old_enc;
-        V.Bytes (Dewey.prefix_upper_bound old_enc);
-      |]
+      (Printf.sprintf "UPDATE %s SET path = ? || SUBSTR(path, ?) WHERE %s" state.tname range)
+      (Array.append [| V.Bytes (Dewey.encode new_path); V.Int (String.length old_enc + 1) |] bounds)
   in
   state.st <- { state.st with rows_renumbered = state.st.rows_renumbered + n }
 
@@ -284,7 +260,7 @@ let fetch_depth state id =
 
 let dewey_insert state b ~first_id fragments =
   let k = List.length fragments in
-  let parent_path = parent_dewey b in
+  let parent_path = Node_row.dewey b.parent_row in
   let comp_of (r : Node_row.t) = Dewey.last (Node_row.dewey r) in
   let c0 =
     if b.pos <= List.length b.siblings then comp_of (List.nth b.siblings (b.pos - 1))
@@ -331,26 +307,26 @@ exception No_slot
    ~32k further insertions on either side before the zone is exhausted *)
 let caret_zone_start = 65537
 
+(* [lo]: the lower neighbour's label, [] when there is none; [hi]: the
+   upper neighbour's, [None] when there is none *)
 let rec caret_between lo hi =
-  let lo = match lo with Some [] -> None | x -> x in
   match (lo, hi) with
   | _, Some [] -> raise No_slot
-  | Some [], _ -> assert false (* normalized to None above *)
-  | None, None ->
+  | [], None ->
       (* empty parent: first child *)
       [ 3 ]
-  | Some (l0 :: _), None ->
+  | l0 :: _, None ->
       (* append: next odd above the last head *)
       [ (if l0 mod 2 = 0 then l0 + 1 else l0 + 2) ]
-  | None, Some (h0 :: ht) ->
+  | [], Some (h0 :: ht) ->
       (* prepend: the largest odd below h0, if any *)
       let c = if (h0 - 1) mod 2 = 1 then h0 - 1 else h0 - 2 in
       if c >= 1 then [ c ]
       else if h0 mod 2 = 0 && ht <> [] then
         (* hi is a caret zone: slot in below its tail *)
-        h0 :: caret_between None (Some ht)
+        h0 :: caret_between [] (Some ht)
       else raise No_slot
-  | Some (l0 :: lt), Some (h0 :: ht) ->
+  | l0 :: lt, Some (h0 :: ht) ->
       if h0 - l0 >= 2 then begin
         (* room at this level: prefer an odd label, else open a caret with
            enough headroom that a hotspot amortizes *)
@@ -360,16 +336,14 @@ let rec caret_between lo hi =
       else if h0 = l0 then begin
         (* shared head: only caret heads can be shared by two labels *)
         if l0 mod 2 = 1 || l0 = 0 then raise No_slot
-        else
-          l0
-          :: caret_between (if lt = [] then None else Some lt) (Some ht)
+        else l0 :: caret_between lt (Some ht)
       end
       else begin
         (* adjacent heads: extend whichever side is a caret zone *)
         if l0 mod 2 = 0 then
-          l0 :: caret_between (if lt = [] then None else Some lt) None
+          l0 :: caret_between lt None
         else (* h0 = l0 + 1 is even *)
-          h0 :: caret_between None (Some ht)
+          h0 :: caret_between [] (Some ht)
       end
 
 let suffix_of parent_len (r : Node_row.t) =
@@ -414,12 +388,9 @@ let caret_renumber state b ~parent_path ~lo_head =
   target_head
 
 let caret_insert state b ~first_id fragments =
-  let parent_path = parent_dewey b in
+  let parent_path = Node_row.dewey b.parent_row in
   let parent_len = Array.length parent_path in
-  let lo0 =
-    if b.pos = 1 then None
-    else Some (suffix_of parent_len (List.nth b.siblings (b.pos - 2)))
-  in
+  let lo0 = if b.pos = 1 then [] else suffix_of parent_len (List.nth b.siblings (b.pos - 2)) in
   let hi =
     if b.pos <= List.length b.siblings then
       Some (suffix_of parent_len (List.nth b.siblings (b.pos - 1)))
@@ -433,10 +404,10 @@ let caret_insert state b ~first_id fragments =
       let rel =
         try caret_between !lo hi
         with No_slot ->
-          let lo_head = match !lo with Some (l0 :: _) -> l0 | _ -> 0 in
+          let lo_head = match !lo with l0 :: _ -> l0 | [] -> 0 in
           [ caret_renumber state b ~parent_path ~lo_head ]
       in
-      lo := Some rel;
+      lo := rel;
       (Array.append parent_path (Array.of_list rel), target_depth))
 
 (* --- public API -------------------------------------------------------- *)
@@ -444,7 +415,7 @@ let caret_insert state b ~first_id fragments =
 let insert_forest db ~doc enc ~parent ~pos fragments =
   if fragments = [] then fail "insert_forest: empty forest";
   transactionally db @@ fun () ->
-  let state = { db; enc; tname = Encoding.table_name ~doc enc; st = zero } in
+  let state = new_state db ~doc enc in
   let b = locate state ~parent ~pos in
   let first_id = max_id state + 1 in
   (match enc with
@@ -459,56 +430,47 @@ let insert_subtree db ~doc enc ~parent ~pos fragment =
   insert_forest db ~doc enc ~parent ~pos [ fragment ]
 
 let append_child db ~doc enc ~parent fragment =
-  let state = { db; enc; tname = Encoding.table_name ~doc enc; st = zero } in
+  let state = new_state db ~doc enc in
   let n = List.length (fetch_children state parent) in
   insert_subtree db ~doc enc ~parent ~pos:(n + 1) fragment
 
 let delete_subtree db ~doc enc ~id =
   transactionally db @@ fun () ->
-  let state = { db; enc; tname = Encoding.table_name ~doc enc; st = zero } in
+  let state = new_state db ~doc enc in
   let row = fetch_node state id in
   if row.Node_row.kind = Doc_index.Attr then fail "cannot delete an attribute subtree";
-  if row.Node_row.parent = None then fail "cannot delete the document root";
+  let parent =
+    match row.Node_row.parent with Some p -> p | None -> fail "cannot delete the document root"
+  in
   let deleted =
-    match (enc, row.Node_row.ord) with
-    | (Encoding.Global | Encoding.Global_gap), Node_row.Og (o, e) ->
-        exec state
-          (Printf.sprintf "DELETE FROM %s WHERE g_order >= ? AND g_order <= ?" state.tname)
-          [| V.Int o; V.Int e |]
-    | (Encoding.Dewey_enc | Encoding.Dewey_caret), Node_row.Od p ->
-        exec state
-          (Printf.sprintf "DELETE FROM %s WHERE path >= ? AND path < ?" state.tname)
-          [| V.Bytes p; V.Bytes (Dewey.prefix_upper_bound p) |]
-    | Encoding.Local, Node_row.Ol l0 ->
-        (* collect the subtree breadth-first, delete, then close the
+    match Node_row.subtree_range row.Node_row.ord with
+    | Some (range, bounds) -> exec state (Printf.sprintf "DELETE FROM %s WHERE %s" state.tname range) bounds
+    | None ->
+        (* LOCAL: collect the subtree breadth-first, delete, then close the
            sibling gap *)
-        let rows =
-          Reconstruct.fetch_subtree_rows db ~doc enc ~root:row
-        in
+        let rows = Reconstruct.fetch_subtree_rows db ~doc enc ~root:row in
         let del = Printf.sprintf "DELETE FROM %s WHERE id = ?" state.tname in
         let n =
           List.fold_left
             (fun acc (r : Node_row.t) -> acc + exec state del [| V.Int r.Node_row.id |])
             0 rows
         in
-        let parent = Option.get row.Node_row.parent in
         let shifted =
           renumber state
             (Printf.sprintf
                "UPDATE %s SET l_order = l_order - 1 WHERE parent = ? AND l_order > ?"
                state.tname)
-            [| V.Int parent; V.Int l0 |]
+            [| V.Int parent; V.Int (Node_row.local row) |]
         in
         state.st <-
           { state.st with rows_renumbered = state.st.rows_renumbered + shifted };
         n
-    | _ -> assert false
   in
   { state.st with rows_deleted = deleted }
 
 let move_subtree db ~doc enc ~id ~parent ~pos =
   transactionally db @@ fun () ->
-  let state = { db; enc; tname = Encoding.table_name ~doc enc; st = zero } in
+  let state = new_state db ~doc enc in
   let row = fetch_node state id in
   if row.Node_row.kind = Doc_index.Attr then fail "cannot move an attribute";
   if row.Node_row.parent = None then fail "cannot move the document root";
@@ -544,7 +506,7 @@ let set_value state ~id ~kind value =
 
 let set_attribute db ~doc enc ~id ~name ~value =
   transactionally db @@ fun () ->
-  let state = { db; enc; tname = Encoding.table_name ~doc enc; st = zero } in
+  let state = new_state db ~doc enc in
   let row = fetch_node state id in
   if row.Node_row.kind <> Doc_index.Elem then fail "node %d is not an element" id;
   let attrs = fetch_attrs state id in
@@ -580,19 +542,13 @@ let set_attribute db ~doc enc ~id ~name ~value =
             (* first value after the attribute zone: first child start, or
                the parent's end *)
             match fetch_children state id with
-            | first :: _ -> (
-                match first.Node_row.ord with Node_row.Og (o, _) -> o | _ -> 0)
-            | [] -> (
-                match row.Node_row.ord with Node_row.Og (_, e) -> e | _ -> 0)
+            | first :: _ -> fst (Node_row.global first)
+            | [] -> snd (Node_row.global row)
           in
           global_shift state ~around:row ~hi 2;
           insert (Shred.Interval (hi, hi + 1))
       | Encoding.Dewey_enc | Encoding.Dewey_caret ->
-          let parent_path =
-            match row.Node_row.ord with
-            | Node_row.Od p -> Dewey.decode p
-            | _ -> assert false
-          in
+          let parent_path = Node_row.dewey row in
           let next_j =
             match List.rev attrs with
             | [] -> 1
@@ -605,7 +561,7 @@ let set_attribute db ~doc enc ~id ~name ~value =
 
 let remove_attribute db ~doc enc ~id ~name =
   transactionally db @@ fun () ->
-  let state = { db; enc; tname = Encoding.table_name ~doc enc; st = zero } in
+  let state = new_state db ~doc enc in
   let row = fetch_node state id in
   if row.Node_row.kind <> Doc_index.Elem then fail "node %d is not an element" id;
   match
@@ -638,7 +594,7 @@ let remove_attribute db ~doc enc ~id ~name =
 
 let replace_subtree db ~doc enc ~id fragment =
   transactionally db @@ fun () ->
-  let state = { db; enc; tname = Encoding.table_name ~doc enc; st = zero } in
+  let state = new_state db ~doc enc in
   let row = fetch_node state id in
   if row.Node_row.kind = Doc_index.Attr then fail "cannot replace an attribute";
   let parent =
@@ -666,7 +622,7 @@ let replace_subtree db ~doc enc ~id fragment =
 
 let set_text db ~doc enc ~id value =
   transactionally db @@ fun () ->
-  let state = { db; enc; tname = Encoding.table_name ~doc enc; st = zero } in
+  let state = new_state db ~doc enc in
   let row = fetch_node state id in
   (match row.Node_row.kind with
   | Doc_index.Text_node | Doc_index.Attr | Doc_index.Comment_node

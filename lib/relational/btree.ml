@@ -126,17 +126,11 @@ let find t k =
   else None
 
 (* insert into subtree; returns Some (separator, right sibling) on split *)
-let rec insert_node t node k v ~replace_existing =
+let rec insert_node t node k v =
   match node with
   | Leaf l ->
       let i = lower_bound l.keys l.n k in
-      if i < l.n && Bytes.equal l.keys.(i) k then begin
-        if replace_existing then begin
-          l.vals.(i) <- v;
-          None
-        end
-        else raise Duplicate_key
-      end
+      if i < l.n && Bytes.equal l.keys.(i) k then raise Duplicate_key
       else begin
         make_room t l;
         Array.blit l.keys i l.keys (i + 1) (l.n - i);
@@ -169,7 +163,7 @@ let rec insert_node t node k v ~replace_existing =
       end
   | Internal n -> (
       let ci = child_index n k in
-      match insert_node t n.children.(ci) k v ~replace_existing with
+      match insert_node t n.children.(ci) k v with
       | None -> None
       | Some (sep, right) ->
           n.seps <- array_insert n.seps ci sep;
@@ -191,14 +185,11 @@ let rec insert_node t node k v ~replace_existing =
           end
           else None)
 
-let insert_gen t k v ~replace_existing =
-  match insert_node t t.root k v ~replace_existing with
+let insert t k v =
+  match insert_node t t.root k v with
   | None -> ()
   | Some (sep, right) ->
       t.root <- Internal { seps = [| sep |]; children = [| t.root; right |] }
-
-let insert t k v = insert_gen t k v ~replace_existing:false
-let replace t k v = insert_gen t k v ~replace_existing:true
 
 let delete t k =
   let l = find_leaf t.root k in

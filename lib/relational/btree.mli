@@ -27,9 +27,6 @@ val insert : t -> bytes -> int -> unit
 (** The tree keeps the bytes as its own key ({!rewrite_key} writes into
     them). @raise Duplicate_key if the key is already present. *)
 
-val replace : t -> bytes -> int -> unit
-(** Insert or overwrite. *)
-
 val build : t -> int -> (int -> bytes) -> (int -> int) -> unit
 (** [build t n key value] makes [t] hold exactly the [n] entries [key i,
     value i], [i] from 0, whose keys are strictly ascending (its old

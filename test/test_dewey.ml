@@ -1,4 +1,5 @@
-(* Dewey keys: codec roundtrip, the order-isomorphism property, prefix math. *)
+(* Dewey keys: codec roundtrip, the order-isomorphism property, and the
+   subtree range a path followed by ff bounds. *)
 
 module Dw = Ordered_xml.Dewey
 
@@ -54,18 +55,6 @@ let test_order_cases () =
   check bool_t "128 boundary" true (le [| 127 |] [| 128 |]);
   check bool_t "16512 boundary" true (le [| 16511 |] [| 16512 |])
 
-let test_prefix_upper_bound () =
-  let p = Dw.encode [| 1; 3 |] in
-  let ub = Dw.prefix_upper_bound p in
-  check bool_t "ub above prefix" true (String.compare ub p > 0);
-  check bool_t "descendant below ub" true
-    (String.compare (Dw.encode [| 1; 3; 99; 4 |]) ub < 0);
-  check bool_t "next sibling above ub" true
-    (String.compare (Dw.encode [| 1; 4 |]) ub >= 0);
-  (* carry case: last byte 0xFF *)
-  let s = "\x01\xff" in
-  check string_t "carry" "\x02" (Dw.prefix_upper_bound s)
-
 let gen_path =
   QCheck.Gen.(
     map Array.of_list
@@ -86,15 +75,64 @@ let prop_order_isomorphism =
       let c2 = compare (String.compare (Dw.encode a) (Dw.encode b)) 0 in
       c1 = c2)
 
-let prop_prefix_range =
-  QCheck.Test.make ~name:"descendant iff inside prefix range" ~count:1000
-    (QCheck.pair arb_path arb_path) (fun (a, d) ->
-      let ea = Dw.encode a and ed = Dw.encode d in
-      let inside =
-        String.compare ed ea > 0
-        && String.compare ed (Dw.prefix_upper_bound ea) < 0
-      in
-      inside = Dw.is_strict_prefix a d)
+(* Components of every encoded length, the largest (first byte ef)
+   included; a level's label is one component or an ORDPATH caret label:
+   even components, then an odd one. *)
+let gen_component =
+  QCheck.Gen.(
+    frequency
+      [
+        (8, int_bound 300);
+        (2, int_bound 20000);
+        (1, int_bound 3_000_000);
+        (1, int_range (Dw.max_component - 20_000_000) Dw.max_component);
+      ])
+
+let gen_labels =
+  QCheck.Gen.(
+    map List.concat
+      (list_size (int_range 0 4)
+         (frequency
+            [
+              (3, map (fun c -> [ c ]) gen_component);
+              ( 1,
+                map2
+                  (fun evens c -> List.map (fun e -> e land lnot 1) evens @ [ c lor 1 ])
+                  (list_size (int_range 1 3) gen_component)
+                  gen_component );
+            ])))
+
+(* [a] from the root, possibly ending in an attribute level [0; j]; [b]
+   is [a], an extension of [a], or shares a prefix of [a] *)
+let gen_subtree_pair =
+  QCheck.Gen.(
+    let path =
+      map2 (fun l attr -> Array.of_list ((1 :: l) @ attr)) gen_labels
+        (oneof [ return []; map (fun j -> [ 0; j + 1 ]) (int_bound 5) ])
+    in
+    path >>= fun a ->
+    let n = Array.length a in
+    map (fun b -> (a, b))
+      (oneof
+         [
+           return a;
+           map (fun l -> Array.append a (Array.of_list l)) gen_labels;
+           map2
+             (fun k l -> Array.append (Array.sub a 0 (1 + (k mod n))) (Array.of_list l))
+             nat gen_labels;
+           path;
+         ]))
+
+let prop_subtree_bound =
+  QCheck.Test.make ~name:"subtree iff within [p, p ^ ff)" ~count:2000
+    (QCheck.make ~print:(fun (a, b) -> Dw.to_string a ^ " / " ^ Dw.to_string b) gen_subtree_pair)
+    (fun (a, b) ->
+      let ea = Dw.encode a and eb = Dw.encode b in
+      let bound = ea ^ "\xff" in
+      let in_subtree = a = b || Dw.is_strict_prefix a b in
+      let inside = String.compare ea eb <= 0 && String.compare eb bound < 0 in
+      (* and a later path outside the subtree is above the bound *)
+      inside = in_subtree && (in_subtree || Dw.compare b a < 0 || String.compare eb bound > 0))
 
 let prop_parent_prefix =
   QCheck.Test.make ~name:"parent is the immediate prefix" ~count:300 arb_path
@@ -117,10 +155,9 @@ let tests =
       Alcotest.test_case "navigation" `Quick test_navigation;
       Alcotest.test_case "codec classes" `Quick test_codec_classes;
       Alcotest.test_case "ordering traps" `Quick test_order_cases;
-      Alcotest.test_case "prefix upper bound" `Quick test_prefix_upper_bound;
       QCheck_alcotest.to_alcotest prop_roundtrip;
       QCheck_alcotest.to_alcotest prop_order_isomorphism;
-      QCheck_alcotest.to_alcotest prop_prefix_range;
+      QCheck_alcotest.to_alcotest prop_subtree_bound;
       QCheck_alcotest.to_alcotest prop_parent_prefix;
       QCheck_alcotest.to_alcotest prop_string_roundtrip;
     ] )

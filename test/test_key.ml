@@ -205,7 +205,7 @@ let prop_hint =
       in
       List.for_all
         (function
-          | `Insert k -> B.replace t (key k) k; true
+          | `Insert k -> if B.find t (key k) = None then B.insert t (key k) k; true
           | `Delete k -> ignore (B.delete t (key k)); true
           | `Rebuild ->
               let entries = Array.of_seq (B.to_seq t) in

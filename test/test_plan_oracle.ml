@@ -470,6 +470,35 @@ let test_delivered_orders () =
       Alcotest.(check bool) "global Q7: no DISTINCT" false (Astring_contains.contains r.sql "DISTINCT")
   | _ -> Alcotest.fail "global Q7: one run"
 
+(* A subtree read on GLOBAL and DEWEY is one index range over the order
+   column, whose ORDER BY the range delivers: no Sort. The statement is
+   read back from the slow-query log (threshold 0). *)
+let test_subtree_read () =
+  let db = Lazy.force xmark_db in
+  let was = Obs.enabled () in
+  Obs.set_enabled true;
+  D.set_slow_query_threshold db (Some 0.0);
+  Fun.protect ~finally:(fun () -> Obs.set_enabled was; D.set_slow_query_threshold db None) @@ fun () ->
+  List.iter
+    (fun (enc, range) ->
+      let name = Ordered_xml.Encoding.name enc in
+      D.clear_slow_queries db;
+      let id = Ordered_xml.Reconstruct.root_id db ~doc:"q" enc in
+      ignore (Ordered_xml.Reconstruct.serialize_subtree db ~doc:"q" enc ~id);
+      match List.filter (fun (_, sql) -> Astring_contains.contains sql "ORDER BY") (D.slow_queries db) with
+      | [ (_, sql) ] ->
+          let plan = D.explain db sql in
+          Alcotest.(check bool) (name ^ ": no Sort in\n" ^ plan) false (sorts (D.plan db sql));
+          Alcotest.(check bool) (name ^ ": delivered in\n" ^ plan) true (delivers (D.plan db sql));
+          Alcotest.(check bool) (name ^ ": index range in\n" ^ plan) true
+            (Astring_contains.contains plan range)
+      | l -> Alcotest.failf "%s: %d subtree reads" name (List.length l))
+    Ordered_xml.Encoding.
+      [
+        (Global, "IndexScan q_global.q_global_order [?1 .. [?2");
+        (Dewey_enc, "IndexScan q_dewey.q_dewey_path [?1 .. (?2");
+      ]
+
 (* A descendant node() step holds [kind <> 2] twice, once from its node
    test and once from its join. Simplify keeps one copy, so the join order
    estimate does not favour the descendant alias, and the plan drives from
@@ -531,6 +560,7 @@ let tests =
       QCheck_alcotest.to_alcotest prop_oracle;
       Alcotest.test_case "statements checked" `Quick test_exercised;
       Alcotest.test_case "delivered orders: Q1-Q5, Q7" `Quick test_delivered_orders;
+      Alcotest.test_case "subtree reads: an index range, delivered" `Quick test_subtree_read;
       Alcotest.test_case "census: DISTINCT and Sort" `Quick test_census;
       Alcotest.test_case "a repeated conjunct is planned once" `Quick test_repeated_conjunct;
     ] )
