@@ -44,7 +44,8 @@ crash-test:
 # operator tree with its Limit), a GLOBAL
 # following:: step must join one staircase row and run no Sort and no
 # Distinct operator (its ORDER BY is delivered), a DEWEY following:: step
-# must join inside its run (one statement), a query on
+# must too, inside its run (one statement), and so must a DEWEY
+# preceding:: step from the root, a query on
 # the directory `oxq dump` writes must print what it prints on the XML,
 # `oxq stats` (XML only) must refuse that directory by name, a
 # reconstructed subtree must print the same bytes on every encoding, and a
@@ -60,6 +61,9 @@ check: build test lint crash-test bench-smoke
 	! grep -E '^ *(Sort \[|Distinct( |$$))' _build/check-stair.out
 	$(OXQ) sql -e dewey examples/catalog.xml '/catalog/book[1]/following::title' --analyze > _build/check-dewey-following.out
 	grep -q 'executed: 1 statement(s)' _build/check-dewey-following.out
+	! grep -E '^ *(Sort \[|Distinct( |$$))' _build/check-dewey-following.out
+	$(OXQ) sql -e dewey examples/catalog.xml '/catalog/book[2]/preceding::title' --analyze > _build/check-dewey-preceding.out
+	grep -q 'executed: 1 statement(s)' _build/check-dewey-preceding.out
 	rm -rf _build/check-db
 	$(OXQ) dump examples/catalog.xml -o _build/check-db
 	$(OXQ) query _build/check-db '//book[2]/title' > _build/check-db.out

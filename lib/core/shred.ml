@@ -48,22 +48,21 @@ let build_rows enc ~first_id ~endpoint ~parent ~pos ~path ~depth events emit =
     v
   in
   let paths = match enc with Encoding.Dewey_enc | Encoding.Dewey_caret -> true | _ -> false in
-  let stack =
-    ref
-      [ { f_id = parent; f_tag = ""; f_pos = 0; f_start = 0; f_path = [||];
-          f_depth = depth - 1; f_kids = pos - 1 } ]
-  in
+  let top = { f_id = parent; f_tag = ""; f_pos = 0; f_start = 0; f_path = [||]; f_depth = depth - 1; f_kids = pos - 1 } in
+  (* the open elements, innermost first, above [top] *)
+  let stack = ref [] in
   (* a new non-attribute node under the innermost frame: that frame, and
      the node's stored path *)
   let place () =
-    match !stack with
-    | [] -> assert false
-    | f :: rest ->
-        f.f_kids <- f.f_kids + 1;
-        if not paths then (f, [||])
-        else if rest <> [] then (f, Dewey.child f.f_path (component enc f.f_kids))
-        else if f.f_kids = pos then (f, path)
-        else invalid_arg "Shred.build_rows: a second top-level node needs its own path"
+    let f = match !stack with f :: _ -> f | [] -> top in
+    f.f_kids <- f.f_kids + 1;
+    if not paths then (f, [||])
+    else if f != top then (f, Dewey.child f.f_path (component enc f.f_kids))
+    else if f.f_kids = pos then (f, path)
+    else
+      (* not reached: a document has one root, and Update inserts each
+         DEWEY fragment with a path of its own *)
+      invalid_arg "Shred.build_rows: a second top-level node needs its own path"
   in
   let row ~id ~parent ~kind ~tag ~value ~pos ~path ~depth start =
     emit
@@ -101,11 +100,15 @@ let build_rows enc ~first_id ~endpoint ~parent ~pos ~path ~depth events emit =
     | Xmllib.Sax.End_element _ -> (
         (* the row is complete only now, when its interval end is known *)
         match !stack with
-        | e :: (f :: _ as rest) ->
+        | e :: rest ->
             stack := rest;
+            let f = match rest with f :: _ -> f | [] -> top in
             row ~id:e.f_id ~parent:f.f_id ~kind:Doc_index.Elem ~tag:e.f_tag ~value:""
               ~pos:e.f_pos ~path:e.f_path ~depth:e.f_depth e.f_start
-        | _ -> invalid_arg "Shred.build_rows: end tag without a start tag")
+        | [] ->
+            (* not reached: Sax.iter refuses a stray end tag, and
+               Sax.iter_node emits balanced events *)
+            invalid_arg "Shred.build_rows: end tag without a start tag")
     | Xmllib.Sax.Text s -> leaf Doc_index.Text_node "" s
     | Xmllib.Sax.Comment s -> leaf Doc_index.Comment_node "" s
     | Xmllib.Sax.Pi { target; data } -> leaf Doc_index.Pi_node target data);
@@ -115,6 +118,7 @@ let in_id_order ~first_id rows =
   let out = Array.make (List.length rows) [||] in
   List.iter
     (fun row ->
+      (* not reached: [edge_row] puts the id, an int, first *)
       match row.(0) with V.Int id -> out.(id - first_id) <- row | _ -> assert false)
     rows;
   Array.to_list out

@@ -94,12 +94,16 @@ let is_global = function
   | Encoding.Global | Encoding.Global_gap -> true
   | Encoding.Local | Encoding.Dewey_enc | Encoding.Dewey_caret -> false
 
-(* The condition putting the rows of alias [a] on [axis] from the row [p]:
-   an edge-table alias or the context relation (Node_row.ctx_relation).
-   [None] where the encoding has no join for the axis (self is a test on
-   [p]). A subtree ends below [p]'s [g_end], or below its path followed by
+(* The bound [p]'s subtree ends below: its [g_end], or its path followed by
    the byte ff (see Node_row.subtree_range). *)
-let axis_join enc (axis : A.axis) ~p a =
+let subtree_end enc p = if is_global enc then p ^ ".g_end" else "(" ^ p ^ ".path || X'FF')"
+
+(* The condition putting the rows of alias [a] on [axis] from the row [p]:
+   an edge-table alias, the context relation (Node_row.ctx_relation) or,
+   when [ends], a staircase row, whose order column holds its bound (see
+   [block]). [None] where the encoding has no join for the axis (self is a
+   test on [p]). *)
+let axis_join enc ?(ends = false) (axis : A.axis) ~p a =
   (* [a.x op y AND ...] from (x, op, y) triples, then [a] not an attribute
      unless the axis reaches attributes *)
   let conds ?(elem = true) cmps =
@@ -110,7 +114,7 @@ let axis_join enc (axis : A.axis) ~p a =
   in
   let pc c = p ^ "." ^ c in
   let o = Encoding.order_col enc in
-  let subtree_end = if is_global enc then pc "g_end" else "(" ^ pc "path" ^ " || X'FF')" in
+  let p_end = if ends then pc o else subtree_end enc p in
   match axis with
   | A.Child -> conds [ ("parent", "=", pc "id") ]
   | A.Attribute -> conds ~elem:false [ ("parent", "=", pc "id") ]
@@ -122,20 +126,18 @@ let axis_join enc (axis : A.axis) ~p a =
         (conds [ ("parent", "=", pc "parent"); (o, (if axis = A.Following_sibling then ">" else "<"), pc o) ])
   | A.Self -> None
   | _ when enc = Encoding.Local -> None
-  | A.Descendant -> conds [ (o, ">", pc o); (o, "<", subtree_end) ]
-  | A.Descendant_or_self -> conds [ (o, ">=", pc o); (o, "<", subtree_end) ]
-  | A.Following -> conds [ (o, ">", subtree_end) ]
-  | A.Preceding when is_global enc -> conds [ ("g_end", "<", pc "g_order") ]
+  | A.Descendant -> conds [ (o, ">", pc o); (o, "<", p_end) ]
+  | A.Descendant_or_self -> conds [ (o, ">=", pc o); (o, "<", p_end) ]
+  | A.Following -> conds [ (o, ">", p_end) ]
+  | A.Preceding when is_global enc -> conds [ ("g_end", "<", pc o) ]
   | A.Ancestor when is_global enc ->
       (* strict interval containment *)
       conds ~elem:false [ ("g_order", "<", pc "g_order"); ("g_end", ">", pc "g_end") ]
   | A.Ancestor_or_self when is_global enc ->
       conds ~elem:false [ ("g_order", "<=", pc "g_order"); ("g_end", ">=", pc "g_end") ]
   | A.Preceding ->
-      (* less the ancestors: the nodes whose path is a prefix of [p]'s *)
-      Option.map
-        (fun c -> String.concat "" [ c; " AND SUBSTR("; p; ".path, 1, LENGTH("; a; ".path)) <> "; a; ".path" ])
-        (conds [ ("path", "<", pc "path") ])
+      (* less the ancestors, whose subtrees hold [p] *)
+      Option.map (fun c -> String.concat " " [ c; "AND"; subtree_end enc a; "<"; pc o ]) (conds [ (o, "<", pc o) ])
   | A.Ancestor | A.Ancestor_or_self -> None
 
 let axis_supported enc (axis : A.axis) =
@@ -225,8 +227,8 @@ let is_sibling = function A.Following_sibling | A.Preceding_sibling -> true | _ 
    derived table the next one reads. [b_tail]: the positional predicate of
    the block's last step (see [position]), lowered as ORDER BY ... LIMIT ?
    OFFSET ? BY; [b_distinct]: the block's rows are made unique; [b_stair]:
-   the block is the one row a GLOBAL [following] ([preceding]) step
-   joins, the least [g_end] (greatest [g_order]) of its rows. *)
+   the block is the one row a [following] ([preceding]) step joins: in its
+   order column, the least subtree end (greatest order value) of its rows. *)
 type block = {
   b_steps : A.step list;
   b_tail : (bool * int * int) option;
@@ -273,10 +275,10 @@ let blocks enc ~nest ~from_root (steps : A.step list) =
         let lowers = step_lowers enc ~lead:(lead && from_root) in
         let fans = Option.fold pending ~none:fans ~some:snd in
         let fan = if single && is_sibling s.A.axis then List.exists pred_fans s.A.preds else step_fans ~lead s in
-        (* a GLOBAL following (preceding) step from the root: the union of
-           its contexts' rows is the rows of the context that ends first
+        (* a following (preceding) step from the root: the union of its
+           contexts' rows is the rows of the context that ends first
            (starts last), the staircase join *)
-        let stair = from_root && nest && (not lead) && is_global enc && List.mem s.A.axis [ A.Following; A.Preceding ] in
+        let stair = from_root && nest && (not lead) && enc <> Encoding.Local && List.mem s.A.axis [ A.Following; A.Preceding ] in
         let cut acc cur =
           match pending with
           | Some (tail, _) -> (close cur ~tail:(Some tail) ~distinct:false :: acc, [])
@@ -294,7 +296,7 @@ let blocks enc ~nest ~from_root (steps : A.step list) =
               let one = match s.A.preds with [ A.P_pos (A.Eq, _) | A.P_last ] -> true | _ -> false in
               go (i + 1) acc (s :: cur) false (Some (pos, fan)) (one && s.A.axis = A.Child) rest
             else stop ()
-        | _ when not (ok && lowers s) -> stop ()
+        | _ when not (ok && if stair then List.for_all (pred_lowers enc) s.A.preds else lowers s) -> stop ()
         | _ when stair ->
             (* the steps before close into one aggregate row; the step's own
                rows are unique unless a predicate join repeats them *)
@@ -320,6 +322,7 @@ type gen = {
   mutable conds : string list;  (* reversed *)
   mutable params : V.t list;  (* reversed *)
   mutable count : int;
+  g_ends : string option;  (* a staircase row's alias, see [axis_join] *)
 }
 
 let add g cond = g.conds <- cond :: g.conds
@@ -343,7 +346,7 @@ let rec lower_step g ~prev (step : A.step) =
     end
     else begin
       let a = new_alias g in
-      (match axis_join g.g_enc step.A.axis ~p:prev a with
+      (match axis_join g.g_enc ~ends:(g.g_ends = Some prev) step.A.axis ~p:prev a with
       | Some cond -> add g cond
       | None -> raise (Unsupported "axis has no join under this encoding"));
       add g (test_cond a step.A.axis step.A.test);
@@ -444,12 +447,13 @@ let lower ~from_root ~sort ~keep_chain enc ~table blocks =
   (* one block over [prev], the run of the blocks before it, as derived table
      [b<k>]; [steps]: the path steps up to the block's last *)
   let block ~prev ~final ~steps (b : block) =
-    let g = { g_enc = enc; g_table = table; from = []; conds = []; params = []; count = !count } in
+    let stair = Option.bind prev (fun (_, k, stair) -> if stair then Some ("b" ^ string_of_int k) else None) in
+    let g = { g_enc = enc; g_table = table; from = []; conds = []; params = []; count = !count; g_ends = stair } in
     (* the alias the steps start from, the chain with its LOCAL levels (the
        sibling orders from the root down) and the context id *)
     let start, chain, levels, ctx_id =
       match prev with
-      | Some (d, k) ->
+      | Some (d, k, _) ->
           let a = "b" ^ string_of_int k in
           g.from <- [ "(" ^ d.sql ^ ") " ^ a ];
           g.params <- List.rev (Array.to_list d.params);
@@ -513,8 +517,9 @@ let lower ~from_root ~sort ~keep_chain enc ~table blocks =
     in
     let cols =
       match b.b_stair with
-      | Some A.Following -> [ Printf.sprintf "MIN(%s.g_end) AS g_end" result ]
-      | Some _ -> [ Printf.sprintf "MAX(%s.g_order) AS g_order" result ]
+      | Some axis ->
+          let agg, bound = if axis = A.Following then ("MIN", subtree_end enc result) else ("MAX", col result) in
+          [ Printf.sprintf "%s(%s) AS %s" agg bound (Encoding.order_col enc) ]
       | None when final ->
           List.map (Node_row.select_list enc) (result :: (if keep_chain then List.tl (List.rev chain) else []))
           @ Option.to_list ctx_id
@@ -536,14 +541,14 @@ let lower ~from_root ~sort ~keep_chain enc ~table blocks =
       tail = b.b_tail <> None;
       sorted = ordered && order_by <> "";
       keeps_chain = final && keep_chain;
-      derived = Option.map fst prev;
+      derived = Option.map (fun (d, _, _) -> d) prev;
     }
   in
   let prev, steps =
     List.fold_left
       (fun (prev, steps) b ->
-        let steps = steps @ b.b_steps and k = Option.fold prev ~none:0 ~some:(fun (_, k) -> k + 1) in
-        (Some (block ~prev ~final:false ~steps b, k), steps))
+        let steps = steps @ b.b_steps and k = Option.fold prev ~none:0 ~some:(fun (_, k, _) -> k + 1) in
+        (Some (block ~prev ~final:false ~steps b, k, b.b_stair <> None), steps))
       (None, []) (fst blocks)
   in
   block ~prev ~final:true ~steps:(steps @ (snd blocks).b_steps) (snd blocks)
@@ -651,14 +656,17 @@ let dedup_pairs pairs =
       | Some os -> (not (mem_int o os)) && (Itbl.replace seen id (o :: os); true))
     pairs
 
+let one_origin = function (o, _) :: rest -> List.for_all (fun (o', _) -> o' = o) rest | [] -> true
+
 (* (context id, row) pairs as (origin, row) pairs, through the origins
    [pairs] bind to each context row (a statement returns a context's rows
    together). Pairs with one origin (every path from the root has origin
-   0) bind each row to it once. *)
-let rebind pairs tagged =
+   0) bind each row to it once; [unique]: [tagged] holds each row once, as
+   one context's rows do. *)
+let rebind ?(unique = false) pairs tagged =
   match pairs with
-  | (o, _) :: rest when List.for_all (fun (o', _) -> o' = o) rest ->
-      List.map (fun (_, r) -> (o, r)) (dedup_on (fun (_, (r : Node_row.t)) -> r.Node_row.id) tagged)
+  | (o, _) :: _ when one_origin pairs ->
+      List.map (fun (_, r) -> (o, r)) (if unique then tagged else dedup_on (fun (_, (r : Node_row.t)) -> r.Node_row.id) tagged)
   | _ ->
       let origins = Itbl.create 64 and last = ref (min_int, []) in
       List.iter (fun (o, (r : Node_row.t)) -> Itbl.add origins r.Node_row.id o) pairs;
@@ -667,6 +675,39 @@ let rebind pairs tagged =
         snd !last
       in
       dedup_pairs (List.concat_map (fun (c, r) -> List.map (fun o -> (o, r)) (origins_of c)) tagged)
+
+(* Whether a predicate counts positions, anywhere under and, or and not. *)
+let rec positional (p : A.predicate) =
+  match p with
+  | A.P_pos _ | A.P_last -> true
+  | A.P_and (a, b) | A.P_or (a, b) -> positional a || positional b
+  | A.P_not a -> positional a
+  | A.P_exists _ | A.P_cmp _ | A.P_count _ -> false
+
+(* A following (preceding) step without a positional predicate: its rows
+   from several contexts are the rows of the context that ends first
+   (starts last), the staircase join's pruning. *)
+let prunes (s : A.step) = List.mem s.A.axis [ A.Following; A.Preceding ] && not (List.exists positional s.A.preds)
+
+(* the first element of [l] that no other is [better] than *)
+let best better = function [] -> [] | x :: l -> [ List.fold_left (fun b y -> if better y b then y else b) x l ]
+
+(* Whether [s] prunes the contexts of [pairs] (they share one origin), and
+   the distinct context rows it reads: if it prunes, under GLOBAL and DEWEY,
+   the one with the least subtree end ([g_end], the path followed by ff),
+   else the greatest start. LOCAL prunes in [local_doc_order], by keys. *)
+let contexts st (s : A.step) pairs =
+  let stair = one_origin pairs && prunes s in
+  ( stair,
+    if not stair || st.enc = Encoding.Local then dedup_rows (List.map snd pairs)
+    else
+      best
+        (fun (a : Node_row.t) b ->
+          match (a.Node_row.ord, b.Node_row.ord) with
+          | Node_row.Og (_, ea), Node_row.Og (_, eb) when s.A.axis = A.Following -> ea < eb
+          | Node_row.Od pa, Node_row.Od pb when s.A.axis = A.Following -> pa ^ "\xff" < pb ^ "\xff"
+          | _ -> Node_row.compare_ord a b > 0)
+        (List.map snd pairs) )
 
 (* A run from the context rows: (context id, row) pairs. *)
 let ctx_run st ctx_rows (r : run) =
@@ -720,13 +761,11 @@ let keyed key l =
     Array.stable_sort cmp a;
     Array.to_list a
 
-let sort_by_key key l = List.map snd (keyed key l)
-
-(* Make the parent chains of [rows] complete in the query's cache: only
+(* Make the parent chains of [links] complete in the query's cache: only
    ancestors no statement has fetched yet are fetched, one join per level.
    A row with a key, or climbed before, has its chain cached already.
-   Returns the key function, which reads the cache and memoizes. *)
-let local_order_keys st (rows : Node_row.t list) =
+   Returns the key of a link, which reads the cache and memoizes. *)
+let chain_keys st links =
   let c = st.chains in
   (* parent ids missing from the cache on l's chain *)
   let rec climb missing l =
@@ -739,11 +778,11 @@ let local_order_keys st (rows : Node_row.t list) =
     end
   in
   let rec fill level =
-    match List.fold_left (fun missing r -> climb missing (link st r)) [] level with
+    match List.fold_left climb [] level with
     | [] -> ()
-    | missing -> fill (fetch_by_ids st missing)
+    | missing -> fill (List.map (link st) (fetch_by_ids st missing))
   in
-  fill rows;
+  fill links;
   let rec key l =
     if Array.length l.key > 0 && l.key != climbed then l.key
     else
@@ -756,7 +795,12 @@ let local_order_keys st (rows : Node_row.t list) =
       l.key <- k;
       k
   in
-  fun (r : Node_row.t) -> key (link st r)
+  key
+
+(* [chain_keys] for rows: the key function over rows *)
+let local_order_keys st rows =
+  let key = chain_keys st (List.map (link st) rows) in
+  fun r -> key (link st r)
 
 (* LOCAL descendants, breadth-first: one join per level over the frontier's
    distinct ids. Returns (ctx id, row) pairs. *)
@@ -787,13 +831,16 @@ let local_descendants st ctx_rows =
   go [] (List.map (fun (r : Node_row.t) -> (r.Node_row.id, r)) ctx_rows)
 
 (* LOCAL following/preceding from the root's descendants passing the node
-   test ([cands_run]): key them and their ancestors, and sort them once.
-   following(c) is the run after c's subtree; preceding(c) is the run
+   test ([cands_run]): link and key them and their ancestors, and sort them
+   once. following(c) is the run after c's subtree; preceding(c) is the run
    before c minus c's ancestors (the prefixes of its key, the owner of an
-   attribute included). *)
-let local_doc_order st ctx_rows axis cands_run =
-  let cands = root_run st cands_run in
-  let key = local_order_keys st (ctx_rows @ cands) in
+   attribute included). With [stair], only the context whose following
+   run starts first, or the last context for preceding, is paired: its
+   rows, in document order, are all the contexts' rows. *)
+let local_doc_order st ~stair ctx_rows axis (cands_run : run) =
+  let cands = List.map (fun tu -> link st (Node_row.of_tuple st.enc tu)) (run_sql st ~params:cands_run.params cands_run.sql) in
+  let ctx = List.map (link st) ctx_rows in
+  let key = chain_keys st (ctx @ cands) in
   let sorted = Array.of_list (keyed key cands) in
   let n = Array.length sorted in
   (* first index whose key satisfies [p], monotone over the sorted keys *)
@@ -806,25 +853,27 @@ let local_doc_order st ctx_rows axis cands_run =
     in
     go 0 n
   in
+  let after c = first (fun k -> Dewey.compare k (key c) > 0 && not (Dewey.is_strict_prefix (key c) k)) in
+  let ctx =
+    if not stair then ctx
+    else best (fun d c -> if axis = A.Following then after d < after c else Dewey.compare (key d) (key c) > 0) ctx
+  in
   let pairs =
     List.concat_map
-      (fun (c : Node_row.t) ->
-        let kc = key c in
-        let pair (_, r) = (c.Node_row.id, r) in
+      (fun c ->
+        let kc = key c and pair (_, l) = (c.row.Node_row.id, l.row) in
         match axis with
         | A.Following ->
-            let i =
-              first (fun k -> Dewey.compare k kc > 0 && not (Dewey.is_strict_prefix kc k))
-            in
+            let i = after c in
             List.init (n - i) (fun j -> pair sorted.(i + j))
         | _ ->
             let i = first (fun k -> Dewey.compare k kc >= 0) in
             List.filter_map
               (fun (k, _ as e) -> if Dewey.is_strict_prefix k kc then None else Some (pair e))
               (Array.to_list (Array.sub sorted 0 i)))
-      ctx_rows
+      ctx
   in
-  (pairs, Some key)
+  (pairs, Some (fun r -> key (link st r)))
 
 (* ------------------------------------------------------------------ *)
 (* Step evaluation                                                     *)
@@ -846,7 +895,7 @@ let test_passes axis (test : A.node_test) (r : Node_row.t) =
    middle tier, through the step's compiled [fetch]. Returns (ctx id, row)
    pairs plus an optional doc-order key function used to sort groups when
    the row's own ord is not a document order (LOCAL descendants). *)
-let rec candidates st ctx_rows (s : step) fetch :
+let rec candidates st ?(stair = false) ctx_rows (s : step) fetch :
     (int * Node_row.t) list * (Node_row.t -> int array) option =
   let { A.axis; test; _ } = s.step in
   let self () =
@@ -897,7 +946,7 @@ let rec candidates st ctx_rows (s : step) fetch :
          descendant's chain runs through a context row, so completing the
          context rows' chains keys them all *)
       (pairs, Some (local_order_keys st ctx_rows))
-  | Doc_order r -> if ctx_rows = [] then ([], None) else local_doc_order st ctx_rows axis r
+  | Doc_order r -> if ctx_rows = [] then ([], None) else local_doc_order st ~stair ctx_rows axis r
 
 (* ---- predicates --------------------------------------------------- *)
 
@@ -908,16 +957,17 @@ let rec eval_rel st (origins : Node_row.t list) segs =
 
 and exec_segments st pairs = function
   | [] -> pairs
-  | Run r :: rest -> exec_segments st (rebind pairs (ctx_run st (dedup_rows (List.map snd pairs)) r)) rest
+  | Run r :: rest -> exec_segments st (rebind pairs (ctx_run st (snd (contexts st (List.hd r.steps) pairs)) r)) rest
   | Step s :: rest -> exec_segments st (eval_one_step st pairs s) rest
 
-(* One step over (origin, ctx row) pairs in the middle tier: dedupe
-   contexts, fetch candidates, order per group, apply predicates, rebind to
-   origins. *)
+(* One step over (origin, ctx row) pairs in the middle tier: dedupe (or
+   prune) contexts, fetch candidates, order per group when a predicate
+   counts positions, apply predicates, rebind to origins. *)
 and eval_one_step st pairs (s : step) =
-  let ctx_rows = dedup_rows (List.map snd pairs) in
-  let cands, keyfn = candidates st ctx_rows s s.fetch in
-  if s.preds = [] then rebind pairs cands
+  let stair, ctx_rows = contexts st s.step pairs in
+  let cands, keyfn = candidates st ~stair ctx_rows s s.fetch in
+  Obs.add "translate.pairs" (List.length cands);
+  if s.preds = [] then rebind ~unique:stair pairs cands
   else begin
     (* group by ctx id, preserving candidate order *)
     let group_order = ref [] in
@@ -931,16 +981,18 @@ and eval_one_step st pairs (s : step) =
             Itbl.add groups ctx (ref [ (ctx, row) ]))
       cands;
     let sort_group rows =
-      let sorted =
-        match keyfn with
-        | Some key -> sort_by_key (fun (_, r) -> key r) rows
-        | None -> List.stable_sort (fun (_, a) (_, b) -> Node_row.compare_ord a b) rows
-      in
-      if is_reverse_axis s.step.A.axis then List.rev sorted else sorted
+      if not (List.exists positional s.step.A.preds) then rows
+      else
+        let sorted =
+          match keyfn with
+          | Some key -> List.map snd (keyed (fun (_, r) -> key r) rows)
+          | None -> List.stable_sort (fun (_, a) (_, b) -> Node_row.compare_ord a b) rows
+        in
+        if is_reverse_axis s.step.A.axis then List.rev sorted else sorted
     in
     (* batched evaluation of path sub-predicates over all candidates *)
     let path_sets = eval_path_preds st (dedup_rows (List.map snd cands)) s.preds in
-    rebind pairs
+    rebind ~unique:stair pairs
       (List.concat_map
          (fun ctx ->
            let rows = List.map snd (sort_group (List.rev !(Itbl.find groups ctx))) in
@@ -1037,7 +1089,9 @@ and apply_pred path_sets rows p =
 (* sort candidates into document order, unless they already are *)
 let doc_sort st rows =
   match st.enc with
-  | Encoding.Local -> sort_by_key (local_order_keys st rows) rows
+  | Encoding.Local ->
+      let links = List.map (link st) rows in
+      List.map (fun (_, l) -> l.row) (keyed (chain_keys st links) links)
   | _ -> if is_sorted Node_row.compare_ord rows then rows else List.stable_sort Node_row.compare_ord rows
 
 (* A path's segments from the root: its rows in document order. *)
@@ -1057,9 +1111,14 @@ let exec_path st = function
       match rest with
       | [] when sorted -> rows
       | [] -> doc_sort st (dedup_rows rows)
-      | rest ->
-          (* one origin: [rebind] leaves each row once *)
-          doc_sort st (List.map snd (exec_segments st (List.map (fun r -> (0, r)) rows) rest)))
+      | rest -> (
+          (* one origin: [rebind] leaves each row once, and a LOCAL
+             following/preceding step prunes its contexts to one, whose
+             rows it returns in document order *)
+          let rows = List.map snd (exec_segments st (List.map (fun r -> (0, r)) rows) rest) in
+          match List.rev rest with
+          | Step { step; fetch = Doc_order _; _ } :: _ when prunes step -> rows
+          | _ -> doc_sort st rows))
 
 let result st rows = { rows; statements = st.nstmt; sql_log = List.rev st.log }
 

@@ -192,4 +192,5 @@ val compile : ?relative:bool -> doc:string -> Encoding.t -> Xpath_ast.union -> q
 val exec : ?ids:int list -> Reldb.Db.t -> doc:string -> Encoding.t -> query -> result
 (** Run a query compiled for the same [doc] and encoding; [ids] are the
     context nodes of a [relative] one. The paths of a union are merged,
-    deduplicated and returned in document order. *)
+    deduplicated and returned in document order. Obs's [translate.pairs]
+    counts the (context, row) pairs middle-tier steps make. *)

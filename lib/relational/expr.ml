@@ -51,19 +51,18 @@ let num_arith op a b =
   | Mod, Int _, Int 0 -> err "modulo by zero"
   | Mod, Int x, Int y -> Int (x mod y)
   | Mod, _, _ -> err "MOD requires integers"
-  | op, (Int _ | Float _), (Int _ | Float _) ->
-      let f = function Int i -> float_of_int i | Float f -> f | _ -> assert false in
-      let x = f a and y = f b in
-      Float
-        (match op with
-        | Add -> x +. y
-        | Sub -> x -. y
-        | Mul -> x *. y
-        | Div -> if y = 0.0 then err "division by zero" else x /. y
-        | Mod -> assert false)
-  | _, a, b ->
-      err "arithmetic on non-numeric values %s, %s" (Value.to_string a)
-        (Value.to_string b)
+  | op, _, _ -> (
+      let float = function Int i -> Some (float_of_int i) | Float f -> Some f | _ -> None in
+      match (float a, float b) with
+      | Some x, Some y ->
+          Float
+            (match op with
+            | Add -> x +. y
+            | Sub -> x -. y
+            | Mul -> x *. y
+            | Div -> if y = 0.0 then err "division by zero" else x /. y
+            | Mod -> err "MOD requires integers")
+      | _ -> err "arithmetic on non-numeric values %s, %s" (Value.to_string a) (Value.to_string b))
 
 (* SQL SUBSTR: 1-based [start] (values below 1 count as 1), at most [len]
    characters *)

@@ -337,14 +337,16 @@ let plan_joins env table_plans vconjuncts =
     let right_plan = with_filter jplan jresid in
     let split = !current_arity in
     (* equi pairs between used-set and j *)
+    (* equalities of a column of j with a placed one, each with its columns *)
     let eq_pairs, rest =
-      List.partition
+      List.partition_map
         (fun c ->
           match c with
-          | Expr.Cmp (Expr.Eq, Expr.Col a, Expr.Col b) ->
-              let ta = vcol_table a and tb = vcol_table b in
-              (ta = j && List.mem tb !used) || (tb = j && List.mem ta !used)
-          | _ -> false)
+          | Expr.Cmp (Expr.Eq, Expr.Col a, Expr.Col b)
+            when let ta = vcol_table a and tb = vcol_table b in
+                 (ta = j && List.mem tb !used) || (tb = j && List.mem ta !used) ->
+              Either.Left (c, (a, b))
+          | c -> Either.Right c)
         !conj_remaining
     in
     placed.(j) <- split;
@@ -360,7 +362,7 @@ let plan_joins env table_plans vconjuncts =
        probes, one with such an equality beats one without, then the higher
        score wins, then the first index. *)
     let probe_conjs =
-      List.map to_physical eq_pairs
+      List.map (fun (c, _) -> to_physical c) eq_pairs
       @ now
       @ List.map (Expr.map_columns (fun c -> c + split)) jlocal
     in
@@ -413,14 +415,10 @@ let plan_joins env table_plans vconjuncts =
         let left_keys, right_keys =
           List.split
             (List.map
-               (fun c ->
-                 match c with
-                 | Expr.Cmp (Expr.Eq, Expr.Col a, Expr.Col b) ->
-                     let ta = vcol_table a in
-                     if ta = j then
-                       (placed.(vcol_table b) + vcol_local b, vcol_local a)
-                     else (placed.(ta) + vcol_local a, vcol_local b)
-                 | _ -> assert false)
+               (fun (_, (a, b)) ->
+                 let ta = vcol_table a in
+                 if ta = j then (placed.(vcol_table b) + vcol_local b, vcol_local a)
+                 else (placed.(ta) + vcol_local a, vcol_local b))
                eq_pairs)
         in
         current :=
@@ -683,10 +681,8 @@ let rec plan_select catalog (q : Sql_ast.select) =
         let mine =
           List.filter
             (fun c ->
-              match cols_of_tables c with
-              | [ t ] -> t = e.tbl_idx
-              | [] -> false (* constant predicates handled below *)
-              | _ -> assert false)
+              (* constant predicates are handled below *)
+              cols_of_tables c = [ e.tbl_idx ])
             single
         in
         let local =

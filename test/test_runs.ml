@@ -255,8 +255,9 @@ let test_census () =
     O.Encoding.all
 
 (* The census's paths with a middle-tier step, per encoding. DEWEY and
-   ORDPATH keep more than GLOBAL: their preceding and ancestor steps stay
-   in the middle tier. Each pin may only move down. *)
+   ORDPATH keep more than GLOBAL: their ancestor steps, and preceding steps
+   from a context relation (a run joins them only from one staircase row),
+   stay in the middle tier. Each pin may only move down. *)
 let test_census_steps () =
   let paths = QCheck.Gen.generate ~rand:(Random.State.make [| 7 |]) ~n:2000 Xpath_gen.gen_path in
   let has_step p = List.exists (function O.Translate.Step _ -> true | O.Translate.Run _ -> false) p in
@@ -269,8 +270,48 @@ let test_census_steps () =
       check bool_t (Printf.sprintf "%s: paths with a middle-tier step (%d) <= %d" (O.Encoding.name enc) n pin) true (n <= pin))
     [
       (O.Encoding.Global, 918); (O.Encoding.Global_gap, 918); (O.Encoding.Local, 1342);
-      (O.Encoding.Dewey_enc, 1070); (O.Encoding.Dewey_caret, 1070);
+      (O.Encoding.Dewey_enc, 1026); (O.Encoding.Dewey_caret, 1026);
     ]
+
+(* Σ rows_read of a tenth of the census on XMark scale 1 (paths 5, 15,
+   25, ...: the tenth that read the most on GLOBAL, 5,848,205 rows, before
+   following/preceding steps pruned their contexts), per encoding: a step
+   that costs contexts × candidates shows here. Each pin may only move
+   down. *)
+let test_census_rows_read () =
+  let _, stores = Lazy.force env in
+  let paths =
+    List.filteri (fun i _ -> i mod 10 = 5)
+      (QCheck.Gen.generate ~rand:(Random.State.make [| 7 |]) ~n:2000 Xpath_gen.gen_path)
+  in
+  List.iter
+    (fun (enc, pin) ->
+      let store = List.assoc enc stores in
+      let db = O.Api.Store.db store in
+      let before = Reldb.Db.rows_read db in
+      List.iter (fun p -> ignore (O.Api.Store.query_ids store (O.Xpath_ast.to_string p))) paths;
+      let n = Reldb.Db.rows_read db - before in
+      check bool_t (Printf.sprintf "%s: rows read (%d) <= %d" (O.Encoding.name enc) n pin) true (n <= pin))
+    [ (O.Encoding.Global, 2_579_484); (O.Encoding.Local, 262_374); (O.Encoding.Dewey_enc, 248_773) ]
+
+(* A following step over every node of XMark scale 1 pairs one context
+   with its rows, not each context with every candidate: the middle tier
+   makes at most two pairs per result (translate.pairs; GLOBAL and DEWEY
+   join one staircase row and make none). *)
+let test_stair_pairs () =
+  let _, stores = Lazy.force env in
+  let xpath = "/descendant::node()/following::*" in
+  let was = Obs.enabled () in
+  Obs.set_enabled true;
+  Fun.protect ~finally:(fun () -> Obs.set_enabled was) @@ fun () ->
+  List.iter
+    (fun enc ->
+      let before = Obs.counter_value "translate.pairs" in
+      let n = List.length (O.Api.Store.query_ids (List.assoc enc stores) xpath) in
+      let pairs = Obs.counter_value "translate.pairs" - before in
+      check int_t (O.Encoding.name enc ^ " results") 1125 n;
+      check bool_t (Printf.sprintf "%s: pairs (%d) <= 2 x 1,125" (O.Encoding.name enc) pairs) true (pairs <= 2 * 1125))
+    O.Encoding.[ Local; Global; Dewey_enc ]
 
 (* regression (caught by fuzzing): attribute nodes have no siblings, so a
    sibling axis from an attribute context yields nothing *)
@@ -474,4 +515,6 @@ let compiled_tests =
       Alcotest.test_case "sibling-from-attribute empty" `Quick test_sibling_from_attribute;
       Alcotest.test_case "census: no adjacent runs" `Quick test_census;
       Alcotest.test_case "census: paths with a middle-tier step" `Quick test_census_steps;
+      Alcotest.test_case "census: rows read" `Quick test_census_rows_read;
+      Alcotest.test_case "a following step pairs one context" `Quick test_stair_pairs;
     ] )
