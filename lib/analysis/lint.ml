@@ -56,61 +56,11 @@ let rec s_conjuncts e acc =
   | S.E_and (a, b) -> s_conjuncts a (s_conjuncts b acc)
   | e -> e :: acc
 
-let rec s_has_col = function
-  (* A bound-at-runtime parameter is as opaque as a column: it silences the
-     tautology/contradiction lints rather than triggering them. *)
-  | S.E_col _ | S.E_param _ -> true
-  | S.E_const _ | S.E_star -> false
-  | S.E_cmp (_, a, b)
-  | S.E_and (a, b)
-  | S.E_or (a, b)
-  | S.E_arith (_, a, b)
-  | S.E_concat (a, b) ->
-      s_has_col a || s_has_col b
-  | S.E_between (a, b, c) -> s_has_col a || s_has_col b || s_has_col c
-  | S.E_not a | S.E_neg a | S.E_is_null a | S.E_is_not_null a
-  | S.E_like (a, _)
-  | S.E_in (a, _) ->
-      s_has_col a
-  | S.E_func (_, args) -> List.exists s_has_col args
+(* A bound-at-runtime parameter is as opaque as a column: it silences the
+   tautology/contradiction lints rather than triggering them. *)
+let s_has_col e = List.exists (function S.E_col _ | S.E_param _ -> true | _ -> false) (S.subterms e)
 
-let rec s_cols e acc =
-  match e with
-  | S.E_col (q, n) -> (Option.map norm q, norm n) :: acc
-  | S.E_const _ | S.E_param _ | S.E_star -> acc
-  | S.E_cmp (_, a, b)
-  | S.E_and (a, b)
-  | S.E_or (a, b)
-  | S.E_arith (_, a, b)
-  | S.E_concat (a, b) ->
-      s_cols a (s_cols b acc)
-  | S.E_between (a, b, c) -> s_cols a (s_cols b (s_cols c acc))
-  | S.E_not a | S.E_neg a | S.E_is_null a | S.E_is_not_null a
-  | S.E_like (a, _)
-  | S.E_in (a, _) ->
-      s_cols a acc
-  | S.E_func (_, args) -> List.fold_right s_cols args acc
-
-let rec walk f e =
-  f e;
-  match e with
-  | S.E_const _ | S.E_param _ | S.E_col _ | S.E_star -> ()
-  | S.E_cmp (_, a, b)
-  | S.E_and (a, b)
-  | S.E_or (a, b)
-  | S.E_arith (_, a, b)
-  | S.E_concat (a, b) ->
-      walk f a;
-      walk f b
-  | S.E_between (a, b, c) ->
-      walk f a;
-      walk f b;
-      walk f c
-  | S.E_not a | S.E_neg a | S.E_is_null a | S.E_is_not_null a
-  | S.E_like (a, _)
-  | S.E_in (a, _) ->
-      walk f a
-  | S.E_func (_, args) -> List.iter (walk f) args
+let s_cols e = List.filter_map (function S.E_col (q, n) -> Some (Option.map norm q, norm n) | _ -> None) (S.subterms e)
 
 let const_of = function
   | S.E_const v -> Some v
@@ -141,28 +91,10 @@ let make_converter () =
         Hashtbl.add tbl key i;
         i
   in
-  let rec go (e : S.sexpr) : E.t =
-    match e with
-    | S.E_const v -> E.Const v
-    | S.E_param _ -> E.Col (fresh ())  (* opaque to interval analysis *)
-    | S.E_col (q, n) -> E.Col (intern (Option.map norm q, norm n))
-    | S.E_cmp (op, a, b) -> E.Cmp (op, go a, go b)
-    | S.E_and (a, b) -> E.And (go a, go b)
-    | S.E_or (a, b) -> E.Or (go a, go b)
-    | S.E_not a -> E.Not (go a)
-    | S.E_arith (op, a, b) -> E.Arith (op, go a, go b)
-    | S.E_neg a -> E.Neg (go a)
-    | S.E_concat (a, b) -> E.Concat (go a, go b)
-    | S.E_is_null a -> E.Is_null (go a)
-    | S.E_is_not_null a -> E.Is_not_null (go a)
-    | S.E_like (a, p) -> E.Like (go a, p)
-    | S.E_in (a, vs) -> E.In_list (go a, vs)
-    | S.E_between (a, lo, hi) ->
-        let a' = go a in
-        E.And (E.Cmp (E.Ge, a', go lo), E.Cmp (E.Le, a', go hi))
-    | S.E_func _ | S.E_star -> E.Col (fresh ())
-  in
-  go
+  Reldb.Planner.lower ~leaf:(function
+    | S.E_col (q, n) -> Some (E.Col (intern (Option.map norm q, norm n)))
+    | S.E_param _ | S.E_func _ | S.E_star -> Some (E.Col (fresh ()))
+    | _ -> None)
 
 (* ------------------------------------------------------------------ *)
 (* Rules                                                               *)
@@ -172,11 +104,11 @@ let make_converter () =
    alias; an unqualified name resolves when only one FROM item could own
    it (trivially with one item, via the catalog schemas and a derived
    table's item names otherwise) *)
-let make_resolver ?catalog (from : S.from_item list) =
+let make_resolver ~catalog (from : S.from_item list) =
   let aliases = List.map (fun i -> norm (S.from_alias i)) from in
-  let owns cat n = function
+  let owns n = function
     | S.Base (tn, _) -> (
-        match Reldb.Catalog.find_table cat tn with
+        match Reldb.Catalog.find_table catalog tn with
         | None -> false
         | Some t -> Reldb.Schema.find_opt (Reldb.Table.schema t) n <> None)
     | S.Derived (q, _) ->
@@ -194,12 +126,9 @@ let make_resolver ?catalog (from : S.from_item list) =
         match from with
         | [ item ] -> Some (norm (S.from_alias item))
         | _ -> (
-            match catalog with
-            | None -> None
-            | Some cat -> (
-                match List.filter (owns cat n) from with
-                | [ item ] -> Some (norm (S.from_alias item))
-                | _ -> None)))
+            match List.filter (owns n) from with
+            | [ item ] -> Some (norm (S.from_alias item))
+            | _ -> None))
 
 let lint_cartesian ~resolve (from : S.from_item list) where add =
   let aliases = List.map (fun i -> norm (S.from_alias i)) from in
@@ -231,7 +160,7 @@ let lint_cartesian ~resolve (from : S.from_item list) where add =
       | e -> (
           let als =
             List.sort_uniq compare
-              (List.filter_map (fun (q, n) -> resolve q n) (s_cols e []))
+              (List.filter_map (fun (q, n) -> resolve q n) (s_cols e))
           in
           match als with
           | first :: rest -> List.iter (union first) rest
@@ -277,7 +206,7 @@ let lint_degenerate where add =
   match where with
   | None -> ()
   | Some w ->
-      walk
+      List.iter
         (fun e ->
           match e with
           | S.E_in (a, [ v ]) ->
@@ -307,16 +236,16 @@ let lint_degenerate where add =
                          (render e) (render a) (V.to_sql_literal l))
               | _ -> ())
           | _ -> ())
-        w
+        (S.subterms w)
 
-let lint_unsargable ?catalog ~resolve (from : S.from_item list) where add =
-  match (catalog, where) with
-  | Some cat, Some w ->
+let lint_unsargable ~catalog ~resolve (from : S.from_item list) where add =
+  match where with
+  | Some w ->
       let table_of_alias alias =
         List.find_map
           (function
             | S.Base (tn, _) as item when norm (S.from_alias item) = alias ->
-                Reldb.Catalog.find_table cat tn
+                Reldb.Catalog.find_table catalog tn
             | _ -> None)
           from
       in
@@ -326,7 +255,7 @@ let lint_unsargable ?catalog ~resolve (from : S.from_item list) where add =
           match wrapped with
           | S.E_col _ | S.E_const _ -> ()
           | w when s_has_col w -> (
-              match List.sort_uniq compare (s_cols w []) with
+              match List.sort_uniq compare (s_cols w) with
               | [ (q, n) ] -> (
                   match Option.bind (resolve q n) table_of_alias with
                   | None -> ()
@@ -363,9 +292,9 @@ let lint_unsargable ?catalog ~resolve (from : S.from_item list) where add =
               check_side conj b a
           | _ -> ())
         (s_conjuncts w [])
-  | _ -> ()
+  | None -> ()
 
-let lint_distinct ?catalog (sel : S.select) add =
+let lint_distinct ~catalog (sel : S.select) add =
   if sel.S.distinct then
     if sel.S.group_by <> [] then begin
       let items =
@@ -383,9 +312,9 @@ let lint_distinct ?catalog (sel : S.select) add =
               output rows are already unique")
     end
     else
-      match (catalog, sel.S.from) with
-      | Some cat, [ S.Base (tname, _) ] -> (
-          match Reldb.Catalog.find_table cat tname with
+      match sel.S.from with
+      | [ S.Base (tname, _) ] -> (
+          match Reldb.Catalog.find_table catalog tname with
           | None -> ()
           | Some table -> (
               let schema = Reldb.Table.schema table in
@@ -423,40 +352,40 @@ let lint_distinct ?catalog (sel : S.select) add =
 (* Entry point                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let rec lint_select ?catalog (sel : S.select) =
+let rec lint_select ~catalog (sel : S.select) =
   let acc = ref [] in
   let add f = acc := f :: !acc in
-  let resolve = make_resolver ?catalog sel.S.from in
+  let resolve = make_resolver ~catalog sel.S.from in
   let to_e = make_converter () in
   lint_cartesian ~resolve sel.S.from sel.S.where add;
   lint_conjunct_semantics to_e sel.S.where add;
   lint_degenerate sel.S.where add;
   lint_degenerate sel.S.having add;
-  lint_unsargable ?catalog ~resolve sel.S.from sel.S.where add;
-  lint_distinct ?catalog sel add;
+  lint_unsargable ~catalog ~resolve sel.S.from sel.S.where add;
+  lint_distinct ~catalog sel add;
   List.rev !acc
   @ List.concat_map
-      (function S.Derived (q, _) -> lint_select ?catalog q | S.Base _ -> [])
+      (function S.Derived (q, _) -> lint_select ~catalog q | S.Base _ -> [])
       sel.S.from
 
-let lint_dml ?catalog ~table where =
+let lint_dml ~catalog ~table where =
   let acc = ref [] in
   let add f = acc := f :: !acc in
   let from = [ S.Base (table, None) ] in
-  let resolve = make_resolver ?catalog from in
+  let resolve = make_resolver ~catalog from in
   let to_e = make_converter () in
   lint_conjunct_semantics to_e where add;
   lint_degenerate where add;
-  lint_unsargable ?catalog ~resolve from where add;
+  lint_unsargable ~catalog ~resolve from where add;
   List.rev !acc
 
-let lint_stmt ?catalog (stmt : S.stmt) =
+let lint_stmt ~catalog (stmt : S.stmt) =
   let findings =
     match stmt with
-    | S.Select sel -> lint_select ?catalog sel
-    | S.Union_all u -> List.concat_map (lint_select ?catalog) u.S.branches
-    | S.Update { table; where; _ } -> lint_dml ?catalog ~table where
-    | S.Delete { table; where } -> lint_dml ?catalog ~table where
+    | S.Select sel -> lint_select ~catalog sel
+    | S.Union_all u -> List.concat_map (lint_select ~catalog) u.S.branches
+    | S.Update { table; where; _ } -> lint_dml ~catalog ~table where
+    | S.Delete { table; where } -> lint_dml ~catalog ~table where
     | S.Insert _ | S.Create_table _ | S.Create_index _ | S.Drop_table _
     | S.Begin_txn | S.Commit_txn | S.Rollback_txn ->
         []

@@ -8,7 +8,7 @@
       [x > 5 AND x < 3]).
     - [tautology] (warning): a conjunct that is always true contributes
       nothing (e.g. [1 = 1]).
-    - [unsargable] (warning, needs a catalog): a function or arithmetic
+    - [unsargable] (warning): a function or arithmetic
       expression wraps a column whose table has an index led by that column,
       defeating index selection.
     - [redundant-distinct] (warning): DISTINCT over output that is already
@@ -18,12 +18,11 @@
     - [degenerate-between] (warning/info): [BETWEEN lo AND hi] with
       [lo > hi] (always false) or [lo = hi] (an equality in disguise). *)
 
-val lint_stmt : ?catalog:Reldb.Catalog.t -> Reldb.Sql_ast.stmt -> Finding.t list
-(** Lint a parsed statement. The catalog, when given, enables the
-    schema-aware rules (unsargable, redundant-distinct over unique indexes);
-    without it only the purely syntactic/semantic rules run. SELECT (and each
-    branch of UNION ALL), UPDATE and DELETE are analyzed; other statements
-    yield no findings. *)
+val lint_stmt : catalog:Reldb.Catalog.t -> Reldb.Sql_ast.stmt -> Finding.t list
+(** Lint a parsed statement against the catalog, which the schema-aware
+    rules read (unqualified column owners, unsargable, redundant-distinct
+    over unique indexes). SELECT (and each branch of UNION ALL), UPDATE and
+    DELETE are analyzed; other statements yield no findings. *)
 
 val render : Reldb.Sql_ast.sexpr -> string
 (** SQL-ish rendering of a surface expression, used in messages. *)

@@ -176,11 +176,3 @@ let check db ~doc enc =
           report "depth" "row %d has inconsistent depth" id
       | _ -> report "depth" "inconsistent depth rows"));
   match !errors with [] -> Ok () | msgs -> Error (List.rev msgs)
-
-let check_exn db ~doc enc =
-  match check db ~doc enc with
-  | Ok () -> ()
-  | Error msgs ->
-      failwith
-        (Printf.sprintf "integrity (%s): %s" (Encoding.name enc)
-           (String.concat "; " msgs))

@@ -18,6 +18,3 @@
 val check : Reldb.Db.t -> doc:string -> Encoding.t -> (unit, string list) result
 (** [Ok ()] or the list of violated invariants (at most one message per
     kind of violation, with an offending row id). *)
-
-val check_exn : Reldb.Db.t -> doc:string -> Encoding.t -> unit
-(** @raise Failure with the concatenated messages. *)

@@ -27,16 +27,14 @@ type state = {
   enc : Encoding.t;
   tname : string;
   chains : link Itbl.t;  (* filled under LOCAL only *)
-  mutable nstmt : int;
-  mutable log : string list;  (* reversed *)
+  mutable log : string list;  (* the statements run, reversed *)
 }
 
 let new_state db ~doc enc =
   let chains = Itbl.create (if enc = Encoding.Local then 64 else 1) in
-  { db; enc; tname = Encoding.table_name ~doc enc; chains; nstmt = 0; log = [] }
+  { db; enc; tname = Encoding.table_name ~doc enc; chains; log = [] }
 
 let run_sql st ?(params = [||]) sql =
-  st.nstmt <- st.nstmt + 1;
   st.log <- sql :: st.log;
   Log.debug (fun m -> m "%s" sql);
   Reldb.Db.query_params st.db sql params
@@ -626,8 +624,6 @@ let compile ?(relative = false) ~doc enc (u : A.union) =
 (* Running statements                                                  *)
 (* ------------------------------------------------------------------ *)
 
-module IdSet = Set.Make (Int)
-
 (* the first element with each row id, as [id] reads it: one lookup each *)
 let dedup_on id l =
   let seen = Itbl.create (List.length l) in
@@ -660,11 +656,13 @@ let one_origin = function (o, _) :: rest -> List.for_all (fun (o', _) -> o' = o)
 
 (* (context id, row) pairs as (origin, row) pairs, through the origins
    [pairs] bind to each context row (a statement returns a context's rows
-   together). Pairs with one origin (every path from the root has origin
-   0) bind each row to it once; [unique]: [tagged] holds each row once, as
-   one context's rows do. *)
+   together). Without pairs, the rows of a path's first segment from the
+   root pass as they are; pairs with one origin (every path from the root
+   has origin 0) bind each row to it once; [unique]: [tagged] holds each
+   row once, as one context's rows do. *)
 let rebind ?(unique = false) pairs tagged =
   match pairs with
+  | [] -> tagged
   | (o, _) :: _ when one_origin pairs ->
       List.map (fun (_, r) -> (o, r)) (if unique then tagged else dedup_on (fun (_, (r : Node_row.t)) -> r.Node_row.id) tagged)
   | _ ->
@@ -716,8 +714,9 @@ let ctx_run st ctx_rows (r : run) =
     tagged st (Node_row.ctx_relation st.enc) (List.map Node_row.ctx_tuple ctx_rows)
       ~params:r.params r.sql
 
-(* A run from the root: its rows. LOCAL keeps the rows of the chain's
-   earlier steps in the parent-chain cache when the run selects them. *)
+(* A run from the root: its rows, with origin 0. LOCAL keeps the rows of
+   the chain's earlier steps in the parent-chain cache when the run selects
+   them. *)
 let root_run st (r : run) =
   let n = List.length r.chain in
   let remember_chain tu =
@@ -730,7 +729,7 @@ let root_run st (r : run) =
   in
   (* rows that end the path need no parent chains *)
   let decode tu = if r.keeps_chain then (remember_chain tu; decode st tu) else Node_row.of_tuple st.enc tu in
-  List.map decode (run_sql st ~params:r.params r.sql)
+  List.map (fun tu -> (0, decode tu)) (run_sql st ~params:r.params r.sql)
 
 (* ---- LOCAL middle-tier machinery --------------------------------- *)
 
@@ -909,7 +908,11 @@ let rec candidates st ?(stair = false) ctx_rows (s : step) fetch :
          whose chains it completed *)
       let more, keys = candidates st ctx_rows s f in
       (self () @ more, keys)
-  | Root r -> (List.map (fun r -> (0, r)) (root_run st r), None)
+  | Root r ->
+      (* LOCAL keys them (fetching their parent chains), so that a
+         positional predicate ranks them in document order *)
+      let pairs = root_run st r in
+      (pairs, if st.enc = Encoding.Local then Some (local_order_keys st (List.map snd pairs)) else None)
   | Context r -> (ctx_run st ctx_rows r, None)
   | Prefixes sql ->
       (* every ancestor's path is a proper prefix of the context's path:
@@ -948,16 +951,37 @@ let rec candidates st ?(stair = false) ctx_rows (s : step) fetch :
       (pairs, Some (local_order_keys st ctx_rows))
   | Doc_order r -> if ctx_rows = [] then ([], None) else local_doc_order st ~stair ctx_rows axis r
 
-(* ---- predicates --------------------------------------------------- *)
+(* ---- paths and predicates ----------------------------------------- *)
 
-(* A relative path's compiled segments from origin rows; returns (origin
-   id, row). *)
-let rec eval_rel st (origins : Node_row.t list) segs =
-  exec_segments st (List.map (fun (r : Node_row.t) -> (r.Node_row.id, r)) origins) segs
+(* The rows that pass [p], counting positions in the order of [rows];
+   [tallies]: each path predicate's counts per candidate id (see
+   [eval_path_preds]), keyed by physical identity. *)
+let apply_pred tallies rows p =
+  let last = List.length rows in
+  let rec holds pos (r : Node_row.t) p =
+    match p with
+    | Pos (op, k) -> Encoding.cmp_holds op (Stdlib.compare pos k)
+    | Last -> pos = last
+    | Exists _ | Cmp _ | Count _ -> (
+        let n = Option.value (Option.bind (List.assq_opt p tallies) (fun t -> Itbl.find_opt t r.Node_row.id)) ~default:0 in
+        match p with Count (_, op, k) -> Encoding.cmp_holds op (Stdlib.compare n k) | _ -> n > 0)
+    | And (a, b) -> holds pos r a && holds pos r b
+    | Or (a, b) -> holds pos r a || holds pos r b
+    | Not a -> not (holds pos r a)
+  in
+  List.filteri (fun i r -> holds (i + 1) r p) rows
 
-and exec_segments st pairs = function
+(* rows as (origin, row) pairs, each row its own origin *)
+let own rows = List.map (fun (r : Node_row.t) -> (r.Node_row.id, r)) rows
+
+(* The one evaluator: a path's segments over (origin, row) pairs, giving
+   (origin, row) pairs. From no pairs, a path from the root starts there,
+   its rows with origin 0. *)
+let rec exec_segments st pairs = function
   | [] -> pairs
-  | Run r :: rest -> exec_segments st (rebind pairs (ctx_run st (snd (contexts st (List.hd r.steps) pairs)) r)) rest
+  | Run r :: rest ->
+      let rows = if r.from_root then root_run st r else ctx_run st (snd (contexts st (List.hd r.steps) pairs)) r in
+      exec_segments st (rebind pairs rows) rest
   | Step s :: rest -> exec_segments st (eval_one_step st pairs s) rest
 
 (* One step over (origin, ctx row) pairs in the middle tier: dedupe (or
@@ -991,98 +1015,41 @@ and eval_one_step st pairs (s : step) =
         if is_reverse_axis s.step.A.axis then List.rev sorted else sorted
     in
     (* batched evaluation of path sub-predicates over all candidates *)
-    let path_sets = eval_path_preds st (dedup_rows (List.map snd cands)) s.preds in
+    let tallies = eval_path_preds st (dedup_rows (List.map snd cands)) s.preds in
     rebind ~unique:stair pairs
       (List.concat_map
          (fun ctx ->
            let rows = List.map snd (sort_group (List.rev !(Itbl.find groups ctx))) in
-           List.map (fun r -> (ctx, r)) (List.fold_left (apply_pred path_sets) rows s.preds))
+           List.map (fun r -> (ctx, r)) (List.fold_left (apply_pred tallies) rows s.preds))
          (List.rev !group_order))
   end
 
-(* Evaluate all Exists / Cmp / Count subterms of the predicates, batched
-   over every candidate row; returns an assoc list keyed by physical
-   identity. *)
+(* Each Exists / Cmp / Count subterm of the predicates, its path run once
+   from every candidate: per candidate id, how many rows the path reaches
+   (for Cmp, how many match: an element through its text children, the
+   data-centric string value of the interface documentation). *)
 and eval_path_preds st cand_rows preds =
-  let sets = ref [] in
-  let rec walk p =
+  let origins = own cand_rows in
+  let tally pairs =
+    let t = Itbl.create 16 in
+    List.iter (fun (o, _) -> Itbl.replace t o (1 + Option.value (Itbl.find_opt t o) ~default:0)) pairs;
+    t
+  in
+  let rec walk acc p =
     match p with
-    | Exists segs -> sets := (p, eval_exists st cand_rows segs) :: !sets
-    | Cmp (segs, op, lit, texts) -> sets := (p, eval_cmp st cand_rows segs op lit texts) :: !sets
-    | Count (segs, op, k) -> sets := (p, eval_count st cand_rows segs op k) :: !sets
-    | And (a, b) | Or (a, b) ->
-        walk a;
-        walk b
-    | Not a -> walk a
-    | Pos _ | Last -> ()
+    | Exists segs | Count (segs, _, _) -> (p, tally (exec_segments st origins segs)) :: acc
+    | Cmp (segs, op, lit, texts) ->
+        let pairs = exec_segments st origins segs in
+        let matches (r : Node_row.t) = Encoding.value_matches op lit r.Node_row.value in
+        let elem (r : Node_row.t) = r.Node_row.kind = Doc_index.Elem in
+        let elems = dedup_rows (List.filter elem (List.map snd pairs)) in
+        let passed = tally (List.filter (fun (_, t) -> matches t) (exec_segments st (own elems) texts)) in
+        (p, tally (List.filter (fun (_, r) -> if elem r then Itbl.mem passed r.Node_row.id else matches r) pairs)) :: acc
+    | And (a, b) | Or (a, b) -> walk (walk acc a) b
+    | Not a -> walk acc a
+    | Pos _ | Last -> acc
   in
-  List.iter walk preds;
-  !sets
-
-and eval_exists st origins segs =
-  List.fold_left (fun s (o, _) -> IdSet.add o s) IdSet.empty (eval_rel st origins segs)
-
-and eval_count st origins segs op k =
-  let pairs = eval_rel st origins segs in
-  let counts = Itbl.create 16 in
-  List.iter
-    (fun ((o, _) : int * Node_row.t) ->
-      Itbl.replace counts o (1 + Option.value (Itbl.find_opt counts o) ~default:0))
-    pairs;
-  List.fold_left
-    (fun s (r : Node_row.t) ->
-      let n = Option.value (Itbl.find_opt counts r.Node_row.id) ~default:0 in
-      if Encoding.cmp_holds op (Stdlib.compare n k) then IdSet.add r.Node_row.id s
-      else s)
-    IdSet.empty origins
-
-(* [texts]: the segments of child::text() *)
-and eval_cmp st origins segs op lit texts =
-  let pairs = eval_rel st origins segs in
-  (* element results compare via their text children (data-centric
-     string-value; see interface documentation) *)
-  let elems, direct =
-    List.partition
-      (fun ((_, r) : int * Node_row.t) -> r.Node_row.kind = Doc_index.Elem)
-      pairs
-  in
-  let sat = ref IdSet.empty in
-  List.iter
-    (fun ((o, r) : int * Node_row.t) ->
-      if Encoding.value_matches op lit r.Node_row.value then sat := IdSet.add o !sat)
-    direct;
-  if elems <> [] then begin
-    let texts = eval_rel st (dedup_rows (List.map snd elems)) texts in
-    (* element id -> passes? *)
-    let elem_pass = Itbl.create 16 in
-    List.iter
-      (fun ((eid, (t : Node_row.t)) : int * Node_row.t) ->
-        if Encoding.value_matches op lit t.Node_row.value then
-          Itbl.replace elem_pass eid ())
-      texts;
-    List.iter
-      (fun ((o, r) : int * Node_row.t) ->
-        if Itbl.mem elem_pass r.Node_row.id then sat := IdSet.add o !sat)
-      elems
-  end;
-  !sat
-
-and apply_pred path_sets rows p =
-  let last = List.length rows in
-  let rec holds pos (r : Node_row.t) p =
-    match p with
-    | Pos (op, k) -> Encoding.cmp_holds op (Stdlib.compare pos k)
-    | Last -> pos = last
-    | Exists _ | Cmp _ | Count _ -> begin
-        match List.assq_opt p path_sets with
-        | Some set -> IdSet.mem r.Node_row.id set
-        | None -> false
-      end
-    | And (a, b) -> holds pos r a && holds pos r b
-    | Or (a, b) -> holds pos r a || holds pos r b
-    | Not a -> not (holds pos r a)
-  in
-  List.filteri (fun i r -> holds (i + 1) r p) rows
+  List.fold_left walk [] preds
 
 (* ---- whole paths --------------------------------------------------- *)
 
@@ -1094,43 +1061,27 @@ let doc_sort st rows =
       List.map (fun (_, l) -> l.row) (keyed (chain_keys st links) links)
   | _ -> if is_sorted Node_row.compare_ord rows then rows else List.stable_sort Node_row.compare_ord rows
 
-(* A path's segments from the root: its rows in document order. *)
-let exec_path st = function
-  | [] -> []
-  | first :: rest -> (
-      let rows, sorted =
-        match first with
-        | Run r -> (root_run st r, r.sorted)
-        | Step s ->
-            (* predicates the statement cannot hold rank or test the first
-               step's candidates in document order, in the middle tier *)
-            let rows = doc_sort st (List.map snd (fst (candidates st [] s s.fetch))) in
-            let path_sets = eval_path_preds st rows s.preds in
-            (List.fold_left (apply_pred path_sets) rows s.preds, true)
-      in
-      match rest with
-      | [] when sorted -> rows
-      | [] -> doc_sort st (dedup_rows rows)
-      | rest -> (
-          (* one origin: [rebind] leaves each row once, and a LOCAL
-             following/preceding step prunes its contexts to one, whose
-             rows it returns in document order *)
-          let rows = List.map snd (exec_segments st (List.map (fun r -> (0, r)) rows) rest) in
-          match List.rev rest with
-          | Step { step; fetch = Doc_order _; _ } :: _ when prunes step -> rows
-          | _ -> doc_sort st rows))
-
-let result st rows = { rows; statements = st.nstmt; sql_log = List.rev st.log }
-
-(* a union sorts its paths' rows again, from LOCAL's chain cache *)
+(* Every path runs through [exec_segments], from nothing (from the root)
+   or from the [ids] rows, once per path of a union; the rows are then
+   sorted once. One path from the root leaves each row once ([rebind] over
+   origin 0) but for a lone run, which may have sorted them; a LOCAL
+   following/preceding step that prunes its contexts to one returns that
+   one's rows in order. *)
 let exec ?ids db ~doc enc (q : query) =
   let st = new_state db ~doc enc in
-  result st
-    (match (ids, q) with
-    | Some ids, q ->
-        let ctx = fetch_by_ids st ids in
-        doc_sort st (dedup_rows (List.concat_map (fun segs -> List.map snd (eval_rel st ctx segs)) q))
-    | None, [ p ] -> exec_path st p
-    | None, ps -> doc_sort st (dedup_rows (List.concat_map (exec_path st) ps)))
+  let seed = match ids with Some ids -> own (fetch_by_ids st ids) | None -> [] in
+  let path segs = List.map snd (exec_segments st seed segs) in
+  let rows =
+    match (ids, q) with
+    | None, [ segs ] -> (
+        let rows = path segs in
+        match List.rev segs with
+        | [ Run r ] when r.sorted -> rows
+        | Step { step; fetch = Doc_order _; _ } :: _ when prunes step -> rows
+        | [ Run _ ] -> doc_sort st (dedup_rows rows)
+        | _ -> doc_sort st rows)
+    | _ -> doc_sort st (dedup_rows (List.concat_map path q))
+  in
+  { rows; statements = List.length st.log; sql_log = List.rev st.log }
 
 let eval db ~doc enc path = exec db ~doc enc (compile ~doc enc [ path ])

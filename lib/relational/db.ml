@@ -287,27 +287,15 @@ let with_transaction t f =
       rollback t;
       raise e
 
-(* constant folding for INSERT value lists; [?] reads the bound values *)
-let rec const_eval params (e : Sql_ast.sexpr) : Value.t =
-  match e with
-  | Sql_ast.E_const v -> v
-  | Sql_ast.E_param i -> params.(i)
-  | Sql_ast.E_neg a -> begin
-      match const_eval params a with
-      | Value.Int i -> Value.Int (-i)
-      | Value.Float f -> Value.Float (-.f)
-      | v -> fail "cannot negate %s" (Value.to_string v)
-    end
-  | Sql_ast.E_arith (op, a, b) -> begin
-      let ea = Expr.Const (const_eval params a)
-      and eb = Expr.Const (const_eval params b) in
-      try Expr.eval (Expr.Arith (op, ea, eb)) [||]
-      with Expr.Eval_error m -> fail "%s" m
-    end
-  | Sql_ast.E_concat (a, b) ->
-      Value.Str
-        (Value.to_string (const_eval params a) ^ Value.to_string (const_eval params b))
-  | _ -> fail "INSERT values must be constants"
+(* An INSERT value: constants, [?] (reading the bound values), unary
+   minus, arithmetic and [||], lowered and evaluated as a SELECT's are. *)
+let const_eval params e =
+  let leaf = function
+    | Sql_ast.E_const _ | Sql_ast.E_param _ | Sql_ast.E_neg _ | Sql_ast.E_arith _ | Sql_ast.E_concat _ -> None
+    | _ -> fail "INSERT values must be constants"
+  in
+  try Expr.compile ~arity:0 ~col:(fun c -> (0, c)) (Planner.lower ~leaf e) [| params |]
+  with Expr.Eval_error m -> fail "%s" m
 
 let do_insert t params ~table:name ~columns ~values =
   let tbl = table t name in
@@ -428,10 +416,11 @@ let union_plan t (u : Sql_ast.compound) =
     | Sql_ast.E_const v -> Expr.Const v
     | Sql_ast.E_param i -> Expr.Param i
     | _ -> fail "LIMIT and OFFSET take an integer or ?"
-  and key = function
-    | Sql_ast.E_col (None, c), dir when Schema.find_opt schema c <> None ->
-        (Expr.Col (Schema.find schema c), if dir = Sql_ast.Asc then Plan.Asc else Plan.Desc)
-    | _ -> fail "ORDER BY of a UNION ALL names its output columns"
+  and key (e, dir) =
+    let col = match e with Sql_ast.E_col (None, c) -> Schema.find_opt schema c | _ -> None in
+    match col with
+    | Some i -> (Expr.Col i, if dir = Sql_ast.Asc then Plan.Asc else Plan.Desc)
+    | None -> fail "ORDER BY of a UNION ALL names its output columns"
   in
   let union = Plan.Union_all plans in
   let p =

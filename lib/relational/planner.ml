@@ -88,61 +88,46 @@ let resolve_col env qualifier name =
       | _ -> fail "ambiguous column %s" name
     end
 
-(* Resolve a surface expression to an Expr with virtual column numbers.
-   Aggregate calls are rejected here; the aggregate path extracts them before
-   calling this. *)
-let rec resolve env (e : Sql_ast.sexpr) : Expr.t =
-  match e with
-  | Sql_ast.E_const v -> Expr.Const v
-  | Sql_ast.E_param i -> Expr.Param i
-  | Sql_ast.E_col (q, n) -> Expr.Col (resolve_col env q n)
-  | Sql_ast.E_cmp (op, a, b) -> Expr.Cmp (op, resolve env a, resolve env b)
-  | Sql_ast.E_and (a, b) -> Expr.And (resolve env a, resolve env b)
-  | Sql_ast.E_or (a, b) -> Expr.Or (resolve env a, resolve env b)
-  | Sql_ast.E_not a -> Expr.Not (resolve env a)
-  | Sql_ast.E_arith (op, a, b) -> Expr.Arith (op, resolve env a, resolve env b)
-  | Sql_ast.E_neg a -> Expr.Neg (resolve env a)
-  | Sql_ast.E_concat (a, b) -> Expr.Concat (resolve env a, resolve env b)
-  | Sql_ast.E_is_null a -> Expr.Is_null (resolve env a)
-  | Sql_ast.E_is_not_null a -> Expr.Is_not_null (resolve env a)
-  | Sql_ast.E_like (a, p) -> Expr.Like (resolve env a, p)
-  | Sql_ast.E_in (a, vs) -> Expr.In_list (resolve env a, vs)
-  | Sql_ast.E_between (a, lo, hi) ->
-      let a' = resolve env a in
-      Expr.And
-        ( Expr.Cmp (Expr.Ge, a', resolve env lo),
-          Expr.Cmp (Expr.Le, a', resolve env hi) )
-  | Sql_ast.E_func (name, args) -> begin
-      match scalar_func name with
-      | Some f -> Expr.Func (f, List.map (resolve env) args)
-      | None ->
-          if List.mem name agg_funcs then
-            fail "aggregate %s not allowed here" name
-          else fail "unknown function %s" name
-    end
-  | Sql_ast.E_star -> fail "* not allowed in this context"
+(* The one lowering of a surface expression to an Expr: [leaf] lowers a
+   node when it returns one (a column, and whatever else the caller maps
+   itself), else the node lowers structurally, BETWEEN as two comparisons.
+   An aggregate call, or a column or [*] that [leaf] leaves, is refused. *)
+let rec lower ~leaf (e : Sql_ast.sexpr) : Expr.t =
+  match leaf e with
+  | Some x -> x
+  | None -> (
+      let l = lower ~leaf in
+      match e with
+      | Sql_ast.E_const v -> Expr.Const v
+      | Sql_ast.E_param i -> Expr.Param i
+      | Sql_ast.E_cmp (op, a, b) -> Expr.Cmp (op, l a, l b)
+      | Sql_ast.E_and (a, b) -> Expr.And (l a, l b)
+      | Sql_ast.E_or (a, b) -> Expr.Or (l a, l b)
+      | Sql_ast.E_not a -> Expr.Not (l a)
+      | Sql_ast.E_arith (op, a, b) -> Expr.Arith (op, l a, l b)
+      | Sql_ast.E_neg a -> Expr.Neg (l a)
+      | Sql_ast.E_concat (a, b) -> Expr.Concat (l a, l b)
+      | Sql_ast.E_is_null a -> Expr.Is_null (l a)
+      | Sql_ast.E_is_not_null a -> Expr.Is_not_null (l a)
+      | Sql_ast.E_like (a, p) -> Expr.Like (l a, p)
+      | Sql_ast.E_in (a, vs) -> Expr.In_list (l a, vs)
+      | Sql_ast.E_between (a, lo, hi) ->
+          let a' = l a in
+          Expr.And (Expr.Cmp (Expr.Ge, a', l lo), Expr.Cmp (Expr.Le, a', l hi))
+      | Sql_ast.E_func (name, args) -> (
+          match scalar_func name with
+          | Some f -> Expr.Func (f, List.map l args)
+          | None when List.mem name agg_funcs -> fail "aggregate %s not allowed here" name
+          | None -> fail "unknown function %s" name)
+      | Sql_ast.E_col (_, n) -> fail "column %s not allowed in this context" n
+      | Sql_ast.E_star -> fail "* not allowed in this context")
 
-let rec contains_agg (e : Sql_ast.sexpr) =
-  match e with
-  | Sql_ast.E_func (name, args) ->
-      List.mem name agg_funcs || List.exists contains_agg args
-  | Sql_ast.E_const _ | Sql_ast.E_param _ | Sql_ast.E_col _ | Sql_ast.E_star ->
-      false
-  | Sql_ast.E_cmp (_, a, b)
-  | Sql_ast.E_and (a, b)
-  | Sql_ast.E_or (a, b)
-  | Sql_ast.E_arith (_, a, b)
-  | Sql_ast.E_concat (a, b) ->
-      contains_agg a || contains_agg b
-  | Sql_ast.E_between (a, b, c) ->
-      contains_agg a || contains_agg b || contains_agg c
-  | Sql_ast.E_not a
-  | Sql_ast.E_neg a
-  | Sql_ast.E_is_null a
-  | Sql_ast.E_is_not_null a
-  | Sql_ast.E_like (a, _)
-  | Sql_ast.E_in (a, _) ->
-      contains_agg a
+(* a surface expression with virtual column numbers *)
+let resolve env =
+  lower ~leaf:(function Sql_ast.E_col (q, n) -> Some (Expr.Col (resolve_col env q n)) | _ -> None)
+
+let contains_agg e =
+  List.exists (function Sql_ast.E_func (name, _) -> List.mem name agg_funcs | _ -> false) (Sql_ast.subterms e)
 
 (* ------------------------------------------------------------------ *)
 (* Access-path selection                                               *)
@@ -824,61 +809,22 @@ let rec plan_select catalog (q : Sql_ast.select) =
           aggs := !aggs @ [ (agg, name) ];
           pos
     in
-    let rec resolve_over_agg (e : Sql_ast.sexpr) : Expr.t =
-      (* aggregate calls map to output columns; any aggregate-free
-         subexpression matching a GROUP BY expression maps to its group
-         column; otherwise decompose structurally *)
-      let group_match =
-        if contains_agg e then None
-        else
-          match e with
-          | Sql_ast.E_const _ -> None
-          | e -> (
-              match
-                List.find_index
-                  (fun (g, _) -> g = resolve_phys e)
-                  group_exprs
-              with
-              | Some gi -> Some (Expr.Col gi)
-              | None -> None)
-      in
-      match (group_match, e) with
-      | Some col, _ -> col
-      | None, Sql_ast.E_const v -> Expr.Const v
-      | None, Sql_ast.E_func (name, _) when List.mem name agg_funcs ->
-          Expr.Col
-            (agg_output_col
-               (Plan.map_agg to_physical (extract_agg env e))
-               (String.lowercase_ascii name))
-      | None, e -> resolve_over_agg_structural e
-
-    and resolve_over_agg_structural (e : Sql_ast.sexpr) : Expr.t =
+    (* HAVING over the aggregate output: aggregate calls map to their output
+       column, and any aggregate-free subexpression matching a GROUP BY
+       expression to its group column *)
+    let over_agg (e : Sql_ast.sexpr) =
       match e with
-      | Sql_ast.E_param i -> Expr.Param i
-      | Sql_ast.E_cmp (op, a, b) ->
-          Expr.Cmp (op, resolve_over_agg a, resolve_over_agg b)
-      | Sql_ast.E_and (a, b) -> Expr.And (resolve_over_agg a, resolve_over_agg b)
-      | Sql_ast.E_or (a, b) -> Expr.Or (resolve_over_agg a, resolve_over_agg b)
-      | Sql_ast.E_not a -> Expr.Not (resolve_over_agg a)
-      | Sql_ast.E_arith (op, a, b) ->
-          Expr.Arith (op, resolve_over_agg a, resolve_over_agg b)
-      | Sql_ast.E_neg a -> Expr.Neg (resolve_over_agg a)
-      | Sql_ast.E_concat (a, b) ->
-          Expr.Concat (resolve_over_agg a, resolve_over_agg b)
-      | Sql_ast.E_is_null a -> Expr.Is_null (resolve_over_agg a)
-      | Sql_ast.E_is_not_null a -> Expr.Is_not_null (resolve_over_agg a)
-      | Sql_ast.E_between (a, lo, hi) ->
-          let a' = resolve_over_agg a in
-          Expr.And
-            ( Expr.Cmp (Expr.Ge, a', resolve_over_agg lo),
-              Expr.Cmp (Expr.Le, a', resolve_over_agg hi) )
-      | Sql_ast.E_in (a, vs) -> Expr.In_list (resolve_over_agg a, vs)
-      | Sql_ast.E_like (a, p) -> Expr.Like (resolve_over_agg a, p)
-      | Sql_ast.E_col _ | Sql_ast.E_func _ | Sql_ast.E_star | Sql_ast.E_const _
-        ->
-          fail "HAVING must use aggregates or GROUP BY expressions"
+      | Sql_ast.E_const _ -> None
+      | Sql_ast.E_func (name, _) when List.mem name agg_funcs ->
+          Some (Expr.Col (agg_output_col (Plan.map_agg to_physical (extract_agg env e)) (String.lowercase_ascii name)))
+      | _ when contains_agg e -> None
+      | _ -> (
+          match (List.find_index (fun (g, _) -> g = resolve_phys e) group_exprs, e) with
+          | Some gi, _ -> Some (Expr.Col gi)
+          | None, (Sql_ast.E_col _ | Sql_ast.E_star) -> fail "HAVING must use aggregates or GROUP BY expressions"
+          | None, _ -> None)
     in
-    let having_pred = Option.map resolve_over_agg q.having in
+    let having_pred = Option.map (lower ~leaf:over_agg) q.having in
     let joined = Option.value (min_max_scan env q) ~default:joined in
     let agg_plan =
       Plan.Aggregate

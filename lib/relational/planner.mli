@@ -50,6 +50,15 @@ val plan_select : Catalog.t -> Sql_ast.select -> Plan.t
     (a derived table with two columns of one name), or unsupported
     constructs. *)
 
+val lower : leaf:(Sql_ast.sexpr -> Expr.t option) -> Sql_ast.sexpr -> Expr.t
+(** The one lowering of a surface expression to an {!Expr.t}, used for
+    SELECT, UPDATE and DELETE, HAVING, the SQL lint and INSERT values.
+    [leaf] is asked first at every node; where it returns [None] the node
+    lowers structurally ([BETWEEN] as two comparisons, a scalar function
+    call as {!Expr.Func}).
+    @raise Plan_error for an aggregate or unknown function, or a column or
+    [*] that [leaf] leaves. *)
+
 val resolve_expr_for_table : Table.t -> Sql_ast.sexpr -> Expr.t
 (** Resolve an expression against a single table's schema, as in a
     one-table SELECT (used by UPDATE and DELETE). Aggregates are rejected. *)

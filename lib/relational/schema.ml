@@ -18,9 +18,6 @@ let find_opt t name =
   in
   go 0
 
-let find t name =
-  match find_opt t name with Some i -> i | None -> raise Not_found
-
 let concat = Array.append
 
 let rename_prefix alias t =

@@ -9,11 +9,8 @@ val column : ?nullable:bool -> string -> Value.ty -> column
 
 val arity : t -> int
 
-val find : t -> string -> int
-(** Position of the named column (case-insensitive).
-    @raise Not_found if absent. *)
-
 val find_opt : t -> string -> int option
+(** Position of the named column (case-insensitive), if any. *)
 
 val concat : t -> t -> t
 (** Schema of a join result. *)

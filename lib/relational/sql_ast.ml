@@ -20,6 +20,17 @@ type sexpr =
   | E_func of string * sexpr list  (* scalar or aggregate; resolved later *)
   | E_star  (* only valid inside COUNT( * ) *)
 
+(* the operands of an expression, left to right *)
+let children = function
+  | E_const _ | E_param _ | E_col _ | E_star -> []
+  | E_cmp (_, a, b) | E_and (a, b) | E_or (a, b) | E_arith (_, a, b) | E_concat (a, b) -> [ a; b ]
+  | E_between (a, lo, hi) -> [ a; lo; hi ]
+  | E_not a | E_neg a | E_is_null a | E_is_not_null a | E_like (a, _) | E_in (a, _) -> [ a ]
+  | E_func (_, args) -> args
+
+(* an expression and every expression inside it, parents first *)
+let rec subterms e = e :: List.concat_map subterms (children e)
+
 type order_dir = Asc | Desc
 
 type select_item = Item of sexpr * string option  (* expr AS alias *) | Star

@@ -60,10 +60,10 @@ let test_ty_names () =
 
 let test_schema_lookup () =
   let s = S.make [ ("id", V.Tint); ("Name", V.Ttext) ] in
-  check int_t "case-insensitive" 1 (S.find s "name");
+  check bool_t "case-insensitive" true (S.find_opt s "name" = Some 1);
   check bool_t "missing" true (S.find_opt s "nope" = None);
   let q = S.rename_prefix "t" s in
-  check int_t "qualified" 0 (S.find q "t.id")
+  check bool_t "qualified" true (S.find_opt q "t.id" = Some 0)
 
 let test_schema_check () =
   let s =

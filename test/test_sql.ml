@@ -380,6 +380,13 @@ let test_having () =
   (* group expr in having *)
   check int_t "group expr in having" 1
     (List.length (D.query db "SELECT dept FROM emp GROUP BY dept HAVING dept = 1"));
+  (* a scalar function over an aggregate or a group expression lowers as in
+     SELECT; a column outside GROUP BY is refused *)
+  check int_t "function in having" 1
+    (List.length (D.query db "SELECT dept FROM emp GROUP BY dept HAVING ABS(MAX(salary)) >= 1050.0 AND ABS(dept) = 1"));
+  (match D.exec db "SELECT dept FROM emp GROUP BY dept HAVING ABS(id) > 3" with
+  | exception D.Sql_error _ -> ()
+  | _ -> Alcotest.fail "HAVING over a column outside GROUP BY must fail");
   match D.exec db "SELECT id FROM emp HAVING id > 3" with
   | exception D.Sql_error _ -> ()
   | _ -> Alcotest.fail "HAVING without aggregation must fail"
@@ -1087,6 +1094,30 @@ let test_scalar_functions () =
 
 let rows_text r = String.concat ";" (List.map Reldb.Tuple.to_string r)
 
+(* An INSERT value is lowered and evaluated as a SELECT's expression is:
+   NULL propagates through || and unary minus, BYTES || BYTES is BYTES, and
+   ? reads the bound values; a column or a comparison is refused. *)
+let test_insert_values () =
+  let db = fresh () in
+  e db "CREATE TABLE one (x INT)";
+  e db "INSERT INTO one VALUES (1)";
+  e db "CREATE TABLE v (s TEXT, b BYTES, n INT)";
+  let exprs = "'a' || NULL, X'01' || X'02', -NULL" in
+  e db ("INSERT INTO v VALUES (" ^ exprs ^ ")");
+  let stored = D.query db "SELECT s, b, n FROM v" in
+  check string_t "stored as selected" (rows_text (D.query db ("SELECT " ^ exprs ^ " FROM one"))) (rows_text stored);
+  (match stored with
+  | [ [| V.Null; V.Bytes "\x01\x02"; V.Null |] ] -> ()
+  | r -> Alcotest.failf "INSERT values: %s" (rows_text r));
+  ignore (D.exec_params db "INSERT INTO v (s, n) VALUES (? || 'b', -(? * 2))" [| V.Str "a"; V.Int 3 |]);
+  check string_t "bound values" "ab|-6" (rows_text (D.query db "SELECT s, n FROM v WHERE n IS NOT NULL"));
+  List.iter
+    (fun sql ->
+      match D.exec db sql with
+      | exception D.Sql_error "INSERT values must be constants" -> ()
+      | _ -> Alcotest.failf "%s must be refused" sql)
+    [ "INSERT INTO v (n) VALUES (x)"; "INSERT INTO v (n) VALUES (1 = 1)"; "INSERT INTO v (n) VALUES (-(1 < 2))" ]
+
 let test_bytes_functions () =
   let db = fresh () in
   e db "CREATE TABLE b (p BYTES, q BYTES, s TEXT)";
@@ -1548,6 +1579,7 @@ let tests =
       Alcotest.test_case "expression precedence" `Quick test_expression_precedence;
       Alcotest.test_case "scalar functions" `Quick test_scalar_functions;
       Alcotest.test_case "BYTES || and SUBSTR" `Quick test_bytes_functions;
+      Alcotest.test_case "INSERT values evaluate as SELECT" `Quick test_insert_values;
       Alcotest.test_case "EXPLAIN with ? slots" `Quick test_explain_params;
       Alcotest.test_case "MIN/MAX from the index end" `Quick test_min_max_plan;
       QCheck_alcotest.to_alcotest prop_min_max;
