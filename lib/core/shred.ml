@@ -2,12 +2,15 @@ module V = Reldb.Value
 
 type order = Interval of int * int | Sibling of int | Path of int * Dewey.t
 
+(* one boxed kind value per kind, shared by every row that has it *)
+let kind_values = Array.init 5 (fun c -> V.Int c)
+
 let edge_row ~id ~parent ~kind ~tag ~value order =
   Array.append
     [|
       V.Int id;
       (if parent < 0 then V.Null else V.Int parent);
-      V.Int (Doc_index.kind_code kind);
+      kind_values.(Doc_index.kind_code kind);
       (if tag = "" then V.Null else V.Str tag);
       (match kind with Doc_index.Elem -> V.Null | _ -> V.Str value);
       Encoding.nval_of ~kind value;

@@ -652,27 +652,37 @@ let dedup_pairs pairs =
       | Some os -> (not (mem_int o os)) && (Itbl.replace seen id (o :: os); true))
     pairs
 
-let one_origin = function (o, _) :: rest -> List.for_all (fun (o', _) -> o' = o) rest | [] -> true
+(* What the segments of a path pass on: (origin, row) pairs, or rows that
+   share one origin, as every path from the root does (origin 0), without
+   a pair per row. *)
+type flow = Pairs of (int * Node_row.t) list | One of int * Node_row.t list
 
-(* (context id, row) pairs as (origin, row) pairs, through the origins
-   [pairs] bind to each context row (a statement returns a context's rows
-   together). Without pairs, the rows of a path's first segment from the
-   root pass as they are; pairs with one origin (every path from the root
-   has origin 0) bind each row to it once; [unique]: [tagged] holds each
-   row once, as one context's rows do. *)
-let rebind ?(unique = false) pairs tagged =
-  match pairs with
-  | [] -> tagged
-  | (o, _) :: _ when one_origin pairs ->
-      List.map (fun (_, r) -> (o, r)) (if unique then tagged else dedup_on (fun (_, (r : Node_row.t)) -> r.Node_row.id) tagged)
-  | _ ->
+let rows_of = function Pairs pairs -> List.map snd pairs | One (_, rows) -> rows
+let pairs_of = function Pairs pairs -> pairs | One (o, rows) -> List.map (fun r -> (o, r)) rows
+
+let one_origin = function
+  | One _ | Pairs [] -> true
+  | Pairs ((o, _) :: rest) -> List.for_all (fun (o', _) -> o' = o) rest
+
+(* (context id, row) pairs rebound to origins, through the origins the
+   flow binds to each context row (a statement returns a context's rows
+   together). With no pairs yet, the candidates of a path's first step
+   pass as they are; one origin binds each row to it once, as one flow;
+   [unique]: [tagged] holds each row once, as one context's rows do. *)
+let rebind ?(unique = false) flow tagged =
+  let once () = List.map snd (if unique then tagged else dedup_on (fun (_, (r : Node_row.t)) -> r.Node_row.id) tagged) in
+  match flow with
+  | Pairs [] -> Pairs tagged
+  | One (o, _) -> One (o, once ())
+  | Pairs ((o, _) :: _) when one_origin flow -> One (o, once ())
+  | Pairs pairs ->
       let origins = Itbl.create 64 and last = ref (min_int, []) in
       List.iter (fun (o, (r : Node_row.t)) -> Itbl.add origins r.Node_row.id o) pairs;
       let origins_of c =
         if fst !last <> c then last := (c, Itbl.find_all origins c);
         snd !last
       in
-      dedup_pairs (List.concat_map (fun (c, r) -> List.map (fun o -> (o, r)) (origins_of c)) tagged)
+      Pairs (dedup_pairs (List.concat_map (fun (c, r) -> List.map (fun o -> (o, r)) (origins_of c)) tagged))
 
 (* Whether a predicate counts positions, anywhere under and, or and not. *)
 let rec positional (p : A.predicate) =
@@ -690,14 +700,14 @@ let prunes (s : A.step) = List.mem s.A.axis [ A.Following; A.Preceding ] && not 
 (* the first element of [l] that no other is [better] than *)
 let best better = function [] -> [] | x :: l -> [ List.fold_left (fun b y -> if better y b then y else b) x l ]
 
-(* Whether [s] prunes the contexts of [pairs] (they share one origin), and
+(* Whether [s] prunes the contexts of [flow] (they share one origin), and
    the distinct context rows it reads: if it prunes, under GLOBAL and DEWEY,
    the one with the least subtree end ([g_end], the path followed by ff),
    else the greatest start. LOCAL prunes in [local_doc_order], by keys. *)
-let contexts st (s : A.step) pairs =
-  let stair = one_origin pairs && prunes s in
+let contexts st (s : A.step) flow =
+  let stair = one_origin flow && prunes s in
   ( stair,
-    if not stair || st.enc = Encoding.Local then dedup_rows (List.map snd pairs)
+    if not stair || st.enc = Encoding.Local then dedup_rows (rows_of flow)
     else
       best
         (fun (a : Node_row.t) b ->
@@ -705,7 +715,7 @@ let contexts st (s : A.step) pairs =
           | Node_row.Og (_, ea), Node_row.Og (_, eb) when s.A.axis = A.Following -> ea < eb
           | Node_row.Od pa, Node_row.Od pb when s.A.axis = A.Following -> pa ^ "\xff" < pb ^ "\xff"
           | _ -> Node_row.compare_ord a b > 0)
-        (List.map snd pairs) )
+        (rows_of flow) )
 
 (* A run from the context rows: (context id, row) pairs. *)
 let ctx_run st ctx_rows (r : run) =
@@ -714,8 +724,8 @@ let ctx_run st ctx_rows (r : run) =
     tagged st (Node_row.ctx_relation st.enc) (List.map Node_row.ctx_tuple ctx_rows)
       ~params:r.params r.sql
 
-(* A run from the root: its rows, with origin 0. LOCAL keeps the rows of
-   the chain's earlier steps in the parent-chain cache when the run selects
+(* A run from the root: its rows (origin 0). LOCAL keeps the rows of the
+   chain's earlier steps in the parent-chain cache when the run selects
    them. *)
 let root_run st (r : run) =
   let n = List.length r.chain in
@@ -729,7 +739,7 @@ let root_run st (r : run) =
   in
   (* rows that end the path need no parent chains *)
   let decode tu = if r.keeps_chain then (remember_chain tu; decode st tu) else Node_row.of_tuple st.enc tu in
-  List.map (fun tu -> (0, decode tu)) (run_sql st ~params:r.params r.sql)
+  List.map decode (run_sql st ~params:r.params r.sql)
 
 (* ---- LOCAL middle-tier machinery --------------------------------- *)
 
@@ -911,8 +921,8 @@ let rec candidates st ?(stair = false) ctx_rows (s : step) fetch :
   | Root r ->
       (* LOCAL keys them (fetching their parent chains), so that a
          positional predicate ranks them in document order *)
-      let pairs = root_run st r in
-      (pairs, if st.enc = Encoding.Local then Some (local_order_keys st (List.map snd pairs)) else None)
+      let rows = root_run st r in
+      (List.map (fun r -> (0, r)) rows, if st.enc = Encoding.Local then Some (local_order_keys st rows) else None)
   | Context r -> (ctx_run st ctx_rows r, None)
   | Prefixes sql ->
       (* every ancestor's path is a proper prefix of the context's path:
@@ -974,24 +984,23 @@ let apply_pred tallies rows p =
 (* rows as (origin, row) pairs, each row its own origin *)
 let own rows = List.map (fun (r : Node_row.t) -> (r.Node_row.id, r)) rows
 
-(* The one evaluator: a path's segments over (origin, row) pairs, giving
-   (origin, row) pairs. From no pairs, a path from the root starts there,
-   its rows with origin 0. *)
-let rec exec_segments st pairs = function
-  | [] -> pairs
+(* The one evaluator: a path's segments over a flow, giving a flow. From
+   no pairs, a path from the root starts there, its rows with origin 0. *)
+let rec exec_segments st flow = function
+  | [] -> flow
+  | Run r :: rest when r.from_root -> exec_segments st (One (0, root_run st r)) rest
   | Run r :: rest ->
-      let rows = if r.from_root then root_run st r else ctx_run st (snd (contexts st (List.hd r.steps) pairs)) r in
-      exec_segments st (rebind pairs rows) rest
-  | Step s :: rest -> exec_segments st (eval_one_step st pairs s) rest
+      exec_segments st (rebind flow (ctx_run st (snd (contexts st (List.hd r.steps) flow)) r)) rest
+  | Step s :: rest -> exec_segments st (eval_one_step st flow s) rest
 
 (* One step over (origin, ctx row) pairs in the middle tier: dedupe (or
    prune) contexts, fetch candidates, order per group when a predicate
    counts positions, apply predicates, rebind to origins. *)
-and eval_one_step st pairs (s : step) =
-  let stair, ctx_rows = contexts st s.step pairs in
+and eval_one_step st flow (s : step) =
+  let stair, ctx_rows = contexts st s.step flow in
   let cands, keyfn = candidates st ~stair ctx_rows s s.fetch in
   Obs.add "translate.pairs" (List.length cands);
-  if s.preds = [] then rebind ~unique:stair pairs cands
+  if s.preds = [] then rebind ~unique:stair flow cands
   else begin
     (* group by ctx id, preserving candidate order *)
     let group_order = ref [] in
@@ -1016,7 +1025,7 @@ and eval_one_step st pairs (s : step) =
     in
     (* batched evaluation of path sub-predicates over all candidates *)
     let tallies = eval_path_preds st (dedup_rows (List.map snd cands)) s.preds in
-    rebind ~unique:stair pairs
+    rebind ~unique:stair flow
       (List.concat_map
          (fun ctx ->
            let rows = List.map snd (sort_group (List.rev !(Itbl.find groups ctx))) in
@@ -1029,21 +1038,22 @@ and eval_one_step st pairs (s : step) =
    (for Cmp, how many match: an element through its text children, the
    data-centric string value of the interface documentation). *)
 and eval_path_preds st cand_rows preds =
-  let origins = own cand_rows in
+  let origins = Pairs (own cand_rows) in
   let tally pairs =
     let t = Itbl.create 16 in
     List.iter (fun (o, _) -> Itbl.replace t o (1 + Option.value (Itbl.find_opt t o) ~default:0)) pairs;
     t
   in
+  let run from segs = pairs_of (exec_segments st from segs) in
   let rec walk acc p =
     match p with
-    | Exists segs | Count (segs, _, _) -> (p, tally (exec_segments st origins segs)) :: acc
+    | Exists segs | Count (segs, _, _) -> (p, tally (run origins segs)) :: acc
     | Cmp (segs, op, lit, texts) ->
-        let pairs = exec_segments st origins segs in
+        let pairs = run origins segs in
         let matches (r : Node_row.t) = Encoding.value_matches op lit r.Node_row.value in
         let elem (r : Node_row.t) = r.Node_row.kind = Doc_index.Elem in
         let elems = dedup_rows (List.filter elem (List.map snd pairs)) in
-        let passed = tally (List.filter (fun (_, t) -> matches t) (exec_segments st (own elems) texts)) in
+        let passed = tally (List.filter (fun (_, t) -> matches t) (run (Pairs (own elems)) texts)) in
         (p, tally (List.filter (fun (_, r) -> if elem r then Itbl.mem passed r.Node_row.id else matches r) pairs)) :: acc
     | And (a, b) | Or (a, b) -> walk (walk acc a) b
     | Not a -> walk acc a
@@ -1069,8 +1079,8 @@ let doc_sort st rows =
    one's rows in order. *)
 let exec ?ids db ~doc enc (q : query) =
   let st = new_state db ~doc enc in
-  let seed = match ids with Some ids -> own (fetch_by_ids st ids) | None -> [] in
-  let path segs = List.map snd (exec_segments st seed segs) in
+  let seed = Pairs (match ids with Some ids -> own (fetch_by_ids st ids) | None -> []) in
+  let path segs = rows_of (exec_segments st seed segs) in
   let rows =
     match (ids, q) with
     | None, [ segs ] -> (

@@ -6,6 +6,14 @@
     ordered range scans — the access path every order encoding depends on
     (document-order scans, Dewey prefix ranges, sibling ranges).
 
+    Every node keeps an int array beside its keys holding each key's
+    {!prefix}, its first 7 bytes. A smaller prefix is a smaller key, so
+    searches, seeks, a walk's bound checks and {!rewrite_key}'s neighbour
+    checks compare the ints first and follow a key to its bytes only when
+    two prefixes are equal; a walk takes its bounds' prefixes once. Every
+    mutation writes the prefix with its key, and {!check_invariants} checks
+    them.
+
     Deletion is lazy with respect to structure: entries are removed from
     leaves but leaves are not rebalanced, and separators stay where they
     are, so a leaf may be empty and a separator need not equal any key.
@@ -19,6 +27,16 @@
 type t
 
 exception Duplicate_key
+
+val prefix : bytes -> int
+(** A key's first 7 bytes, big-endian and zero-padded, as an int. Every
+    node keeps the prefix of each of its keys beside it: a smaller prefix
+    is a smaller key, so a comparison reads key bytes only when two
+    prefixes are equal. *)
+
+val compare_keys : bytes -> bytes -> int
+(** [Bytes.compare] as the tree computes it: the prefixes first, the bytes
+    on a tie. *)
 
 val create : ?branching:int -> unit -> t
 (** [branching] is the max entries per node (default 64, minimum 4). *)
@@ -108,5 +126,6 @@ val stats : t -> stats
 val check_invariants : t -> (unit, string) result
 (** Structural check: key ordering within and across leaves, separator
     consistency, depth uniformity, entry count, a leaf chain that visits
-    every leaf in tree order, and no separator that is physically a leaf's
-    key. One walk, building no list of the entries. *)
+    every leaf in tree order, no separator that is physically a leaf's
+    key, and every key's and separator's prefix equal to {!prefix} of its
+    bytes. One walk, building no list of the entries. *)

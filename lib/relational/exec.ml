@@ -116,12 +116,12 @@ let rec emit f stop k s = function
 
 (* read row [rowid] of [table] into slot [s] and push it *)
 let read cx table s f k rowid =
-  match Table.get table rowid with
-  | None -> ()
-  | Some tu ->
-      cx.rowid <- rowid;
-      f.(s) <- tu;
-      k ()
+  let tu = Table.read table rowid in
+  if tu != Table.deleted then begin
+    cx.rowid <- rowid;
+    f.(s) <- tu;
+    k ()
+  end
 
 (* kept rows [a] and [b] by the sort keys: (tuple, offset), descending *)
 let rec compare_keys keys (a : Tuple.t array) b i =

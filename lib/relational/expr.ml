@@ -211,9 +211,43 @@ and compile_tvl ~arity ~col e : frame -> tvl =
       let v = c e in
       fun f -> to_tvl (v f)
 
-let compile_pred ~arity ~col e =
-  let t = compile_tvl ~arity ~col e in
-  fun f -> match t f with T -> true | F | U -> false
+(* A predicate holds when its truth value is T. AND and OR keep that
+   property, so they short-circuit on booleans; a column compared with a
+   non-NULL INT or TEXT constant tests the stored value in place, reaching
+   [Value.compare] only for a value of another type. Anything else takes
+   the three-valued path. *)
+let rec compile_pred ~arity ~col e =
+  let p = compile_pred ~arity ~col in
+  match e with
+  | And (a, b) ->
+      let a = p a and b = p b in
+      fun f -> a f && b f
+  | Or (a, b) ->
+      let a = p a and b = p b in
+      fun f -> a f || b f
+  | Cmp (op, Col i, Const (Value.Int n as v)) when i >= 0 && i < arity -> (
+      let s, o = col i and test = holds op in
+      match op with
+      | Eq -> fun f -> ( match f.(s).(o) with Value.Int x -> x = n | x -> Value.compare x v = 0)
+      | _ -> (
+          fun f ->
+            match f.(s).(o) with
+            | Value.Int x -> test (Int.compare x n)
+            | Value.Null -> false
+            | x -> test (Value.compare x v)))
+  | Cmp (op, Col i, Const (Value.Str c as v)) when i >= 0 && i < arity -> (
+      let s, o = col i and test = holds op in
+      match op with
+      | Eq -> fun f -> ( match f.(s).(o) with Value.Str x -> String.equal x c | _ -> false)
+      | _ -> (
+          fun f ->
+            match f.(s).(o) with
+            | Value.Str x -> test (String.compare x c)
+            | Value.Null -> false
+            | x -> test (Value.compare x v)))
+  | _ ->
+      let t = compile_tvl ~arity ~col e in
+      fun f -> t f = T
 
 (* over one tuple, the frame's slot 1 *)
 let eval e tu = compile ~arity:(Array.length tu) ~col:(fun i -> (1, i)) e [| [||]; tu |]

@@ -48,7 +48,10 @@ val compile : arity:int -> col:(int -> int * int) -> t -> frame -> Value.t
     arithmetic on text), a column at or above [arity] or an unbound slot. *)
 
 val compile_pred : arity:int -> col:(int -> int * int) -> t -> frame -> bool
-(** Predicate semantics: [true] iff the value is truthy and not NULL. *)
+(** Predicate semantics: [true] iff the three-valued result of {!compile}
+    is true (truthy and not NULL). AND and OR short-circuit on booleans,
+    and a column compared with a non-NULL INT or TEXT constant tests the
+    stored value in place; every other predicate is evaluated three-valued. *)
 
 val eval : t -> Tuple.t -> Value.t
 (** {!compile} over one tuple, applied once, with no bound values. *)

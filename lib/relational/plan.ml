@@ -60,103 +60,115 @@ let count n = Expr.Const (Value.Int n)
 let non_null = (Btree.Incl (Key.prefix_end (Key.encode [| Value.Null |])), Btree.Unbounded)
 
 (* [fixed.(i)]: the encoding of key part [i] if the caller knows it is a
-   constant *)
+   constant; [parts.(i)] the value of each other part, evaluated once per
+   probe *)
 type probe_scratch = {
   fixed : bytes option array;
-  keys : Key.scratch;
+  mutable parts : Value.t array;
   lo_keys : Key.scratch;
   hi_keys : Key.scratch;
 }
 
 let probe_scratch fixed =
-  { fixed; keys = Key.scratch (); lo_keys = Key.scratch (); hi_keys = Key.scratch () }
+  { fixed; parts = [||]; lo_keys = Key.scratch (); hi_keys = Key.scratch () }
 
 let fixed sc i = if i < Array.length sc.fixed then sc.fixed.(i) else None
-
-(* [len] bytes of [src] into [dst] at [pos]: for a few bytes a loop is
-   cheaper than Bytes.blit *)
-let copy src dst pos len =
-  for j = 0 to len - 1 do
-    Bytes.set dst (pos + j) (Bytes.get src j)
-  done
-
-(* The probe's key [pre], [size] bytes, extended by [v] if any, and with
-   [past] the least key above all its extensions: [pre] itself or a
-   scratch key of [keys] *)
-let extend keys pre size v ~past =
-  match v with
-  | None when not past -> pre
-  | _ ->
-      let len = size + (match v with Some v -> Key.size v | None -> 0) + if past then 1 else 0 in
-      let b = Key.scratch_key keys len in
-      copy pre b 0 size;
-      let pos = match v with Some v -> Key.write b size v | None -> size in
-      if past then ignore (Key.write_end b pos);
-      b
 
 (* one end of a probe range, its value and whether it is strict *)
 let end_value eval row = function
   | None -> None
   | Some { bound; strict } -> Some (eval bound row, strict)
 
-(* the encoded size of key parts [i ..], or -1 if one is NULL *)
-let rec key_size eval sc key row i acc =
+(* Each key part [i ..] evaluated once into [sc.parts] (a constant's
+   encoding is known): their encoded size, or -1 if one is NULL *)
+let rec parts_size eval sc key row i acc =
   if i >= Array.length key then acc
   else
     match fixed sc i with
-    | Some e -> key_size eval sc key row (i + 1) (acc + Bytes.length e)
+    | Some e -> parts_size eval sc key row (i + 1) (acc + Bytes.length e)
     | None -> (
         match eval key.(i) row with
         | Value.Null -> -1
-        | v -> key_size eval sc key row (i + 1) (acc + Key.size v))
+        | v ->
+            sc.parts.(i) <- v;
+            parts_size eval sc key row (i + 1) (acc + Key.size v))
+
+(* [len] bytes of [src] into [dst] at [pos], eight at a time: for the few
+   bytes of a key this is cheaper than a Bytes.blit call *)
+let copy src dst pos len =
+  let w = len land lnot 7 in
+  let rec words j =
+    if j < w then begin
+      Bytes.set_int64_ne dst (pos + j) (Bytes.get_int64_ne src j);
+      words (j + 8)
+    end
+  in
+  words 0;
+  for j = w to len - 1 do
+    Bytes.unsafe_set dst (pos + j) (Bytes.unsafe_get src j)
+  done
+
+let write_parts sc n b =
+  let pos = ref 0 in
+  for i = 0 to n - 1 do
+    match fixed sc i with
+    | Some e ->
+        copy e b !pos (Bytes.length e);
+        pos := !pos + Bytes.length e
+    | None -> pos := Key.write b !pos sc.parts.(i)
+  done
+
+(* An end of the probe: a scratch key of [keys] holding the [size] bytes
+   of the key parts, then [v]'s encoding if any, and with [past] the byte
+   that puts it above all its extensions. Only the end's own bytes are
+   written here. *)
+let end_key keys size v ~past =
+  let b = Key.scratch_key keys (size + (match v with Some v -> Key.size v | None -> 0) + if past then 1 else 0) in
+  let pos = match v with Some v -> Key.write b size v | None -> size in
+  if past then ignore (Key.write_end b pos);
+  b
 
 let probe_range eval sc key ~lo ~hi row =
   let n = Array.length key in
-  let size = key_size eval sc key row 0 0 in
+  if Array.length sc.parts < n then sc.parts <- Array.make n Value.Null;
+  let size = parts_size eval sc key row 0 0 in
   match (size < 0, end_value eval row lo, end_value eval row hi) with
   | true, _, _ | _, Some (Value.Null, _), _ | _, _, Some (Value.Null, _) -> None
+  | false, None, None when n = 0 -> Some (Btree.Unbounded, Btree.Unbounded)
   | false, lo_v, hi_v ->
-      (* the parts again (expressions are pure), now into a key of their size *)
-      let pre = Key.scratch_key sc.keys size in
-      let pos = ref 0 in
-      for i = 0 to n - 1 do
-        match fixed sc i with
-        | Some e ->
-            copy e pre !pos (Bytes.length e);
-            pos := !pos + Bytes.length e
-        | None -> pos := Key.write pre !pos (eval key.(i) row)
-      done;
       let lo =
         match lo_v with
-        | Some (v, strict) -> Btree.Incl (extend sc.lo_keys pre size (Some v) ~past:strict)
+        | Some (v, strict) -> end_key sc.lo_keys size (Some v) ~past:strict
         (* with no lower bound but an upper one, start above NULL, which
            ranks lowest: [col < x] is never true of a NULL column *)
-        | None when Option.is_some hi ->
-            Btree.Incl (extend sc.lo_keys pre size (Some Value.Null) ~past:true)
-        | None when n = 0 -> Btree.Unbounded
-        | None -> Btree.Incl pre
+        | None when Option.is_some hi_v -> end_key sc.lo_keys size (Some Value.Null) ~past:true
+        | None -> end_key sc.lo_keys size None ~past:false
       in
+      (* the parts are written once, into the lower end; the upper end
+         copies them from there *)
+      write_parts sc n lo;
       let hi =
         match hi_v with
-        | Some (v, strict) -> Btree.Excl (extend sc.hi_keys pre size (Some v) ~past:(not strict))
+        | Some (v, strict) -> Btree.Excl (end_key sc.hi_keys size (Some v) ~past:(not strict))
         | None when n = 0 -> Btree.Unbounded
-        | None -> Btree.Excl (extend sc.hi_keys pre size None ~past:true)
+        | None -> Btree.Excl (end_key sc.hi_keys size None ~past:true)
       in
-      Some (lo, hi)
+      (match hi with Btree.Excl b -> copy lo b 0 size | _ -> ());
+      Some (Btree.Incl lo, hi)
 
 (* [probe_range] as EXPLAIN shows it: each end as the values it bounds,
    "[" inclusive, "(" exclusive, each bound on the key's leading values *)
 let probe_text show key ~lo ~hi =
   let prefix = Array.map show key in
   let on v strict = (if strict then "(" else "[") ^ Tuple.to_string (Array.append prefix [| v |]) in
-  let whole = if Array.length prefix = 0 then "-inf" else "[" ^ Tuple.to_string prefix in
+  let whole bound = if Array.length prefix = 0 then bound else "[" ^ Tuple.to_string prefix in
   let text default = function
     | None -> Some default
     | Some { bound; strict } -> (
         match show bound with Value.Null -> None | v -> Some (on v strict))
   in
-  let floor = if Option.is_none hi then whole else on Value.Null true in
-  match (Array.exists Value.is_null prefix, text floor lo, text whole hi) with
+  let floor = if Option.is_none hi then whole "-inf" else on Value.Null true in
+  match (Array.exists Value.is_null prefix, text floor lo, text (whole "+inf") hi) with
   | false, Some lo, Some hi -> lo ^ " .. " ^ hi
   | _ -> "empty"
 

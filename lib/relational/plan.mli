@@ -117,12 +117,13 @@ val probe_range :
     the key values equal the leading key columns, and the next key column
     lies within [lo] and [hi] (strict bounds exclude their value). [None]
     when a key value or a bound is NULL, which matches nothing. With no
-    lower bound the range starts above NULL. The key values are encoded
-    once and each end is that prefix extended by its bound's {!Key}
-    encoding; an inclusive upper end and a strict lower end are
-    {!Key.prefix_end} of it. Each key part is evaluated twice, to size the
-    key and to write it. The ends are scratch keys of [sc], valid until
-    the next call with [sc], which allocates no key. A bound of another type
+    lower bound the range starts above NULL; with no key, bound or bounds
+    it is the whole index. Each end is the encoded key values extended by
+    its bound's {!Key} encoding; an inclusive upper end and a strict lower
+    end are {!Key.prefix_end} of it. Each key part is evaluated once, and
+    its encoding written once, into the lower end, which the upper end
+    copies. The ends are scratch keys of [sc], valid until the next call
+    with [sc], which allocates no key. A bound of another type
     than its column needs no conversion: the encoding orders every value as
     {!Value.compare} does, so the range holds exactly the keys a filter on
     the same comparison keeps. The executor applies it to compiled

@@ -517,18 +517,33 @@ let rec reverse_lead_scan = function
   | Plan.Nl_join j -> Option.map (fun outer -> Plan.Nl_join { j with outer }) (reverse_lead_scan j.outer)
   | _ -> None
 
+(* the plan with its driving sequential scan, under its filters and join
+   outers, replaced by a walk of one whole index of its table, for each
+   index in turn: a table no conjunct finds through an index *)
+let rec index_lead_scans = function
+  | Plan.Seq_scan table ->
+      List.map
+        (fun index ->
+          Plan.Index_scan
+            { table; index; range = Plan.Probe { key = [||]; lo = None; hi = None }; reverse = false })
+        (Table.indexes table)
+  | Plan.Filter (e, p) -> List.map (fun p -> Plan.Filter (e, p)) (index_lead_scans p)
+  | Plan.Index_nl_join j -> List.map (fun outer -> Plan.Index_nl_join { j with outer }) (index_lead_scans j.outer)
+  | Plan.Nl_join j -> List.map (fun outer -> Plan.Nl_join { j with outer }) (index_lead_scans j.outer)
+  | _ -> []
+
 (* [plan] in the order of [keys]: as it comes when it delivers that order,
-   or with its driving scan reversed when that delivers it, else sorted *)
+   or with its driving scan reversed when that delivers it, or driven by a
+   whole index instead of a sequential scan (either way) when that does,
+   else sorted *)
 let order_by plan keys =
   let ordered p = if satisfies (delivered p) keys then Some (Plan.Ordered { input = p; keys }) else None in
+  let either p = p :: Option.to_list (reverse_lead_scan p) in
   if keys = [] then plan
   else
-    match ordered plan with
+    match List.find_map ordered (either plan @ List.concat_map either (index_lead_scans plan)) with
     | Some p -> p
-    | None -> (
-        match Option.bind (reverse_lead_scan plan) ordered with
-        | Some p -> p
-        | None -> Plan.Sort { input = plan; keys })
+    | None -> Plan.Sort { input = plan; keys }
 
 (* ------------------------------------------------------------------ *)
 (* Per-probe caps for LIMIT BY                                         *)

@@ -30,8 +30,10 @@
     one row: [LIMIT 1], an aggregate without GROUP BY), the inner index's
     key columns after the probe's equality prefix, in the probe's
     direction. Such an ORDER BY is a pass-through {!Plan.Ordered}, shown
-    by EXPLAIN as [Ordered [keys] (delivered)], over the plan as it is or
-    with its driving index scan reversed; any other is a {!Plan.Sort}.
+    by EXPLAIN as [Ordered [keys] (delivered)], over the plan as it is,
+    with its driving index scan reversed, or with its driving sequential
+    scan replaced by a walk of one whole index of that table (either
+    way); any other is a {!Plan.Sort}.
 
     [LIMIT n OFFSET m BY keys] plans as a {!Plan.Limit} with [by] between
     the ORDER BY and the Project. When the BY keys read only the outer row

@@ -10,10 +10,14 @@ type undo =
   | U_delete of int * Tuple.t  (* row id to resurrect with this image *)
   | U_update of int array * Tuple.t array  (* an UPDATE's rows, old images *)
 
+(* the image of every deleted slot, compared by identity: a slot holds its
+   row's tuple itself, so a read loads no option box *)
+let deleted : Tuple.t = [| Value.Null |]
+
 type t = {
   tbl_name : string;
   tbl_schema : Schema.t;
-  slots : Tuple.t option Vec.t;
+  slots : Tuple.t Vec.t;  (* [deleted] where no row lives *)
   mutable live : int;
   mutable idxs : index list;
   mutable reads : int;
@@ -29,7 +33,7 @@ let create tbl_name tbl_schema =
   {
     tbl_name;
     tbl_schema;
-    slots = Vec.create ~fill:None;
+    slots = Vec.create ~fill:deleted;
     live = 0;
     idxs = [];
     reads = 0;
@@ -136,10 +140,7 @@ let create_index t ~name ~cols ~unique =
         invalid_arg "Table.create_index: column out of range")
     cols;
   let idx = { idx_name = name; key_cols = cols; unique; tree = Btree.create () } in
-  let live =
-    Array.of_seq
-      (Seq.filter_map (fun (i, s) -> Option.map (fun tu -> (i, tu)) s) (Vec.to_seq t.slots))
-  in
+  let live = Array.of_seq (Seq.filter (fun (_, tu) -> tu != deleted) (Vec.to_seq t.slots)) in
   build t [ idx ] (fun i -> fst live.(i)) (Array.map snd live);
   t.idxs <- t.idxs @ [ idx ];
   idx
@@ -157,7 +158,7 @@ let record t entry =
 
 let insert t tuple =
   validate t tuple;
-  let rowid = Vec.push t.slots (Some tuple) in
+  let rowid = Vec.push t.slots tuple in
   let added = ref [] in
   (try
      List.iter
@@ -168,7 +169,7 @@ let insert t tuple =
    with Constraint_violation _ as e ->
      (* roll back: remove the slot and the entries this call added, but not
         the rejected key, which belongs to the row already holding it *)
-     Vec.set t.slots rowid None;
+     Vec.set t.slots rowid deleted;
      List.iter (fun idx -> index_delete idx rowid tuple) !added;
      raise e);
   t.live <- t.live + 1;
@@ -176,27 +177,28 @@ let insert t tuple =
   record t (U_insert rowid);
   rowid
 
+let read t rowid =
+  let tu = Vec.get t.slots rowid in
+  if tu != deleted then t.reads <- t.reads + 1;
+  tu
+
 let get t rowid =
-  if rowid < 0 || rowid >= Vec.length t.slots then None
-  else begin
-    t.reads <- t.reads + 1;
-    Vec.get t.slots rowid
-  end
+  let tu = read t rowid in
+  if tu == deleted then None else Some tu
 
 (* drop a live row and its index entries *)
 let unlink t rowid tuple =
   List.iter (fun idx -> index_delete idx rowid tuple) t.idxs;
-  Vec.set t.slots rowid None;
+  Vec.set t.slots rowid deleted;
   t.live <- t.live - 1
 
 let delete t rowid =
-  if rowid >= 0 && rowid < Vec.length t.slots then
-    match Vec.get t.slots rowid with
-    | None -> ()
-    | Some tuple ->
-        unlink t rowid tuple;
-        t.writes <- t.writes + 1;
-        record t (U_delete (rowid, tuple))
+  let tuple = Vec.get t.slots rowid in
+  if tuple != deleted then begin
+    unlink t rowid tuple;
+    t.writes <- t.writes + 1;
+    record t (U_delete (rowid, tuple))
+  end
 
 let insert_many t rows =
   let tuples = Array.of_list rows in
@@ -204,7 +206,7 @@ let insert_many t rows =
   then begin
     let base = Vec.length t.slots in
     build t t.idxs (fun i -> base + i) tuples;
-    Array.iter (fun tu -> record t (U_insert (Vec.push t.slots (Some tu)))) tuples;
+    Array.iter (fun tu -> record t (U_insert (Vec.push t.slots tu))) tuples;
     t.live <- Array.length tuples;
     t.writes <- t.writes + Array.length tuples
   end
@@ -331,16 +333,15 @@ let update_rows t rowids news =
   let n = Array.length rowids in
   let olds = Array.make n [||] in
   for j = 0 to n - 1 do
-    match Vec.get t.slots rowids.(j) with
+    let old = Vec.get t.slots rowids.(j) in
     (* Db updates only the rows its access path has just read *)
-    | None -> invalid_arg "Table.update_rows: row deleted"
-    | Some old ->
-        let tu = news.(j) in
-        if Array.length tu <> Array.length old then validate t tu;
-        for c = 0 to Array.length tu - 1 do
-          if tu.(c) != old.(c) && not (Schema.fits t.tbl_schema.(c) tu.(c)) then validate t tu
-        done;
-        olds.(j) <- old
+    if old == deleted then invalid_arg "Table.update_rows: row deleted";
+    let tu = news.(j) in
+    if Array.length tu <> Array.length old then validate t tu;
+    for c = 0 to Array.length tu - 1 do
+      if tu.(c) != old.(c) && not (Schema.fits t.tbl_schema.(c) tu.(c)) then validate t tu
+    done;
+    olds.(j) <- old
   done;
   if Array.length t.marks < Vec.length t.slots then
     t.marks <- Array.make (Vec.length t.slots + (Vec.length t.slots / 8) + 64) 0;
@@ -354,7 +355,7 @@ let update_rows t rowids news =
         List.iter (fun undo -> undo ()) !undos;
         raise e);
   record t (U_update (rowids, olds));
-  Array.iteri (fun j rowid -> Vec.set t.slots rowid (Some news.(j))) rowids;
+  Array.iteri (fun j rowid -> Vec.set t.slots rowid news.(j)) rowids;
   t.writes <- t.writes + n
 
 let update t rowid tuple = update_rows t [| rowid |] [| tuple |]
@@ -365,24 +366,22 @@ let iter t ~stop f =
   let n = Vec.length t.slots in
   let rec go i =
     if i < n && not !stop then begin
-      (match Vec.get t.slots i with
-      | None -> ()
-      | Some tuple ->
-          t.reads <- t.reads + 1;
-          f i tuple);
+      let tuple = Vec.get t.slots i in
+      if tuple != deleted then begin
+        t.reads <- t.reads + 1;
+        f i tuple
+      end;
       go (i + 1)
     end
   in
   go 0
 
 let scan t =
-  Seq.filter_map
-    (fun (i, slot) ->
-      match slot with
-      | None -> None
-      | Some tuple ->
-          t.reads <- t.reads + 1;
-          Some (i, tuple))
+  Seq.filter
+    (fun (_, tuple) ->
+      let live = tuple != deleted in
+      if live then t.reads <- t.reads + 1;
+      live)
     (Vec.to_seq t.slots)
 
 let truncate t =
@@ -408,11 +407,10 @@ let check t =
     | Ok () -> (
         (* as many entries as rows, and each row's key finds that row: the
            entries are exactly the keys rebuilt from the heap *)
-        let lost (rowid, slot) =
-          match slot with
-          | Some tuple when Btree.find idx.tree (index_key idx ~rowid tuple) <> Some rowid ->
-              Some (rowid, tuple)
-          | _ -> None
+        let lost (rowid, tuple) =
+          if tuple != deleted && Btree.find idx.tree (index_key idx ~rowid tuple) <> Some rowid
+          then Some (rowid, tuple)
+          else None
         in
         match Seq.find_map lost (Vec.to_seq t.slots) with
         | None -> Ok ()
@@ -439,9 +437,12 @@ let rollback_journal t =
       t.journal <- None;
       (* an UPDATE removes all its new images before restoring any old
          one, so no unique key collides mid-unwind *)
-      let remove rowid = Option.iter (unlink t rowid) (Vec.get t.slots rowid) in
+      let remove rowid =
+        let tuple = Vec.get t.slots rowid in
+        if tuple != deleted then unlink t rowid tuple
+      in
       let resurrect rowid tuple =
-        Vec.set t.slots rowid (Some tuple);
+        Vec.set t.slots rowid tuple;
         List.iter (fun idx -> index_insert t idx rowid tuple) t.idxs;
         t.live <- t.live + 1
       in
@@ -462,7 +463,4 @@ let reset_counters t =
   t.writes <- 0
 
 let size_bytes t =
-  Vec.fold
-    (fun acc slot ->
-      match slot with None -> acc | Some tu -> acc + Tuple.size_bytes tu)
-    0 t.slots
+  Vec.fold (fun acc tu -> if tu == deleted then acc else acc + Tuple.size_bytes tu) 0 t.slots

@@ -1,10 +1,12 @@
 (** Heap tables with secondary B+-tree indexes.
 
     Rows live in a growable slot array; a row id is the slot number and stays
-    valid until the row is deleted. Indexes are maintained synchronously on
-    every insert/delete/update. An index key is the {!Key} encoding of the
-    row's key columns; non-unique indexes append the row id so that B+-tree
-    keys stay unique. *)
+    valid until the row is deleted. A slot holds its row's tuple itself, and
+    every deleted slot the one shared tuple {!deleted}, so reading a row
+    loads no option box and allocates nothing. Indexes are maintained
+    synchronously on every insert/delete/update. An index key is the {!Key}
+    encoding of the row's key columns; non-unique indexes append the row id
+    so that B+-tree keys stay unique. *)
 
 type t
 
@@ -77,8 +79,16 @@ val update_rows : t -> int array -> Tuple.t array -> unit
     @raise Invalid_argument if any rowid refers to a deleted row ({!Db}
     updates only rows its access path has just read). *)
 
+val deleted : Tuple.t
+(** What {!read} returns for a row id that holds no row, compared by
+    identity ([==]). *)
+
+val read : t -> int -> Tuple.t
+(** The row with this id, or {!deleted} if its slot was deleted or never
+    filled; counts a row read when it is a row. *)
+
 val get : t -> int -> Tuple.t option
-(** [None] if the slot was deleted. *)
+(** {!read} as an option: [None] if the slot holds no row. *)
 
 val row_count : t -> int
 (** Live rows. *)

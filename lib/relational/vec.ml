@@ -21,14 +21,12 @@ let clear t =
   t.data <- [||];
   t.len <- 0
 
-let check t i = if i < 0 || i >= t.len then invalid_arg "Vec: index out of bounds"
+(* the one range check of a read: past the length a slot holds [fill] *)
+let get t i = if i >= 0 && i < t.len then Array.unsafe_get t.data i else t.fill
 
-let get t i =
-  check t i;
-  t.data.(i)
-
+(* Table sets only slots it has pushed *)
 let set t i x =
-  check t i;
+  if i < 0 || i >= t.len then invalid_arg "Vec: index out of bounds";
   t.data.(i) <- x
 
 let fold f acc t =

@@ -501,6 +501,62 @@ let prop_rewrite_model =
         ops;
       true)
 
+(* The comparison every node search, seek and bound check makes tests the
+   7-byte prefixes first and the bytes only on a tie: over byte strings of
+   length 0-20 drawn from 00, 01, fe and ff, half of them extensions or
+   truncations of the other (so prefixes tie and zero padding meets real
+   zero bytes), it has the sign of [Bytes.compare], and a smaller prefix
+   is always a smaller key. *)
+let prop_prefix_compare =
+  let open QCheck in
+  let str = Gen.(map Bytes.of_string (string_size ~gen:(oneofl [ '\x00'; '\x01'; '\xfe'; '\xff' ]) (int_range 0 20))) in
+  let pair =
+    Gen.(
+      str >>= fun a ->
+      oneof
+        [
+          map (fun b -> (a, b)) str;
+          map (fun ext -> (a, Bytes.cat a ext)) str;
+          map (fun n -> (a, Bytes.sub a 0 (min n (Bytes.length a)))) (int_range 0 20);
+        ])
+  in
+  let hex b = String.concat " " (List.map (fun c -> Printf.sprintf "%02x" (Char.code c)) (List.of_seq (Bytes.to_seq b))) in
+  Test.make ~name:"prefix-first comparison = Bytes.compare" ~count:5000
+    (make ~print:(fun (a, b) -> hex a ^ " / " ^ hex b) pair)
+    (fun (a, b) ->
+      let sign x = Int.compare x 0 in
+      sign (B.compare_keys a b) = sign (Bytes.compare a b)
+      && sign (B.compare_keys b a) = sign (Bytes.compare b a)
+      && (B.prefix a >= B.prefix b || Bytes.compare a b < 0))
+
+(* A prefix that no longer matches its key is a broken tree: the tree
+   keeps the caller's bytes, so changing one key in place, still between
+   its neighbours, leaves only its prefix wrong; [check_invariants] and
+   [Table.check] (through it) refuse that. *)
+let test_stale_prefix () =
+  let t = B.create ~branching:4 () in
+  let keys = Array.init 20 (fun i -> key1 (10 * i)) in
+  Array.iteri (fun i k -> B.insert t k i) keys;
+  valid t;
+  Bytes.set keys.(5) 1 (Char.chr (Char.code (Bytes.get keys.(5) 1) + 1));
+  (match B.check_invariants t with
+  | Error m -> check bool_t ("stale prefix: " ^ m) true (Astring_contains.contains m "prefix")
+  | Ok () -> Alcotest.fail "a stale prefix passed");
+  let module T = Reldb.Table in
+  let tbl = T.create "t" [| Reldb.Schema.column "k" V.Tint |] in
+  let idx = T.create_index tbl ~name:"t_k" ~cols:[| 0 |] ~unique:true in
+  for i = 0 to 9 do
+    ignore (T.insert tbl [| V.Int (10 * i) |])
+  done;
+  check bool_t "table valid" true (T.check tbl = Ok ());
+  (* the walk lends the tree's own keys *)
+  B.iter idx.T.tree ~lo:B.Unbounded ~hi:B.Unbounded ~reverse:false (fun k _ ->
+      if Bytes.equal k (key1 50) then Bytes.set k 1 (Char.chr (Char.code (Bytes.get k 1) + 1));
+      true);
+  match T.check tbl with
+  | Error m -> check bool_t ("Table.check: " ^ m) true (Astring_contains.contains m "prefix")
+  | Ok () -> Alcotest.fail "Table.check passed a stale prefix"
+
 let tests =
   ( "btree",
     [
@@ -519,4 +575,6 @@ let tests =
       Alcotest.test_case "rewrite_key refusals" `Quick test_rewrite_refusals;
       Alcotest.test_case "separators own their arrays" `Quick test_separator_ownership;
       QCheck_alcotest.to_alcotest prop_rewrite_model;
+      QCheck_alcotest.to_alcotest prop_prefix_compare;
+      Alcotest.test_case "a stale prefix fails the checks" `Quick test_stale_prefix;
     ] )

@@ -113,6 +113,53 @@ let prop_compare_cols =
       Int.compare (Tu.compare_cols cols a b) 0
       = Int.compare (Tu.compare_key (Tu.key cols a) (Tu.key cols b)) 0)
 
+(* A compiled filter holds exactly when the three-valued result is true:
+   random AND / OR / NOT trees of column-constant and column-column
+   comparisons (and IS NULL) over rows holding NULL, [Int 1] beside
+   [Float 1.0], ints past 2^53 beside the float 2^53, and TEXT with 00 or ff
+   bytes, so the in-place tests of INT and TEXT constants meet every other
+   type and NULL on both sides. *)
+let prop_compile_pred =
+  let module E = Reldb.Expr in
+  let value =
+    QCheck.Gen.oneofl
+      [
+        V.Null; V.Int 1; V.Int 0; V.Int (-1); V.Float 1.0; V.Float 0.5; V.Int ((1 lsl 53) + 1);
+        V.Float (Float.pow 2. 53.); V.Int max_int; V.Str ""; V.Str "\x00"; V.Str "\xff"; V.Str "a\x00b";
+        V.Str "a"; V.Bytes "\x00"; V.Bytes "\xff";
+      ]
+  in
+  let op = QCheck.Gen.oneofl E.[ Eq; Ne; Lt; Le; Gt; Ge ] in
+  let col = QCheck.Gen.int_range 0 2 in
+  let leaf =
+    QCheck.Gen.(
+      oneof
+        [
+          map3 (fun o c v -> E.Cmp (o, E.Col c, E.Const v)) op col value;
+          map3 (fun o c v -> E.Cmp (o, E.Const v, E.Col c)) op col value;
+          map3 (fun o a b -> E.Cmp (o, E.Col a, E.Col b)) op col col;
+          map (fun c -> E.Is_null (E.Col c)) col;
+        ])
+  in
+  let expr =
+    QCheck.Gen.(
+      sized_size (int_range 0 4)
+      @@ fix (fun self n ->
+             if n = 0 then leaf
+             else
+               frequency
+                 [
+                   (1, leaf);
+                   (2, map2 (fun a b -> E.And (a, b)) (self (n / 2)) (self (n / 2)));
+                   (2, map2 (fun a b -> E.Or (a, b)) (self (n / 2)) (self (n / 2)));
+                   (1, map (fun a -> E.Not a) (self (n - 1)));
+                 ]))
+  in
+  let print (e, tu) = Format.asprintf "%a over %s" E.pp e (Tu.to_string tu) in
+  QCheck.Test.make ~name:"compile_pred is \"the three-valued result is true\"" ~count:3000
+    (QCheck.make ~print QCheck.Gen.(pair expr (array_repeat 3 value)))
+    (fun (e, tu) -> E.eval_bool e tu = (E.eval e tu = V.Int 1))
+
 (* --- vec ---------------------------------------------------------------- *)
 
 let test_vec () =
@@ -124,9 +171,11 @@ let test_vec () =
   Reldb.Vec.set v 50 999;
   check int_t "set/get" 999 (Reldb.Vec.get v 50);
   check int_t "fold" (4950 - 50 + 999) (Reldb.Vec.fold ( + ) 0 v);
-  (match Reldb.Vec.get v 100 with
+  check int_t "get past the end reads the fill" 0 (Reldb.Vec.get v 100);
+  check int_t "get below 0 reads the fill" 0 (Reldb.Vec.get v (-1));
+  (match Reldb.Vec.set v 100 1 with
   | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "oob get");
+  | () -> Alcotest.fail "oob set");
   check int_t "to_seq" 100 (Seq.length (Reldb.Vec.to_seq v))
 
 (* Growing past 256 slots with a young element to push must not empty the
@@ -574,6 +623,7 @@ let tests =
       Alcotest.test_case "schema checking" `Quick test_schema_check;
       Alcotest.test_case "tuple keys" `Quick test_tuple_key_order;
       QCheck_alcotest.to_alcotest prop_compare_cols;
+      QCheck_alcotest.to_alcotest prop_compile_pred;
       Alcotest.test_case "vec" `Quick test_vec;
       Alcotest.test_case "vec grows without a forced collection" `Quick test_vec_grow_young;
       Alcotest.test_case "nested-loop cross join" `Quick test_nl_join_cross;
