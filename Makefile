@@ -45,7 +45,9 @@ crash-test:
 # following:: step must join one staircase row and run no Sort and no
 # Distinct operator (its ORDER BY is delivered), a DEWEY following:: step
 # must too, inside its run (one statement), and so must a DEWEY
-# preceding:: step from the root, a query on
+# preceding:: step from the root, a LOCAL descendant step from the text
+# nodes must fetch no parent chains (two statements: nothing to sort), a
+# query on
 # the directory `oxq dump` writes must print what it prints on the XML,
 # `oxq stats` (XML only) must refuse that directory by name, a
 # reconstructed subtree must print the same bytes on every encoding, and a
@@ -64,6 +66,8 @@ check: build test lint crash-test bench-smoke
 	! grep -E '^ *(Sort \[|Distinct( |$$))' _build/check-dewey-following.out
 	$(OXQ) sql -e dewey examples/catalog.xml '/catalog/book[2]/preceding::title' --analyze > _build/check-dewey-preceding.out
 	grep -q 'executed: 1 statement(s)' _build/check-dewey-preceding.out
+	$(OXQ) sql -e local examples/catalog.xml '/descendant::text()/descendant::node()' > _build/check-local-levels.out
+	grep -q 'executed: 2 statement(s)' _build/check-local-levels.out
 	rm -rf _build/check-db
 	$(OXQ) dump examples/catalog.xml -o _build/check-db
 	$(OXQ) query _build/check-db '//book[2]/title' > _build/check-db.out

@@ -787,9 +787,9 @@ let chain_keys st links =
     end
   in
   let rec fill level =
-    match List.fold_left climb [] level with
+    match Seq.fold_left climb [] level with
     | [] -> ()
-    | missing -> fill (List.map (link st) (fetch_by_ids st missing))
+    | missing -> fill (Seq.map (link st) (List.to_seq (fetch_by_ids st missing)))
   in
   fill links;
   let rec key l =
@@ -806,10 +806,23 @@ let chain_keys st links =
   in
   key
 
-(* [chain_keys] for rows: the key function over rows *)
-let local_order_keys st rows =
-  let key = chain_keys st (List.map (link st) rows) in
-  fun r -> key (link st r)
+(* The one document-order sort: [doc_sort st groups] sorts any one of
+   [groups], leaving rows that arrive in order as they are. Under LOCAL,
+   rows that share one parent compare by l_order, and any other group by
+   root path, the parent chains of all such groups completed at once (see
+   [chain_keys]). *)
+let doc_sort st groups =
+  let by_ord rows = if is_sorted Node_row.compare_ord rows then rows else List.stable_sort Node_row.compare_ord rows in
+  let siblings = function
+    | [] -> true
+    | (r : Node_row.t) :: rest ->
+        List.for_all (fun (x : Node_row.t) -> Option.equal Int.equal x.Node_row.parent r.Node_row.parent) rest
+  in
+  if st.enc <> Encoding.Local then by_ord
+  else
+    let links g = Seq.map (link st) (List.to_seq g) in
+    let key = chain_keys st (Seq.flat_map (fun g -> if siblings g then Seq.empty else links g) (List.to_seq groups)) in
+    fun rows -> if siblings rows then by_ord rows else List.map (fun (_, l) -> l.row) (keyed key (List.of_seq (links rows)))
 
 (* LOCAL descendants, breadth-first: one join per level over the frontier's
    distinct ids. Returns (ctx id, row) pairs. *)
@@ -849,7 +862,7 @@ let local_descendants st ctx_rows =
 let local_doc_order st ~stair ctx_rows axis (cands_run : run) =
   let cands = List.map (fun tu -> link st (Node_row.of_tuple st.enc tu)) (run_sql st ~params:cands_run.params cands_run.sql) in
   let ctx = List.map (link st) ctx_rows in
-  let key = chain_keys st (ctx @ cands) in
+  let key = chain_keys st (List.to_seq (ctx @ cands)) in
   let sorted = Array.of_list (keyed key cands) in
   let n = Array.length sorted in
   (* first index whose key satisfies [p], monotone over the sorted keys *)
@@ -882,7 +895,7 @@ let local_doc_order st ~stair ctx_rows axis (cands_run : run) =
               (Array.to_list (Array.sub sorted 0 i)))
       ctx
   in
-  (pairs, Some (fun r -> key (link st r)))
+  pairs
 
 (* ------------------------------------------------------------------ *)
 (* Step evaluation                                                     *)
@@ -901,29 +914,17 @@ let test_passes axis (test : A.node_test) (r : Node_row.t) =
   | _, A.Node_test -> k <> Doc_index.Attr
 
 (* Candidates for one step from a deduplicated context row list, in the
-   middle tier, through the step's compiled [fetch]. Returns (ctx id, row)
-   pairs plus an optional doc-order key function used to sort groups when
-   the row's own ord is not a document order (LOCAL descendants). *)
-let rec candidates st ?(stair = false) ctx_rows (s : step) fetch :
-    (int * Node_row.t) list * (Node_row.t -> int array) option =
+   middle tier, through the step's compiled [fetch]: (ctx id, row) pairs. *)
+let rec candidates st ?(stair = false) ctx_rows (s : step) fetch =
   let { A.axis; test; _ } = s.step in
   let self () =
     List.filter_map (fun (r : Node_row.t) -> if test_passes A.Child test r then Some (r.Node_row.id, r) else None) ctx_rows
   in
   match fetch with
-  | Self_rows -> (self (), None)
-  | With_self f ->
-      (* reverse-axis sorting puts self before its ancestors, and self sorts
-         before its descendants; LOCAL's key function covers the self rows,
-         whose chains it completed *)
-      let more, keys = candidates st ctx_rows s f in
-      (self () @ more, keys)
-  | Root r ->
-      (* LOCAL keys them (fetching their parent chains), so that a
-         positional predicate ranks them in document order *)
-      let rows = root_run st r in
-      (List.map (fun r -> (0, r)) rows, if st.enc = Encoding.Local then Some (local_order_keys st rows) else None)
-  | Context r -> (ctx_run st ctx_rows r, None)
+  | Self_rows -> self ()
+  | With_self f -> self () @ candidates st ctx_rows s f
+  | Root r -> List.map (fun r -> (0, r)) (root_run st r)
+  | Context r -> ctx_run st ctx_rows r
   | Prefixes sql ->
       (* every ancestor's path is a proper prefix of the context's path:
          one join of the path index with (ctx id, prefix) rows (prefixes
@@ -938,10 +939,10 @@ let rec candidates st ?(stair = false) ctx_rows (s : step) fetch :
                 [| V.Int c.Node_row.id; V.Null; V.Null; V.Bytes (Dewey.encode (Array.sub path 0 (i + 1))) |]))
           ctx_rows
       in
-      ((if prefixes = [] then [] else tagged st (Node_row.ctx_relation st.enc) prefixes sql), None)
+      if prefixes = [] then [] else tagged st (Node_row.ctx_relation st.enc) prefixes sql
   | Chain_walk ->
       (* complete the context rows' chains, then walk them in the cache *)
-      let key = local_order_keys st ctx_rows in
+      let (_ : link -> int array) = chain_keys st (Seq.map (link st) (List.to_seq ctx_rows)) in
       let c = st.chains in
       let rec up ctx acc = function
         | None -> acc
@@ -952,14 +953,9 @@ let rec candidates st ?(stair = false) ctx_rows (s : step) fetch :
                 let acc = if test_passes axis test row then (ctx, row) :: acc else acc in
                 up ctx acc row.Node_row.parent)
       in
-      (List.concat_map (fun (r : Node_row.t) -> up r.Node_row.id [] r.Node_row.parent) ctx_rows, Some key)
-  | Levels ->
-      let pairs = List.filter (fun (_, row) -> test_passes axis test row) (local_descendants st ctx_rows) in
-      (* positional predicates need each group in document order; every
-         descendant's chain runs through a context row, so completing the
-         context rows' chains keys them all *)
-      (pairs, Some (local_order_keys st ctx_rows))
-  | Doc_order r -> if ctx_rows = [] then ([], None) else local_doc_order st ~stair ctx_rows axis r
+      List.concat_map (fun (r : Node_row.t) -> up r.Node_row.id [] r.Node_row.parent) ctx_rows
+  | Levels -> List.filter (fun (_, row) -> test_passes axis test row) (local_descendants st ctx_rows)
+  | Doc_order r -> if ctx_rows = [] then [] else local_doc_order st ~stair ctx_rows axis r
 
 (* ---- paths and predicates ----------------------------------------- *)
 
@@ -998,37 +994,33 @@ let rec exec_segments st flow = function
    counts positions, apply predicates, rebind to origins. *)
 and eval_one_step st flow (s : step) =
   let stair, ctx_rows = contexts st s.step flow in
-  let cands, keyfn = candidates st ~stair ctx_rows s s.fetch in
+  let cands = candidates st ~stair ctx_rows s s.fetch in
   Obs.add "translate.pairs" (List.length cands);
   if s.preds = [] then rebind ~unique:stair flow cands
   else begin
     (* group by ctx id, preserving candidate order *)
     let group_order = ref [] in
-    let groups : (int * Node_row.t) list ref Itbl.t = Itbl.create 64 in
+    let groups : Node_row.t list ref Itbl.t = Itbl.create 64 in
     List.iter
       (fun (ctx, row) ->
         match Itbl.find_opt groups ctx with
-        | Some cell -> cell := (ctx, row) :: !cell
+        | Some cell -> cell := row :: !cell
         | None ->
             group_order := ctx :: !group_order;
-            Itbl.add groups ctx (ref [ (ctx, row) ]))
+            Itbl.add groups ctx (ref [ row ]))
       cands;
-    let sort_group rows =
-      if not (List.exists positional s.step.A.preds) then rows
+    let sort =
+      if not (List.exists positional s.step.A.preds) then Fun.id
       else
-        let sorted =
-          match keyfn with
-          | Some key -> List.map snd (keyed (fun (_, r) -> key r) rows)
-          | None -> List.stable_sort (fun (_, a) (_, b) -> Node_row.compare_ord a b) rows
-        in
-        if is_reverse_axis s.step.A.axis then List.rev sorted else sorted
+        let sort = doc_sort st (Itbl.fold (fun _ cell acc -> !cell :: acc) groups []) in
+        if is_reverse_axis s.step.A.axis then fun rows -> List.rev (sort rows) else sort
     in
     (* batched evaluation of path sub-predicates over all candidates *)
     let tallies = eval_path_preds st (dedup_rows (List.map snd cands)) s.preds in
     rebind ~unique:stair flow
       (List.concat_map
          (fun ctx ->
-           let rows = List.map snd (sort_group (List.rev !(Itbl.find groups ctx))) in
+           let rows = sort (List.rev !(Itbl.find groups ctx)) in
            List.map (fun r -> (ctx, r)) (List.fold_left (apply_pred tallies) rows s.preds))
          (List.rev !group_order))
   end
@@ -1063,14 +1055,6 @@ and eval_path_preds st cand_rows preds =
 
 (* ---- whole paths --------------------------------------------------- *)
 
-(* sort candidates into document order, unless they already are *)
-let doc_sort st rows =
-  match st.enc with
-  | Encoding.Local ->
-      let links = List.map (link st) rows in
-      List.map (fun (_, l) -> l.row) (keyed (chain_keys st links) links)
-  | _ -> if is_sorted Node_row.compare_ord rows then rows else List.stable_sort Node_row.compare_ord rows
-
 (* Every path runs through [exec_segments], from nothing (from the root)
    or from the [ids] rows, once per path of a union; the rows are then
    sorted once. One path from the root leaves each row once ([rebind] over
@@ -1081,6 +1065,7 @@ let exec ?ids db ~doc enc (q : query) =
   let st = new_state db ~doc enc in
   let seed = Pairs (match ids with Some ids -> own (fetch_by_ids st ids) | None -> []) in
   let path segs = rows_of (exec_segments st seed segs) in
+  let doc_sort rows = doc_sort st [ rows ] rows in
   let rows =
     match (ids, q) with
     | None, [ segs ] -> (
@@ -1088,9 +1073,9 @@ let exec ?ids db ~doc enc (q : query) =
         match List.rev segs with
         | [ Run r ] when r.sorted -> rows
         | Step { step; fetch = Doc_order _; _ } :: _ when prunes step -> rows
-        | [ Run _ ] -> doc_sort st (dedup_rows rows)
-        | _ -> doc_sort st rows)
-    | _ -> doc_sort st (dedup_rows (List.concat_map path q))
+        | [ Run _ ] -> doc_sort (dedup_rows rows)
+        | _ -> doc_sort rows)
+    | _ -> doc_sort (dedup_rows (List.concat_map path q))
   in
   { rows; statements = List.length st.log; sql_log = List.rev st.log }
 

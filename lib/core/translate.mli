@@ -192,5 +192,11 @@ val compile : ?relative:bool -> doc:string -> Encoding.t -> Xpath_ast.union -> q
 val exec : ?ids:int list -> Reldb.Db.t -> doc:string -> Encoding.t -> query -> result
 (** Run a query compiled for the same [doc] and encoding; [ids] are the
     context nodes of a [relative] one. The paths of a union are merged,
-    deduplicated and returned in document order. Obs's [translate.pairs]
-    counts the (context, row) pairs middle-tier steps make. *)
+    deduplicated and returned in document order. One sort gives document
+    order: to the result, and to each context's candidates of a middle-tier
+    step whose predicate counts positions (reversed on a reverse axis).
+    Under LOCAL, rows that share one parent sort by [l_order]; any other
+    rows are keyed by their parent chains, which are fetched only for such
+    a sort and for [following], [preceding] and [ancestor] steps. Obs's
+    [translate.pairs] counts the (context, row) pairs middle-tier steps
+    make. *)

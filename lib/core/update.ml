@@ -30,24 +30,37 @@ let new_state db ~doc enc = { db; doc; enc; tname = Encoding.table_name ~doc enc
 
 (* Every public update runs as one transaction: a logical XML update either
    lands completely or not at all. Compound operations (move, replace) call
-   the primitives re-entrantly, so nesting joins the enclosing transaction. *)
-let transactionally db f =
-  if Reldb.Db.in_transaction db then f () else Reldb.Db.with_transaction db f
+   the primitives re-entrantly, so nesting joins the enclosing transaction.
+   Its stats count the statements the database ran meanwhile, those of
+   nested operations and of subtree reads included. *)
+let operation db ~doc enc f =
+  let run () =
+    let before = Reldb.Db.statements db in
+    let st = f (new_state db ~doc enc) in
+    { st with statements = Reldb.Db.statements db - before }
+  in
+  if Reldb.Db.in_transaction db then run () else Reldb.Db.with_transaction db run
+
+(* the rows two nested operations touched; [operation] counts statements *)
+let add a b =
+  {
+    a with
+    rows_inserted = a.rows_inserted + b.rows_inserted;
+    rows_deleted = a.rows_deleted + b.rows_deleted;
+    rows_renumbered = a.rows_renumbered + b.rows_renumbered;
+  }
 
 (* Every statement text is fixed per table and encoding; per-call values
    (ids, order values, paths, shift widths) are bound to its [?] slots, so
    each text is parsed and planned once and then served from the plan
    cache. *)
 let exec state sql params =
-  state.st <- { state.st with statements = state.st.statements + 1 };
   Log.debug (fun m -> m "%s" sql);
   match Reldb.Db.exec_params state.db sql params with
   | Reldb.Db.Affected n -> n
   | Reldb.Db.Rows _ -> 0
 
-let query state sql params =
-  state.st <- { state.st with statements = state.st.statements + 1 };
-  Reldb.Db.query_params state.db sql params
+let query state sql params = Reldb.Db.query_params state.db sql params
 
 (* order-maintenance statements run under a [renumber] span so update-path
    phase breakdowns separate renumbering cost from row insertion *)
@@ -55,7 +68,6 @@ let renumber state sql params =
   Obs.Span.with_ "renumber" (fun () -> exec state sql params)
 
 let fetch_node state id =
-  state.st <- { state.st with statements = state.st.statements + 1 };
   match Reconstruct.fetch_row state.db ~doc:state.doc state.enc ~id with
   | Some r -> r
   | None -> fail "no node with id %d" id
@@ -90,12 +102,7 @@ let bulk_insert state rows =
       try Reldb.Db.insert_many state.db state.tname rows
       with Reldb.Db.Sql_error m -> fail "%s" m
     in
-    state.st <-
-      {
-        state.st with
-        statements = state.st.statements + 1;
-        rows_inserted = state.st.rows_inserted + n;
-      }
+    state.st <- { state.st with rows_inserted = state.st.rows_inserted + n }
   end
 
 (* --- insertion boundary ---------------------------------------------- *)
@@ -414,8 +421,7 @@ let caret_insert state b ~first_id fragments =
 
 let insert_forest db ~doc enc ~parent ~pos fragments =
   if fragments = [] then fail "insert_forest: empty forest";
-  transactionally db @@ fun () ->
-  let state = new_state db ~doc enc in
+  operation db ~doc enc @@ fun state ->
   let b = locate state ~parent ~pos in
   let first_id = max_id state + 1 in
   (match enc with
@@ -430,13 +436,12 @@ let insert_subtree db ~doc enc ~parent ~pos fragment =
   insert_forest db ~doc enc ~parent ~pos [ fragment ]
 
 let append_child db ~doc enc ~parent fragment =
-  let state = new_state db ~doc enc in
+  operation db ~doc enc @@ fun state ->
   let n = List.length (fetch_children state parent) in
   insert_subtree db ~doc enc ~parent ~pos:(n + 1) fragment
 
 let delete_subtree db ~doc enc ~id =
-  transactionally db @@ fun () ->
-  let state = new_state db ~doc enc in
+  operation db ~doc enc @@ fun state ->
   let row = fetch_node state id in
   if row.Node_row.kind = Doc_index.Attr then fail "cannot delete an attribute subtree";
   let parent =
@@ -469,8 +474,7 @@ let delete_subtree db ~doc enc ~id =
   { state.st with rows_deleted = deleted }
 
 let move_subtree db ~doc enc ~id ~parent ~pos =
-  transactionally db @@ fun () ->
-  let state = new_state db ~doc enc in
+  operation db ~doc enc @@ fun state ->
   let row = fetch_node state id in
   if row.Node_row.kind = Doc_index.Attr then fail "cannot move an attribute";
   if row.Node_row.parent = None then fail "cannot move the document root";
@@ -480,13 +484,7 @@ let move_subtree db ~doc enc ~id ~parent ~pos =
   then fail "cannot move node %d under its own descendant %d" id parent;
   let fragment = Reconstruct.subtree db ~doc enc ~id in
   let st1 = delete_subtree db ~doc enc ~id in
-  let st2 = insert_subtree db ~doc enc ~parent ~pos fragment in
-  {
-    rows_inserted = st1.rows_inserted + st2.rows_inserted;
-    rows_deleted = st1.rows_deleted + st2.rows_deleted;
-    rows_renumbered = st1.rows_renumbered + st2.rows_renumbered;
-    statements = st1.statements + st2.statements;
-  }
+  add st1 (insert_subtree db ~doc enc ~parent ~pos fragment)
 
 (* attribute rows of an element, in attribute order *)
 let fetch_attrs state id =
@@ -505,8 +503,7 @@ let set_value state ~id ~kind value =
     [| V.Str value; Encoding.nval_of ~kind value; V.Int id |]
 
 let set_attribute db ~doc enc ~id ~name ~value =
-  transactionally db @@ fun () ->
-  let state = new_state db ~doc enc in
+  operation db ~doc enc @@ fun state ->
   let row = fetch_node state id in
   if row.Node_row.kind <> Doc_index.Elem then fail "node %d is not an element" id;
   let attrs = fetch_attrs state id in
@@ -560,8 +557,7 @@ let set_attribute db ~doc enc ~id ~name ~value =
     end
 
 let remove_attribute db ~doc enc ~id ~name =
-  transactionally db @@ fun () ->
-  let state = new_state db ~doc enc in
+  operation db ~doc enc @@ fun state ->
   let row = fetch_node state id in
   if row.Node_row.kind <> Doc_index.Elem then fail "node %d is not an element" id;
   match
@@ -593,8 +589,7 @@ let remove_attribute db ~doc enc ~id ~name =
       { state.st with rows_deleted = deleted }
 
 let replace_subtree db ~doc enc ~id fragment =
-  transactionally db @@ fun () ->
-  let state = new_state db ~doc enc in
+  operation db ~doc enc @@ fun state ->
   let row = fetch_node state id in
   if row.Node_row.kind = Doc_index.Attr then fail "cannot replace an attribute";
   let parent =
@@ -612,17 +607,10 @@ let replace_subtree db ~doc enc ~id fragment =
     | None -> fail "node %d not found among its parent's children" id
   in
   let st1 = delete_subtree db ~doc enc ~id in
-  let st2 = insert_subtree db ~doc enc ~parent ~pos fragment in
-  {
-    rows_inserted = st1.rows_inserted + st2.rows_inserted;
-    rows_deleted = st1.rows_deleted + st2.rows_deleted;
-    rows_renumbered = st1.rows_renumbered + st2.rows_renumbered;
-    statements = st1.statements + st2.statements;
-  }
+  add st1 (insert_subtree db ~doc enc ~parent ~pos fragment)
 
 let set_text db ~doc enc ~id value =
-  transactionally db @@ fun () ->
-  let state = new_state db ~doc enc in
+  operation db ~doc enc @@ fun state ->
   let row = fetch_node state id in
   (match row.Node_row.kind with
   | Doc_index.Text_node | Doc_index.Attr | Doc_index.Comment_node

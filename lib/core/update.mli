@@ -35,7 +35,9 @@ type stats = {
   rows_renumbered : int;
       (** row versions written to existing rows to make room; a row counts
           once per statement that rewrites it *)
-  statements : int;  (** SQL statements issued (excluding bulk row ops) *)
+  statements : int;
+      (** statements the database ran ({!Reldb.Db.statements}), those that
+          read a subtree back included; a bulk insert counts as one *)
 }
 
 exception Update_error of string

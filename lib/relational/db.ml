@@ -53,6 +53,7 @@ type t = {
   plan_cache : (string, cache_entry) Lru.t;  (* keyed by raw SQL text *)
   mutable cache_hits : int;
   mutable cache_misses : int;
+  mutable statements : int;  (* exec_params calls and non-empty insert_many calls *)
   mutable dur : durable option;  (* None: plain in-memory database *)
   mutable last_recovery : recovery_info option;
 }
@@ -77,6 +78,7 @@ let create () =
     plan_cache = Lru.create plan_cache_cap;
     cache_hits = 0;
     cache_misses = 0;
+    statements = 0;
     dur = None;
     last_recovery = None;
   }
@@ -109,7 +111,11 @@ let check t =
   | [] -> Ok ()
   | errors -> Error errors
 
-let reset_counters t = List.iter Table.reset_counters (Catalog.tables t.cat)
+let statements t = t.statements
+
+let reset_counters t =
+  t.statements <- 0;
+  List.iter Table.reset_counters (Catalog.tables t.cat)
 
 (* --- scratch relations -------------------------------------------------- *)
 
@@ -586,6 +592,7 @@ let note_slow t ~sql ms =
   | _ -> ()
 
 let exec_params t sql params =
+  t.statements <- t.statements + 1;
   if not (Obs.enabled ()) then snd (run_text t sql params)
   else begin
     let t0 = Obs.Clock.now_ns () in
@@ -617,7 +624,10 @@ let query_one t sql =
 let insert_many t name rows =
   let tbl = table t name in
   (try Table.insert_many tbl rows with Table.Constraint_violation m -> fail "%s" m);
-  if rows <> [] then log t (Wal.Rows (Table.name tbl, rows));
+  if rows <> [] then begin
+    t.statements <- t.statements + 1;
+    log t (Wal.Rows (Table.name tbl, rows))
+  end;
   List.length rows
 
 let plan t sql =

@@ -242,7 +242,14 @@ val last_recovery : t -> recovery_info option
 
 val rows_read : t -> int
 val rows_written : t -> int
+
+val statements : t -> int
+(** Statements run: each {!exec_params} call (through any wrapper, replay
+    in {!open_dir} included) and each {!insert_many} call that inserts
+    rows. Counted even when Obs is disabled. *)
+
 val reset_counters : t -> unit
+(** Zero the rows read and written and the statement count. *)
 
 (** {2 Observability}
 

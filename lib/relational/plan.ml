@@ -268,7 +268,7 @@ let label = function
       in
       Printf.sprintf "IndexScan %s.%s %s%s" (Table.name table) index.Table.idx_name
         (match range with
-        | Non_null -> "(NULL .. -inf"
+        | Non_null -> "(NULL .. +inf"
         | Probe { key; lo; hi } -> probe_text shown key ~lo ~hi)
         (if reverse then " DESC" else "")
   | Filter (e, _) -> Format.asprintf "Filter %a" Expr.pp e

@@ -597,6 +597,31 @@ let test_ordpath_repack_statements () =
   check bool_t "a repack happened" true (!repacks > 0);
   assert_integrity [ (O.Encoding.Dewey_caret, store) ]
 
+(* An operation reports the statements the database ran for it: a LOCAL
+   delete also reads its subtree back, and a move reads it again to copy
+   it. Deleting and moving an open auction of XMark scale 1 on every
+   encoding. *)
+let test_statements_counted () =
+  let doc = O.Workload.dataset ~scale:1 in
+  let db = D.create () in
+  List.iter
+    (fun enc ->
+      let store = O.Api.Store.create db ~name:"u" enc doc in
+      let id xpath = List.hd (O.Api.Store.query_ids store xpath) in
+      let counted what f =
+        let before = D.statements db in
+        let st = f () in
+        check int_t
+          (Printf.sprintf "%s %s: statements = the database's" (O.Encoding.name enc) what)
+          (D.statements db - before) st.U.statements
+      in
+      let auction = id "/site/open_auctions/open_auction[2]" in
+      counted "delete" (fun () -> U.delete_subtree db ~doc:"u" enc ~id:auction);
+      let auction = id "/site/open_auctions/open_auction[2]" and parent = id "/site/closed_auctions" in
+      counted "move" (fun () -> U.move_subtree db ~doc:"u" enc ~id:auction ~parent ~pos:1);
+      assert_integrity [ (enc, store) ])
+    O.Encoding.all
+
 let test_durable_front_insert_replays () =
   (* the set-oriented renumbering statements are what the WAL records:
      replaying them without a checkpoint rebuilds the same document *)
@@ -870,6 +895,7 @@ let tests =
         test_dewey_front_insert_statements;
       Alcotest.test_case "ordpath repack statements" `Quick
         test_ordpath_repack_statements;
+      Alcotest.test_case "statements counted where they run" `Quick test_statements_counted;
       Alcotest.test_case "durable front insert replays" `Quick
         test_durable_front_insert_replays;
       Alcotest.test_case "bound texts plan like literals" `Quick
