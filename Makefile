@@ -37,6 +37,9 @@ lint:
 crash-test:
 	dune exec --no-print-directory test/test_main.exe -- test wal-crash
 
+# a union whose predicates run their paths from many origins at once
+FLOWS_QUERY = //book[count(following-sibling::book) >= 1][not(price > 90)]/title | //book[preceding-sibling::book[1]/price > 90]/title
+
 # build + tier-1 tests + fault injection + counter gate + CLI smoke test
 # over the quickstart catalog; `oxq stats` must print each index's B+-tree
 # shape (a bottom-up build puts the catalog's 28 keys in one leaf), `oxq sql
@@ -50,8 +53,12 @@ crash-test:
 # query on
 # the directory `oxq dump` writes must print what it prints on the XML,
 # `oxq stats` (XML only) must refuse that directory by name, a
-# reconstructed subtree must print the same bytes on every encoding, and a
-# comment holding "--" must be refused as malformed XML (exit 1, `error:`).
+# reconstructed subtree must print the same bytes on every encoding, an
+# attribute result must print as name="value" (one line each), a query
+# whose predicates run paths from many origins at once (count, not, and a
+# positional step inside a predicate path) must print the same bytes on
+# every encoding, and a comment holding "--" must be refused as malformed
+# XML (exit 1, `error:`).
 # Run this before recording a change in CHANGES.md.
 check: build test lint crash-test bench-smoke
 	$(OXQ) stats examples/catalog.xml -e dewey | tee _build/check-stats.out
@@ -78,6 +85,13 @@ check: build test lint crash-test bench-smoke
 	@set -e; for e in global-gap local dewey ordpath; do \
 	  echo "query -e $$e: /catalog/book[2]"; \
 	  $(OXQ) query -e $$e examples/catalog.xml '/catalog/book[2]' | diff _build/check-book.out -; \
+	done
+	$(OXQ) query examples/catalog.xml '/catalog/book/@isbn' > _build/check-attrs.out
+	test "$$(wc -l < _build/check-attrs.out)" -eq 3
+	$(OXQ) query -e global examples/catalog.xml '$(FLOWS_QUERY)' > _build/check-flows.out
+	@set -e; for e in global-gap local dewey ordpath; do \
+	  echo "query -e $$e: $(FLOWS_QUERY)"; \
+	  $(OXQ) query -e $$e examples/catalog.xml '$(FLOWS_QUERY)' | diff _build/check-flows.out -; \
 	done
 	printf '<a><!-- x -- y --></a>' > _build/check-comment.xml
 	! $(OXQ) query _build/check-comment.xml '/a' 2> _build/check-comment.err

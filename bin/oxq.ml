@@ -137,48 +137,54 @@ let schema_graph dtd root =
   let roots = Option.map (fun r -> [ r ]) root in
   Analysis.Schema_check.graph ?roots dtd
 
+(* A result row as [oxq query] prints it: an attribute as name="value",
+   escaped as a start tag writes it, any other node as its subtree's XML. *)
+let result_line store (row : O.Node_row.t) =
+  if row.O.Node_row.kind = O.Doc_index.Attr then
+    Printf.sprintf "%s=\"%s\"" row.O.Node_row.tag (Xmllib.Printer.escape_attr row.O.Node_row.value)
+  else Xmllib.Printer.node_to_string (O.Api.Store.subtree store ~id:row.O.Node_row.id)
+
 let query_cmd =
   let run enc path q trace db_dir dtd_path root =
     wrap (fun () ->
         let go () =
           let db, store = load_store ?db_dir path enc in
           Fun.protect ~finally:(fun () -> Reldb.Db.close db) @@ fun () ->
-          match dtd_path with
-          | None -> O.Api.Store.query_nodes store q
-          | Some dp -> (
-              let dtd = load_dtd dp in
-              let g = schema_graph dtd root in
-              match Xmllib.Dtd.validate dtd (O.Api.Store.document store) with
-              | Error msgs ->
-                  Printf.eprintf
-                    "warning: document does not satisfy the DTD (%d \
-                     violation(s)); translating without schema analysis\n"
-                    (List.length msgs);
-                  O.Api.Store.query_nodes store q
-              | Ok () ->
-                  let sat =
-                    List.filter_map
-                      (fun p ->
-                        let r = Analysis.Schema_check.analyze g p in
-                        if r.Analysis.Schema_check.satisfiable then
-                          Some r.Analysis.Schema_check.rewritten
-                        else None)
-                      (O.Xpath_parser.parse_union q)
-                  in
-                  if sat = [] then []
-                  else
-                    let res = O.Translate.exec db ~doc:"doc" enc (O.Translate.compile ~doc:"doc" enc sat) in
-                    List.map
-                      (fun (row : O.Node_row.t) ->
-                        O.Api.Store.subtree store ~id:row.O.Node_row.id)
-                      res.O.Translate.rows)
+          let rows () = (O.Api.Store.query store q).O.Translate.rows in
+          let rows =
+            match dtd_path with
+            | None -> rows ()
+            | Some dp -> (
+                let dtd = load_dtd dp in
+                let g = schema_graph dtd root in
+                match Xmllib.Dtd.validate dtd (O.Api.Store.document store) with
+                | Error msgs ->
+                    Printf.eprintf
+                      "warning: document does not satisfy the DTD (%d \
+                       violation(s)); translating without schema analysis\n"
+                      (List.length msgs);
+                    rows ()
+                | Ok () ->
+                    let sat =
+                      List.filter_map
+                        (fun p ->
+                          let r = Analysis.Schema_check.analyze g p in
+                          if r.Analysis.Schema_check.satisfiable then
+                            Some r.Analysis.Schema_check.rewritten
+                          else None)
+                        (O.Xpath_parser.parse_union q)
+                    in
+                    if sat = [] then []
+                    else
+                      (O.Translate.exec db ~doc:"doc" enc (O.Translate.compile ~doc:"doc" enc sat))
+                        .O.Translate.rows)
+          in
+          Obs.Span.with_ "reconstruct" (fun () -> List.map (result_line store) rows)
         in
-        let nodes, spans =
+        let lines, spans =
           if trace then Obs.Span.collect go else (go (), [])
         in
-        List.iter
-          (fun node -> print_endline (Xmllib.Printer.node_to_string node))
-          nodes;
+        List.iter print_endline lines;
         if trace then begin
           print_endline "-- trace:";
           print_string (Obs.Span.to_string spans)

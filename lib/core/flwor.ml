@@ -121,8 +121,8 @@ let rec parse_clauses words acc =
         (Let (String.sub var 1 (String.length var - 1), parse_pathexpr pe) :: acc)
   | "where" :: rest ->
       let rec conds ws acc_c =
-        match ws with
-        | pe :: op :: rhs :: more when cmp_of_word op <> None ->
+        match (ws, match ws with _ :: op :: _ :: _ -> cmp_of_word op | _ -> None) with
+        | pe :: _ :: rhs :: more, Some cmp ->
             (* the right-hand side is a literal, or another path/variable
                (turning the condition into a value join) *)
             let r =
@@ -130,15 +130,9 @@ let rec parse_clauses words acc =
                 R_path (parse_pathexpr rhs)
               else R_lit (literal_of_word rhs)
             in
-            let c =
-              {
-                c_path = parse_pathexpr pe;
-                c_cmp = Some (Option.get (cmp_of_word op), r);
-              }
-            in
-            continue (c :: acc_c) more
-        | pe :: more -> continue ({ c_path = parse_pathexpr pe; c_cmp = None } :: acc_c) more
-        | [] -> pfail "empty where clause"
+            continue ({ c_path = parse_pathexpr pe; c_cmp = Some (cmp, r) } :: acc_c) more
+        | pe :: more, _ -> continue ({ c_path = parse_pathexpr pe; c_cmp = None } :: acc_c) more
+        | [], _ -> pfail "empty where clause"
       and continue acc_c = function
         | "and" :: more -> conds more acc_c
         | more -> (List.rev acc_c, more)

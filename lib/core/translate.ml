@@ -57,10 +57,12 @@ let decode st tu =
 
 (* Statements over a context relation select c.id last, after the columns
    Node_row.of_tuple reads: the rows of [sql] over [rel] filled with [ctx],
-   each tagged with its context id. *)
+   each tagged with its context id; no statement runs without contexts. *)
 let tagged st rel ctx ?params sql =
-  Node_row.with_relation st.db rel ctx (fun () ->
-      List.map (fun tu -> (Node_row.ctx_id tu, decode st tu)) (run_sql st ?params sql))
+  if ctx = [] then []
+  else
+    Node_row.with_relation st.db rel ctx (fun () ->
+        List.map (fun tu -> (Node_row.ctx_id tu, decode st tu)) (run_sql st ?params sql))
 
 let ctx_sql enc ~table rel where =
   Printf.sprintf "SELECT %s, c.id FROM %s e, %s c WHERE %s" (Node_row.select_list enc "e") table
@@ -624,65 +626,63 @@ let compile ?(relative = false) ~doc enc (u : A.union) =
 (* Running statements                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* the first element with each row id, as [id] reads it: one lookup each *)
-let dedup_on id l =
-  let seen = Itbl.create (List.length l) in
-  List.filter
-    (fun x ->
-      let n = Itbl.length seen in
-      Itbl.replace seen (id x) ();
-      Itbl.length seen > n)
-    l
+(* the first row with each id: one lookup each, none for fewer than two *)
+let dedup_rows = function
+  | ([] | [ _ ]) as l -> l
+  | l ->
+      let seen = Itbl.create (List.length l) in
+      List.filter
+        (fun (r : Node_row.t) ->
+          let n = Itbl.length seen in
+          Itbl.replace seen r.Node_row.id ();
+          Itbl.length seen > n)
+        l
 
-let dedup_rows = dedup_on (fun (r : Node_row.t) -> r.Node_row.id)
+(* What the segments of a path pass on: each origin with its rows, each row
+   once per origin, origins and rows in order of first sight (the nested
+   vector of the DSH exemplar; Pathfinder's iter column). A path from the
+   root is [[ (0, rows) ]]; [[]] is a path that has not started. *)
+type flow = (int * Node_row.t list) list
 
-let rec mem_int (x : int) = function [] -> false | y :: l -> x = y || mem_int x l
+(* a lone origin's rows are its list itself, not a copy *)
+let rows_of = function [ (_, rows) ] -> rows | flow -> List.concat_map snd flow
 
-(* the first (origin, row) pair with each origin and row id *)
-let dedup_pairs pairs =
-  (* row id -> the origins it came with so far *)
-  let seen = Itbl.create 64 in
-  List.filter
-    (fun (o, (r : Node_row.t)) ->
-      let id = r.Node_row.id in
-      match Itbl.find_opt seen id with
-      | None ->
-          Itbl.add seen id [ o ];
-          true
-      | Some os -> (not (mem_int o os)) && (Itbl.replace seen id (o :: os); true))
-    pairs
+(* [pairs] grouped by their first component, in order of first sight: the
+   candidates of a step from the root share context 0, and need no table *)
+let group = function
+  | (c, _) :: rest as pairs when List.for_all (fun (c', _) -> c' = c) rest -> [ (c, List.map snd pairs) ]
+  | pairs ->
+      let order = ref [] and cells = Itbl.create 64 in
+      List.iter
+        (fun (c, r) ->
+          match Itbl.find_opt cells c with
+          | Some cell -> cell := r :: !cell
+          | None ->
+              let cell = ref [ r ] in
+              Itbl.add cells c cell;
+              order := (c, cell) :: !order)
+        pairs;
+      List.rev_map (fun (c, cell) -> (c, List.rev !cell)) !order
 
-(* What the segments of a path pass on: (origin, row) pairs, or rows that
-   share one origin, as every path from the root does (origin 0), without
-   a pair per row. *)
-type flow = Pairs of (int * Node_row.t) list | One of int * Node_row.t list
-
-let rows_of = function Pairs pairs -> List.map snd pairs | One (_, rows) -> rows
-let pairs_of = function Pairs pairs -> pairs | One (o, rows) -> List.map (fun r -> (o, r)) rows
-
-let one_origin = function
-  | One _ | Pairs [] -> true
-  | Pairs ((o, _) :: rest) -> List.for_all (fun (o', _) -> o' = o) rest
-
-(* (context id, row) pairs rebound to origins, through the origins the
-   flow binds to each context row (a statement returns a context's rows
-   together). With no pairs yet, the candidates of a path's first step
-   pass as they are; one origin binds each row to it once, as one flow;
-   [unique]: [tagged] holds each row once, as one context's rows do. *)
-let rebind ?(unique = false) flow tagged =
-  let once () = List.map snd (if unique then tagged else dedup_on (fun (_, (r : Node_row.t)) -> r.Node_row.id) tagged) in
+(* (context id, row) pairs rebound to the origins of their contexts. A path
+   not started takes the pairs grouped by context; one origin takes each
+   row once ([unique]: [pairs] holds each row once, as one context's rows
+   do); many origins each take the rows of their contexts once, and an
+   origin left with none is dropped, so a flow narrowed to one origin
+   prunes as one (see [contexts]). *)
+let rebind ?(unique = false) (flow : flow) pairs : flow =
   match flow with
-  | Pairs [] -> Pairs tagged
-  | One (o, _) -> One (o, once ())
-  | Pairs ((o, _) :: _) when one_origin flow -> One (o, once ())
-  | Pairs pairs ->
-      let origins = Itbl.create 64 and last = ref (min_int, []) in
-      List.iter (fun (o, (r : Node_row.t)) -> Itbl.add origins r.Node_row.id o) pairs;
-      let origins_of c =
-        if fst !last <> c then last := (c, Itbl.find_all origins c);
-        snd !last
-      in
-      Pairs (dedup_pairs (List.concat_map (fun (c, r) -> List.map (fun o -> (o, r)) (origins_of c)) tagged))
+  | [] -> group pairs
+  | [ (o, _) ] -> [ (o, if unique then List.map snd pairs else dedup_rows (List.map snd pairs)) ]
+  | flow ->
+      let by_ctx = Itbl.create 64 in
+      List.iter (fun (c, r) -> Itbl.add by_ctx c r) (List.rev pairs);
+      List.filter_map
+        (fun (o, ctxs) ->
+          match dedup_rows (List.concat_map (fun (c : Node_row.t) -> Itbl.find_all by_ctx c.Node_row.id) ctxs) with
+          | [] -> None
+          | rows -> Some (o, rows))
+        flow
 
 (* Whether a predicate counts positions, anywhere under and, or and not. *)
 let rec positional (p : A.predicate) =
@@ -700,12 +700,12 @@ let prunes (s : A.step) = List.mem s.A.axis [ A.Following; A.Preceding ] && not 
 (* the first element of [l] that no other is [better] than *)
 let best better = function [] -> [] | x :: l -> [ List.fold_left (fun b y -> if better y b then y else b) x l ]
 
-(* Whether [s] prunes the contexts of [flow] (they share one origin), and
+(* Whether [s] prunes the contexts of [flow] (it has one origin), and
    the distinct context rows it reads: if it prunes, under GLOBAL and DEWEY,
    the one with the least subtree end ([g_end], the path followed by ff),
    else the greatest start. LOCAL prunes in [local_doc_order], by keys. *)
 let contexts st (s : A.step) flow =
-  let stair = one_origin flow && prunes s in
+  let stair = (match flow with _ :: _ :: _ -> false | _ -> true) && prunes s in
   ( stair,
     if not stair || st.enc = Encoding.Local then dedup_rows (rows_of flow)
     else
@@ -719,10 +719,7 @@ let contexts st (s : A.step) flow =
 
 (* A run from the context rows: (context id, row) pairs. *)
 let ctx_run st ctx_rows (r : run) =
-  if ctx_rows = [] then []
-  else
-    tagged st (Node_row.ctx_relation st.enc) (List.map Node_row.ctx_tuple ctx_rows)
-      ~params:r.params r.sql
+  tagged st (Node_row.ctx_relation st.enc) (List.map Node_row.ctx_tuple ctx_rows) ~params:r.params r.sql
 
 (* A run from the root: its rows (origin 0). LOCAL keeps the rows of the
    chain's earlier steps in the parent-chain cache when the run selects
@@ -747,11 +744,7 @@ let id_tuples ids = List.map (fun i -> [| V.Int i |]) ids
 
 (* Fetch rows by id: one join with the id relation, probing the id index. *)
 let fetch_by_ids st ids =
-  match List.sort_uniq compare ids with
-  | [] -> []
-  | ids ->
-      List.map snd
-        (ctx_join st Node_row.ids_relation (id_tuples ids) "e.id = c.id")
+  List.map snd (ctx_join st Node_row.ids_relation (id_tuples (List.sort_uniq compare ids)) "e.id = c.id")
 
 (* A LOCAL row's document-order key is its root path: the l_order values
    from the root down, compared as a Dewey path. Attributes have
@@ -880,22 +873,19 @@ let local_doc_order st ~stair ctx_rows axis (cands_run : run) =
     if not stair then ctx
     else best (fun d c -> if axis = A.Following then after d < after c else Dewey.compare (key d) (key c) > 0) ctx
   in
-  let pairs =
-    List.concat_map
-      (fun c ->
-        let kc = key c and pair (_, l) = (c.row.Node_row.id, l.row) in
-        match axis with
-        | A.Following ->
-            let i = after c in
-            List.init (n - i) (fun j -> pair sorted.(i + j))
-        | _ ->
-            let i = first (fun k -> Dewey.compare k kc >= 0) in
-            List.filter_map
-              (fun (k, _ as e) -> if Dewey.is_strict_prefix k kc then None else Some (pair e))
-              (Array.to_list (Array.sub sorted 0 i)))
-      ctx
-  in
-  pairs
+  List.concat_map
+    (fun c ->
+      let kc = key c and pair (_, l) = (c.row.Node_row.id, l.row) in
+      match axis with
+      | A.Following ->
+          let i = after c in
+          List.init (n - i) (fun j -> pair sorted.(i + j))
+      | _ ->
+          let i = first (fun k -> Dewey.compare k kc >= 0) in
+          List.filter_map
+            (fun (k, _ as e) -> if Dewey.is_strict_prefix k kc then None else Some (pair e))
+            (Array.to_list (Array.sub sorted 0 i)))
+    ctx
 
 (* ------------------------------------------------------------------ *)
 (* Step evaluation                                                     *)
@@ -939,7 +929,7 @@ let rec candidates st ?(stair = false) ctx_rows (s : step) fetch =
                 [| V.Int c.Node_row.id; V.Null; V.Null; V.Bytes (Dewey.encode (Array.sub path 0 (i + 1))) |]))
           ctx_rows
       in
-      if prefixes = [] then [] else tagged st (Node_row.ctx_relation st.enc) prefixes sql
+      tagged st (Node_row.ctx_relation st.enc) prefixes sql
   | Chain_walk ->
       (* complete the context rows' chains, then walk them in the cache *)
       let (_ : link -> int array) = chain_keys st (Seq.map (link st) (List.to_seq ctx_rows)) in
@@ -977,76 +967,68 @@ let apply_pred tallies rows p =
   in
   List.filteri (fun i r -> holds (i + 1) r p) rows
 
-(* rows as (origin, row) pairs, each row its own origin *)
-let own rows = List.map (fun (r : Node_row.t) -> (r.Node_row.id, r)) rows
+(* a flow in which each row is its own origin *)
+let own rows : flow = List.map (fun (r : Node_row.t) -> (r.Node_row.id, [ r ])) rows
 
-(* The one evaluator: a path's segments over a flow, giving a flow. From
-   no pairs, a path from the root starts there, its rows with origin 0. *)
+(* The one evaluator: a path's segments over a flow, giving a flow. A path
+   not started starts from the root, its rows with origin 0. *)
 let rec exec_segments st flow = function
   | [] -> flow
-  | Run r :: rest when r.from_root -> exec_segments st (One (0, root_run st r)) rest
+  | Run r :: rest when r.from_root -> exec_segments st [ (0, root_run st r) ] rest
   | Run r :: rest ->
       exec_segments st (rebind flow (ctx_run st (snd (contexts st (List.hd r.steps) flow)) r)) rest
   | Step s :: rest -> exec_segments st (eval_one_step st flow s) rest
 
-(* One step over (origin, ctx row) pairs in the middle tier: dedupe (or
-   prune) contexts, fetch candidates, order per group when a predicate
-   counts positions, apply predicates, rebind to origins. *)
+(* One step of a flow in the middle tier: dedupe (or prune) contexts, fetch
+   candidates, and rebind them to origins; with predicates, group them by
+   context first, each group ordered when a predicate counts positions and
+   filtered by the predicates. *)
 and eval_one_step st flow (s : step) =
   let stair, ctx_rows = contexts st s.step flow in
   let cands = candidates st ~stair ctx_rows s s.fetch in
   Obs.add "translate.pairs" (List.length cands);
   if s.preds = [] then rebind ~unique:stair flow cands
   else begin
-    (* group by ctx id, preserving candidate order *)
-    let group_order = ref [] in
-    let groups : Node_row.t list ref Itbl.t = Itbl.create 64 in
-    List.iter
-      (fun (ctx, row) ->
-        match Itbl.find_opt groups ctx with
-        | Some cell -> cell := row :: !cell
-        | None ->
-            group_order := ctx :: !group_order;
-            Itbl.add groups ctx (ref [ row ]))
-      cands;
+    let groups = group cands in
     let sort =
       if not (List.exists positional s.step.A.preds) then Fun.id
       else
-        let sort = doc_sort st (Itbl.fold (fun _ cell acc -> !cell :: acc) groups []) in
+        let sort = doc_sort st (List.map snd groups) in
         if is_reverse_axis s.step.A.axis then fun rows -> List.rev (sort rows) else sort
     in
     (* batched evaluation of path sub-predicates over all candidates *)
     let tallies = eval_path_preds st (dedup_rows (List.map snd cands)) s.preds in
     rebind ~unique:stair flow
       (List.concat_map
-         (fun ctx ->
-           let rows = sort (List.rev !(Itbl.find groups ctx)) in
-           List.map (fun r -> (ctx, r)) (List.fold_left (apply_pred tallies) rows s.preds))
-         (List.rev !group_order))
+         (fun (ctx, rows) -> List.map (fun r -> (ctx, r)) (List.fold_left (apply_pred tallies) (sort rows) s.preds))
+         groups)
   end
 
 (* Each Exists / Cmp / Count subterm of the predicates, its path run once
    from every candidate: per candidate id, how many rows the path reaches
    (for Cmp, how many match: an element through its text children, the
-   data-centric string value of the interface documentation). *)
+   data-centric string value of the interface documentation); an origin
+   that reaches none has no entry. *)
 and eval_path_preds st cand_rows preds =
-  let origins = Pairs (own cand_rows) in
-  let tally pairs =
+  let tally ?(keep = fun _ -> true) flow =
     let t = Itbl.create 16 in
-    List.iter (fun (o, _) -> Itbl.replace t o (1 + Option.value (Itbl.find_opt t o) ~default:0)) pairs;
+    List.iter
+      (fun (o, rows) ->
+        let n = List.fold_left (fun n r -> if keep r then n + 1 else n) 0 rows in
+        if n > 0 then Itbl.replace t o n)
+      flow;
     t
   in
-  let run from segs = pairs_of (exec_segments st from segs) in
+  let origins = own cand_rows in
   let rec walk acc p =
     match p with
-    | Exists segs | Count (segs, _, _) -> (p, tally (run origins segs)) :: acc
+    | Exists segs | Count (segs, _, _) -> (p, tally (exec_segments st origins segs)) :: acc
     | Cmp (segs, op, lit, texts) ->
-        let pairs = run origins segs in
+        let flow = exec_segments st origins segs in
         let matches (r : Node_row.t) = Encoding.value_matches op lit r.Node_row.value in
         let elem (r : Node_row.t) = r.Node_row.kind = Doc_index.Elem in
-        let elems = dedup_rows (List.filter elem (List.map snd pairs)) in
-        let passed = tally (List.filter (fun (_, t) -> matches t) (run (Pairs (own elems)) texts)) in
-        (p, tally (List.filter (fun (_, r) -> if elem r then Itbl.mem passed r.Node_row.id else matches r) pairs)) :: acc
+        let passed = tally ~keep:matches (exec_segments st (own (dedup_rows (List.filter elem (rows_of flow)))) texts) in
+        (p, tally ~keep:(fun r -> if elem r then Itbl.mem passed r.Node_row.id else matches r) flow) :: acc
     | And (a, b) | Or (a, b) -> walk (walk acc a) b
     | Not a -> walk acc a
     | Pos _ | Last -> acc
@@ -1055,25 +1037,26 @@ and eval_path_preds st cand_rows preds =
 
 (* ---- whole paths --------------------------------------------------- *)
 
-(* Every path runs through [exec_segments], from nothing (from the root)
-   or from the [ids] rows, once per path of a union; the rows are then
+(* Every path runs through [exec_segments], from the empty flow (from the
+   root) or from the [ids] rows, once per path of a union; the rows are then
    sorted once. One path from the root leaves each row once ([rebind] over
    origin 0) but for a lone run, which may have sorted them; a LOCAL
    following/preceding step that prunes its contexts to one returns that
    one's rows in order. *)
 let exec ?ids db ~doc enc (q : query) =
   let st = new_state db ~doc enc in
-  let seed = Pairs (match ids with Some ids -> own (fetch_by_ids st ids) | None -> []) in
+  let seed = match ids with Some ids -> own (fetch_by_ids st ids) | None -> [] in
   let path segs = rows_of (exec_segments st seed segs) in
   let doc_sort rows = doc_sort st [ rows ] rows in
   let rows =
     match (ids, q) with
     | None, [ segs ] -> (
         let rows = path segs in
-        match List.rev segs with
-        | [ Run r ] when r.sorted -> rows
-        | Step { step; fetch = Doc_order _; _ } :: _ when prunes step -> rows
-        | [ Run _ ] -> doc_sort (dedup_rows rows)
+        let rec last = function _ :: (_ :: _ as l) -> last l | l -> l in
+        match (segs, last segs) with
+        | [ Run r ], _ when r.sorted -> rows
+        | _, [ Step { step; fetch = Doc_order _; _ } ] when prunes step -> rows
+        | [ Run _ ], _ -> doc_sort (dedup_rows rows)
         | _ -> doc_sort rows)
     | _ -> doc_sort (dedup_rows (List.concat_map path q))
   in

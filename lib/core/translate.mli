@@ -199,4 +199,5 @@ val exec : ?ids:int list -> Reldb.Db.t -> doc:string -> Encoding.t -> query -> r
     rows are keyed by their parent chains, which are fetched only for such
     a sort and for [following], [preceding] and [ancestor] steps. Obs's
     [translate.pairs] counts the (context, row) pairs middle-tier steps
-    make. *)
+    fetch as candidates, before their predicates; the flow between steps
+    holds each origin's rows, not pairs, so rebinding them adds none. *)

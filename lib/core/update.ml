@@ -240,11 +240,13 @@ let global_insert state b ~first_id fragments ~gapped =
 let rewrite_subtree_paths state ~old_path ~new_path =
   Obs.Span.with_ "renumber" ~attrs:[ ("op", "rewrite-paths") ] @@ fun () ->
   let old_enc = Dewey.encode old_path in
-  let range, bounds = Option.get (Node_row.subtree_range (Node_row.Od old_enc)) in
   let n =
-    exec state
-      (Printf.sprintf "UPDATE %s SET path = ? || SUBSTR(path, ?) WHERE %s" state.tname range)
-      (Array.append [| V.Bytes (Dewey.encode new_path); V.Int (String.length old_enc + 1) |] bounds)
+    match Node_row.subtree_range (Node_row.Od old_enc) with
+    | Some (range, bounds) ->
+        exec state
+          (Printf.sprintf "UPDATE %s SET path = ? || SUBSTR(path, ?) WHERE %s" state.tname range)
+          (Array.append [| V.Bytes (Dewey.encode new_path); V.Int (String.length old_enc + 1) |] bounds)
+    | None -> fail "no path range for a DEWEY subtree"
   in
   state.st <- { state.st with rows_renumbered = state.st.rows_renumbered + n }
 

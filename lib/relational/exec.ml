@@ -298,13 +298,12 @@ and compile_op cx p =
   | Plan.Project (cols, input) ->
       let l, iop, ipr = compile cx input in
       let s = new_slot cx in
-      let col = function Expr.Col i, _ when i >= 0 && i < arity l -> Some i | _ -> None in
+      let col = function Expr.Col i, _ when i >= 0 && i < arity l -> i | _ -> raise_notrace Exit in
       let build =
         match Array.map col cols with
         (* a projection of plain columns is an index copy *)
-        | plain when Array.for_all Option.is_some plain ->
-            copy (pick l (Array.map Option.get plain))
-        | _ ->
+        | plain -> copy (pick l plain)
+        | exception Exit ->
             let es = Array.map (fun (e, _) -> expr l e) cols in
             fun f -> Array.map (fun e -> e f) es
       in

@@ -486,7 +486,10 @@ let rec delivered (p : Plan.t) =
       (* the order up to its first column the projection drops *)
       let d = delivered p in
       let out c = Array.find_index (fun (e, _) -> e = Expr.Col c) cols in
-      let rec map = function (c, dir) :: rest when out c <> None -> (Option.get (out c), dir) :: map rest | _ -> [] in
+      let rec map = function
+        | (c, dir) :: rest -> ( match out c with Some o -> (o, dir) :: map rest | None -> [])
+        | [] -> []
+      in
       let order = map d.order in
       let fixed i = match fst cols.(i) with Expr.Col c -> List.mem c d.fixed | e -> Expr.columns e = [] in
       let fixed = List.filter fixed (List.init (Array.length cols) Fun.id) in

@@ -40,10 +40,13 @@ let escape buf ~quot s =
   in
   go 0
 
-let escape_text s =
+let escaped ~quot s =
   let buf = Buffer.create (String.length s + 8) in
-  escape buf ~quot:false s;
+  escape buf ~quot s;
   Buffer.contents buf
+
+let escape_text = escaped ~quot:false
+let escape_attr = escaped ~quot:true
 
 (* Comments and processing instructions have no escaping mechanism at all,
    so contents that collide with their delimiters cannot be serialized —

@@ -23,6 +23,11 @@ val escape_text : string -> string
 (** Escape [& < > \r] for character data.
     @raise Unserializable on a character outside XML's [Char]. *)
 
+val escape_attr : string -> string
+(** Escape an attribute value as a start tag writes it between double
+    quotes: [escape_text]'s characters plus the double quote, tab and line
+    feed. @raise Unserializable on a character outside XML's [Char]. *)
+
 val add_events : Buffer.t -> ((Sax.event -> unit) -> unit) -> unit
 (** [add_events buf produce] runs [produce] with the event writer, which
     appends the XML text of its events to [buf]. An element with no content

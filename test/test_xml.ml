@@ -172,6 +172,16 @@ let test_print_escapes () =
     "<a k=\"a&quot;b&lt;c\">x&lt;y&amp;z</a>"
     (Pr.node_to_string n)
 
+(* [escape_attr] is the escaping a start tag writes between its quotes *)
+let test_escape_attr () =
+  List.iter
+    (fun v ->
+      check string_t v
+        (Pr.node_to_string (T.element "a" ~attrs:[ T.attr "k" v ] []))
+        ("<a k=\"" ^ Pr.escape_attr v ^ "\"/>"))
+    [ "plain"; "a\"b<c>&d"; "tab\tlf\ncr\r"; "caf\xc3\xa9" ];
+  check string_t "quote, tab, line feed" "&quot;&#9;&#10;" (Pr.escape_attr "\"\t\n")
+
 let test_print_parse_roundtrip () =
   let src = "<a k=\"v\"><b>one</b><!--c--><?p d?><c/>tail</a>" in
   check string_t "stable" (roundtrip src) (roundtrip (roundtrip src))
@@ -408,6 +418,7 @@ let tests =
       Alcotest.test_case "raw characters" `Quick test_raw_chars;
       Alcotest.test_case "long comment allocation" `Quick test_long_comment_allocation;
       Alcotest.test_case "print escapes" `Quick test_print_escapes;
+      Alcotest.test_case "attribute value escapes" `Quick test_escape_attr;
       Alcotest.test_case "unprintable characters" `Quick test_unprintable_chars;
       Alcotest.test_case "print/parse stable" `Quick test_print_parse_roundtrip;
       Alcotest.test_case "attr control chars roundtrip" `Quick
