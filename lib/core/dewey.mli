@@ -8,10 +8,12 @@
     {!encode} serializes a path so that {e bytewise} comparison of encoded
     strings equals document-order comparison of paths — the property that
     lets a relational index over a BYTES column answer every ordered XML
-    query. The codec is UTF-8-style: each component becomes 1–4 bytes whose
-    first byte determines the length, with longer encodings starting at
-    higher first bytes, so the encoding of a smaller component is never a
-    prefix of (nor lexically above) a larger one's. No first byte is above
+    query. The codec is {!Reldb.Path_codec}, which the engine's
+    [PATH_SHIFT] scalar shares. It is UTF-8-style: each component becomes
+    1–4 bytes whose first byte determines the length, with longer encodings
+    starting at higher first bytes, so the encoding of a smaller component
+    is never a prefix of (nor lexically above) a larger one's. No first
+    byte is above
     [ef], so [encode p ^ "\xff"] is above every extension of [p] and below
     every later path: a subtree is the byte range [\[encode p, encode p ^
     "\xff")] (see {!Node_row.subtree_range}). *)
@@ -34,9 +36,6 @@ val child : t -> int -> t
 
 val last : t -> int
 (** Final component. @raise Invalid_argument on the empty path. *)
-
-val with_last : t -> int -> t
-(** Replace the final component. *)
 
 val is_strict_prefix : t -> t -> bool
 (** [is_strict_prefix a d] — is [a] a proper ancestor path of [d]? *)

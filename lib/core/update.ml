@@ -278,18 +278,26 @@ let dewey_insert state b ~first_id fragments =
       | [] -> 1
       | last :: _ -> comp_of last + 1
   in
-  (* shift following siblings by the forest width in one pass (component
-     >= c0), last first so the unique path index never sees a collision;
-     every row of each sibling subtree gets its path prefix rewritten *)
-  let to_shift =
-    List.filter (fun s -> comp_of s >= c0) b.siblings |> List.rev
-  in
-  List.iter
-    (fun (s : Node_row.t) ->
-      let old_path = Node_row.dewey s in
-      rewrite_subtree_paths state ~old_path
-        ~new_path:(Dewey.with_last old_path (Dewey.last old_path + k)))
-    to_shift;
+  (* one statement shifts every following sibling subtree by the forest
+     width: the rows from the first shifted sibling's path up to the
+     parent's subtree end are exactly those subtrees (the parent's
+     attributes, under component 0, sort below it), and each path in the
+     range gets [k] added to its component at the parent's depth *)
+  (if b.pos <= List.length b.siblings then begin
+     let shifted =
+       renumber state
+         (Printf.sprintf
+            "UPDATE %s SET path = PATH_SHIFT(path, ?, ?) WHERE path >= ? AND path < ?"
+            state.tname)
+         [|
+           V.Int (Dewey.depth parent_path);
+           V.Int k;
+           V.Bytes (Dewey.encode (Dewey.child parent_path c0));
+           V.Bytes (Dewey.encode parent_path ^ "\xff");
+         |]
+     in
+     state.st <- { state.st with rows_renumbered = state.st.rows_renumbered + shifted }
+   end);
   graft state b ~first_id fragments (fun j ->
       let target = Dewey.child parent_path (c0 + j) in
       (target, Dewey.depth target))

@@ -17,9 +17,12 @@
     - {b DEWEY} shifts the following siblings {e and rewrites the stored
       path of every node in their subtrees} (the prefix of those paths
       changed) — more than LOCAL, much less than GLOBAL for typical shapes.
-      Each moved sibling subtree is one set-oriented UPDATE that swaps the
-      path prefix in SQL ([? || SUBSTR(path, ?)] over the subtree's path
-      range).
+      One UPDATE moves them all: over the range from the first following
+      sibling's path to the parent's subtree end, it adds the forest's
+      width to each path's component at the parent's depth
+      ([PATH_SHIFT(path, ?, ?)], an engine built-in). ORDPATH's rare
+      repack moves each sibling subtree with its own statement
+      ([? || SUBSTR(path, ?)] over the subtree's path range).
 
     Fresh node ids come from [SELECT MAX(id)], which the engine answers from
     the end of the id index, so an insertion reads only the rows it looks at

@@ -1,6 +1,6 @@
 type cmp = Eq | Ne | Lt | Le | Gt | Ge
 type arith = Add | Sub | Mul | Div | Mod
-type func = Length | Abs | Lower | Upper | Substr
+type func = Length | Abs | Lower | Upper | Substr | Path_shift
 
 type t =
   | Const of Value.t
@@ -71,6 +71,16 @@ let substr s start len =
   let from = max 1 start - 1 in
   if from >= n || len <= 0 then "" else String.sub s from (min len (n - from))
 
+(* PATH_SHIFT(path, depth, k): [k] added to the path's component after its
+   first [depth] (see Path_codec) *)
+let path_shift path depth k =
+  match (path, depth, k) with
+  | Value.Null, _, _ | _, Value.Null, _ | _, _, Value.Null -> Value.Null
+  | Value.Bytes s, Value.Int depth, Value.Int k -> (
+      try Value.Bytes (Path_codec.shift s ~depth k)
+      with Path_codec.Malformed m -> err "PATH_SHIFT: %s" m)
+  | _ -> err "PATH_SHIFT takes a BYTES path, an INT depth and an INT shift"
+
 let eval_func f args =
   let open Value in
   match (f, args) with
@@ -85,7 +95,7 @@ let eval_func f args =
   | Substr, [ Str s; Int start; Int len ] -> Str (substr s start len)
   | Substr, [ Bytes s; Int start ] -> Bytes (substr s start max_int)
   | Substr, [ Bytes s; Int start; Int len ] -> Bytes (substr s start len)
-  | (Length | Abs | Lower | Upper | Substr), _ ->
+  | (Length | Abs | Lower | Upper | Substr | Path_shift), _ ->
       err "bad arguments to function"
 
 type frame = Tuple.t array
@@ -157,6 +167,10 @@ let rec compile ~arity ~col e : frame -> Value.t =
         | Value.Null, _ | _, Value.Null -> Value.Null
         | Value.Bytes x, Value.Bytes y -> Value.Bytes (x ^ y)
         | x, y -> Value.Str (Value.to_string x ^ Value.to_string y))
+  | Func (Path_shift, [ path; depth; k ]) ->
+      (* no argument list per row *)
+      let path = c path and depth = c depth and k = c k in
+      fun f -> path_shift (path f) (depth f) (k f)
   | Func (fn, args) ->
       let args = List.map c args in
       fun f -> eval_func fn (List.map (fun a -> a f) args)
@@ -315,6 +329,7 @@ let func_name = function
   | Lower -> "LOWER"
   | Upper -> "UPPER"
   | Substr -> "SUBSTR"
+  | Path_shift -> "PATH_SHIFT"
 
 let rec pp ppf = function
   | Const v -> Format.pp_print_string ppf (Value.to_sql_literal v)

@@ -6,7 +6,7 @@
 
 type cmp = Eq | Ne | Lt | Le | Gt | Ge
 type arith = Add | Sub | Mul | Div | Mod
-type func = Length | Abs | Lower | Upper | Substr
+type func = Length | Abs | Lower | Upper | Substr | Path_shift
 
 type t =
   | Const of Value.t
@@ -32,7 +32,11 @@ type t =
   | Func of func * t list
       (** Scalar functions. [SUBSTR(s, start)] and [SUBSTR(s, start, len)]
           take a 1-based start and return BYTES for BYTES input, TEXT for
-          TEXT. *)
+          TEXT. [PATH_SHIFT(path, depth, k)] is the BYTES path
+          ({!Path_codec}) with [k] added to its component after the first
+          [depth]; NULL if an argument is NULL, {!Eval_error} if the path
+          is not BYTES, has no component at [depth], is malformed up to it,
+          or the new component is out of range. *)
 
 exception Eval_error of string
 

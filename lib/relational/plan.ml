@@ -203,6 +203,7 @@ let expr_type schema (e : Expr.t) : Value.ty =
       end
     | Expr.Func ((Expr.Length | Expr.Abs), _) -> Value.Tint
     | Expr.Func (Expr.Substr, a :: _) when go a = Value.Tbytes -> Value.Tbytes
+    | Expr.Func (Expr.Path_shift, _) -> Value.Tbytes
     | Expr.Func ((Expr.Lower | Expr.Upper | Expr.Substr), _) -> Value.Ttext
   in
   go e

@@ -17,6 +17,7 @@ let scalar_func = function
   | "LOWER" -> Some Expr.Lower
   | "UPPER" -> Some Expr.Upper
   | "SUBSTR" | "SUBSTRING" -> Some Expr.Substr
+  | "PATH_SHIFT" -> Some Expr.Path_shift
   | _ -> None
 
 (* ------------------------------------------------------------------ *)

@@ -229,16 +229,17 @@ let compare_old idx rowids olds i j =
 let rec ascending cmp order k =
   k >= Array.length order || (cmp order.(k - 1) order.(k) < 0 && ascending cmp order (k + 1))
 
-(* The batch positions of the rows whose key under [idx] changed, in the
-   order of their old keys: as the access path read them when that is
-   already key order, else picked out of one walk over the index (through
-   [t.marks]) when they are at least a fourteenth of its entries (one per
-   live row; the measured crossover, see DESIGN.md), else sorted. [all],
-   as long as the batch, is the statement's scratch, shared by its indexes. *)
-let key_order t idx rowids olds news all =
+(* The batch positions of the rows whose key under [idx] changed (in one of
+   its key columns the statement assigned, [cols]), in the order of their
+   old keys: as the access path read them when that is already key order,
+   else picked out of one walk over the index (through [t.marks]) when they
+   are at least a fourteenth of its entries (one per live row; the measured
+   crossover, see DESIGN.md), else sorted. [all], as long as the batch, is
+   the statement's scratch, shared by its indexes. *)
+let key_order t idx cols rowids olds news all =
   let m = ref 0 in
   let add order j =
-    if j >= 0 && Tuple.compare_cols idx.key_cols olds.(j) news.(j) <> 0 then (order.(!m) <- j; incr m)
+    if j >= 0 && Tuple.compare_cols cols olds.(j) news.(j) <> 0 then (order.(!m) <- j; incr m)
   in
   Array.iteri (fun j _ -> add all j) rowids;
   let order = Array.sub all 0 !m and cmp i j = compare_old idx rowids olds i j in
@@ -260,8 +261,8 @@ let key_order t idx rowids olds news all =
    of its way. Keys refused there are deleted and re-inserted after all
    in-place writes. Returns the function that undoes both, rebuilding the
    keys from the row images. *)
-let move_keys t idx rowids olds news all =
-  let order = key_order t idx rowids olds news all in
+let move_keys t idx cols rowids olds news all =
+  let order = key_order t idx cols rowids olds news all in
   let m = Array.length order in
   (* the old and new key of row [!cur], in scratch keys reused per length;
      an in-place rewrite beside the last one reads no old key *)
@@ -325,13 +326,16 @@ let move_keys t idx rowids olds news all =
 
 (* Statement-level bulk update. Rowids are preserved (each row's slot takes
    its new image) and each index is maintained only for the rows whose key
-   under THAT index actually changed — an UPDATE that shifts g_order never
-   touches the id index, and a value-only UPDATE touches no index at all.
-   Only the columns whose value the statement replaced are validated.
+   under THAT index actually changed. The columns the statement assigned
+   are those whose value some row's image replaced (by identity); an index
+   with none of them among its key columns is skipped with no per-row work
+   (an UPDATE that shifts g_order never reads the id index, a value-only
+   UPDATE no index at all), and the others compare only those columns to
+   find the rows whose key changed. Only replaced values are validated.
    Atomic with respect to unique-key violations. *)
 let update_rows t rowids news =
   let n = Array.length rowids in
-  let olds = Array.make n [||] in
+  let olds = Array.make n [||] and assigned = Array.make (Array.length t.tbl_schema) false in
   for j = 0 to n - 1 do
     let old = Vec.get t.slots rowids.(j) in
     (* Db updates only the rows its access path has just read *)
@@ -339,7 +343,10 @@ let update_rows t rowids news =
     let tu = news.(j) in
     if Array.length tu <> Array.length old then validate t tu;
     for c = 0 to Array.length tu - 1 do
-      if tu.(c) != old.(c) && not (Schema.fits t.tbl_schema.(c) tu.(c)) then validate t tu
+      if tu.(c) != old.(c) then begin
+        assigned.(c) <- true;
+        if not (Schema.fits t.tbl_schema.(c) tu.(c)) then validate t tu
+      end
     done;
     olds.(j) <- old
   done;
@@ -350,7 +357,13 @@ let update_rows t rowids news =
   Fun.protect
     ~finally:(fun () -> Array.iter (fun rowid -> t.marks.(rowid) <- 0) rowids)
     (fun () ->
-      try List.iter (fun idx -> undos := move_keys t idx rowids olds news all :: !undos) t.idxs
+      try
+        List.iter
+          (fun idx ->
+            match List.filter (Array.get assigned) (Array.to_list idx.key_cols) with
+            | [] -> ()
+            | cols -> undos := move_keys t idx (Array.of_list cols) rowids olds news all :: !undos)
+          t.idxs
       with Constraint_violation _ as e ->
         List.iter (fun undo -> undo ()) !undos;
         raise e);

@@ -57,7 +57,11 @@ val update_rows : t -> int array -> Tuple.t array -> unit
     (rowids stable; a stored image is never written in place, so one
     handed out earlier keeps its values), validating only the columns
     whose value is not the old one, and each index is maintained only for
-    the rows whose key under it changed. The table keeps both arrays.
+    the rows whose key under it changed. The columns the statement assigned
+    are those in which some row's image holds another value than the old
+    row (by identity): an index none of whose key columns is among them is
+    skipped without reading a row, and the others compare only those
+    columns to find the changed keys. The table keeps both arrays.
 
     Per index, each changed key is first rewritten in its slot
     ({!Btree.rewrite_key}) from two scratch keys, visiting the rows in

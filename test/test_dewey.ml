@@ -23,7 +23,6 @@ let test_navigation () =
   check int_t "depth" 3 (Dw.depth p);
   check int_t "last" 3 (Dw.last p);
   check bool_t "child" true (Dw.child p 7 = [| 1; 2; 3; 7 |]);
-  check bool_t "with_last" true (Dw.with_last p 9 = [| 1; 2; 9 |]);
   check bool_t "prefix yes" true (Dw.is_strict_prefix [| 1; 2 |] p);
   check bool_t "prefix self" false (Dw.is_strict_prefix p p);
   check bool_t "prefix no" false (Dw.is_strict_prefix [| 1; 3 |] p)
@@ -148,6 +147,47 @@ let prop_string_roundtrip =
   QCheck.Test.make ~name:"to_string/of_string roundtrip" ~count:300 arb_path
     (fun p -> Dw.of_string (Dw.to_string p) = p)
 
+module E = Reldb.Expr
+module V = Reldb.Value
+
+(* PATH_SHIFT, the engine's scalar over an encoded path: adding k to the
+   component at a depth gives the encoding of the path with k added there.
+   Components and targets sit on both sides of each class boundary (1-2,
+   2-3 and 3-4 bytes, the largest component), so k crosses classes in both
+   directions; a target out of range raises a typed error. *)
+let gen_near_boundary =
+  QCheck.Gen.(
+    let edges = [ 0; 0x80; 0x4080; 0x204080; Dw.max_component + 1 ] in
+    oneof
+      [
+        map2 (fun e d -> e + d) (oneofl edges) (int_range (-3) 2);
+        gen_component;
+      ])
+
+let gen_shift =
+  QCheck.Gen.(
+    map Array.of_list (list_size (int_range 1 6) (map (max 0) gen_near_boundary))
+    >>= fun p ->
+    let p = Array.map (min Dw.max_component) p in
+    map2 (fun depth target -> (p, depth, target - p.(depth))) (int_bound (Array.length p - 1))
+      gen_near_boundary)
+
+let prop_path_shift =
+  QCheck.Test.make ~name:"PATH_SHIFT = encode with k added at depth" ~count:2000
+    (QCheck.make
+       ~print:(fun (p, d, k) -> Printf.sprintf "%s at %d by %d" (Dw.to_string p) d k)
+       gen_shift)
+    (fun (p, depth, k) ->
+      let args = [ E.Const (V.Bytes (Dw.encode p)); E.Const (V.Int depth); E.Const (V.Int k) ] in
+      let c = p.(depth) + k in
+      match E.eval (E.Func (E.Path_shift, args)) [||] with
+      | V.Bytes s ->
+          let q = Array.copy p in
+          q.(depth) <- c;
+          s = Dw.encode q
+      | _ -> false
+      | exception E.Eval_error _ -> c < 0 || c > Dw.max_component)
+
 let tests =
   ( "dewey",
     [
@@ -160,4 +200,5 @@ let tests =
       QCheck_alcotest.to_alcotest prop_subtree_bound;
       QCheck_alcotest.to_alcotest prop_parent_prefix;
       QCheck_alcotest.to_alcotest prop_string_roundtrip;
+      QCheck_alcotest.to_alcotest prop_path_shift;
     ] )

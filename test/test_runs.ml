@@ -305,8 +305,8 @@ let test_census_rows_read () =
       check bool_t (Printf.sprintf "%s: statements (%d) <= %d" name stmts stmt_pin) true (stmts <= stmt_pin);
       check bool_t (Printf.sprintf "%s: pairs (%d) <= %d" name pairs pairs_pin) true (pairs <= pairs_pin))
     [
-      (O.Encoding.Global, 2_579_484, 246, 27_665); (O.Encoding.Local, 260_334, 371, 72_204);
-      (O.Encoding.Dewey_enc, 248_773, 257, 52_226);
+      (O.Encoding.Global, 2_575_327, 246, 27_665); (O.Encoding.Local, 260_334, 371, 72_204);
+      (O.Encoding.Dewey_enc, 244_616, 257, 52_226);
     ]
 
 (* A following step over every node of XMark scale 1 pairs one context

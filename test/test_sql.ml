@@ -1093,6 +1093,53 @@ let test_scalar_functions () =
   | r -> Alcotest.failf "functions: %s" (String.concat ";" (List.map Reldb.Tuple.to_string r))
 
 let rows_text r = String.concat ";" (List.map Reldb.Tuple.to_string r)
+(* PATH_SHIFT(path, depth, k) adds k to the path's component after its
+   first [depth]; on a path it cannot shift it raises Sql_error through
+   exec_params, never Invalid_argument, and an UPDATE it fails changes no
+   row. NULL gives NULL. *)
+let test_path_shift () =
+  let db = fresh () in
+  e db "CREATE TABLE one (x INT)";
+  e db "INSERT INTO one VALUES (1)";
+  let shift path depth k =
+    match D.exec_params db "SELECT PATH_SHIFT(?, ?, ?) FROM one" [| path; V.Int depth; V.Int k |] with
+    | D.Rows { tuples = [ [| v |] ]; _ } -> v
+    | _ -> Alcotest.fail "one row"
+  in
+  check bool_t "shift the second component" true (shift (V.Bytes "\x01\x05\x07") 1 3 = V.Bytes "\x01\x08\x07");
+  check bool_t "into two bytes" true (shift (V.Bytes "\x01\x7f\x07") 1 1 = V.Bytes "\x01\x80\x00\x07");
+  check bool_t "back to one byte" true (shift (V.Bytes "\x80\x00") 0 (-1) = V.Bytes "\x7f");
+  check bool_t "NULL path" true (shift V.Null 0 1 = V.Null);
+  (match D.exec_params db "SELECT PATH_SHIFT(X'01', ?, 1) FROM one" [| V.Null |] with
+  | D.Rows { tuples = [ [| V.Null |] ]; _ } -> ()
+  | _ -> Alcotest.fail "NULL depth gives NULL");
+  List.iter
+    (fun (what, path, depth, k) ->
+      match shift path depth k with
+      | exception D.Sql_error _ -> ()
+      | v -> Alcotest.failf "%s: %s, not Sql_error" what (V.to_string v))
+    [
+      ("TEXT path", V.Str "\x01\x02", 1, 1);
+      ("INT path", V.Int 1, 0, 1);
+      ("depth past the end", V.Bytes "\x01\x02", 2, 1);
+      ("negative depth", V.Bytes "\x01", -1, 1);
+      ("truncated component", V.Bytes "\x01\x80", 1, 1);
+      ("truncated before the depth", V.Bytes "\xc0\x01", 1, 1);
+      ("lead byte f0", V.Bytes "\x01\xf0", 1, 1);
+      ("lead byte ff before the depth", V.Bytes "\xff\x01", 1, 1);
+      ("below 0", V.Bytes "\x01\x01", 1, -2);
+      ("above max_component", V.Bytes "\x01\xef\xff\xff\xff", 1, 1);
+    ];
+  e db "CREATE TABLE p (path BYTES NOT NULL)";
+  e db "CREATE UNIQUE INDEX p_path ON p (path)";
+  e db "INSERT INTO p VALUES (X'0101'), (X'0102'), (X'01EFFFFFFF')";
+  (match D.exec_params db "UPDATE p SET path = PATH_SHIFT(path, ?, ?)" [| V.Int 1; V.Int 1 |] with
+  | exception D.Sql_error _ -> ()
+  | _ -> Alcotest.fail "an UPDATE past max_component must fail");
+  check bool_t "no row changed" true
+    (D.query db "SELECT path FROM p ORDER BY path"
+    = [ [| V.Bytes "\x01\x01" |]; [| V.Bytes "\x01\x02" |]; [| V.Bytes "\x01\xef\xff\xff\xff" |] ])
+
 
 (* An INSERT value is lowered and evaluated as a SELECT's expression is:
    NULL propagates through || and unary minus, BYTES || BYTES is BYTES, and
@@ -1578,6 +1625,7 @@ let tests =
       Alcotest.test_case "multi-key ORDER BY" `Quick test_multi_key_order;
       Alcotest.test_case "expression precedence" `Quick test_expression_precedence;
       Alcotest.test_case "scalar functions" `Quick test_scalar_functions;
+      Alcotest.test_case "PATH_SHIFT" `Quick test_path_shift;
       Alcotest.test_case "BYTES || and SUBSTR" `Quick test_bytes_functions;
       Alcotest.test_case "INSERT values evaluate as SELECT" `Quick test_insert_values;
       Alcotest.test_case "EXPLAIN with ? slots" `Quick test_explain_params;
